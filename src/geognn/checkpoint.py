@@ -108,30 +108,35 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     header_len = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    if len(raw) < 16 + header_len:
+        raise DataError(f"{path}: truncated checkpoint header")
     payload = raw[16 + header_len :]
-
-    model_config = ModelConfig.from_dict(header["model_config"])
-    store = ParamStore(dtype=model_config.dtype)
-    store.step = int(header.get("adam_step", 0))
-    moments_m: dict[str, np.ndarray] = {}
-    moments_v: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(payload[start : start + nbytes], dtype=_DTYPES[entry["dtype"]])
-        arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
-        if entry["kind"] == "param":
-            from .tensor import Tensor
-
-            store._params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-        elif entry["kind"] == "adam_m":
-            moments_m[entry["name"]] = arr.copy()
-        elif entry["kind"] == "adam_v":
-            moments_v[entry["name"]] = arr.copy()
+    try:
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        model_config = ModelConfig.from_dict(header["model_config"])
+        store = ParamStore(dtype=model_config.dtype)
+        store.step = int(header.get("adam_step", 0))
+        moments_m: dict[str, np.ndarray] = {}
+        moments_v: dict[str, np.ndarray] = {}
+        for entry in header["tensors"]:
+            start, nbytes = entry["offset"], entry["nbytes"]
+            if start + nbytes > len(payload):
+                raise DataError(f"{path}: truncated checkpoint payload at {entry['name']}")
+            arr = np.frombuffer(payload[start : start + nbytes], dtype=_DTYPES[entry["dtype"]])
+            arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
+            if entry["kind"] == "param":
+                store.put(entry["name"], arr)
+            elif entry["kind"] == "adam_m":
+                moments_m[entry["name"]] = arr.copy()
+            elif entry["kind"] == "adam_v":
+                moments_v[entry["name"]] = arr.copy()
+        manifest, extra = header["feature_manifest"], header.get("extra", {})
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
     for name in moments_m:
         if name in moments_v:
             store.moments[name] = (moments_m[name], moments_v[name])
-    return store, model_config, header["feature_manifest"], header.get("extra", {})
+    return store, model_config, manifest, extra
 
 
 def manifest_diff(expected: dict, found: dict) -> list[str]:

@@ -15,8 +15,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import check_manifest, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseError
 from .features import FeatureConfig, encode
@@ -53,8 +51,6 @@ def _add_common(p: argparse.ArgumentParser, checkpoint: bool = False):
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--seed", type=int, default=None, metavar="U64")
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="max worker fan-out (evaluation currently runs one worker)")
     if checkpoint:
         p.add_argument("--checkpoint", metavar="PATH", help="checkpoint to load")
 
@@ -74,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="geognn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("featurize", help="parse molecules and write encoded graphs")
+    p = sub.add_parser("featurize", help="parse and encode molecules and write a summary")
     _add_common(p)
     p.add_argument("--strict", action="store_true", help="abort on the first parse error")
 
@@ -191,26 +187,16 @@ def cmd_featurize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     molecules, errors = _read_molecules(args.input, strict=args.strict)
     features = FeatureConfig()
-    arrays: dict[str, np.ndarray] = {}
     counts = {"atoms": {}, "bonds": {}, "angles": {}}
     ids = []
-    for i, mol in enumerate(molecules):
+    for mol in molecules:
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol, features)
-        arrays[f"m{i}_atom"] = enc.atom
-        arrays[f"m{i}_bond"] = enc.bond
-        arrays[f"m{i}_angle"] = enc.angle
-        arrays[f"m{i}_lengths"] = graph.lengths
-        arrays[f"m{i}_angle_values"] = graph.angle_values
-        arrays[f"m{i}_dist"] = graph.dist_matrix
-        arrays[f"m{i}_bonds"] = graph.bonds
-        arrays[f"m{i}_angles"] = graph.angles
+        encode(graph, mol, features)  # raises DataError for a value outside the layout
         ids.append(mol.id)
         for key, value in (("atoms", graph.num_atoms), ("bonds", graph.num_bonds),
                            ("angles", graph.num_angles)):
             bucket = counts[key]
             bucket[str(value)] = bucket.get(str(value), 0) + 1
-    np.savez(out / "bundle.npz", **arrays)
     summary = {
         "molecules": len(molecules),
         "ids": ids,
@@ -224,7 +210,7 @@ def cmd_featurize(args) -> int:
         "parse_errors": [str(e) for e in errors],
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(f"featurized {len(molecules)} molecules -> {out / 'bundle.npz'}")
+    print(f"featurized {len(molecules)} molecules -> {out / 'summary.json'}")
     return 0
 
 

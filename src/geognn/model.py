@@ -5,10 +5,10 @@ combine the two bond states of each angle with the projected angle
 features) and atom vectors are updated on the atom-bond graph (messages
 combine the two endpoint states with the bond state). Both updates read
 the previous iteration's states, matching the update equations rather
-than a sequential bond-then-atom sweep. Each update is a GIN-style sum
-aggregation followed by a 2-layer MLP, layer norm, graph-size norm
-(divide by sqrt of the node count of the respective graph), a residual
-connection, and dropout.
+than a sequential bond-then-atom sweep. Both apply one rule: the GIN-style
+sum aggregation of ``_aggregate``, then a 2-layer MLP, layer norm,
+graph-size norm (divide by sqrt of the node count of the respective
+graph), a residual connection, and dropout.
 """
 
 from __future__ import annotations
@@ -72,14 +72,17 @@ class ParamStore:
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step = 0
 
-    def create(self, name: str, shape: tuple[int, ...], rng: Rng, fan_in: int) -> Tensor:
+    def put(self, name: str, data) -> Tensor:
+        """Install a new trainable tensor holding a copy of data in the store's dtype."""
         if name in self._params:
             raise ConfigError(f"duplicate parameter {name}")
-        bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
-        data = rng.uniform_array(shape, -bound, bound).astype(self.dtype)
-        tensor = Tensor(data, requires_grad=True)
+        tensor = Tensor(np.array(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = tensor
         return tensor
+
+    def create(self, name: str, shape: tuple[int, ...], rng: Rng, fan_in: int) -> Tensor:
+        bound = 1.0 / math.sqrt(fan_in)
+        return self.put(name, rng.uniform_array(shape, -bound, bound))
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -103,7 +106,7 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         clone = ParamStore(dtype=self.dtype)
         for name, t in self._params.items():
-            clone._params[name] = Tensor(t.data.copy(), requires_grad=True)
+            clone.put(name, t.data)
         clone.moments = {k: (m.copy(), v.copy()) for k, (m, v) in self.moments.items()}
         clone.step = self.step
         return clone
@@ -114,6 +117,19 @@ class ParamStore:
                 if self._params[name].shape != t.shape:
                     raise ConfigError(f"parameter {name}: shape mismatch")
                 self._params[name].data = t.data.astype(self.dtype).copy()
+
+
+def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
+    """GIN-style sum aggregation over an edge list.
+
+    Edge i joins nodes pairs[i, 0] and pairs[i, 1] and sends the message
+    h[pairs[i, 0]] + h[pairs[i, 1]] + x_edges[i] to both of them. An empty
+    edge list yields zero rows, one per node.
+    """
+    u, v = pairs[:, 0], pairs[:, 1]
+    n = h_nodes.shape[0]
+    msg = T.add(T.add(T.gather_rows(h_nodes, u), T.gather_rows(h_nodes, v)), x_edges)
+    return T.add(T.segment_sum(msg, u, n), T.segment_sum(msg, v, n))
 
 
 @dataclass
@@ -160,9 +176,8 @@ class GeoGNN:
                 base = f"block{k}.{stack}"
                 self._linear(store, rng, f"{base}.mlp1", h, h)
                 self._linear(store, rng, f"{base}.mlp2", h, h)
-                store.create(f"{base}.norm.gain", (h,), rng.fork(f"{base}.g"), fan_in=0)
-                store[f"{base}.norm.gain"].data[:] = 1.0
-                store.create(f"{base}.norm.bias", (h,), rng.fork(f"{base}.h"), fan_in=0)
+                store.put(f"{base}.norm.gain", np.ones(h))
+                store.put(f"{base}.norm.bias", np.zeros(h))
         g = cfg.geom_head_hidden
         self._linear(store, rng, "head_length.l1", 2 * h, g)
         self._linear(store, rng, "head_length.l2", g, 1)
@@ -212,52 +227,21 @@ class GeoGNN:
             )
 
         dtype = self.config.dtype
-        num_atoms, num_bonds, num_angles = graph.num_atoms, graph.num_bonds, graph.num_angles
-        bond_u = graph.bonds[:, 0]
-        bond_v = graph.bonds[:, 1]
-        angle_e1 = graph.angle_bonds[:, 0]
-        angle_e2 = graph.angle_bonds[:, 1]
-
         h_atom = self._apply_linear("embed.atom", Tensor(np.asarray(encoded.atom, dtype=dtype)))
         h_bond = self._apply_linear("embed.bond", Tensor(np.asarray(encoded.bond, dtype=dtype)))
         x_angle = self._apply_linear("embed.angle", Tensor(np.asarray(encoded.angle, dtype=dtype)))
 
-        atom_scale = 1.0 / math.sqrt(max(num_atoms, 1))
-        bond_scale = 1.0 / math.sqrt(max(num_bonds, 1))
+        atom_scale = 1.0 / math.sqrt(max(graph.num_atoms, 1))
+        bond_scale = 1.0 / math.sqrt(max(graph.num_bonds, 1))
 
         for k in range(self.config.num_blocks):
             try:
-                # bond update on the bond-angle graph: every angle sends the
-                # sum of its two bond states plus its own features to both bonds
-                if num_angles and num_bonds:
-                    msg = T.add(
-                        T.add(T.gather_rows(h_bond, angle_e1), T.gather_rows(h_bond, angle_e2)),
-                        x_angle,
-                    )
-                    agg_bond = T.add(
-                        T.segment_sum(msg, angle_e1, num_bonds),
-                        T.segment_sum(msg, angle_e2, num_bonds),
-                    )
-                else:
-                    agg_bond = Tensor(np.zeros((num_bonds, self.config.hidden), dtype=dtype))
-                new_bond = (
-                    self._combine(f"block{k}.bond", agg_bond, h_bond, bond_scale, mode, rng)
-                    if num_bonds
-                    else h_bond
-                )
-
-                # atom update on the atom-bond graph, from iteration k-1 states
-                if num_bonds:
-                    msg = T.add(
-                        T.add(T.gather_rows(h_atom, bond_u), T.gather_rows(h_atom, bond_v)),
-                        h_bond,
-                    )
-                    agg_atom = T.add(
-                        T.segment_sum(msg, bond_u, num_atoms),
-                        T.segment_sum(msg, bond_v, num_atoms),
-                    )
-                else:
-                    agg_atom = Tensor(np.zeros((num_atoms, self.config.hidden), dtype=dtype))
+                # bonds on the bond-angle graph, then atoms on the atom-bond
+                # graph, both from iteration k-1 states; the bond update's
+                # dropout draws come first
+                agg_bond = _aggregate(h_bond, graph.angle_bonds, x_angle)
+                new_bond = self._combine(f"block{k}.bond", agg_bond, h_bond, bond_scale, mode, rng)
+                agg_atom = _aggregate(h_atom, graph.bonds, h_bond)
                 new_atom = self._combine(f"block{k}.atom", agg_atom, h_atom, atom_scale, mode, rng)
             except NumericalError as err:
                 raise NumericalError(f"block {k}: {err}") from None

@@ -80,6 +80,8 @@ class Molecule:
     split: str | None = None
 
     def validate(self) -> "Molecule":
+        if not self.atoms:
+            raise DataError(f"molecule {self.id}: no atoms")
         if len(self.coords) != len(self.atoms):
             raise DataError(
                 f"molecule {self.id}: {len(self.coords)} coordinates for {len(self.atoms)} atoms"
@@ -380,41 +382,44 @@ def parse_jsonl(data: bytes | str) -> list[Molecule]:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
-        atoms = [
-            Atom(
-                element=_require(a, "element", lineno),
-                formal_charge=int(_require(a, "formal_charge", lineno)),
-                chirality=_require(a, "chirality", lineno),
-                num_explicit_h=int(_require(a, "num_h", lineno)),
-                aromatic=bool(_require(a, "aromatic", lineno)),
-                hybridization=_require(a, "hybridization", lineno),
-            )
-            for a in _require(obj, "atoms", lineno)
-        ]
-        bonds = [
-            Bond(
-                a=int(_require(b, "a", lineno)),
-                b=int(_require(b, "b", lineno)),
-                bond_type=_require(b, "type", lineno),
-                bond_dir=_require(b, "dir", lineno),
-            )
-            for b in _require(obj, "bonds", lineno)
-        ]
-        coords = [tuple(float(c) for c in xyz) for xyz in _require(obj, "coords", lineno)]
-        fingerprint = obj.get("fingerprint")
-        mol = Molecule(
-            id=str(_require(obj, "id", lineno)),
-            atoms=atoms,
-            bonds=bonds,
-            coords=coords,
-            labels={str(k): (None if v is None else float(v)) for k, v in _require(obj, "labels", lineno).items()},
-            fingerprint=None if fingerprint is None else [int(b) for b in fingerprint],
-            split=obj.get("split"),
-        )
         try:
+            atoms = [
+                Atom(
+                    element=_require(a, "element", lineno),
+                    formal_charge=int(_require(a, "formal_charge", lineno)),
+                    chirality=_require(a, "chirality", lineno),
+                    num_explicit_h=int(_require(a, "num_h", lineno)),
+                    aromatic=bool(_require(a, "aromatic", lineno)),
+                    hybridization=_require(a, "hybridization", lineno),
+                )
+                for a in _require(obj, "atoms", lineno)
+            ]
+            bonds = [
+                Bond(
+                    a=int(_require(b, "a", lineno)),
+                    b=int(_require(b, "b", lineno)),
+                    bond_type=_require(b, "type", lineno),
+                    bond_dir=_require(b, "dir", lineno),
+                )
+                for b in _require(obj, "bonds", lineno)
+            ]
+            coords = [tuple(float(c) for c in xyz) for xyz in _require(obj, "coords", lineno)]
+            fingerprint = obj.get("fingerprint")
+            mol = Molecule(
+                id=str(_require(obj, "id", lineno)),
+                atoms=atoms,
+                bonds=bonds,
+                coords=coords,
+                labels={str(k): (None if v is None else float(v)) for k, v in _require(obj, "labels", lineno).items()},
+                fingerprint=None if fingerprint is None else [int(b) for b in fingerprint],
+                split=obj.get("split"),
+            )
             mol.validate()
         except DataError as err:
             raise ParseError(str(err), lineno) from None
+        except (AttributeError, TypeError, ValueError) as err:
+            # a field of the wrong JSON type, e.g. "atoms": 5 or a label of "abc"
+            raise ParseError(f"bad field value: {err}", lineno) from None
         rings = ring_membership(mol)
         for bond, in_ring in zip(mol.bonds, rings):
             bond.in_ring = in_ring

@@ -31,20 +31,6 @@ class PretrainTargets:
     fingerprint: np.ndarray | None    # [B] bits or None
 
 
-def bin_index(d: float, num_bins: int) -> int:
-    """Uniform 1.0-wide bins over [0, num_bins); the last bin absorbs the tail."""
-    if d < 0:
-        raise DataError(f"negative distance {d}")
-    return min(int(d), num_bins - 1)
-
-
-def bin_distance(d: float, num_bins: int) -> np.ndarray:
-    """One-hot encoding of bin_index."""
-    out = np.zeros(num_bins, dtype=np.float64)
-    out[bin_index(d, num_bins)] = 1.0
-    return out
-
-
 def build_targets(
     graph: DualGraph, molecule: Molecule, masked: MaskTargets, num_bins: int
 ) -> PretrainTargets:
@@ -60,29 +46,25 @@ def build_targets(
     return PretrainTargets(masked=masked, distance_bin_ids=bins, fingerprint=fingerprint)
 
 
-def loss_length(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:
-    """Mean squared error of predicted vs true lengths over masked bonds."""
-    m = targets.bond_ids.size
+def _masked_mse(head, h_atoms: Tensor, atoms: np.ndarray, targets: np.ndarray) -> Tensor:
+    """Mean squared error of head(h[atoms[:, 0]], h[atoms[:, 1]], ...) against
+    targets, one row per masked entity; zero when nothing is masked."""
+    m = targets.size
     if m == 0:
         return Tensor(np.zeros(()))
-    h_u = T.gather_rows(emb.h_atoms, targets.bond_atoms[:, 0])
-    h_v = T.gather_rows(emb.h_atoms, targets.bond_atoms[:, 1])
-    diff = T.sub(model.head_length(h_u, h_v), Tensor(targets.bond_lengths.reshape(m, 1)))
+    rows = [T.gather_rows(h_atoms, atoms[:, j]) for j in range(atoms.shape[1])]
+    diff = T.sub(head(*rows), Tensor(targets.reshape(m, 1)))
     return T.mul(T.sum_all(T.mul(diff, diff)), 1.0 / m)
+
+
+def loss_length(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:
+    """Mean squared error of predicted vs true lengths over masked bonds."""
+    return _masked_mse(model.head_length, emb.h_atoms, targets.bond_atoms, targets.bond_lengths)
 
 
 def loss_angle(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:
     """Mean squared error over masked angles; the center atom sits mid-triple."""
-    m = targets.angle_ids.size
-    if m == 0:
-        return Tensor(np.zeros(()))
-    h_w = T.gather_rows(emb.h_atoms, targets.angle_atoms[:, 0])
-    h_u = T.gather_rows(emb.h_atoms, targets.angle_atoms[:, 1])
-    h_v = T.gather_rows(emb.h_atoms, targets.angle_atoms[:, 2])
-    diff = T.sub(
-        model.head_angle(h_w, h_u, h_v), Tensor(targets.angle_values.reshape(m, 1))
-    )
-    return T.mul(T.sum_all(T.mul(diff, diff)), 1.0 / m)
+    return _masked_mse(model.head_angle, emb.h_atoms, targets.angle_atoms, targets.angle_values)
 
 
 def loss_distance(

@@ -137,3 +137,43 @@ def roc_auc_pairs(scores, labels) -> float:
     wins = sum(1 for p in pos for n in neg if p > n)
     ties = sum(1 for p in pos for n in neg if p == n)
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
+    """Eval-mode GeoGNN encoder in plain numpy; returns (h_atoms, h_bonds, h_graph).
+
+    params maps parameter names to arrays. Messages are accumulated one
+    edge at a time, in edge order, with no tape and no segment_sum.
+    """
+
+    def linear(name, x):
+        return x @ params[f"{name}.w"] + params[f"{name}.b"]
+
+    def update(base, agg, residual, scale):
+        out = linear(f"{base}.mlp2", np.maximum(linear(f"{base}.mlp1", agg), 0.0))
+        normed = np.zeros_like(out)
+        for i, row in enumerate(out):
+            centered = row - row.mean()
+            normed[i] = centered / math.sqrt((centered * centered).mean() + 1e-5)
+        return (normed * params[f"{base}.norm.gain"] + params[f"{base}.norm.bias"]) * scale + residual
+
+    def aggregate(h, pairs, x_edges):
+        agg = np.zeros_like(h)
+        for (a, b), x in zip(pairs, x_edges):
+            msg = h[a] + h[b] + x
+            agg[a] += msg
+            agg[b] += msg
+        return agg
+
+    h_atom = linear("embed.atom", encoded.atom)
+    h_bond = linear("embed.bond", encoded.bond)
+    x_angle = linear("embed.angle", encoded.angle)
+    atom_scale = 1.0 / math.sqrt(max(len(h_atom), 1))
+    bond_scale = 1.0 / math.sqrt(max(len(h_bond), 1))
+    for k in range(num_blocks):
+        new_bond = update(f"block{k}.bond", aggregate(h_bond, graph.angle_bonds, x_angle),
+                          h_bond, bond_scale)
+        new_atom = update(f"block{k}.atom", aggregate(h_atom, graph.bonds, h_bond),
+                          h_atom, atom_scale)
+        h_bond, h_atom = new_bond, new_atom
+    return h_atom, h_bond, h_atom.mean(axis=0)

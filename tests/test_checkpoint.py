@@ -53,6 +53,28 @@ def test_magic_is_checked(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cut", ["byte20", "half", "minus8"])
+def test_truncated_checkpoint_is_a_data_error(tmp_path, cut):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(5)).store, CFG, FeatureConfig())
+    raw = path.read_bytes()
+    # 20 ends inside the header; the other two cuts end inside the payload
+    path.write_bytes(raw[: {"byte20": 20, "half": len(raw) // 2, "minus8": len(raw) - 8}[cut]])
+    with pytest.raises(DataError, match="truncated") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_corrupt_header_is_a_data_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(6)).store, CFG, FeatureConfig())
+    raw = bytearray(path.read_bytes())
+    raw[16] = ord("[")  # the header no longer parses as JSON
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
 def test_manifest_mismatch_refused(tmp_path):
     model = GeoGNN(CFG, rng=Rng(3))
     path = tmp_path / "model.ckpt"

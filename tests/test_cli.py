@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from geognn.cli import main
-from geognn.molio import write_jsonl
+from geognn.checkpoint import save_checkpoint
+from geognn.features import FeatureConfig
+from geognn.model import GeoGNN, ModelConfig
+from geognn.molio import molecule_to_json_dict, write_jsonl
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
@@ -40,8 +43,8 @@ class TestFeaturize:
         assert summary["molecules"] == 1
         assert summary["histograms"]["bonds"] == {"2": 1}
         assert summary["histograms"]["angles"] == {"1": 1}
-        bundle = np.load(out / "bundle.npz")
-        assert bundle["m0_atom"].shape[0] == 3
+        assert summary["histograms"]["atoms"] == {"3": 1}
+        assert not (out / "bundle.npz").exists()
 
     def test_empty_input_exits_zero(self, tmp_path):
         src = tmp_path / "empty.jsonl"
@@ -92,6 +95,65 @@ class TestUsageErrors:
         cfg.write_text("{not json")
         assert run_cli("pretrain", "--input", str(src), "--out", str(tmp_path / "o"),
                        "--config", str(cfg)) == 1
+
+
+def _set_formal_charge(obj):
+    obj["atoms"][0]["formal_charge"] = "x"
+
+
+def _set_label(obj):
+    obj["labels"]["y"] = "abc"
+
+
+def _set_coordinate(obj):
+    obj["coords"][0][1] = "a"
+
+
+def _set_atoms_scalar(obj):
+    obj["atoms"] = 5
+
+
+def _drop_all_atoms(obj):
+    obj["atoms"], obj["bonds"], obj["coords"] = [], [], []
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_set_formal_charge, _set_label, _set_coordinate, _set_atoms_scalar, _drop_all_atoms],
+    )
+    def test_bad_jsonl_record_is_a_data_error(self, tmp_path, capsys, command, corrupt):
+        mols = write_dataset(tmp_path / "good.jsonl", n=6, seed=5)
+        records = [molecule_to_json_dict(m) for m in mols]
+        corrupt(records[2])
+        src = tmp_path / "bad.jsonl"
+        src.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--epochs", "1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "data error: line 3:" in err
+        assert "Traceback" not in err
+
+
+class TestTruncatedCheckpoint:
+    @pytest.mark.parametrize("cut", ["byte20", "half", "minus8"])
+    def test_embed_exits_2(self, tmp_path, capsys, cut):
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig())
+        raw = path.read_bytes()
+        path.write_bytes(raw[: {"byte20": 20, "half": len(raw) // 2, "minus8": len(raw) - 8}[cut]])
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=2)
+        code = run_cli("embed", "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: {path}" in err
+        assert "Traceback" not in err
 
 
 class TestTrainingCommands:

@@ -11,7 +11,7 @@ from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 
 from conftest import make_molecule
-from oracles import model_gradcheck, relative_error, central_difference
+from oracles import central_difference, geognn_forward_reference, model_gradcheck, relative_error
 
 SMALL = ModelConfig(
     num_blocks=2,
@@ -126,6 +126,20 @@ class TestForward:
             )
             _, _, emb2 = embed_molecule(model, moved)
             assert np.max(np.abs(emb.h_graph.data - emb2.h_graph.data)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "seed,min_atoms,max_atoms",
+        [(s, 4, 30) for s in range(20)] + [(100, 1, 1), (101, 2, 2), (102, 3, 3)],
+    )
+    def test_eval_forward_matches_reference(self, seed, min_atoms, max_atoms):
+        model = GeoGNN(ModelConfig(), rng=Rng(12))
+        mol = random_molecule(Rng(seed), min_atoms=min_atoms, max_atoms=max_atoms)
+        graph, enc, emb = embed_molecule(model, mol)
+        params = {name: t.data for name, t in model.store.items()}
+        want = geognn_forward_reference(params, model.config.num_blocks, graph, enc)
+        for got, ref in zip((emb.h_atoms, emb.h_bonds, emb.h_graph), want):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got.data, ref, rtol=0, atol=1e-12)
 
     def test_geometry_discrimination_cis_trans(self, cis_trans_pair):
         cis, trans = cis_trans_pair

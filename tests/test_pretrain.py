@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,6 @@ from geognn.masking import mask_context
 from geognn.model import GeoGNN, ModelConfig
 from geognn.pretrain import (
     PreparedMolecule,
-    bin_distance,
-    bin_index,
     build_targets,
     loss_angle,
     loss_distance,
@@ -43,27 +42,37 @@ def model():
     return GeoGNN(CFG, rng=Rng(1))
 
 
+def distance_bins(distances, num_bins=30):
+    """build_targets' distance_bin_ids for a distance matrix holding the given values."""
+    mol = random_molecule(Rng(2), min_atoms=2, max_atoms=2)
+    graph = build_dual_graph(mol)
+    _, masked = mask_context(graph, encode(graph, mol), 1.0, Rng(0))
+    graph = dataclasses.replace(graph, dist_matrix=np.asarray(distances, dtype=float).reshape(1, -1))
+    return build_targets(graph, mol, masked, num_bins).distance_bin_ids
+
+
 class TestBinDistance:
     def test_half_angstrom(self):
-        out = bin_distance(0.5, 30)
-        assert out[0] == 1.0 and out.sum() == 1.0
+        assert distance_bins([0.5]).tolist() == [0]
 
     def test_29_3(self):
-        assert bin_index(29.3, 30) == 29
+        assert distance_bins([29.3]).tolist() == [29]
 
     def test_clamp_far(self):
-        assert bin_index(100.0, 30) == 29
+        assert distance_bins([100.0]).tolist() == [29]
 
     def test_negative_rejected(self):
         with pytest.raises(DataError):
-            bin_index(-0.1, 30)
+            distance_bins([1.0, -0.1])
 
     def test_always_one_hot(self):
         rng = Rng(3)
-        for _ in range(50):
-            out = bin_distance(rng.uniform(0.0, 40.0), 30)
-            assert out.sum() == 1.0
-            assert set(np.unique(out)) <= {0.0, 1.0}
+        dists = [rng.uniform(0.0, 40.0) for _ in range(50)]
+        bins = distance_bins(dists)
+        assert bins.dtype.kind == "i"
+        assert bins.tolist() == [min(int(d), 29) for d in dists]
+        one_hot = np.eye(30)[bins]
+        assert np.all(one_hot.sum(axis=1) == 1.0)
 
 
 class TestGeometryLosses:

@@ -8,7 +8,6 @@ from geognn.errors import ConfigError, DataError
 from geognn.model import GeoGNN, ModelConfig, ParamStore
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
-from geognn.tensor import Tensor
 from geognn.training import (
     DatasetSplit,
     RunConfig,
@@ -29,7 +28,7 @@ from oracles import roc_auc_pairs
 
 def one_param_store(value: float) -> ParamStore:
     store = ParamStore()
-    store._params["x"] = Tensor(np.array([value]), requires_grad=True)
+    store.put("x", [value])
     return store
 
 
@@ -76,8 +75,8 @@ class TestAdam:
 
     def test_head_lr_applies_to_head_params(self):
         store = ParamStore()
-        store._params["head_down.l1.w"] = Tensor(np.array([1.0]), requires_grad=True)
-        store._params["embed.atom.w"] = Tensor(np.array([1.0]), requires_grad=True)
+        store.put("head_down.l1.w", [1.0])
+        store.put("embed.atom.w", [1.0])
         for name in store.names():
             store[name].grad = np.array([1.0])
         adam_step(store, lr_body=0.0, lr_head=0.5)
