@@ -38,7 +38,6 @@ def save_checkpoint(
     store: ParamStore,
     model_config: ModelConfig,
     feature_config: FeatureConfig,
-    include_moments: bool = True,
     extra: dict | None = None,
 ) -> None:
     tensors = []
@@ -66,17 +65,16 @@ def save_checkpoint(
 
     for name, tensor in store.items():
         push(name, tensor.data, "param")
-    if include_moments:
-        for name, (m, v) in store.moments.items():
-            push(name, m, "adam_m")
-            push(name, v, "adam_v")
+    for name, (m, v) in store.moments.items():
+        push(name, m, "adam_m")
+        push(name, v, "adam_v")
 
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": model_config.to_dict(),
         "feature_manifest": feature_config.manifest(),
         "tensors": tensors,
-        "adam_step": store.step if include_moments else 0,
+        "adam_step": store.step,
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")

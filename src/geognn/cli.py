@@ -28,6 +28,7 @@ from .training import (
     evaluate,
     finetune,
     pretrain,
+    write_report,
 )
 
 logger = logging.getLogger("geognn")
@@ -183,8 +184,6 @@ def _load_checkpoint_checked(path: str, features: FeatureConfig):
 
 
 def cmd_featurize(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     molecules, errors = _read_molecules(args.input, strict=args.strict)
     features = FeatureConfig()
     counts = {"atoms": {}, "bonds": {}, "angles": {}}
@@ -209,8 +208,9 @@ def cmd_featurize(args) -> int:
         "manifest": features.manifest(),
         "parse_errors": [str(e) for e in errors],
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(f"featurized {len(molecules)} molecules -> {out / 'summary.json'}")
+    path = Path(args.out) / "summary.json"
+    write_report(path, summary)
+    print(f"featurized {len(molecules)} molecules -> {path}")
     return 0
 
 
@@ -269,9 +269,7 @@ def cmd_evaluate(args) -> int:
     names = extra.get("task_names")
     report = evaluate(store, model_cfg, part, metric, names=names)
     report["split"] = args.split
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "evaluate_report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_report(Path(args.out) / "evaluate_report.json", report)
     print(f"{args.split} {metric}: {report['value']:.6f} ({report['count']} molecules)")
     return 0
 

@@ -206,6 +206,16 @@ _SDF_BOND_TYPE = {1: "single", 2: "double", 3: "triple", 4: "aromatic"}
 _SDF_BOND_DIR = {0: "none", 1: "begin_wedge", 4: "either", 6: "begin_dash"}
 
 
+def _decode(data: bytes | str) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"input is not UTF-8 text (byte {err.start})", line) from None
+
+
 def iter_sdf_records(text: str):
     """Yield (first_line_number, record_lines) for each $$$$-terminated record."""
     lines = text.splitlines()
@@ -344,7 +354,7 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
 
 def parse_sdf(data: bytes | str) -> list[Molecule]:
     """Parse all $$$$-separated V2000 records; raises ParseError on the first problem."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     molecules = []
     for index, (first_line, lines) in enumerate(iter_sdf_records(text)):
         molecules.append(_parse_sdf_record(first_line, lines, index))
@@ -353,7 +363,7 @@ def parse_sdf(data: bytes | str) -> list[Molecule]:
 
 def parse_sdf_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseError]]:
     """Like parse_sdf but collects per-record errors instead of raising."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     molecules, errors = [], []
     for index, (first_line, lines) in enumerate(iter_sdf_records(text)):
         try:
@@ -372,8 +382,26 @@ def _require(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
+def _bool(value, what: str, lineno: int) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{what} must be true or false, got {value!r}", lineno)
+    return value
+
+
+def _int(value, what: str, lineno: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}", lineno)
+    return value
+
+
+def _number(value, what: str, lineno: int) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}", lineno)
+    return float(value)
+
+
 def parse_jsonl(data: bytes | str) -> list[Molecule]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     molecules = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -386,32 +414,43 @@ def parse_jsonl(data: bytes | str) -> list[Molecule]:
             atoms = [
                 Atom(
                     element=_require(a, "element", lineno),
-                    formal_charge=int(_require(a, "formal_charge", lineno)),
+                    formal_charge=_int(
+                        _require(a, "formal_charge", lineno), "formal_charge", lineno
+                    ),
                     chirality=_require(a, "chirality", lineno),
-                    num_explicit_h=int(_require(a, "num_h", lineno)),
-                    aromatic=bool(_require(a, "aromatic", lineno)),
+                    num_explicit_h=_int(_require(a, "num_h", lineno), "num_h", lineno),
+                    aromatic=_bool(_require(a, "aromatic", lineno), "aromatic", lineno),
                     hybridization=_require(a, "hybridization", lineno),
                 )
                 for a in _require(obj, "atoms", lineno)
             ]
             bonds = [
                 Bond(
-                    a=int(_require(b, "a", lineno)),
-                    b=int(_require(b, "b", lineno)),
+                    a=_int(_require(b, "a", lineno), "bond atom", lineno),
+                    b=_int(_require(b, "b", lineno), "bond atom", lineno),
                     bond_type=_require(b, "type", lineno),
                     bond_dir=_require(b, "dir", lineno),
                 )
                 for b in _require(obj, "bonds", lineno)
             ]
-            coords = [tuple(float(c) for c in xyz) for xyz in _require(obj, "coords", lineno)]
+            coords = [
+                tuple(_number(c, "coordinate", lineno) for c in xyz)
+                for xyz in _require(obj, "coords", lineno)
+            ]
             fingerprint = obj.get("fingerprint")
             mol = Molecule(
                 id=str(_require(obj, "id", lineno)),
                 atoms=atoms,
                 bonds=bonds,
                 coords=coords,
-                labels={str(k): (None if v is None else float(v)) for k, v in _require(obj, "labels", lineno).items()},
-                fingerprint=None if fingerprint is None else [int(b) for b in fingerprint],
+                labels={
+                    str(k): None if v is None else _number(v, f"label {k}", lineno)
+                    for k, v in _require(obj, "labels", lineno).items()
+                },
+                fingerprint=(
+                    None if fingerprint is None
+                    else [_int(bit, "fingerprint bit", lineno) for bit in fingerprint]
+                ),
                 split=obj.get("split"),
             )
             mol.validate()

@@ -120,7 +120,6 @@ def molecule_pretrain_loss(
     rng: Rng,
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
-    fingerprint_weight: float = 1.0,
     max_distance_pairs: int | None = None,
     mode: str = "train",
 ) -> tuple[Tensor, dict[str, float]]:
@@ -150,7 +149,7 @@ def molecule_pretrain_loss(
         parts["distance"] = part.item()
         total = T.add(total, part)
     if "fingerprint" in tasks and targets.fingerprint is not None:
-        part = T.mul(loss_fingerprint(model, emb, targets.fingerprint), fingerprint_weight)
+        part = loss_fingerprint(model, emb, targets.fingerprint)
         parts["fingerprint"] = part.item()
         total = T.add(total, part)
     return total, parts
@@ -162,7 +161,6 @@ def loss_pre(
     rngs: Rng | list[Rng],
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
-    fingerprint_weight: float = 1.0,
     max_distance_pairs: int | None = None,
     mode: str = "train",
 ) -> tuple[Tensor, dict[str, float]]:
@@ -179,7 +177,6 @@ def loss_pre(
         part, parts = molecule_pretrain_loss(
             model, item, rng,
             tasks=tasks, mask_ratio=mask_ratio,
-            fingerprint_weight=fingerprint_weight,
             max_distance_pairs=max_distance_pairs, mode=mode,
         )
         total = T.add(total, part)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,10 +43,7 @@ class RunConfig:
     metric: str = "rmse"               # rmse | mae | rocauc
     tasks: tuple[str, ...] = ("length", "angle", "distance")
     mask_ratio: float = 0.15
-    fingerprint_weight: float = 1.0
     max_distance_pairs: int | None = None
-    grad_clip: float | None = None
-    checkpoint_every: int = 1
 
     def validate(self) -> "RunConfig":
         if self.epochs < 0 or self.batch_size < 1:
@@ -78,56 +76,41 @@ class RunConfig:
 # --- optimizer ----------------------------------------------------------------
 
 
-def adam_step(
-    store: ParamStore,
-    lr_body: float,
-    lr_head: float | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    head_prefixes: tuple[str, ...] = ("head_down.",),
-    grad_clip: float | None = None,
-) -> None:
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+_HEAD_PREFIX = "head_down."
+
+
+def adam_step(store: ParamStore, lr_body: float, lr_head: float | None = None) -> None:
     """One bias-corrected Adam update over every parameter with a gradient.
 
-    Parameters whose names start with a head prefix use lr_head; everything
+    Downstream-head parameters use lr_head (default lr_body); everything
     else uses lr_body. Missing gradients are treated as zero.
     """
     if lr_head is None:
         lr_head = lr_body
-    if grad_clip is not None:
-        total = 0.0
-        for _, tensor in store.items():
-            if tensor.grad is not None:
-                total += float((tensor.grad * tensor.grad).sum())
-        norm = math.sqrt(total)
-        scale = grad_clip / norm if norm > grad_clip else 1.0
-    else:
-        scale = 1.0
-
     store.step += 1
     t = store.step
-    correction1 = 1.0 - beta1**t
-    correction2 = 1.0 - beta2**t
+    correction1 = 1.0 - _BETA1**t
+    correction2 = 1.0 - _BETA2**t
     for name, tensor in store.items():
         grad = tensor.grad
         if grad is None:
             grad = np.zeros_like(tensor.data)
         elif not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient for {name}")
-        if scale != 1.0:
-            grad = grad * scale
         if name not in store.moments:
             store.moments[name] = (np.zeros_like(tensor.data), np.zeros_like(tensor.data))
         m, v = store.moments[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        v += (1.0 - _BETA2) * grad * grad
         m_hat = m / correction1
         v_hat = v / correction2
-        lr = lr_head if name.startswith(head_prefixes) else lr_body
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        lr = lr_head if name.startswith(_HEAD_PREFIX) else lr_body
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 # --- metrics -------------------------------------------------------------------
@@ -244,23 +227,6 @@ class DatasetSplit:
             test = valid
         return cls(train=train, valid=valid, test=test).validate()
 
-    @classmethod
-    def from_index(cls, molecules: list[Molecule], index: dict) -> "DatasetSplit":
-        """Split by an index mapping {"train": [ids...], "valid": ..., "test": ...}."""
-        by_id = {m.id: m for m in molecules}
-        parts = {}
-        for part in ("train", "valid", "test"):
-            wanted = index.get(part, [])
-            missing = [i for i in wanted if i not in by_id]
-            if missing:
-                raise DataError(f"split index references unknown ids: {missing[:5]}")
-            parts[part] = [by_id[i] for i in wanted]
-        if not parts["valid"]:
-            parts["valid"] = parts["train"]
-        if not parts["test"]:
-            parts["test"] = parts["valid"]
-        return cls(**parts).validate()
-
 
 def task_names(molecules: list[Molecule]) -> list[str]:
     """Sorted union of label keys that have at least one present value."""
@@ -295,6 +261,42 @@ def prepare_molecules(
     ]
 
 
+def write_report(path: Path, obj: dict) -> None:
+    """Write ``obj`` as indented JSON with sorted keys, creating the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _fit_epoch(
+    model: GeoGNN,
+    n: int,
+    run_config: RunConfig,
+    epoch_rng: Rng,
+    batch_loss: Callable[[np.ndarray, list[Rng]], tuple[Tensor, dict[str, float]]],
+) -> tuple[float, dict[str, float]]:
+    """One epoch of minibatch Adam over training items 0..n-1 in shuffled order.
+
+    ``batch_loss(ids, rngs)`` returns the mean loss of the items ``ids`` and
+    their per-task means; ``rngs[k]`` is item ``ids[k]``'s stream, keyed by
+    its index so that no two items of an epoch share one. Returns the
+    size-weighted means of both over the epoch.
+    """
+    total = 0.0
+    sums: dict[str, float] = {}
+    order = epoch_rng.fork("shuffle").permutation(n)
+    for start in range(0, n, run_config.batch_size):
+        ids = order[start : start + run_config.batch_size]
+        model.store.zero_grad()
+        with Tape() as tape:
+            loss, parts = batch_loss(ids, [epoch_rng.fork(f"mol{i}") for i in ids])
+        tape.backward(loss)
+        adam_step(model.store, run_config.lr_body, run_config.lr_head)
+        total += loss.item() * len(ids)
+        for k, v in parts.items():
+            sums[k] = sums.get(k, 0.0) + v * len(ids)
+    return total / n, {k: v / n for k, v in sums.items()}
+
+
 # --- pretraining loop -----------------------------------------------------------
 
 
@@ -305,18 +307,11 @@ class PretrainResult:
     store: ParamStore
 
 
-def _batches(n: int, batch_size: int, rng: Rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def pretrain(
     molecules: list[Molecule],
     model_config: ModelConfig,
     run_config: RunConfig,
     out_dir: str | Path | None = None,
-    feature_config: FeatureConfig | None = None,
 ) -> PretrainResult:
     """Minibatch Adam on the self-supervised loss; one checkpoint per epoch.
 
@@ -324,7 +319,7 @@ def pretrain(
     """
     run_config.validate()
     model_config.validate()
-    features = feature_config or FeatureConfig()
+    features = FeatureConfig()
     rng = Rng(run_config.seed)
     model = GeoGNN(model_config, features=features, rng=rng)
 
@@ -335,74 +330,50 @@ def pretrain(
     train_items = prepare_molecules(train_mols, features, dtype=model_config.dtype)
     eval_items = prepare_molecules(eval_mols, features, dtype=model_config.dtype)
 
+    def batch_loss(items, rngs, mode="train"):
+        return loss_pre(
+            model, items, rngs,
+            tasks=run_config.tasks,
+            mask_ratio=run_config.mask_ratio,
+            max_distance_pairs=run_config.max_distance_pairs,
+            mode=mode,
+        )
+
     out_dir = Path(out_dir) if out_dir is not None else None
     history: list[dict] = []
     paths: list[str] = []
 
-    def write_checkpoint(tag: str, epoch: int):
+    def write_checkpoint(epoch: int):
         if out_dir is None:
             return
-        path = out_dir / f"pretrain_{tag}.ckpt"
+        path = out_dir / f"pretrain_epoch{epoch:03d}.ckpt"
         save_checkpoint(
             path, model.store, model_config, features, extra={"epoch": epoch, "phase": "pretrain"}
         )
         paths.append(str(path))
 
-    write_checkpoint("epoch000", 0)
+    write_checkpoint(0)
     for epoch in range(1, run_config.epochs + 1):
-        epoch_rng = rng.fork(f"epoch{epoch}")
-        sums: dict[str, float] = {}
-        total_sum = 0.0
-        count = 0
         try:
-            for batch_ids in _batches(len(train_items), run_config.batch_size, epoch_rng.fork("shuffle")):
-                batch = [train_items[i] for i in batch_ids]
-                batch_rngs = [epoch_rng.fork(f"mol{i}") for i in batch_ids]
-                model.store.zero_grad()
-                with Tape() as tape:
-                    loss, parts = loss_pre(
-                        model, batch, batch_rngs,
-                        tasks=run_config.tasks,
-                        mask_ratio=run_config.mask_ratio,
-                        fingerprint_weight=run_config.fingerprint_weight,
-                        max_distance_pairs=run_config.max_distance_pairs,
-                        mode="train",
-                    )
-                tape.backward(loss)
-                adam_step(
-                    model.store, run_config.lr_body, run_config.lr_head,
-                    grad_clip=run_config.grad_clip,
-                )
-                total_sum += loss.item() * len(batch)
-                for k, v in parts.items():
-                    sums[k] = sums.get(k, 0.0) + v * len(batch)
-                count += len(batch)
+            loss, parts = _fit_epoch(
+                model, len(train_items), run_config, rng.fork(f"epoch{epoch}"),
+                lambda ids, rngs: batch_loss([train_items[i] for i in ids], rngs),
+            )
         except NumericalError as err:
             logger.error("pretraining diverged at epoch %d: %s", epoch, err)
             raise
-        entry = {"epoch": epoch, "loss": total_sum / count}
-        entry.update({k: v / count for k, v in sums.items()})
+        entry = {"epoch": epoch, "loss": loss, **parts}
         if eval_items:
-            eval_loss, eval_parts = loss_pre(
-                model, eval_items,
-                [Rng(run_config.seed).fork(f"eval{i}") for i in range(len(eval_items))],
-                tasks=run_config.tasks,
-                mask_ratio=run_config.mask_ratio,
-                fingerprint_weight=run_config.fingerprint_weight,
-                max_distance_pairs=run_config.max_distance_pairs,
-                mode="eval",
-            )
-            entry["eval_loss"] = eval_loss.item()
+            eval_rngs = [Rng(run_config.seed).fork(f"eval{i}") for i in range(len(eval_items))]
+            entry["eval_loss"] = batch_loss(eval_items, eval_rngs, mode="eval")[0].item()
         history.append(entry)
         logger.info("pretrain epoch %d: loss %.6f", epoch, entry["loss"])
-        if epoch % run_config.checkpoint_every == 0 or epoch == run_config.epochs:
-            write_checkpoint(f"epoch{epoch:03d}", epoch)
+        write_checkpoint(epoch)
 
     if out_dir is not None:
-        log_path = out_dir / "pretrain_log.json"
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_path.write_text(json.dumps({"history": history, "config": run_config.to_dict()},
-                                       sort_keys=True, indent=2) + "\n")
+        write_report(
+            out_dir / "pretrain_log.json", {"history": history, "config": run_config.to_dict()}
+        )
     return PretrainResult(history=history, checkpoint_paths=paths, store=model.store)
 
 
@@ -422,17 +393,19 @@ def _downstream_batch_loss(
     items: list[PreparedMolecule],
     labels: np.ndarray,
     task_type: str,
-    rng: Rng,
-) -> Tensor:
+    rngs: list[Rng],
+) -> tuple[Tensor, dict[str, float]]:
+    """Mean supervised loss over the labelled molecules of a batch; the
+    per-task dict is empty, as the downstream tasks share one loss."""
     total = Tensor(np.zeros(()))
     used = 0
-    for row, item in enumerate(items):
-        present = ~np.isnan(labels[row])
+    for item, row, rng in zip(items, labels, rngs):
+        present = ~np.isnan(row)
         if not present.any():
             continue
-        emb = model.forward(item.graph, item.encoded, mode="train", rng=rng.fork(f"drop{row}"))
+        emb = model.forward(item.graph, item.encoded, mode="train", rng=rng)
         pred = model.head_downstream(emb.h_graph)
-        y = np.where(present, labels[row], 0.0).reshape(1, -1)
+        y = np.where(present, row, 0.0).reshape(1, -1)
         mask = present.astype(np.float64).reshape(1, -1)
         if task_type == "regression":
             diff = T.sub(pred, Tensor(y))
@@ -444,7 +417,7 @@ def _downstream_batch_loss(
         used += 1
     if used == 0:
         raise DataError("batch had no labelled molecules")
-    return T.mul(total, 1.0 / used)
+    return T.mul(total, 1.0 / used), {}
 
 
 @dataclass
@@ -460,13 +433,12 @@ def finetune(
     run_config: RunConfig,
     init_store: ParamStore | None = None,
     out_dir: str | Path | None = None,
-    feature_config: FeatureConfig | None = None,
 ) -> FinetuneResult:
     """Train the downstream head (and body) on the train split, select the
     epoch with the best validation metric, and report the test metric of
     that epoch. Ties keep the earliest epoch."""
     run_config.validate()
-    features = feature_config or FeatureConfig()
+    features = FeatureConfig()
     names = task_names(split.train)
     if not names:
         raise DataError("no labelled tasks in the training split")
@@ -486,44 +458,33 @@ def finetune(
     labels = {part: label_matrix(getattr(split, part), names) for part in ("train", "valid", "test")}
     metric_fn = METRIC_FNS[run_config.metric]
 
+    def batch_loss(ids, rngs):
+        batch = [items["train"][i] for i in ids]
+        return _downstream_batch_loss(
+            model, batch, labels["train"][ids], run_config.task_type, rngs
+        )
+
     best_metric = None
     best_epoch = 0
     best_store = model.store.copy()
     epochs_log: list[dict] = []
     for epoch in range(1, run_config.epochs + 1):
-        epoch_rng = rng.fork(f"epoch{epoch}")
-        epoch_loss = 0.0
-        count = 0
-        for batch_ids in _batches(len(items["train"]), run_config.batch_size, epoch_rng.fork("shuffle")):
-            batch = [items["train"][i] for i in batch_ids]
-            batch_labels = labels["train"][batch_ids]
-            model.store.zero_grad()
-            with Tape() as tape:
-                loss = _downstream_batch_loss(
-                    model, batch, batch_labels, run_config.task_type, epoch_rng.fork("drop")
-                )
-            tape.backward(loss)
-            adam_step(
-                model.store, run_config.lr_body, run_config.lr_head,
-                grad_clip=run_config.grad_clip,
-            )
-            epoch_loss += loss.item() * len(batch)
-            count += len(batch)
-
+        train_loss, _ = _fit_epoch(
+            model, len(items["train"]), run_config, rng.fork(f"epoch{epoch}"), batch_loss
+        )
         train_metric = metric_fn(_downstream_predictions(model, items["train"]), labels["train"])
         valid_metric = metric_fn(_downstream_predictions(model, items["valid"]), labels["valid"])
         epochs_log.append(
             {
                 "epoch": epoch,
-                "train_loss": epoch_loss / max(count, 1),
+                "train_loss": train_loss,
                 "train_metric": train_metric,
                 "valid_metric": valid_metric,
             }
         )
         logger.info(
             "finetune epoch %d: loss %.6f train %s %.6f valid %s %.6f",
-            epoch, epoch_loss / max(count, 1),
-            run_config.metric, train_metric, run_config.metric, valid_metric,
+            epoch, train_loss, run_config.metric, train_metric, run_config.metric, valid_metric,
         )
         if metric_is_better(run_config.metric, valid_metric, best_metric):
             best_metric = valid_metric
@@ -546,14 +507,11 @@ def finetune(
     }
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(
             out_dir / "finetune_best.ckpt", best_store, model_config, features,
             extra={"epoch": best_epoch, "phase": "finetune", "task_names": names},
         )
-        (out_dir / "finetune_report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
-        )
+        write_report(out_dir / "finetune_report.json", report)
     return FinetuneResult(report=report, store=best_store, model_config=model_config)
 
 
@@ -563,12 +521,11 @@ def evaluate(
     molecules: list[Molecule],
     metric: str,
     names: list[str] | None = None,
-    feature_config: FeatureConfig | None = None,
 ) -> dict:
     """Metric of the stored parameters on an arbitrary molecule list."""
     if metric not in METRIC_FNS:
         raise ConfigError(f"unknown metric {metric!r}")
-    features = feature_config or FeatureConfig()
+    features = FeatureConfig()
     names = names if names is not None else task_names(molecules)
     if not names:
         raise DataError("no labelled tasks to evaluate")
@@ -588,9 +545,8 @@ def embed_molecules(
     store: ParamStore,
     model_config: ModelConfig,
     molecules: list[Molecule],
-    feature_config: FeatureConfig | None = None,
 ) -> list[tuple[str, np.ndarray]]:
-    features = feature_config or FeatureConfig()
+    features = FeatureConfig()
     model = GeoGNN(model_config, features=features, store=store)
     out = []
     for item in prepare_molecules(molecules, features, dtype=model_config.dtype):

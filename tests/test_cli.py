@@ -1,11 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geognn.cli import main
-from geognn.checkpoint import save_checkpoint
+from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
 from geognn.model import GeoGNN, ModelConfig
 from geognn.molio import molecule_to_json_dict, write_jsonl
@@ -31,6 +32,15 @@ def write_dataset(path: Path, n=10, seed=0, labelled=True, splits=True):
         mols.append(m)
     path.write_bytes(write_jsonl(mols))
     return mols
+
+
+def write_config(path: Path, dropout=0.0, **run):
+    path.write_text(json.dumps({
+        "model": {"num_blocks": 1, "hidden": 8, "dropout": dropout,
+                  "geom_head_hidden": 8, "down_head_hidden": 8, "distance_bins": 8},
+        "run": run,
+    }))
+    return path
 
 
 class TestFeaturize:
@@ -76,6 +86,23 @@ class TestFeaturize:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["molecules"] == 3
 
+    @pytest.mark.parametrize(
+        "name,strict", [("in.sdf", False), ("in.sdf", True), ("in.jsonl", False)]
+    )
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys, water, name, strict):
+        if name.endswith(".sdf"):
+            body = (FIXTURES / "golden.sdf").read_bytes()
+        else:
+            body = write_jsonl([water])
+        src = tmp_path / name
+        src.write_bytes(b"\xff\xfe" + body)
+        flags = ["--strict"] if strict else []
+        code = run_cli("featurize", "--input", str(src), "--out", str(tmp_path / "o"), *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "data error: line 1: input is not UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestUsageErrors:
     def test_missing_required_flag_exit_1(self):
@@ -87,6 +114,15 @@ class TestUsageErrors:
     def test_missing_input_file_exit_2(self, tmp_path):
         assert run_cli("featurize", "--input", str(tmp_path / "nope.sdf"),
                        "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("key", ["grad_clip", "checkpoint_every", "fingerprint_weight"])
+    def test_unknown_run_key_exit_1(self, tmp_path, capsys, key):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        cfg = write_config(tmp_path / "cfg.json", epochs=1, **{key: 1})
+        assert run_cli("pretrain", "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--config", str(cfg)) == 1
+        assert "config error: bad run config" in capsys.readouterr().err
 
     def test_bad_config_file_exit_1(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -117,11 +153,44 @@ def _drop_all_atoms(obj):
     obj["atoms"], obj["bonds"], obj["coords"] = [], [], []
 
 
+def _set_aromatic_string(obj):
+    obj["atoms"][0]["aromatic"] = "no"
+
+
+def _set_num_h_fraction(obj):
+    obj["atoms"][0]["num_h"] = 2.7
+
+
+def _set_bond_atom_float(obj):
+    obj["bonds"][0]["a"] = float(obj["bonds"][0]["a"])
+
+
+def _set_label_numeric_string(obj):
+    obj["labels"]["y"] = "1.5"
+
+
+def _set_coordinate_numeric_string(obj):
+    obj["coords"][0][1] = "1e0"
+
+
+def _set_coordinate_bool(obj):
+    obj["coords"][0][1] = True
+
+
+def _set_fingerprint_bit_bool(obj):
+    obj["fingerprint"] = [0, True]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     @pytest.mark.parametrize(
         "corrupt",
-        [_set_formal_charge, _set_label, _set_coordinate, _set_atoms_scalar, _drop_all_atoms],
+        [
+            _set_formal_charge, _set_label, _set_coordinate, _set_atoms_scalar, _drop_all_atoms,
+            _set_aromatic_string, _set_num_h_fraction, _set_bond_atom_float,
+            _set_label_numeric_string, _set_coordinate_numeric_string, _set_coordinate_bool,
+            _set_fingerprint_bit_bool,
+        ],
     )
     def test_bad_jsonl_record_is_a_data_error(self, tmp_path, capsys, command, corrupt):
         mols = write_dataset(tmp_path / "good.jsonl", n=6, seed=5)
@@ -160,12 +229,7 @@ class TestTrainingCommands:
     def test_pretrain_finetune_evaluate_embed(self, tmp_path):
         src = tmp_path / "data.jsonl"
         write_dataset(src, n=10, seed=1)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "model": {"num_blocks": 1, "hidden": 8, "dropout": 0.0,
-                      "geom_head_hidden": 8, "down_head_hidden": 8, "distance_bins": 8},
-            "run": {"epochs": 2, "batch_size": 4},
-        }))
+        cfg = write_config(tmp_path / "cfg.json", epochs=2, batch_size=4)
         pre_out = tmp_path / "pre"
         assert run_cli("pretrain", "--input", str(src), "--out", str(pre_out),
                        "--config", str(cfg), "--seed", "5") == 0
@@ -212,12 +276,7 @@ class TestTrainingCommands:
         permuted.labels = {"y": 0.0}
         src = tmp_path / "pair.jsonl"
         src.write_bytes(write_jsonl([mol, permuted]))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "model": {"num_blocks": 1, "hidden": 8, "dropout": 0.0,
-                      "geom_head_hidden": 8, "down_head_hidden": 8, "distance_bins": 8},
-            "run": {"epochs": 1, "batch_size": 2},
-        }))
+        cfg = write_config(tmp_path / "cfg.json", epochs=1, batch_size=2)
         pre_out = tmp_path / "pre"
         assert run_cli("pretrain", "--input", str(src), "--out", str(pre_out),
                        "--config", str(cfg)) == 0
@@ -242,12 +301,7 @@ class TestTrainingCommands:
     def test_structural_conflict_with_checkpoint_exit_1(self, tmp_path):
         src = tmp_path / "data.jsonl"
         write_dataset(src, n=6, seed=3)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "model": {"num_blocks": 1, "hidden": 8, "dropout": 0.0,
-                      "geom_head_hidden": 8, "down_head_hidden": 8, "distance_bins": 8},
-            "run": {"epochs": 1, "batch_size": 4},
-        }))
+        cfg = write_config(tmp_path / "cfg.json", epochs=1, batch_size=4)
         pre_out = tmp_path / "pre"
         assert run_cli("pretrain", "--input", str(src), "--out", str(pre_out),
                        "--config", str(cfg)) == 0
@@ -262,12 +316,7 @@ class TestTrainingCommands:
     def test_determinism_of_reports(self, tmp_path):
         src = tmp_path / "data.jsonl"
         write_dataset(src, n=8, seed=4)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "model": {"num_blocks": 1, "hidden": 8, "dropout": 0.2,
-                      "geom_head_hidden": 8, "down_head_hidden": 8, "distance_bins": 8},
-            "run": {"epochs": 2, "batch_size": 4},
-        }))
+        cfg = write_config(tmp_path / "cfg.json", dropout=0.2, epochs=2, batch_size=4)
         reports = []
         for tag in ("a", "b"):
             out = tmp_path / tag
@@ -275,3 +324,53 @@ class TestTrainingCommands:
                            "--config", str(cfg), "--seed", "11") == 0
             reports.append((out / "finetune_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_pretrain_fingerprint_task(self, tmp_path):
+        mols = write_dataset(tmp_path / "unused.jsonl", n=6, seed=6)
+        for i, m in enumerate(mols):
+            m.fingerprint = [(i >> k) & 1 for k in range(6)]
+        src = tmp_path / "fp.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        cfg = write_config(tmp_path / "cfg.json", epochs=1, batch_size=4)
+        out = tmp_path / "pre"
+        assert run_cli("pretrain", "--input", str(src), "--out", str(out), "--config", str(cfg),
+                       "--tasks", "length,fingerprint") == 0
+        history = json.loads((out / "pretrain_log.json").read_text())["history"]
+        assert "fingerprint" in history[0]
+        assert math.isfinite(history[0]["fingerprint"])
+
+    def test_pretrain_mixed_fingerprint_widths_exit_2(self, tmp_path, capsys):
+        mols = write_dataset(tmp_path / "unused.jsonl", n=4, seed=7)
+        for i, m in enumerate(mols):
+            m.fingerprint = [1] * (6 if i else 5)
+        src = tmp_path / "fp.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        code = run_cli("pretrain", "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--tasks", "length,fingerprint", "--epochs", "1")
+        assert code == 2
+        assert "inconsistent fingerprint widths" in capsys.readouterr().err
+
+    def test_f32_pretrain_finetune_embed(self, tmp_path):
+        src = tmp_path / "data.jsonl"
+        write_dataset(src, n=10, seed=8)
+        cfg = write_config(tmp_path / "cfg.json", dropout=0.2, epochs=1, batch_size=4)
+        pre_out, fine_out, emb_out = tmp_path / "pre", tmp_path / "fine", tmp_path / "emb"
+        assert run_cli("pretrain", "--input", str(src), "--out", str(pre_out),
+                       "--config", str(cfg), "--precision", "f32") == 0
+        ckpt = sorted(pre_out.glob("*.ckpt"))[-1]
+        assert run_cli("finetune", "--input", str(src), "--out", str(fine_out),
+                       "--config", str(cfg), "--precision", "f32",
+                       "--checkpoint", str(ckpt)) == 0
+        best = fine_out / "finetune_best.ckpt"
+        assert run_cli("embed", "--input", str(src), "--out", str(emb_out),
+                       "--checkpoint", str(best)) == 0
+        for path in (ckpt, best):
+            store = load_checkpoint(path)[0]
+            assert {str(t.data.dtype) for _, t in store.items()} == {"float32"}
+        history = json.loads((pre_out / "pretrain_log.json").read_text())["history"]
+        report = json.loads((fine_out / "finetune_report.json").read_text())
+        losses = [history[0]["loss"], report["epochs"][0]["train_loss"], report["test_metric"]]
+        assert all(math.isfinite(x) for x in losses)
+        rows = [json.loads(l) for l in (emb_out / "embeddings.jsonl").read_text().splitlines()]
+        assert len(rows) == 10
+        assert np.all(np.isfinite([row["h_G"] for row in rows]))

@@ -1,0 +1,70 @@
+"""The benchmark's outside-in tracer patches geognn names by string. These
+tests install it the way ``bench/run.py --trace 1`` does, so renaming or
+deleting a traced name, or calling one through a private alias the
+wrappers cannot see, fails here and not only in a traced benchmark run."""
+
+import inspect
+import sys
+from pathlib import Path
+
+from geognn.rng import Rng
+from geognn.synth import random_molecule
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import tracing  # noqa: E402
+from workloads import import_geognn  # noqa: E402
+
+
+def _namespaces(g) -> list:
+    """Every module in ``g`` and every class defined in one of them."""
+    out = []
+    for module in vars(g).values():
+        out.append(module)
+        out.extend(
+            cls for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+        )
+    return out
+
+
+def test_install_then_uninstall_restores_every_name():
+    g = import_geognn(ROOT)
+    before = {id(ns): dict(vars(ns)) for ns in _namespaces(g)}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(g)
+        assert tracer._patches
+        for owner, attr, original in tracer._patches:
+            assert getattr(owner, attr) is not original
+    finally:
+        tracer.uninstall()
+    for ns in _namespaces(g):
+        assert dict(vars(ns)) == before[id(ns)], ns
+
+
+def test_training_calls_reach_the_wrappers(tmp_path):
+    g = import_geognn(ROOT)
+    mols = [random_molecule(Rng(1).fork(i), min_atoms=4, max_atoms=6, mol_id=f"m{i}")
+            for i in range(3)]
+    config = g.model.ModelConfig(num_blocks=1, hidden=4, distance_bins=5,
+                                 geom_head_hidden=4, down_head_hidden=4)
+    run = g.training.RunConfig(epochs=1, batch_size=2)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(g)
+        g.training.pretrain(mols, config, run, out_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    tracer.drain()
+    for name in (
+        "training.prepare_molecules", "geometry.build_dual_graph", "features.encode",
+        "masking.mask_context", "pretrain.build_targets", "pretrain.loss_length",
+        "pretrain.loss_angle", "pretrain.loss_distance", "model.forward.train",
+        "rng.permutation", "tensor.backward", "training.adam_step",
+        "checkpoint.save_checkpoint",
+    ):
+        assert name in tracer.totals, name
+    assert tracer.totals["training.adam_step"][0] == 2
+    assert tracer.totals["checkpoint.save_checkpoint"][0] == 2

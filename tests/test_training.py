@@ -162,15 +162,6 @@ class TestSplits:
         split = DatasetSplit.from_tags(mols)
         assert split.train == split.valid == split.test
 
-    def test_from_index(self):
-        mols = [random_molecule(Rng(i), mol_id=f"m{i}") for i in range(4)]
-        split = DatasetSplit.from_index(
-            mols, {"train": ["m0", "m1"], "valid": ["m2"], "test": ["m3"]}
-        )
-        assert [m.id for m in split.test] == ["m3"]
-        with pytest.raises(DataError):
-            DatasetSplit.from_index(mols, {"train": ["nope"]})
-
     def test_task_names_and_labels(self):
         mols = [random_molecule(Rng(i), mol_id=f"m{i}") for i in range(3)]
         mols[0].labels = {"a": 1.0, "b": None}
@@ -274,6 +265,23 @@ class TestFinetuneLoop:
         )
         result = finetune(split, TINY_MODEL, run)
         assert 0.0 <= result.report["test_metric"] <= 1.0
+
+    def test_dropout_stream_per_molecule(self, monkeypatch):
+        # molecules at the same position of different batches must not
+        # share a dropout stream
+        seeds = []
+        forward = GeoGNN.forward
+
+        def recording(self, graph, encoded, mode="eval", rng=None):
+            if mode == "train":
+                seeds.append(rng.seed)
+            return forward(self, graph, encoded, mode=mode, rng=rng)
+
+        monkeypatch.setattr(GeoGNN, "forward", recording)
+        split = DatasetSplit.from_tags(tiny_dataset(12, seed=25, with_splits=False))
+        finetune(split, TINY_MODEL, RunConfig(epochs=1, batch_size=4, seed=26))
+        assert len(seeds) == 12
+        assert len(set(seeds)) == 12
 
     def test_metric_task_type_consistency_enforced(self):
         with pytest.raises(ConfigError):
