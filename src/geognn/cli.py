@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import logging
 import sys
@@ -115,7 +116,8 @@ def _read_molecules(paths: list[str], strict: bool = True):
         if not p.exists():
             raise DataError(f"input file not found: {path}")
         data = p.read_bytes()
-        is_jsonl = p.suffix.lower() in (".jsonl", ".json") or data.lstrip()[:1] == b"{"
+        sniff = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
+        is_jsonl = p.suffix.lower() in (".jsonl", ".json") or sniff == b"{"
         if is_jsonl:
             molecules.extend(parse_jsonl(data))
         elif strict:

@@ -104,19 +104,9 @@ class EncodedGraph:
     atom: np.ndarray            # [V, atom_width]
     bond: np.ndarray            # [E, bond_width]
     angle: np.ndarray           # [A, angle_width]
-    atom_masked: np.ndarray     # [V] bool
-    bond_masked: np.ndarray     # [E] bool
-    angle_masked: np.ndarray    # [A] bool
 
     def copy(self) -> "EncodedGraph":
-        return EncodedGraph(
-            atom=self.atom.copy(),
-            bond=self.bond.copy(),
-            angle=self.angle.copy(),
-            atom_masked=self.atom_masked.copy(),
-            bond_masked=self.bond_masked.copy(),
-            angle_masked=self.angle_masked.copy(),
-        )
+        return EncodedGraph(atom=self.atom.copy(), bond=self.bond.copy(), angle=self.angle.copy())
 
 
 def rbf_expand(x: float, centers: np.ndarray, gamma: float = RBF_GAMMA) -> np.ndarray:
@@ -190,11 +180,4 @@ def encode(
                 float(graph.angle_values[t]), config.angle_centers, config.rbf_gamma
             )
 
-    return EncodedGraph(
-        atom=atom.astype(dtype),
-        bond=bond.astype(dtype),
-        angle=angle.astype(dtype),
-        atom_masked=np.zeros(graph.num_atoms, dtype=bool),
-        bond_masked=np.zeros(graph.num_bonds, dtype=bool),
-        angle_masked=np.zeros(graph.num_angles, dtype=bool),
-    )
+    return EncodedGraph(atom=atom.astype(dtype), bond=bond.astype(dtype), angle=angle.astype(dtype))

@@ -2,8 +2,9 @@
 
 A fraction of atoms is selected; each selected atom, its incident bonds,
 and every angle centered at it have their features replaced by the mask
-vector (all-zero features with the trailing is-masked indicator set).
-The true lengths and angles of the masked entities become the targets.
+vector (all-zero features with the trailing is-masked indicator set);
+that column is the only record of what is masked. The true lengths and
+angles of the masked entities become the targets.
 """
 
 from __future__ import annotations
@@ -20,19 +21,15 @@ from .rng import Rng
 
 @dataclass
 class MaskTargets:
-    atom_ids: np.ndarray      # [k] selected atoms
-    bond_ids: np.ndarray      # [m] masked bond indices
-    bond_atoms: np.ndarray    # [m, 2] endpoints (u, v)
+    bond_atoms: np.ndarray    # [m, 2] endpoints (u, v) of the masked bonds
     bond_lengths: np.ndarray  # [m]
-    angle_ids: np.ndarray     # [t] masked angle indices
     angle_atoms: np.ndarray   # [t, 3] (w, u, v) with the center in the middle
     angle_values: np.ndarray  # [t] radians
 
 
 def _mask_rows(matrix: np.ndarray, ids: np.ndarray) -> None:
-    if ids.size:
-        matrix[ids, :] = 0.0
-        matrix[ids, -1] = 1.0
+    matrix[ids, :] = 0.0
+    matrix[ids, -1] = 1.0
 
 
 def mask_context(
@@ -42,33 +39,19 @@ def mask_context(
         raise ConfigError(f"mask ratio must lie in (0, 1], got {ratio}")
     num_atoms = graph.num_atoms
     count = max(1, round(ratio * num_atoms))
-    selected = np.sort(rng.sample(num_atoms, count))
-    chosen = set(int(i) for i in selected)
-
-    bond_ids = np.array(
-        [e for e in range(graph.num_bonds) if set(map(int, graph.bonds[e])) & chosen],
-        dtype=np.int64,
-    )
-    angle_ids = np.array(
-        [t for t in range(graph.num_angles) if int(graph.angles[t, 1]) in chosen],
-        dtype=np.int64,
-    )
+    selected = rng.sample(num_atoms, count)
+    bond_ids = np.flatnonzero(np.isin(graph.bonds, selected).any(axis=1))
+    angle_ids = np.flatnonzero(np.isin(graph.angles[:, 1], selected))
 
     masked = encoded.copy()
     _mask_rows(masked.atom, selected)
     _mask_rows(masked.bond, bond_ids)
     _mask_rows(masked.angle, angle_ids)
-    masked.atom_masked[selected] = True
-    masked.bond_masked[bond_ids] = True
-    masked.angle_masked[angle_ids] = True
 
     targets = MaskTargets(
-        atom_ids=selected,
-        bond_ids=bond_ids,
-        bond_atoms=graph.bonds[bond_ids].reshape(len(bond_ids), 2),
+        bond_atoms=graph.bonds[bond_ids],
         bond_lengths=graph.lengths[bond_ids],
-        angle_ids=angle_ids,
-        angle_atoms=graph.angles[angle_ids].reshape(len(angle_ids), 3),
+        angle_atoms=graph.angles[angle_ids],
         angle_values=graph.angle_values[angle_ids],
     )
     return masked, targets

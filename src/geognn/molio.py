@@ -207,13 +207,14 @@ _SDF_BOND_DIR = {0: "none", 1: "begin_wedge", 4: "either", 6: "begin_dash"}
 
 
 def _decode(data: bytes | str) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
-        raise ParseError(f"input is not UTF-8 text (byte {err.start})", line) from None
+    """UTF-8 text without a leading byte-order mark."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+            raise ParseError(f"input is not UTF-8 text (byte {err.start})", line) from None
+    return data.removeprefix("\ufeff")
 
 
 def iter_sdf_records(text: str):

@@ -24,16 +24,21 @@ from .tensor import Tensor
 TASKS = ("length", "angle", "distance", "fingerprint")
 
 
+def check_tasks(tasks) -> None:
+    """Reject an empty task list or a name outside TASKS."""
+    if not tasks or not set(tasks) <= set(TASKS):
+        raise ConfigError(
+            f"pretrain tasks must be a non-empty subset of {list(TASKS)}, got {list(tasks)}"
+        )
+
+
 @dataclass
 class PretrainTargets:
-    masked: MaskTargets
     distance_bin_ids: np.ndarray      # [V*V] bin index per ordered atom pair
     fingerprint: np.ndarray | None    # [B] bits or None
 
 
-def build_targets(
-    graph: DualGraph, molecule: Molecule, masked: MaskTargets, num_bins: int
-) -> PretrainTargets:
+def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> PretrainTargets:
     dists = graph.dist_matrix.reshape(-1)
     if np.any(dists < 0):
         raise DataError("negative distance in matrix")
@@ -43,7 +48,7 @@ def build_targets(
         if molecule.fingerprint is not None
         else None
     )
-    return PretrainTargets(masked=masked, distance_bin_ids=bins, fingerprint=fingerprint)
+    return PretrainTargets(distance_bin_ids=bins, fingerprint=fingerprint)
 
 
 def _masked_mse(head, h_atoms: Tensor, atoms: np.ndarray, targets: np.ndarray) -> Tensor:
@@ -68,30 +73,17 @@ def loss_angle(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tens
 
 
 def loss_distance(
-    model: GeoGNN,
-    emb: GraphEmbedding,
-    graph: DualGraph,
-    bin_ids: np.ndarray,
-    max_pairs: int | None = None,
-    rng: Rng | None = None,
+    model: GeoGNN, emb: GraphEmbedding, graph: DualGraph, bin_ids: np.ndarray
 ) -> Tensor:
     """Cross-entropy of binned distances over all ordered atom pairs,
-    diagonal included; optionally a sampled subset for large molecules."""
+    diagonal included."""
     n = graph.num_atoms
     if n < 2:
         return Tensor(np.zeros(()))
     u = np.repeat(np.arange(n), n)
     v = np.tile(np.arange(n), n)
-    ids = bin_ids
-    if max_pairs is not None and u.size > max_pairs:
-        if rng is None:
-            raise ConfigError("pair sampling needs an rng")
-        pick = rng.sample(u.size, max_pairs)
-        u, v, ids = u[pick], v[pick], bin_ids[pick]
-    one_hot = np.zeros((u.size, model.config.distance_bins))
-    one_hot[np.arange(u.size), ids] = 1.0
     logits = model.head_distance(T.gather_rows(emb.h_atoms, u), T.gather_rows(emb.h_atoms, v))
-    return T.softmax_cross_entropy(logits, Tensor(one_hot))
+    return T.softmax_cross_entropy(logits, bin_ids)
 
 
 def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding, bits: np.ndarray) -> Tensor:
@@ -120,15 +112,12 @@ def molecule_pretrain_loss(
     rng: Rng,
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
-    max_distance_pairs: int | None = None,
     mode: str = "train",
 ) -> tuple[Tensor, dict[str, float]]:
     """One masked forward pass; returns (total loss, per-task values)."""
-    unknown = set(tasks) - set(TASKS)
-    if unknown:
-        raise ConfigError(f"unknown pretrain tasks: {sorted(unknown)}")
+    check_tasks(tasks)
     masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, rng.fork("mask"))
-    targets = build_targets(item.graph, item.molecule, masked, model.config.distance_bins)
+    targets = build_targets(item.graph, item.molecule, model.config.distance_bins)
     emb = model.forward(item.graph, masked_enc, mode=mode, rng=rng.fork("dropout"))
 
     total = Tensor(np.zeros(()))
@@ -142,10 +131,7 @@ def molecule_pretrain_loss(
         parts["angle"] = part.item()
         total = T.add(total, part)
     if "distance" in tasks:
-        part = loss_distance(
-            model, emb, item.graph, targets.distance_bin_ids,
-            max_pairs=max_distance_pairs, rng=rng.fork("pairs"),
-        )
+        part = loss_distance(model, emb, item.graph, targets.distance_bin_ids)
         parts["distance"] = part.item()
         total = T.add(total, part)
     if "fingerprint" in tasks and targets.fingerprint is not None:
@@ -158,26 +144,21 @@ def molecule_pretrain_loss(
 def loss_pre(
     model: GeoGNN,
     batch: list[PreparedMolecule],
-    rngs: Rng | list[Rng],
+    rngs: list[Rng],
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
-    max_distance_pairs: int | None = None,
     mode: str = "train",
 ) -> tuple[Tensor, dict[str, float]]:
-    """Mean pretraining loss over a batch of molecules."""
+    """Mean pretraining loss over a batch of molecules, one rng each."""
     if not batch:
         raise ConfigError("empty pretraining batch")
-    if isinstance(rngs, Rng):
-        rngs = [rngs.fork(i) for i in range(len(batch))]
     if len(rngs) != len(batch):
         raise ConfigError("need one rng per molecule")
     total = Tensor(np.zeros(()))
     sums: dict[str, float] = {}
     for item, rng in zip(batch, rngs):
         part, parts = molecule_pretrain_loss(
-            model, item, rng,
-            tasks=tasks, mask_ratio=mask_ratio,
-            max_distance_pairs=max_distance_pairs, mode=mode,
+            model, item, rng, tasks=tasks, mask_ratio=mask_ratio, mode=mode
         )
         total = T.add(total, part)
         for k, v in parts.items():

@@ -421,28 +421,31 @@ def dropout(x: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
     return _emit(x.data * keep, (x,), grad_fn, "dropout")
 
 
-def softmax_cross_entropy(logits: Tensor, one_hot: Tensor) -> Tensor:
-    """Mean over rows of -sum(target * log softmax(logits))."""
-    logits, one_hot = _coerce(logits), _coerce(one_hot)
-    if logits.shape != one_hot.shape or logits.data.ndim != 2:
-        raise ShapeError("softmax_cross_entropy expects matching 2-D tensors")
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over rows of -log softmax(logits)[row, labels[row]]."""
+    logits = _coerce(logits)
+    if logits.data.ndim != 2:
+        raise ShapeError("softmax_cross_entropy expects 2-D logits")
+    n, c = logits.shape
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise ShapeError("softmax_cross_entropy needs one label per row")
+    if labels.dtype.kind not in "iu":
+        raise ShapeError("class labels must be integers")
+    if n and (int(labels.min()) < 0 or int(labels.max()) >= c):
+        raise ShapeError("class label out of range")
     _finite(logits.data, "softmax_cross_entropy")
-    row_sums = one_hot.data.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise ShapeError("softmax_cross_entropy targets must sum to 1 per row")
-    n = logits.shape[0]
+    rows = np.arange(n)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - log_norm
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
     def grad_fn(g):
-        scale = float(g) / n
-        glogits = (np.exp(log_probs) - one_hot.data) * scale
-        gtargets = -log_probs * scale
-        return glogits, gtargets
+        glogits = np.exp(log_probs)
+        glogits[rows, labels] -= 1.0
+        return (glogits * (float(g) / n),)
 
-    loss = -(one_hot.data * log_probs).sum(axis=1).mean()
-    return _emit(np.asarray(loss, dtype=logits.dtype), (logits, one_hot), grad_fn, "softmax_cross_entropy")
+    loss = -log_probs[rows, labels].mean()
+    return _emit(np.asarray(loss, dtype=logits.dtype), (logits,), grad_fn, "softmax_cross_entropy")
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, mask: np.ndarray | None = None) -> Tensor:

@@ -23,7 +23,7 @@ from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore
 from .molio import Molecule
-from .pretrain import PreparedMolecule, loss_pre
+from .pretrain import PreparedMolecule, check_tasks, loss_pre
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -43,7 +43,6 @@ class RunConfig:
     metric: str = "rmse"               # rmse | mae | rocauc
     tasks: tuple[str, ...] = ("length", "angle", "distance")
     mask_ratio: float = 0.15
-    max_distance_pairs: int | None = None
 
     def validate(self) -> "RunConfig":
         if self.epochs < 0 or self.batch_size < 1:
@@ -58,6 +57,7 @@ class RunConfig:
             raise ConfigError(f"{self.metric} is a regression metric")
         if not 0.0 < self.mask_ratio <= 1.0:
             raise ConfigError("mask ratio must lie in (0, 1]")
+        check_tasks(self.tasks)
         return self
 
     def to_dict(self) -> dict:
@@ -333,10 +333,7 @@ def pretrain(
     def batch_loss(items, rngs, mode="train"):
         return loss_pre(
             model, items, rngs,
-            tasks=run_config.tasks,
-            mask_ratio=run_config.mask_ratio,
-            max_distance_pairs=run_config.max_distance_pairs,
-            mode=mode,
+            tasks=run_config.tasks, mask_ratio=run_config.mask_ratio, mode=mode,
         )
 
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -395,14 +392,12 @@ def _downstream_batch_loss(
     task_type: str,
     rngs: list[Rng],
 ) -> tuple[Tensor, dict[str, float]]:
-    """Mean supervised loss over the labelled molecules of a batch; the
-    per-task dict is empty, as the downstream tasks share one loss."""
+    """Mean supervised loss over a batch of molecules with at least one
+    label each; the per-task dict is empty, as the downstream tasks share
+    one loss."""
     total = Tensor(np.zeros(()))
-    used = 0
     for item, row, rng in zip(items, labels, rngs):
         present = ~np.isnan(row)
-        if not present.any():
-            continue
         emb = model.forward(item.graph, item.encoded, mode="train", rng=rng)
         pred = model.head_downstream(emb.h_graph)
         y = np.where(present, row, 0.0).reshape(1, -1)
@@ -414,10 +409,7 @@ def _downstream_batch_loss(
         else:
             mol_loss = T.bce_with_logits(pred, Tensor(y), mask)
         total = T.add(total, mol_loss)
-        used += 1
-    if used == 0:
-        raise DataError("batch had no labelled molecules")
-    return T.mul(total, 1.0 / used), {}
+    return T.mul(total, 1.0 / len(items)), {}
 
 
 @dataclass
@@ -451,11 +443,21 @@ def finetune(
         loaded = set(init_store.names()) & set(model.store.names())
         logger.info("loaded %d parameter tensors from checkpoint", len(loaded))
 
-    items = {
-        part: prepare_molecules(getattr(split, part), features, dtype=model_config.dtype)
-        for part in ("train", "valid", "test")
+    # a training molecule with no labels has no loss term; a batch of only
+    # such molecules would have no loss at all
+    labelled = ~np.isnan(label_matrix(split.train, names)).all(axis=1)
+    if not labelled.all():
+        logger.warning("dropped %d training molecules with no labels", int((~labelled).sum()))
+    parts = {
+        "train": [m for m, keep in zip(split.train, labelled) if keep],
+        "valid": split.valid,
+        "test": split.test,
     }
-    labels = {part: label_matrix(getattr(split, part), names) for part in ("train", "valid", "test")}
+    items = {
+        part: prepare_molecules(mols, features, dtype=model_config.dtype)
+        for part, mols in parts.items()
+    }
+    labels = {part: label_matrix(mols, names) for part, mols in parts.items()}
     metric_fn = METRIC_FNS[run_config.metric]
 
     def batch_loss(ids, rngs):

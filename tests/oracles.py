@@ -51,6 +51,15 @@ def softmax_ce_reference(logits: np.ndarray, one_hot: np.ndarray) -> float:
     return total / logits.shape[0]
 
 
+def masked_entities_reference(graph, chosen) -> tuple[list[int], list[int]]:
+    """Per-edge enumeration of what masking the atoms ``chosen`` hides:
+    the bonds with an endpoint in it and the angles centered in it."""
+    chosen = {int(i) for i in chosen}
+    bonds = [e for e in range(graph.num_bonds) if {int(a) for a in graph.bonds[e]} & chosen]
+    angles = [t for t in range(graph.num_angles) if int(graph.angles[t, 1]) in chosen]
+    return bonds, angles
+
+
 def segment_sum_reference(values: np.ndarray, ids, k: int) -> np.ndarray:
     out = np.zeros((k, values.shape[1]))
     for row, i in zip(values, ids):

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 from pathlib import Path
@@ -103,6 +104,16 @@ class TestFeaturize:
         assert "data error: line 1: input is not UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["in.jsonl", "in.txt"])
+    def test_jsonl_with_byte_order_mark(self, tmp_path, water, name):
+        src = tmp_path / name
+        src.write_bytes(codecs.BOM_UTF8 + write_jsonl([water]))
+        out = tmp_path / "o"
+        assert run_cli("featurize", "--input", str(src), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ids"] == ["water"]
+        assert summary["parse_errors"] == []
+
 
 class TestUsageErrors:
     def test_missing_required_flag_exit_1(self):
@@ -115,7 +126,9 @@ class TestUsageErrors:
         assert run_cli("featurize", "--input", str(tmp_path / "nope.sdf"),
                        "--out", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("key", ["grad_clip", "checkpoint_every", "fingerprint_weight"])
+    @pytest.mark.parametrize(
+        "key", ["grad_clip", "checkpoint_every", "fingerprint_weight", "max_distance_pairs"]
+    )
     def test_unknown_run_key_exit_1(self, tmp_path, capsys, key):
         src = tmp_path / "in.jsonl"
         write_dataset(src, n=4)
@@ -123,6 +136,25 @@ class TestUsageErrors:
         assert run_cli("pretrain", "--input", str(src), "--out", str(tmp_path / "o"),
                        "--config", str(cfg)) == 1
         assert "config error: bad run config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,run",
+        [
+            (["--tasks", "length,lenght"], {}),
+            (["--tasks", "length,lenght", "--epochs", "0"], {}),
+            ([], {"tasks": []}),
+        ],
+        ids=["misspelled", "misspelled-zero-epochs", "empty"],
+    )
+    def test_bad_pretrain_tasks_exit_1_and_write_nothing(self, tmp_path, capsys, flags, run):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        cfg = write_config(tmp_path / "cfg.json", epochs=1, **run)
+        out = tmp_path / "o"
+        assert run_cli("pretrain", "--input", str(src), "--out", str(out),
+                       "--config", str(cfg), *flags) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bad_config_file_exit_1(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -324,6 +356,20 @@ class TestTrainingCommands:
                            "--config", str(cfg), "--seed", "11") == 0
             reports.append((out / "finetune_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_finetune_drops_unlabelled_training_molecules(self, tmp_path, caplog):
+        # --batch 1 puts the unlabelled molecule in a batch of its own
+        mols = write_dataset(tmp_path / "unused.jsonl", n=6, seed=9)
+        mols[0].labels = {"y": None}
+        src = tmp_path / "data.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        cfg = write_config(tmp_path / "cfg.json", epochs=2, batch_size=1)
+        out = tmp_path / "fine"
+        assert run_cli("finetune", "--input", str(src), "--out", str(out),
+                       "--config", str(cfg)) == 0
+        assert "dropped 1 training molecules with no labels" in caplog.text
+        report = json.loads((out / "finetune_report.json").read_text())
+        assert all(math.isfinite(e["train_loss"]) for e in report["epochs"])
 
     def test_pretrain_fingerprint_task(self, tmp_path):
         mols = write_dataset(tmp_path / "unused.jsonl", n=6, seed=6)

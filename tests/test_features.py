@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geognn.features import FeatureConfig, encode, rbf_expand
 from geognn.geometry import build_dual_graph
@@ -10,6 +11,7 @@ from geognn.rng import Rng
 from geognn.synth import random_molecule
 
 from conftest import make_molecule
+from oracles import masked_entities_reference
 
 
 class TestRbfExpand:
@@ -138,8 +140,8 @@ class TestMaskContext:
         masked, targets = mask_context(graph, enc, 1.0, Rng(0))
         assert targets.bond_lengths.shape == (2,)
         assert targets.angle_values.shape == (1,)
-        assert masked.bond_masked.all()
-        assert masked.angle_masked.all()
+        assert np.all(masked.atom[:, -1] == 1.0)
+        assert np.all(masked.angle[:, -1] == 1.0)
         # masked rows are zero except the indicator column
         assert np.all(masked.bond[:, :-1] == 0.0)
         assert np.all(masked.bond[:, -1] == 1.0)
@@ -149,7 +151,7 @@ class TestMaskContext:
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
         masked, targets = mask_context(graph, enc, 0.15, Rng(1))
-        assert targets.atom_ids.tolist() == [0]
+        assert np.flatnonzero(masked.atom[:, -1]).tolist() == [0]
         assert targets.bond_lengths.size == 0
         assert targets.angle_values.size == 0
 
@@ -157,8 +159,8 @@ class TestMaskContext:
         mol = random_molecule(Rng(3), min_atoms=10, max_atoms=10)
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        _, targets = mask_context(graph, enc, 0.15, Rng(2))
-        assert targets.atom_ids.size == max(1, round(0.15 * 10))
+        masked, _ = mask_context(graph, enc, 0.15, Rng(2))
+        assert np.count_nonzero(masked.atom[:, -1]) == max(1, round(0.15 * 10))
 
     def test_reproducible_given_seed(self):
         mol = random_molecule(Rng(8), min_atoms=20, max_atoms=20)
@@ -166,23 +168,41 @@ class TestMaskContext:
         enc = encode(graph, mol)
         m1, t1 = mask_context(graph, enc, 0.15, Rng(42))
         m2, t2 = mask_context(graph, enc, 0.15, Rng(42))
-        assert np.array_equal(t1.atom_ids, t2.atom_ids)
+        assert np.array_equal(m1.atom[:, -1], m2.atom[:, -1])
         assert np.array_equal(t1.bond_lengths, t2.bond_lengths)
         assert np.array_equal(m1.atom, m2.atom)
         # target multiset equals a reference enumeration over selected atoms
-        chosen = set(t1.atom_ids.tolist())
-        want_bonds = sorted(
-            float(graph.lengths[e])
-            for e in range(graph.num_bonds)
-            if set(map(int, graph.bonds[e])) & chosen
-        )
-        assert sorted(t1.bond_lengths.tolist()) == want_bonds
-        want_angles = sorted(
-            float(graph.angle_values[t])
-            for t in range(graph.num_angles)
-            if int(graph.angles[t, 1]) in chosen
-        )
-        assert sorted(t1.angle_values.tolist()) == want_angles
+        bonds, angles = masked_entities_reference(graph, np.flatnonzero(m1.atom[:, -1]))
+        assert sorted(t1.bond_lengths.tolist()) == sorted(graph.lengths[bonds].tolist())
+        assert sorted(t1.angle_values.tolist()) == sorted(graph.angle_values[angles].tolist())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        atoms=st.integers(1, 40),
+        ratio=st.floats(0.01, 1.0),
+    )
+    def test_masks_match_reference_enumeration(self, seed, atoms, ratio):
+        mol = random_molecule(Rng(seed), min_atoms=atoms, max_atoms=atoms)
+        graph = build_dual_graph(mol)
+        enc = encode(graph, mol)
+        masked, targets = mask_context(graph, enc, ratio, Rng(seed).fork("mask"))
+        chosen = np.flatnonzero(masked.atom[:, -1])
+        want = Rng(seed).fork("mask").sample(atoms, max(1, round(ratio * atoms)))
+        assert chosen.tolist() == sorted(want.tolist())
+        bonds, angles = masked_entities_reference(graph, chosen)
+        assert np.array_equal(targets.bond_atoms, graph.bonds[bonds])
+        assert np.array_equal(targets.bond_lengths, graph.lengths[bonds])
+        assert np.array_equal(targets.angle_atoms, graph.angles[angles])
+        assert np.array_equal(targets.angle_values, graph.angle_values[angles])
+        # the flag column marks exactly the masked rows, which are zero
+        # elsewhere; every other row keeps its encoding
+        for got, orig, ids in ((masked.atom, enc.atom, chosen), (masked.bond, enc.bond, bonds),
+                               (masked.angle, enc.angle, angles)):
+            assert np.flatnonzero(got[:, -1]).tolist() == list(ids)
+            assert np.all(got[ids, :-1] == 0.0)
+            keep = np.setdiff1d(np.arange(len(orig)), ids)
+            assert np.array_equal(got[keep], orig[keep])
 
     def test_original_encoding_untouched(self, water):
         graph = build_dual_graph(water)

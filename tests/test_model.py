@@ -49,7 +49,7 @@ def composite_loss(model, graph, enc, bits, bins):
     uu = np.repeat(np.arange(n), n)
     vv = np.tile(np.arange(n), n)
     logits = model.head_distance(T.gather_rows(h, uu), T.gather_rows(h, vv))
-    loss = T.add(loss, T.softmax_cross_entropy(logits, Tensor(bins)))
+    loss = T.add(loss, T.softmax_cross_entropy(logits, bins))
     loss = T.add(loss, T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits)))
     return T.add(loss, T.sum_all(model.head_downstream(emb.h_graph)))
 
@@ -253,11 +253,8 @@ class TestFullModelGradcheck:
         model = GeoGNN(SMALL, rng=Rng(41))
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        n = graph.num_atoms
         c = SMALL.distance_bins
-        bins = np.zeros((n * n, c))
-        flat_bins = np.minimum(np.floor(graph.dist_matrix.reshape(-1)), c - 1).astype(int)
-        bins[np.arange(n * n), flat_bins] = 1.0
+        bins = np.minimum(np.floor(graph.dist_matrix.reshape(-1)), c - 1).astype(int)
         bits = (Rng(42).uniform_array((1, 4)) > 0.5).astype(float)
 
         worst = model_gradcheck(

@@ -1,3 +1,4 @@
+import codecs
 import math
 from pathlib import Path
 
@@ -60,6 +61,13 @@ class TestSdfParsing:
         assert excinfo.value.line is not None
         assert f"line {excinfo.value.line}" in str(excinfo.value)
 
+    @pytest.mark.parametrize("parse", [parse_sdf, lambda data: parse_sdf_lenient(data)[0]])
+    def test_byte_order_mark_is_dropped(self, parse):
+        data = (FIXTURES / "golden.sdf").read_bytes()
+        with_bom = parse(codecs.BOM_UTF8 + data)
+        assert [m.id for m in with_bom] == ["water", "cyclopropane", "acetate"]
+        assert with_bom == parse(data)
+
     def test_lenient_mode_collects_errors(self):
         good = (FIXTURES / "golden.sdf").read_text()
         bad = (FIXTURES / "malformed" / "bad_counts.sdf").read_text()
@@ -71,6 +79,10 @@ class TestSdfParsing:
 class TestJsonl:
     def test_empty_file(self):
         assert parse_jsonl(b"") == []
+
+    def test_byte_order_mark_is_dropped(self):
+        data = write_jsonl([make_molecule(["O", "H"], [(0, 1)], [(0, 0, 0), (0.96, 0, 0)])])
+        assert parse_jsonl(codecs.BOM_UTF8 + data) == parse_jsonl(data)
 
     def test_single_atom_no_bonds(self):
         line = (

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geognn import tensor as T
 from geognn.errors import NumericalError, ShapeError
@@ -161,41 +162,49 @@ class TestSegmentSum:
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((2, 30))
-        one_hot = np.zeros((2, 30))
-        one_hot[:, 7] = 1.0
-        loss = T.softmax_cross_entropy(Tensor(logits), Tensor(one_hot))
+        loss = T.softmax_cross_entropy(Tensor(logits), np.array([7, 7]))
         assert loss.item() == pytest.approx(math.log(30.0), abs=1e-12)
 
     def test_monotone_decrease_with_margin(self):
-        one_hot = np.zeros((1, 4))
-        one_hot[0, 1] = 1.0
         losses = []
         for margin in [0.0, 2.0, 5.0, 10.0, 20.0]:
             logits = np.zeros((1, 4))
             logits[0, 1] = margin
-            losses.append(T.softmax_cross_entropy(Tensor(logits), Tensor(one_hot)).item())
+            losses.append(T.softmax_cross_entropy(Tensor(logits), np.array([1])).item())
         assert all(hi > lo for hi, lo in zip(losses, losses[1:]))
         assert losses[-1] < 1e-6
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(4, 5))
-        one_hot = np.eye(5)[rng.integers(0, 5, size=4)]
-        loss = T.softmax_cross_entropy(Tensor(logits), Tensor(one_hot))
-        assert loss.item() == pytest.approx(softmax_ce_reference(logits, one_hot), abs=1e-12)
+        labels = rng.integers(0, 5, size=4)
+        loss = T.softmax_cross_entropy(Tensor(logits), labels)
+        assert loss.item() == pytest.approx(softmax_ce_reference(logits, np.eye(5)[labels]), abs=1e-12)
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(3, 6))
-        one_hot = np.eye(6)[rng.integers(0, 6, size=3)]
-        analytic, numeric = grad_of(
-            lambda l: T.softmax_cross_entropy(l, Tensor(one_hot)), logits
-        )
+        labels = rng.integers(0, 6, size=3)
+        analytic, numeric = grad_of(lambda l: T.softmax_cross_entropy(l, labels), logits)
+        assert relative_error(analytic[0], numeric[0]) < 1e-4
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 6), classes=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_labels_match_one_hot_reference(self, rows, classes, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=3.0, size=(rows, classes))
+        labels = rng.integers(0, classes, size=rows)
+        loss = T.softmax_cross_entropy(Tensor(logits), labels).item()
+        want = softmax_ce_reference(logits, np.eye(classes)[labels])
+        assert loss == pytest.approx(want, rel=1e-12, abs=1e-12)
+        analytic, numeric = grad_of(lambda l: T.softmax_cross_entropy(l, labels), logits)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
 
     def test_rejects_bad_targets(self):
-        with pytest.raises(ShapeError):
-            T.softmax_cross_entropy(Tensor(np.zeros((1, 3))), Tensor([[0.5, 0.2, 0.1]]))
+        # out of range, negative, non-integer, not 1-D, one per row
+        for labels in ([3], [-1], [0.0], [[1]], [0, 1]):
+            with pytest.raises(ShapeError):
+                T.softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array(labels))
 
 
 class TestBackward:
