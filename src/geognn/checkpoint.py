@@ -99,7 +99,10 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, dict, dict]:
     """Returns (store, model_config, feature_manifest, extra)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as err:
+        raise DataError(f"{path}: cannot read checkpoint ({err.strerror})") from None
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     version = int.from_bytes(raw[4:8], "little")
@@ -129,7 +132,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
             elif entry["kind"] == "adam_v":
                 moments_v[entry["name"]] = arr.copy()
         manifest, extra = header["feature_manifest"], header.get("extra", {})
-    except (KeyError, TypeError, ValueError) as err:
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
     for name in moments_m:
         if name in moments_v:

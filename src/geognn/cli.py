@@ -16,7 +16,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .checkpoint import check_manifest, load_checkpoint, save_checkpoint
+from .checkpoint import check_manifest, load_checkpoint
 from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseError
 from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
@@ -98,13 +98,18 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"config file {path}: cannot read ({err.strerror})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path}: not UTF-8") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path}: invalid JSON ({err.msg})") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
+    for key in ("model", "run"):
+        if not isinstance(obj.get(key, {}), dict):
+            raise ConfigError(f"config file {path}: {key!r} must be a JSON object")
     return obj
 
 
@@ -113,9 +118,10 @@ def _read_molecules(paths: list[str], strict: bool = True):
     errors: list[ParseError] = []
     for path in paths:
         p = Path(path)
-        if not p.exists():
-            raise DataError(f"input file not found: {path}")
-        data = p.read_bytes()
+        try:
+            data = p.read_bytes()
+        except OSError as err:
+            raise DataError(f"input file {path}: cannot read ({err.strerror})") from None
         sniff = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
         is_jsonl = p.suffix.lower() in (".jsonl", ".json") or sniff == b"{"
         if is_jsonl:

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the config value
+checks that raise ConfigError.
 
 The CLI maps these onto exit codes: ConfigError -> 1, ParseError and
 DataError -> 2, NumericalError -> 3.
 """
+
+import math
+import numbers
 
 
 class GeoGnnError(Exception):
@@ -33,3 +37,16 @@ class DataError(GeoGnnError):
 
 class ConfigError(GeoGnnError):
     """Invalid or inconsistent configuration."""
+
+
+def check_int(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """ConfigError unless value is an integer, not a bool, with lo <= value < hi."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value < hi:
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+
+
+def check_real(name: str, value, lo: float) -> None:
+    """ConfigError unless value is a finite real number, not a bool, with value >= lo."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (lo <= value and abs(value) < math.inf)):
+        raise ConfigError(f"{name} must be a finite number >= {lo}, got {value!r}")

@@ -14,12 +14,12 @@ graph), a residual connection, and dropout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_int, check_real
 from .features import EncodedGraph, FeatureConfig
 from .geometry import DualGraph
 from .rng import Rng
@@ -39,12 +39,11 @@ class ModelConfig:
     precision: str = "f64"
 
     def validate(self) -> "ModelConfig":
-        if self.num_blocks < 1:
-            raise ConfigError("num_blocks must be >= 1")
-        if self.hidden < 1:
-            raise ConfigError("hidden must be >= 1")
-        if self.distance_bins < 2:
-            raise ConfigError("distance_bins must be >= 2")
+        for name, lo in (("num_blocks", 1), ("hidden", 1), ("distance_bins", 2),
+                         ("geom_head_hidden", 1), ("down_head_hidden", 1),
+                         ("fingerprint_bits", 0), ("num_tasks", 0)):
+            check_int(name, getattr(self, name), lo)
+        check_real("dropout", self.dropout, 0.0)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.precision not in ("f32", "f64"):
@@ -99,9 +98,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def num_values(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def copy(self) -> "ParamStore":
         clone = ParamStore(dtype=self.dtype)

@@ -4,7 +4,9 @@ A ``Tape`` records every primitive applied while it is active; calling
 ``Tape.backward`` on a scalar result replays the record in reverse and
 accumulates gradients into every tensor that requires them. Recording
 order is a topological order by construction, so each op is visited
-exactly once and accumulation order is deterministic.
+exactly once and accumulation order is deterministic. ``segment_sum``'s
+forward and ``gather_rows``' backward scatter-add rows in index order, so
+reordering one segment's rows may move its sum in the last bits.
 
 Every op validates that its output is finite and raises
 ``NumericalError`` otherwise; NaN/Inf never propagate silently.
@@ -58,9 +60,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -273,31 +272,24 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _emit(data, tuple(tensors), grad_fn, "concat", check=False)
 
 
-def _segment_sum_data(values: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
-    out = np.zeros((num_segments, values.shape[1]), dtype=values.dtype)
-    if values.shape[0] == 0:
-        return out
-    # Canonical reduction order: rows are sorted by (segment, row content)
-    # before summing, so any permutation of rows inside one segment yields
-    # a bit-identical sum. Sorting by the first column is usually enough;
-    # the full lexicographic sort only runs when a segment holds rows that
-    # tie on the first column yet differ elsewhere (fully identical rows
-    # sum the same in any order and need no tie-break).
-    d = values.shape[1]
-    order = np.lexsort((values[:, 0], ids))
-    sv = values[order]
-    si = ids[order]
-    if d > 1:
-        tied = (si[1:] == si[:-1]) & (sv[1:, 0] == sv[:-1, 0])
-        if tied.any():
-            cand = np.flatnonzero(tied)
-            if not (sv[cand + 1] == sv[cand]).all():
-                keys = tuple(values[:, c] for c in range(d - 1, -1, -1)) + (ids,)
-                order = np.lexsort(keys)
-                sv = values[order]
-                si = ids[order]
-    starts = np.concatenate(([0], np.flatnonzero(si[1:] != si[:-1]) + 1))
-    out[si[starts]] = np.add.reduceat(sv, starts, axis=0)
+def _check_ids(ids, bound: int, what: str, rows: int | None = None) -> np.ndarray:
+    """1-D integer ids in [0, bound), one per row when rows is given."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ShapeError(f"{what} must be 1-D")
+    if rows is not None and ids.shape[0] != rows:
+        raise ShapeError(f"{what}: {ids.shape[0]} ids for {rows} rows")
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(f"{what} must be integers")
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= bound):
+        raise ShapeError(f"{what} out of range")
+    return ids
+
+
+def _scatter_add(values: np.ndarray, ids: np.ndarray, num_out: int, dtype) -> np.ndarray:
+    """Row i of the result is the sum of value rows whose id is i, added in index order."""
+    out = np.zeros((num_out, values.shape[1]), dtype=dtype)
+    np.add.at(out, ids, values)
     return out
 
 
@@ -306,18 +298,12 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     values = _coerce(values)
     if values.data.ndim != 2:
         raise ShapeError("segment_sum expects a 2-D value tensor")
-    ids = np.asarray(segment_ids)
-    if ids.ndim != 1 or ids.shape[0] != values.data.shape[0]:
-        raise ShapeError("segment_ids must be 1-D with one id per row")
-    if ids.dtype.kind not in "iu":
-        raise ShapeError("segment_ids must be integers")
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_segments):
-        raise ShapeError("segment id out of range")
+    ids = _check_ids(segment_ids, num_segments, "segment ids", rows=values.shape[0])
 
     def grad_fn(g):
         return (g[ids],)
 
-    data = _segment_sum_data(values.data, ids, num_segments)
+    data = _scatter_add(values.data, ids, num_segments, values.dtype)
     return _emit(data, (values,), grad_fn, "segment_sum")
 
 
@@ -326,16 +312,10 @@ def gather_rows(values: Tensor, ids) -> Tensor:
     values = _coerce(values)
     if values.data.ndim != 2:
         raise ShapeError("gather_rows expects a 2-D value tensor")
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ShapeError("row ids must be integers")
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= values.data.shape[0]):
-        raise ShapeError("row id out of range")
+    ids = _check_ids(ids, values.shape[0], "row ids")
 
     def grad_fn(g):
-        buf = np.zeros_like(values.data)
-        np.add.at(buf, ids, g)
-        return (buf,)
+        return (_scatter_add(g, ids, values.shape[0], values.dtype),)
 
     return _emit(values.data[ids], (values,), grad_fn, "gather_rows", check=False)
 
@@ -427,13 +407,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.data.ndim != 2:
         raise ShapeError("softmax_cross_entropy expects 2-D logits")
     n, c = logits.shape
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise ShapeError("softmax_cross_entropy needs one label per row")
-    if labels.dtype.kind not in "iu":
-        raise ShapeError("class labels must be integers")
-    if n and (int(labels.min()) < 0 or int(labels.max()) >= c):
-        raise ShapeError("class label out of range")
+    labels = _check_ids(labels, c, "class labels", rows=n)
     _finite(logits.data, "softmax_cross_entropy")
     rows = np.arange(n)
     z = logits.data - logits.data.max(axis=1, keepdims=True)

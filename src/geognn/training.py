@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_int, check_real
 from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore
@@ -45,8 +45,11 @@ class RunConfig:
     mask_ratio: float = 0.15
 
     def validate(self) -> "RunConfig":
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch size >= 1")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0, 2**64)
+        for name in ("lr_body", "lr_head", "mask_ratio"):
+            check_real(name, getattr(self, name), 0.0)
         if self.task_type not in ("regression", "classification"):
             raise ConfigError(f"unknown task type {self.task_type!r}")
         if self.metric not in METRIC_DIRECTIONS:
@@ -525,7 +528,7 @@ def evaluate(
     names: list[str] | None = None,
 ) -> dict:
     """Metric of the stored parameters on an arbitrary molecule list."""
-    if metric not in METRIC_FNS:
+    if not isinstance(metric, str) or metric not in METRIC_FNS:
         raise ConfigError(f"unknown metric {metric!r}")
     features = FeatureConfig()
     names = names if names is not None else task_names(molecules)

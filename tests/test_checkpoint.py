@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,28 @@ def test_corrupt_header_is_a_data_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="corrupt checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value", [("num_blocks", 0), ("hidden", 4.5), ("dropout", "x")])
+def test_invalid_header_config_is_a_data_error(tmp_path, key, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(7)).store, CFG, FeatureConfig())
+    raw = path.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:end])
+    header["model_config"][key] = value
+    body = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
+    with pytest.raises(DataError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_unreadable_path_is_a_data_error(tmp_path, missing):
+    path = tmp_path / "nope.ckpt" if missing else tmp_path
+    with pytest.raises(DataError, match="cannot read checkpoint") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_manifest_mismatch_refused(tmp_path):

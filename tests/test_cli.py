@@ -164,6 +164,79 @@ class TestUsageErrors:
         assert run_cli("pretrain", "--input", str(src), "--out", str(tmp_path / "o"),
                        "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            json.dumps(cfg).encode()
+            for cfg in (
+                {"model": {"num_blocks": 1.5}},
+                {"model": {"hidden": 4.5}},
+                {"model": {"geom_head_hidden": 0}},
+                {"model": {"down_head_hidden": 0}},
+                {"model": {"fingerprint_bits": -1}},
+                {"run": {"mask_ratio": True}},
+                {"run": {"epochs": 1.5}},
+                {"run": {"batch_size": 2.5}},
+                {"run": {"lr_body": "x"}},
+                {"run": {"lr_body": float("nan")}},
+                {"run": {"lr_head": -1.0}},
+                {"run": {"seed": "x"}},
+                {"run": {"seed": -1}},
+                {"model": [1]},
+                {"run": [1]},
+            )
+        ] + [b"\xff\xfe{}"],
+        ids=["num_blocks-float", "hidden-float", "geom_head_hidden-0", "down_head_hidden-0",
+             "fingerprint_bits-negative", "mask_ratio-bool", "epochs-float", "batch_size-float",
+             "lr_body-string", "lr_body-nan", "lr_head-negative", "seed-string",
+             "seed-negative", "model-list", "run-list", "not-utf8"],
+    )
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, body):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(body)
+        out = tmp_path / "o"
+        assert run_cli("pretrain", "--input", str(src), "--out", str(out),
+                       "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate", "embed"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    def test_unreadable_checkpoint_exit_2(self, tmp_path, capsys, command, missing):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        ckpt = tmp_path / "nope.ckpt" if missing else tmp_path
+        assert run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {ckpt}: cannot read checkpoint" in err
+        assert "Traceback" not in err
+
+    def test_evaluate_non_string_metric_exit_1(self, tmp_path, capsys):
+        model_cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                                geom_head_hidden=8, down_head_hidden=8)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, GeoGNN(model_cfg, rng=Rng(1)).store, model_cfg, FeatureConfig())
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"metric": ["rmse"]}}))
+        assert run_cli("evaluate", "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(ckpt), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "config error: unknown metric ['rmse']" in err
+        assert "Traceback" not in err
+
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        assert run_cli("featurize", "--input", str(tmp_path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"data error: input file {tmp_path}: cannot read" in err
+        assert "Traceback" not in err
+
 
 def _set_formal_charge(obj):
     obj["atoms"][0]["formal_charge"] = "x"

@@ -5,13 +5,13 @@ from geognn import tensor as T
 from geognn.errors import ConfigError
 from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph
-from geognn.model import GeoGNN, GraphEmbedding, ModelConfig, ParamStore
+from geognn.model import GeoGNN, ModelConfig
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 
 from conftest import make_molecule
-from oracles import central_difference, geognn_forward_reference, model_gradcheck, relative_error
+from oracles import geognn_forward_reference, model_gradcheck, relative_error
 
 SMALL = ModelConfig(
     num_blocks=2,

@@ -1,6 +1,5 @@
 import codecs
 import math
-from pathlib import Path
 
 import pytest
 
@@ -9,7 +8,6 @@ from geognn.molio import (
     Atom,
     Bond,
     Molecule,
-    annotate_derived_attributes,
     parse_jsonl,
     parse_sdf,
     parse_sdf_lenient,

@@ -137,18 +137,6 @@ class TestSegmentSum:
         out = T.segment_sum(Tensor(vals), ids, 5)
         np.testing.assert_allclose(out.data, segment_sum_reference(vals, ids, 5), atol=1e-12)
 
-    def test_bit_identical_under_shuffle_within_segment(self):
-        rng = np.random.default_rng(5)
-        vals = rng.normal(size=(30, 4))
-        ids = rng.integers(0, 4, size=30)
-        base = T.segment_sum(Tensor(vals), ids, 4).data
-        for trial in range(10):
-            perm = np.random.default_rng(trial).permutation(30)
-            # permuting whole rows keeps each (row, id) pair intact, so every
-            # segment sees the same multiset in a different order
-            shuffled = T.segment_sum(Tensor(vals[perm]), ids[perm], 4).data
-            assert np.array_equal(base, shuffled)
-
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(6)
         vals = rng.normal(size=(6, 2))
@@ -157,6 +145,64 @@ class TestSegmentSum:
             lambda v: T.sum_all(T.mul(T.segment_sum(v, ids, 3), T.segment_sum(v, ids, 3))), vals
         )
         assert relative_error(analytic[0], numeric[0]) < 1e-4
+
+
+@st.composite
+def scatter_cases(draw):
+    """Rows of width 1-8 with ids over 1-40 segments; some segments stay empty."""
+    segments = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 8))
+    ids = np.array(draw(st.lists(st.integers(0, segments - 1), max_size=60)), dtype=np.int64)
+    vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(ids.size, width))
+    return vals, ids, segments
+
+
+def _gather_grad(vals, ids, segments):
+    """Gradient of sum(gather_rows(x, ids) * vals) w.r.t. x: vals scattered by id."""
+    x = Tensor(np.zeros((segments, vals.shape[1])), requires_grad=True)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(T.gather_rows(x, ids), Tensor(vals)))
+    tape.backward(loss)
+    return x.grad
+
+
+class TestScatter:
+    @settings(max_examples=60, deadline=None)
+    @given(scatter_cases())
+    def test_both_scatters_match_reference_and_repeat_bitwise(self, case):
+        vals, ids, segments = case
+        want = segment_sum_reference(vals, ids, segments)
+        summed = T.segment_sum(Tensor(vals), ids, segments).data
+        scattered = _gather_grad(vals, ids, segments)
+        np.testing.assert_allclose(summed, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scattered, want, rtol=0, atol=1e-12)
+        assert np.array_equal(summed, T.segment_sum(Tensor(vals), ids, segments).data)
+        assert np.array_equal(scattered, _gather_grad(vals, ids, segments))
+
+
+# each op takes ids in [0, 3), and two of them where one id per row applies
+ID_OPS = {
+    "segment_sum": lambda ids: T.segment_sum(Tensor(np.zeros((2, 3))), ids, 3),
+    "gather_rows": lambda ids: T.gather_rows(Tensor(np.zeros((3, 2))), ids),
+    "softmax_cross_entropy": lambda ids: T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), ids),
+}
+BAD_IDS = {
+    "float": [0.0, 1.0],
+    "2-D": [[0, 1]],
+    "negative": [0, -1],
+    "out-of-range": [0, 3],
+    "wrong-count": [0, 1, 2],
+}
+
+
+@pytest.mark.parametrize(
+    "op,bad",
+    [(op, bad) for op in ID_OPS for bad in BAD_IDS if (op, bad) != ("gather_rows", "wrong-count")],
+)
+def test_bad_ids_rejected(op, bad):
+    with pytest.raises(ShapeError):
+        ID_OPS[op](np.array(BAD_IDS[bad]))
+    ID_OPS[op](np.array([0, 2]))  # the same call with good ids runs
 
 
 class TestSoftmaxCrossEntropy:
