@@ -22,7 +22,7 @@ from .molio import (
     write_jsonl,
 )
 from .rng import Rng
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor
 from .training import (
     DatasetSplit,
     RunConfig,
@@ -62,7 +62,6 @@ __all__ = [
     "Tensor",
     "adam_step",
     "angle_between",
-    "backward",
     "build_dual_graph",
     "encode",
     "evaluate",

@@ -5,12 +5,16 @@ From a molecule with 3D coordinates this derives
   - the bond-angle graph (bonds as nodes, one edge per pair of bonds
     sharing an atom),
   - bond lengths, bond angles in radians, and the all-pairs distance matrix.
+
+``pack_graphs`` joins several dual graphs into one disjoint union, so a
+batch of molecules runs through the network as a single graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -101,4 +105,47 @@ def build_dual_graph(molecule: Molecule) -> DualGraph:
         lengths=np.asarray(lengths, dtype=np.float64),
         angle_values=np.asarray(angle_vals, dtype=np.float64),
         dist_matrix=dist_matrix,
+    )
+
+
+@dataclass
+class PackedGraph:
+    """The disjoint union of dual graphs as one graph.
+
+    Atom ids in ``bonds`` are offset by the atoms of the graphs before,
+    and bond ids in ``angle_bonds`` by their bonds; ``atom_graph`` and
+    ``bond_graph`` record the graph each atom and bond row came from.
+    """
+
+    bonds: np.ndarray        # [E, 2]
+    angle_bonds: np.ndarray  # [A, 2]
+    atom_graph: np.ndarray   # [V]
+    bond_graph: np.ndarray   # [E]
+    atom_counts: np.ndarray  # [B] atoms per graph
+    bond_counts: np.ndarray  # [B] bonds per graph
+
+    @property
+    def num_graphs(self) -> int:
+        return self.atom_counts.size
+
+    @property
+    def atom_offsets(self) -> np.ndarray:
+        """Id of each graph's first atom."""
+        return np.cumsum(self.atom_counts) - self.atom_counts
+
+
+def pack_graphs(graphs: Sequence[DualGraph]) -> PackedGraph:
+    """The disjoint union of one or more dual graphs, in the order given."""
+    atom_counts = np.array([g.num_atoms for g in graphs], dtype=np.int64)
+    bond_counts = np.array([g.num_bonds for g in graphs], dtype=np.int64)
+    atom_offsets = np.cumsum(atom_counts) - atom_counts
+    bond_offsets = np.cumsum(bond_counts) - bond_counts
+    ids = np.arange(len(graphs))
+    return PackedGraph(
+        bonds=np.concatenate([g.bonds + o for g, o in zip(graphs, atom_offsets)]),
+        angle_bonds=np.concatenate([g.angle_bonds + o for g, o in zip(graphs, bond_offsets)]),
+        atom_graph=np.repeat(ids, atom_counts),
+        bond_graph=np.repeat(ids, bond_counts),
+        atom_counts=atom_counts,
+        bond_counts=bond_counts,
     )

@@ -4,7 +4,9 @@ A fraction of atoms is selected; each selected atom, its incident bonds,
 and every angle centered at it have their features replaced by the mask
 vector (all-zero features with the trailing is-masked indicator set);
 that column is the only record of what is masked. The true lengths and
-angles of the masked entities become the targets.
+angles of the masked entities become the targets, each weighted so that
+a molecule's rows sum to its mean; ``pack_targets`` joins the targets of
+a packed batch.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .rng import Rng
 class MaskTargets:
     bond_atoms: np.ndarray    # [m, 2] endpoints (u, v) of the masked bonds
     bond_lengths: np.ndarray  # [m]
+    bond_weights: np.ndarray  # [m] 1 / (masked bonds of the row's molecule)
     angle_atoms: np.ndarray   # [t, 3] (w, u, v) with the center in the middle
     angle_values: np.ndarray  # [t] radians
+    angle_weights: np.ndarray  # [t] 1 / (masked angles of the row's molecule)
 
 
 def _mask_rows(matrix: np.ndarray, ids: np.ndarray) -> None:
@@ -51,7 +55,27 @@ def mask_context(
     targets = MaskTargets(
         bond_atoms=graph.bonds[bond_ids],
         bond_lengths=graph.lengths[bond_ids],
+        bond_weights=np.full(bond_ids.size, 1.0 / max(bond_ids.size, 1)),
         angle_atoms=graph.angles[angle_ids],
         angle_values=graph.angle_values[angle_ids],
+        angle_weights=np.full(angle_ids.size, 1.0 / max(angle_ids.size, 1)),
     )
     return masked, targets
+
+
+def pack_targets(parts: list[MaskTargets], atom_offsets: np.ndarray) -> MaskTargets:
+    """The targets of a packed batch: atom ids offset like the packed graph's."""
+    def joined(name: str, offsets=None) -> np.ndarray:
+        arrays = [getattr(p, name) for p in parts]
+        if offsets is not None:
+            arrays = [a + o for a, o in zip(arrays, offsets)]
+        return np.concatenate(arrays)
+
+    return MaskTargets(
+        bond_atoms=joined("bond_atoms", atom_offsets),
+        bond_lengths=joined("bond_lengths"),
+        bond_weights=joined("bond_weights"),
+        angle_atoms=joined("angle_atoms", atom_offsets),
+        angle_values=joined("angle_values"),
+        angle_weights=joined("angle_weights"),
+    )

@@ -9,6 +9,14 @@ than a sequential bond-then-atom sweep. Both apply one rule: the GIN-style
 sum aggregation of ``_aggregate``, then a 2-layer MLP, layer norm,
 graph-size norm (divide by sqrt of the node count of the respective
 graph), a residual connection, and dropout.
+
+A forward pass runs over a packed batch: the disjoint union of several
+molecules' dual graphs (``geometry.pack_graphs``), one row per atom, bond
+or angle of any molecule. The parts that look at whole molecules act per
+molecule: each row's graph-size norm counts its own molecule's nodes, the
+readout is a segment mean over each molecule's atom rows, and each
+molecule draws its dropout masks from its own stream. A lone molecule is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericalError, check_int, check_real
 from .features import EncodedGraph, FeatureConfig
-from .geometry import DualGraph
-from .rng import Rng
+from .geometry import DualGraph, PackedGraph, pack_graphs
+from .rng import BlockRng, Rng
 from .tensor import Tensor
 
 
@@ -132,7 +140,13 @@ def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
 class GraphEmbedding:
     h_atoms: Tensor   # [V, hidden]
     h_bonds: Tensor   # [E, hidden]
-    h_graph: Tensor   # [hidden], mean over atom rows
+    h_graph: Tensor   # [B, hidden], mean over each molecule's atom rows; [hidden] for a lone one
+
+
+def _row_scale(counts: np.ndarray, row_graph: np.ndarray, dtype) -> Tensor:
+    """Graph-size norm per row: 1/sqrt of its graph's node count, as an [n, 1] column."""
+    scale = 1.0 / np.sqrt(np.maximum(counts, 1))
+    return Tensor(scale[row_graph].reshape(-1, 1), dtype=dtype)
 
 
 class GeoGNN:
@@ -193,8 +207,8 @@ class GeoGNN:
     def _apply_linear(self, name: str, x: Tensor) -> Tensor:
         return T.affine(x, self.store[f"{name}.w"], self.store[f"{name}.b"])
 
-    def _combine(self, base: str, messages: Tensor, residual: Tensor, scale: float,
-                 mode: str, rng: Rng | None) -> Tensor:
+    def _combine(self, base: str, messages: Tensor, residual: Tensor, scale: Tensor,
+                 mode: str, rng: BlockRng | None) -> Tensor:
         out = self._apply_linear(f"{base}.mlp1", messages)
         out = T.relu(out)
         out = self._apply_linear(f"{base}.mlp2", out)
@@ -207,15 +221,28 @@ class GeoGNN:
 
     def forward(
         self,
-        graph: DualGraph,
+        graph: PackedGraph | DualGraph,
         encoded: EncodedGraph,
         mode: str = "eval",
-        rng: Rng | None = None,
+        rng: list[Rng] | Rng | None = None,
     ) -> GraphEmbedding:
+        """Encode a packed batch: ``encoded`` holds the feature rows of
+        ``graph`` and ``rng`` one dropout stream per molecule (train mode).
+
+        A lone ``DualGraph`` with one stream is a batch of one whose
+        ``h_graph`` is a ``[hidden]`` vector.
+        """
+        lone = isinstance(graph, DualGraph)
+        if lone:
+            graph, rng = pack_graphs([graph]), [rng]
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be train or eval, got {mode!r}")
-        if mode == "train" and self.config.dropout > 0.0 and rng is None:
+        if mode == "train" and self.config.dropout > 0.0 and (
+            rng is None or any(r is None for r in rng)
+        ):
             raise ConfigError("training-mode forward needs an rng for dropout")
+        if rng is not None and len(rng) != graph.num_graphs:
+            raise ConfigError(f"{len(rng)} dropout streams for {graph.num_graphs} molecules")
         if encoded.atom.shape[1] != self.features.atom_width:
             raise DataError(
                 f"atom feature width {encoded.atom.shape[1]} does not match "
@@ -227,24 +254,33 @@ class GeoGNN:
         h_bond = self._apply_linear("embed.bond", Tensor(np.asarray(encoded.bond, dtype=dtype)))
         x_angle = self._apply_linear("embed.angle", Tensor(np.asarray(encoded.angle, dtype=dtype)))
 
-        atom_scale = 1.0 / math.sqrt(max(graph.num_atoms, 1))
-        bond_scale = 1.0 / math.sqrt(max(graph.num_bonds, 1))
+        atom_scale = _row_scale(graph.atom_counts, graph.atom_graph, dtype)
+        bond_scale = _row_scale(graph.bond_counts, graph.bond_graph, dtype)
+        atom_rng = bond_rng = None
+        if rng is not None:
+            atom_rng, bond_rng = BlockRng(rng, graph.atom_counts), BlockRng(rng, graph.bond_counts)
 
         for k in range(self.config.num_blocks):
             try:
                 # bonds on the bond-angle graph, then atoms on the atom-bond
-                # graph, both from iteration k-1 states; the bond update's
-                # dropout draws come first
+                # graph, both from iteration k-1 states; each molecule's bond
+                # dropout draws come before its atom draws
                 agg_bond = _aggregate(h_bond, graph.angle_bonds, x_angle)
-                new_bond = self._combine(f"block{k}.bond", agg_bond, h_bond, bond_scale, mode, rng)
+                new_bond = self._combine(f"block{k}.bond", agg_bond, h_bond, bond_scale, mode,
+                                         bond_rng)
                 agg_atom = _aggregate(h_atom, graph.bonds, h_bond)
-                new_atom = self._combine(f"block{k}.atom", agg_atom, h_atom, atom_scale, mode, rng)
+                new_atom = self._combine(f"block{k}.atom", agg_atom, h_atom, atom_scale, mode,
+                                         atom_rng)
             except NumericalError as err:
                 raise NumericalError(f"block {k}: {err}") from None
 
             h_bond, h_atom = new_bond, new_atom
 
-        return GraphEmbedding(h_atoms=h_atom, h_bonds=h_bond, h_graph=T.mean_rows(h_atom))
+        sums = T.segment_sum(h_atom, graph.atom_graph, graph.num_graphs)
+        h_graph = T.div(sums, Tensor(graph.atom_counts.reshape(-1, 1), dtype=dtype))
+        if lone:
+            h_graph = T.reshape(h_graph, (self.config.hidden,))
+        return GraphEmbedding(h_atoms=h_atom, h_bonds=h_bond, h_graph=h_graph)
 
     # --- heads ---------------------------------------------------------------
 
@@ -264,14 +300,16 @@ class GeoGNN:
         return self._mlp2("head_distance", T.concat([h_u, h_v], axis=1))
 
     def head_fingerprint(self, h_graph: Tensor) -> Tensor:
+        """Fingerprint logits, one row per molecule."""
         if self.config.fingerprint_bits <= 0:
             raise ConfigError("fingerprint head is disabled (fingerprint_bits == 0)")
-        return self._apply_linear("head_fp.l1", T.reshape(h_graph, (1, self.config.hidden)))
+        return self._apply_linear("head_fp.l1", T.reshape(h_graph, (-1, self.config.hidden)))
 
     def head_downstream(self, h_graph: Tensor) -> Tensor:
+        """Task predictions, one row per molecule."""
         if self.config.num_tasks <= 0:
             raise ConfigError("downstream head is disabled (num_tasks == 0)")
-        x = T.reshape(h_graph, (1, self.config.hidden))
+        x = T.reshape(h_graph, (-1, self.config.hidden))
         x = T.relu(self._apply_linear("head_down.l1", x))
         x = T.relu(self._apply_linear("head_down.l2", x))
         return self._apply_linear("head_down.l3", x)

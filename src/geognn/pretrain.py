@@ -1,27 +1,41 @@
 """Self-supervised objectives: masked bond lengths, masked bond angles,
 binned atomic distances, and optional fingerprint reconstruction.
 
-The per-molecule loss runs one masked forward pass and sums the enabled
-task losses; the distance task shares that same pass.
+``loss_pre`` masks each molecule on its own, packs the masked molecules
+into one graph (at most ``PACK_SIZE`` at a time, as the distance task's
+pairs grow with the square of a molecule's atoms) and runs one forward
+pass per pack. Each task loss is a weighted sum over the pack's rows that
+equals the sum of the molecules' own mean losses; the distance task
+shares the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .features import EncodedGraph
-from .geometry import DualGraph
-from .masking import MaskTargets, mask_context
+from .geometry import DualGraph, PackedGraph, pack_graphs
+from .masking import MaskTargets, mask_context, pack_targets
 from .model import GeoGNN, GraphEmbedding
 from .molio import Molecule
 from .rng import Rng
 from .tensor import Tensor
 
 TASKS = ("length", "angle", "distance", "fingerprint")
+
+# most molecules in one packed forward pass, in loss_pre and on the eval
+# paths: a pack's activations, and its distance pairs, grow with it
+PACK_SIZE = 32
+
+
+def in_packs(items: Sequence) -> list:
+    """Consecutive runs of at most PACK_SIZE items."""
+    return [items[start : start + PACK_SIZE] for start in range(0, len(items), PACK_SIZE)]
 
 
 def check_tasks(tasks) -> None:
@@ -51,52 +65,78 @@ def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> Pretra
     return PretrainTargets(distance_bin_ids=bins, fingerprint=fingerprint)
 
 
-def _masked_mse(head, h_atoms: Tensor, atoms: np.ndarray, targets: np.ndarray) -> Tensor:
-    """Mean squared error of head(h[atoms[:, 0]], h[atoms[:, 1]], ...) against
-    targets, one row per masked entity; zero when nothing is masked."""
-    m = targets.size
-    if m == 0:
-        return Tensor(np.zeros(()))
+def _masked_mse(head, h_atoms: Tensor, atoms: np.ndarray, targets: np.ndarray,
+                weights: np.ndarray) -> Tensor:
+    """Weighted sum over rows of the squared error of head(h[atoms[:, 0]],
+    h[atoms[:, 1]], ...) against targets; zero when there are no rows."""
+    dtype = h_atoms.dtype
     rows = [T.gather_rows(h_atoms, atoms[:, j]) for j in range(atoms.shape[1])]
-    diff = T.sub(head(*rows), Tensor(targets.reshape(m, 1)))
-    return T.mul(T.sum_all(T.mul(diff, diff)), 1.0 / m)
+    diff = T.sub(head(*rows), Tensor(targets.reshape(-1, 1), dtype=dtype))
+    return T.sum_all(T.mul(T.mul(diff, diff), Tensor(weights.reshape(-1, 1), dtype=dtype)))
 
 
 def loss_length(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:
-    """Mean squared error of predicted vs true lengths over masked bonds."""
-    return _masked_mse(model.head_length, emb.h_atoms, targets.bond_atoms, targets.bond_lengths)
+    """Sum over molecules of the mean squared error of predicted vs true
+    lengths over their masked bonds."""
+    return _masked_mse(model.head_length, emb.h_atoms, targets.bond_atoms, targets.bond_lengths,
+                       targets.bond_weights)
 
 
 def loss_angle(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:
-    """Mean squared error over masked angles; the center atom sits mid-triple."""
-    return _masked_mse(model.head_angle, emb.h_atoms, targets.angle_atoms, targets.angle_values)
+    """Sum over molecules of the mean squared error over their masked
+    angles; the center atom sits mid-triple."""
+    return _masked_mse(model.head_angle, emb.h_atoms, targets.angle_atoms, targets.angle_values,
+                       targets.angle_weights)
 
 
 def loss_distance(
-    model: GeoGNN, emb: GraphEmbedding, graph: DualGraph, bin_ids: np.ndarray
+    model: GeoGNN, emb: GraphEmbedding, graph: PackedGraph | DualGraph, bin_ids: np.ndarray
 ) -> Tensor:
-    """Cross-entropy of binned distances over all ordered atom pairs,
-    diagonal included."""
-    n = graph.num_atoms
-    if n < 2:
-        return Tensor(np.zeros(()))
-    u = np.repeat(np.arange(n), n)
-    v = np.tile(np.arange(n), n)
+    """Sum over molecules of the mean cross-entropy of binned distances over
+    their ordered atom pairs, diagonal included; a one-atom molecule adds
+    nothing. ``bin_ids`` holds each molecule's pairs in turn, row-major."""
+    if isinstance(graph, DualGraph):
+        graph = pack_graphs([graph])
+    counts = graph.atom_counts
+    atoms = [np.arange(o, o + n) for o, n in zip(graph.atom_offsets, counts)]
+    u = np.concatenate([np.repeat(a, a.size) for a in atoms])
+    v = np.concatenate([np.tile(a, a.size) for a in atoms])
+    weights = np.repeat(np.where(counts > 1, 1.0 / counts**2, 0.0), counts**2)
     logits = model.head_distance(T.gather_rows(emb.h_atoms, u), T.gather_rows(emb.h_atoms, v))
-    return T.softmax_cross_entropy(logits, bin_ids)
+    return T.softmax_cross_entropy(logits, bin_ids, weights)
+
+
+def _check_fingerprint_width(width: int, model: GeoGNN) -> None:
+    if width != model.config.fingerprint_bits:
+        raise DataError(
+            f"fingerprint width {width} does not match the model "
+            f"({model.config.fingerprint_bits})"
+        )
 
 
 def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding, bits: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy with logits over the fingerprint bits."""
+    """Sum over molecules of the mean binary cross-entropy with logits over
+    their fingerprint bits. ``bits`` has one row per molecule, NaN where a
+    molecule has none; a lone molecule's bits may be 1-D. No bits at all
+    add nothing."""
+    bits = np.atleast_2d(bits)
     if bits.size == 0:
-        return Tensor(np.zeros(()))
-    if bits.size != model.config.fingerprint_bits:
-        raise DataError(
-            f"fingerprint width {bits.size} does not match the model "
-            f"({model.config.fingerprint_bits})"
-        )
+        return Tensor(np.zeros((), dtype=model.config.dtype))
+    _check_fingerprint_width(bits.shape[1], model)
+    present = ~np.isnan(bits)
     logits = model.head_fingerprint(emb.h_graph)
-    return T.bce_with_logits(logits, Tensor(bits.reshape(1, -1)))
+    targets = Tensor(np.where(present, bits, 0.0), dtype=logits.dtype)
+    return T.bce_with_logits(logits, targets, present / bits.shape[1])
+
+
+def _fingerprint_rows(targets: list[PretrainTargets], model: GeoGNN) -> np.ndarray:
+    """loss_fingerprint's bits for a pack: NaN rows for molecules without bits."""
+    bits = np.full((len(targets), model.config.fingerprint_bits), np.nan)
+    for row, t in zip(bits, targets):
+        if t.fingerprint is not None and t.fingerprint.size:
+            _check_fingerprint_width(t.fingerprint.size, model)
+            row[:] = t.fingerprint
+    return bits
 
 
 @dataclass
@@ -106,39 +146,13 @@ class PreparedMolecule:
     encoded: EncodedGraph
 
 
-def molecule_pretrain_loss(
-    model: GeoGNN,
-    item: PreparedMolecule,
-    rng: Rng,
-    tasks: tuple[str, ...] = ("length", "angle", "distance"),
-    mask_ratio: float = 0.15,
-    mode: str = "train",
-) -> tuple[Tensor, dict[str, float]]:
-    """One masked forward pass; returns (total loss, per-task values)."""
-    check_tasks(tasks)
-    masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, rng.fork("mask"))
-    targets = build_targets(item.graph, item.molecule, model.config.distance_bins)
-    emb = model.forward(item.graph, masked_enc, mode=mode, rng=rng.fork("dropout"))
-
-    total = Tensor(np.zeros(()))
-    parts: dict[str, float] = {}
-    if "length" in tasks:
-        part = loss_length(model, emb, masked)
-        parts["length"] = part.item()
-        total = T.add(total, part)
-    if "angle" in tasks:
-        part = loss_angle(model, emb, masked)
-        parts["angle"] = part.item()
-        total = T.add(total, part)
-    if "distance" in tasks:
-        part = loss_distance(model, emb, item.graph, targets.distance_bin_ids)
-        parts["distance"] = part.item()
-        total = T.add(total, part)
-    if "fingerprint" in tasks and targets.fingerprint is not None:
-        part = loss_fingerprint(model, emb, targets.fingerprint)
-        parts["fingerprint"] = part.item()
-        total = T.add(total, part)
-    return total, parts
+def pack(items: Sequence[PreparedMolecule]) -> tuple[PackedGraph, EncodedGraph]:
+    """One graph and one feature set for several molecules: their disjoint union."""
+    return pack_graphs([item.graph for item in items]), EncodedGraph(
+        atom=np.concatenate([item.encoded.atom for item in items]),
+        bond=np.concatenate([item.encoded.bond for item in items]),
+        angle=np.concatenate([item.encoded.angle for item in items]),
+    )
 
 
 def loss_pre(
@@ -149,19 +163,44 @@ def loss_pre(
     mask_ratio: float = 0.15,
     mode: str = "train",
 ) -> tuple[Tensor, dict[str, float]]:
-    """Mean pretraining loss over a batch of molecules, one rng each."""
+    """Mean pretraining loss over a batch of molecules, one rng each, and the
+    mean of each task's loss. A molecule is masked with its rng's "mask"
+    fork and drops out with its "dropout" fork."""
+    check_tasks(tasks)
     if not batch:
         raise ConfigError("empty pretraining batch")
     if len(rngs) != len(batch):
         raise ConfigError("need one rng per molecule")
-    total = Tensor(np.zeros(()))
+    terms: list[Tensor] = []
     sums: dict[str, float] = {}
-    for item, rng in zip(batch, rngs):
-        part, parts = molecule_pretrain_loss(
-            model, item, rng, tasks=tasks, mask_ratio=mask_ratio, mode=mode
-        )
-        total = T.add(total, part)
-        for k, v in parts.items():
-            sums[k] = sums.get(k, 0.0) + v
+    for items, streams in zip(in_packs(batch), in_packs(rngs)):
+        masks = [
+            mask_context(item.graph, item.encoded, mask_ratio, rng.fork("mask"))
+            for item, rng in zip(items, streams)
+        ]
+        targets = [build_targets(item.graph, item.molecule, model.config.distance_bins)
+                   for item in items]
+        graph, encoded = pack([replace(item, encoded=enc) for item, (enc, _) in zip(items, masks)])
+        emb = model.forward(graph, encoded, mode=mode, rng=[rng.fork("dropout") for rng in streams])
+        masked = pack_targets([m for _, m in masks], graph.atom_offsets)
+
+        parts: dict[str, Tensor] = {}
+        if "length" in tasks:
+            parts["length"] = loss_length(model, emb, masked)
+        if "angle" in tasks:
+            parts["angle"] = loss_angle(model, emb, masked)
+        if "distance" in tasks:
+            bin_ids = np.concatenate([t.distance_bin_ids for t in targets])
+            parts["distance"] = loss_distance(model, emb, graph, bin_ids)
+        if "fingerprint" in tasks and any(t.fingerprint is not None for t in targets):
+            parts["fingerprint"] = loss_fingerprint(model, emb, _fingerprint_rows(targets, model))
+        for name, part in parts.items():
+            terms.append(part)
+            sums[name] = sums.get(name, 0.0) + part.item()
+    if not terms:  # only the fingerprint task, and no molecule has one
+        return Tensor(np.zeros((), dtype=model.config.dtype)), {}
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
     scale = 1.0 / len(batch)
     return T.mul(total, scale), {k: v * scale for k, v in sums.items()}

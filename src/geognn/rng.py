@@ -31,6 +31,14 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _uniform(seeds, idx: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Draw idx of the stream (or streams) seeds, mapped to [lo, hi)."""
+    with np.errstate(over="ignore"):
+        raw = _mix64_array(seeds + idx * np.uint64(_GOLDEN))
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return lo + (hi - lo) * u
+
+
 class Rng:
     """Deterministic random stream; value i depends only on (seed, i)."""
 
@@ -62,13 +70,9 @@ class Rng:
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        base = np.uint64(self._seed)
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            raw = _mix64_array(base + idx * np.uint64(_GOLDEN))
-        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (lo + (hi - lo) * u).reshape(shape)
+        return _uniform(np.uint64(self._seed), idx, lo, hi).reshape(shape)
 
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
@@ -89,3 +93,25 @@ class Rng:
         if k > n:
             raise ValueError("sample size exceeds population")
         return self.permutation(n)[:k]
+
+
+class BlockRng:
+    """Draws for a matrix whose consecutive row blocks each come from their
+    own stream: block i has ``rows[i]`` rows and draws from ``rngs[i]``, so
+    each block gets exactly the values its stream would give it alone.
+    Stands in for an ``Rng`` where only ``uniform_array`` is called."""
+
+    def __init__(self, rngs: list[Rng], rows):
+        self.rngs = rngs
+        self.rows = np.asarray(rows, dtype=np.int64)
+
+    def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        counts = self.rows * int(np.prod(shape[1:]))
+        seeds = np.array([rng._seed for rng in self.rngs], dtype=np.uint64)
+        first = np.array([rng._counter + 1 for rng in self.rngs], dtype=np.uint64)
+        for rng, n in zip(self.rngs, counts.tolist()):
+            rng._counter += n
+        # draw k of block i is draw first[i] + k of stream i
+        block_start = np.repeat((np.cumsum(counts) - counts).astype(np.uint64), counts)
+        idx = np.arange(counts.sum(), dtype=np.uint64) - block_start + np.repeat(first, counts)
+        return _uniform(np.repeat(seeds, counts), idx, lo, hi).reshape(shape)

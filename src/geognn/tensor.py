@@ -4,9 +4,14 @@ A ``Tape`` records every primitive applied while it is active; calling
 ``Tape.backward`` on a scalar result replays the record in reverse and
 accumulates gradients into every tensor that requires them. Recording
 order is a topological order by construction, so each op is visited
-exactly once and accumulation order is deterministic. ``segment_sum``'s
-forward and ``gather_rows``' backward scatter-add rows in index order, so
-reordering one segment's rows may move its sum in the last bits.
+exactly once and accumulation order is deterministic. Once its record
+has run, an intermediate's gradient is dropped; only leaves (parameters
+and other tensors made with ``requires_grad=True``) keep theirs.
+
+``segment_sum``'s forward and ``gather_rows``' backward scatter-add rows
+with one flattened ``np.bincount``, which adds in index order (in float64,
+cast back to the input dtype), so reordering one segment's rows may move
+its sum in the last bits.
 
 Every op validates that its output is finite and raises
 ``NumericalError`` otherwise; NaN/Inf never propagate silently.
@@ -91,6 +96,7 @@ class Tape:
             if out.grad is None:
                 continue
             grads = grad_fn(out.grad)
+            out.grad = None  # every record's output is an intermediate
             for tensor, grad in zip(inputs, grads):
                 if grad is None or not tensor.requires_grad:
                     continue
@@ -98,14 +104,6 @@ class Tape:
                     tensor.grad = grad.copy() if grad.base is not None else grad
                 else:
                     tensor.grad = tensor.grad + grad
-
-
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    if tape is None:
-        if not _TAPE_STACK:
-            raise RuntimeError("backward called with no active tape")
-        tape = _TAPE_STACK[-1]
-    tape.backward(loss)
 
 
 import math as _math
@@ -142,15 +140,22 @@ def _coerce(value, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+def _is_column_of(col: Tensor, x: Tensor) -> bool:
+    return col.data.ndim == 2 and x.data.ndim == 2 and col.shape == (x.shape[0], 1)
+
+
 def _pair_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    # only exact-shape and scalar broadcast are supported
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    # exact shapes, a scalar, or an [n, 1] column against an [n, k] matrix
+    if (a.shape != b.shape and a.size != 1 and b.size != 1
+            and not _is_column_of(a, b) and not _is_column_of(b, a)):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
 
 
 def _reduce_to(grad: np.ndarray, tensor: Tensor) -> np.ndarray:
     if grad.shape == tensor.shape:
         return grad
+    if tensor.size != 1:  # a column broadcast over the row
+        return grad.sum(axis=1, keepdims=True)
     return np.full(tensor.shape, grad.sum(), dtype=grad.dtype)
 
 
@@ -288,9 +293,10 @@ def _check_ids(ids, bound: int, what: str, rows: int | None = None) -> np.ndarra
 
 def _scatter_add(values: np.ndarray, ids: np.ndarray, num_out: int, dtype) -> np.ndarray:
     """Row i of the result is the sum of value rows whose id is i, added in index order."""
-    out = np.zeros((num_out, values.shape[1]), dtype=dtype)
-    np.add.at(out, ids, values)
-    return out
+    width = values.shape[1]
+    flat = (ids.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=num_out * width)
+    return out.reshape(num_out, width).astype(dtype, copy=False)
 
 
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -401,13 +407,25 @@ def dropout(x: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
     return _emit(x.data * keep, (x,), grad_fn, "dropout")
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits)[row, labels[row]]."""
+def _loss_weights(weights, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
+    """Loss weights of the given shape; none means the plain mean, 1/size each."""
+    if weights is None:
+        return np.full(shape, 1.0 / max(int(np.prod(shape)), 1), dtype=dtype)
+    weights = np.asarray(weights, dtype=dtype)
+    if weights.shape != shape:
+        raise ShapeError(f"{what}: weights of shape {weights.shape} for shape {shape}")
+    return weights
+
+
+def softmax_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
+    """Sum over rows of weights[row] * -log softmax(logits)[row, labels[row]];
+    without weights, the mean over rows."""
     logits = _coerce(logits)
     if logits.data.ndim != 2:
         raise ShapeError("softmax_cross_entropy expects 2-D logits")
     n, c = logits.shape
     labels = _check_ids(labels, c, "class labels", rows=n)
+    weights = _loss_weights(weights, (n,), logits.dtype, "softmax_cross_entropy")
     _finite(logits.data, "softmax_cross_entropy")
     rows = np.arange(n)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
@@ -416,32 +434,25 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def grad_fn(g):
         glogits = np.exp(log_probs)
         glogits[rows, labels] -= 1.0
-        return (glogits * (float(g) / n),)
+        return (glogits * (weights * float(g))[:, None],)
 
-    loss = -log_probs[rows, labels].mean()
+    loss = -(log_probs[rows, labels] * weights).sum()
     return _emit(np.asarray(loss, dtype=logits.dtype), (logits,), grad_fn, "softmax_cross_entropy")
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Mean binary cross-entropy with logits over unmasked elements."""
+def bce_with_logits(logits: Tensor, targets: Tensor, weights=None) -> Tensor:
+    """Sum of weights * binary cross-entropy with logits over the elements;
+    without weights, the mean over the elements."""
     logits, targets = _coerce(logits), _coerce(targets)
     if logits.shape != targets.shape:
         raise ShapeError("bce_with_logits expects matching shapes")
-    if mask is None:
-        mask = np.ones(logits.shape, dtype=logits.dtype)
-    else:
-        mask = np.asarray(mask, dtype=logits.dtype)
-        if mask.shape != logits.shape:
-            raise ShapeError("mask shape must match logits")
-    count = mask.sum()
-    if count == 0:
-        raise ShapeError("bce_with_logits: no unmasked elements")
+    weights = _loss_weights(weights, logits.shape, logits.dtype, "bce_with_logits")
     x, t = logits.data, targets.data
     elem = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
 
     def grad_fn(g):
         sig = 1.0 / (1.0 + np.exp(-x))
-        return ((sig - t) * mask * (float(g) / count), None)
+        return ((sig - t) * weights * float(g), None)
 
-    loss = (elem * mask).sum() / count
+    loss = (elem * weights).sum()
     return _emit(np.asarray(loss, dtype=logits.dtype), (logits, targets), grad_fn, "bce_with_logits")

@@ -23,7 +23,7 @@ from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore
 from .molio import Molecule
-from .pretrain import PreparedMolecule, check_tasks, loss_pre
+from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -381,11 +381,11 @@ def pretrain(
 
 
 def _downstream_predictions(model: GeoGNN, items: list[PreparedMolecule]) -> np.ndarray:
-    rows = []
-    for item in items:
-        emb = model.forward(item.graph, item.encoded, mode="eval")
-        rows.append(model.head_downstream(emb.h_graph).data.reshape(-1))
-    return np.asarray(rows)
+    """Eval-mode predictions, one row per molecule."""
+    return np.concatenate([
+        model.head_downstream(model.forward(*pack(chunk), mode="eval").h_graph).data
+        for chunk in in_packs(items)
+    ])
 
 
 def _downstream_batch_loss(
@@ -396,23 +396,17 @@ def _downstream_batch_loss(
     rngs: list[Rng],
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean supervised loss over a batch of molecules with at least one
-    label each; the per-task dict is empty, as the downstream tasks share
-    one loss."""
-    total = Tensor(np.zeros(()))
-    for item, row, rng in zip(items, labels, rngs):
-        present = ~np.isnan(row)
-        emb = model.forward(item.graph, item.encoded, mode="train", rng=rng)
-        pred = model.head_downstream(emb.h_graph)
-        y = np.where(present, row, 0.0).reshape(1, -1)
-        mask = present.astype(np.float64).reshape(1, -1)
-        if task_type == "regression":
-            diff = T.sub(pred, Tensor(y))
-            sq = T.mul(T.mul(diff, diff), Tensor(mask))
-            mol_loss = T.mul(T.sum_all(sq), 1.0 / float(mask.sum()))
-        else:
-            mol_loss = T.bce_with_logits(pred, Tensor(y), mask)
-        total = T.add(total, mol_loss)
-    return T.mul(total, 1.0 / len(items)), {}
+    label each, a molecule's loss being the mean over its present labels;
+    the per-task dict is empty, as the downstream tasks share one loss."""
+    emb = model.forward(*pack(items), mode="train", rng=rngs)
+    pred = model.head_downstream(emb.h_graph)
+    present = ~np.isnan(labels)
+    weights = present / present.sum(axis=1, keepdims=True) / len(items)
+    y = Tensor(np.where(present, labels, 0.0), dtype=pred.dtype)
+    if task_type == "regression":
+        diff = T.sub(pred, y)
+        return T.sum_all(T.mul(T.mul(diff, diff), Tensor(weights, dtype=pred.dtype))), {}
+    return T.bce_with_logits(pred, y, weights), {}
 
 
 @dataclass
@@ -554,7 +548,10 @@ def embed_molecules(
     features = FeatureConfig()
     model = GeoGNN(model_config, features=features, store=store)
     out = []
-    for item in prepare_molecules(molecules, features, dtype=model_config.dtype):
-        emb = model.forward(item.graph, item.encoded, mode="eval")
-        out.append((item.molecule.id, emb.h_graph.data.copy()))
+    for chunk in in_packs(molecules):
+        # prepared a pack at a time, and only the packed copy of the
+        # features lives through the forward pass: this bounds peak memory
+        packed = pack(prepare_molecules(chunk, features, dtype=model_config.dtype))
+        h_graph = model.forward(*packed, mode="eval").h_graph.data
+        out += [(mol.id, row.copy()) for mol, row in zip(chunk, h_graph)]
     return out

@@ -186,3 +186,86 @@ def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
                           h_atom, atom_scale)
         h_bond, h_atom = new_bond, new_atom
     return h_atom, h_bond, h_atom.mean(axis=0)
+
+
+# --- per-molecule references for the packed batch -------------------------
+# These run the package's model one molecule at a time (a lone forward pass
+# is a batch of one) and score each molecule on its own, as the training
+# code did before batches were packed into one graph.
+
+
+def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="train"):
+    """``loss_pre`` one molecule at a time: each molecule's own masked
+    forward pass and mean task losses, summed over the batch and divided by
+    its size. Returns (loss tensor, per-task means)."""
+    from geognn import tensor as T
+    from geognn.masking import mask_context
+    from geognn.pretrain import build_targets
+    from geognn.tensor import Tensor
+
+    def mse(head, h, atoms, targets):
+        rows = [T.gather_rows(h, atoms[:, j]) for j in range(atoms.shape[1])]
+        diff = T.sub(head(*rows), Tensor(targets.reshape(-1, 1)))
+        return T.mul(T.sum_all(T.mul(diff, diff)), 1.0 / targets.size)
+
+    total, sums = Tensor(np.zeros(())), {}
+    for item, rng in zip(batch, rngs):
+        masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, rng.fork("mask"))
+        targets = build_targets(item.graph, item.molecule, model.config.distance_bins)
+        emb = model.forward(item.graph, masked_enc, mode=mode, rng=rng.fork("dropout"))
+        h, n, bits = emb.h_atoms, item.graph.num_atoms, targets.fingerprint
+        parts = {name: None for name in tasks if name != "fingerprint" or bits is not None}
+        if "length" in parts and masked.bond_lengths.size:
+            parts["length"] = mse(model.head_length, h, masked.bond_atoms, masked.bond_lengths)
+        if "angle" in parts and masked.angle_values.size:
+            parts["angle"] = mse(model.head_angle, h, masked.angle_atoms, masked.angle_values)
+        if "distance" in parts and n > 1:
+            pairs = [T.gather_rows(h, np.repeat(np.arange(n), n)),
+                     T.gather_rows(h, np.tile(np.arange(n), n))]
+            logits = model.head_distance(*pairs)
+            parts["distance"] = T.softmax_cross_entropy(logits, targets.distance_bin_ids)
+        if "fingerprint" in parts and bits.size:
+            logits = model.head_fingerprint(emb.h_graph)
+            parts["fingerprint"] = T.bce_with_logits(logits, Tensor(bits.reshape(1, -1)))
+        for name, part in parts.items():
+            sums[name] = sums.get(name, 0.0) + (part.item() if part is not None else 0.0)
+            if part is not None:
+                total = T.add(total, part)
+    scale = 1.0 / len(batch)
+    return T.mul(total, scale), {k: v * scale for k, v in sums.items()}
+
+
+def downstream_loss_reference(model, items, labels, task_type, rngs):
+    """``_downstream_batch_loss`` one molecule at a time: the batch mean of
+    each molecule's mean loss over its present labels."""
+    from geognn import tensor as T
+    from geognn.tensor import Tensor
+
+    total = Tensor(np.zeros(()))
+    for item, row, rng in zip(items, labels, rngs):
+        present = ~np.isnan(row)
+        emb = model.forward(item.graph, item.encoded, mode="train", rng=rng)
+        pred = model.head_downstream(emb.h_graph)
+        y = Tensor(np.where(present, row, 0.0).reshape(1, -1))
+        mask = present.astype(np.float64).reshape(1, -1)
+        if task_type == "regression":
+            diff = T.sub(pred, y)
+            sq = T.mul(T.mul(diff, diff), Tensor(mask))
+            loss = T.mul(T.sum_all(sq), 1.0 / mask.sum())
+        else:
+            loss = T.bce_with_logits(pred, y, mask / mask.sum())
+        total = T.add(total, loss)
+    return T.mul(total, 1.0 / len(items))
+
+
+def embeddings_reference(model, items) -> np.ndarray:
+    """Eval-mode graph embeddings, one lone forward pass per molecule."""
+    return np.stack([model.forward(i.graph, i.encoded, mode="eval").h_graph.data for i in items])
+
+
+def predictions_reference(model, items) -> np.ndarray:
+    """Eval-mode downstream predictions, one lone forward pass per molecule."""
+    return np.concatenate([
+        model.head_downstream(model.forward(i.graph, i.encoded, mode="eval").h_graph).data
+        for i in items
+    ])

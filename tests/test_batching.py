@@ -1,0 +1,104 @@
+"""A packed batch against the per-molecule references of ``oracles``: run as
+one disjoint-union graph, a batch of molecules gives each molecule's own
+losses, predictions, embeddings and parameter gradients."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from geognn.model import GeoGNN, ModelConfig
+from geognn.pretrain import loss_pre
+from geognn.rng import Rng
+from geognn.synth import geometry_label, random_molecule
+from geognn.tensor import Tape
+from geognn.training import (
+    _downstream_batch_loss,
+    _downstream_predictions,
+    embed_molecules,
+    prepare_molecules,
+)
+
+from oracles import (
+    downstream_loss_reference,
+    embeddings_reference,
+    predictions_reference,
+    pretrain_loss_reference,
+)
+
+CONFIG = ModelConfig(
+    num_blocks=2, hidden=8, dropout=0.2, distance_bins=10,
+    geom_head_hidden=16, down_head_hidden=8, fingerprint_bits=4, num_tasks=2,
+)
+TASKS = ("length", "angle", "distance", "fingerprint")
+TOL = dict(rtol=1e-12, atol=1e-12)
+
+
+def molecules(sizes, seed):
+    """Molecules of the given atom counts; every other one has a fingerprint
+    and every third one no second label."""
+    rng = Rng(seed)
+    mols = []
+    for i, n in enumerate(sizes):
+        mol = random_molecule(rng.fork(i), min_atoms=n, max_atoms=n, mol_id=f"m{i}")
+        if i % 2 == 0:
+            mol.fingerprint = [int(b > 0.5) for b in rng.fork(f"fp{i}").uniform_array(4)]
+        mol.labels = {"y": geometry_label(mol), "z": None if i % 3 == 1 else float(i % 2)}
+        mols.append(mol)
+    return mols
+
+
+def run(model, loss_fn):
+    """loss_fn's value and extras, and every parameter's gradient."""
+    model.store.zero_grad()
+    with Tape() as tape:
+        out = loss_fn()
+    loss, extras = out if isinstance(out, tuple) else (out, None)
+    tape.backward(loss)
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad
+             for name, t in model.store.items()}
+    return loss.item(), extras, grads
+
+
+def assert_same(got, want):
+    (got_loss, got_extras, got_grads), (want_loss, want_extras, want_grads) = got, want
+    np.testing.assert_allclose(got_loss, want_loss, **TOL)
+    if want_extras is not None:
+        assert got_extras.keys() == want_extras.keys()
+        for name in want_extras:
+            np.testing.assert_allclose(got_extras[name], want_extras[name], **TOL)
+    for name in want_grads:
+        np.testing.assert_allclose(got_grads[name], want_grads[name], err_msg=name, **TOL)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+@example(sizes=[1, 2, 3], seed=0)
+@example(sizes=[3, 40, 1, 17, 2, 25, 9, 33], seed=1)
+def test_packed_batch_equals_per_molecule_reference(sizes, seed):
+    model = GeoGNN(CONFIG, rng=Rng(seed).fork("model"))
+    mols = molecules(sizes, seed)
+    items = prepare_molecules(mols, model.features)
+
+    def rngs():  # fresh streams for each call, as dropout advances them
+        return [Rng(seed).fork(f"mol{i}") for i in range(len(items))]
+
+    for mode in ("train", "eval"):
+        assert_same(
+            run(model, lambda: loss_pre(model, items, rngs(), tasks=TASKS, mode=mode)),
+            run(model, lambda: pretrain_loss_reference(model, items, rngs(), TASKS, mode=mode)),
+        )
+
+    labels = np.array([[m.labels["y"], np.nan if m.labels["z"] is None else m.labels["z"]]
+                       for m in mols])
+    binary = np.where(np.isnan(labels), np.nan, labels > np.nanmedian(labels[:, 0]))
+    for task_type, y in (("regression", labels), ("classification", binary)):
+        assert_same(
+            run(model, lambda: _downstream_batch_loss(model, items, y, task_type, rngs())),
+            run(model, lambda: downstream_loss_reference(model, items, y, task_type, rngs())),
+        )
+
+    np.testing.assert_allclose(_downstream_predictions(model, items),
+                               predictions_reference(model, items), **TOL)
+    embedded = embed_molecules(model.store, CONFIG, mols)
+    assert [mol_id for mol_id, _ in embedded] == [m.id for m in mols]
+    np.testing.assert_allclose(np.stack([vec for _, vec in embedded]),
+                               embeddings_reference(model, items), **TOL)

@@ -18,7 +18,6 @@ from geognn.pretrain import (
     loss_fingerprint,
     loss_length,
     loss_pre,
-    molecule_pretrain_loss,
 )
 from geognn.rng import Rng
 from geognn.synth import random_molecule
@@ -235,7 +234,7 @@ class TestLossPre:
         mol = random_molecule(Rng(24), min_atoms=6, max_atoms=9)
         item = prepare(mol, model)
         seed_rng = Rng(77)
-        total, parts = molecule_pretrain_loss(model, item, Rng(77), mode="eval")
+        total, parts = loss_pre(model, [item], [Rng(77)], mode="eval")
         masked_enc, masked = mask_context(item.graph, item.encoded, 0.15, Rng(77).fork("mask"))
         emb = model.forward(item.graph, masked_enc, mode="eval")
         bins = build_targets(item.graph, item.molecule, model.config.distance_bins).distance_bin_ids

@@ -1,6 +1,6 @@
 import numpy as np
 
-from geognn.rng import Rng
+from geognn.rng import BlockRng, Rng
 
 
 def test_stream_is_reproducible():
@@ -33,3 +33,17 @@ def test_permutation_and_sample():
     assert sorted(perm.tolist()) == list(range(20))
     picked = Rng(11).sample(10, 4)
     assert len(set(picked.tolist())) == 4
+
+
+def test_block_draws_equal_each_stream_alone():
+    # block i of each draw is what rngs[i] alone gives for its rows, and
+    # every stream advances as if it had drawn alone; empty blocks included
+    rows = [3, 0, 5, 1]
+    blocked = [Rng(2**63 + i).fork("dropout") for i in range(4)]
+    alone = [Rng(2**63 + i).fork("dropout") for i in range(4)]
+    blocked[0].uniform_array(2), alone[0].uniform_array(2)
+    for width in (4, 1, 7):
+        got = BlockRng(blocked, rows).uniform_array((sum(rows), width))
+        want = np.concatenate([r.uniform_array((n, width)) for r, n in zip(alone, rows)])
+        np.testing.assert_array_equal(got, want)
+    assert [r.next_u64() for r in blocked] == [r.next_u64() for r in alone]

@@ -95,6 +95,23 @@ class TestElementwise:
         out = T.mul(Tensor([[1.0, 2.0]]), 3.0)
         np.testing.assert_array_equal(out.data, [[3.0, 6.0]])
 
+    def test_column_broadcast(self):
+        out = T.mul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[2.0], [0.5]]))
+        np.testing.assert_array_equal(out.data, [[2.0, 4.0], [1.5, 2.0]])
+        with pytest.raises(ShapeError):  # a row is not a column
+            T.mul(Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2)) * 2.0))
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    def test_column_grads_vs_finite_differences(self, op):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(3, 4))
+        col = rng.normal(size=(3, 1)) + 3.0  # keep divisors away from zero
+        for x, y in ((a, col), (col, a)):
+            analytic, numeric = grad_of(lambda u, v: T.sum_all(T.mul(op(u, v), op(u, v))), x, y)
+            assert analytic[1].shape == y.shape
+            assert relative_error(analytic[0], numeric[0]) < 1e-4
+            assert relative_error(analytic[1], numeric[1]) < 1e-4
+
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
     def test_binary_grads_vs_finite_differences(self, op):
         rng = np.random.default_rng(2)
@@ -235,15 +252,22 @@ class TestSoftmaxCrossEntropy:
         assert relative_error(analytic[0], numeric[0]) < 1e-4
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(rows=st.integers(1, 6), classes=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_labels_match_one_hot_reference(self, rows, classes, seed):
+    @given(rows=st.integers(1, 6), classes=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           weighted=st.booleans())
+    def test_labels_match_one_hot_reference(self, rows, classes, seed, weighted):
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=3.0, size=(rows, classes))
         labels = rng.integers(0, classes, size=rows)
-        loss = T.softmax_cross_entropy(Tensor(logits), labels).item()
-        want = softmax_ce_reference(logits, np.eye(classes)[labels])
+        weights = rng.uniform(0.0, 2.0, size=rows) if weighted else None
+        loss = T.softmax_cross_entropy(Tensor(logits), labels, weights).item()
+        one_hot = np.eye(classes)[labels]
+        if weighted:  # the weighted sum of each row's own cross-entropy
+            want = sum(w * softmax_ce_reference(logits[r : r + 1], one_hot[r : r + 1])
+                       for r, w in enumerate(weights))
+        else:
+            want = softmax_ce_reference(logits, one_hot)
         assert loss == pytest.approx(want, rel=1e-12, abs=1e-12)
-        analytic, numeric = grad_of(lambda l: T.softmax_cross_entropy(l, labels), logits)
+        analytic, numeric = grad_of(lambda l: T.softmax_cross_entropy(l, labels, weights), logits)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
 
     def test_rejects_bad_targets(self):
@@ -281,6 +305,18 @@ class TestBackward:
             loss = T.sum_all(T.add(T.mul(x, x), x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_only_leaves_keep_their_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, -1.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.mul(x, w)
+            z = T.mul(y, y)
+            loss = T.sum_all(z)
+        tape.backward(loss)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2.0 * (x.data * w.data) * w.data)
+        np.testing.assert_allclose(w.grad, 2.0 * (x.data * w.data) * x.data)
 
 
 class TestPlumbingOps:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from geognn import tensor, training
 from geognn.errors import ConfigError, DataError
 from geognn.model import GeoGNN, ModelConfig, ParamStore
 from geognn.rng import Rng
@@ -274,7 +276,7 @@ class TestFinetuneLoop:
 
         def recording(self, graph, encoded, mode="eval", rng=None):
             if mode == "train":
-                seeds.append(rng.seed)
+                seeds.extend(r.seed for r in rng)
             return forward(self, graph, encoded, mode=mode, rng=rng)
 
         monkeypatch.setattr(GeoGNN, "forward", recording)
@@ -304,6 +306,36 @@ class TestFinetuneLoop:
         run = RunConfig(epochs=2, batch_size=4, seed=20)
         result = finetune(split, TINY_MODEL, run, init_store=pre.store)
         assert result.report["selected_epoch"] >= 1
+
+
+class TestFloat32:
+    def test_f32_steps_scatter_and_grad_in_f32(self, monkeypatch):
+        # every scatter-add and every parameter gradient of one f32 pretrain
+        # step (all four tasks) and one f32 finetune step
+        dtypes = []
+        scatter, step = tensor._scatter_add, training.adam_step
+
+        def recording_scatter(values, ids, num_out, dtype):
+            out = scatter(values, ids, num_out, dtype)
+            dtypes.extend((values.dtype, out.dtype))
+            return out
+
+        def recording_step(store, *args, **kwargs):
+            dtypes.extend(t.grad.dtype for _, t in store.items() if t.grad is not None)
+            return step(store, *args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_scatter_add", recording_scatter)
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        config = dataclasses.replace(TINY_MODEL, precision="f32", dropout=0.2, fingerprint_bits=3)
+        mols = tiny_dataset(4, seed=30, with_splits=False)
+        for i, m in enumerate(mols[:2]):
+            m.fingerprint = [1, i, 0]
+        tasks = ("length", "angle", "distance", "fingerprint")
+        pretrain(mols, config, RunConfig(epochs=1, batch_size=4, seed=31, tasks=tasks))
+        pretrain_count = len(dtypes)
+        finetune(DatasetSplit.from_tags(mols), config, RunConfig(epochs=1, batch_size=4, seed=32))
+        assert 0 < pretrain_count < len(dtypes)
+        assert {np.dtype(d).name for d in dtypes} == {"float32"}
 
 
 class TestEvaluate:
