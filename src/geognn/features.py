@@ -129,13 +129,8 @@ def encode(
     molecule: Molecule,
     config: FeatureConfig | None = None,
     dtype=np.float64,
-    include_geometry: bool = True,
 ) -> EncodedGraph:
-    """Build the feature matrices for one molecule.
-
-    ``include_geometry=False`` zeroes the RBF blocks (layout unchanged),
-    which ablates every coordinate-derived signal from the encoding.
-    """
+    """Build the feature matrices for one molecule: ``graph`` is its union of one."""
     config = config or FeatureConfig()
     degrees = graph.degrees()
 
@@ -167,17 +162,15 @@ def encode(
         offset = _one_hot(row, offset, config.bond_dir_size, BOND_DIRS.index(b.bond_dir))
         offset = _one_hot(row, offset, config.bond_type_size, BOND_TYPES.index(b.bond_type))
         offset = _one_hot(row, offset, config.in_ring_size, int(b.in_ring))
-        if include_geometry:
-            row[offset : offset + len(config.length_centers)] = rbf_expand(
-                float(graph.lengths[e]), config.length_centers, config.rbf_gamma
-            )
+        row[offset : offset + len(config.length_centers)] = rbf_expand(
+            float(graph.lengths[e]), config.length_centers, config.rbf_gamma
+        )
     assert rbf_offset_bond + len(config.length_centers) + 1 == config.bond_width
 
     angle = np.zeros((graph.num_angles, config.angle_width), dtype=np.float64)
-    if include_geometry:
-        for t in range(graph.num_angles):
-            angle[t, : len(config.angle_centers)] = rbf_expand(
-                float(graph.angle_values[t]), config.angle_centers, config.rbf_gamma
-            )
+    for t in range(graph.num_angles):
+        angle[t, : len(config.angle_centers)] = rbf_expand(
+            float(graph.angle_values[t]), config.angle_centers, config.rbf_gamma
+        )
 
     return EncodedGraph(atom=atom.astype(dtype), bond=bond.astype(dtype), angle=angle.astype(dtype))

@@ -4,10 +4,11 @@ From a molecule with 3D coordinates this derives
   - the atom-bond graph (atoms as nodes, bonds as edges),
   - the bond-angle graph (bonds as nodes, one edge per pair of bonds
     sharing an atom),
-  - bond lengths, bond angles in radians, and the all-pairs distance matrix.
+  - bond lengths and bond angles in radians, kept with the coordinates.
 
-``pack_graphs`` joins several dual graphs into one disjoint union, so a
-batch of molecules runs through the network as a single graph.
+A ``DualGraph`` is always a disjoint union of one or more molecules: one
+molecule is a union of one, and ``pack_graphs`` joins several, so a batch
+of molecules runs through the network as a single graph.
 """
 
 from __future__ import annotations
@@ -34,15 +35,38 @@ def angle_between(p_w, p_u, p_v) -> float:
     return math.acos(max(-1.0, min(1.0, cosine)))
 
 
+def distance_matrix(coords: np.ndarray) -> np.ndarray:
+    """[V, V] Euclidean distances between the rows of ``coords``."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 @dataclass
 class DualGraph:
-    num_atoms: int
-    bonds: np.ndarray        # [E, 2] atom indices, each row a < b, rows sorted
-    angles: np.ndarray       # [A, 3] rows (w, u, v): bonds (u,w) and (u,v) share u
-    angle_bonds: np.ndarray  # [A, 2] bond indices forming each angle
-    lengths: np.ndarray      # [E] in the coordinate unit
+    """The dual graphs of one or more molecules as one disjoint union.
+
+    Atom ids in ``bonds`` and ``angles`` are offset by the atoms of the
+    molecules before, and bond ids in ``angle_bonds`` by their bonds; rows
+    of every array come molecule by molecule. ``build_dual_graph`` makes a
+    union of one and ``pack_graphs`` joins unions.
+    """
+
+    bonds: np.ndarray         # [E, 2] atom ids, each row a < b, rows sorted per molecule
+    angles: np.ndarray        # [A, 3] rows (w, u, v): bonds (u,w) and (u,v) share u
+    angle_bonds: np.ndarray   # [A, 2] bond ids forming each angle
+    lengths: np.ndarray       # [E] in the coordinate unit
     angle_values: np.ndarray  # [A] radians
-    dist_matrix: np.ndarray  # [V, V]
+    coords: np.ndarray        # [V, 3]
+    atom_counts: np.ndarray   # [B] atoms per molecule
+    bond_counts: np.ndarray   # [B] bonds per molecule
+
+    @property
+    def num_graphs(self) -> int:
+        return self.atom_counts.size
+
+    @property
+    def num_atoms(self) -> int:
+        return int(self.atom_counts.sum())
 
     @property
     def num_bonds(self) -> int:
@@ -52,27 +76,31 @@ class DualGraph:
     def num_angles(self) -> int:
         return self.angles.shape[0]
 
+    @property
+    def atom_offsets(self) -> np.ndarray:  # [B] id of each molecule's first atom
+        return np.cumsum(self.atom_counts) - self.atom_counts
+
+    @property
+    def atom_graph(self) -> np.ndarray:  # [V] the molecule of each atom row
+        return np.repeat(np.arange(self.num_graphs), self.atom_counts)
+
+    @property
+    def bond_graph(self) -> np.ndarray:  # [E] the molecule of each bond row
+        return np.repeat(np.arange(self.num_graphs), self.bond_counts)
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_atoms, dtype=np.int64)
-        for a, b in self.bonds:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(self.bonds.ravel(), minlength=self.num_atoms)
 
 
 def build_dual_graph(molecule: Molecule) -> DualGraph:
+    """The dual graph of one molecule: a union of one."""
     num_atoms = len(molecule.atoms)
     coords = np.asarray(molecule.coords, dtype=np.float64).reshape(num_atoms, 3)
 
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist_matrix = np.sqrt((diff * diff).sum(axis=-1))
-
     bond_keys = sorted((min(b.a, b.b), max(b.a, b.b)) for b in molecule.bonds)
     bonds = np.asarray(bond_keys, dtype=np.int64).reshape(len(bond_keys), 2)
-    # bonded distances are read from the same matrix, so the two agree exactly
-    lengths = (
-        dist_matrix[bonds[:, 0], bonds[:, 1]] if len(bond_keys) else np.zeros(0)
-    )
+    # bonded distances are read from the distance matrix, so the two agree exactly
+    lengths = distance_matrix(coords)[bonds[:, 0], bonds[:, 1]]
     for idx, length in enumerate(lengths):
         if length == 0.0:
             raise DataError(
@@ -98,54 +126,37 @@ def build_dual_graph(molecule: Molecule) -> DualGraph:
                 angle_vals.append(angle_between(coords[w], coords[u], coords[v]))
 
     return DualGraph(
-        num_atoms=num_atoms,
         bonds=bonds,
         angles=np.asarray(angle_rows, dtype=np.int64).reshape(len(angle_rows), 3),
         angle_bonds=np.asarray(angle_bond_rows, dtype=np.int64).reshape(len(angle_rows), 2),
-        lengths=np.asarray(lengths, dtype=np.float64),
+        lengths=lengths,
         angle_values=np.asarray(angle_vals, dtype=np.float64),
-        dist_matrix=dist_matrix,
+        coords=coords,
+        atom_counts=np.array([num_atoms], dtype=np.int64),
+        bond_counts=np.array([len(bond_keys)], dtype=np.int64),
     )
 
 
-@dataclass
-class PackedGraph:
-    """The disjoint union of dual graphs as one graph.
-
-    Atom ids in ``bonds`` are offset by the atoms of the graphs before,
-    and bond ids in ``angle_bonds`` by their bonds; ``atom_graph`` and
-    ``bond_graph`` record the graph each atom and bond row came from.
-    """
-
-    bonds: np.ndarray        # [E, 2]
-    angle_bonds: np.ndarray  # [A, 2]
-    atom_graph: np.ndarray   # [V]
-    bond_graph: np.ndarray   # [E]
-    atom_counts: np.ndarray  # [B] atoms per graph
-    bond_counts: np.ndarray  # [B] bonds per graph
-
-    @property
-    def num_graphs(self) -> int:
-        return self.atom_counts.size
-
-    @property
-    def atom_offsets(self) -> np.ndarray:
-        """Id of each graph's first atom."""
-        return np.cumsum(self.atom_counts) - self.atom_counts
-
-
-def pack_graphs(graphs: Sequence[DualGraph]) -> PackedGraph:
+def pack_graphs(graphs: Sequence[DualGraph]) -> DualGraph:
     """The disjoint union of one or more dual graphs, in the order given."""
     atom_counts = np.array([g.num_atoms for g in graphs], dtype=np.int64)
     bond_counts = np.array([g.num_bonds for g in graphs], dtype=np.int64)
     atom_offsets = np.cumsum(atom_counts) - atom_counts
     bond_offsets = np.cumsum(bond_counts) - bond_counts
-    ids = np.arange(len(graphs))
-    return PackedGraph(
-        bonds=np.concatenate([g.bonds + o for g, o in zip(graphs, atom_offsets)]),
-        angle_bonds=np.concatenate([g.angle_bonds + o for g, o in zip(graphs, bond_offsets)]),
-        atom_graph=np.repeat(ids, atom_counts),
-        bond_graph=np.repeat(ids, bond_counts),
-        atom_counts=atom_counts,
-        bond_counts=bond_counts,
+
+    def join(name: str, offsets=None) -> np.ndarray:
+        arrays = [getattr(g, name) for g in graphs]
+        if offsets is not None:
+            arrays = [a + o for a, o in zip(arrays, offsets)]
+        return np.concatenate(arrays)
+
+    return DualGraph(
+        bonds=join("bonds", atom_offsets),
+        angles=join("angles", atom_offsets),
+        angle_bonds=join("angle_bonds", bond_offsets),
+        lengths=join("lengths"),
+        angle_values=join("angle_values"),
+        coords=join("coords"),
+        atom_counts=join("atom_counts"),
+        bond_counts=join("bond_counts"),
     )

@@ -5,8 +5,8 @@ and every angle centered at it have their features replaced by the mask
 vector (all-zero features with the trailing is-masked indicator set);
 that column is the only record of what is masked. The true lengths and
 angles of the masked entities become the targets, each weighted so that
-a molecule's rows sum to its mean; ``pack_targets`` joins the targets of
-a packed batch.
+a molecule's rows sum to its mean. A packed batch is masked in one call,
+each molecule drawing its atoms from its own stream.
 """
 
 from __future__ import annotations
@@ -36,46 +36,38 @@ def _mask_rows(matrix: np.ndarray, ids: np.ndarray) -> None:
     matrix[ids, -1] = 1.0
 
 
+def _per_molecule_weights(row_graph: np.ndarray, num_graphs: int) -> np.ndarray:
+    """1 / (rows of the same molecule) for each row."""
+    return 1.0 / np.bincount(row_graph, minlength=num_graphs)[row_graph]
+
+
 def mask_context(
-    graph: DualGraph, encoded: EncodedGraph, ratio: float, rng: Rng
+    graph: DualGraph, encoded: EncodedGraph, ratio: float, rngs: list[Rng]
 ) -> tuple[EncodedGraph, MaskTargets]:
+    """Mask the packed molecules of ``graph``, one rng each: molecule i
+    masks max(1, round(ratio * V_i)) of its atoms, drawn by ``rngs[i]``."""
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"mask ratio must lie in (0, 1], got {ratio}")
-    num_atoms = graph.num_atoms
-    count = max(1, round(ratio * num_atoms))
-    selected = rng.sample(num_atoms, count)
-    bond_ids = np.flatnonzero(np.isin(graph.bonds, selected).any(axis=1))
-    angle_ids = np.flatnonzero(np.isin(graph.angles[:, 1], selected))
+    if len(rngs) != graph.num_graphs:
+        raise ConfigError(f"{len(rngs)} mask streams for {graph.num_graphs} molecules")
+    selected = np.zeros(graph.num_atoms, dtype=bool)
+    for rng, n, offset in zip(rngs, graph.atom_counts.tolist(), graph.atom_offsets.tolist()):
+        selected[offset + rng.sample(n, max(1, round(ratio * n)))] = True
+    bond_ids = np.flatnonzero(selected[graph.bonds].any(axis=1))
+    angle_ids = np.flatnonzero(selected[graph.angles[:, 1]])
 
     masked = encoded.copy()
-    _mask_rows(masked.atom, selected)
+    _mask_rows(masked.atom, np.flatnonzero(selected))
     _mask_rows(masked.bond, bond_ids)
     _mask_rows(masked.angle, angle_ids)
 
+    angle_graph = graph.atom_graph[graph.angles[angle_ids, 1]]
     targets = MaskTargets(
         bond_atoms=graph.bonds[bond_ids],
         bond_lengths=graph.lengths[bond_ids],
-        bond_weights=np.full(bond_ids.size, 1.0 / max(bond_ids.size, 1)),
+        bond_weights=_per_molecule_weights(graph.bond_graph[bond_ids], graph.num_graphs),
         angle_atoms=graph.angles[angle_ids],
         angle_values=graph.angle_values[angle_ids],
-        angle_weights=np.full(angle_ids.size, 1.0 / max(angle_ids.size, 1)),
+        angle_weights=_per_molecule_weights(angle_graph, graph.num_graphs),
     )
     return masked, targets
-
-
-def pack_targets(parts: list[MaskTargets], atom_offsets: np.ndarray) -> MaskTargets:
-    """The targets of a packed batch: atom ids offset like the packed graph's."""
-    def joined(name: str, offsets=None) -> np.ndarray:
-        arrays = [getattr(p, name) for p in parts]
-        if offsets is not None:
-            arrays = [a + o for a, o in zip(arrays, offsets)]
-        return np.concatenate(arrays)
-
-    return MaskTargets(
-        bond_atoms=joined("bond_atoms", atom_offsets),
-        bond_lengths=joined("bond_lengths"),
-        bond_weights=joined("bond_weights"),
-        angle_atoms=joined("angle_atoms", atom_offsets),
-        angle_values=joined("angle_values"),
-        angle_weights=joined("angle_weights"),
-    )

@@ -10,13 +10,12 @@ sum aggregation of ``_aggregate``, then a 2-layer MLP, layer norm,
 graph-size norm (divide by sqrt of the node count of the respective
 graph), a residual connection, and dropout.
 
-A forward pass runs over a packed batch: the disjoint union of several
-molecules' dual graphs (``geometry.pack_graphs``), one row per atom, bond
-or angle of any molecule. The parts that look at whole molecules act per
-molecule: each row's graph-size norm counts its own molecule's nodes, the
-readout is a segment mean over each molecule's atom rows, and each
-molecule draws its dropout masks from its own stream. A lone molecule is
-a batch of one.
+A forward pass runs over a ``DualGraph``, the disjoint union of one or
+more molecules' dual graphs, one row per atom, bond or angle of any
+molecule. The parts that look at whole molecules act per molecule: each
+row's graph-size norm counts its own molecule's nodes, the readout is a
+segment mean over each molecule's atom rows, and each molecule draws its
+dropout masks from its own stream.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericalError, check_int, check_real
 from .features import EncodedGraph, FeatureConfig
-from .geometry import DualGraph, PackedGraph, pack_graphs
+from .geometry import DualGraph
 from .rng import BlockRng, Rng
 from .tensor import Tensor
 
@@ -140,13 +139,14 @@ def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
 class GraphEmbedding:
     h_atoms: Tensor   # [V, hidden]
     h_bonds: Tensor   # [E, hidden]
-    h_graph: Tensor   # [B, hidden], mean over each molecule's atom rows; [hidden] for a lone one
+    h_graph: Tensor   # [B, hidden], mean over each molecule's atom rows
 
 
-def _row_scale(counts: np.ndarray, row_graph: np.ndarray, dtype) -> Tensor:
-    """Graph-size norm per row: 1/sqrt of its graph's node count, as an [n, 1] column."""
+def _row_scale(counts: np.ndarray, dtype) -> Tensor:
+    """Graph-size norm per row of graphs with ``counts`` rows each: 1/sqrt of
+    its graph's row count, as an [n, 1] column."""
     scale = 1.0 / np.sqrt(np.maximum(counts, 1))
-    return Tensor(scale[row_graph].reshape(-1, 1), dtype=dtype)
+    return Tensor(np.repeat(scale, counts).reshape(-1, 1), dtype=dtype)
 
 
 class GeoGNN:
@@ -221,25 +221,16 @@ class GeoGNN:
 
     def forward(
         self,
-        graph: PackedGraph | DualGraph,
+        graph: DualGraph,
         encoded: EncodedGraph,
         mode: str = "eval",
-        rng: list[Rng] | Rng | None = None,
+        rng: list[Rng] | None = None,
     ) -> GraphEmbedding:
-        """Encode a packed batch: ``encoded`` holds the feature rows of
-        ``graph`` and ``rng`` one dropout stream per molecule (train mode).
-
-        A lone ``DualGraph`` with one stream is a batch of one whose
-        ``h_graph`` is a ``[hidden]`` vector.
-        """
-        lone = isinstance(graph, DualGraph)
-        if lone:
-            graph, rng = pack_graphs([graph]), [rng]
+        """Encode the molecules of ``graph``: ``encoded`` holds its feature
+        rows and ``rng`` one dropout stream per molecule (train mode)."""
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be train or eval, got {mode!r}")
-        if mode == "train" and self.config.dropout > 0.0 and (
-            rng is None or any(r is None for r in rng)
-        ):
+        if mode == "train" and self.config.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode forward needs an rng for dropout")
         if rng is not None and len(rng) != graph.num_graphs:
             raise ConfigError(f"{len(rng)} dropout streams for {graph.num_graphs} molecules")
@@ -254,8 +245,8 @@ class GeoGNN:
         h_bond = self._apply_linear("embed.bond", Tensor(np.asarray(encoded.bond, dtype=dtype)))
         x_angle = self._apply_linear("embed.angle", Tensor(np.asarray(encoded.angle, dtype=dtype)))
 
-        atom_scale = _row_scale(graph.atom_counts, graph.atom_graph, dtype)
-        bond_scale = _row_scale(graph.bond_counts, graph.bond_graph, dtype)
+        atom_scale = _row_scale(graph.atom_counts, dtype)
+        bond_scale = _row_scale(graph.bond_counts, dtype)
         atom_rng = bond_rng = None
         if rng is not None:
             atom_rng, bond_rng = BlockRng(rng, graph.atom_counts), BlockRng(rng, graph.bond_counts)
@@ -278,8 +269,6 @@ class GeoGNN:
 
         sums = T.segment_sum(h_atom, graph.atom_graph, graph.num_graphs)
         h_graph = T.div(sums, Tensor(graph.atom_counts.reshape(-1, 1), dtype=dtype))
-        if lone:
-            h_graph = T.reshape(h_graph, (self.config.hidden,))
         return GraphEmbedding(h_atoms=h_atom, h_bonds=h_bond, h_graph=h_graph)
 
     # --- heads ---------------------------------------------------------------
@@ -303,13 +292,12 @@ class GeoGNN:
         """Fingerprint logits, one row per molecule."""
         if self.config.fingerprint_bits <= 0:
             raise ConfigError("fingerprint head is disabled (fingerprint_bits == 0)")
-        return self._apply_linear("head_fp.l1", T.reshape(h_graph, (-1, self.config.hidden)))
+        return self._apply_linear("head_fp.l1", h_graph)
 
     def head_downstream(self, h_graph: Tensor) -> Tensor:
         """Task predictions, one row per molecule."""
         if self.config.num_tasks <= 0:
             raise ConfigError("downstream head is disabled (num_tasks == 0)")
-        x = T.reshape(h_graph, (-1, self.config.hidden))
-        x = T.relu(self._apply_linear("head_down.l1", x))
+        x = T.relu(self._apply_linear("head_down.l1", h_graph))
         x = T.relu(self._apply_linear("head_down.l2", x))
         return self._apply_linear("head_down.l3", x)

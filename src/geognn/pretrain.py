@@ -1,17 +1,17 @@
 """Self-supervised objectives: masked bond lengths, masked bond angles,
 binned atomic distances, and optional fingerprint reconstruction.
 
-``loss_pre`` masks each molecule on its own, packs the masked molecules
-into one graph (at most ``PACK_SIZE`` at a time, as the distance task's
-pairs grow with the square of a molecule's atoms) and runs one forward
-pass per pack. Each task loss is a weighted sum over the pack's rows that
-equals the sum of the molecules' own mean losses; the distance task
-shares the same pass.
+``loss_pre`` packs the molecules into one graph (at most ``PACK_SIZE`` at
+a time, as the distance task's pairs grow with the square of a molecule's
+atoms), masks the pack, each molecule with its own stream, and runs one
+forward pass per pack. Each task loss is a weighted sum over the pack's
+rows that equals the sum of the molecules' own mean losses; the distance
+task shares the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .features import EncodedGraph
-from .geometry import DualGraph, PackedGraph, pack_graphs
-from .masking import MaskTargets, mask_context, pack_targets
+from .geometry import DualGraph, distance_matrix, pack_graphs
+from .masking import MaskTargets, mask_context
 from .model import GeoGNN, GraphEmbedding
 from .molio import Molecule
 from .rng import Rng
@@ -53,9 +53,10 @@ class PretrainTargets:
 
 
 def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> PretrainTargets:
-    dists = graph.dist_matrix.reshape(-1)
-    if np.any(dists < 0):
-        raise DataError("negative distance in matrix")
+    """Targets of one molecule: ``graph`` is its union of one."""
+    dists = distance_matrix(graph.coords).reshape(-1)
+    if not np.all(np.isfinite(dists)):
+        raise DataError(f"molecule {molecule.id}: non-finite atomic distance")
     bins = np.minimum(dists.astype(np.int64), num_bins - 1)
     fingerprint = (
         np.asarray(molecule.fingerprint, dtype=np.float64)
@@ -90,13 +91,11 @@ def loss_angle(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tens
 
 
 def loss_distance(
-    model: GeoGNN, emb: GraphEmbedding, graph: PackedGraph | DualGraph, bin_ids: np.ndarray
+    model: GeoGNN, emb: GraphEmbedding, graph: DualGraph, bin_ids: np.ndarray
 ) -> Tensor:
     """Sum over molecules of the mean cross-entropy of binned distances over
     their ordered atom pairs, diagonal included; a one-atom molecule adds
     nothing. ``bin_ids`` holds each molecule's pairs in turn, row-major."""
-    if isinstance(graph, DualGraph):
-        graph = pack_graphs([graph])
     counts = graph.atom_counts
     atoms = [np.arange(o, o + n) for o, n in zip(graph.atom_offsets, counts)]
     u = np.concatenate([np.repeat(a, a.size) for a in atoms])
@@ -117,9 +116,7 @@ def _check_fingerprint_width(width: int, model: GeoGNN) -> None:
 def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding, bits: np.ndarray) -> Tensor:
     """Sum over molecules of the mean binary cross-entropy with logits over
     their fingerprint bits. ``bits`` has one row per molecule, NaN where a
-    molecule has none; a lone molecule's bits may be 1-D. No bits at all
-    add nothing."""
-    bits = np.atleast_2d(bits)
+    molecule has none. No bits at all add nothing."""
     if bits.size == 0:
         return Tensor(np.zeros((), dtype=model.config.dtype))
     _check_fingerprint_width(bits.shape[1], model)
@@ -146,7 +143,7 @@ class PreparedMolecule:
     encoded: EncodedGraph
 
 
-def pack(items: Sequence[PreparedMolecule]) -> tuple[PackedGraph, EncodedGraph]:
+def pack(items: Sequence[PreparedMolecule]) -> tuple[DualGraph, EncodedGraph]:
     """One graph and one feature set for several molecules: their disjoint union."""
     return pack_graphs([item.graph for item in items]), EncodedGraph(
         atom=np.concatenate([item.encoded.atom for item in items]),
@@ -174,15 +171,12 @@ def loss_pre(
     terms: list[Tensor] = []
     sums: dict[str, float] = {}
     for items, streams in zip(in_packs(batch), in_packs(rngs)):
-        masks = [
-            mask_context(item.graph, item.encoded, mask_ratio, rng.fork("mask"))
-            for item, rng in zip(items, streams)
-        ]
+        graph, encoded = pack(items)
+        encoded, masked = mask_context(graph, encoded, mask_ratio,
+                                       [rng.fork("mask") for rng in streams])
         targets = [build_targets(item.graph, item.molecule, model.config.distance_bins)
                    for item in items]
-        graph, encoded = pack([replace(item, encoded=enc) for item, (enc, _) in zip(items, masks)])
         emb = model.forward(graph, encoded, mode=mode, rng=[rng.fork("dropout") for rng in streams])
-        masked = pack_targets([m for _, m in masks], graph.atom_offsets)
 
         parts: dict[str, Tensor] = {}
         if "length" in tasks:

@@ -321,7 +321,8 @@ def pretrain(
     Molecules tagged "valid" form a held-out loss log; everything else trains.
     """
     run_config.validate()
-    model_config.validate()
+    # no downstream head: finetuning starts its own, sized to its tasks
+    model_config = ModelConfig.from_dict({**model_config.to_dict(), "num_tasks": 0})
     features = FeatureConfig()
     rng = Rng(run_config.seed)
     model = GeoGNN(model_config, features=features, rng=rng)

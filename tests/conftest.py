@@ -3,9 +3,22 @@ from pathlib import Path
 
 import pytest
 
+from geognn.features import EncodedGraph, FeatureConfig
 from geognn.molio import Atom, Bond, Molecule, annotate_derived_attributes
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def without_geometry(encoded: EncodedGraph, config: FeatureConfig | None = None) -> EncodedGraph:
+    """A copy of ``encoded`` with every RBF block zeroed, found by the
+    manifest's offsets: the encoding with no coordinate-derived signal."""
+    manifest = (config or FeatureConfig()).manifest()
+    out = encoded.copy()
+    for kind in ("bond", "angle"):
+        for block in manifest[kind]:
+            if block["name"].endswith("_rbf"):
+                getattr(out, kind)[:, block["offset"] : block["offset"] + block["width"]] = 0.0
+    return out
 
 
 def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):

@@ -149,7 +149,8 @@ def roc_auc_pairs(scores, labels) -> float:
 
 
 def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
-    """Eval-mode GeoGNN encoder in plain numpy; returns (h_atoms, h_bonds, h_graph).
+    """Eval-mode GeoGNN encoder on one molecule in plain numpy; returns
+    (h_atoms, h_bonds, h_graph), with h_graph a [1, hidden] row.
 
     params maps parameter names to arrays. Messages are accumulated one
     edge at a time, in edge order, with no tape and no segment_sum.
@@ -185,7 +186,7 @@ def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
         new_atom = update(f"block{k}.atom", aggregate(h_atom, graph.bonds, h_bond),
                           h_atom, atom_scale)
         h_bond, h_atom = new_bond, new_atom
-    return h_atom, h_bond, h_atom.mean(axis=0)
+    return h_atom, h_bond, h_atom.mean(axis=0, keepdims=True)
 
 
 # --- per-molecule references for the packed batch -------------------------
@@ -210,9 +211,9 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
 
     total, sums = Tensor(np.zeros(())), {}
     for item, rng in zip(batch, rngs):
-        masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, rng.fork("mask"))
+        masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, [rng.fork("mask")])
         targets = build_targets(item.graph, item.molecule, model.config.distance_bins)
-        emb = model.forward(item.graph, masked_enc, mode=mode, rng=rng.fork("dropout"))
+        emb = model.forward(item.graph, masked_enc, mode=mode, rng=[rng.fork("dropout")])
         h, n, bits = emb.h_atoms, item.graph.num_atoms, targets.fingerprint
         parts = {name: None for name in tasks if name != "fingerprint" or bits is not None}
         if "length" in parts and masked.bond_lengths.size:
@@ -244,7 +245,7 @@ def downstream_loss_reference(model, items, labels, task_type, rngs):
     total = Tensor(np.zeros(()))
     for item, row, rng in zip(items, labels, rngs):
         present = ~np.isnan(row)
-        emb = model.forward(item.graph, item.encoded, mode="train", rng=rng)
+        emb = model.forward(item.graph, item.encoded, mode="train", rng=[rng])
         pred = model.head_downstream(emb.h_graph)
         y = Tensor(np.where(present, row, 0.0).reshape(1, -1))
         mask = present.astype(np.float64).reshape(1, -1)
@@ -260,7 +261,8 @@ def downstream_loss_reference(model, items, labels, task_type, rngs):
 
 def embeddings_reference(model, items) -> np.ndarray:
     """Eval-mode graph embeddings, one lone forward pass per molecule."""
-    return np.stack([model.forward(i.graph, i.encoded, mode="eval").h_graph.data for i in items])
+    return np.concatenate([model.forward(i.graph, i.encoded, mode="eval").h_graph.data
+                           for i in items])
 
 
 def predictions_reference(model, items) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""A packed batch against the per-molecule references of ``oracles``: run as
-one disjoint-union graph, a batch of molecules gives each molecule's own
-losses, predictions, embeddings and parameter gradients."""
+"""A packed batch against its molecules one at a time: packed into one
+disjoint-union graph, a batch of molecules keeps each molecule's own graph
+and masks, and gives each molecule's own losses, predictions, embeddings
+and parameter gradients (the per-molecule references of ``oracles``)."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from geognn.features import FeatureConfig
+from geognn.geometry import DualGraph, pack_graphs
+from geognn.masking import mask_context
 from geognn.model import GeoGNN, ModelConfig
-from geognn.pretrain import loss_pre
+from geognn.pretrain import loss_pre, pack
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 from geognn.tensor import Tape
@@ -102,3 +106,74 @@ def test_packed_batch_equals_per_molecule_reference(sizes, seed):
     assert [mol_id for mol_id, _ in embedded] == [m.id for m in mols]
     np.testing.assert_allclose(np.stack([vec for _, vec in embedded]),
                                embeddings_reference(model, items), **TOL)
+
+
+
+def starts(counts) -> np.ndarray:
+    """Offset of each block in a concatenation of blocks of these sizes."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.cumsum(counts) - counts
+
+
+def assert_graphs_equal(got, want):
+    for name in ("bonds", "angles", "angle_bonds", "lengths", "angle_values", "coords",
+                 "atom_counts", "bond_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), ratio=st.floats(0.01, 1.0))
+@example(sizes=[4, 5, 1, 6], seed=3, ratio=0.5)
+def test_pack_and_mask_keep_each_molecule(sizes, seed, ratio):
+    mols = [random_molecule(Rng(seed).fork(i), min_atoms=n, max_atoms=n)
+            for i, n in enumerate(sizes)]
+    items = prepare_molecules(mols, FeatureConfig())
+    graphs = [item.graph for item in items]
+    graph, encoded = pack(items)
+    assert_graphs_equal(pack_graphs(graphs[:1]), graphs[0])
+
+    # the offsets are computed here from the molecules, not read from the pack
+    atoms = starts([g.num_atoms for g in graphs])
+    bonds = starts([g.num_bonds for g in graphs])
+    angles = starts([g.num_angles for g in graphs])
+    assert graph.num_graphs == len(graphs)
+    assert graph.atom_offsets.tolist() == atoms.tolist()
+    for i, g in enumerate(graphs):
+        atom_rows = slice(atoms[i], atoms[i] + g.num_atoms)
+        bond_rows = slice(bonds[i], bonds[i] + g.num_bonds)
+        angle_rows = slice(angles[i], angles[i] + g.num_angles)
+        own = DualGraph(
+            bonds=graph.bonds[bond_rows] - atoms[i],
+            angles=graph.angles[angle_rows] - atoms[i],
+            angle_bonds=graph.angle_bonds[angle_rows] - bonds[i],
+            lengths=graph.lengths[bond_rows],
+            angle_values=graph.angle_values[angle_rows],
+            coords=graph.coords[atom_rows],
+            atom_counts=graph.atom_counts[i : i + 1],
+            bond_counts=graph.bond_counts[i : i + 1],
+        )
+        assert_graphs_equal(own, g)
+        assert (graph.atom_graph[atom_rows] == i).all()
+        assert (graph.bond_graph[bond_rows] == i).all()
+
+    # masking the pack, one stream per molecule, masks each molecule as alone
+    def streams():  # fresh streams for each call, as sampling advances them
+        return [Rng(seed).fork(f"mask{i}") for i in range(len(items))]
+
+    masked, targets = mask_context(graph, encoded, ratio, streams())
+    alone = [mask_context(item.graph, item.encoded, ratio, [stream])
+             for item, stream in zip(items, streams())]
+    for kind in ("atom", "bond", "angle"):
+        want = np.concatenate([getattr(enc, kind) for enc, _ in alone])
+        assert np.array_equal(getattr(masked, kind), want), kind
+    for name, offsets in (("bond_atoms", atoms), ("bond_lengths", None), ("bond_weights", None),
+                          ("angle_atoms", atoms), ("angle_values", None),
+                          ("angle_weights", None)):
+        parts = [getattr(t, name) for _, t in alone]
+        if offsets is not None:
+            parts = [p + o for p, o in zip(parts, offsets)]
+        want = np.concatenate(parts)
+        got = getattr(targets, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -367,6 +367,30 @@ class TestTrainingCommands:
         assert set(row) == {"id", "h_G"}
         assert len(row["h_G"]) == 8
 
+    def test_finetune_two_tasks_from_pretrain_checkpoint(self, tmp_path):
+        mols = write_dataset(tmp_path / "plain.jsonl", n=10, seed=2)
+        for i, m in enumerate(mols):
+            m.labels["z"] = float(i % 2)
+        src = tmp_path / "two.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        cfg = write_config(tmp_path / "cfg.json", epochs=2, batch_size=4)
+        pre_out = tmp_path / "pre"
+        assert run_cli("pretrain", "--input", str(src), "--out", str(pre_out),
+                       "--config", str(cfg)) == 0
+        ckpt = pre_out / "pretrain_epoch002.ckpt"
+        store, _, _, _ = load_checkpoint(ckpt)
+        assert not [n for n in store.names() if n.startswith("head_down.")]
+
+        fine_out = tmp_path / "fine"
+        assert run_cli("finetune", "--input", str(src), "--out", str(fine_out),
+                       "--config", str(cfg), "--checkpoint", str(ckpt)) == 0
+        report = json.loads((fine_out / "finetune_report.json").read_text())
+        assert report["task_names"] == ["y", "z"]
+        # the pretrained body's tensors, plus a downstream head for both tasks
+        best, _, _, _ = load_checkpoint(fine_out / "finetune_best.ckpt")
+        assert best["head_down.l3.w"].shape == (8, 2)
+        assert set(store.names()) < set(best.names())
+
     def test_embed_permuted_molecule_matches(self, tmp_path):
         mol = random_molecule(Rng(3), min_atoms=5, max_atoms=7, mol_id="orig")
         perm = Rng(4).permutation(len(mol.atoms))

@@ -10,7 +10,7 @@ from geognn.masking import mask_context
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 
-from conftest import make_molecule
+from conftest import make_molecule, without_geometry
 from oracles import masked_entities_reference
 
 
@@ -118,7 +118,7 @@ class TestEncode:
     def test_geometry_ablation_zeroes_rbf_only(self, water):
         graph = build_dual_graph(water)
         full = encode(graph, water)
-        flat = encode(graph, water, include_geometry=False)
+        flat = without_geometry(full)
         assert np.array_equal(full.atom, flat.atom)
         assert np.array_equal(full.bond[:, :13], flat.bond[:, :13])
         assert np.all(flat.bond[:, 13:-1] == 0.0)
@@ -137,7 +137,7 @@ class TestMaskContext:
     def test_full_ratio_masks_everything(self, water):
         graph = build_dual_graph(water)
         enc = encode(graph, water)
-        masked, targets = mask_context(graph, enc, 1.0, Rng(0))
+        masked, targets = mask_context(graph, enc, 1.0, [Rng(0)])
         assert targets.bond_lengths.shape == (2,)
         assert targets.angle_values.shape == (1,)
         assert np.all(masked.atom[:, -1] == 1.0)
@@ -150,7 +150,7 @@ class TestMaskContext:
         mol = make_molecule(["C"], [], [(0.0, 0.0, 0.0)])
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        masked, targets = mask_context(graph, enc, 0.15, Rng(1))
+        masked, targets = mask_context(graph, enc, 0.15, [Rng(1)])
         assert np.flatnonzero(masked.atom[:, -1]).tolist() == [0]
         assert targets.bond_lengths.size == 0
         assert targets.angle_values.size == 0
@@ -159,15 +159,15 @@ class TestMaskContext:
         mol = random_molecule(Rng(3), min_atoms=10, max_atoms=10)
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        masked, _ = mask_context(graph, enc, 0.15, Rng(2))
+        masked, _ = mask_context(graph, enc, 0.15, [Rng(2)])
         assert np.count_nonzero(masked.atom[:, -1]) == max(1, round(0.15 * 10))
 
     def test_reproducible_given_seed(self):
         mol = random_molecule(Rng(8), min_atoms=20, max_atoms=20)
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        m1, t1 = mask_context(graph, enc, 0.15, Rng(42))
-        m2, t2 = mask_context(graph, enc, 0.15, Rng(42))
+        m1, t1 = mask_context(graph, enc, 0.15, [Rng(42)])
+        m2, t2 = mask_context(graph, enc, 0.15, [Rng(42)])
         assert np.array_equal(m1.atom[:, -1], m2.atom[:, -1])
         assert np.array_equal(t1.bond_lengths, t2.bond_lengths)
         assert np.array_equal(m1.atom, m2.atom)
@@ -186,7 +186,7 @@ class TestMaskContext:
         mol = random_molecule(Rng(seed), min_atoms=atoms, max_atoms=atoms)
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        masked, targets = mask_context(graph, enc, ratio, Rng(seed).fork("mask"))
+        masked, targets = mask_context(graph, enc, ratio, [Rng(seed).fork("mask")])
         chosen = np.flatnonzero(masked.atom[:, -1])
         want = Rng(seed).fork("mask").sample(atoms, max(1, round(ratio * atoms)))
         assert chosen.tolist() == sorted(want.tolist())
@@ -208,5 +208,5 @@ class TestMaskContext:
         graph = build_dual_graph(water)
         enc = encode(graph, water)
         before = enc.bond.copy()
-        mask_context(graph, enc, 1.0, Rng(5))
+        mask_context(graph, enc, 1.0, [Rng(5)])
         assert np.array_equal(enc.bond, before)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geognn.errors import DataError
-from geognn.geometry import angle_between, build_dual_graph
+from geognn.geometry import angle_between, build_dual_graph, distance_matrix
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 
@@ -68,14 +68,16 @@ class TestBuildDualGraph:
         for i in range(10):
             mol = random_molecule(rng.fork(i))
             g = build_dual_graph(mol)
+            dist = distance_matrix(g.coords)
             for e, (a, b) in enumerate(g.bonds):
-                assert g.dist_matrix[a, b] == g.lengths[e]
+                assert dist[a, b] == g.lengths[e]
 
     def test_dist_matrix_symmetric_zero_diagonal(self):
         mol = random_molecule(Rng(5))
         g = build_dual_graph(mol)
-        assert np.array_equal(g.dist_matrix, g.dist_matrix.T)
-        assert np.all(np.diag(g.dist_matrix) == 0.0)
+        dist = distance_matrix(g.coords)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 0.0)
 
     def test_angle_bonds_share_middle_atom(self):
         mol = random_molecule(Rng(9), min_atoms=6, max_atoms=12)
@@ -105,7 +107,9 @@ class TestGeometricInvariants:
             g2 = build_dual_graph(moved)
             np.testing.assert_allclose(g2.lengths, g.lengths, atol=1e-9)
             np.testing.assert_allclose(g2.angle_values, g.angle_values, atol=1e-9)
-            np.testing.assert_allclose(g2.dist_matrix, g.dist_matrix, atol=1e-9)
+            np.testing.assert_allclose(
+                distance_matrix(g2.coords), distance_matrix(g.coords), atol=1e-9
+            )
 
     def test_relabeling_gives_isomorphic_graph(self):
         rng = Rng(23)

@@ -4,13 +4,13 @@ import pytest
 from geognn import tensor as T
 from geognn.errors import ConfigError
 from geognn.features import FeatureConfig, encode
-from geognn.geometry import build_dual_graph
+from geognn.geometry import build_dual_graph, distance_matrix
 from geognn.model import GeoGNN, ModelConfig
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 
-from conftest import make_molecule
+from conftest import make_molecule, without_geometry
 from oracles import geognn_forward_reference, model_gradcheck, relative_error
 
 SMALL = ModelConfig(
@@ -27,7 +27,9 @@ SMALL = ModelConfig(
 
 def embed_molecule(model, mol, mode="eval", rng=None, include_geometry=True):
     graph = build_dual_graph(mol)
-    enc = encode(graph, mol, model.features, include_geometry=include_geometry)
+    enc = encode(graph, mol, model.features)
+    if not include_geometry:
+        enc = without_geometry(enc, model.features)
     return graph, enc, model.forward(graph, enc, mode=mode, rng=rng)
 
 
@@ -59,10 +61,10 @@ class TestForward:
         mol = make_molecule(["C"], [], [(0.0, 0.0, 0.0)])
         model = GeoGNN(SMALL, rng=Rng(0))
         _, _, emb = embed_molecule(model, mol)
-        assert emb.h_graph.shape == (8,)
+        assert emb.h_graph.shape == (1, 8)
         assert np.all(np.isfinite(emb.h_graph.data))
         # with a single atom, the graph vector equals that atom's vector
-        np.testing.assert_array_equal(emb.h_graph.data, emb.h_atoms.data[0])
+        np.testing.assert_array_equal(emb.h_graph.data, emb.h_atoms.data)
 
     def test_eval_forward_is_deterministic(self):
         mol = random_molecule(Rng(1))
@@ -77,9 +79,9 @@ class TestForward:
         model = GeoGNN(cfg, rng=Rng(2))
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
-        a = model.forward(graph, enc, mode="train", rng=Rng(9))
-        b = model.forward(graph, enc, mode="train", rng=Rng(9))
-        c = model.forward(graph, enc, mode="train", rng=Rng(10))
+        a = model.forward(graph, enc, mode="train", rng=[Rng(9)])
+        b = model.forward(graph, enc, mode="train", rng=[Rng(9)])
+        c = model.forward(graph, enc, mode="train", rng=[Rng(10)])
         assert np.array_equal(a.h_graph.data, b.h_graph.data)
         assert not np.array_equal(a.h_graph.data, c.h_graph.data)
 
@@ -87,7 +89,7 @@ class TestForward:
         mol = random_molecule(Rng(3))
         model = GeoGNN(SMALL, rng=Rng(4))
         _, _, emb = embed_molecule(model, mol)
-        np.testing.assert_allclose(emb.h_graph.data, emb.h_atoms.data.mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(emb.h_graph.data[0], emb.h_atoms.data.mean(axis=0), atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = Rng(5)
@@ -200,7 +202,7 @@ class TestHeads:
         model.store["head_fp.l1.b"].data[:] = 0.0
         _, _, emb = embed_molecule(model, mol)
         out = model.head_fingerprint(emb.h_graph)
-        assert out.data[0, 0] == pytest.approx(emb.h_graph.data[0])
+        assert out.data[0, 0] == pytest.approx(emb.h_graph.data[0, 0])
 
     def test_disabled_heads_raise(self):
         cfg = ModelConfig(num_blocks=1, hidden=4, fingerprint_bits=0, num_tasks=0)
@@ -254,7 +256,7 @@ class TestFullModelGradcheck:
         graph = build_dual_graph(mol)
         enc = encode(graph, mol)
         c = SMALL.distance_bins
-        bins = np.minimum(np.floor(graph.dist_matrix.reshape(-1)), c - 1).astype(int)
+        bins = np.minimum(np.floor(distance_matrix(graph.coords).reshape(-1)), c - 1).astype(int)
         bits = (Rng(42).uniform_array((1, 4)) > 0.5).astype(float)
 
         worst = model_gradcheck(

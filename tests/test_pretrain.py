@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +22,7 @@ from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tensor
 
+from conftest import make_molecule
 from oracles import softmax_ce_reference
 
 CFG = ModelConfig(
@@ -42,11 +42,12 @@ def model():
 
 
 def distance_bins(distances, num_bins=30):
-    """build_targets' distance_bin_ids for a distance matrix holding the given values."""
-    mol = random_molecule(Rng(2), min_atoms=2, max_atoms=2)
-    graph = build_dual_graph(mol)
-    graph = dataclasses.replace(graph, dist_matrix=np.asarray(distances, dtype=float).reshape(1, -1))
-    return build_targets(graph, mol, num_bins).distance_bin_ids
+    """build_targets' distance_bin_ids of the pairs (0, i) of an unbonded
+    molecule with atom 0 at the origin and atom i at (distances[i - 1], 0, 0)."""
+    coords = [(0.0, 0.0, 0.0)] + [(d, 0.0, 0.0) for d in distances]
+    mol = make_molecule(["C"] * len(coords), [], coords)
+    bins = build_targets(build_dual_graph(mol), mol, num_bins).distance_bin_ids
+    return bins.reshape(len(coords), len(coords))[0, 1:]
 
 
 class TestBinDistance:
@@ -59,9 +60,10 @@ class TestBinDistance:
     def test_clamp_far(self):
         assert distance_bins([100.0]).tolist() == [29]
 
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            distance_bins([1.0, -0.1])
+    def test_non_finite_rejected(self):
+        # finite coordinates whose squared distance overflows
+        with pytest.raises(DataError), np.errstate(over="ignore"):
+            distance_bins([1.0, 1e300])
 
     def test_always_one_hot(self):
         rng = Rng(3)
@@ -77,7 +79,7 @@ class TestGeometryLosses:
     def test_exact_prediction_gives_zero(self, model, water=None):
         mol = random_molecule(Rng(5))
         item = prepare(mol, model)
-        _, masked = mask_context(item.graph, item.encoded, 1.0, Rng(6))
+        _, masked = mask_context(item.graph, item.encoded, 1.0, [Rng(6)])
         emb = model.forward(item.graph, item.encoded)
         # force the length head to output each true target via zero weights
         # is impossible; instead check the zero-diff identity directly
@@ -96,7 +98,7 @@ class TestGeometryLosses:
     def test_loss_length_matches_direct_formula(self, model):
         mol = random_molecule(Rng(7), min_atoms=6, max_atoms=8)
         item = prepare(mol, model)
-        _, masked = mask_context(item.graph, item.encoded, 0.5, Rng(8))
+        _, masked = mask_context(item.graph, item.encoded, 0.5, [Rng(8)])
         if masked.bond_lengths.size == 0:
             pytest.skip("no masked bonds in this draw")
         emb = model.forward(item.graph, item.encoded)
@@ -110,7 +112,7 @@ class TestGeometryLosses:
     def test_loss_angle_value(self, model):
         mol = random_molecule(Rng(9), min_atoms=5, max_atoms=7)
         item = prepare(mol, model)
-        _, masked = mask_context(item.graph, item.encoded, 1.0, Rng(10))
+        _, masked = mask_context(item.graph, item.encoded, 1.0, [Rng(10)])
         emb = model.forward(item.graph, item.encoded)
         got = loss_angle(model, emb, masked).item()
         h_w = T.gather_rows(emb.h_atoms, masked.angle_atoms[:, 0])
@@ -128,7 +130,7 @@ class TestGeometryLosses:
     def test_empty_targets_give_zero(self, model):
         mol = random_molecule(Rng(11), min_atoms=1, max_atoms=1)
         item = prepare(mol, model)
-        _, masked = mask_context(item.graph, item.encoded, 1.0, Rng(12))
+        _, masked = mask_context(item.graph, item.encoded, 1.0, [Rng(12)])
         emb = model.forward(item.graph, item.encoded)
         assert loss_length(model, emb, masked).item() == 0.0
         assert loss_angle(model, emb, masked).item() == 0.0
@@ -212,7 +214,7 @@ class TestFingerprintLoss:
         model.store["head_fp.l1.w"].data[:] = 0.0
         model.store["head_fp.l1.b"].data[:] = 0.0
         emb = model.forward(item.graph, item.encoded)
-        got = loss_fingerprint(model, emb, np.array(mol.fingerprint, dtype=float)).item()
+        got = loss_fingerprint(model, emb, np.array([mol.fingerprint], dtype=float)).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_width_mismatch_rejected(self, model):
@@ -220,13 +222,13 @@ class TestFingerprintLoss:
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
         with pytest.raises(DataError):
-            loss_fingerprint(model, emb, np.array([1.0, 0.0]))
+            loss_fingerprint(model, emb, np.array([[1.0, 0.0]]))
 
     def test_empty_bits_contribute_zero(self, model):
         mol = random_molecule(Rng(23))
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        assert loss_fingerprint(model, emb, np.zeros(0)).item() == 0.0
+        assert loss_fingerprint(model, emb, np.zeros((1, 0))).item() == 0.0
 
 
 class TestLossPre:
@@ -235,7 +237,7 @@ class TestLossPre:
         item = prepare(mol, model)
         seed_rng = Rng(77)
         total, parts = loss_pre(model, [item], [Rng(77)], mode="eval")
-        masked_enc, masked = mask_context(item.graph, item.encoded, 0.15, Rng(77).fork("mask"))
+        masked_enc, masked = mask_context(item.graph, item.encoded, 0.15, [Rng(77).fork("mask")])
         emb = model.forward(item.graph, masked_enc, mode="eval")
         bins = build_targets(item.graph, item.molecule, model.config.distance_bins).distance_bin_ids
         want = (
@@ -266,8 +268,6 @@ class TestLossPre:
         assert a.item() == b.item()
 
     def test_distance_loss_invariant_under_relabeling(self, model):
-        from conftest import make_molecule
-
         mol = random_molecule(Rng(27), min_atoms=4, max_atoms=7)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)

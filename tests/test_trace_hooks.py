@@ -1,9 +1,11 @@
 """The benchmark's outside-in tracer patches geognn names by string. These
 tests install it the way ``bench/run.py --trace 1`` does, so renaming or
 deleting a traced name, or calling one through a private alias the
-wrappers cannot see, fails here and not only in a traced benchmark run."""
+wrappers cannot see, fails here and not only in a traced benchmark run.
+The benchmark's in-process checks run here too, for the same reason."""
 
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 import tracing  # noqa: E402
+from worker import Ingest  # noqa: E402
 from workloads import import_geognn  # noqa: E402
 
 
@@ -68,3 +71,18 @@ def test_training_calls_reach_the_wrappers(tmp_path):
         assert name in tracer.totals, name
     assert tracer.totals["training.adam_step"][0] == 2
     assert tracer.totals["checkpoint.save_checkpoint"][0] == 2
+
+
+def test_ingest_checks_run_on_random_molecules():
+    g = import_geognn(ROOT)
+    mols = [random_molecule(Rng(2).fork(i), min_atoms=1, max_atoms=12, mol_id=f"m{i}")
+            for i in range(5)]
+    config = g.model.ModelConfig(num_blocks=1, hidden=4, distance_bins=5,
+                                 geom_head_hidden=4, down_head_hidden=4)
+    store = g.model.GeoGNN(config, rng=g.rng.Rng(3)).store
+    # set up as Ingest.__init__ does, without its checkpoint file
+    ingest = object.__new__(Ingest)
+    ingest.g, ingest.store, ingest.config = g, store, config
+    result = (mols, [], g.training.embed_molecules(store, config, mols))
+    assert ingest.single_forward_gap(result) <= 1e-9
+    assert math.isfinite(ingest.eval_loss(result))

@@ -202,9 +202,12 @@ class TestPretrainLoop:
         init = GeoGNN(TINY_MODEL, rng=Rng(3)).store
         from geognn.checkpoint import load_checkpoint
 
-        store, _, _, extra = load_checkpoint(result.checkpoint_paths[0])
+        store, config, _, extra = load_checkpoint(result.checkpoint_paths[0])
         assert extra["epoch"] == 0
-        for name in init.names():
+        # pretraining has no downstream head; every other tensor is the init's
+        assert config.num_tasks == 0
+        assert store.names() == [n for n in init.names() if not n.startswith("head_down.")]
+        for name in store.names():
             assert np.array_equal(store[name].data, init[name].data)
 
     def test_loss_decreases_and_logs_components(self, tmp_path):
