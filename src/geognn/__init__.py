@@ -9,7 +9,7 @@ from .errors import (
     ShapeError,
 )
 from .features import EncodedGraph, FeatureConfig, encode, rbf_expand
-from .geometry import DualGraph, angle_between, build_dual_graph
+from .geometry import DualGraph, build_dual_graph
 from .masking import MaskTargets, mask_context
 from .model import GeoGNN, GraphEmbedding, ModelConfig, ParamStore
 from .molio import (
@@ -61,7 +61,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "adam_step",
-    "angle_between",
     "build_dual_graph",
     "encode",
     "evaluate",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureConfig
-from .model import ModelConfig, ParamStore
+from .model import ModelConfig, ParamStore, parameter_table
 
 MAGIC = b"GEM1"
 FORMAT_VERSION = 1
@@ -115,25 +115,35 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         model_config = ModelConfig.from_dict(header["model_config"])
+        manifest, extra = header["feature_manifest"], header.get("extra", {})
+        # every tensor must fit the checkpoint's own model config and layout
+        widths = [sum(block["width"] for block in manifest[kind])
+                  for kind in ("atom", "bond", "angle")]
+        shapes = {name: list(shape) for name, shape, _ in parameter_table(model_config, *widths)}
         store = ParamStore(dtype=model_config.dtype)
         store.step = int(header.get("adam_step", 0))
         moments_m: dict[str, np.ndarray] = {}
         moments_v: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            start, nbytes = entry["offset"], entry["nbytes"]
+            name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+            if shapes.get(name) != entry["shape"]:
+                raise DataError(f"{path}: tensor {name} has shape {entry['shape']}; its config "
+                                f"has {shapes.get(name, 'no such tensor')}")
             if start + nbytes > len(payload):
-                raise DataError(f"{path}: truncated checkpoint payload at {entry['name']}")
+                raise DataError(f"{path}: truncated checkpoint payload at {name}")
             arr = np.frombuffer(payload[start : start + nbytes], dtype=_DTYPES[entry["dtype"]])
             arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
             if entry["kind"] == "param":
-                store.put(entry["name"], arr)
+                store.put(name, arr)
             elif entry["kind"] == "adam_m":
-                moments_m[entry["name"]] = arr.copy()
+                moments_m[name] = arr.copy()
             elif entry["kind"] == "adam_v":
-                moments_v[entry["name"]] = arr.copy()
-        manifest, extra = header["feature_manifest"], header.get("extra", {})
+                moments_v[name] = arr.copy()
+        missing = [name for name in shapes if name not in store]
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
+    if missing:
+        raise DataError(f"{path}: tensor {missing[0]} of its model config is missing")
     for name in moments_m:
         if name in moments_v:
             store.moments[name] = (moments_m[name], moments_v[name])

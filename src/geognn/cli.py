@@ -18,16 +18,17 @@ from pathlib import Path
 
 from .checkpoint import check_manifest, load_checkpoint
 from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseError
-from .features import FeatureConfig, encode
-from .geometry import build_dual_graph
+from .features import FeatureConfig
 from .model import ModelConfig
 from .molio import Molecule, parse_jsonl, parse_sdf, parse_sdf_lenient
+from .pretrain import in_packs
 from .training import (
     DatasetSplit,
     RunConfig,
     embed_molecules,
     evaluate,
     finetune,
+    prepare_molecules,
     pretrain,
     write_report,
 )
@@ -46,15 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser, checkpoint: bool = False):
+def _add_common(p: argparse.ArgumentParser, checkpoint: bool | None = None):
+    """The flags every command takes; ``checkpoint`` adds --checkpoint,
+    required if True and optional if False."""
     p.add_argument("--input", nargs="+", required=True, metavar="PATH",
                    help="input molecule files (SDF or JSONL)")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--seed", type=int, default=None, metavar="U64")
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
-    if checkpoint:
-        p.add_argument("--checkpoint", metavar="PATH", help="checkpoint to load")
+    if checkpoint is not None:
+        p.add_argument("--checkpoint", required=checkpoint, metavar="PATH",
+                       help="checkpoint to load")
 
 
 def _add_training_flags(p: argparse.ArgumentParser):
@@ -81,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training_flags(p)
 
     p = sub.add_parser("finetune", help="supervised training with best-epoch selection")
-    _add_common(p, checkpoint=True)
+    _add_common(p, checkpoint=False)
     _add_training_flags(p)
 
     p = sub.add_parser("evaluate", help="metric report for a checkpoint on a split")
@@ -195,18 +199,16 @@ def cmd_featurize(args) -> int:
     molecules, errors = _read_molecules(args.input, strict=args.strict)
     features = FeatureConfig()
     counts = {"atoms": {}, "bonds": {}, "angles": {}}
-    ids = []
-    for mol in molecules:
-        graph = build_dual_graph(mol)
-        encode(graph, mol, features)  # raises DataError for a value outside the layout
-        ids.append(mol.id)
-        for key, value in (("atoms", graph.num_atoms), ("bonds", graph.num_bonds),
-                           ("angles", graph.num_angles)):
-            bucket = counts[key]
-            bucket[str(value)] = bucket.get(str(value), 0) + 1
+    # prepared a pack at a time, so the encodings do not pile up; encoding
+    # raises DataError for a value outside the layout
+    for chunk in in_packs(molecules):
+        for item in prepare_molecules(chunk, features):
+            g = item.graph
+            for key, n in (("atoms", g.num_atoms), ("bonds", g.num_bonds), ("angles", g.num_angles)):
+                counts[key][str(n)] = counts[key].get(str(n), 0) + 1
     summary = {
         "molecules": len(molecules),
-        "ids": ids,
+        "ids": [mol.id for mol in molecules],
         "histograms": counts,
         "widths": {
             "atom": features.atom_width,
@@ -263,8 +265,6 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if not args.checkpoint:
-        raise ConfigError("evaluate requires --checkpoint")
     file_cfg = _load_config_file(args.config)
     features = FeatureConfig()
     store, model_cfg, extra = _load_checkpoint_checked(args.checkpoint, features)
@@ -283,8 +283,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    if not args.checkpoint:
-        raise ConfigError("embed requires --checkpoint")
     features = FeatureConfig()
     store, model_cfg, _ = _load_checkpoint_checked(args.checkpoint, features)
     molecules, _ = _read_molecules(args.input)

@@ -5,17 +5,20 @@ Feature layouts are described by a manifest (block names, offsets, widths)
 that is embedded in checkpoints, so a checkpoint always documents the
 encoding it was trained on. Each entity type carries one extra trailing
 column: an is-masked indicator used by the pretraining tasks.
+
+``FeatureConfig``'s block lists are the one record of the layout: ``encode``
+names each block's values and sets every block of a matrix in one pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DataError
-from .geometry import DualGraph
+from .geometry import DualGraph, bond_order
 from .molio import BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS, Molecule
 
 RBF_GAMMA = 10.0
@@ -80,13 +83,7 @@ class FeatureConfig:
 
     def manifest(self) -> dict:
         def layout(blocks):
-            out = []
-            offset = 0
-            for name, width in blocks:
-                out.append({"name": name, "offset": offset, "width": width})
-                offset += width
-            out.append({"name": "mask_flag", "offset": offset, "width": 1})
-            return out
+            return [{"name": n, "offset": o, "width": w} for n, (o, w) in _layout(blocks).items()]
 
         return {
             "version": 1,
@@ -99,6 +96,13 @@ class FeatureConfig:
         }
 
 
+def _layout(blocks: list[tuple[str, int]]) -> dict[str, tuple[int, int]]:
+    """(offset, width) of each block by name, in column order, then of the
+    trailing mask-flag column."""
+    names, widths = zip(*blocks, ("mask_flag", 1))
+    return dict(zip(names, zip(accumulate(widths, initial=0), widths)))
+
+
 @dataclass
 class EncodedGraph:
     atom: np.ndarray            # [V, atom_width]
@@ -109,19 +113,13 @@ class EncodedGraph:
         return EncodedGraph(atom=self.atom.copy(), bond=self.bond.copy(), angle=self.angle.copy())
 
 
-def rbf_expand(x: float, centers: np.ndarray, gamma: float = RBF_GAMMA) -> np.ndarray:
-    """exp(-gamma * (x - center)^2) over the center grid."""
-    if not math.isfinite(x):
+def rbf_expand(values, centers: np.ndarray, gamma: float = RBF_GAMMA) -> np.ndarray:
+    """exp(-gamma * (value - center)^2) over the center grid, one row per value."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    if not np.isfinite(values).all():
         raise DataError("rbf_expand: non-finite input")
-    d = x - np.asarray(centers, dtype=np.float64)
+    d = values - np.asarray(centers, dtype=np.float64)
     return np.exp(-gamma * d * d)
-
-
-def _one_hot(row: np.ndarray, offset: int, size: int, index: int) -> int:
-    if not 0 <= index < size:
-        raise DataError(f"one-hot index {index} outside block of size {size}")
-    row[offset + index] = 1.0
-    return offset + size
 
 
 def encode(
@@ -132,45 +130,44 @@ def encode(
 ) -> EncodedGraph:
     """Build the feature matrices for one molecule: ``graph`` is its union of one."""
     config = config or FeatureConfig()
-    degrees = graph.degrees()
-
-    atom = np.zeros((graph.num_atoms, config.atom_width), dtype=np.float64)
-    for i, a in enumerate(molecule.atoms):
-        row = atom[i]
-        offset = 0
-        offset = _one_hot(row, offset, config.atom_type_size, a.atomic_number)
-        offset = _one_hot(row, offset, config.aromatic_size, int(a.aromatic))
-        charge_slot = min(max(a.formal_charge + 8, 0), config.formal_charge_size - 1)
-        offset = _one_hot(row, offset, config.formal_charge_size, charge_slot)
-        offset = _one_hot(row, offset, config.chirality_size, CHIRALITIES.index(a.chirality))
-        offset = _one_hot(row, offset, config.degree_size, min(int(degrees[i]), config.degree_size - 1))
-        offset = _one_hot(row, offset, config.num_h_size, min(a.num_explicit_h, config.num_h_size - 1))
-        _one_hot(row, offset, config.hybridization_size, HYBRIDIZATIONS.index(a.hybridization))
-
-    # bond attributes are looked up via canonical (a, b) keys because the
-    # dual graph reorders bonds
-    attr_by_key = {
-        (min(b.a, b.b), max(b.a, b.b)): b for b in molecule.bonds
+    atoms = molecule.atoms
+    bonds = [molecule.bonds[i] for i in bond_order(molecule)[0]]  # in dual-graph row order
+    slots = {  # per one-hot block, the slot of each atom or bond row
+        "atom_type": [a.atomic_number for a in atoms],
+        "aromatic": [a.aromatic for a in atoms],
+        "formal_charge": [min(max(a.formal_charge + 8, 0), config.formal_charge_size - 1)
+                          for a in atoms],
+        "chirality": [CHIRALITIES.index(a.chirality) for a in atoms],
+        "degree": np.minimum(graph.degrees(), config.degree_size - 1),
+        "num_h": [min(a.num_explicit_h, config.num_h_size - 1) for a in atoms],
+        "hybridization": [HYBRIDIZATIONS.index(a.hybridization) for a in atoms],
+        "bond_dir": [BOND_DIRS.index(b.bond_dir) for b in bonds],
+        "bond_type": [BOND_TYPES.index(b.bond_type) for b in bonds],
+        "in_ring": [b.in_ring for b in bonds],
     }
-    bond = np.zeros((graph.num_bonds, config.bond_width), dtype=np.float64)
-    rbf_offset_bond = config.bond_dir_size + config.bond_type_size + config.in_ring_size
-    for e in range(graph.num_bonds):
-        key = (int(graph.bonds[e, 0]), int(graph.bonds[e, 1]))
-        b = attr_by_key[key]
-        row = bond[e]
-        offset = 0
-        offset = _one_hot(row, offset, config.bond_dir_size, BOND_DIRS.index(b.bond_dir))
-        offset = _one_hot(row, offset, config.bond_type_size, BOND_TYPES.index(b.bond_type))
-        offset = _one_hot(row, offset, config.in_ring_size, int(b.in_ring))
-        row[offset : offset + len(config.length_centers)] = rbf_expand(
-            float(graph.lengths[e]), config.length_centers, config.rbf_gamma
-        )
-    assert rbf_offset_bond + len(config.length_centers) + 1 == config.bond_width
-
-    angle = np.zeros((graph.num_angles, config.angle_width), dtype=np.float64)
-    for t in range(graph.num_angles):
-        angle[t, : len(config.angle_centers)] = rbf_expand(
-            float(graph.angle_values[t]), config.angle_centers, config.rbf_gamma
-        )
-
-    return EncodedGraph(atom=atom.astype(dtype), bond=bond.astype(dtype), angle=angle.astype(dtype))
+    columns = {
+        "length_rbf": rbf_expand(graph.lengths, config.length_centers, config.rbf_gamma),
+        "angle_rbf": rbf_expand(graph.angle_values, config.angle_centers, config.rbf_gamma),
+    }
+    out = []
+    for blocks, count in ((config.atom_blocks(), graph.num_atoms),
+                          (config.bond_blocks(), graph.num_bonds),
+                          (config.angle_blocks(), graph.num_angles)):
+        layout = _layout(blocks)
+        rows = np.zeros((count, layout["mask_flag"][0] + 1))
+        hot = [name for name, _ in blocks if name in slots]
+        if hot:
+            index = np.array([slots[name] for name in hot], dtype=np.int64).reshape(len(hot), count)
+            offset, width = np.array([layout[name] for name in hot]).T
+            outside = (index < 0) | (index >= width[:, None])
+            if outside.any():
+                k, i = np.argwhere(outside)[0]
+                raise DataError(f"one-hot index {index[k, i]} outside block {hot[k]} "
+                                f"of size {width[k]}")
+            rows[np.arange(count), index + offset[:, None]] = 1.0
+        for name, values in columns.items():
+            if name in layout:
+                start, width = layout[name]
+                rows[:, start : start + width] = values
+        out.append(rows.astype(dtype, copy=False))
+    return EncodedGraph(*out)

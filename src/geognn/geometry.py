@@ -6,6 +6,9 @@ From a molecule with 3D coordinates this derives
     sharing an atom),
   - bond lengths and bond angles in radians, kept with the coordinates.
 
+``bond_order`` alone fixes the bond row order, which ``encode`` reads too.
+``build_dual_graph`` works in whole-array passes, with no per-angle loop.
+
 A ``DualGraph`` is always a disjoint union of one or more molecules: one
 molecule is a union of one, and ``pack_graphs`` joins several, so a batch
 of molecules runs through the network as a single graph.
@@ -13,7 +16,6 @@ of molecules runs through the network as a single graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,18 +23,6 @@ import numpy as np
 
 from .errors import DataError
 from .molio import Molecule
-
-
-def angle_between(p_w, p_u, p_v) -> float:
-    """Angle at p_u between the arms to p_w and p_v, in [0, pi]."""
-    a = np.asarray(p_w, dtype=np.float64) - np.asarray(p_u, dtype=np.float64)
-    b = np.asarray(p_v, dtype=np.float64) - np.asarray(p_u, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DataError("degenerate angle: zero-length arm")
-    cosine = float(np.dot(a, b)) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, cosine)))
 
 
 def distance_matrix(coords: np.ndarray) -> np.ndarray:
@@ -92,48 +82,51 @@ class DualGraph:
         return np.bincount(self.bonds.ravel(), minlength=self.num_atoms)
 
 
+def bond_order(molecule: Molecule) -> tuple[np.ndarray, np.ndarray]:
+    """The dual graph's bond rows: each bond as (a, b) with a < b, the rows
+    sorted by (a, b). Returns (order, bonds), where row i is the bond
+    ``molecule.bonds[order[i]]``."""
+    ends = np.array([(b.a, b.b) for b in molecule.bonds], dtype=np.int64).reshape(-1, 2)
+    ends.sort(axis=1)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    return order, ends[order]
+
+
 def build_dual_graph(molecule: Molecule) -> DualGraph:
     """The dual graph of one molecule: a union of one."""
     num_atoms = len(molecule.atoms)
     coords = np.asarray(molecule.coords, dtype=np.float64).reshape(num_atoms, 3)
-
-    bond_keys = sorted((min(b.a, b.b), max(b.a, b.b)) for b in molecule.bonds)
-    bonds = np.asarray(bond_keys, dtype=np.int64).reshape(len(bond_keys), 2)
+    _, bonds = bond_order(molecule)
     # bonded distances are read from the distance matrix, so the two agree exactly
     lengths = distance_matrix(coords)[bonds[:, 0], bonds[:, 1]]
-    for idx, length in enumerate(lengths):
-        if length == 0.0:
-            raise DataError(
-                f"molecule {molecule.id}: coincident bonded atoms {tuple(bonds[idx])}"
-            )
+    if (lengths == 0.0).any():
+        pair = tuple(bonds[np.argmax(lengths == 0.0)].tolist())
+        raise DataError(f"molecule {molecule.id}: coincident bonded atoms {pair}")
 
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(num_atoms)]
-    for e, (a, b) in enumerate(bond_keys):
-        incident[a].append((b, e))
-        incident[b].append((a, e))
-
-    angle_rows = []
-    angle_bond_rows = []
-    angle_vals = []
-    for u in range(num_atoms):
-        neighbors = sorted(incident[u])
-        for i in range(len(neighbors)):
-            for j in range(i + 1, len(neighbors)):
-                w, e1 = neighbors[i]
-                v, e2 = neighbors[j]
-                angle_rows.append((w, u, v))
-                angle_bond_rows.append((e1, e2))
-                angle_vals.append(angle_between(coords[w], coords[u], coords[v]))
+    # Bond ends (center, neighbor), row r an end of bond r mod E, sorted by
+    # center, then neighbor. Each end pairs with every later end of its center
+    # to form the angle (neighbor, center, later neighbor) of the two bonds.
+    ends = np.concatenate([bonds, bonds[:, ::-1]])
+    sort = np.lexsort((ends[:, 1], ends[:, 0]))
+    ends, end_bond = ends[sort], sort % max(len(bonds), 1)
+    later = np.searchsorted(ends[:, 0], ends[:, 0], side="right") - np.arange(len(ends)) - 1
+    first = np.repeat(np.arange(len(ends)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    angles = np.column_stack((ends[first, 1], ends[first, 0], ends[second, 1]))
+    angle_bonds = np.column_stack((end_bond[first], end_bond[second]))
+    # an angle's arms are its two bonds, whose lengths are known
+    arms = coords[angles[:, [0, 2]]] - coords[angles[:, [1]]]
+    cosine = (arms[:, 0] * arms[:, 1]).sum(axis=1) / lengths[angle_bonds].prod(axis=1)
 
     return DualGraph(
         bonds=bonds,
-        angles=np.asarray(angle_rows, dtype=np.int64).reshape(len(angle_rows), 3),
-        angle_bonds=np.asarray(angle_bond_rows, dtype=np.int64).reshape(len(angle_rows), 2),
+        angles=angles,
+        angle_bonds=angle_bonds,
         lengths=lengths,
-        angle_values=np.asarray(angle_vals, dtype=np.float64),
+        angle_values=np.arccos(np.clip(cosine, -1.0, 1.0)),
         coords=coords,
         atom_counts=np.array([num_atoms], dtype=np.int64),
-        bond_counts=np.array([len(bond_keys)], dtype=np.int64),
+        bond_counts=np.array([len(bonds)], dtype=np.int64),
     )
 
 

@@ -86,10 +86,6 @@ class ParamStore:
         self._params[name] = tensor
         return tensor
 
-    def create(self, name: str, shape: tuple[int, ...], rng: Rng, fan_in: int) -> Tensor:
-        bound = 1.0 / math.sqrt(fan_in)
-        return self.put(name, rng.uniform_array(shape, -bound, bound))
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
@@ -135,6 +131,33 @@ def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
     return T.add(T.segment_sum(msg, u, n), T.segment_sum(msg, v, n))
 
 
+def parameter_table(
+    config: ModelConfig, atom_width: int, bond_width: int, angle_width: int
+) -> list[tuple[str, tuple[int, ...], int | None]]:
+    """(name, shape, fan_in) of every GeoGNN parameter, in store order, for
+    feature rows of the given widths; layer-norm parameters have no fan-in."""
+    h, g, d = config.hidden, config.geom_head_hidden, config.down_head_hidden
+    layers = [("embed.atom", atom_width, h), ("embed.bond", bond_width, h),
+              ("embed.angle", angle_width, h)]
+    for base in (f"block{k}.{s}" for k in range(config.num_blocks) for s in ("bond", "atom")):
+        layers += [(f"{base}.mlp1", h, h), (f"{base}.mlp2", h, h), (f"{base}.norm", None, h)]
+    layers += [("head_length.l1", 2 * h, g), ("head_length.l2", g, 1),
+               ("head_angle.l1", 3 * h, g), ("head_angle.l2", g, 1),
+               ("head_distance.l1", 2 * h, g), ("head_distance.l2", g, config.distance_bins)]
+    if config.fingerprint_bits > 0:
+        layers.append(("head_fp.l1", h, config.fingerprint_bits))
+    if config.num_tasks > 0:
+        layers += [("head_down.l1", h, d), ("head_down.l2", d, d),
+                   ("head_down.l3", d, config.num_tasks)]
+    table = []
+    for name, n_in, n_out in layers:
+        if n_in is None:
+            table += [(f"{name}.gain", (n_out,), None), (f"{name}.bias", (n_out,), None)]
+        else:
+            table += [(f"{name}.w", (n_in, n_out), n_in), (f"{name}.b", (n_out,), n_in)]
+    return table
+
+
 @dataclass
 class GraphEmbedding:
     h_atoms: Tensor   # [V, hidden]
@@ -170,38 +193,17 @@ class GeoGNN:
 
     # --- parameters ---------------------------------------------------------
 
-    def _linear(self, store: ParamStore, rng: Rng, name: str, n_in: int, n_out: int) -> None:
-        store.create(f"{name}.w", (n_in, n_out), rng.fork(f"{name}.w"), fan_in=n_in)
-        store.create(f"{name}.b", (n_out,), rng.fork(f"{name}.b"), fan_in=n_in)
-
     def _init_params(self, rng: Rng) -> ParamStore:
-        cfg, feat = self.config, self.features
-        store = ParamStore(dtype=cfg.dtype)
-        h = cfg.hidden
-        self._linear(store, rng, "embed.atom", feat.atom_width, h)
-        self._linear(store, rng, "embed.bond", feat.bond_width, h)
-        self._linear(store, rng, "embed.angle", feat.angle_width, h)
-        for k in range(cfg.num_blocks):
-            for stack in ("bond", "atom"):
-                base = f"block{k}.{stack}"
-                self._linear(store, rng, f"{base}.mlp1", h, h)
-                self._linear(store, rng, f"{base}.mlp2", h, h)
-                store.put(f"{base}.norm.gain", np.ones(h))
-                store.put(f"{base}.norm.bias", np.zeros(h))
-        g = cfg.geom_head_hidden
-        self._linear(store, rng, "head_length.l1", 2 * h, g)
-        self._linear(store, rng, "head_length.l2", g, 1)
-        self._linear(store, rng, "head_angle.l1", 3 * h, g)
-        self._linear(store, rng, "head_angle.l2", g, 1)
-        self._linear(store, rng, "head_distance.l1", 2 * h, g)
-        self._linear(store, rng, "head_distance.l2", g, cfg.distance_bins)
-        if cfg.fingerprint_bits > 0:
-            self._linear(store, rng, "head_fp.l1", h, cfg.fingerprint_bits)
-        if cfg.num_tasks > 0:
-            d = cfg.down_head_hidden
-            self._linear(store, rng, "head_down.l1", h, d)
-            self._linear(store, rng, "head_down.l2", d, d)
-            self._linear(store, rng, "head_down.l3", d, cfg.num_tasks)
+        """Linear layers drawn uniformly in +-1/sqrt(fan_in); layer norms
+        start with unit gain and zero bias."""
+        feat, store = self.features, ParamStore(dtype=self.config.dtype)
+        widths = (feat.atom_width, feat.bond_width, feat.angle_width)
+        for name, shape, fan_in in parameter_table(self.config, *widths):
+            if fan_in is None:
+                store.put(name, np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
+            else:
+                bound = 1.0 / math.sqrt(fan_in)
+                store.put(name, rng.fork(name).uniform_array(shape, -bound, bound))
         return store
 
     def _apply_linear(self, name: str, x: Tensor) -> Tensor:

@@ -75,6 +75,98 @@ def angle_reference(pw, pu, pv) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
+def dual_graph_reference(molecule):
+    """``build_dual_graph`` one bond and one angle at a time: bonds sorted as
+    (min, max) tuples, angles enumerated per center from its sorted
+    neighbor list, each angle by ``angle_reference``."""
+    from geognn.errors import DataError
+    from geognn.geometry import DualGraph, distance_matrix
+
+    num_atoms = len(molecule.atoms)
+    coords = np.asarray(molecule.coords, dtype=np.float64).reshape(num_atoms, 3)
+    bond_keys = sorted((min(b.a, b.b), max(b.a, b.b)) for b in molecule.bonds)
+    bonds = np.asarray(bond_keys, dtype=np.int64).reshape(len(bond_keys), 2)
+    lengths = distance_matrix(coords)[bonds[:, 0], bonds[:, 1]]
+    for idx, length in enumerate(lengths):
+        if length == 0.0:
+            raise DataError(f"molecule {molecule.id}: coincident bonded atoms {tuple(bonds[idx])}")
+
+    incident = [[] for _ in range(num_atoms)]
+    for e, (a, b) in enumerate(bond_keys):
+        incident[a].append((b, e))
+        incident[b].append((a, e))
+    angle_rows, angle_bond_rows, angle_vals = [], [], []
+    for u in range(num_atoms):
+        neighbors = sorted(incident[u])
+        for i in range(len(neighbors)):
+            for j in range(i + 1, len(neighbors)):
+                (w, e1), (v, e2) = neighbors[i], neighbors[j]
+                angle_rows.append((w, u, v))
+                angle_bond_rows.append((e1, e2))
+                angle_vals.append(angle_reference(coords[w], coords[u], coords[v]))
+    return DualGraph(
+        bonds=bonds,
+        angles=np.asarray(angle_rows, dtype=np.int64).reshape(len(angle_rows), 3),
+        angle_bonds=np.asarray(angle_bond_rows, dtype=np.int64).reshape(len(angle_rows), 2),
+        lengths=lengths,
+        angle_values=np.asarray(angle_vals, dtype=np.float64),
+        coords=coords,
+        atom_counts=np.array([num_atoms], dtype=np.int64),
+        bond_counts=np.array([len(bond_keys)], dtype=np.int64),
+    )
+
+
+def encode_reference(graph, molecule, config=None):
+    """``encode`` one row at a time in float64: one-hot blocks written slot
+    by slot at hand-summed offsets, bond attributes looked up by their
+    (min, max) key, and one RBF expansion per bond and per angle."""
+    from geognn.errors import DataError
+    from geognn.features import FeatureConfig, EncodedGraph
+    from geognn.molio import BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS
+
+    config = config or FeatureConfig()
+
+    def one_hot(row, offset, size, index):
+        if not 0 <= index < size:
+            raise DataError(f"one-hot index {index} outside block of size {size}")
+        row[offset + index] = 1.0
+        return offset + size
+
+    def rbf(x, centers):
+        d = x - np.asarray(centers, dtype=np.float64)
+        return np.exp(-config.rbf_gamma * d * d)
+
+    degrees = np.bincount(graph.bonds.ravel(), minlength=graph.num_atoms)
+    atom = np.zeros((graph.num_atoms, config.atom_width))
+    for i, a in enumerate(molecule.atoms):
+        row, offset = atom[i], 0
+        offset = one_hot(row, offset, config.atom_type_size, a.atomic_number)
+        offset = one_hot(row, offset, config.aromatic_size, int(a.aromatic))
+        charge = min(max(a.formal_charge + 8, 0), config.formal_charge_size - 1)
+        offset = one_hot(row, offset, config.formal_charge_size, charge)
+        offset = one_hot(row, offset, config.chirality_size, CHIRALITIES.index(a.chirality))
+        offset = one_hot(row, offset, config.degree_size, min(int(degrees[i]), config.degree_size - 1))
+        offset = one_hot(row, offset, config.num_h_size, min(a.num_explicit_h, config.num_h_size - 1))
+        one_hot(row, offset, config.hybridization_size, HYBRIDIZATIONS.index(a.hybridization))
+
+    attr_by_key = {(min(b.a, b.b), max(b.a, b.b)): b for b in molecule.bonds}
+    bond = np.zeros((graph.num_bonds, config.bond_width))
+    for e in range(graph.num_bonds):
+        b = attr_by_key[(int(graph.bonds[e, 0]), int(graph.bonds[e, 1]))]
+        row, offset = bond[e], 0
+        offset = one_hot(row, offset, config.bond_dir_size, BOND_DIRS.index(b.bond_dir))
+        offset = one_hot(row, offset, config.bond_type_size, BOND_TYPES.index(b.bond_type))
+        offset = one_hot(row, offset, config.in_ring_size, int(b.in_ring))
+        row[offset : offset + len(config.length_centers)] = rbf(float(graph.lengths[e]),
+                                                               config.length_centers)
+
+    angle = np.zeros((graph.num_angles, config.angle_width))
+    for t in range(graph.num_angles):
+        angle[t, : len(config.angle_centers)] = rbf(float(graph.angle_values[t]),
+                                                    config.angle_centers)
+    return EncodedGraph(atom=atom, bond=bond, angle=angle)
+
+
 def cycle_bonds_by_removal(num_atoms: int, bonds) -> list[bool]:
     """A bond lies on a cycle iff removing it keeps its endpoints connected."""
     result = []

@@ -100,9 +100,9 @@ def test_unreadable_path_is_a_data_error(tmp_path, missing):
 
 
 def test_manifest_mismatch_refused(tmp_path):
-    model = GeoGNN(CFG, rng=Rng(3))
-    path = tmp_path / "model.ckpt"
     other = FeatureConfig(num_h_size=5)
+    model = GeoGNN(CFG, features=other, rng=Rng(3))
+    path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.store, CFG, other)
     _, _, manifest, _ = load_checkpoint(path)
     diff = manifest_diff(FeatureConfig().manifest(), manifest)
@@ -116,3 +116,14 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_checkpoint(tmp_path / "a.ckpt", model.store, CFG, FeatureConfig())
     save_checkpoint(tmp_path / "a.ckpt", model.store, CFG, FeatureConfig())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+
+
+def test_moment_of_wrong_shape_is_a_data_error(tmp_path):
+    model = GeoGNN(CFG, rng=Rng(8))
+    w = model.store["embed.bond.w"].data
+    model.store.moments["embed.bond.w"] = (np.zeros(w.shape), np.zeros(w.shape[::-1]))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.store, CFG, FeatureConfig())
+    with pytest.raises(DataError, match="tensor embed.bond.w has shape") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)

@@ -9,7 +9,7 @@ import pytest
 from geognn.cli import main
 from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
-from geognn.model import GeoGNN, ModelConfig
+from geognn.model import GeoGNN, ModelConfig, ParamStore
 from geognn.molio import molecule_to_json_dict, write_jsonl
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
@@ -216,6 +216,16 @@ class TestUsageErrors:
         assert f"data error: {ckpt}: cannot read checkpoint" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["embed", "evaluate"])
+    def test_checkpoint_flag_required_exit_1(self, tmp_path, capsys, command):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=2)
+        code = run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "the following arguments are required: --checkpoint" in err
+        assert not (tmp_path / "o").exists()
+
     def test_evaluate_non_string_metric_exit_1(self, tmp_path, capsys):
         model_cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
                                 geom_head_hidden=8, down_head_hidden=8)
@@ -328,6 +338,43 @@ class TestTruncatedCheckpoint:
         assert code == 2
         assert f"data error: {path}" in err
         assert "Traceback" not in err
+
+
+def _tampered_store(store: ParamStore, tamper: str) -> tuple[ParamStore, str]:
+    """A copy of ``store`` with one tensor dropped, reshaped or added, and
+    that tensor's name."""
+    name = {"missing": "block0.atom.mlp1.w", "reshaped": "embed.atom.w",
+            "extra": "block7.atom.mlp1.w"}[tamper]
+    out = ParamStore(dtype=store.dtype)
+    for key, tensor in store.items():
+        if key != name:
+            out.put(key, tensor.data)
+        elif tamper == "reshaped":
+            out.put(key, tensor.data.reshape(tensor.shape[0] // 2, -1))
+    if tamper == "extra":
+        out.put(name, store["block0.atom.mlp1.w"].data)
+    return out, name
+
+
+class TestCheckpointMatchesItsConfig:
+    @pytest.mark.parametrize("command", ["embed", "evaluate", "finetune"])
+    @pytest.mark.parametrize("tamper", ["missing", "reshaped", "extra"])
+    def test_tampered_tensor_exit_2(self, tmp_path, capsys, command, tamper):
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8)
+        store, name = _tampered_store(GeoGNN(cfg, rng=Rng(1)).store, tamper)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store, cfg, FeatureConfig())
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=5)
+        flags = {"embed": [], "evaluate": ["--metric", "rmse"], "finetune": ["--epochs", "1"]}
+        code = run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(path), *flags[command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: {path}: tensor {name} " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrainingCommands:

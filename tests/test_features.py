@@ -7,45 +7,89 @@ from hypothesis import given, settings, strategies as st
 from geognn.features import FeatureConfig, encode, rbf_expand
 from geognn.geometry import build_dual_graph
 from geognn.masking import mask_context
+from geognn.molio import BOND_DIRS, BOND_TYPES, Bond
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 
 from conftest import make_molecule, without_geometry
-from oracles import masked_entities_reference
+from oracles import dual_graph_reference, encode_reference, masked_entities_reference
+
+
+@st.composite
+def scrambled_molecules(draw):
+    """A random molecule of 1-40 atoms whose bond list is shuffled, each
+    bond's ends swapped at random, and whose bond types, directions and
+    ring flags are drawn per bond, so that reading bond attributes in the
+    wrong row order changes the features. Some molecules lose bonds, and
+    atoms get charges and hydrogen counts beyond their blocks' clamps."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    atoms = int(gen.integers(1, 41))
+    mol = random_molecule(Rng(seed), min_atoms=atoms, max_atoms=atoms)
+    keep = len(mol.bonds) if gen.random() < 0.75 else gen.integers(len(mol.bonds) + 1)
+    mol.bonds = [
+        Bond(*((b.b, b.a) if gen.random() < 0.5 else (b.a, b.b)),
+             bond_type=BOND_TYPES[gen.integers(len(BOND_TYPES))],
+             bond_dir=BOND_DIRS[gen.integers(len(BOND_DIRS))],
+             in_ring=bool(gen.random() < 0.5))
+        for b in [mol.bonds[i] for i in gen.permutation(len(mol.bonds))[:keep]]
+    ]
+    for atom in mol.atoms:
+        atom.formal_charge = int(gen.integers(-10, 11))
+        atom.num_explicit_h = int(gen.integers(0, 11))
+    return mol
 
 
 class TestRbfExpand:
     def test_peak_at_center(self):
         cfg = FeatureConfig()
-        out = rbf_expand(float(cfg.length_centers[3]), cfg.length_centers)
-        assert out[3] == 1.0
+        out = rbf_expand(cfg.length_centers[3:4], cfg.length_centers)
+        assert out[0, 3] == 1.0
 
     def test_value_one_tenth_away(self):
         # gamma = 10, offset 0.1 -> exp(-10 * 0.01) = exp(-0.1)
-        out = rbf_expand(0.1, np.array([0.0]), gamma=10.0)
-        assert out[0] == pytest.approx(math.exp(-0.1), abs=1e-15)
-        assert out[0] == pytest.approx(0.904837, abs=1e-6)
+        out = rbf_expand(np.array([0.1]), np.array([0.0]), gamma=10.0)
+        assert out[0, 0] == pytest.approx(math.exp(-0.1), abs=1e-15)
+        assert out[0, 0] == pytest.approx(0.904837, abs=1e-6)
 
     def test_far_outside_grid_decays(self):
         cfg = FeatureConfig()
-        out = rbf_expand(float(cfg.length_centers[-1]) + 1.2, cfg.length_centers)
+        out = rbf_expand(cfg.length_centers[-1:] + 1.2, cfg.length_centers)
         assert np.all(out < 1e-6)
 
     def test_matches_direct_formula_exactly(self):
         cfg = FeatureConfig()
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(0.0, 5.0, size=25):
-            got = rbf_expand(float(x), cfg.length_centers, cfg.rbf_gamma)
+        xs = np.random.default_rng(0).uniform(0.0, 5.0, size=25)
+        got = rbf_expand(xs, cfg.length_centers, cfg.rbf_gamma)
+        assert got.shape == (25, len(cfg.length_centers))
+        for row, x in zip(got, xs):
             want = [math.exp(-cfg.rbf_gamma * (float(x) - float(c)) ** 2) for c in cfg.length_centers]
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(row, want, atol=1e-12)
 
     def test_numerical_smoothness(self):
         cfg = FeatureConfig()
         eps = 1e-6
-        for x in (0.3, 1.77, 4.2):
-            delta = np.abs(rbf_expand(x + eps, cfg.length_centers) - rbf_expand(x, cfg.length_centers))
-            bound = 2.0 * cfg.rbf_gamma * eps * (cfg.length_centers[-1] - cfg.length_centers[0])
-            assert delta.max() <= bound
+        xs = np.array([0.3, 1.77, 4.2])
+        delta = np.abs(rbf_expand(xs + eps, cfg.length_centers) - rbf_expand(xs, cfg.length_centers))
+        bound = 2.0 * cfg.rbf_gamma * eps * (cfg.length_centers[-1] - cfg.length_centers[0])
+        assert delta.max() <= bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mol=scrambled_molecules())
+def test_featurization_matches_per_row_reference(mol):
+    graph, ref = build_dual_graph(mol), dual_graph_reference(mol)
+    for name in ("bonds", "angles", "angle_bonds", "lengths", "coords", "atom_counts", "bond_counts"):
+        assert np.array_equal(getattr(graph, name), getattr(ref, name)), name
+        assert getattr(graph, name).dtype == getattr(ref, name).dtype, name
+    np.testing.assert_allclose(graph.angle_values, ref.angle_values, rtol=0.0, atol=1e-13)
+    # encoded from the reference graph, so only the angle RBFs can see the
+    # angle values' last-bit differences
+    enc, want = encode(ref, mol), encode_reference(ref, mol)
+    assert np.array_equal(enc.atom, want.atom)
+    assert np.array_equal(enc.bond, want.bond)
+    np.testing.assert_allclose(enc.angle, want.angle, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(encode(graph, mol).angle, want.angle, rtol=0.0, atol=1e-13)
 
 
 class TestEncode:

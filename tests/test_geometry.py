@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geognn.errors import DataError
-from geognn.geometry import angle_between, build_dual_graph, distance_matrix
+from geognn.geometry import build_dual_graph, distance_matrix
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 
@@ -18,21 +18,24 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def angle_at_center(w, u, v) -> float:
+    """The one angle of the 3-atom molecule w-u-v, as build_dual_graph finds it."""
+    g = build_dual_graph(make_molecule(["C", "C", "C"], [(0, 1), (1, 2)], [w, u, v]))
+    assert g.angles.tolist() == [[0, 1, 2]]
+    return float(g.angle_values[0])
+
+
 class TestAngleBetween:
     def test_orthogonal(self):
-        assert angle_between((1, 0, 0), (0, 0, 0), (0, 1, 0)) == pytest.approx(math.pi / 2)
+        assert angle_at_center((1, 0, 0), (0, 0, 0), (0, 1, 0)) == pytest.approx(math.pi / 2)
 
     def test_collinear(self):
-        assert angle_between((1, 0, 0), (0, 0, 0), (-1, 0, 0)) == pytest.approx(math.pi)
+        assert angle_at_center((1, 0, 0), (0, 0, 0), (-1, 0, 0)) == pytest.approx(math.pi)
 
     def test_45_degrees_vs_dot_product_oracle(self):
-        got = angle_between((1, 1, 0), (0, 0, 0), (1, 0, 0))
+        got = angle_at_center((1, 1, 0), (0, 0, 0), (1, 0, 0))
         assert got == pytest.approx(math.pi / 4, abs=1e-12)
         assert got == pytest.approx(angle_reference((1, 1, 0), (0, 0, 0), (1, 0, 0)), abs=1e-15)
-
-    def test_zero_length_arm(self):
-        with pytest.raises(DataError):
-            angle_between((0, 0, 0), (0, 0, 0), (1, 0, 0))
 
 
 class TestBuildDualGraph:
@@ -60,7 +63,7 @@ class TestBuildDualGraph:
     def test_coincident_atoms_rejected(self):
         mol = make_molecule(["C", "C"], [(0, 1)], [(0, 0, 0), (0, 0, 1)])
         mol.coords[1] = (0.0, 0.0, 0.0)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"coincident bonded atoms \(0, 1\)"):
             build_dual_graph(mol)
 
     def test_bonded_distance_equals_length_exactly(self):
