@@ -37,6 +37,10 @@ class TestAngleBetween:
         assert got == pytest.approx(math.pi / 4, abs=1e-12)
         assert got == pytest.approx(angle_reference((1, 1, 0), (0, 0, 0), (1, 0, 0)), abs=1e-15)
 
+    def test_zero_length_arm(self):
+        with pytest.raises(DataError, match=r"coincident bonded atoms \(0, 1\)"):
+            angle_at_center((0, 0, 0), (0, 0, 0), (1, 0, 0))
+
 
 class TestBuildDualGraph:
     def test_water(self, water):
