@@ -122,8 +122,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
         shapes = {name: list(shape) for name, shape, _ in parameter_table(model_config, *widths)}
         store = ParamStore(dtype=model_config.dtype)
         store.step = int(header.get("adam_step", 0))
-        moments_m: dict[str, np.ndarray] = {}
-        moments_v: dict[str, np.ndarray] = {}
+        moments: dict[str, dict[str, np.ndarray]] = {"adam_m": {}, "adam_v": {}}
         for entry in header["tensors"]:
             name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
             if shapes.get(name) != entry["shape"]:
@@ -135,18 +134,20 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
             arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
             if entry["kind"] == "param":
                 store.put(name, arr)
-            elif entry["kind"] == "adam_m":
-                moments_m[name] = arr.copy()
-            elif entry["kind"] == "adam_v":
-                moments_v[name] = arr.copy()
+            elif entry["kind"] in moments:
+                moments[entry["kind"]][name] = arr.copy()
+            else:
+                raise DataError(f"{path}: tensor {name} has unknown kind {entry['kind']!r}")
         missing = [name for name in shapes if name not in store]
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
     if missing:
         raise DataError(f"{path}: tensor {missing[0]} of its model config is missing")
-    for name in moments_m:
-        if name in moments_v:
-            store.moments[name] = (moments_m[name], moments_v[name])
+    moments_m, moments_v = moments["adam_m"], moments["adam_v"]
+    unpaired = sorted(moments_m.keys() ^ moments_v.keys())
+    if unpaired:
+        raise DataError(f"{path}: tensor {unpaired[0]} has only one of its two Adam moments")
+    store.moments = {name: (m, moments_v[name]) for name, m in moments_m.items()}
     return store, model_config, manifest, extra
 
 

@@ -16,6 +16,12 @@ molecule. The parts that look at whole molecules act per molecule: each
 row's graph-size norm counts its own molecule's nodes, the readout is a
 segment mean over each molecule's atom rows, and each molecule draws its
 dropout masks from its own stream.
+
+The geometry heads are 2-layer MLPs. Length and angle concatenate the
+atom rows of the few masked bonds and angles. The distance head scores
+all V^2 ordered atom pairs of each molecule, so its first layer
+(``tensor.pair_affine_relu``) projects each atom once and adds two
+projections per pair instead of concatenating pair rows.
 """
 
 from __future__ import annotations
@@ -110,13 +116,6 @@ class ParamStore:
         clone.step = self.step
         return clone
 
-    def load_values(self, other: "ParamStore") -> None:
-        for name, t in other._params.items():
-            if name in self._params:
-                if self._params[name].shape != t.shape:
-                    raise ConfigError(f"parameter {name}: shape mismatch")
-                self._params[name].data = t.data.astype(self.dtype).copy()
-
 
 def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
     """GIN-style sum aggregation over an edge list.
@@ -158,6 +157,27 @@ def parameter_table(
     return table
 
 
+def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,
+                given: ParamStore | None = None) -> ParamStore:
+    """Every GeoGNN parameter, in store order: a copy of the tensor of that
+    name in ``given`` where it has one (ConfigError if its shape differs),
+    else drawn: linear layers uniformly in +-1/sqrt(fan_in), each from its
+    own name's fork of ``rng``; layer norms with unit gain and zero bias."""
+    store = ParamStore(dtype=config.dtype)
+    widths = (features.atom_width, features.bond_width, features.angle_width)
+    for name, shape, fan_in in parameter_table(config, *widths):
+        if given is not None and name in given:
+            if given[name].shape != shape:
+                raise ConfigError(f"parameter {name}: shape mismatch")
+            store.put(name, given[name].data)
+        elif fan_in is None:
+            store.put(name, np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
+        else:
+            bound = 1.0 / math.sqrt(fan_in)
+            store.put(name, rng.fork(name).uniform_array(shape, -bound, bound))
+    return store
+
+
 @dataclass
 class GraphEmbedding:
     h_atoms: Tensor   # [V, hidden]
@@ -189,22 +209,9 @@ class GeoGNN:
         else:
             if rng is None:
                 raise ConfigError("either an rng (fresh init) or a store is required")
-            self.store = self._init_params(rng.fork("init"))
+            self.store = init_params(self.config, self.features, rng.fork("init"))
 
     # --- parameters ---------------------------------------------------------
-
-    def _init_params(self, rng: Rng) -> ParamStore:
-        """Linear layers drawn uniformly in +-1/sqrt(fan_in); layer norms
-        start with unit gain and zero bias."""
-        feat, store = self.features, ParamStore(dtype=self.config.dtype)
-        widths = (feat.atom_width, feat.bond_width, feat.angle_width)
-        for name, shape, fan_in in parameter_table(self.config, *widths):
-            if fan_in is None:
-                store.put(name, np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
-            else:
-                bound = 1.0 / math.sqrt(fan_in)
-                store.put(name, rng.fork(name).uniform_array(shape, -bound, bound))
-        return store
 
     def _apply_linear(self, name: str, x: Tensor) -> Tensor:
         return T.affine(x, self.store[f"{name}.w"], self.store[f"{name}.b"])
@@ -286,9 +293,14 @@ class GeoGNN:
         """Scalar angle prediction; the center atom goes in the middle slot."""
         return self._mlp2("head_angle", T.concat([h_w, h_u, h_v], axis=1))
 
-    def head_distance(self, h_u: Tensor, h_v: Tensor) -> Tensor:
-        """Distance-bin logits per row pair; returns [m, distance_bins]."""
-        return self._mlp2("head_distance", T.concat([h_u, h_v], axis=1))
+    def head_distance(self, h_atoms: Tensor, counts: np.ndarray) -> Tensor:
+        """Distance-bin logits for every ordered atom pair (u, v) of each
+        molecule, the molecules holding ``counts[m]`` consecutive rows of
+        ``h_atoms`` each; returns [sum(counts**2), distance_bins], each
+        molecule's pairs in turn, u-major."""
+        hidden = T.pair_affine_relu(h_atoms, counts, self.store["head_distance.l1.w"],
+                                    self.store["head_distance.l1.b"])
+        return self._apply_linear("head_distance.l2", hidden)
 
     def head_fingerprint(self, h_graph: Tensor) -> Tensor:
         """Fingerprint logits, one row per molecule."""

@@ -6,7 +6,9 @@ a time, as the distance task's pairs grow with the square of a molecule's
 atoms), masks the pack, each molecule with its own stream, and runs one
 forward pass per pack. Each task loss is a weighted sum over the pack's
 rows that equals the sum of the molecules' own mean losses; the distance
-task shares the same pass.
+task shares the same pass. Its head scores every ordered atom pair of
+each molecule straight from the atom rows (``GeoGNN.head_distance``), so
+the loss gathers no pair rows.
 """
 
 from __future__ import annotations
@@ -97,11 +99,8 @@ def loss_distance(
     their ordered atom pairs, diagonal included; a one-atom molecule adds
     nothing. ``bin_ids`` holds each molecule's pairs in turn, row-major."""
     counts = graph.atom_counts
-    atoms = [np.arange(o, o + n) for o, n in zip(graph.atom_offsets, counts)]
-    u = np.concatenate([np.repeat(a, a.size) for a in atoms])
-    v = np.concatenate([np.tile(a, a.size) for a in atoms])
     weights = np.repeat(np.where(counts > 1, 1.0 / counts**2, 0.0), counts**2)
-    logits = model.head_distance(T.gather_rows(emb.h_atoms, u), T.gather_rows(emb.h_atoms, v))
+    logits = model.head_distance(emb.h_atoms, counts)
     return T.softmax_cross_entropy(logits, bin_ids, weights)
 
 

@@ -364,6 +364,50 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(x.data @ w.data + b.data, (x, w, b), grad_fn, "affine")
 
 
+def pair_affine_relu(x: Tensor, counts, w: Tensor, b: Tensor) -> Tensor:
+    """relu(concat(x[i], x[j]) @ w + b) for every ordered pair (i, j) of rows
+    within each run of counts[m] consecutive rows of x, runs in turn, each
+    run's pairs in i-major order; one output row per pair.
+
+    concat(x[i], x[j]) @ w equals x[i] @ w[:k] + x[j] @ w[k:], so each row is
+    projected once and the pair rows are sums of two projections; the
+    [pairs, 2k] input is never built. Backward reduces each run's masked
+    [n, n, m] gradient block over j and over i."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError("pair_affine_relu expects x[n,k], w[2k,m], b[m]")
+    k = x.shape[1]
+    if w.shape[0] != 2 * k or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"pair_affine_relu: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
+        raise ShapeError("pair_affine_relu: counts must be 1-D non-negative integers")
+    if int(counts.sum()) != x.shape[0]:
+        raise ShapeError(f"pair_affine_relu: counts sum to {int(counts.sum())}, x has "
+                         f"{x.shape[0]} rows")
+    counts = counts.astype(np.intp)
+    rows = np.concatenate([[0], np.cumsum(counts)])
+    pairs = np.concatenate([[0], np.cumsum(counts * counts)])
+    wa, wb = w.data[:k], w.data[k:]
+    a = x.data @ wa + b.data
+    c = x.data @ wb
+    out = np.empty((int(pairs[-1]), w.shape[1]), dtype=np.result_type(a, c))
+    for n, r, p in zip(counts, rows, pairs):
+        np.add(a[r : r + n, None], c[None, r : r + n], out=out[p : p + n * n].reshape(n, n, -1))
+    np.maximum(out, 0.0, out=out)
+
+    def grad_fn(g):
+        da, dc = np.empty_like(a), np.empty_like(c)
+        for n, r, p in zip(counts, rows, pairs):
+            block = (g[p : p + n * n] * (out[p : p + n * n] > 0)).reshape(n, n, -1)
+            da[r : r + n] = block.sum(axis=1)
+            dc[r : r + n] = block.sum(axis=0)
+        dw = np.concatenate([x.data.T @ da, x.data.T @ dc])
+        return da @ wa.T + dc @ wb.T, dw, da.sum(axis=0)
+
+    return _emit(out, (x, w, b), grad_fn, "pair_affine_relu")
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then scale+shift."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)

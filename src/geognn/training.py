@@ -21,7 +21,7 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericalError, check_int, check_real
 from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
-from .model import GeoGNN, ModelConfig, ParamStore
+from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
 from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack
 from .rng import Rng
@@ -435,9 +435,10 @@ def finetune(
     model_config = ModelConfig.from_dict({**model_config.to_dict(), "num_tasks": len(names)})
 
     rng = Rng(run_config.seed)
-    model = GeoGNN(model_config, features=features, rng=rng)
+    # the checkpoint's tensors as they are; only the ones it lacks are drawn
+    store = init_params(model_config, features, rng.fork("init"), given=init_store)
+    model = GeoGNN(model_config, features=features, store=store)
     if init_store is not None:
-        model.store.load_values(init_store)
         loaded = set(init_store.names()) & set(model.store.names())
         logger.info("loaded %d parameter tensors from checkpoint", len(loaded))
 

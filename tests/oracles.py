@@ -313,9 +313,14 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
         if "angle" in parts and masked.angle_values.size:
             parts["angle"] = mse(model.head_angle, h, masked.angle_atoms, masked.angle_values)
         if "distance" in parts and n > 1:
-            pairs = [T.gather_rows(h, np.repeat(np.arange(n), n)),
-                     T.gather_rows(h, np.tile(np.arange(n), n))]
-            logits = model.head_distance(*pairs)
+            # the distance head spelled out on concatenated pair rows, so the
+            # reference does not run tensor.pair_affine_relu
+            pairs = T.concat([T.gather_rows(h, np.repeat(np.arange(n), n)),
+                              T.gather_rows(h, np.tile(np.arange(n), n))])
+            store = model.store
+            hidden = T.relu(T.affine(pairs, store["head_distance.l1.w"],
+                                     store["head_distance.l1.b"]))
+            logits = T.affine(hidden, store["head_distance.l2.w"], store["head_distance.l2.b"])
             parts["distance"] = T.softmax_cross_entropy(logits, targets.distance_bin_ids)
         if "fingerprint" in parts and bits.size:
             logits = model.head_fingerprint(emb.h_graph)

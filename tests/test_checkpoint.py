@@ -77,18 +77,53 @@ def test_corrupt_header_is_a_data_error(tmp_path):
         load_checkpoint(path)
 
 
+def _edit_header(path, edit) -> None:
+    """Rewrite the checkpoint's JSON header in place with edit(header)."""
+    raw = path.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:end])
+    edit(header)
+    body = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
+
+
 @pytest.mark.parametrize("key,value", [("num_blocks", 0), ("hidden", 4.5), ("dropout", "x")])
 def test_invalid_header_config_is_a_data_error(tmp_path, key, value):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, GeoGNN(CFG, rng=Rng(7)).store, CFG, FeatureConfig())
-    raw = path.read_bytes()
-    end = 16 + int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16:end])
-    header["model_config"][key] = value
-    body = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
+    _edit_header(path, lambda header: header["model_config"].__setitem__(key, value))
     with pytest.raises(DataError, match="corrupt checkpoint"):
         load_checkpoint(path)
+
+
+def _checkpoint_with_moments(path):
+    model = GeoGNN(CFG, rng=Rng(9))
+    for _, t in model.store.items():
+        t.grad = np.ones_like(t.data)
+    adam_step(model.store, lr_body=1e-3)
+    save_checkpoint(path, model.store, CFG, FeatureConfig())
+
+
+def _first(header, kind):
+    return next(entry for entry in header["tensors"] if entry["kind"] == kind)
+
+
+def test_unknown_tensor_kind_is_a_data_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _checkpoint_with_moments(path)
+    _edit_header(path, lambda header: _first(header, "adam_v").__setitem__("kind", "adam_x"))
+    with pytest.raises(DataError, match="tensor embed.atom.w has unknown kind 'adam_x'") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_unpaired_adam_moment_is_a_data_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _checkpoint_with_moments(path)
+    _edit_header(path, lambda header: header["tensors"].remove(_first(header, "adam_v")))
+    with pytest.raises(DataError, match="tensor embed.atom.w has only one of its two Adam") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])

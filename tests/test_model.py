@@ -5,7 +5,7 @@ from geognn import tensor as T
 from geognn.errors import ConfigError
 from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph, distance_matrix
-from geognn.model import GeoGNN, ModelConfig
+from geognn.model import GeoGNN, ModelConfig, ParamStore, init_params
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
@@ -47,10 +47,7 @@ def composite_loss(model, graph, enc, bits, bins):
         pred_ang = model.head_angle(T.gather_rows(h, w), T.gather_rows(h, c), T.gather_rows(h, x))
         adiff = T.sub(pred_ang, Tensor(graph.angle_values.reshape(-1, 1)))
         loss = T.add(loss, T.mul(T.sum_all(T.mul(adiff, adiff)), 1.0 / graph.num_angles))
-    n = graph.num_atoms
-    uu = np.repeat(np.arange(n), n)
-    vv = np.tile(np.arange(n), n)
-    logits = model.head_distance(T.gather_rows(h, uu), T.gather_rows(h, vv))
+    logits = model.head_distance(h, graph.atom_counts)
     loss = T.add(loss, T.softmax_cross_entropy(logits, bins))
     loss = T.add(loss, T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits)))
     return T.add(loss, T.sum_all(model.head_downstream(emb.h_graph)))
@@ -169,10 +166,8 @@ class TestHeads:
         mol = random_molecule(Rng(20))
         model = GeoGNN(ModelConfig(num_blocks=1, hidden=4, dropout=0.0), rng=Rng(21))
         graph, _, emb = embed_molecule(model, mol)
-        logits = model.head_distance(
-            T.gather_rows(emb.h_atoms, [0]), T.gather_rows(emb.h_atoms, [1])
-        )
-        assert logits.shape == (1, 30)
+        logits = model.head_distance(emb.h_atoms, graph.atom_counts)
+        assert logits.shape == (graph.num_atoms**2, 30)
 
     def test_multi_task_output_width(self):
         mol = random_molecule(Rng(22))
@@ -281,6 +276,24 @@ class TestParamStore:
         for name in a.names():
             assert np.array_equal(a[name].data, b[name].data)
         assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+
+    def test_given_tensors_are_kept_and_the_rest_drawn_as_fresh(self):
+        fresh = GeoGNN(SMALL, rng=Rng(54)).store
+        given = ParamStore()
+        given.put("embed.atom.w", np.ones(fresh["embed.atom.w"].shape))
+        given.put("block0.bond.norm.gain", np.full(SMALL.hidden, 2.0))
+        given.put("no.such.tensor", np.ones(3))
+        store = init_params(SMALL, FeatureConfig(), Rng(54).fork("init"), given=given)
+        assert store.names() == fresh.names()
+        for name in store.names():
+            want = given[name].data if name in given else fresh[name].data
+            assert np.array_equal(store[name].data, want), name
+
+    def test_given_tensor_of_wrong_shape_is_a_config_error(self):
+        given = ParamStore()
+        given.put("head_down.l3.w", np.ones((SMALL.down_head_hidden, SMALL.num_tasks + 1)))
+        with pytest.raises(ConfigError, match="head_down.l3.w: shape mismatch"):
+            init_params(SMALL, FeatureConfig(), Rng(55), given=given)
 
     def test_uniform_init_respects_fan_in_bound(self):
         model = GeoGNN(SMALL, rng=Rng(53))

@@ -17,10 +17,11 @@ from geognn.pretrain import (
     loss_fingerprint,
     loss_length,
     loss_pre,
+    pack,
 )
 from geognn.rng import Rng
 from geognn.synth import random_molecule
-from geognn.tensor import Tensor
+from geognn.tensor import Tape, Tensor
 
 from conftest import make_molecule
 from oracles import softmax_ce_reference
@@ -39,6 +40,14 @@ def prepare(mol, model):
 @pytest.fixture
 def model():
     return GeoGNN(CFG, rng=Rng(1))
+
+
+def distance_logits(model, h_u, h_v):
+    """The distance head on one atom pair, in numpy from the store's weights."""
+    p = {name: t.data for name, t in model.store.items()}
+    hidden = np.maximum(np.concatenate([h_u, h_v]) @ p["head_distance.l1.w"]
+                        + p["head_distance.l1.b"], 0.0)
+    return hidden @ p["head_distance.l2.w"] + p["head_distance.l2.b"]
 
 
 def distance_bins(distances, num_bins=30):
@@ -154,11 +163,11 @@ class TestDistanceLoss:
         emb = model.forward(item.graph, item.encoded)
         bins = build_targets(item.graph, item.molecule, 30).distance_bin_ids
         got = loss_distance(model, emb, item.graph, bins).item()
-        h = emb.h_atoms
+        h = emb.h_atoms.data
         total = 0.0
         for u in range(2):
             for v in range(2):
-                logits = model.head_distance(T.gather_rows(h, [u]), T.gather_rows(h, [v])).data[0]
+                logits = distance_logits(model, h[u], h[v])
                 one_hot = np.zeros((1, 30))
                 one_hot[0, bins[u * 2 + v]] = 1.0
                 total += softmax_ce_reference(logits.reshape(1, -1), one_hot)
@@ -174,12 +183,10 @@ class TestDistanceLoss:
         total = 0.0
         for u in range(n):
             for v in range(n):
-                logits = model.head_distance(
-                    T.gather_rows(emb.h_atoms, [u]), T.gather_rows(emb.h_atoms, [v])
-                ).data
+                logits = distance_logits(model, emb.h_atoms.data[u], emb.h_atoms.data[v])
                 one_hot = np.zeros((1, 30))
                 one_hot[0, bins[u * n + v]] = 1.0
-                total += softmax_ce_reference(logits, one_hot)
+                total += softmax_ce_reference(logits.reshape(1, -1), one_hot)
         assert got == pytest.approx(total / n**2, abs=1e-10)
 
     def test_single_atom_returns_zero(self, model):
@@ -195,6 +202,20 @@ class TestDistanceLoss:
         n = item.graph.num_atoms
         for u in range(n):
             assert bins[u * n + u] == 0
+
+    def test_mixed_pack_records_three_ops(self, model):
+        # the head never builds [pairs, 2 * hidden] rows: no gather, no concat
+        items = [prepare(random_molecule(Rng(18).fork(i), min_atoms=n, max_atoms=n), model)
+                 for i, n in enumerate((1, 7, 3, 12))]
+        graph, encoded = pack(items)
+        bins = np.concatenate([build_targets(i.graph, i.molecule, 30).distance_bin_ids
+                               for i in items])
+        with Tape() as tape:
+            emb = model.forward(graph, encoded)
+            start = len(tape)
+            loss_distance(model, emb, graph, bins)
+        ops = [grad_fn.__qualname__.split(".")[0] for _, _, grad_fn in tape._records[start:]]
+        assert ops == ["pair_affine_relu", "affine", "softmax_cross_entropy"]
 
 
 class TestFingerprintLoss:

@@ -222,6 +222,82 @@ def test_bad_ids_rejected(op, bad):
     ID_OPS[op](np.array([0, 2]))  # the same call with good ids runs
 
 
+def _pair_reference(x, counts, w, b):
+    """pair_affine_relu spelled out: gather both rows of every ordered pair,
+    i-major within each run, concatenate them and apply the layer."""
+    starts = np.cumsum(counts) - counts
+    u = np.concatenate([np.repeat(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
+    v = np.concatenate([np.tile(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
+    return T.relu(T.affine(T.concat([T.gather_rows(x, u), T.gather_rows(x, v)]), w, b))
+
+
+def _pair_value_and_grads(op, x, counts, w, b, upstream):
+    """op's output and the gradients of sum(op(...) * upstream) w.r.t. x, w, b."""
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    with Tape() as tape:
+        out = op(leaves[0], counts, leaves[1], leaves[2])
+        loss = T.sum_all(T.mul(out, Tensor(upstream)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+@st.composite
+def pair_cases(draw):
+    """1-8 runs of 1-40 rows, input width 1-6, output width 1-8."""
+    counts = np.array(draw(st.lists(st.integers(1, 40), min_size=1, max_size=8)))
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, w, b = gen.normal(size=(counts.sum(), k)), gen.normal(size=(2 * k, m)), gen.normal(size=m)
+    return x, counts, w, b, gen.normal(size=((counts**2).sum(), m))
+
+
+class TestPairAffineRelu:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair_cases())
+    def test_matches_concat_reference(self, case):
+        got = _pair_value_and_grads(T.pair_affine_relu, *case)
+        want = _pair_value_and_grads(_pair_reference, *case)
+        for name, g, r in zip(("out", "x", "w", "b"), got, want):
+            assert g.shape == r.shape, name
+            assert np.abs(g - r).max() <= 1e-12 * max(np.abs(r).max(), 1.0), name
+
+    def test_grads_vs_finite_differences(self):
+        gen = np.random.default_rng(13)
+        counts = np.array([2, 1, 3])
+        x, w, b = gen.normal(size=(6, 2)), gen.normal(size=(4, 3)), gen.normal(size=3)
+        upstream = gen.normal(size=(14, 3))
+        analytic, numeric = grad_of(
+            lambda a, c, d: T.sum_all(T.mul(T.pair_affine_relu(a, counts, c, d),
+                                            Tensor(upstream))),
+            x, w, b,
+        )
+        for got, want in zip(analytic, numeric):
+            assert relative_error(got, want) < 1e-4
+
+    def test_f32_stays_f32(self):
+        gen = np.random.default_rng(14)
+        counts = np.array([3, 2])
+        case = [gen.normal(size=(5, 3)), counts, gen.normal(size=(6, 4)), gen.normal(size=4),
+                gen.normal(size=(13, 4))]
+        case = [a if a is counts else a.astype(np.float32) for a in case]
+        got = _pair_value_and_grads(T.pair_affine_relu, *case)
+        want = _pair_value_and_grads(_pair_reference, *case)
+        for g, r in zip(got, want):
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("shapes", [
+        ((5, 3), [2, 2], (6, 4), (4,)),   # counts sum to 4, x has 5 rows
+        ((5, 3), [2, 3], (5, 4), (4,)),   # w has 5 rows, not 2k = 6
+        ((5, 3), [2, 3], (6, 4), (3,)),   # bias width 3 for 4 outputs
+    ])
+    def test_bad_shapes_rejected(self, shapes):
+        x, counts, w, b = shapes
+        with pytest.raises(ShapeError):
+            T.pair_affine_relu(Tensor(np.ones(x)), np.array(counts), Tensor(np.ones(w)),
+                               Tensor(np.ones(b)))
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((2, 30))
