@@ -6,9 +6,13 @@ Layout (all integers little-endian):
     bytes 4..7    uint32 format version (currently 1)
     bytes 8..15   uint64 length of the JSON header
     header        UTF-8 JSON: model config, feature-layout manifest,
-                  tensor directory (name, dtype, shape, offset, nbytes),
-                  optimizer moment directory and step, free-form extra
+                  tensor directory (name, kind "param", dtype, shape,
+                  offset, nbytes), free-form extra
     payload       raw tensor bytes at the directory offsets
+
+A checkpoint holds parameters only: finetuning starts from one with a
+fresh optimizer. Older files also hold Adam moments (entries of kind
+"adam_m" and "adam_v"); loading checks them like parameters, then skips them.
 
 Writes are atomic: the file is assembled under a temporary name in the
 target directory and moved into place with os.replace.
@@ -31,6 +35,7 @@ MAGIC = b"GEM1"
 FORMAT_VERSION = 1
 
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
+_LEGACY_KINDS = ("adam_m", "adam_v")  # older files' Adam moments, skipped on load
 
 
 def save_checkpoint(
@@ -43,19 +48,17 @@ def save_checkpoint(
     tensors = []
     blobs = []
     offset = 0
-
-    def push(name: str, array: np.ndarray, kind: str):
-        nonlocal offset
-        dtype_name = str(array.dtype)
+    for name, tensor in store.items():
+        dtype_name = str(tensor.data.dtype)
         if dtype_name not in _DTYPES:
             raise ConfigError(f"unsupported tensor dtype {dtype_name}")
-        raw = np.ascontiguousarray(array.astype(_DTYPES[dtype_name])).tobytes()
+        raw = np.ascontiguousarray(tensor.data.astype(_DTYPES[dtype_name])).tobytes()
         tensors.append(
             {
                 "name": name,
-                "kind": kind,
+                "kind": "param",
                 "dtype": dtype_name,
-                "shape": list(array.shape),
+                "shape": list(tensor.shape),
                 "offset": offset,
                 "nbytes": len(raw),
             }
@@ -63,18 +66,11 @@ def save_checkpoint(
         blobs.append(raw)
         offset += len(raw)
 
-    for name, tensor in store.items():
-        push(name, tensor.data, "param")
-    for name, (m, v) in store.moments.items():
-        push(name, m, "adam_m")
-        push(name, v, "adam_v")
-
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": model_config.to_dict(),
         "feature_manifest": feature_config.manifest(),
         "tensors": tensors,
-        "adam_step": store.step,
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -121,8 +117,6 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
                   for kind in ("atom", "bond", "angle")]
         shapes = {name: list(shape) for name, shape, _ in parameter_table(model_config, *widths)}
         store = ParamStore(dtype=model_config.dtype)
-        store.step = int(header.get("adam_step", 0))
-        moments: dict[str, dict[str, np.ndarray]] = {"adam_m": {}, "adam_v": {}}
         for entry in header["tensors"]:
             name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
             if shapes.get(name) != entry["shape"]:
@@ -134,20 +128,13 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
             arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
             if entry["kind"] == "param":
                 store.put(name, arr)
-            elif entry["kind"] in moments:
-                moments[entry["kind"]][name] = arr.copy()
-            else:
+            elif entry["kind"] not in _LEGACY_KINDS:
                 raise DataError(f"{path}: tensor {name} has unknown kind {entry['kind']!r}")
         missing = [name for name in shapes if name not in store]
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
     if missing:
         raise DataError(f"{path}: tensor {missing[0]} of its model config is missing")
-    moments_m, moments_v = moments["adam_m"], moments["adam_v"]
-    unpaired = sorted(moments_m.keys() ^ moments_v.keys())
-    if unpaired:
-        raise DataError(f"{path}: tensor {unpaired[0]} has only one of its two Adam moments")
-    store.moments = {name: (m, moments_v[name]) for name, m in moments_m.items()}
     return store, model_config, manifest, extra
 
 

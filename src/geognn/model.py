@@ -109,11 +109,10 @@ class ParamStore:
             t.grad = None
 
     def copy(self) -> "ParamStore":
+        """A copy of the parameters; the clone starts at step 0 with no moments."""
         clone = ParamStore(dtype=self.dtype)
         for name, t in self._params.items():
             clone.put(name, t.data)
-        clone.moments = {k: (m.copy(), v.copy()) for k, (m, v) in self.moments.items()}
-        clone.step = self.step
         return clone
 
 

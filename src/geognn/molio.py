@@ -336,6 +336,8 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
                 for j in range(count):
                     atom_no = int(pairs[2 * j])
                     value = int(pairs[2 * j + 1])
+                    if not 1 <= atom_no <= num_atoms:  # 0 or less would index from the end
+                        raise ParseError("malformed M  CHG line", lineno)
                     atoms[atom_no - 1].formal_charge = value
             except (IndexError, ValueError):
                 raise ParseError("malformed M  CHG line", lineno) from None
@@ -355,15 +357,15 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
 
 def parse_sdf(data: bytes | str) -> list[Molecule]:
     """Parse all $$$$-separated V2000 records; raises ParseError on the first problem."""
-    text = _decode(data)
-    molecules = []
-    for index, (first_line, lines) in enumerate(iter_sdf_records(text)):
-        molecules.append(_parse_sdf_record(first_line, lines, index))
+    molecules, errors = parse_sdf_lenient(data)
+    if errors:
+        raise errors[0]
     return molecules
 
 
 def parse_sdf_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseError]]:
-    """Like parse_sdf but collects per-record errors instead of raising."""
+    """Parse all $$$$-separated V2000 records, collecting each bad record's
+    ParseError instead of raising it."""
     text = _decode(data)
     molecules, errors = [], []
     for index, (first_line, lines) in enumerate(iter_sdf_records(text)):
@@ -401,7 +403,18 @@ def _number(value, what: str, lineno: int) -> float:
     return float(value)
 
 
+def _label(value, what: str, lineno: int) -> float | None:
+    number = None if value is None else _number(value, what, lineno)
+    if number is not None and math.isinf(number):
+        raise ParseError(f"{what} must be finite, got {value!r}", lineno)
+    return number
+
+
 def parse_jsonl(data: bytes | str) -> list[Molecule]:
+    """One molecule per non-blank line; ParseError names the first bad line.
+
+    A label of null or NaN is missing; a label of Infinity or -Infinity is
+    a ParseError."""
     text = _decode(data)
     molecules = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -445,7 +458,7 @@ def parse_jsonl(data: bytes | str) -> list[Molecule]:
                 bonds=bonds,
                 coords=coords,
                 labels={
-                    str(k): None if v is None else _number(v, f"label {k}", lineno)
+                    str(k): _label(v, f"label {k}", lineno)
                     for k, v in _require(obj, "labels", lineno).items()
                 },
                 fingerprint=(

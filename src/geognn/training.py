@@ -158,16 +158,8 @@ def metric_mae(preds, targets) -> float:
 
 def _auc_rank(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-statistic AUC with midranks: P(s+ > s-) + 0.5 P(tie)."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_group]
     npos = int((labels == 1).sum())
     nneg = int((labels == 0).sum())
     rank_sum = float(ranks[labels == 1].sum())

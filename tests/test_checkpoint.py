@@ -11,7 +11,7 @@ from geognn.checkpoint import (
 )
 from geognn.errors import ConfigError, DataError
 from geognn.features import FeatureConfig
-from geognn.model import GeoGNN, ModelConfig
+from geognn.model import GeoGNN, ModelConfig, parameter_table
 from geognn.rng import Rng
 from geognn.training import adam_step
 
@@ -33,19 +33,24 @@ def test_round_trip_params_and_config(tmp_path):
     check_manifest(FeatureConfig(), manifest, "test")  # no raise
 
 
-def test_round_trip_adam_moments(tmp_path):
+def test_checkpoint_holds_parameters_only(tmp_path):
     model = GeoGNN(CFG, rng=Rng(2))
     for _, t in model.store.items():
         t.grad = np.ones_like(t.data) * 0.1
     adam_step(model.store, lr_body=1e-3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.store, CFG, FeatureConfig())
+    header = _header(path)
+    features = FeatureConfig()
+    table = parameter_table(CFG, features.atom_width, features.bond_width, features.angle_width)
+    assert [entry["name"] for entry in header["tensors"]] == [name for name, _, _ in table]
+    assert {entry["kind"] for entry in header["tensors"]} == {"param"}
+    assert "adam_step" not in header
     store, _, _, _ = load_checkpoint(path)
-    assert store.step == 1
-    for name, (m, v) in model.store.moments.items():
-        got_m, got_v = store.moments[name]
-        assert np.array_equal(got_m, m)
-        assert np.array_equal(got_v, v)
+    for name in model.store.names():
+        assert np.array_equal(store[name].data, model.store[name].data)
+    assert store.step == 0
+    assert store.moments == {}
 
 
 def test_magic_is_checked(tmp_path):
@@ -77,6 +82,11 @@ def test_corrupt_header_is_a_data_error(tmp_path):
         load_checkpoint(path)
 
 
+def _header(path) -> dict:
+    raw = path.read_bytes()
+    return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
+
+
 def _edit_header(path, edit) -> None:
     """Rewrite the checkpoint's JSON header in place with edit(header)."""
     raw = path.read_bytes()
@@ -96,32 +106,45 @@ def test_invalid_header_config_is_a_data_error(tmp_path, key, value):
         load_checkpoint(path)
 
 
-def _checkpoint_with_moments(path):
+def _legacy_checkpoint(path, name="embed.atom.w", kinds=("adam_m", "adam_v"), **changes):
+    """A checkpoint as written before checkpoints held parameters only: an
+    "adam_step" header key and, for the named parameter, one entry per kind
+    in kinds that points at that parameter's bytes, with changes applied."""
     model = GeoGNN(CFG, rng=Rng(9))
-    for _, t in model.store.items():
-        t.grad = np.ones_like(t.data)
-    adam_step(model.store, lr_body=1e-3)
     save_checkpoint(path, model.store, CFG, FeatureConfig())
 
+    def add_moments(header):
+        param = next(entry for entry in header["tensors"] if entry["name"] == name)
+        header["tensors"] += [{**param, "kind": kind, **changes} for kind in kinds]
+        header["adam_step"] = 1
 
-def _first(header, kind):
-    return next(entry for entry in header["tensors"] if entry["kind"] == kind)
+    _edit_header(path, add_moments)
+    return model
+
+
+def test_legacy_checkpoint_with_moments_loads_its_params(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model = _legacy_checkpoint(path)
+    store, _, _, _ = load_checkpoint(path)
+    assert store.names() == model.store.names()
+    for name in store.names():
+        assert np.array_equal(store[name].data, model.store[name].data)
+    assert store.step == 0
+    assert store.moments == {}
 
 
 def test_unknown_tensor_kind_is_a_data_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    _checkpoint_with_moments(path)
-    _edit_header(path, lambda header: _first(header, "adam_v").__setitem__("kind", "adam_x"))
+    _legacy_checkpoint(path, kinds=("adam_m", "adam_x"))
     with pytest.raises(DataError, match="tensor embed.atom.w has unknown kind 'adam_x'") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
 
 
-def test_unpaired_adam_moment_is_a_data_error(tmp_path):
+def test_legacy_moment_out_of_bounds_is_a_data_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    _checkpoint_with_moments(path)
-    _edit_header(path, lambda header: header["tensors"].remove(_first(header, "adam_v")))
-    with pytest.raises(DataError, match="tensor embed.atom.w has only one of its two Adam") as info:
+    _legacy_checkpoint(path, offset=10**9)
+    with pytest.raises(DataError, match="truncated checkpoint payload at embed.atom.w") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
 
@@ -154,11 +177,9 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_moment_of_wrong_shape_is_a_data_error(tmp_path):
-    model = GeoGNN(CFG, rng=Rng(8))
-    w = model.store["embed.bond.w"].data
-    model.store.moments["embed.bond.w"] = (np.zeros(w.shape), np.zeros(w.shape[::-1]))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.store, CFG, FeatureConfig())
+    shape = [CFG.hidden, FeatureConfig().bond_width]  # embed.bond.w is [bond_width, hidden]
+    _legacy_checkpoint(path, name="embed.bond.w", kinds=("adam_v",), shape=shape)
     with pytest.raises(DataError, match="tensor embed.bond.w has shape") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)

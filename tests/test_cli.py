@@ -284,6 +284,10 @@ def _set_label_numeric_string(obj):
     obj["labels"]["y"] = "1.5"
 
 
+def _set_label_infinity(obj):
+    obj["labels"]["y"] = math.inf  # json.dumps writes it as Infinity
+
+
 def _set_coordinate_numeric_string(obj):
     obj["coords"][0][1] = "1e0"
 
@@ -303,8 +307,8 @@ class TestMalformedInput:
         [
             _set_formal_charge, _set_label, _set_coordinate, _set_atoms_scalar, _drop_all_atoms,
             _set_aromatic_string, _set_num_h_fraction, _set_bond_atom_float,
-            _set_label_numeric_string, _set_coordinate_numeric_string, _set_coordinate_bool,
-            _set_fingerprint_bit_bool,
+            _set_label_numeric_string, _set_label_infinity, _set_coordinate_numeric_string,
+            _set_coordinate_bool, _set_fingerprint_bit_bool,
         ],
     )
     def test_bad_jsonl_record_is_a_data_error(self, tmp_path, capsys, command, corrupt):

@@ -1,4 +1,5 @@
 import codecs
+import json
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from geognn.molio import (
     Atom,
     Bond,
     Molecule,
+    molecule_to_json_dict,
     parse_jsonl,
     parse_sdf,
     parse_sdf_lenient,
@@ -66,6 +68,14 @@ class TestSdfParsing:
         assert [m.id for m in with_bom] == ["water", "cyclopropane", "acetate"]
         assert with_bom == parse(data)
 
+    @pytest.mark.parametrize("atom_no", [0, -1, 4])
+    def test_charge_atom_number_out_of_range(self, atom_no):
+        # water has 3 atoms; its M  CHG line comes after 3 atom and 2 bond lines
+        water = (FIXTURES / "golden.sdf").read_text().split("$$$$")[0]
+        data = water.replace("M  END", f"M  CHG  1 {atom_no:3d}  -1\nM  END")
+        with pytest.raises(ParseError, match="line 10: malformed M  CHG line"):
+            parse_sdf(data)
+
     def test_lenient_mode_collects_errors(self):
         good = (FIXTURES / "golden.sdf").read_text()
         bad = (FIXTURES / "malformed" / "bad_counts.sdf").read_text()
@@ -93,6 +103,24 @@ class TestJsonl:
         assert len(mols) == 1
         assert mols[0].atoms[0].element == "He"
         assert mols[0].bonds == []
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
+    def test_infinite_label_rejected(self, value):
+        lines = [json.dumps(molecule_to_json_dict(m)) for m in self._two_molecules()]
+        lines[1] = lines[1].replace('"y": 1.0', f'"y": {value}')
+        with pytest.raises(ParseError, match="line 2: label y must be finite, got -?inf"):
+            parse_jsonl("\n".join(lines))
+
+    def test_nan_label_is_read_as_nan(self):
+        lines = [json.dumps(molecule_to_json_dict(m)) for m in self._two_molecules()]
+        lines[1] = lines[1].replace('"y": 1.0', '"y": NaN')
+        assert math.isnan(parse_jsonl("\n".join(lines))[1].labels["y"])
+
+    def _two_molecules(self):
+        mols = [make_molecule(["O", "H"], [(0, 1)], [(0, 0, 0), (0.96, 0, 0)]) for _ in range(2)]
+        for m in mols:
+            m.labels = {"y": 1.0}
+        return mols
 
     def test_missing_key_reports_line(self):
         with pytest.raises(ParseError, match="line 1"):
