@@ -112,6 +112,8 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         model_config = ModelConfig.from_dict(header["model_config"])
         manifest, extra = header["feature_manifest"], header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise DataError(f"{path}: checkpoint extra is not an object")
         # every tensor must fit the checkpoint's own model config and layout
         widths = [sum(block["width"] for block in manifest[kind])
                   for kind in ("atom", "bond", "angle")]

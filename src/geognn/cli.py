@@ -256,9 +256,10 @@ def cmd_finetune(args) -> int:
     molecules, _ = _read_molecules(args.input)
     split = DatasetSplit.from_tags(molecules)
     result = finetune(split, model_cfg, run_cfg, init_store=init_store, out_dir=args.out)
+    valid = result.report["valid_metric"]  # None when no epoch ran
     print(
         f"finetuned {run_cfg.epochs} epochs; best epoch {result.report['selected_epoch']} "
-        f"(valid {run_cfg.metric} {result.report['valid_metric']:.6f}); "
+        f"(valid {run_cfg.metric} {'none' if valid is None else f'{valid:.6f}'}); "
         f"test {run_cfg.metric} {result.report['test_metric']:.6f}"
     )
     return 0
@@ -275,6 +276,9 @@ def cmd_evaluate(args) -> int:
     split = DatasetSplit.from_tags(molecules)
     part = getattr(split, args.split)
     names = extra.get("task_names")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(n, str) for n in names)):
+        raise DataError(f"{args.checkpoint}: checkpoint task_names is not a list of strings")
     report = evaluate(store, model_cfg, part, metric, names=names)
     report["split"] = args.split
     write_report(Path(args.out) / "evaluate_report.json", report)

@@ -97,8 +97,10 @@ def build_dual_graph(molecule: Molecule) -> DualGraph:
     num_atoms = len(molecule.atoms)
     coords = np.asarray(molecule.coords, dtype=np.float64).reshape(num_atoms, 3)
     _, bonds = bond_order(molecule)
-    # bonded distances are read from the distance matrix, so the two agree exactly
-    lengths = distance_matrix(coords)[bonds[:, 0], bonds[:, 1]]
+    # each bond's length from its two ends, by distance_matrix's formula, so
+    # the two agree exactly without building the [V, V] matrix
+    diff = coords[bonds[:, 0]] - coords[bonds[:, 1]]
+    lengths = np.sqrt((diff * diff).sum(axis=-1))
     if (lengths == 0.0).any():
         pair = tuple(bonds[np.argmax(lengths == 0.0)].tolist())
         raise DataError(f"molecule {molecule.id}: coincident bonded atoms {pair}")

@@ -8,6 +8,12 @@ exactly once and accumulation order is deterministic. Once its record
 has run, an intermediate's gradient is dropped; only leaves (parameters
 and other tensors made with ``requires_grad=True``) keep theirs.
 
+``add``, ``sub``, ``mul`` and ``div`` share one elementwise path,
+``_binary``: each states only its forward and its pair of gradients. Their
+operands have the same shape, or one is a scalar, or one is an ``[n, 1]``
+column against an ``[n, k]`` matrix; backward sums each gradient back over
+what its operand was broadcast along.
+
 ``segment_sum``'s forward and ``gather_rows``' backward scatter-add rows
 with one flattened ``np.bincount``, which adds in index order (in float64,
 cast back to the input dtype), so reordering one segment's rows may move
@@ -29,23 +35,17 @@ from .rng import Rng
 _TAPE_STACK: list["Tape"] = []
 
 
-def _as_float_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return arr
-
-
 class Tensor:
     """Contiguous real values of a fixed shape, optionally tracked for grads."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if type(data) is np.ndarray and dtype is None and data.dtype in (np.float64, np.float32):
-            self.data = data
-        else:
-            self.data = _as_float_array(data, dtype)
+        if type(data) is not np.ndarray or dtype is not None:
+            data = np.asarray(data, dtype=dtype)
+        if data.dtype not in (np.float32, np.float64):
+            data = data.astype(np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -136,19 +136,7 @@ def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn: Callable, op: s
 def _coerce(value, like: Tensor | None = None) -> Tensor:
     if type(value) is Tensor:
         return value
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
-def _is_column_of(col: Tensor, x: Tensor) -> bool:
-    return col.data.ndim == 2 and x.data.ndim == 2 and col.shape == (x.shape[0], 1)
-
-
-def _pair_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    # exact shapes, a scalar, or an [n, 1] column against an [n, k] matrix
-    if (a.shape != b.shape and a.size != 1 and b.size != 1
-            and not _is_column_of(a, b) and not _is_column_of(b, a)):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
+    return Tensor(value, dtype=like.dtype if like is not None else None)
 
 
 def _reduce_to(grad: np.ndarray, tensor: Tensor) -> np.ndarray:
@@ -172,50 +160,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
-def add(a, b) -> Tensor:
+def _binary(op: str, a, b, forward: Callable, grads: Callable) -> Tensor:
+    """The one elementwise path: forward(x, y) on the operands' data, and
+    grads(g, x, y) giving both gradients at the output's shape, each then
+    summed back over what its operand was broadcast along."""
     a = _coerce(a)
     b = _coerce(b, like=a)
-    _pair_shapes(a, b, "add")
+    # exact shapes, a scalar, or an [n, 1] column against an [n, k] matrix
+    if not (a.shape == b.shape or a.size == 1 or b.size == 1
+            or (a.data.ndim == b.data.ndim == 2 and a.shape[0] == b.shape[0]
+                and 1 in (a.shape[1], b.shape[1]))):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
 
     def grad_fn(g):
-        return _reduce_to(g, a), _reduce_to(g, b)
+        ga, gb = grads(g, a.data, b.data)
+        return _reduce_to(ga, a), _reduce_to(gb, b)
 
-    return _emit(a.data + b.data, (a, b), grad_fn, "add")
+    return _emit(forward(a.data, b.data), (a, b), grad_fn, op)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a = _coerce(a)
-    b = _coerce(b, like=a)
-    _pair_shapes(a, b, "sub")
-
-    def grad_fn(g):
-        return _reduce_to(g, a), _reduce_to(-g, b)
-
-    return _emit(a.data - b.data, (a, b), grad_fn, "sub")
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a = _coerce(a)
-    b = _coerce(b, like=a)
-    _pair_shapes(a, b, "mul")
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
-    def grad_fn(g):
-        return _reduce_to(g * b.data, a), _reduce_to(g * a.data, b)
 
-    return _emit(a.data * b.data, (a, b), grad_fn, "mul")
+def _divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if np.any(y == 0.0):
+        raise NumericalError("div: zero divisor")
+    return x / y
 
 
 def div(a, b) -> Tensor:
-    a = _coerce(a)
-    b = _coerce(b, like=a)
-    _pair_shapes(a, b, "div")
-    if np.any(b.data == 0.0):
-        raise NumericalError("div: zero divisor")
-
-    def grad_fn(g):
-        return _reduce_to(g / b.data, a), _reduce_to(-g * a.data / (b.data * b.data), b)
-
-    return _emit(a.data / b.data, (a, b), grad_fn, "div")
+    return _binary("div", a, b, _divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -262,16 +245,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of an empty sequence")
-    widths = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def grad_fn(g):
-        slicer = [slice(None)] * g.ndim
-        pieces = []
-        for i in range(len(tensors)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(slicer)])
-        return tuple(pieces)
+        return np.split(g, cuts, axis=axis)
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return _emit(data, tuple(tensors), grad_fn, "concat", check=False)
@@ -423,12 +400,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centered * inv_std
 
     def grad_fn(g):
-        gxhat = g * gain.data
-        dvar = (gxhat * centered * (-0.5) * inv_std**3).sum(axis=1, keepdims=True)
-        dmu = (-gxhat * inv_std).sum(axis=1, keepdims=True) + dvar * (-2.0 / d) * centered.sum(
-            axis=1, keepdims=True
-        )
-        gx = gxhat * inv_std + dvar * 2.0 * centered / d + dmu / d
+        # d xhat_j / d x_i = inv_std * (delta_ij - 1/d - xhat_i * xhat_j / d)
+        gx = g * gain.data
+        gx = inv_std * (gx - gx.mean(axis=1, keepdims=True)
+                        - xhat * (gx * xhat).mean(axis=1, keepdims=True))
         return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _emit(xhat * gain.data + bias.data, (x, gain, bias), grad_fn, "layer_norm")

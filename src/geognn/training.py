@@ -224,15 +224,14 @@ class DatasetSplit:
 
 
 def task_names(molecules: list[Molecule]) -> list[str]:
-    """Sorted union of label keys that have at least one present value."""
+    """Sorted union of label keys that have at least one present value:
+    a label that is absent, None or NaN is NaN in ``label_matrix``."""
     names = sorted({k for m in molecules for k in m.labels})
-    present = [
-        n for n in names if any(m.labels.get(n) is not None for m in molecules)
-    ]
-    for n in names:
-        if n not in present:
+    absent = np.isnan(label_matrix(molecules, names)).all(axis=0)
+    for n, gone in zip(names, absent):
+        if gone:
             logger.warning("label %r has no values anywhere; excluded", n)
-    return present
+    return [n for n, gone in zip(names, absent) if not gone]
 
 
 def label_matrix(molecules: list[Molecule], names: list[str]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -19,6 +20,16 @@ def without_geometry(encoded: EncodedGraph, config: FeatureConfig | None = None)
             if block["name"].endswith("_rbf"):
                 getattr(out, kind)[:, block["offset"] : block["offset"] + block["width"]] = 0.0
     return out
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite the checkpoint's JSON header in place with edit(header)."""
+    raw = path.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:end])
+    edit(header)
+    body = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
 
 
 def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):

@@ -67,6 +67,24 @@ def segment_sum_reference(values: np.ndarray, ids, k: int) -> np.ndarray:
     return out
 
 
+def layer_norm_reference(x, gain, bias, upstream, eps: float = 1e-5):
+    """Layer norm's output and its (x, gain, bias) gradients at ``upstream``,
+    the input gradient taken term by term through the variance and the mean."""
+    d = x.shape[1]
+    mu = x.mean(axis=1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    gxhat = upstream * gain
+    dvar = (gxhat * centered * (-0.5) * inv_std**3).sum(axis=1, keepdims=True)
+    dmu = (-gxhat * inv_std).sum(axis=1, keepdims=True) + dvar * (-2.0 / d) * centered.sum(
+        axis=1, keepdims=True
+    )
+    gx = gxhat * inv_std + dvar * 2.0 * centered / d + dmu / d
+    return xhat * gain + bias, gx, (upstream * xhat).sum(axis=0), upstream.sum(axis=0)
+
+
 def angle_reference(pw, pu, pv) -> float:
     """arccos of the clamped normalized dot product of the two arms at pu."""
     a = np.asarray(pw, dtype=float) - np.asarray(pu, dtype=float)

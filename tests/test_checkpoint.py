@@ -15,6 +15,8 @@ from geognn.model import GeoGNN, ModelConfig, parameter_table
 from geognn.rng import Rng
 from geognn.training import adam_step
 
+from conftest import edit_header
+
 
 CFG = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
                   geom_head_hidden=8, down_head_hidden=8, num_tasks=2)
@@ -87,21 +89,11 @@ def _header(path) -> dict:
     return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
 
 
-def _edit_header(path, edit) -> None:
-    """Rewrite the checkpoint's JSON header in place with edit(header)."""
-    raw = path.read_bytes()
-    end = 16 + int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16:end])
-    edit(header)
-    body = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
-
-
 @pytest.mark.parametrize("key,value", [("num_blocks", 0), ("hidden", 4.5), ("dropout", "x")])
 def test_invalid_header_config_is_a_data_error(tmp_path, key, value):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, GeoGNN(CFG, rng=Rng(7)).store, CFG, FeatureConfig())
-    _edit_header(path, lambda header: header["model_config"].__setitem__(key, value))
+    edit_header(path, lambda header: header["model_config"].__setitem__(key, value))
     with pytest.raises(DataError, match="corrupt checkpoint"):
         load_checkpoint(path)
 
@@ -118,7 +110,7 @@ def _legacy_checkpoint(path, name="embed.atom.w", kinds=("adam_m", "adam_v"), **
         header["tensors"] += [{**param, "kind": kind, **changes} for kind in kinds]
         header["adam_step"] = 1
 
-    _edit_header(path, add_moments)
+    edit_header(path, add_moments)
     return model
 
 

@@ -14,7 +14,7 @@ from geognn.molio import molecule_to_json_dict, write_jsonl
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
-from conftest import FIXTURES, make_molecule
+from conftest import FIXTURES, edit_header, make_molecule
 
 
 def run_cli(*argv) -> int:
@@ -381,6 +381,33 @@ class TestCheckpointMatchesItsConfig:
         assert not (tmp_path / "o").exists()
 
 
+class TestMalformedCheckpointExtra:
+    @pytest.mark.parametrize("key,value", [
+        ("extra", None), ("extra", 5), ("extra", "x"), ("extra", True), ("extra", [1]),
+        ("task_names", 5), ("task_names", True), ("task_names", [["y"]]),
+    ])
+    def test_evaluate_exit_2(self, tmp_path, capsys, key, value):
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8, num_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig(),
+                        extra={"epoch": 1, "phase": "finetune", "task_names": ["y"]})
+
+        def edit(header):
+            (header if key == "extra" else header["extra"])[key] = value
+
+        edit_header(path, edit)
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=5)
+        code = run_cli("evaluate", "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(path), "--metric", "rmse")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: {path}: checkpoint {key} is not" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestTrainingCommands:
     def test_pretrain_finetune_evaluate_embed(self, tmp_path):
         src = tmp_path / "data.jsonl"
@@ -468,6 +495,19 @@ class TestTrainingCommands:
         a = np.array(rows[0]["h_G"])
         b = np.array(rows[1]["h_G"])
         assert np.max(np.abs(a - b)) < 1e-9
+
+    def test_finetune_zero_epochs_exit_0(self, tmp_path, capsys):
+        src = tmp_path / "data.jsonl"
+        write_dataset(src, n=5, seed=6)
+        out = tmp_path / "fine"
+        assert run_cli("finetune", "--input", str(src), "--out", str(out),
+                       "--config", str(write_config(tmp_path / "cfg.json")),
+                       "--epochs", "0", "--metric", "rmse") == 0
+        assert "best epoch 0 (valid rmse none); test rmse " in capsys.readouterr().out
+        report = json.loads((out / "finetune_report.json").read_text())
+        assert report["selected_epoch"] == 0
+        assert report["valid_metric"] is None
+        assert math.isfinite(report["test_metric"])
 
     def test_wrong_metric_for_labels_exit_1(self, tmp_path):
         src = tmp_path / "data.jsonl"

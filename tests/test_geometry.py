@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,13 +72,18 @@ class TestBuildDualGraph:
             build_dual_graph(mol)
 
     def test_bonded_distance_equals_length_exactly(self):
+        # lengths come from the bond ends alone; on scaled and translated
+        # copies too they must equal the distance matrix bit for bit
         rng = Rng(31)
         for i in range(10):
             mol = random_molecule(rng.fork(i))
-            g = build_dual_graph(mol)
-            dist = distance_matrix(g.coords)
-            for e, (a, b) in enumerate(g.bonds):
-                assert dist[a, b] == g.lengths[e]
+            for scale in (1.0, 1e-3, 1e3, 1e100):
+                shift = np.array([17.3, -4.1, 9.7]) * scale * (i % 2)
+                coords = np.array(mol.coords) * scale + shift
+                g = build_dual_graph(replace(mol, coords=[tuple(xyz) for xyz in coords.tolist()]))
+                dist = distance_matrix(g.coords)
+                for e, (a, b) in enumerate(g.bonds):
+                    assert dist[a, b] == g.lengths[e]
 
     def test_dist_matrix_symmetric_zero_diagonal(self):
         mol = random_molecule(Rng(5))

@@ -9,7 +9,8 @@ from geognn.errors import NumericalError, ShapeError
 from geognn.rng import Rng
 from geognn.tensor import Tape, Tensor
 
-from oracles import central_difference, relative_error, segment_sum_reference, softmax_ce_reference
+from oracles import (central_difference, layer_norm_reference, relative_error,
+                     segment_sum_reference, softmax_ce_reference)
 
 
 def grad_of(f, *arrays, h=1e-5):
@@ -127,6 +128,78 @@ class TestElementwise:
         x = rng.uniform(0.5, 2.0, size=(4, 2))
         analytic, numeric = grad_of(lambda t: T.sum_all(T.mul(op(t), op(t))), x)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
+
+
+def _reduce_like(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A broadcast gradient summed back to an operand's shape: over each row
+    for a column, over everything for a scalar."""
+    if grad.shape == shape:
+        return grad
+    if math.prod(shape) != 1:
+        return grad.sum(axis=1, keepdims=True)
+    return np.full(shape, grad.sum(), dtype=grad.dtype)
+
+
+ELEMENTWISE = {  # op: its forward and its gradient pair in plain numpy
+    T.add: (lambda x, y: x + y, lambda g, x, y: (g, g)),
+    T.sub: (lambda x, y: x - y, lambda g, x, y: (g, -g)),
+    T.mul: (lambda x, y: x * y, lambda g, x, y: (g * y, g * x)),
+    T.div: (lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))),
+}
+
+
+@st.composite
+def elementwise_cases(draw):
+    """Two operands of one dtype in one of the three shape forms (equal
+    shapes, a scalar, an [n, 1] column against an [n, k] matrix), either
+    one first, with an upstream gradient of the output's shape."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    other = draw(st.sampled_from([(n, k), (), (1,), (1, 1), (n, 1)]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape):  # away from zero, so either one can be a divisor
+        return (gen.uniform(0.5, 2.0, shape) * gen.choice([-1.0, 1.0], shape)).astype(dtype)
+
+    a, b = operand((n, k)), operand(other)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, gen.normal(size=(n, k)).astype(dtype)
+
+
+class TestElementwisePath:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(op=st.sampled_from(list(ELEMENTWISE)), case=elementwise_cases())
+    def test_matches_numpy_broadcasting_bit_for_bit(self, op, case):
+        a, b, upstream = case
+        forward, grads = ELEMENTWISE[op]
+        x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = op(x, y)
+            loss = T.sum_all(T.mul(out, Tensor(upstream)))
+        tape.backward(loss)
+        wants = [forward(a, b)] + [_reduce_like(g, arr.shape)
+                                   for g, arr in zip(grads(upstream, a, b), (a, b))]
+        for got, want in zip((out.data, x.grad, y.grad), wants):
+            assert got.dtype == want.dtype == a.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", list(ELEMENTWISE))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_scalar_takes_the_tensor_dtype(self, op, dtype):
+        a = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=dtype)
+        upstream = np.array([[0.5, -1.0], [2.0, 0.75]], dtype=dtype)
+        forward, grads = ELEMENTWISE[op]
+        x = Tensor(a, requires_grad=True)
+        with Tape() as tape:
+            out = op(x, 0.3)
+            loss = T.sum_all(T.mul(out, Tensor(upstream)))
+        tape.backward(loss)
+        scalar = np.asarray(0.3, dtype=dtype)
+        for got, want in ((out.data, forward(a, scalar)), (x.grad, grads(upstream, a, scalar)[0])):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSegmentSum:
@@ -296,6 +369,52 @@ class TestPairAffineRelu:
         with pytest.raises(ShapeError):
             T.pair_affine_relu(Tensor(np.ones(x)), np.array(counts), Tensor(np.ones(w)),
                                Tensor(np.ones(b)))
+
+
+@st.composite
+def layer_norm_cases(draw):
+    """1-1300 rows of width 1-64 around a common offset, none, some or all
+    of them constant, with gain, bias and an upstream gradient."""
+    rows, width = draw(st.integers(1, 1300)), draw(st.integers(1, 64))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    constant_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, 100.0])) * abs(gen.normal())
+    x = (gen.normal(size=(rows, width)) + offset) * scale
+    constant = gen.random(rows) < constant_share
+    x[constant] = x[constant, :1]
+    return x, gen.normal(size=width), gen.normal(size=width), gen.normal(size=(rows, width))
+
+
+def _layer_norm_value_and_grads(x, gain, bias, upstream):
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    with Tape() as tape:
+        out = T.layer_norm(*leaves)
+        loss = T.sum_all(T.mul(out, Tensor(upstream)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestLayerNorm:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(layer_norm_cases())
+    def test_matches_term_by_term_reference(self, case):
+        # in f64 the closed-form input gradient moves at the rounding level of
+        # the terms it is formed from, upstream * gain / std. In f32, x - mean
+        # of a constant row far from zero is rounding noise near sqrt(eps),
+        # which either form amplifies, so there only its dtype is checked.
+        x, gain, _, upstream = case
+        terms = np.abs(upstream * gain / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)).max()
+        for dtype in (np.float64, np.float32):
+            case = [a.astype(dtype) for a in case]
+            out, gx, ggain, gbias = _layer_norm_value_and_grads(*case)
+            want_out, want_gx, want_ggain, want_gbias = layer_norm_reference(*case)
+            assert gx.dtype == want_gx.dtype == dtype
+            if dtype == np.float64:
+                assert np.abs(gx - want_gx).max() <= 1e-13 * terms
+            for got, want in ((out, want_out), (ggain, want_ggain), (gbias, want_gbias)):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmaxCrossEntropy:

@@ -175,6 +175,12 @@ class TestSplits:
         assert mat.shape == (3, 1)
         assert np.isnan(mat[1, 0])
 
+    def test_nan_label_counts_as_missing(self):
+        mols = [random_molecule(Rng(i), mol_id=f"m{i}") for i in range(2)]
+        mols[0].labels = {"y": 1.0, "z": float("nan")}
+        mols[1].labels = {"y": 2.0, "z": None}
+        assert task_names(mols) == ["y"]
+
 
 def tiny_dataset(n, seed, with_splits=True):
     rng = Rng(seed)
