@@ -94,7 +94,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, dict, dict]:
-    """Returns (store, model_config, feature_manifest, extra)."""
+    """Returns (store, model_config, feature_manifest, extra). A file that
+    cannot be read back is a DataError; one whose feature layout is not
+    this build's is a ConfigError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
@@ -137,21 +139,16 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
         raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
     if missing:
         raise DataError(f"{path}: tensor {missing[0]} of its model config is missing")
+    check_manifest(FeatureConfig(), manifest, str(path))
     return store, model_config, manifest, extra
 
 
-def manifest_diff(expected: dict, found: dict) -> list[str]:
-    """Human-readable differences between two feature-layout manifests."""
-    problems = []
-    keys = sorted(set(expected) | set(found))
-    for key in keys:
-        if expected.get(key) != found.get(key):
-            problems.append(f"{key}: expected {expected.get(key)!r}, checkpoint has {found.get(key)!r}")
-    return problems
-
-
 def check_manifest(feature_config: FeatureConfig, manifest: dict, source: str) -> None:
-    problems = manifest_diff(feature_config.manifest(), manifest)
+    """ConfigError unless ``manifest`` is the feature layout of ``feature_config``."""
+    expected = feature_config.manifest()
+    problems = [f"{key}: expected {expected.get(key)!r}, checkpoint has {manifest.get(key)!r}"
+                for key in sorted(set(expected) | set(manifest))
+                if expected.get(key) != manifest.get(key)]
     if problems:
         detail = "; ".join(problems[:5])
         raise ConfigError(f"{source}: feature layout does not match this build: {detail}")

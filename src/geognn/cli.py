@@ -1,7 +1,18 @@
 """Command-line front end.
 
-Subcommands: featurize, pretrain, finetune, evaluate, embed. A JSON config
-file (keys "model" and "run") supplies defaults; explicit flags win.
+Each command takes only the flags it reads:
+
+    featurize  --input --out --strict
+    pretrain   --input --out --config --seed --precision --epochs --batch
+               --lr-body --lr-head --mask-ratio --tasks --metric
+    finetune   the pretrain flags and --checkpoint
+    evaluate   --input --out --checkpoint --config --metric --split
+    embed      --input --out --checkpoint
+
+A JSON config file has a "model" and a "run" section. Each config is merged
+in one step: the defaults (the checkpoint's model config, when finetuning
+from one), then the file, then the flags. Model keys other than dropout,
+precision and num_tasks must match a loaded checkpoint.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
 failure.
@@ -16,13 +27,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .checkpoint import check_manifest, load_checkpoint
+from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseError
 from .features import FeatureConfig
 from .model import ModelConfig
 from .molio import Molecule, parse_jsonl, parse_sdf, parse_sdf_lenient
 from .pretrain import in_packs
 from .training import (
+    METRIC_DIRECTIONS,
     DatasetSplit,
     RunConfig,
     embed_molecules,
@@ -35,9 +47,8 @@ from .training import (
 
 logger = logging.getLogger("geognn")
 
-# model-config keys that must agree with a loaded checkpoint
-_STRUCTURAL = ("num_blocks", "hidden", "distance_bins", "geom_head_hidden",
-               "down_head_hidden", "fingerprint_bits")
+# the only model-config keys that may differ from a loaded checkpoint's
+_RUNTIME_KEYS = ("dropout", "precision", "num_tasks")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,54 +58,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser, checkpoint: bool | None = None):
-    """The flags every command takes; ``checkpoint`` adds --checkpoint,
-    required if True and optional if False."""
+def _add_io(p: argparse.ArgumentParser, checkpoint: bool | None = None):
+    """--input and --out, and --checkpoint unless ``checkpoint`` is None."""
     p.add_argument("--input", nargs="+", required=True, metavar="PATH",
                    help="input molecule files (SDF or JSONL)")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
-    p.add_argument("--seed", type=int, default=None, metavar="U64")
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
     if checkpoint is not None:
         p.add_argument("--checkpoint", required=checkpoint, metavar="PATH",
                        help="checkpoint to load")
 
 
+def _task_list(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _add_training_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr-body", type=float, default=None)
-    p.add_argument("--lr-head", type=float, default=None)
-    p.add_argument("--mask-ratio", type=float, default=None)
-    p.add_argument("--tasks", default=None,
+    p.add_argument("--config", metavar="PATH", help="JSON config file")
+    p.add_argument("--precision", choices=("f32", "f64"))
+    # each dest is the RunConfig field the flag sets; a flag not given sets nothing
+    unset = argparse.SUPPRESS
+    p.add_argument("--seed", type=int, default=unset, metavar="U64")
+    p.add_argument("--epochs", type=int, default=unset)
+    p.add_argument("--batch", dest="batch_size", type=int, default=unset)
+    p.add_argument("--lr-body", type=float, default=unset)
+    p.add_argument("--lr-head", type=float, default=unset)
+    p.add_argument("--mask-ratio", type=float, default=unset)
+    p.add_argument("--tasks", type=_task_list, default=unset,
                    help="comma list from: length,angle,distance,fingerprint")
-    p.add_argument("--metric", choices=("rmse", "mae", "rocauc"), default=None)
+    p.add_argument("--metric", choices=tuple(METRIC_DIRECTIONS), default=unset)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="geognn", description=__doc__)
+    parser = _Parser(prog="geognn", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("featurize", help="parse and encode molecules and write a summary")
-    _add_common(p)
+    _add_io(p)
     p.add_argument("--strict", action="store_true", help="abort on the first parse error")
 
     p = sub.add_parser("pretrain", help="self-supervised pretraining")
-    _add_common(p)
+    _add_io(p)
     _add_training_flags(p)
 
     p = sub.add_parser("finetune", help="supervised training with best-epoch selection")
-    _add_common(p, checkpoint=False)
+    _add_io(p, checkpoint=False)
     _add_training_flags(p)
 
     p = sub.add_parser("evaluate", help="metric report for a checkpoint on a split")
-    _add_common(p, checkpoint=True)
-    p.add_argument("--metric", choices=("rmse", "mae", "rocauc"), default=None)
+    _add_io(p, checkpoint=True)
+    p.add_argument("--config", metavar="PATH", help="JSON config file (reads run.metric)")
+    p.add_argument("--metric", choices=tuple(METRIC_DIRECTIONS))
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
 
     p = sub.add_parser("embed", help="write per-molecule graph vectors as JSONL")
-    _add_common(p, checkpoint=True)
+    _add_io(p, checkpoint=True)
     return parser
 
 
@@ -142,57 +160,29 @@ def _read_molecules(paths: list[str], strict: bool = True):
 
 
 def _build_run_config(args, file_cfg: dict) -> RunConfig:
-    base = dict(file_cfg.get("run", {}))
-    overrides = {
-        "epochs": args.epochs if hasattr(args, "epochs") else None,
-        "batch_size": args.batch if hasattr(args, "batch") else None,
-        "lr_body": getattr(args, "lr_body", None),
-        "lr_head": getattr(args, "lr_head", None),
-        "mask_ratio": getattr(args, "mask_ratio", None),
-        "seed": args.seed,
-        "metric": getattr(args, "metric", None),
-    }
-    if getattr(args, "tasks", None):
-        overrides["tasks"] = [t.strip() for t in args.tasks.split(",") if t.strip()]
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    if "metric" in base and "task_type" not in base:
-        base["task_type"] = "classification" if base["metric"] == "rocauc" else "regression"
+    fields = RunConfig.__dataclass_fields__
+    run = {**file_cfg.get("run", {}), **{k: v for k, v in vars(args).items() if k in fields}}
+    if "metric" in run and "task_type" not in run:
+        run["task_type"] = "classification" if run["metric"] == "rocauc" else "regression"
     try:
-        return RunConfig.from_dict(base)
+        return RunConfig.from_dict(run)
     except TypeError as err:
         raise ConfigError(f"bad run config: {err}") from None
 
 
 def _build_model_config(args, file_cfg: dict, base: ModelConfig | None = None) -> ModelConfig:
-    file_model = dict(file_cfg.get("model", {}))
-    if base is not None:
-        conflicts = [
-            k for k in _STRUCTURAL
-            if k in file_model and file_model[k] != getattr(base, k)
-        ]
-        if conflicts:
-            raise ConfigError(
-                f"config conflicts with the checkpoint on structural keys: {conflicts}"
-            )
-        merged = base.to_dict()
-        for k in ("dropout", "precision", "num_tasks"):
-            if k in file_model:
-                merged[k] = file_model[k]
-    else:
-        merged = ModelConfig().to_dict()
-        merged.update(file_model)
+    start = (base or ModelConfig()).to_dict()
+    merged = {**start, **file_cfg.get("model", {})}
     if args.precision is not None:
         merged["precision"] = args.precision
+    if base is not None:
+        conflicts = [k for k, v in start.items() if k not in _RUNTIME_KEYS and merged[k] != v]
+        if conflicts:
+            raise ConfigError(f"config conflicts with the checkpoint on keys: {conflicts}")
     try:
         return ModelConfig.from_dict(merged)
     except TypeError as err:
         raise ConfigError(f"bad model config: {err}") from None
-
-
-def _load_checkpoint_checked(path: str, features: FeatureConfig):
-    store, model_cfg, manifest, extra = load_checkpoint(path)
-    check_manifest(features, manifest, str(path))
-    return store, model_cfg, extra
 
 
 def cmd_featurize(args) -> int:
@@ -247,11 +237,9 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     file_cfg = _load_config_file(args.config)
     run_cfg = _build_run_config(args, file_cfg)
-    features = FeatureConfig()
-    init_store = None
-    base_cfg = None
+    init_store = base_cfg = None
     if args.checkpoint:
-        init_store, base_cfg, _ = _load_checkpoint_checked(args.checkpoint, features)
+        init_store, base_cfg, _, _ = load_checkpoint(args.checkpoint)
     model_cfg = _build_model_config(args, file_cfg, base=base_cfg)
     molecules, _ = _read_molecules(args.input)
     split = DatasetSplit.from_tags(molecules)
@@ -267,8 +255,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     file_cfg = _load_config_file(args.config)
-    features = FeatureConfig()
-    store, model_cfg, extra = _load_checkpoint_checked(args.checkpoint, features)
+    store, model_cfg, _, extra = load_checkpoint(args.checkpoint)
     metric = args.metric or file_cfg.get("run", {}).get("metric")
     if metric is None:
         raise ConfigError("evaluate requires --metric (or run.metric in the config)")
@@ -287,8 +274,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    features = FeatureConfig()
-    store, model_cfg, _ = _load_checkpoint_checked(args.checkpoint, features)
+    store, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     molecules, _ = _read_molecules(args.input)
     rows = embed_molecules(store, model_cfg, molecules)
     out = Path(args.out)

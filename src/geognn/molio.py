@@ -230,8 +230,13 @@ def iter_sdf_records(text: str):
         yield start + 1, tail
 
 
-def _int_field(line: str, lo: int, hi: int, lineno: int, what: str) -> int:
+def _int_field(line: str, lo: int, hi: int, lineno: int, what: str,
+               default: int | None = None) -> int:
+    """The integer in columns [lo, hi). A field with a default is optional:
+    blank, or running past the end of the line, it reads as the default."""
     raw = line[lo:hi].strip()
+    if default is not None and (not raw or len(line) < hi):
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -275,14 +280,7 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
         symbol = line[31:34].strip()
         if symbol not in ATOMIC_NUMBER:
             raise ParseError(f"unknown element symbol {symbol!r}", lineno)
-        charge = 0
-        if len(line) >= 39:
-            raw = line[36:39].strip()
-            if raw:
-                try:
-                    charge = _OLD_STYLE_CHARGE.get(int(raw), 0)
-                except ValueError:
-                    raise ParseError(f"bad charge field {raw!r}", lineno) from None
+        charge = _OLD_STYLE_CHARGE.get(_int_field(line, 36, 39, lineno, "charge", 0), 0)
         atoms.append(Atom(element=symbol, formal_charge=charge))
         coords.append((xyz[0], xyz[1], xyz[2]))
 
@@ -301,14 +299,7 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
             raise ParseError(f"bond joins atom {a} to itself", lineno)
         if code not in _SDF_BOND_TYPE:
             raise ParseError(f"unknown bond type {code}", lineno)
-        stereo = 0
-        if len(line) >= 12:
-            raw = line[9:12].strip()
-            if raw:
-                try:
-                    stereo = int(raw)
-                except ValueError:
-                    raise ParseError(f"bad bond stereo field {raw!r}", lineno) from None
+        stereo = _int_field(line, 9, 12, lineno, "bond stereo", 0)
         bonds.append(
             Bond(
                 a=a - 1,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -77,7 +79,7 @@ class Rng:
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
         if n <= 0:
-            raise ValueError("upper bound must be positive")
+            raise ConfigError("upper bound must be positive")
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
@@ -91,7 +93,7 @@ class Rng:
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), in draw order."""
         if k > n:
-            raise ValueError("sample size exceeds population")
+            raise ConfigError("sample size exceeds population")
         return self.permutation(n)[:k]
 
 

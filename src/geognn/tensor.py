@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .rng import Rng
 
 _TAPE_STACK: list["Tape"] = []
@@ -164,7 +164,8 @@ def _binary(op: str, a, b, forward: Callable, grads: Callable) -> Tensor:
     """The one elementwise path: forward(x, y) on the operands' data, and
     grads(g, x, y) giving both gradients at the output's shape, each then
     summed back over what its operand was broadcast along."""
-    a = _coerce(a)
+    # a Python scalar takes the dtype of the Tensor operand, first or second
+    a = _coerce(a, like=b if type(b) is Tensor else None)
     b = _coerce(b, like=a)
     # exact shapes, a scalar, or an [n, 1] column against an [n, k] matrix
     if not (a.shape == b.shape or a.size == 1 or b.size == 1
@@ -417,7 +418,7 @@ def dropout(x: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ShapeError("dropout rate must lie in [0, 1)")
     if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+        raise ConfigError("training-mode dropout needs an rng")
     keep = (rng.uniform_array(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
 
     def grad_fn(g):

@@ -220,7 +220,7 @@ class DatasetSplit:
             valid = train
         if not test:
             test = valid
-        return cls(train=train, valid=valid, test=test).validate()
+        return cls(train=train, valid=valid, test=test)
 
 
 def task_names(molecules: list[Molecule]) -> list[str]:
@@ -419,6 +419,7 @@ def finetune(
     epoch with the best validation metric, and report the test metric of
     that epoch. Ties keep the earliest epoch."""
     run_config.validate()
+    split.validate()
     features = FeatureConfig()
     names = task_names(split.train)
     if not names:
@@ -517,6 +518,8 @@ def evaluate(
     """Metric of the stored parameters on an arbitrary molecule list."""
     if not isinstance(metric, str) or metric not in METRIC_FNS:
         raise ConfigError(f"unknown metric {metric!r}")
+    if not molecules:
+        raise DataError("no molecules to evaluate")
     features = FeatureConfig()
     names = names if names is not None else task_names(molecules)
     if not names:

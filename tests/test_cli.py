@@ -143,8 +143,9 @@ class TestUsageErrors:
             (["--tasks", "length,lenght"], {}),
             (["--tasks", "length,lenght", "--epochs", "0"], {}),
             ([], {"tasks": []}),
+            (["--tasks", ""], {}),
         ],
-        ids=["misspelled", "misspelled-zero-epochs", "empty"],
+        ids=["misspelled", "misspelled-zero-epochs", "empty", "empty-flag"],
     )
     def test_bad_pretrain_tasks_exit_1_and_write_nothing(self, tmp_path, capsys, flags, run):
         src = tmp_path / "in.jsonl"
@@ -215,6 +216,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"data error: {ckpt}: cannot read checkpoint" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("featurize", "--seed"), ("featurize", "--precision"), ("featurize", "--config"),
+        ("embed", "--seed"), ("embed", "--precision"), ("embed", "--config"),
+        ("evaluate", "--seed"), ("evaluate", "--precision"),
+    ])
+    def test_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, command, flag):
+        value = {"--seed": "1", "--precision": "f32", "--config": str(tmp_path / "cfg.json")}[flag]
+        checkpoint = [] if command == "featurize" else ["--checkpoint", str(tmp_path / "m.ckpt")]
+        code = run_cli(command, "--input", str(tmp_path / "in.jsonl"), "--out",
+                       str(tmp_path / "o"), *checkpoint, flag, value)
+        assert code == 1
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["embed", "evaluate"])
     def test_checkpoint_flag_required_exit_1(self, tmp_path, capsys, command):
@@ -380,6 +394,50 @@ class TestCheckpointMatchesItsConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["embed", "evaluate", "finetune"])
+    def test_foreign_feature_layout_exit_1(self, tmp_path, capsys, command):
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8)
+        other = FeatureConfig(num_h_size=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, GeoGNN(cfg, features=other, rng=Rng(1)).store, cfg, other)
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=5)
+        flags = {"embed": [], "evaluate": ["--metric", "rmse"], "finetune": ["--epochs", "1"]}
+        code = run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(path), *flags[command])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: {path}: feature layout does not match this build" in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestEvaluateSplits:
+    @pytest.mark.parametrize("count,split,code", [(6, "test", 0), (6, "train", 2), (0, "test", 2)],
+                             ids=["all-test", "empty-split", "empty-input"])
+    def test_split_of_all_test_tagged_input(self, tmp_path, capsys, count, split, code):
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8, num_tasks=1)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig(),
+                        extra={"task_names": ["y"]})
+        mols = write_dataset(tmp_path / "in.jsonl", n=count, splits=False)
+        for m in mols:
+            m.split = "test"
+        src = tmp_path / "tagged.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        out = tmp_path / "o"
+        assert run_cli("evaluate", "--input", str(src), "--out", str(out), "--checkpoint",
+                       str(ckpt), "--metric", "rmse", "--split", split) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert "test rmse: " in captured.out
+            assert json.loads((out / "evaluate_report.json").read_text())["count"] == 6
+        else:
+            assert "data error: no molecules to evaluate" in captured.err
+            assert not out.exists()
+
 
 class TestMalformedCheckpointExtra:
     @pytest.mark.parametrize("key,value", [
@@ -518,7 +576,7 @@ class TestTrainingCommands:
         # regression labels are not binary -> config error via the rocauc guard
         assert code == 1
 
-    def test_structural_conflict_with_checkpoint_exit_1(self, tmp_path):
+    def test_structural_conflict_with_checkpoint_exit_1(self, tmp_path, capsys):
         src = tmp_path / "data.jsonl"
         write_dataset(src, n=6, seed=3)
         cfg = write_config(tmp_path / "cfg.json", epochs=1, batch_size=4)
@@ -527,11 +585,15 @@ class TestTrainingCommands:
                        "--config", str(cfg)) == 0
         ckpt = sorted(pre_out.glob("*.ckpt"))[-1]
         bad_cfg = tmp_path / "bad.json"
-        bad_cfg.write_text(json.dumps({"model": {"hidden": 16}}))
-        code = run_cli("finetune", "--input", str(src), "--out", str(tmp_path / "o"),
-                       "--config", str(bad_cfg), "--checkpoint", str(ckpt),
-                       "--epochs", "1")
-        assert code == 1
+        # a different value of a checkpoint key, and a key no model config has
+        for model in ({"hidden": 16}, {"hiden": 8}):
+            bad_cfg.write_text(json.dumps({"model": model}))
+            code = run_cli("finetune", "--input", str(src), "--out", str(tmp_path / "o"),
+                           "--config", str(bad_cfg), "--checkpoint", str(ckpt),
+                           "--epochs", "1")
+            assert code == 1
+            assert "config error: " in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_determinism_of_reports(self, tmp_path):
         src = tmp_path / "data.jsonl"

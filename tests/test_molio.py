@@ -1,10 +1,12 @@
 import codecs
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geognn.errors import DataError, ParseError
+from geognn.errors import DataError, GeoGnnError, ParseError
 from geognn.molio import (
     Atom,
     Bond,
@@ -18,7 +20,7 @@ from geognn.molio import (
 )
 from geognn.rng import Rng
 
-from conftest import FIXTURES, make_molecule
+from conftest import FIXTURES, make_dce, make_molecule
 from oracles import cycle_bonds_by_removal
 
 
@@ -246,3 +248,65 @@ class TestValidation:
         # carbonyl oxygen: one neighbor, two lone pairs -> sp2
         co = make_molecule(["C", "O"], [(0, 1)], [(0, 0, 0), (1.2, 0, 0)])
         assert co.atoms[1].hybridization == "sp2"
+
+
+def _jsonl_seed() -> bytes:
+    cis, trans = make_dce(True, "cis"), make_dce(False, "trans")
+    cis.labels, cis.fingerprint, cis.split = {"y": 1.5, "z": None}, [0, 1, 1], "train"
+    trans.labels, trans.split = {"y": -0.5}, "test"
+    return write_jsonl([cis, trans])
+
+
+_SEEDS = [(FIXTURES / "golden.sdf").read_bytes(), _jsonl_seed()] + [
+    path.read_bytes() for path in sorted((FIXTURES / "malformed").glob("*.sdf"))
+]
+_SPANS = [b"$$$$\n", b"M  CHG  1   1   2\n", b"M  END\n", b"nan", b"1e400", b"-1", b"999",
+          b"  ", b"\n", b"\r", b"\xef\xbb\xbf", b"\xff", b"{", b"null", b"[]"]
+# where V2000 fields start and end: the counts and bond lines' three-column
+# fields, and the atom line's coordinates, symbol, mass difference and charge
+_FIELD_COLUMNS = [0, 2, 3, 5, 6, 8, 9, 10, 11, 12, 20, 31, 34, 36, 37, 38, 39]
+
+# one edit: truncate, replace a byte, or splice a span over a few bytes, at a
+# column of a line (the line number taken modulo the input's line count)
+_EDIT = st.tuples(
+    st.sampled_from(["truncate", "replace", "splice"]),
+    st.integers(0, 40),
+    st.one_of(st.sampled_from(_FIELD_COLUMNS), st.integers(0, 80)),
+    st.integers(0, 255),
+    st.sampled_from(_SPANS),
+    st.integers(0, 6),
+)
+
+
+def _mutate(seed: bytes, edits) -> bytes:
+    data = bytearray(seed)
+    for kind, line, column, byte, span, width in edits:
+        starts = [0] + [m.end() for m in re.finditer(b"\n", data)]
+        pos = min(starts[line % len(starts)] + column, len(data))
+        if kind == "truncate":
+            del data[pos:]
+        elif kind == "replace" and pos < len(data):
+            data[pos] = byte
+        else:
+            data[pos : pos + width] = span
+    return bytes(data)
+
+
+class TestMutatedBytes:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+    def test_parsers_raise_only_geognn_errors(self, edits):
+        """Every fixture and a JSONL seed, each with the same edits."""
+        for data in (_mutate(seed, edits) for seed in _SEEDS):
+            for parse in (parse_sdf, parse_jsonl):
+                try:
+                    parse(data)
+                except GeoGnnError:
+                    pass
+            try:
+                _, errors = parse_sdf_lenient(data)
+            except GeoGnnError:  # input that is not UTF-8 text
+                continue
+            lines = len(data.decode("utf-8").removeprefix("\ufeff").splitlines())
+            for err in errors:
+                assert 1 <= err.line <= lines

@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 
+from geognn import tensor as T
+from geognn.errors import ConfigError
 from geognn.rng import BlockRng, Rng
 
 
@@ -47,3 +50,17 @@ def test_block_draws_equal_each_stream_alone():
         want = np.concatenate([r.uniform_array((n, width)) for r, n in zip(alone, rows)])
         np.testing.assert_array_equal(got, want)
     assert [r.next_u64() for r in blocked] == [r.next_u64() for r in alone]
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: Rng(1).below(0),
+        lambda: Rng(1).sample(2, 3),
+        lambda: T.dropout(T.Tensor(np.ones((2, 2))), 0.5, None, training=True),
+    ],
+    ids=["below-zero", "sample-more-than-population", "dropout-without-rng"],
+)
+def test_impossible_draw_is_a_config_error(draw):
+    with pytest.raises(ConfigError):
+        draw()

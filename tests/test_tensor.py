@@ -185,19 +185,26 @@ class TestElementwisePath:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("op", list(ELEMENTWISE))
+    @pytest.mark.parametrize("op,scalar_first", [
+        pytest.param(op, first, id=f"{op.__name__}-scalar-first" if first else op.__name__)
+        for first in (False, True) for op in ELEMENTWISE
+    ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_python_scalar_takes_the_tensor_dtype(self, op, dtype):
+    def test_python_scalar_takes_the_tensor_dtype(self, op, scalar_first, dtype):
         a = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=dtype)
         upstream = np.array([[0.5, -1.0], [2.0, 0.75]], dtype=dtype)
         forward, grads = ELEMENTWISE[op]
         x = Tensor(a, requires_grad=True)
         with Tape() as tape:
-            out = op(x, 0.3)
+            out = op(0.3, x) if scalar_first else op(x, 0.3)
             loss = T.sum_all(T.mul(out, Tensor(upstream)))
         tape.backward(loss)
         scalar = np.asarray(0.3, dtype=dtype)
-        for got, want in ((out.data, forward(a, scalar)), (x.grad, grads(upstream, a, scalar)[0])):
+        if scalar_first:
+            want_out, want_grad = forward(scalar, a), grads(upstream, scalar, a)[1]
+        else:
+            want_out, want_grad = forward(a, scalar), grads(upstream, a, scalar)[0]
+        for got, want in ((out.data, want_out), (x.grad, want_grad)):
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
