@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,16 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
         manifest, extra = header["feature_manifest"], header.get("extra", {})
         if not isinstance(extra, dict):
             raise DataError(f"{path}: checkpoint extra is not an object")
-        # every tensor must fit the checkpoint's own model config and layout
+        # every tensor must fit the checkpoint's own model config and layout;
+        # the config's table is read no further than the file's tensors reach,
+        # as a corrupt num_blocks could make it any length
         widths = [sum(block["width"] for block in manifest[kind])
                   for kind in ("atom", "bond", "angle")]
-        shapes = {name: list(shape) for name, shape, _ in parameter_table(model_config, *widths)}
+        entries = header["tensors"]
+        table = islice(parameter_table(model_config, *widths), len(entries) + 1)
+        shapes = {name: list(shape) for name, shape, _ in table}
         store = ParamStore(dtype=model_config.dtype)
-        for entry in header["tensors"]:
+        for entry in entries:
             name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
             if shapes.get(name) != entry["shape"]:
                 raise DataError(f"{path}: tensor {name} has shape {entry['shape']}; its config "

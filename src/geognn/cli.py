@@ -11,8 +11,10 @@ Each command takes only the flags it reads:
 
 A JSON config file has a "model" and a "run" section. Each config is merged
 in one step: the defaults (the checkpoint's model config, when finetuning
-from one), then the file, then the flags. Model keys other than dropout,
-precision and num_tasks must match a loaded checkpoint.
+from one), then the file, then the flags. Model keys other than dropout
+and precision must match a loaded checkpoint. The model's num_tasks comes
+from the labels (pretraining has none), so a config file that sets it is a
+config error. The run's task type follows from its metric.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
 failure.
@@ -34,7 +36,7 @@ from .model import ModelConfig
 from .molio import Molecule, parse_jsonl, parse_sdf, parse_sdf_lenient
 from .pretrain import in_packs
 from .training import (
-    METRIC_DIRECTIONS,
+    METRICS,
     DatasetSplit,
     RunConfig,
     embed_molecules,
@@ -48,7 +50,7 @@ from .training import (
 logger = logging.getLogger("geognn")
 
 # the only model-config keys that may differ from a loaded checkpoint's
-_RUNTIME_KEYS = ("dropout", "precision", "num_tasks")
+_RUNTIME_KEYS = ("dropout", "precision")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +87,7 @@ def _add_training_flags(p: argparse.ArgumentParser):
     p.add_argument("--mask-ratio", type=float, default=unset)
     p.add_argument("--tasks", type=_task_list, default=unset,
                    help="comma list from: length,angle,distance,fingerprint")
-    p.add_argument("--metric", choices=tuple(METRIC_DIRECTIONS), default=unset)
+    p.add_argument("--metric", choices=tuple(METRICS), default=unset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metric report for a checkpoint on a split")
     _add_io(p, checkpoint=True)
     p.add_argument("--config", metavar="PATH", help="JSON config file (reads run.metric)")
-    p.add_argument("--metric", choices=tuple(METRIC_DIRECTIONS))
+    p.add_argument("--metric", choices=tuple(METRICS))
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
 
     p = sub.add_parser("embed", help="write per-molecule graph vectors as JSONL")
@@ -162,8 +164,6 @@ def _read_molecules(paths: list[str], strict: bool = True):
 def _build_run_config(args, file_cfg: dict) -> RunConfig:
     fields = RunConfig.__dataclass_fields__
     run = {**file_cfg.get("run", {}), **{k: v for k, v in vars(args).items() if k in fields}}
-    if "metric" in run and "task_type" not in run:
-        run["task_type"] = "classification" if run["metric"] == "rocauc" else "regression"
     try:
         return RunConfig.from_dict(run)
     except TypeError as err:
@@ -171,6 +171,8 @@ def _build_run_config(args, file_cfg: dict) -> RunConfig:
 
 
 def _build_model_config(args, file_cfg: dict, base: ModelConfig | None = None) -> ModelConfig:
+    if "num_tasks" in file_cfg.get("model", {}):
+        raise ConfigError("model.num_tasks is set by the labels, not by a config file")
     start = (base or ModelConfig()).to_dict()
     merged = {**start, **file_cfg.get("model", {})}
     if args.precision is not None:

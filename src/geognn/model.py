@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -131,29 +133,31 @@ def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
 
 def parameter_table(
     config: ModelConfig, atom_width: int, bond_width: int, angle_width: int
-) -> list[tuple[str, tuple[int, ...], int | None]]:
+) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
     """(name, shape, fan_in) of every GeoGNN parameter, in store order, for
-    feature rows of the given widths; layer-norm parameters have no fan-in."""
+    feature rows of the given widths; layer-norm parameters have no fan-in.
+    Yielded one at a time, so a reader can stop before the blocks run out."""
     h, g, d = config.hidden, config.geom_head_hidden, config.down_head_hidden
-    layers = [("embed.atom", atom_width, h), ("embed.bond", bond_width, h),
+    embeds = [("embed.atom", atom_width, h), ("embed.bond", bond_width, h),
               ("embed.angle", angle_width, h)]
-    for base in (f"block{k}.{s}" for k in range(config.num_blocks) for s in ("bond", "atom")):
-        layers += [(f"{base}.mlp1", h, h), (f"{base}.mlp2", h, h), (f"{base}.norm", None, h)]
-    layers += [("head_length.l1", 2 * h, g), ("head_length.l2", g, 1),
-               ("head_angle.l1", 3 * h, g), ("head_angle.l2", g, 1),
-               ("head_distance.l1", 2 * h, g), ("head_distance.l2", g, config.distance_bins)]
+    blocks = ((f"block{k}.{s}.{layer}", n_in, h)
+              for k in range(config.num_blocks) for s in ("bond", "atom")
+              for layer, n_in in (("mlp1", h), ("mlp2", h), ("norm", None)))
+    heads = [("head_length.l1", 2 * h, g), ("head_length.l2", g, 1),
+             ("head_angle.l1", 3 * h, g), ("head_angle.l2", g, 1),
+             ("head_distance.l1", 2 * h, g), ("head_distance.l2", g, config.distance_bins)]
     if config.fingerprint_bits > 0:
-        layers.append(("head_fp.l1", h, config.fingerprint_bits))
+        heads.append(("head_fp.l1", h, config.fingerprint_bits))
     if config.num_tasks > 0:
-        layers += [("head_down.l1", h, d), ("head_down.l2", d, d),
-                   ("head_down.l3", d, config.num_tasks)]
-    table = []
-    for name, n_in, n_out in layers:
+        heads += [("head_down.l1", h, d), ("head_down.l2", d, d),
+                  ("head_down.l3", d, config.num_tasks)]
+    for name, n_in, n_out in chain(embeds, blocks, heads):
         if n_in is None:
-            table += [(f"{name}.gain", (n_out,), None), (f"{name}.bias", (n_out,), None)]
+            yield f"{name}.gain", (n_out,), None
+            yield f"{name}.bias", (n_out,), None
         else:
-            table += [(f"{name}.w", (n_in, n_out), n_in), (f"{name}.b", (n_out,), n_in)]
-    return table
+            yield f"{name}.w", (n_in, n_out), n_in
+            yield f"{name}.b", (n_out,), n_in
 
 
 def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,
@@ -194,15 +198,10 @@ def _row_scale(counts: np.ndarray, dtype) -> Tensor:
 class GeoGNN:
     """Dual-graph encoder with geometry, fingerprint and downstream heads."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        features: FeatureConfig | None = None,
-        rng: Rng | None = None,
-        store: ParamStore | None = None,
-    ):
+    def __init__(self, config: ModelConfig, rng: Rng | None = None,
+                 store: ParamStore | None = None):
         self.config = config.validate()
-        self.features = features or FeatureConfig()
+        self.features = FeatureConfig()
         if store is not None:
             self.store = store
         else:

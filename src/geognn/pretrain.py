@@ -59,7 +59,8 @@ def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> Pretra
     dists = distance_matrix(graph.coords).reshape(-1)
     if not np.all(np.isfinite(dists)):
         raise DataError(f"molecule {molecule.id}: non-finite atomic distance")
-    bins = np.minimum(dists.astype(np.int64), num_bins - 1)
+    # clamped before the cast: a distance of 2**63 or more has no int64
+    bins = np.minimum(dists, num_bins - 1).astype(np.int64)
     fingerprint = (
         np.asarray(molecule.fingerprint, dtype=np.float64)
         if molecule.fingerprint is not None
@@ -68,14 +69,19 @@ def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> Pretra
     return PretrainTargets(distance_bin_ids=bins, fingerprint=fingerprint)
 
 
+def squared_error(pred: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Sum over the elements of weights * (pred - targets)^2; ``targets`` and
+    ``weights`` have pred's shape."""
+    diff = T.sub(pred, Tensor(targets, dtype=pred.dtype))
+    return T.sum_all(T.mul(T.mul(diff, diff), Tensor(weights, dtype=pred.dtype)))
+
+
 def _masked_mse(head, h_atoms: Tensor, atoms: np.ndarray, targets: np.ndarray,
                 weights: np.ndarray) -> Tensor:
     """Weighted sum over rows of the squared error of head(h[atoms[:, 0]],
     h[atoms[:, 1]], ...) against targets; zero when there are no rows."""
-    dtype = h_atoms.dtype
     rows = [T.gather_rows(h_atoms, atoms[:, j]) for j in range(atoms.shape[1])]
-    diff = T.sub(head(*rows), Tensor(targets.reshape(-1, 1), dtype=dtype))
-    return T.sum_all(T.mul(T.mul(diff, diff), Tensor(weights.reshape(-1, 1), dtype=dtype)))
+    return squared_error(head(*rows), targets.reshape(-1, 1), weights.reshape(-1, 1))
 
 
 def loss_length(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:

@@ -394,8 +394,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the feature width")
-    mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
+    # centered about the float64 row mean: a float32 mean's rounding error is
+    # not small against eps for rows far from zero
+    mu = x.data.mean(axis=1, keepdims=True, dtype=np.float64)
+    centered = (x.data - mu).astype(x.dtype, copy=False)
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std

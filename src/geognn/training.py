@@ -23,13 +23,11 @@ from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
-from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack
+from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error
 from .rng import Rng
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger("geognn")
-
-METRIC_DIRECTIONS = {"rmse": "min", "mae": "min", "rocauc": "max"}
 
 
 @dataclass
@@ -39,7 +37,7 @@ class RunConfig:
     lr_body: float = 1e-3
     lr_head: float = 1e-3
     seed: int = 0
-    task_type: str = "regression"      # or "classification"
+    task_type: str | None = None       # regression | classification; None: the metric's
     metric: str = "rmse"               # rmse | mae | rocauc
     tasks: tuple[str, ...] = ("length", "angle", "distance")
     mask_ratio: float = 0.15
@@ -50,14 +48,14 @@ class RunConfig:
         check_int("seed", self.seed, 0, 2**64)
         for name in ("lr_body", "lr_head", "mask_ratio"):
             check_real(name, getattr(self, name), 0.0)
-        if self.task_type not in ("regression", "classification"):
+        if self.task_type not in (None, "regression", "classification"):
             raise ConfigError(f"unknown task type {self.task_type!r}")
-        if self.metric not in METRIC_DIRECTIONS:
+        if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.task_type == "regression" and self.metric == "rocauc":
-            raise ConfigError("rocauc is a classification metric")
-        if self.task_type == "classification" and self.metric != "rocauc":
-            raise ConfigError(f"{self.metric} is a regression metric")
+        task_type = METRICS[self.metric][2]
+        if self.task_type not in (None, task_type):
+            raise ConfigError(f"{self.metric} is a {task_type} metric")
+        self.task_type = task_type
         if not 0.0 < self.mask_ratio <= 1.0:
             raise ConfigError("mask ratio must lie in (0, 1]")
         check_tasks(self.tasks)
@@ -119,7 +117,11 @@ def adam_step(store: ParamStore, lr_body: float, lr_head: float | None = None) -
 # --- metrics -------------------------------------------------------------------
 
 
-def _paired(preds, targets):
+def _per_task(preds, targets, score, skipped: str = "has no labels",
+              none_scored: str = "no task had any labels") -> float:
+    """Mean over tasks of ``score(p, t)`` on each task's labelled rows. A task
+    with no labels, or one that ``score`` returns None for, is skipped with
+    the warning "task <k> <skipped>"; if every task is, DataError(none_scored)."""
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if preds.shape != targets.shape:
@@ -127,70 +129,62 @@ def _paired(preds, targets):
     if preds.ndim == 1:
         preds = preds.reshape(-1, 1)
         targets = targets.reshape(-1, 1)
-    return preds, targets
-
-
-def _per_task_regression(preds, targets, fn) -> float:
-    preds, targets = _paired(preds, targets)
     values = []
     for task in range(preds.shape[1]):
         keep = ~np.isnan(targets[:, task])
-        if not keep.any():
-            logger.warning("task %d has no labels; skipped", task)
-            continue
-        values.append(fn(preds[keep, task], targets[keep, task]))
+        value = score(preds[keep, task], targets[keep, task]) if keep.any() else None
+        if value is None:
+            logger.warning("task %d %s; skipped", task, skipped)
+        else:
+            values.append(value)
     if not values:
-        raise DataError("no task had any labels")
+        raise DataError(none_scored)
     return float(np.mean(values))
 
 
 def metric_rmse(preds, targets) -> float:
     """Root mean squared error; multi-task inputs average per-task values."""
-    return _per_task_regression(
-        preds, targets, lambda p, t: math.sqrt(float(np.mean((p - t) ** 2)))
-    )
+    return _per_task(preds, targets, lambda p, t: math.sqrt(float(np.mean((p - t) ** 2))))
 
 
 def metric_mae(preds, targets) -> float:
     """Mean absolute error; multi-task inputs average per-task values."""
-    return _per_task_regression(preds, targets, lambda p, t: float(np.mean(np.abs(p - t))))
+    return _per_task(preds, targets, lambda p, t: float(np.mean(np.abs(p - t))))
 
 
-def _auc_rank(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-statistic AUC with midranks: P(s+ > s-) + 0.5 P(tie)."""
-    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_group]
+def _auc_rank(scores: np.ndarray, labels: np.ndarray) -> float | None:
+    """Rank-statistic AUC with midranks: P(s+ > s-) + 0.5 P(tie); None
+    unless both classes are present."""
+    if not set(labels.tolist()) <= {0.0, 1.0}:
+        raise ConfigError("rocauc requires binary 0/1 labels")
     npos = int((labels == 1).sum())
     nneg = int((labels == 0).sum())
+    if npos == 0 or nneg == 0:
+        return None
+    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_group]
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
 
 
 def metric_rocauc(scores, labels) -> float:
     """Average ROC-AUC over tasks; single-class tasks are skipped."""
-    scores, labels = _paired(scores, labels)
-    values = []
-    for task in range(scores.shape[1]):
-        keep = ~np.isnan(labels[:, task])
-        y = labels[keep, task]
-        if not set(y.tolist()) <= {0.0, 1.0}:
-            raise ConfigError("rocauc requires binary 0/1 labels")
-        if (y == 1).sum() == 0 or (y == 0).sum() == 0:
-            logger.warning("task %d lacks both classes; skipped", task)
-            continue
-        values.append(_auc_rank(scores[keep, task], y))
-    if not values:
-        raise DataError("no task had both classes present")
-    return float(np.mean(values))
+    return _per_task(scores, labels, _auc_rank, "lacks both classes",
+                     "no task had both classes present")
 
 
-METRIC_FNS = {"rmse": metric_rmse, "mae": metric_mae, "rocauc": metric_rocauc}
+# each metric's function, its better direction, and the task type it scores
+METRICS = {
+    "rmse": (metric_rmse, "min", "regression"),
+    "mae": (metric_mae, "min", "regression"),
+    "rocauc": (metric_rocauc, "max", "classification"),
+}
 
 
 def metric_is_better(metric: str, candidate: float, incumbent: float | None) -> bool:
     if incumbent is None:
         return True
-    if METRIC_DIRECTIONS[metric] == "min":
+    if METRICS[metric][1] == "min":
         return candidate < incumbent
     return candidate > incumbent
 
@@ -316,7 +310,7 @@ def pretrain(
     model_config = ModelConfig.from_dict({**model_config.to_dict(), "num_tasks": 0})
     features = FeatureConfig()
     rng = Rng(run_config.seed)
-    model = GeoGNN(model_config, features=features, rng=rng)
+    model = GeoGNN(model_config, rng=rng)
 
     train_mols = [m for m in molecules if m.split != "valid"]
     eval_mols = [m for m in molecules if m.split == "valid"]
@@ -394,11 +388,10 @@ def _downstream_batch_loss(
     pred = model.head_downstream(emb.h_graph)
     present = ~np.isnan(labels)
     weights = present / present.sum(axis=1, keepdims=True) / len(items)
-    y = Tensor(np.where(present, labels, 0.0), dtype=pred.dtype)
+    y = np.where(present, labels, 0.0)
     if task_type == "regression":
-        diff = T.sub(pred, y)
-        return T.sum_all(T.mul(T.mul(diff, diff), Tensor(weights, dtype=pred.dtype))), {}
-    return T.bce_with_logits(pred, y, weights), {}
+        return squared_error(pred, y, weights), {}
+    return T.bce_with_logits(pred, Tensor(y, dtype=pred.dtype), weights), {}
 
 
 @dataclass
@@ -429,7 +422,7 @@ def finetune(
     rng = Rng(run_config.seed)
     # the checkpoint's tensors as they are; only the ones it lacks are drawn
     store = init_params(model_config, features, rng.fork("init"), given=init_store)
-    model = GeoGNN(model_config, features=features, store=store)
+    model = GeoGNN(model_config, store=store)
     if init_store is not None:
         loaded = set(init_store.names()) & set(model.store.names())
         logger.info("loaded %d parameter tensors from checkpoint", len(loaded))
@@ -449,7 +442,7 @@ def finetune(
         for part, mols in parts.items()
     }
     labels = {part: label_matrix(mols, names) for part, mols in parts.items()}
-    metric_fn = METRIC_FNS[run_config.metric]
+    metric_fn = METRICS[run_config.metric][0]
 
     def batch_loss(ids, rngs):
         batch = [items["train"][i] for i in ids]
@@ -484,7 +477,7 @@ def finetune(
             best_epoch = epoch
             best_store = model.store.copy()
 
-    eval_model = GeoGNN(model_config, features=features, store=best_store)
+    eval_model = GeoGNN(model_config, store=best_store)
     test_metric = metric_fn(_downstream_predictions(eval_model, items["test"]), labels["test"])
     report = {
         "kind": "finetune_report",
@@ -516,7 +509,7 @@ def evaluate(
     names: list[str] | None = None,
 ) -> dict:
     """Metric of the stored parameters on an arbitrary molecule list."""
-    if not isinstance(metric, str) or metric not in METRIC_FNS:
+    if not isinstance(metric, str) or metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if not molecules:
         raise DataError("no molecules to evaluate")
@@ -528,10 +521,10 @@ def evaluate(
         raise ConfigError(
             f"checkpoint predicts {model_config.num_tasks} tasks but the dataset has {len(names)}"
         )
-    model = GeoGNN(model_config, features=features, store=store)
+    model = GeoGNN(model_config, store=store)
     items = prepare_molecules(molecules, features, dtype=model_config.dtype)
     preds = _downstream_predictions(model, items)
-    value = METRIC_FNS[metric](preds, label_matrix(molecules, names))
+    value = METRICS[metric][0](preds, label_matrix(molecules, names))
     return {"kind": "evaluate_report", "metric": metric, "value": value,
             "task_names": names, "count": len(molecules)}
 
@@ -542,7 +535,7 @@ def embed_molecules(
     molecules: list[Molecule],
 ) -> list[tuple[str, np.ndarray]]:
     features = FeatureConfig()
-    model = GeoGNN(model_config, features=features, store=store)
+    model = GeoGNN(model_config, store=store)
     out = []
     for chunk in in_packs(molecules):
         # prepared a pack at a time, and only the packed copy of the

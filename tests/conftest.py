@@ -10,10 +10,10 @@ from geognn.molio import Atom, Bond, Molecule, annotate_derived_attributes
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def without_geometry(encoded: EncodedGraph, config: FeatureConfig | None = None) -> EncodedGraph:
+def without_geometry(encoded: EncodedGraph) -> EncodedGraph:
     """A copy of ``encoded`` with every RBF block zeroed, found by the
     manifest's offsets: the encoding with no coordinate-derived signal."""
-    manifest = (config or FeatureConfig()).manifest()
+    manifest = FeatureConfig().manifest()
     out = encoded.copy()
     for kind in ("bond", "angle"):
         for block in manifest[kind]:
@@ -30,6 +30,12 @@ def edit_header(path, edit) -> None:
     edit(header)
     body = json.dumps(header).encode()
     path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body + raw[end:])
+
+
+def rename_atom_block(header) -> None:
+    """edit_header edit: a foreign feature layout of the same widths, its
+    first atom block renamed."""
+    header["feature_manifest"]["atom"][0]["name"] = "element"
 
 
 def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):

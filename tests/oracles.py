@@ -71,8 +71,8 @@ def layer_norm_reference(x, gain, bias, upstream, eps: float = 1e-5):
     """Layer norm's output and its (x, gain, bias) gradients at ``upstream``,
     the input gradient taken term by term through the variance and the mean."""
     d = x.shape[1]
-    mu = x.mean(axis=1, keepdims=True)
-    centered = x - mu
+    mu = x.mean(axis=1, keepdims=True, dtype=np.float64)
+    centered = (x - mu).astype(x.dtype)
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
@@ -134,54 +134,56 @@ def dual_graph_reference(molecule):
     )
 
 
-def encode_reference(graph, molecule, config=None):
+def encode_reference(graph, molecule):
     """``encode`` one row at a time in float64: one-hot blocks written slot
     by slot at hand-summed offsets, bond attributes looked up by their
-    (min, max) key, and one RBF expansion per bond and per angle."""
+    (min, max) key, and one RBF expansion per bond and per angle. Block
+    widths are read by name from the manifest."""
     from geognn.errors import DataError
     from geognn.features import FeatureConfig, EncodedGraph
     from geognn.molio import BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS
 
-    config = config or FeatureConfig()
+    config = FeatureConfig()
+    manifest = config.manifest()
+    size = {b["name"]: b["width"] for kind in ("atom", "bond", "angle") for b in manifest[kind]}
 
-    def one_hot(row, offset, size, index):
-        if not 0 <= index < size:
-            raise DataError(f"one-hot index {index} outside block of size {size}")
+    def one_hot(row, offset, name, index):
+        if not 0 <= index < size[name]:
+            raise DataError(f"one-hot index {index} outside block of size {size[name]}")
         row[offset + index] = 1.0
-        return offset + size
+        return offset + size[name]
 
     def rbf(x, centers):
         d = x - np.asarray(centers, dtype=np.float64)
-        return np.exp(-config.rbf_gamma * d * d)
+        return np.exp(-manifest["rbf_gamma"] * d * d)
 
     degrees = np.bincount(graph.bonds.ravel(), minlength=graph.num_atoms)
     atom = np.zeros((graph.num_atoms, config.atom_width))
     for i, a in enumerate(molecule.atoms):
         row, offset = atom[i], 0
-        offset = one_hot(row, offset, config.atom_type_size, a.atomic_number)
-        offset = one_hot(row, offset, config.aromatic_size, int(a.aromatic))
-        charge = min(max(a.formal_charge + 8, 0), config.formal_charge_size - 1)
-        offset = one_hot(row, offset, config.formal_charge_size, charge)
-        offset = one_hot(row, offset, config.chirality_size, CHIRALITIES.index(a.chirality))
-        offset = one_hot(row, offset, config.degree_size, min(int(degrees[i]), config.degree_size - 1))
-        offset = one_hot(row, offset, config.num_h_size, min(a.num_explicit_h, config.num_h_size - 1))
-        one_hot(row, offset, config.hybridization_size, HYBRIDIZATIONS.index(a.hybridization))
+        offset = one_hot(row, offset, "atom_type", a.atomic_number)
+        offset = one_hot(row, offset, "aromatic", int(a.aromatic))
+        charge = min(max(a.formal_charge + 8, 0), size["formal_charge"] - 1)
+        offset = one_hot(row, offset, "formal_charge", charge)
+        offset = one_hot(row, offset, "chirality", CHIRALITIES.index(a.chirality))
+        offset = one_hot(row, offset, "degree", min(int(degrees[i]), size["degree"] - 1))
+        offset = one_hot(row, offset, "num_h", min(a.num_explicit_h, size["num_h"] - 1))
+        one_hot(row, offset, "hybridization", HYBRIDIZATIONS.index(a.hybridization))
 
     attr_by_key = {(min(b.a, b.b), max(b.a, b.b)): b for b in molecule.bonds}
     bond = np.zeros((graph.num_bonds, config.bond_width))
     for e in range(graph.num_bonds):
         b = attr_by_key[(int(graph.bonds[e, 0]), int(graph.bonds[e, 1]))]
         row, offset = bond[e], 0
-        offset = one_hot(row, offset, config.bond_dir_size, BOND_DIRS.index(b.bond_dir))
-        offset = one_hot(row, offset, config.bond_type_size, BOND_TYPES.index(b.bond_type))
-        offset = one_hot(row, offset, config.in_ring_size, int(b.in_ring))
-        row[offset : offset + len(config.length_centers)] = rbf(float(graph.lengths[e]),
-                                                               config.length_centers)
+        offset = one_hot(row, offset, "bond_dir", BOND_DIRS.index(b.bond_dir))
+        offset = one_hot(row, offset, "bond_type", BOND_TYPES.index(b.bond_type))
+        offset = one_hot(row, offset, "in_ring", int(b.in_ring))
+        row[offset : offset + size["length_rbf"]] = rbf(float(graph.lengths[e]),
+                                                        manifest["length_centers"])
 
     angle = np.zeros((graph.num_angles, config.angle_width))
     for t in range(graph.num_angles):
-        angle[t, : len(config.angle_centers)] = rbf(float(graph.angle_values[t]),
-                                                    config.angle_centers)
+        angle[t, : size["angle_rbf"]] = rbf(float(graph.angle_values[t]), manifest["angle_centers"])
     return EncodedGraph(atom=atom, bond=bond, angle=angle)
 
 

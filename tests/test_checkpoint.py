@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geognn.checkpoint import check_manifest, load_checkpoint, save_checkpoint
-from geognn.errors import ConfigError, DataError
+from geognn.cli import main
+from geognn.errors import ConfigError, DataError, GeoGnnError
 from geognn.features import FeatureConfig
 from geognn.model import GeoGNN, ModelConfig, parameter_table
+from geognn.molio import write_jsonl
 from geognn.rng import Rng
+from geognn.synth import random_molecule
 from geognn.training import adam_step
 
-from conftest import edit_header
+from conftest import edit_header, rename_atom_block
 
 
 CFG = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
@@ -93,6 +97,24 @@ def test_invalid_header_config_is_a_data_error(tmp_path, key, value):
         load_checkpoint(path)
 
 
+def test_corrupt_num_blocks_reads_no_more_of_its_table_than_the_file_holds(tmp_path,
+                                                                           monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(8)).store, CFG, FeatureConfig())
+    edit_header(path, lambda header: header["model_config"].__setitem__("num_blocks", 10**4))
+    read = []
+
+    def counted(*args):
+        for row in parameter_table(*args):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr("geognn.checkpoint.parameter_table", counted)
+    with pytest.raises(DataError, match="tensor head_length.l1.w has shape"):
+        load_checkpoint(path)
+    assert len(read) <= len(_header(path)["tensors"]) + 1
+
+
 def _legacy_checkpoint(path, name="embed.atom.w", kinds=("adam_m", "adam_v"), **changes):
     """A checkpoint as written before checkpoints held parameters only: an
     "adam_step" header key and, for the named parameter, one entry per kind
@@ -145,10 +167,9 @@ def test_unreadable_path_is_a_data_error(tmp_path, missing):
 
 
 def test_manifest_mismatch_refused(tmp_path):
-    other = FeatureConfig(num_h_size=5)
-    model = GeoGNN(CFG, features=other, rng=Rng(3))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.store, CFG, other)
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(3)).store, CFG, FeatureConfig())
+    edit_header(path, rename_atom_block)
     with pytest.raises(ConfigError, match="feature layout does not match this build: atom") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
@@ -168,3 +189,82 @@ def test_moment_of_wrong_shape_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="tensor embed.bond.w has shape") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+# --- mutated bytes ----------------------------------------------------------------
+
+# spans a splice can lay over the file: JSON punctuation and literals
+_PUNCTUATION = [b"{", b"}", b"[", b"]", b":", b",", b'"', b"\\", b"-", b".", b"e", b"0", b"9",
+                b"null", b"true", b"[]", b"{}", b" "]
+
+# one edit at a position of the header (bytes 0 to the header's end) or of
+# the payload: truncate there, replace the byte, copy ``width`` bytes from
+# elsewhere in the file over it, or lay JSON punctuation over ``width`` bytes
+_EDIT = st.tuples(
+    st.sampled_from(["truncate", "replace", "copy", "punctuate"]),
+    st.sampled_from(["header", "payload"]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.integers(0, 255),
+    st.sampled_from(_PUNCTUATION),
+    st.integers(0, 8),
+)
+
+
+def _mutate(raw: bytes, header_end: int, edits) -> bytes:
+    data = bytearray(raw)
+    for kind, region, at, source, byte, span, width in edits:
+        if not data:
+            break
+        lo, hi = (0, header_end) if region == "header" else (header_end, len(data))
+        if hi <= lo or hi > len(data):
+            lo, hi = 0, len(data)
+        pos = lo + at % (hi - lo)
+        if kind == "truncate":
+            del data[pos:]
+        elif kind == "replace":
+            data[pos] = byte
+        elif kind == "copy":
+            start = source % len(data)
+            data[pos : pos + width] = data[start : start + width]
+        else:
+            data[pos : pos + width] = span
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def mutation_seed(tmp_path_factory):
+    """A one-task checkpoint, its bytes and header end, and a labelled input."""
+    root = tmp_path_factory.mktemp("mutants")
+    cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                      geom_head_hidden=8, down_head_hidden=8, num_tasks=1)
+    save_checkpoint(root / "seed.ckpt", GeoGNN(cfg, rng=Rng(12)).store, cfg, FeatureConfig(),
+                    extra={"epoch": 1, "phase": "finetune", "task_names": ["y"]})
+    mols = [random_molecule(Rng(13).fork(i), min_atoms=3, max_atoms=6, mol_id=f"m{i}")
+            for i in range(2)]
+    for i, mol in enumerate(mols):
+        mol.labels = {"y": float(i)}
+    (root / "in.jsonl").write_bytes(write_jsonl(mols))
+    raw = (root / "seed.ckpt").read_bytes()
+    return root, raw, 16 + int.from_bytes(raw[8:16], "little")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_mutated_checkpoint_fails_only_as_geognn_error(mutation_seed, edits):
+    """Truncations, byte flips, copied spans and JSON punctuation: loading
+    raises nothing but a GeoGnnError, and embed and evaluate exit with a
+    documented code. A flipped payload byte can make a weight huge, whose
+    overflow is a numerical failure (exit 3), not a warning to stop at."""
+    root, raw, header_end = mutation_seed
+    path = root / "mutant.ckpt"
+    path.write_bytes(_mutate(raw, header_end, edits))
+    try:
+        load_checkpoint(path)
+    except GeoGnnError:
+        pass
+    for command, flags in (("embed", []), ("evaluate", ["--metric", "rmse"])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--input", str(root / "in.jsonl"), "--out", str(root / "out"),
+                         "--checkpoint", str(path), *flags])
+        assert code in (0, 1, 2, 3)

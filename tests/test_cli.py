@@ -14,7 +14,7 @@ from geognn.molio import molecule_to_json_dict, write_jsonl
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
-from conftest import FIXTURES, edit_header, make_molecule
+from conftest import FIXTURES, edit_header, make_molecule, rename_atom_block
 
 
 def run_cli(*argv) -> int:
@@ -204,6 +204,19 @@ class TestUsageErrors:
         assert "config error: " in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_num_tasks_in_config_file_exit_1(self, tmp_path, capsys, command):
+        """num_tasks comes from the labels; a config file may not set it."""
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"num_tasks": 7}}))
+        out = tmp_path / "o"
+        assert run_cli(command, "--input", str(src), "--out", str(out), "--config", str(cfg),
+                       "--epochs", "1") == 1
+        assert "config error: model.num_tasks" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["finetune", "evaluate", "embed"])
     @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
@@ -398,9 +411,9 @@ class TestCheckpointMatchesItsConfig:
     def test_foreign_feature_layout_exit_1(self, tmp_path, capsys, command):
         cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
                           geom_head_hidden=8, down_head_hidden=8)
-        other = FeatureConfig(num_h_size=5)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, GeoGNN(cfg, features=other, rng=Rng(1)).store, cfg, other)
+        save_checkpoint(path, GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig())
+        edit_header(path, rename_atom_block)
         src = tmp_path / "in.jsonl"
         write_dataset(src, n=5)
         flags = {"embed": [], "evaluate": ["--metric", "rmse"], "finetune": ["--epochs", "1"]}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geognn.features import FeatureConfig, encode, rbf_expand
+from geognn.features import BLOCKS, FeatureConfig, encode, rbf_expand
 from geognn.geometry import build_dual_graph
 from geognn.masking import mask_context
 from geognn.molio import BOND_DIRS, BOND_TYPES, Bond
@@ -85,11 +85,12 @@ def test_featurization_matches_per_row_reference(mol):
     np.testing.assert_allclose(graph.angle_values, ref.angle_values, rtol=0.0, atol=1e-13)
     # encoded from the reference graph, so only the angle RBFs can see the
     # angle values' last-bit differences
-    enc, want = encode(ref, mol), encode_reference(ref, mol)
+    enc, want = encode(ref, mol, FeatureConfig()), encode_reference(ref, mol)
     assert np.array_equal(enc.atom, want.atom)
     assert np.array_equal(enc.bond, want.bond)
     np.testing.assert_allclose(enc.angle, want.angle, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(encode(graph, mol).angle, want.angle, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(encode(graph, mol, FeatureConfig()).angle, want.angle,
+                               rtol=0.0, atol=1e-13)
 
 
 class TestEncode:
@@ -105,7 +106,7 @@ class TestEncode:
         mol = make_molecule(
             ["C", "O", "O"], [(0, 1), (0, 2)], [(0, 0, 0), (1.4, 0, 0), (0, 1.4, 0)]
         )
-        enc = encode(build_dual_graph(mol), mol)
+        enc = encode(build_dual_graph(mol), mol, FeatureConfig())
         assert enc.atom[0, 6] == 1.0  # atomic number of carbon
         assert enc.atom[0, :119].sum() == 1.0
         # degree block: carbon has degree 2
@@ -115,7 +116,7 @@ class TestEncode:
 
     def test_bond_at_grid_center_peaks(self):
         mol = make_molecule(["C", "C"], [(0, 1)], [(0, 0, 0), (1.5, 0, 0)])
-        enc = encode(build_dual_graph(mol), mol)
+        enc = encode(build_dual_graph(mol), mol, FeatureConfig())
         cfg = FeatureConfig()
         rbf_block = enc.bond[0, 13:-1]
         assert rbf_block.max() == 1.0
@@ -130,12 +131,12 @@ class TestEncode:
             mol = random_molecule(rng.fork(i))
             enc = encode(build_dual_graph(mol), mol, cfg)
             offset = 0
-            for name, width in cfg.atom_blocks():
+            for name, width in BLOCKS["atom"]:
                 block = enc.atom[:, offset : offset + width]
                 np.testing.assert_array_equal(block.sum(axis=1), np.ones(len(mol.atoms)))
                 offset += width
             offset = 0
-            for name, width in cfg.bond_blocks():
+            for name, width in BLOCKS["bond"]:
                 if name.endswith("_rbf"):
                     offset += width
                     continue
@@ -145,7 +146,7 @@ class TestEncode:
 
     def test_shapes_on_branched_fixture(self, methane):
         graph = build_dual_graph(methane)
-        enc = encode(graph, methane)
+        enc = encode(graph, methane, FeatureConfig())
         cfg = FeatureConfig()
         assert enc.atom.shape == (5, cfg.atom_width)
         assert enc.bond.shape == (4, cfg.bond_width)
@@ -153,20 +154,30 @@ class TestEncode:
 
     def test_encoding_is_pure(self, water):
         graph = build_dual_graph(water)
-        a = encode(graph, water)
-        b = encode(graph, water)
+        a = encode(graph, water, FeatureConfig())
+        b = encode(graph, water, FeatureConfig())
         assert np.array_equal(a.atom, b.atom)
         assert np.array_equal(a.bond, b.bond)
         assert np.array_equal(a.angle, b.angle)
 
     def test_geometry_ablation_zeroes_rbf_only(self, water):
         graph = build_dual_graph(water)
-        full = encode(graph, water)
+        full = encode(graph, water, FeatureConfig())
         flat = without_geometry(full)
         assert np.array_equal(full.atom, flat.atom)
         assert np.array_equal(full.bond[:, :13], flat.bond[:, :13])
         assert np.all(flat.bond[:, 13:-1] == 0.0)
         assert np.all(flat.angle[:, :-1] == 0.0)
+
+    def test_layout_has_no_settings(self):
+        with pytest.raises(TypeError):
+            FeatureConfig(num_h_size=5)
+        cfg = FeatureConfig()
+        assert cfg == FeatureConfig()
+        with pytest.raises(ValueError):
+            cfg.length_centers[0] = 1.0
+        with pytest.raises(ValueError):
+            cfg.angle_centers[0] = 1.0
 
     def test_manifest_structure(self):
         manifest = FeatureConfig().manifest()
@@ -180,7 +191,7 @@ class TestEncode:
 class TestMaskContext:
     def test_full_ratio_masks_everything(self, water):
         graph = build_dual_graph(water)
-        enc = encode(graph, water)
+        enc = encode(graph, water, FeatureConfig())
         masked, targets = mask_context(graph, enc, 1.0, [Rng(0)])
         assert targets.bond_lengths.shape == (2,)
         assert targets.angle_values.shape == (1,)
@@ -193,7 +204,7 @@ class TestMaskContext:
     def test_single_atom_molecule(self):
         mol = make_molecule(["C"], [], [(0.0, 0.0, 0.0)])
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         masked, targets = mask_context(graph, enc, 0.15, [Rng(1)])
         assert np.flatnonzero(masked.atom[:, -1]).tolist() == [0]
         assert targets.bond_lengths.size == 0
@@ -202,14 +213,14 @@ class TestMaskContext:
     def test_selection_count(self):
         mol = random_molecule(Rng(3), min_atoms=10, max_atoms=10)
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         masked, _ = mask_context(graph, enc, 0.15, [Rng(2)])
         assert np.count_nonzero(masked.atom[:, -1]) == max(1, round(0.15 * 10))
 
     def test_reproducible_given_seed(self):
         mol = random_molecule(Rng(8), min_atoms=20, max_atoms=20)
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         m1, t1 = mask_context(graph, enc, 0.15, [Rng(42)])
         m2, t2 = mask_context(graph, enc, 0.15, [Rng(42)])
         assert np.array_equal(m1.atom[:, -1], m2.atom[:, -1])
@@ -229,7 +240,7 @@ class TestMaskContext:
     def test_masks_match_reference_enumeration(self, seed, atoms, ratio):
         mol = random_molecule(Rng(seed), min_atoms=atoms, max_atoms=atoms)
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         masked, targets = mask_context(graph, enc, ratio, [Rng(seed).fork("mask")])
         chosen = np.flatnonzero(masked.atom[:, -1])
         want = Rng(seed).fork("mask").sample(atoms, max(1, round(ratio * atoms)))
@@ -250,7 +261,7 @@ class TestMaskContext:
 
     def test_original_encoding_untouched(self, water):
         graph = build_dual_graph(water)
-        enc = encode(graph, water)
+        enc = encode(graph, water, FeatureConfig())
         before = enc.bond.copy()
         mask_context(graph, enc, 1.0, [Rng(5)])
         assert np.array_equal(enc.bond, before)

@@ -29,7 +29,7 @@ def embed_molecule(model, mol, mode="eval", rng=None, include_geometry=True):
     graph = build_dual_graph(mol)
     enc = encode(graph, mol, model.features)
     if not include_geometry:
-        enc = without_geometry(enc, model.features)
+        enc = without_geometry(enc)
     return graph, enc, model.forward(graph, enc, mode=mode, rng=rng)
 
 
@@ -75,7 +75,7 @@ class TestForward:
         cfg = ModelConfig(num_blocks=2, hidden=8, dropout=0.3, num_tasks=1)
         model = GeoGNN(cfg, rng=Rng(2))
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         a = model.forward(graph, enc, mode="train", rng=[Rng(9)])
         b = model.forward(graph, enc, mode="train", rng=[Rng(9)])
         c = model.forward(graph, enc, mode="train", rng=[Rng(10)])
@@ -155,7 +155,7 @@ class TestForward:
         mol = random_molecule(Rng(12))
         model = GeoGNN(SMALL, rng=Rng(13))
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         enc.atom = enc.atom[:, :-2]
         with pytest.raises(Exception):
             model.forward(graph, enc)
@@ -213,7 +213,7 @@ class TestHeads:
         mol = random_molecule(Rng(29), min_atoms=4, max_atoms=5)
         model = GeoGNN(SMALL, rng=Rng(30))
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
 
         def head_loss():
             emb = model.forward(graph, enc)
@@ -249,7 +249,7 @@ class TestFullModelGradcheck:
         mol = random_molecule(Rng(40), min_atoms=4, max_atoms=5)
         model = GeoGNN(SMALL, rng=Rng(41))
         graph = build_dual_graph(mol)
-        enc = encode(graph, mol)
+        enc = encode(graph, mol, FeatureConfig())
         c = SMALL.distance_bins
         bins = np.minimum(np.floor(distance_matrix(graph.coords).reshape(-1)), c - 1).astype(int)
         bits = (Rng(42).uniform_array((1, 4)) > 0.5).astype(float)

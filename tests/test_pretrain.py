@@ -66,8 +66,10 @@ class TestBinDistance:
     def test_29_3(self):
         assert distance_bins([29.3]).tolist() == [29]
 
-    def test_clamp_far(self):
-        assert distance_bins([100.0]).tolist() == [29]
+    # 1e19 and 1e100 lie beyond int64: the distance is clamped before the cast
+    @pytest.mark.parametrize("far", [100.0, 1e19, 1e100])
+    def test_clamp_far(self, far):
+        assert distance_bins([far]).tolist() == [29]
 
     def test_non_finite_rejected(self):
         # finite coordinates whose squared distance overflows

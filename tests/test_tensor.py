@@ -406,22 +406,31 @@ class TestLayerNorm:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(layer_norm_cases())
     def test_matches_term_by_term_reference(self, case):
-        # in f64 the closed-form input gradient moves at the rounding level of
-        # the terms it is formed from, upstream * gain / std. In f32, x - mean
-        # of a constant row far from zero is rounding noise near sqrt(eps),
-        # which either form amplifies, so there only its dtype is checked.
+        # the closed-form input gradient moves at the rounding level of the
+        # terms it is formed from, upstream * gain / std
         x, gain, _, upstream = case
         terms = np.abs(upstream * gain / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)).max()
-        for dtype in (np.float64, np.float32):
+        for dtype, rtol in ((np.float64, 1e-13), (np.float32, 1e-5)):
             case = [a.astype(dtype) for a in case]
             out, gx, ggain, gbias = _layer_norm_value_and_grads(*case)
             want_out, want_gx, want_ggain, want_gbias = layer_norm_reference(*case)
             assert gx.dtype == want_gx.dtype == dtype
-            if dtype == np.float64:
-                assert np.abs(gx - want_gx).max() <= 1e-13 * terms
+            assert np.abs(gx.astype(np.float64) - want_gx).max() <= rtol * terms
             for got, want in ((out, want_out), (ggain, want_ggain), (gbias, want_gbias)):
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_constant_row_far_from_zero_normalises_to_bias(self, dtype):
+        # a float32 mean of this row misses it by more than sqrt(eps)
+        x = np.full((1, 42), 13471.327, dtype=dtype)
+        gain, bias = np.full(42, 2.0, dtype=dtype), np.linspace(-1.0, 1.0, 42).astype(dtype)
+        upstream = np.ones((1, 42), dtype=dtype)
+        out, gx, _, _ = _layer_norm_value_and_grads(x, gain, bias, upstream)
+        want_out = layer_norm_reference(x, gain, bias, upstream)[0]
+        assert out.dtype == gx.dtype == dtype
+        assert out.tobytes() == want_out.tobytes()
+        assert np.abs(out - bias).max() <= 1e-8
 
 
 class TestSoftmaxCrossEntropy:

@@ -294,6 +294,13 @@ class TestFinetuneLoop:
         assert len(seeds) == 12
         assert len(set(seeds)) == 12
 
+    @pytest.mark.parametrize("metric, task_type", [
+        ("rmse", "regression"), ("mae", "regression"), ("rocauc", "classification"),
+    ])
+    def test_task_type_follows_the_metric(self, metric, task_type):
+        assert RunConfig(metric=metric).validate().task_type == task_type
+        assert RunConfig(metric=metric, task_type=task_type).validate().task_type == task_type
+
     def test_metric_task_type_consistency_enforced(self):
         with pytest.raises(ConfigError):
             RunConfig(task_type="regression", metric="rocauc").validate()
