@@ -19,9 +19,8 @@ dropout masks from its own stream.
 
 The geometry heads are 2-layer MLPs. Length and angle concatenate the
 atom rows of the few masked bonds and angles. The distance head scores
-all V^2 ordered atom pairs of each molecule, so its first layer
-(``tensor.pair_affine_relu``) projects each atom once and adds two
-projections per pair instead of concatenating pair rows.
+all V^2 ordered atom pairs of each molecule, and only its loss is used:
+``pretrain.loss_distance`` runs it as one op, ``tensor.pair_mlp_cross_entropy``.
 """
 
 from __future__ import annotations
@@ -290,15 +289,6 @@ class GeoGNN:
     def head_angle(self, h_w: Tensor, h_u: Tensor, h_v: Tensor) -> Tensor:
         """Scalar angle prediction; the center atom goes in the middle slot."""
         return self._mlp2("head_angle", T.concat([h_w, h_u, h_v], axis=1))
-
-    def head_distance(self, h_atoms: Tensor, counts: np.ndarray) -> Tensor:
-        """Distance-bin logits for every ordered atom pair (u, v) of each
-        molecule, the molecules holding ``counts[m]`` consecutive rows of
-        ``h_atoms`` each; returns [sum(counts**2), distance_bins], each
-        molecule's pairs in turn, u-major."""
-        hidden = T.pair_affine_relu(h_atoms, counts, self.store["head_distance.l1.w"],
-                                    self.store["head_distance.l1.b"])
-        return self._apply_linear("head_distance.l2", hidden)
 
     def head_fingerprint(self, h_graph: Tensor) -> Tensor:
         """Fingerprint logits, one row per molecule."""

@@ -6,9 +6,9 @@ a time, as the distance task's pairs grow with the square of a molecule's
 atoms), masks the pack, each molecule with its own stream, and runs one
 forward pass per pack. Each task loss is a weighted sum over the pack's
 rows that equals the sum of the molecules' own mean losses; the distance
-task shares the same pass. Its head scores every ordered atom pair of
-each molecule straight from the atom rows (``GeoGNN.head_distance``), so
-the loss gathers no pair rows.
+task shares the same pass. Its loss, ``tensor.pair_mlp_cross_entropy``,
+scores every ordered atom pair of each molecule straight from the atom
+rows, one molecule at a time, so no pair row outlives its molecule.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> Pretra
     return PretrainTargets(distance_bin_ids=bins, fingerprint=fingerprint)
 
 
+def targets_of(items: Sequence[PreparedMolecule], num_bins: int) -> list[PretrainTargets]:
+    """``build_targets`` of each prepared molecule, in order."""
+    return [build_targets(item.graph, item.molecule, num_bins) for item in items]
+
+
 def squared_error(pred: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """Sum over the elements of weights * (pred - targets)^2; ``targets`` and
     ``weights`` have pred's shape."""
@@ -106,8 +111,8 @@ def loss_distance(
     nothing. ``bin_ids`` holds each molecule's pairs in turn, row-major."""
     counts = graph.atom_counts
     weights = np.repeat(np.where(counts > 1, 1.0 / counts**2, 0.0), counts**2)
-    logits = model.head_distance(emb.h_atoms, counts)
-    return T.softmax_cross_entropy(logits, bin_ids, weights)
+    head = [model.store[f"head_distance.{name}"] for name in ("l1.w", "l1.b", "l2.w", "l2.b")]
+    return T.pair_mlp_cross_entropy(emb.h_atoms, counts, *head, bin_ids, weights)
 
 
 def _check_fingerprint_width(width: int, model: GeoGNN) -> None:
@@ -164,23 +169,24 @@ def loss_pre(
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
     mode: str = "train",
+    targets: Sequence[PretrainTargets] | None = None,
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean pretraining loss over a batch of molecules, one rng each, and the
     mean of each task's loss. A molecule is masked with its rng's "mask"
-    fork and drops out with its "dropout" fork."""
+    fork and drops out with its "dropout" fork. ``targets`` holds each
+    molecule's ``build_targets``, which never change: a run builds them once."""
     check_tasks(tasks)
     if not batch:
         raise ConfigError("empty pretraining batch")
-    if len(rngs) != len(batch):
-        raise ConfigError("need one rng per molecule")
+    targets = targets if targets is not None else targets_of(batch, model.config.distance_bins)
+    if len(rngs) != len(batch) or len(targets) != len(batch):
+        raise ConfigError("need one rng and one target set per molecule")
     terms: list[Tensor] = []
     sums: dict[str, float] = {}
-    for items, streams in zip(in_packs(batch), in_packs(rngs)):
+    for items, streams, wanted in zip(in_packs(batch), in_packs(rngs), in_packs(targets)):
         graph, encoded = pack(items)
         encoded, masked = mask_context(graph, encoded, mask_ratio,
                                        [rng.fork("mask") for rng in streams])
-        targets = [build_targets(item.graph, item.molecule, model.config.distance_bins)
-                   for item in items]
         emb = model.forward(graph, encoded, mode=mode, rng=[rng.fork("dropout") for rng in streams])
 
         parts: dict[str, Tensor] = {}
@@ -189,10 +195,10 @@ def loss_pre(
         if "angle" in tasks:
             parts["angle"] = loss_angle(model, emb, masked)
         if "distance" in tasks:
-            bin_ids = np.concatenate([t.distance_bin_ids for t in targets])
+            bin_ids = np.concatenate([t.distance_bin_ids for t in wanted])
             parts["distance"] = loss_distance(model, emb, graph, bin_ids)
-        if "fingerprint" in tasks and any(t.fingerprint is not None for t in targets):
-            parts["fingerprint"] = loss_fingerprint(model, emb, _fingerprint_rows(targets, model))
+        if "fingerprint" in tasks and any(t.fingerprint is not None for t in wanted):
+            parts["fingerprint"] = loss_fingerprint(model, emb, _fingerprint_rows(wanted, model))
         for name, part in parts.items():
             terms.append(part)
             sums[name] = sums.get(name, 0.0) + part.item()

@@ -14,6 +14,9 @@ operands have the same shape, or one is a scalar, or one is an ``[n, 1]``
 column against an ``[n, k]`` matrix; backward sums each gradient back over
 what its operand was broadcast along.
 
+``pair_mlp_cross_entropy``, the distance objective, is a 2-layer MLP and its
+cross-entropy over the ordered row pairs of each run of rows, one run at a time.
+
 ``segment_sum``'s forward and ``gather_rows``' backward scatter-add rows
 with one flattened ``np.bincount``, which adds in index order (in float64,
 cast back to the input dtype), so reordering one segment's rows may move
@@ -342,50 +345,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(x.data @ w.data + b.data, (x, w, b), grad_fn, "affine")
 
 
-def pair_affine_relu(x: Tensor, counts, w: Tensor, b: Tensor) -> Tensor:
-    """relu(concat(x[i], x[j]) @ w + b) for every ordered pair (i, j) of rows
-    within each run of counts[m] consecutive rows of x, runs in turn, each
-    run's pairs in i-major order; one output row per pair.
-
-    concat(x[i], x[j]) @ w equals x[i] @ w[:k] + x[j] @ w[k:], so each row is
-    projected once and the pair rows are sums of two projections; the
-    [pairs, 2k] input is never built. Backward reduces each run's masked
-    [n, n, m] gradient block over j and over i."""
-    x, w, b = _coerce(x), _coerce(w), _coerce(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError("pair_affine_relu expects x[n,k], w[2k,m], b[m]")
-    k = x.shape[1]
-    if w.shape[0] != 2 * k or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"pair_affine_relu: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
-        raise ShapeError("pair_affine_relu: counts must be 1-D non-negative integers")
-    if int(counts.sum()) != x.shape[0]:
-        raise ShapeError(f"pair_affine_relu: counts sum to {int(counts.sum())}, x has "
-                         f"{x.shape[0]} rows")
-    counts = counts.astype(np.intp)
-    rows = np.concatenate([[0], np.cumsum(counts)])
-    pairs = np.concatenate([[0], np.cumsum(counts * counts)])
-    wa, wb = w.data[:k], w.data[k:]
-    a = x.data @ wa + b.data
-    c = x.data @ wb
-    out = np.empty((int(pairs[-1]), w.shape[1]), dtype=np.result_type(a, c))
-    for n, r, p in zip(counts, rows, pairs):
-        np.add(a[r : r + n, None], c[None, r : r + n], out=out[p : p + n * n].reshape(n, n, -1))
-    np.maximum(out, 0.0, out=out)
-
-    def grad_fn(g):
-        da, dc = np.empty_like(a), np.empty_like(c)
-        for n, r, p in zip(counts, rows, pairs):
-            block = (g[p : p + n * n] * (out[p : p + n * n] > 0)).reshape(n, n, -1)
-            da[r : r + n] = block.sum(axis=1)
-            dc[r : r + n] = block.sum(axis=0)
-        dw = np.concatenate([x.data.T @ da, x.data.T @ dc])
-        return da @ wa.T + dc @ wb.T, dw, da.sum(axis=0)
-
-    return _emit(out, (x, w, b), grad_fn, "pair_affine_relu")
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then scale+shift."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
@@ -398,8 +357,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # not small against eps for rows far from zero
     mu = x.data.mean(axis=1, keepdims=True, dtype=np.float64)
     centered = (x.data - mu).astype(x.dtype, copy=False)
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    with np.errstate(over="ignore"):  # raised below: inv_std 0 would silently give the bias
+        var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(_finite(var, "layer_norm") + eps)
     xhat = centered * inv_std
 
     def grad_fn(g):
@@ -460,6 +420,67 @@ def softmax_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
 
     loss = -(log_probs[rows, labels] * weights).sum()
     return _emit(np.asarray(loss, dtype=logits.dtype), (logits,), grad_fn, "softmax_cross_entropy")
+
+
+def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                           labels, weights=None) -> Tensor:
+    """Sum over pairs of weights[pair] * -log softmax(logits)[labels[pair]]
+    (without weights, the mean). The pairs are the ordered pairs (i, j) of
+    rows within each run of counts[m] consecutive rows of x, runs in turn,
+    i-major; a pair's logits are relu(concat(x[i], x[j]) @ w1 + b1) @ w2 + b2,
+    with x[i] @ w1[:k] + x[j] @ w1[k:] for the concat. One run's [n * n, h]
+    block is scored and dropped before the next; the result is a scalar, so a
+    taped call sums its gradients at upstream 1 as it goes, and backward only
+    scales them."""
+    x, w1, b1, w2, b2 = inputs = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
+    if ([t.data.ndim for t in inputs] != [2, 2, 1, 2, 1] or b2.shape != w2.shape[1:]
+            or w1.shape != (2 * x.shape[1], w2.shape[0]) or b1.shape != w2.shape[:1]):
+        raise ShapeError(f"pair_mlp_cross_entropy: shapes {[t.shape for t in inputs]} are not "
+                         "x[n,k], w1[2k,h], b1[h], w2[h,c], b2[c]")
+    counts = _check_ids(counts, x.shape[0] + 1, "pair_mlp_cross_entropy: counts").astype(np.intp)
+    if int(counts.sum()) != x.shape[0]:
+        raise ShapeError(f"pair_mlp_cross_entropy: counts sum to {counts.sum()}, not {x.shape[0]}")
+    k, h, sizes = x.shape[1], w2.shape[0], counts * counts
+    pairs = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    labels = _check_ids(labels, b2.shape[0], "class labels", rows=pairs[-1])
+    weights = _loss_weights(weights, labels.shape, x.dtype, "pair_mlp_cross_entropy")
+    taped = bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+    a, c = x.data @ w1.data[:k] + b1.data, x.data @ w1.data[k:]
+    picked = np.empty(labels.shape, dtype=np.result_type(a, w2.data))
+    # one buffer for every run's block: fresh ones would cost page faults
+    hidden_buf = np.empty(int(sizes.max(initial=0)) * h, dtype=picked.dtype)
+    if taped:
+        grad_buf, da, dc = np.empty_like(hidden_buf), np.empty_like(a), np.empty_like(c)
+        dw2, db2 = np.zeros_like(w2.data), np.zeros_like(b2.data)
+    for n, r, p in zip(counts.tolist(), np.cumsum(counts).tolist(), pairs):
+        m, r = n * n, r - n
+        hidden = hidden_buf[: m * h].reshape(m, h)
+        np.add(a[r : r + n, None], c[None, r : r + n], out=hidden.reshape(n, n, h))
+        np.maximum(hidden, 0.0, out=hidden)
+        z = _finite(hidden @ w2.data + b2.data, "pair_mlp_cross_entropy")
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        rows, ids = np.arange(m), labels[p : p + m]
+        picked[p : p + m] = z[rows, ids] - np.log(total[:, 0])
+        if taped:  # e becomes the logits' gradient, gh the hidden block's
+            e /= total
+            e[rows, ids] -= 1.0
+            e *= weights[p : p + m, None]
+            dw2 += hidden.T @ e
+            db2 += e.sum(axis=0)
+            gh = np.matmul(e, w2.data.T, out=grad_buf[: m * h].reshape(m, h))
+            gh *= hidden > 0
+            np.sum(gh.reshape(n, n, h), axis=1, out=da[r : r + n])
+            np.sum(gh.reshape(n, n, h), axis=0, out=dc[r : r + n])
+
+    def grad_fn(g):
+        dx = da @ w1.data[:k].T + dc @ w1.data[k:].T
+        dw1 = np.concatenate([x.data.T @ da, x.data.T @ dc])
+        return tuple(d * float(g) for d in (dx, dw1, da.sum(axis=0), dw2, db2))
+
+    loss = np.asarray(-(picked * weights).sum(), dtype=x.dtype)
+    return _emit(loss, inputs, grad_fn, "pair_mlp_cross_entropy")
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, weights=None) -> Tensor:

@@ -23,7 +23,8 @@ from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
-from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error
+from .pretrain import (PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error,
+                       targets_of)
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -318,11 +319,13 @@ def pretrain(
         raise DataError("no molecules to pretrain on")
     train_items = prepare_molecules(train_mols, features, dtype=model_config.dtype)
     eval_items = prepare_molecules(eval_mols, features, dtype=model_config.dtype)
+    train_targets, eval_targets = (targets_of(items, model_config.distance_bins)
+                                   for items in (train_items, eval_items))
 
-    def batch_loss(items, rngs, mode="train"):
+    def batch_loss(ids, rngs, items=train_items, targets=train_targets, mode="train"):
         return loss_pre(
-            model, items, rngs,
-            tasks=run_config.tasks, mask_ratio=run_config.mask_ratio, mode=mode,
+            model, [items[i] for i in ids], rngs, tasks=run_config.tasks,
+            mask_ratio=run_config.mask_ratio, mode=mode, targets=[targets[i] for i in ids],
         )
 
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -342,8 +345,7 @@ def pretrain(
     for epoch in range(1, run_config.epochs + 1):
         try:
             loss, parts = _fit_epoch(
-                model, len(train_items), run_config, rng.fork(f"epoch{epoch}"),
-                lambda ids, rngs: batch_loss([train_items[i] for i in ids], rngs),
+                model, len(train_items), run_config, rng.fork(f"epoch{epoch}"), batch_loss
             )
         except NumericalError as err:
             logger.error("pretraining diverged at epoch %d: %s", epoch, err)
@@ -351,7 +353,8 @@ def pretrain(
         entry = {"epoch": epoch, "loss": loss, **parts}
         if eval_items:
             eval_rngs = [Rng(run_config.seed).fork(f"eval{i}") for i in range(len(eval_items))]
-            entry["eval_loss"] = batch_loss(eval_items, eval_rngs, mode="eval")[0].item()
+            entry["eval_loss"] = batch_loss(range(len(eval_items)), eval_rngs, eval_items,
+                                            eval_targets, "eval")[0].item()
         history.append(entry)
         logger.info("pretrain epoch %d: loss %.6f", epoch, entry["loss"])
         write_checkpoint(epoch)

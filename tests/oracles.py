@@ -334,7 +334,7 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
             parts["angle"] = mse(model.head_angle, h, masked.angle_atoms, masked.angle_values)
         if "distance" in parts and n > 1:
             # the distance head spelled out on concatenated pair rows, so the
-            # reference does not run tensor.pair_affine_relu
+            # reference does not run tensor.pair_mlp_cross_entropy
             pairs = T.concat([T.gather_rows(h, np.repeat(np.arange(n), n)),
                               T.gather_rows(h, np.tile(np.arange(n), n))])
             store = model.store

@@ -371,6 +371,26 @@ class TestTruncatedCheckpoint:
         assert "Traceback" not in err
 
 
+class TestOverflowingCheckpoint:
+    def test_embed_exits_3(self, tmp_path, capsys):
+        # the atom embedding's rows are finite, but their layer-norm variance
+        # overflows; left alone, every atom row would normalise to its bias
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8)
+        store = GeoGNN(cfg, rng=Rng(1)).store
+        store["embed.atom.w"].data[:] = 1e300
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store, cfg, FeatureConfig())
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=2)
+        code = run_cli("embed", "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure: block 0: non-finite values produced by layer_norm" in err
+        assert not (tmp_path / "o" / "embeddings.jsonl").exists()
+
+
 def _tampered_store(store: ParamStore, tamper: str) -> tuple[ParamStore, str]:
     """A copy of ``store`` with one tensor dropped, reshaped or added, and
     that tensor's name."""

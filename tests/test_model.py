@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from geognn import tensor as T
-from geognn.errors import ConfigError
+from geognn.errors import ConfigError, ShapeError
 from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph, distance_matrix
 from geognn.model import GeoGNN, ModelConfig, ParamStore, init_params
+from geognn.pretrain import loss_distance
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
@@ -47,8 +48,7 @@ def composite_loss(model, graph, enc, bits, bins):
         pred_ang = model.head_angle(T.gather_rows(h, w), T.gather_rows(h, c), T.gather_rows(h, x))
         adiff = T.sub(pred_ang, Tensor(graph.angle_values.reshape(-1, 1)))
         loss = T.add(loss, T.mul(T.sum_all(T.mul(adiff, adiff)), 1.0 / graph.num_angles))
-    logits = model.head_distance(h, graph.atom_counts)
-    loss = T.add(loss, T.softmax_cross_entropy(logits, bins))
+    loss = T.add(loss, loss_distance(model, emb, graph, bins))
     loss = T.add(loss, T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits)))
     return T.add(loss, T.sum_all(model.head_downstream(emb.h_graph)))
 
@@ -166,8 +166,12 @@ class TestHeads:
         mol = random_molecule(Rng(20))
         model = GeoGNN(ModelConfig(num_blocks=1, hidden=4, dropout=0.0), rng=Rng(21))
         graph, _, emb = embed_molecule(model, mol)
-        logits = model.head_distance(emb.h_atoms, graph.atom_counts)
-        assert logits.shape == (graph.num_atoms**2, 30)
+        assert graph.num_atoms > 1
+        # scored over 30 bins: bin 29 is a label, bin 30 is not
+        bins = np.full(graph.num_atoms**2, 29)
+        assert loss_distance(model, emb, graph, bins).item() > 0.0
+        with pytest.raises(ShapeError):
+            loss_distance(model, emb, graph, bins + 1)
 
     def test_multi_task_output_width(self):
         mol = random_molecule(Rng(22))

@@ -205,8 +205,9 @@ class TestDistanceLoss:
         for u in range(n):
             assert bins[u * n + u] == 0
 
-    def test_mixed_pack_records_three_ops(self, model):
-        # the head never builds [pairs, 2 * hidden] rows: no gather, no concat
+    def test_mixed_pack_records_one_op(self, model):
+        # the whole objective is one op: no pair rows are gathered,
+        # concatenated or kept on the tape
         items = [prepare(random_molecule(Rng(18).fork(i), min_atoms=n, max_atoms=n), model)
                  for i, n in enumerate((1, 7, 3, 12))]
         graph, encoded = pack(items)
@@ -217,7 +218,7 @@ class TestDistanceLoss:
             start = len(tape)
             loss_distance(model, emb, graph, bins)
         ops = [grad_fn.__qualname__.split(".")[0] for _, _, grad_fn in tape._records[start:]]
-        assert ops == ["pair_affine_relu", "affine", "softmax_cross_entropy"]
+        assert ops == ["pair_mlp_cross_entropy"]
 
 
 class TestFingerprintLoss:

@@ -282,6 +282,9 @@ ID_OPS = {
     "segment_sum": lambda ids: T.segment_sum(Tensor(np.zeros((2, 3))), ids, 3),
     "gather_rows": lambda ids: T.gather_rows(Tensor(np.zeros((3, 2))), ids),
     "softmax_cross_entropy": lambda ids: T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), ids),
+    "pair_mlp_cross_entropy": lambda ids: T.pair_mlp_cross_entropy(
+        Tensor(np.zeros((2, 1))), [1, 1], Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
+        Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ids),
 }
 BAD_IDS = {
     "float": [0.0, 1.0],
@@ -302,80 +305,133 @@ def test_bad_ids_rejected(op, bad):
     ID_OPS[op](np.array([0, 2]))  # the same call with good ids runs
 
 
-def _pair_reference(x, counts, w, b):
-    """pair_affine_relu spelled out: gather both rows of every ordered pair,
-    i-major within each run, concatenate them and apply the layer."""
+def _pair_reference(x, counts, w1, b1, w2, b2, labels, weights):
+    """pair_mlp_cross_entropy spelled out: gather both rows of every ordered
+    pair, i-major within each run, concatenate them and apply both layers
+    and the cross-entropy."""
     starts = np.cumsum(counts) - counts
     u = np.concatenate([np.repeat(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
     v = np.concatenate([np.tile(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
-    return T.relu(T.affine(T.concat([T.gather_rows(x, u), T.gather_rows(x, v)]), w, b))
+    hidden = T.relu(T.affine(T.concat([T.gather_rows(x, u), T.gather_rows(x, v)]), w1, b1))
+    return T.softmax_cross_entropy(T.affine(hidden, w2, b2), labels, weights)
 
 
-def _pair_value_and_grads(op, x, counts, w, b, upstream):
-    """op's output and the gradients of sum(op(...) * upstream) w.r.t. x, w, b."""
-    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+def _pair_value_and_grads(op, x, counts, w1, b1, w2, b2, labels, weights, scale=0.3):
+    """The value of scale * op(...) and its gradients w.r.t. x, w1, b1, w2, b2."""
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
     with Tape() as tape:
-        out = op(leaves[0], counts, leaves[1], leaves[2])
-        loss = T.sum_all(T.mul(out, Tensor(upstream)))
+        loss = T.mul(op(leaves[0], counts, *leaves[1:], labels, weights), scale)
     tape.backward(loss)
-    return [out.data] + [t.grad for t in leaves]
+    return [loss.data] + [t.grad for t in leaves]
+
+
+def _distance_weights(counts):
+    """loss_distance's pair weights: 1/n^2 per pair, 0 for a one-row run."""
+    return np.repeat(np.where(counts > 1, 1.0 / counts**2, 0.0), counts**2)
 
 
 @st.composite
 def pair_cases(draw):
-    """1-8 runs of 1-40 rows, input width 1-6, output width 1-8."""
+    """Packs of 1-8 runs of 1-40 rows, one-row runs weighing 0; input width
+    1-6, hidden width 1-8, 2-8 classes."""
     counts = np.array(draw(st.lists(st.integers(1, 40), min_size=1, max_size=8)))
-    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    k, h, c = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(2, 8))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x, w, b = gen.normal(size=(counts.sum(), k)), gen.normal(size=(2 * k, m)), gen.normal(size=m)
-    return x, counts, w, b, gen.normal(size=((counts**2).sum(), m))
+    return (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(2 * k, h)),
+            gen.normal(size=h), gen.normal(size=(h, c)), gen.normal(size=c),
+            gen.integers(0, c, size=(counts**2).sum()), _distance_weights(counts))
+
+
+def _small_pair_case(seed, counts=(2, 1, 3)):
+    gen = np.random.default_rng(seed)
+    counts = np.array(counts)
+    return (gen.normal(size=(counts.sum(), 2)), counts, gen.normal(size=(4, 3)),
+            gen.normal(size=3), gen.normal(size=(3, 4)), gen.normal(size=4),
+            gen.integers(0, 4, size=(counts**2).sum()), _distance_weights(counts))
 
 
 class TestPairAffineRelu:
+    """The pair layer relu(concat(x[i], x[j]) @ w1 + b1), tested through the
+    one op that runs it: the fused distance objective pair_mlp_cross_entropy."""
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(pair_cases())
     def test_matches_concat_reference(self, case):
-        got = _pair_value_and_grads(T.pair_affine_relu, *case)
+        got = _pair_value_and_grads(T.pair_mlp_cross_entropy, *case)
         want = _pair_value_and_grads(_pair_reference, *case)
-        for name, g, r in zip(("out", "x", "w", "b"), got, want):
+        for name, g, r in zip(("loss", "x", "w1", "b1", "w2", "b2"), got, want):
             assert g.shape == r.shape, name
             assert np.abs(g - r).max() <= 1e-12 * max(np.abs(r).max(), 1.0), name
 
     def test_grads_vs_finite_differences(self):
-        gen = np.random.default_rng(13)
-        counts = np.array([2, 1, 3])
-        x, w, b = gen.normal(size=(6, 2)), gen.normal(size=(4, 3)), gen.normal(size=3)
-        upstream = gen.normal(size=(14, 3))
+        x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(13)
         analytic, numeric = grad_of(
-            lambda a, c, d: T.sum_all(T.mul(T.pair_affine_relu(a, counts, c, d),
-                                            Tensor(upstream))),
-            x, w, b,
+            lambda *t: T.pair_mlp_cross_entropy(t[0], counts, *t[1:], labels, weights),
+            x, w1, b1, w2, b2,
         )
         for got, want in zip(analytic, numeric):
             assert relative_error(got, want) < 1e-4
 
     def test_f32_stays_f32(self):
-        gen = np.random.default_rng(14)
-        counts = np.array([3, 2])
-        case = [gen.normal(size=(5, 3)), counts, gen.normal(size=(6, 4)), gen.normal(size=4),
-                gen.normal(size=(13, 4))]
-        case = [a if a is counts else a.astype(np.float32) for a in case]
-        got = _pair_value_and_grads(T.pair_affine_relu, *case)
+        case = list(_small_pair_case(14, counts=(3, 2)))
+        for i in (0, 2, 3, 4, 5, 7):
+            case[i] = case[i].astype(np.float32)
+        got = _pair_value_and_grads(T.pair_mlp_cross_entropy, *case)
         want = _pair_value_and_grads(_pair_reference, *case)
         for g, r in zip(got, want):
             assert g.dtype == np.float32
             np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5)
 
+    def test_without_a_tape_records_nothing_and_gives_the_same_loss(self):
+        case = _small_pair_case(15)
+        leaves = [Tensor(a, requires_grad=True) for a in (case[0], *case[2:6])]
+        untaped = T.pair_mlp_cross_entropy(leaves[0], case[1], *leaves[1:], *case[6:])
+        assert not untaped.requires_grad
+        with Tape() as tape:
+            taped = T.pair_mlp_cross_entropy(leaves[0], case[1], *leaves[1:], *case[6:])
+        assert len(tape) == 1 and taped.requires_grad
+        assert untaped.item() == taped.item()
+        assert all(t.grad is None for t in leaves)
+
+    def test_non_finite_logits_name_the_op(self):
+        x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(16)
+        b2[1] = np.inf
+        with pytest.raises(NumericalError, match="pair_mlp_cross_entropy"):
+            T.pair_mlp_cross_entropy(Tensor(x), counts, Tensor(w1), Tensor(b1), Tensor(w2),
+                                     Tensor(b2), labels, weights)
+
     @pytest.mark.parametrize("shapes", [
-        ((5, 3), [2, 2], (6, 4), (4,)),   # counts sum to 4, x has 5 rows
-        ((5, 3), [2, 3], (5, 4), (4,)),   # w has 5 rows, not 2k = 6
-        ((5, 3), [2, 3], (6, 4), (3,)),   # bias width 3 for 4 outputs
+        ((5, 3), [2, 2], (6, 4), (4,), (4, 2), (2,)),   # counts sum to 4, x has 5 rows
+        ((5, 3), [2, 3], (5, 4), (4,), (4, 2), (2,)),   # w1 has 5 rows, not 2k = 6
+        ((5, 3), [2, 3], (6, 4), (3,), (4, 2), (2,)),   # b1 width 3 for 4 hidden units
+        ((5, 3), [2, 3], (6, 4), (4,), (3, 2), (2,)),   # w2 has 3 rows for 4 hidden units
+        ((5, 3), [2, 3], (6, 4), (4,), (4, 2), (3,)),   # b2 width 3 for 2 classes
+        ((5,), [2, 3], (6, 4), (4,), (4, 2), (2,)),     # x is 1-D
     ])
     def test_bad_shapes_rejected(self, shapes):
-        x, counts, w, b = shapes
+        x, counts, w1, b1, w2, b2 = shapes
         with pytest.raises(ShapeError):
-            T.pair_affine_relu(Tensor(np.ones(x)), np.array(counts), Tensor(np.ones(w)),
-                               Tensor(np.ones(b)))
+            T.pair_mlp_cross_entropy(Tensor(np.ones(x)), np.array(counts), Tensor(np.ones(w1)),
+                                     Tensor(np.ones(b1)), Tensor(np.ones(w2)),
+                                     Tensor(np.ones(b2)), np.zeros(13, dtype=int))
+
+    @pytest.mark.parametrize("counts", [
+        [2.0, 3.0],      # not integers
+        [[2, 3]],        # 2-D
+        [6, -1],         # negative
+    ])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ShapeError, match="counts"):
+            T.pair_mlp_cross_entropy(Tensor(np.ones((5, 1))), np.array(counts),
+                                     Tensor(np.ones((2, 2))), Tensor(np.ones(2)),
+                                     Tensor(np.ones((2, 3))), Tensor(np.ones(3)),
+                                     np.zeros(13, dtype=int))
+
+    def test_bad_weights_rejected(self):
+        x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(17)
+        with pytest.raises(ShapeError, match="weights"):
+            T.pair_mlp_cross_entropy(Tensor(x), counts, Tensor(w1), Tensor(b1), Tensor(w2),
+                                     Tensor(b2), labels, weights[:-1])
 
 
 @st.composite
@@ -419,6 +475,12 @@ class TestLayerNorm:
             for got, want in ((out, want_out), (ggain, want_ggain), (gbias, want_gbias)):
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_variance_is_a_numerical_error(self):
+        # finite rows whose squared deviations overflow: inv_std would be 0
+        x = Tensor(np.array([[1e200, -1e200, 0.0]]))
+        with pytest.raises(NumericalError, match="layer_norm"):
+            T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_constant_row_far_from_zero_normalises_to_bias(self, dtype):
