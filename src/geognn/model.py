@@ -5,10 +5,12 @@ combine the two bond states of each angle with the projected angle
 features) and atom vectors are updated on the atom-bond graph (messages
 combine the two endpoint states with the bond state). Both updates read
 the previous iteration's states, matching the update equations rather
-than a sequential bond-then-atom sweep. Both apply one rule: the GIN-style
-sum aggregation of ``_aggregate``, then a 2-layer MLP, layer norm,
-graph-size norm (divide by sqrt of the node count of the respective
-graph), a residual connection, and dropout.
+than a sequential bond-then-atom sweep. Both apply one rule in two taped
+ops: ``tensor.aggregate``, the GIN-style sum aggregation, then
+``tensor.node_update``, a 2-layer MLP, layer norm, graph-size norm
+(divide by sqrt of the node count of the respective graph), a residual
+connection, and dropout. Each edge list's scatter indices are built once
+per forward pass, as a ``tensor.Edges``.
 
 A forward pass runs over a ``DualGraph``, the disjoint union of one or
 more molecules' dual graphs, one row per atom, bond or angle of any
@@ -117,19 +119,6 @@ class ParamStore:
         return clone
 
 
-def _aggregate(h_nodes: Tensor, pairs: np.ndarray, x_edges: Tensor) -> Tensor:
-    """GIN-style sum aggregation over an edge list.
-
-    Edge i joins nodes pairs[i, 0] and pairs[i, 1] and sends the message
-    h[pairs[i, 0]] + h[pairs[i, 1]] + x_edges[i] to both of them. An empty
-    edge list yields zero rows, one per node.
-    """
-    u, v = pairs[:, 0], pairs[:, 1]
-    n = h_nodes.shape[0]
-    msg = T.add(T.add(T.gather_rows(h_nodes, u), T.gather_rows(h_nodes, v)), x_edges)
-    return T.add(T.segment_sum(msg, u, n), T.segment_sum(msg, v, n))
-
-
 def parameter_table(
     config: ModelConfig, atom_width: int, bond_width: int, angle_width: int
 ) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
@@ -187,11 +176,11 @@ class GraphEmbedding:
     h_graph: Tensor   # [B, hidden], mean over each molecule's atom rows
 
 
-def _row_scale(counts: np.ndarray, dtype) -> Tensor:
+def _row_scale(counts: np.ndarray, dtype) -> np.ndarray:
     """Graph-size norm per row of graphs with ``counts`` rows each: 1/sqrt of
     its graph's row count, as an [n, 1] column."""
     scale = 1.0 / np.sqrt(np.maximum(counts, 1))
-    return Tensor(np.repeat(scale, counts).reshape(-1, 1), dtype=dtype)
+    return np.repeat(scale, counts).reshape(-1, 1).astype(dtype)
 
 
 class GeoGNN:
@@ -213,15 +202,12 @@ class GeoGNN:
     def _apply_linear(self, name: str, x: Tensor) -> Tensor:
         return T.affine(x, self.store[f"{name}.w"], self.store[f"{name}.b"])
 
-    def _combine(self, base: str, messages: Tensor, residual: Tensor, scale: Tensor,
-                 mode: str, rng: BlockRng | None) -> Tensor:
-        out = self._apply_linear(f"{base}.mlp1", messages)
-        out = T.relu(out)
-        out = self._apply_linear(f"{base}.mlp2", out)
-        out = T.layer_norm(out, self.store[f"{base}.norm.gain"], self.store[f"{base}.norm.bias"])
-        out = T.mul(out, scale)
-        out = T.add(out, residual)
-        return T.dropout(out, self.config.dropout, rng, training=(mode == "train"))
+    def _update(self, base: str, messages: Tensor, residual: Tensor, scale: np.ndarray,
+                rng: BlockRng | None, training: bool) -> Tensor:
+        names = ("mlp1.w", "mlp1.b", "mlp2.w", "mlp2.b", "norm.gain", "norm.bias")
+        return T.node_update(messages, residual, scale,
+                             *(self.store[f"{base}.{name}"] for name in names),
+                             self.config.dropout, rng, training)
 
     # --- forward ------------------------------------------------------------
 
@@ -253,21 +239,23 @@ class GeoGNN:
 
         atom_scale = _row_scale(graph.atom_counts, dtype)
         bond_scale = _row_scale(graph.bond_counts, dtype)
+        hidden = self.config.hidden
+        bond_edges = T.Edges(graph.bonds, h_atom.shape[0], hidden)
+        angle_edges = T.Edges(graph.angle_bonds, h_bond.shape[0], hidden)
         atom_rng = bond_rng = None
         if rng is not None:
             atom_rng, bond_rng = BlockRng(rng, graph.atom_counts), BlockRng(rng, graph.bond_counts)
+        training = mode == "train"
 
         for k in range(self.config.num_blocks):
             try:
                 # bonds on the bond-angle graph, then atoms on the atom-bond
                 # graph, both from iteration k-1 states; each molecule's bond
                 # dropout draws come before its atom draws
-                agg_bond = _aggregate(h_bond, graph.angle_bonds, x_angle)
-                new_bond = self._combine(f"block{k}.bond", agg_bond, h_bond, bond_scale, mode,
-                                         bond_rng)
-                agg_atom = _aggregate(h_atom, graph.bonds, h_bond)
-                new_atom = self._combine(f"block{k}.atom", agg_atom, h_atom, atom_scale, mode,
-                                         atom_rng)
+                new_bond = self._update(f"block{k}.bond", T.aggregate(h_bond, angle_edges, x_angle),
+                                        h_bond, bond_scale, bond_rng, training)
+                new_atom = self._update(f"block{k}.atom", T.aggregate(h_atom, bond_edges, h_bond),
+                                        h_atom, atom_scale, atom_rng, training)
             except NumericalError as err:
                 raise NumericalError(f"block {k}: {err}") from None
 

@@ -8,6 +8,8 @@ shuffling) flows through this module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -25,23 +27,54 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = z + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function of every element of the uint64 array z,
+    in place: ``_mix64(k)`` is ``_finalize(k + _GOLDEN)``."""
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
-def _uniform(seeds, idx: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Draw idx of the stream (or streams) seeds, mapped to [lo, hi)."""
-    with np.errstate(over="ignore"):
-        raw = _mix64_array(seeds + idx * np.uint64(_GOLDEN))
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return lo + (hi - lo) * u
+def _raw_draws(rngs: list["Rng"], rows, width: int) -> np.ndarray:
+    """The next ``rows[i] * width`` raw draws of each stream ``rngs[i]``, as
+    an [sum(rows), width] uint64 array whose block i of rows[i] rows comes
+    from stream i, row by row; advances each stream past its draws."""
+    rows = np.asarray(rows, dtype=np.int64)
+    seeds = np.array([rng._seed for rng in rngs], dtype=np.uint64)
+    counters = np.array([rng._counter for rng in rngs], dtype=np.uint64)
+    for rng, n in zip(rngs, rows.tolist()):
+        rng._counter += n * width
+    # element (j, c) of block i, whose first row is s[i], is draw
+    # k = counters[i] + (j - s[i]) * width + c + 1 of stream i, that is
+    # _finalize(seed + (k + 1) * golden); all in uint64 arrays, which wrap
+    # as _mix64's masks do
+    g, w = np.uint64(_GOLDEN), np.uint64(width)
+    starts = (np.cumsum(rows) - rows).astype(np.uint64)
+    row_key = np.repeat(seeds + (counters + np.uint64(2) - starts * w) * g, rows)
+    row_key += np.arange(row_key.size, dtype=np.uint64) * w * g
+    return _finalize(row_key[:, None] + np.arange(width, dtype=np.uint64) * g)
 
 
-class Rng:
+class _ArrayDraws:
+    """Arrays of draws from the raw 64-bit draws ``_draws(shape)`` gives."""
+
+    def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """Uniform in [lo, hi), from the top 53 bits of each raw draw."""
+        u = (self._draws(shape) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return lo + (hi - lo) * u
+
+    def keep_mask(self, shape, rate: float) -> np.ndarray:
+        """``uniform_array(shape) >= rate`` for a rate in [0, 1), compared in
+        integers: rate * 2**53 is exact, so u = (raw >> 11) * 2**-53 >= rate
+        exactly when raw >> 11 >= t = ceil(rate * 2**53), that is, when
+        raw >= t << 11 (t < 2**53, so the shift does not overflow)."""
+        return self._draws(shape) >= np.uint64(math.ceil(rate * 2.0**53) << 11)
+
+
+class Rng(_ArrayDraws):
     """Deterministic random stream; value i depends only on (seed, i)."""
 
     def __init__(self, seed: int):
@@ -70,11 +103,9 @@ class Rng:
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
 
-    def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    def _draws(self, shape) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
-        return _uniform(np.uint64(self._seed), idx, lo, hi).reshape(shape)
+        return _raw_draws([self], [1], n).reshape(shape)
 
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
@@ -97,23 +128,16 @@ class Rng:
         return self.permutation(n)[:k]
 
 
-class BlockRng:
+class BlockRng(_ArrayDraws):
     """Draws for a matrix whose consecutive row blocks each come from their
     own stream: block i has ``rows[i]`` rows and draws from ``rngs[i]``, so
     each block gets exactly the values its stream would give it alone.
-    Stands in for an ``Rng`` where only ``uniform_array`` is called."""
+    Stands in for an ``Rng`` where only ``uniform_array`` and ``keep_mask``
+    are called."""
 
     def __init__(self, rngs: list[Rng], rows):
         self.rngs = rngs
         self.rows = np.asarray(rows, dtype=np.int64)
 
-    def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        counts = self.rows * int(np.prod(shape[1:]))
-        seeds = np.array([rng._seed for rng in self.rngs], dtype=np.uint64)
-        first = np.array([rng._counter + 1 for rng in self.rngs], dtype=np.uint64)
-        for rng, n in zip(self.rngs, counts.tolist()):
-            rng._counter += n
-        # draw k of block i is draw first[i] + k of stream i
-        block_start = np.repeat((np.cumsum(counts) - counts).astype(np.uint64), counts)
-        idx = np.arange(counts.sum(), dtype=np.uint64) - block_start + np.repeat(first, counts)
-        return _uniform(np.repeat(seeds, counts), idx, lo, hi).reshape(shape)
+    def _draws(self, shape) -> np.ndarray:
+        return _raw_draws(self.rngs, self.rows, int(np.prod(shape[1:]))).reshape(shape)

@@ -17,10 +17,16 @@ what its operand was broadcast along.
 ``pair_mlp_cross_entropy``, the distance objective, is a 2-layer MLP and its
 cross-entropy over the ordered row pairs of each run of rows, one run at a time.
 
-``segment_sum``'s forward and ``gather_rows``' backward scatter-add rows
-with one flattened ``np.bincount``, which adds in index order (in float64,
-cast back to the input dtype), so reordering one segment's rows may move
-its sum in the last bits.
+``aggregate`` and ``node_update`` are the two halves of a GeoGNN block
+update, each one op: the sum of edge messages at both ends of every edge
+of an ``Edges`` list, then MLP, layer norm, graph-size scale, residual and
+dropout. Each gives the values of the chain of primitives it replaces,
+bit for bit, and keeps only what its backward reads.
+
+``segment_sum``'s forward, ``gather_rows``' backward and ``aggregate``
+scatter-add rows with one flattened ``np.bincount`` per scatter, which adds
+in index order (in float64, cast back to the input dtype), so reordering
+one segment's rows may move its sum in the last bits.
 
 Every op validates that its output is finite and raises
 ``NumericalError`` otherwise; NaN/Inf never propagate silently.
@@ -33,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .rng import Rng
+from .rng import BlockRng, Rng
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -272,10 +278,16 @@ def _check_ids(ids, bound: int, what: str, rows: int | None = None) -> np.ndarra
     return ids
 
 
-def _scatter_add(values: np.ndarray, ids: np.ndarray, num_out: int, dtype) -> np.ndarray:
-    """Row i of the result is the sum of value rows whose id is i, added in index order."""
+def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
+    """Where each element of width-wide rows with these row ids goes in a
+    flattened [num_out, width] result."""
+    return (ids.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter_add(values: np.ndarray, flat: np.ndarray, num_out: int, dtype) -> np.ndarray:
+    """Row i of the result is the sum of the value rows sent to row i by the
+    ``_flat_index`` flat, added in index order."""
     width = values.shape[1]
-    flat = (ids.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=values.ravel(), minlength=num_out * width)
     return out.reshape(num_out, width).astype(dtype, copy=False)
 
@@ -290,7 +302,7 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     def grad_fn(g):
         return (g[ids],)
 
-    data = _scatter_add(values.data, ids, num_segments, values.dtype)
+    data = _scatter_add(values.data, _flat_index(ids, values.shape[1]), num_segments, values.dtype)
     return _emit(data, (values,), grad_fn, "segment_sum")
 
 
@@ -302,7 +314,7 @@ def gather_rows(values: Tensor, ids) -> Tensor:
     ids = _check_ids(ids, values.shape[0], "row ids")
 
     def grad_fn(g):
-        return (_scatter_add(g, ids, values.shape[0], values.dtype),)
+        return (_scatter_add(g, _flat_index(ids, g.shape[1]), values.shape[0], values.dtype),)
 
     return _emit(values.data[ids], (values,), grad_fn, "gather_rows", check=False)
 
@@ -345,6 +357,31 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(x.data @ w.data + b.data, (x, w, b), grad_fn, "affine")
 
 
+def _normalize(x: np.ndarray, eps: float, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm's (xhat, inv_std) of the rows of x; op names it in errors."""
+    # centered about the float64 row mean: a float32 mean's rounding error is
+    # not small against eps for rows far from zero
+    mu = x.mean(axis=1, keepdims=True, dtype=np.float64)
+    xhat = (x - mu).astype(x.dtype, copy=False)
+    with np.errstate(over="ignore"):  # raised below: inv_std 0 would silently give the bias
+        var = (xhat * xhat).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(_finite(var, op) + eps)
+    xhat *= inv_std
+    return xhat, inv_std
+
+
+def _layer_norm_grads(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray):
+    """Gradients of xhat * gain + bias with respect to (x, gain, bias) at g."""
+    # d xhat_j / d x_i = inv_std * (delta_ij - 1/d - xhat_i * xhat_j / d)
+    gx = g * gain
+    tmp = gx * xhat
+    gx_xhat = tmp.mean(axis=1, keepdims=True)
+    gx -= gx.mean(axis=1, keepdims=True)
+    gx -= np.multiply(xhat, gx_xhat, out=tmp)
+    gx *= inv_std
+    return gx, np.multiply(g, xhat, out=tmp).sum(axis=0), g.sum(axis=0)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then scale+shift."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
@@ -353,40 +390,121 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the feature width")
-    # centered about the float64 row mean: a float32 mean's rounding error is
-    # not small against eps for rows far from zero
-    mu = x.data.mean(axis=1, keepdims=True, dtype=np.float64)
-    centered = (x.data - mu).astype(x.dtype, copy=False)
-    with np.errstate(over="ignore"):  # raised below: inv_std 0 would silently give the bias
-        var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(_finite(var, "layer_norm") + eps)
-    xhat = centered * inv_std
+    xhat, inv_std = _normalize(x.data, eps, "layer_norm")
 
     def grad_fn(g):
-        # d xhat_j / d x_i = inv_std * (delta_ij - 1/d - xhat_i * xhat_j / d)
-        gx = g * gain.data
-        gx = inv_std * (gx - gx.mean(axis=1, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=1, keepdims=True))
-        return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        return _layer_norm_grads(g, gain.data, xhat, inv_std)
 
     return _emit(xhat * gain.data + bias.data, (x, gain, bias), grad_fn, "layer_norm")
 
 
-def dropout(x: Tensor, rate: float, rng: Rng | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is zero."""
-    x = _coerce(x)
+def _dropout_keep(shape, dtype, rate: float, rng, training: bool) -> np.ndarray | None:
+    """Inverted dropout's multiplier, 0 or 1 / (1 - rate) per element from
+    ``rng.keep_mask``; None where dropout is the identity."""
     if not training or rate == 0.0:
-        return x
+        return None
     if not 0.0 <= rate < 1.0:
         raise ShapeError("dropout rate must lie in [0, 1)")
     if rng is None:
         raise ConfigError("training-mode dropout needs an rng")
-    keep = (rng.uniform_array(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    keep = rng.keep_mask(shape, rate).astype(dtype)
+    keep /= 1.0 - rate
+    return keep
+
+
+def dropout(x: Tensor, rate: float, rng: Rng | BlockRng | None, training: bool) -> Tensor:
+    """Inverted dropout; identity when not training or rate is zero."""
+    x = _coerce(x)
+    keep = _dropout_keep(x.shape, x.dtype, rate, rng, training)
+    if keep is None:
+        return x
 
     def grad_fn(g):
         return (g * keep,)
 
     return _emit(x.data * keep, (x,), grad_fn, "dropout")
+
+
+class Edges:
+    """Edge i joins nodes pairs[i, 0] and pairs[i, 1] of num_nodes: the ids,
+    checked, and the flat indices that scatter width-wide rows to either
+    end, built once for every ``aggregate`` over the edges."""
+
+    def __init__(self, pairs, num_nodes: int, width: int):
+        pairs = np.asarray(pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ShapeError(f"edge pairs must be [E, 2], got shape {pairs.shape}")
+        self.u, self.v = (_check_ids(pairs[:, j], num_nodes, "edge ends") for j in (0, 1))
+        self.flat_u, self.flat_v = _flat_index(self.u, width), _flat_index(self.v, width)
+        self.node_shape = (num_nodes, width)
+
+
+def aggregate(h: Tensor, edges: Edges, x: Tensor) -> Tensor:
+    """GIN-style sum aggregation: edge i sends the message
+    (h[u_i] + h[v_i]) + x[i] to both its ends, and row j of the result is
+    the sum of the messages node j receives as an edge's first end plus
+    the sum it receives as a second end. An empty edge list gives zeros."""
+    h, x = _coerce(h), _coerce(x)
+    n, w = edges.node_shape
+    if h.shape != (n, w) or x.shape != (edges.u.size, w):
+        raise ShapeError(f"aggregate: shapes {h.shape} and {x.shape} for {edges.u.size} edges "
+                         f"over nodes {edges.node_shape}")
+    msg = h.data[edges.u]
+    msg += h.data[edges.v]
+    msg += x.data
+    out = _scatter_add(msg, edges.flat_u, n, h.dtype)
+    out += _scatter_add(msg, edges.flat_v, n, h.dtype)
+
+    def grad_fn(g):
+        gmsg = g[edges.v]
+        gmsg += g[edges.u]
+        # h is listed once per end: the second-end scatter is accumulated
+        # first, then the first-end one, as two gathers would be
+        return (_scatter_add(gmsg, edges.flat_v, n, h.dtype),
+                _scatter_add(gmsg, edges.flat_u, n, h.dtype), gmsg)
+
+    return _emit(out, (h, h, x), grad_fn, "aggregate")
+
+
+def node_update(x: Tensor, residual: Tensor, scale: np.ndarray, w1: Tensor, b1: Tensor,
+                w2: Tensor, b2: Tensor, gain: Tensor, bias: Tensor, rate: float,
+                rng: Rng | BlockRng | None, training: bool) -> Tensor:
+    """dropout(layer_norm(relu(x @ w1 + b1) @ w2 + b2) * scale + residual)
+    for x[n,k], residual[n,d], w1[k,h], b1[h], w2[h,d], b2[d], gain[d],
+    bias[d] and a plain column scale[n,1]. It checks for non-finite values
+    at the first layer's output (relu(-inf) is 0), the variance and the
+    result."""
+    x, residual, w1, b1, w2, b2, gain, bias = params = tuple(
+        _coerce(t) for t in (x, residual, w1, b1, w2, b2, gain, bias))
+    if ([t.data.ndim for t in params] != [2, 2, 2, 1, 2, 1, 1, 1]
+            or w1.shape != (x.shape[1], b1.shape[0]) or w2.shape[0] != b1.shape[0]
+            or residual.shape != (x.shape[0], w2.shape[1]) or np.shape(scale) != (x.shape[0], 1)
+            or not b2.shape == gain.shape == bias.shape == w2.shape[1:]):
+        raise ShapeError(f"node_update: shapes {[t.shape for t in params]}, {np.shape(scale)} "
+                         "are not x, residual, w1, b1, w2, b2, gain, bias, scale")
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(_finite(hidden, "affine in node_update"), 0.0, out=hidden)
+    pre_norm = hidden @ w2.data
+    pre_norm += b2.data
+    xhat, inv_std = _normalize(pre_norm, 1e-5, "layer_norm in node_update")
+    out = xhat * gain.data
+    out += bias.data
+    out *= scale
+    out += residual.data
+    keep = _dropout_keep(out.shape, out.dtype, rate, rng, training)
+    if keep is not None:
+        out *= keep
+
+    def grad_fn(g):
+        g_res = g if keep is None else g * keep
+        g_mid, g_gain, g_bias = _layer_norm_grads(g_res * scale, gain.data, xhat, inv_std)
+        g_hidden = g_mid @ w2.data.T
+        g_hidden *= hidden > 0
+        return (g_hidden @ w1.data.T, g_res, x.data.T @ g_hidden, g_hidden.sum(axis=0),
+                hidden.T @ g_mid, g_mid.sum(axis=0), g_gain, g_bias)
+
+    return _emit(out, params, grad_fn, "node_update")
 
 
 def _loss_weights(weights, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:

@@ -85,6 +85,26 @@ def layer_norm_reference(x, gain, bias, upstream, eps: float = 1e-5):
     return xhat * gain + bias, gx, (upstream * xhat).sum(axis=0), upstream.sum(axis=0)
 
 
+def aggregate_chain(h, pairs, x):
+    """``tensor.aggregate`` as the 7 taped ops it replaced: gather both ends,
+    add them and the edge row, and segment-sum the message to either end."""
+    from geognn import tensor as T
+
+    u, v = pairs[:, 0], pairs[:, 1]
+    msg = T.add(T.add(T.gather_rows(h, u), T.gather_rows(h, v)), x)
+    return T.add(T.segment_sum(msg, u, h.shape[0]), T.segment_sum(msg, v, h.shape[0]))
+
+
+def node_update_chain(x, residual, scale, w1, b1, w2, b2, gain, bias, rate, rng, training):
+    """``tensor.node_update`` as the 7 taped ops it replaced: affine, relu,
+    affine, layer norm, the graph-size scale, the residual and dropout."""
+    from geognn import tensor as T
+    from geognn.tensor import Tensor
+
+    out = T.layer_norm(T.affine(T.relu(T.affine(x, w1, b1)), w2, b2), gain, bias)
+    return T.dropout(T.add(T.mul(out, Tensor(scale)), residual), rate, rng, training)
+
+
 def angle_reference(pw, pu, pv) -> float:
     """arccos of the clamped normalized dot product of the two arms at pu."""
     a = np.asarray(pw, dtype=float) - np.asarray(pu, dtype=float)

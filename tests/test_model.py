@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geognn import tensor as T
-from geognn.errors import ConfigError, ShapeError
+from geognn.errors import ConfigError, NumericalError, ShapeError
 from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph, distance_matrix
 from geognn.model import GeoGNN, ModelConfig, ParamStore, init_params
@@ -159,6 +159,14 @@ class TestForward:
         enc.atom = enc.atom[:, :-2]
         with pytest.raises(Exception):
             model.forward(graph, enc)
+
+    def test_minus_infinity_before_relu_names_block_and_op(self):
+        # relu(-inf) is 0: left unchecked, the update's output would be finite
+        model = GeoGNN(SMALL, rng=Rng(3))
+        model.store["block1.atom.mlp1.b"].data[0] = -np.inf
+        with pytest.raises(NumericalError,
+                           match="^block 1: non-finite values produced by affine in node_update"):
+            embed_molecule(model, random_molecule(Rng(1)))
 
 
 class TestHeads:

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from geognn import tensor as T
 from geognn.errors import NumericalError, ShapeError
-from geognn.rng import Rng
+from geognn.geometry import build_dual_graph, pack_graphs
+from geognn.rng import BlockRng, Rng
+from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 
-from oracles import (central_difference, layer_norm_reference, relative_error,
-                     segment_sum_reference, softmax_ce_reference)
+from oracles import (aggregate_chain, central_difference, layer_norm_reference, node_update_chain,
+                     relative_error, segment_sum_reference, softmax_ce_reference)
 
 
 def grad_of(f, *arrays, h=1e-5):
@@ -285,6 +287,9 @@ ID_OPS = {
     "pair_mlp_cross_entropy": lambda ids: T.pair_mlp_cross_entropy(
         Tensor(np.zeros((2, 1))), [1, 1], Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
         Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ids),
+    "aggregate": lambda ids: T.aggregate(
+        Tensor(np.zeros((3, 2))), T.Edges(np.stack([ids, ids[::-1]], axis=-1), 3, 2),
+        Tensor(np.zeros((2, 2)))),
 }
 BAD_IDS = {
     "float": [0.0, 1.0],
@@ -493,6 +498,130 @@ class TestLayerNorm:
         assert out.dtype == gx.dtype == dtype
         assert out.tobytes() == want_out.tobytes()
         assert np.abs(out - bias).max() <= 1e-8
+
+
+@st.composite
+def update_cases(draw):
+    """The atom or the bond side of one block on a pack of 1-4 molecules of
+    1-40 atoms (a one-atom molecule has no bonds or angles): its edge list,
+    graph sizes, node states, edge rows, update parameters of widths 1-6
+    and an upstream gradient, in float64 or float32, in eval or train mode."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    graph = pack_graphs([build_dual_graph(random_molecule(Rng(seed).fork(i), min_atoms=n,
+                                                          max_atoms=n))
+                         for i, n in enumerate(sizes)])
+    pairs, counts = draw(st.sampled_from([(graph.bonds, graph.atom_counts),
+                                          (graph.angle_bonds, graph.bond_counts)]))
+    n, e = int(counts.sum()), pairs.shape[0]
+    width, hidden = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    gen = np.random.default_rng(seed)
+    arrays = [gen.normal(size=shape).astype(dtype) for shape in (
+        (n, width), (e, width), (width, hidden), (hidden,), (hidden, width), (width,), (width,),
+        (width,), (n, width))]
+    return pairs, counts, arrays[:-1], arrays[-1], draw(st.booleans()), seed
+
+
+def _fused_update(h, pairs, x, *rest):
+    return T.node_update(T.aggregate(h, T.Edges(pairs, h.shape[0], h.shape[1]), x), h, *rest)
+
+
+def _chain_update(h, pairs, x, *rest):
+    return node_update_chain(aggregate_chain(h, pairs, x), h, *rest)
+
+
+def _update_value_and_grads(update, pairs, counts, arrays, upstream, training, seed):
+    """One update of node states h by their edge list and edge rows x, then
+    dropout 0.2 in train mode, one stream per molecule: its output and the
+    gradients of sum(output * upstream) with respect to h, x and the six
+    parameters."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    h, x, *params = leaves
+    scale = np.repeat(1.0 / np.sqrt(np.maximum(counts, 1)), counts).reshape(-1, 1).astype(h.dtype)
+    rng = BlockRng([Rng(seed).fork(i) for i in range(counts.size)], counts)
+    with Tape() as tape:
+        out = update(h, pairs, x, scale, *params, 0.2, rng, training)
+        loss = T.sum_all(T.mul(out, Tensor(upstream)))
+    tape.backward(loss)
+    return out.data, [t.grad for t in leaves]
+
+
+def _update_args(**shapes):
+    """Arguments of a node update of 3 rows of width 2 and hidden width 4,
+    after 2 edges, with the shape of any of them replaced."""
+    shapes = {"h": (3, 2), "x": (2, 2), "scale": (3, 1), "w1": (2, 4), "b1": (4,),
+              "w2": (4, 2), "b2": (2,), "gain": (2,), "bias": (2,), **shapes}
+    return {name: np.ones(shape) if name == "scale" else Tensor(np.ones(shape))
+            for name, shape in shapes.items()}
+
+
+class TestFusedUpdate:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(update_cases())
+    def test_matches_the_composed_chain(self, case):
+        got_out, got_grads = _update_value_and_grads(_fused_update, *case)
+        want_out, want_grads = _update_value_and_grads(_chain_update, *case)
+        dtype = case[2][0].dtype
+        assert got_out.dtype == dtype and np.array_equal(got_out, want_out)
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in zip(got_grads, want_grads):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_grads_match_finite_differences(self, training):
+        graph = pack_graphs([build_dual_graph(random_molecule(Rng(3).fork(i), min_atoms=n,
+                                                              max_atoms=n))
+                             for i, n in enumerate((1, 5))])
+        gen = np.random.default_rng(4)
+        arrays = [gen.normal(size=shape) for shape in (
+            (6, 3), (graph.num_bonds, 3), (3, 4), (4,), (4, 3), (3,), (3,), (3,))]
+        upstream = gen.normal(size=(6, 3))
+        scale = np.repeat(1.0 / np.sqrt(graph.atom_counts), graph.atom_counts).reshape(-1, 1)
+
+        def f(h, x, *params):
+            rng = BlockRng([Rng(5), Rng(6)], graph.atom_counts)
+            out = _fused_update(h, graph.bonds, x, scale, *params, 0.2, rng, training)
+            return T.sum_all(T.mul(out, Tensor(upstream)))
+
+        analytic, numeric = grad_of(f, *arrays)
+        for got, want in zip(analytic, numeric):
+            assert relative_error(got, want) < 1e-4
+
+    @pytest.mark.parametrize("bad", [
+        {"x": (3, 3)}, {"x": (2, 2, 1)}, {"h": (2, 2)}, {"scale": (3,)}, {"w1": (3, 4)},
+        {"b1": (5,)}, {"w2": (4, 3)}, {"b2": (3,)}, {"gain": (2, 2)}, {"bias": (1,)},
+    ], ids=lambda bad: "-".join(f"{k}{v}" for k, v in bad.items()))
+    def test_bad_update_shapes_rejected(self, bad):
+        a = _update_args(**bad)
+        with pytest.raises(ShapeError, match="node_update"):
+            T.node_update(a["x"], a["h"], a["scale"], a["w1"], a["b1"], a["w2"], a["b2"],
+                          a["gain"], a["bias"], 0.0, None, False)
+
+    @pytest.mark.parametrize("h,x,pairs", [
+        ((4, 2), (2, 2), [[0, 1], [1, 2]]),   # more node rows than nodes
+        ((3, 2), (3, 2), [[0, 1], [1, 2]]),   # an edge row too many
+        ((3, 2), (2, 3), [[0, 1], [1, 2]]),   # edge rows of another width
+        ((3, 2), (2, 2), [0, 1]),             # pairs not [E, 2]
+        ((3, 2), (2, 2), [[0, 1, 2], [1, 2, 0]]),
+    ])
+    def test_bad_aggregate_shapes_rejected(self, h, x, pairs):
+        with pytest.raises(ShapeError):
+            T.aggregate(Tensor(np.ones(h)), T.Edges(np.array(pairs), 3, 2), Tensor(np.ones(x)))
+
+    @pytest.mark.parametrize("name,value,stage", [
+        ("b1", -np.inf, "affine in node_update"),      # before the ReLU would hide it
+        ("w2", 1e200, "layer_norm in node_update"),    # the variance overflows
+        ("h", np.nan, "produced by node_update"),      # the residual
+    ])
+    def test_non_finite_raises_naming_the_stage(self, name, value, stage):
+        a = _update_args()
+        a["x"] = Tensor(np.arange(6.0).reshape(3, 2))
+        a[name].data.flat[0] = value
+        with pytest.raises(NumericalError, match=stage):
+            T.node_update(a["x"], a["h"], a["scale"], a["w1"], a["b1"], a["w2"], a["b2"],
+                          a["gain"], a["bias"], 0.0, None, False)
 
 
 class TestSoftmaxCrossEntropy:
