@@ -191,8 +191,8 @@ def cmd_featurize(args) -> int:
     molecules, errors = _read_molecules(args.input, strict=args.strict)
     features = FeatureConfig()
     counts = {"atoms": {}, "bonds": {}, "angles": {}}
-    # prepared a pack at a time, so the encodings do not pile up; encoding
-    # raises DataError for a value outside the layout
+    # one pack's union at a time, so the encodings do not pile up; a bad
+    # molecule raises DataError naming it
     for chunk in in_packs(molecules):
         for item in prepare_molecules(chunk, features):
             g = item.graph

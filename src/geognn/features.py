@@ -100,18 +100,21 @@ def rbf_expand(values, centers: np.ndarray, gamma: float = RBF_GAMMA) -> np.ndar
     if not np.isfinite(values).all():
         raise DataError("rbf_expand: non-finite input")
     d = values - np.asarray(centers, dtype=np.float64)
-    return np.exp(-gamma * d * d)
+    with np.errstate(over="ignore"):  # a value too far from a center weighs 0 there
+        return np.exp(-gamma * d * d)
 
 
 def encode(
     graph: DualGraph,
-    molecule: Molecule,
+    molecules: Molecule | list[Molecule],
     config: FeatureConfig,
     dtype=np.float64,
 ) -> EncodedGraph:
-    """Build the feature matrices for one molecule: ``graph`` is its union of one."""
-    atoms = molecule.atoms
-    bonds = [molecule.bonds[i] for i in bond_order(molecule)[0]]  # in dual-graph row order
+    """The feature matrices of one molecule, or of several as the union ``graph``."""
+    molecules = [molecules] if isinstance(molecules, Molecule) else molecules
+    atoms = [a for m in molecules for a in m.atoms]
+    bonds = [b for m in molecules for b in m.bonds]
+    bonds = [bonds[i] for i in bond_order(molecules)[0]]  # in dual-graph row order
     slots = {  # per one-hot block, the slot of each atom or bond row
         "atom_type": [a.atomic_number for a in atoms],
         "aromatic": [a.aromatic for a in atoms],
@@ -141,8 +144,9 @@ def encode(
             outside = (index < 0) | (index >= width[:, None])
             if outside.any():
                 k, i = np.argwhere(outside)[0]
-                raise DataError(f"one-hot index {index[k, i]} outside block {hot[k]} "
-                                f"of size {width[k]}")
+                owner = (graph.atom_graph if kind == "atom" else graph.bond_graph)[i]
+                raise DataError(f"molecule {molecules[owner].id}: one-hot index {index[k, i]} "
+                                f"outside block {hot[k]} of size {width[k]}")
             rows[np.arange(count), index + offset[:, None]] = 1.0
         for name, values in columns.items():
             if name in layout:

@@ -9,9 +9,9 @@ From a molecule with 3D coordinates this derives
 ``bond_order`` alone fixes the bond row order, which ``encode`` reads too.
 ``build_dual_graph`` works in whole-array passes, with no per-angle loop.
 
-A ``DualGraph`` is always a disjoint union of one or more molecules: one
-molecule is a union of one, and ``pack_graphs`` joins several, so a batch
-of molecules runs through the network as a single graph.
+A ``DualGraph`` is always a disjoint union: ``build_dual_graph`` makes one
+of any number of molecules and ``pack_graphs`` joins unions, so a batch of
+molecules runs through the network as a single graph.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class DualGraph:
 
     Atom ids in ``bonds`` and ``angles`` are offset by the atoms of the
     molecules before, and bond ids in ``angle_bonds`` by their bonds; rows
-    of every array come molecule by molecule. ``build_dual_graph`` makes a
-    union of one and ``pack_graphs`` joins unions.
+    of every array come molecule by molecule. ``build_dual_graph`` makes
+    the union of a list of molecules and ``pack_graphs`` joins unions.
     """
 
     bonds: np.ndarray         # [E, 2] atom ids, each row a < b, rows sorted per molecule
@@ -82,28 +82,37 @@ class DualGraph:
         return np.bincount(self.bonds.ravel(), minlength=self.num_atoms)
 
 
-def bond_order(molecule: Molecule) -> tuple[np.ndarray, np.ndarray]:
-    """The dual graph's bond rows: each bond as (a, b) with a < b, the rows
-    sorted by (a, b). Returns (order, bonds), where row i is the bond
-    ``molecule.bonds[order[i]]``."""
-    ends = np.array([(b.a, b.b) for b in molecule.bonds], dtype=np.int64).reshape(-1, 2)
+def bond_order(molecules: Sequence[Molecule]) -> tuple[np.ndarray, np.ndarray]:
+    """The dual graph's bond rows: each bond as (a, b) with a < b in union
+    atom ids, the rows sorted by (a, b). Returns (order, bonds), where row i
+    is bond ``order[i]`` of the molecules' bond lists joined in turn."""
+    offsets = np.cumsum([0] + [len(m.atoms) for m in molecules])
+    ends = np.array([(b.a + o, b.b + o) for m, o in zip(molecules, offsets.tolist())
+                     for b in m.bonds], dtype=np.int64).reshape(-1, 2)
     ends.sort(axis=1)
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     return order, ends[order]
 
 
-def build_dual_graph(molecule: Molecule) -> DualGraph:
-    """The dual graph of one molecule: a union of one."""
-    num_atoms = len(molecule.atoms)
-    coords = np.asarray(molecule.coords, dtype=np.float64).reshape(num_atoms, 3)
-    _, bonds = bond_order(molecule)
+def build_dual_graph(molecules: Molecule | Sequence[Molecule]) -> DualGraph:
+    """The dual graph of one molecule, or of several as one union."""
+    molecules = [molecules] if isinstance(molecules, Molecule) else molecules
+    atom_counts = np.array([len(m.atoms) for m in molecules], dtype=np.int64)
+    offsets = np.cumsum(atom_counts) - atom_counts
+    coords = np.array([xyz for m in molecules for xyz in m.coords], dtype=np.float64).reshape(-1, 3)
+    _, bonds = bond_order(molecules)
     # each bond's length from its two ends, by distance_matrix's formula, so
-    # the two agree exactly without building the [V, V] matrix
-    diff = coords[bonds[:, 0]] - coords[bonds[:, 1]]
-    lengths = np.sqrt((diff * diff).sum(axis=-1))
-    if (lengths == 0.0).any():
-        pair = tuple(bonds[np.argmax(lengths == 0.0)].tolist())
-        raise DataError(f"molecule {molecule.id}: coincident bonded atoms {pair}")
+    # the two agree exactly without building the [V, V] matrix; far-apart ends overflow, named below
+    with np.errstate(all="ignore"):
+        diff = coords[bonds[:, 0]] - coords[bonds[:, 1]]
+        lengths = np.sqrt((diff * diff).sum(axis=-1))
+    bad = (lengths == 0.0) | ~np.isfinite(lengths)
+    if bad.any():
+        row = np.argmax(bad)
+        mol = int(np.searchsorted(offsets, bonds[row, 0], side="right")) - 1
+        pair = tuple((bonds[row] - offsets[mol]).tolist())
+        what = "coincident bonded atoms" if lengths[row] == 0.0 else "non-finite length of bond"
+        raise DataError(f"molecule {molecules[mol].id}: {what} {pair}")
 
     # Bond ends (center, neighbor), row r an end of bond r mod E, sorted by
     # center, then neighbor. Each end pairs with every later end of its center
@@ -116,7 +125,7 @@ def build_dual_graph(molecule: Molecule) -> DualGraph:
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     angles = np.column_stack((ends[first, 1], ends[first, 0], ends[second, 1]))
     angle_bonds = np.column_stack((end_bond[first], end_bond[second]))
-    # an angle's arms are its two bonds, whose lengths are known
+    # an angle's arms are its two bonds, whose lengths are known, finite and nonzero
     arms = coords[angles[:, [0, 2]]] - coords[angles[:, [1]]]
     cosine = (arms[:, 0] * arms[:, 1]).sum(axis=1) / lengths[angle_bonds].prod(axis=1)
 
@@ -127,17 +136,15 @@ def build_dual_graph(molecule: Molecule) -> DualGraph:
         lengths=lengths,
         angle_values=np.arccos(np.clip(cosine, -1.0, 1.0)),
         coords=coords,
-        atom_counts=np.array([num_atoms], dtype=np.int64),
-        bond_counts=np.array([len(bonds)], dtype=np.int64),
+        atom_counts=atom_counts,
+        bond_counts=np.array([len(m.bonds) for m in molecules], dtype=np.int64),
     )
 
 
 def pack_graphs(graphs: Sequence[DualGraph]) -> DualGraph:
     """The disjoint union of one or more dual graphs, in the order given."""
-    atom_counts = np.array([g.num_atoms for g in graphs], dtype=np.int64)
-    bond_counts = np.array([g.num_bonds for g in graphs], dtype=np.int64)
-    atom_offsets = np.cumsum(atom_counts) - atom_counts
-    bond_offsets = np.cumsum(bond_counts) - bond_counts
+    atom_offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+    bond_offsets = np.cumsum([0] + [g.num_bonds for g in graphs])
 
     def join(name: str, offsets=None) -> np.ndarray:
         arrays = [getattr(g, name) for g in graphs]

@@ -56,7 +56,8 @@ class PretrainTargets:
 
 def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> PretrainTargets:
     """Targets of one molecule: ``graph`` is its union of one."""
-    dists = distance_matrix(graph.coords).reshape(-1)
+    with np.errstate(all="ignore"):  # far-apart atoms overflow: named below
+        dists = distance_matrix(graph.coords).reshape(-1)
     if not np.all(np.isfinite(dists)):
         raise DataError(f"molecule {molecule.id}: non-finite atomic distance")
     # clamped before the cast: a distance of 2**63 or more has no int64
@@ -160,6 +161,23 @@ def pack(items: Sequence[PreparedMolecule]) -> tuple[DualGraph, EncodedGraph]:
         bond=np.concatenate([item.encoded.bond for item in items]),
         angle=np.concatenate([item.encoded.angle for item in items]),
     )
+
+
+def unpack(molecules: Sequence[Molecule], graph: DualGraph,
+           encoded: EncodedGraph) -> list[PreparedMolecule]:
+    """``pack``'s inverse: each molecule with its own graph and views of its feature rows."""
+    angle_counts = np.bincount(graph.bond_graph[graph.angle_bonds[:, 0]], minlength=len(molecules))
+    counts = np.column_stack((graph.atom_counts, graph.bond_counts, angle_counts))
+    ends = np.cumsum(counts, axis=0)
+    return [
+        PreparedMolecule(mol, DualGraph(
+            graph.bonds[b0:b1] - a0, graph.angles[g0:g1] - a0, graph.angle_bonds[g0:g1] - b0,
+            graph.lengths[b0:b1], graph.angle_values[g0:g1], graph.coords[a0:a1],
+            graph.atom_counts[i : i + 1], graph.bond_counts[i : i + 1],
+        ), EncodedGraph(encoded.atom[a0:a1], encoded.bond[b0:b1], encoded.angle[g0:g1]))
+        for i, (mol, (a0, b0, g0), (a1, b1, g1))
+        in enumerate(zip(molecules, (ends - counts).tolist(), ends.tolist()))
+    ]
 
 
 def loss_pre(

@@ -24,7 +24,7 @@ from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
 from .pretrain import (PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error,
-                       targets_of)
+                       targets_of, unpack)
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -242,12 +242,12 @@ def label_matrix(molecules: list[Molecule], names: list[str]) -> np.ndarray:
 def prepare_molecules(
     molecules: list[Molecule], features: FeatureConfig, dtype=np.float64
 ) -> list[PreparedMolecule]:
-    return [
-        PreparedMolecule(
-            molecule=m, graph=(g := build_dual_graph(m)), encoded=encode(g, m, features, dtype=dtype)
-        )
-        for m in molecules
-    ]
+    """Each molecule with its graph and features: views of one union per pack."""
+    out = []
+    for chunk in in_packs(molecules):
+        graph = build_dual_graph(chunk)
+        out += unpack(chunk, graph, encode(graph, chunk, features, dtype=dtype))
+    return out
 
 
 def write_report(path: Path, obj: dict) -> None:
@@ -541,9 +541,10 @@ def embed_molecules(
     model = GeoGNN(model_config, store=store)
     out = []
     for chunk in in_packs(molecules):
-        # prepared a pack at a time, and only the packed copy of the
-        # features lives through the forward pass: this bounds peak memory
-        packed = pack(prepare_molecules(chunk, features, dtype=model_config.dtype))
-        h_graph = model.forward(*packed, mode="eval").h_graph.data
+        # one union per pack goes straight to the forward pass, so only one
+        # pack's features live at a time: this bounds peak memory
+        graph = build_dual_graph(chunk)
+        encoded = encode(graph, chunk, features, dtype=model_config.dtype)
+        h_graph = model.forward(graph, encoded, mode="eval").h_graph.data
         out += [(mol.id, row.copy()) for mol, row in zip(chunk, h_graph)]
     return out

@@ -115,6 +115,20 @@ class TestFeaturize:
         assert summary["parse_errors"] == []
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_bond_exit_2_names_the_molecule(self, tmp_path, capsys):
+        mols = [random_molecule(Rng(4).fork(i), min_atoms=4, max_atoms=8, mol_id=f"m{i}")
+                for i in range(3)]
+        far = mols[1].bonds[0].b
+        mols[1].coords[far] = (1e200, 0.0, 0.0)
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        assert run_cli("featurize", "--input", str(src), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "data error: molecule m1: non-finite length of bond" in err
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exit_1(self):
         assert run_cli("featurize", "--out", "/tmp/x") == 1

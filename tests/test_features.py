@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geognn.features import BLOCKS, FeatureConfig, encode, rbf_expand
-from geognn.geometry import build_dual_graph
+from geognn.errors import DataError
+from geognn.features import BLOCKS, EncodedGraph, FeatureConfig, encode, rbf_expand
+from geognn.geometry import build_dual_graph, pack_graphs
 from geognn.masking import mask_context
 from geognn.molio import BOND_DIRS, BOND_TYPES, Bond
+from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import random_molecule
+from geognn.training import prepare_molecules
 
 from conftest import make_molecule, without_geometry
 from oracles import dual_graph_reference, encode_reference, masked_entities_reference
@@ -91,6 +94,69 @@ def test_featurization_matches_per_row_reference(mol):
     np.testing.assert_allclose(enc.angle, want.angle, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(encode(graph, mol, FeatureConfig()).angle, want.angle,
                                rtol=0.0, atol=1e-13)
+
+
+GRAPH_FIELDS = ("bonds", "angles", "angle_bonds", "lengths", "angle_values", "coords",
+                "atom_counts", "bond_counts")
+
+
+def assert_same(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) and a.dtype == b.dtype, name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mols=st.lists(scrambled_molecules(), min_size=1, max_size=PACK_SIZE),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_union_equals_its_molecules_alone(mols, dtype):
+    """A pack featurized as one union equals its molecules featurized alone,
+    each a union of one, then joined; prepare_molecules' per-molecule views
+    equal the molecules alone."""
+    cfg = FeatureConfig()
+    alone = [build_dual_graph(m) for m in mols]
+    encoded = [encode(g, m, cfg, dtype=dtype) for g, m in zip(alone, mols)]
+    union = build_dual_graph(mols)
+    assert_same(union, pack_graphs(alone), GRAPH_FIELDS)
+    joined = EncodedGraph(*(np.concatenate([getattr(e, kind) for e in encoded])
+                            for kind in ("atom", "bond", "angle")))
+    assert_same(encode(union, mols, cfg, dtype=dtype), joined, ("atom", "bond", "angle"))
+    items = prepare_molecules(mols, cfg, dtype=dtype)
+    for item, mol, graph, enc in zip(items, mols, alone, encoded, strict=True):
+        assert item.molecule is mol
+        assert_same(item.graph, graph, GRAPH_FIELDS)
+        assert_same(item.encoded, enc, ("atom", "bond", "angle"))
+
+
+def _coincident(mol):
+    mol.coords[mol.bonds[0].b] = mol.coords[mol.bonds[0].a]
+
+
+def _far_apart(mol):
+    x, y, z = mol.coords[mol.bonds[0].b]
+    mol.coords[mol.bonds[0].b] = (x + 1e200, y, z)
+
+
+def _off_block(mol):
+    mol.atoms[1].num_explicit_h = -1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spoil, message", [
+    (_coincident, "coincident bonded atoms"),
+    (_far_apart, "non-finite length of bond"),
+    (_off_block, "one-hot index -1 outside block num_h"),
+])
+def test_a_bad_molecule_in_a_union_raises_its_own_message(spoil, message):
+    mols = [random_molecule(Rng(5).fork(i), min_atoms=4, max_atoms=8, mol_id=f"m{i}")
+            for i in range(5)]
+    spoil(mols[2])
+    with pytest.raises(DataError) as alone:
+        prepare_molecules(mols[2:3], FeatureConfig())
+    assert str(alone.value).startswith(f"molecule m2: {message}")
+    with pytest.raises(DataError) as union:
+        prepare_molecules(mols, FeatureConfig())
+    assert str(union.value) == str(alone.value)
 
 
 class TestEncode:

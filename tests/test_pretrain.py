@@ -5,7 +5,7 @@ import pytest
 
 from geognn import tensor as T
 from geognn.errors import DataError
-from geognn.features import encode
+from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph
 from geognn.masking import mask_context
 from geognn.model import GeoGNN, ModelConfig
@@ -18,10 +18,12 @@ from geognn.pretrain import (
     loss_length,
     loss_pre,
     pack,
+    targets_of,
 )
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
+from geognn.training import prepare_molecules
 
 from conftest import make_molecule
 from oracles import softmax_ce_reference
@@ -84,6 +86,16 @@ class TestBinDistance:
         assert bins.tolist() == [min(int(d), 29) for d in dists]
         one_hot = np.eye(30)[bins]
         assert np.all(one_hot.sum(axis=1) == 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_apart_unbonded_atom_names_its_molecule():
+    # featurizes, as no bond reaches the far atom, but its distances overflow
+    mol = make_molecule(["C", "C", "C"], [(0, 1)], [(0, 0, 0), (1.5, 0, 0), (1e200, 0, 0)],
+                        mol_id="far")
+    items = prepare_molecules([mol], FeatureConfig())
+    with pytest.raises(DataError, match="molecule far: non-finite atomic distance"):
+        targets_of(items, num_bins=30)
 
 
 class TestGeometryLosses:
