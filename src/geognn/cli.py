@@ -9,6 +9,9 @@ Each command takes only the flags it reads:
     evaluate   --input --out --checkpoint --config --metric --split
     embed      --input --out --checkpoint
 
+Inputs are SDF or JSON lines. featurize logs and lists each bad record and
+skips it unless --strict is given; every other command exits 2 on the first.
+
 A JSON config file has a "model" and a "run" section. Each config is merged
 in one step: the defaults (the checkpoint's model config, when finetuning
 from one), then the file, then the flags. Model keys other than dropout
@@ -33,7 +36,7 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseError
 from .features import FeatureConfig
 from .model import ModelConfig
-from .molio import Molecule, parse_jsonl, parse_sdf, parse_sdf_lenient
+from .molio import Molecule, parse_jsonl_lenient, parse_sdf_lenient
 from .pretrain import in_packs
 from .training import (
     METRICS,
@@ -97,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="parse and encode molecules and write a summary")
     _add_io(p)
-    p.add_argument("--strict", action="store_true", help="abort on the first parse error")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 2 on the first bad record instead of skipping it")
 
     p = sub.add_parser("pretrain", help="self-supervised pretraining")
     _add_io(p)
@@ -148,16 +152,13 @@ def _read_molecules(paths: list[str], strict: bool = True):
             raise DataError(f"input file {path}: cannot read ({err.strerror})") from None
         sniff = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
         is_jsonl = p.suffix.lower() in (".jsonl", ".json") or sniff == b"{"
-        if is_jsonl:
-            molecules.extend(parse_jsonl(data))
-        elif strict:
-            molecules.extend(parse_sdf(data))
-        else:
-            mols, errs = parse_sdf_lenient(data)
-            molecules.extend(mols)
-            for e in errs:
-                logger.warning("%s: %s", path, e)
-            errors.extend(errs)
+        mols, errs = (parse_jsonl_lenient if is_jsonl else parse_sdf_lenient)(data)
+        if strict and errs:
+            raise errs[0]
+        molecules.extend(mols)
+        for e in errs:
+            logger.warning("%s: %s", path, e)
+        errors.extend(errs)
     return molecules, errors
 
 
@@ -221,14 +222,6 @@ def cmd_pretrain(args) -> int:
     run_cfg = _build_run_config(args, file_cfg)
     model_cfg = _build_model_config(args, file_cfg)
     molecules, _ = _read_molecules(args.input)
-    if "fingerprint" in run_cfg.tasks and model_cfg.fingerprint_bits == 0:
-        widths = {len(m.fingerprint) for m in molecules if m.fingerprint is not None}
-        if len(widths) > 1:
-            raise DataError(f"inconsistent fingerprint widths: {sorted(widths)}")
-        if widths:
-            model_cfg = ModelConfig.from_dict(
-                {**model_cfg.to_dict(), "fingerprint_bits": widths.pop()}
-            )
     result = pretrain(molecules, model_cfg, run_cfg, out_dir=args.out)
     final = result.history[-1]["loss"] if result.history else float("nan")
     print(f"pretrained {run_cfg.epochs} epochs on {len(molecules)} molecules; "

@@ -105,13 +105,16 @@ def build_dual_graph(molecules: Molecule | Sequence[Molecule]) -> DualGraph:
     # the two agree exactly without building the [V, V] matrix; far-apart ends overflow, named below
     with np.errstate(all="ignore"):
         diff = coords[bonds[:, 0]] - coords[bonds[:, 1]]
-        lengths = np.sqrt((diff * diff).sum(axis=-1))
-    bad = (lengths == 0.0) | ~np.isfinite(lengths)
+        squares = (diff * diff).sum(axis=-1)
+        lengths = np.sqrt(squares)
+    # a square below the least normal float has lost its precision to underflow
+    bad = (squares < np.finfo(np.float64).tiny) | ~np.isfinite(lengths)
     if bad.any():
         row = np.argmax(bad)
         mol = int(np.searchsorted(offsets, bonds[row, 0], side="right")) - 1
         pair = tuple((bonds[row] - offsets[mol]).tolist())
-        what = "coincident bonded atoms" if lengths[row] == 0.0 else "non-finite length of bond"
+        what = ("coincident bonded atoms" if lengths[row] == 0.0 else "bond too short to measure"
+                if np.isfinite(lengths[row]) else "non-finite length of bond")
         raise DataError(f"molecule {molecules[mol].id}: {what} {pair}")
 
     # Bond ends (center, neighbor), row r an end of bond r mod E, sorted by
@@ -125,7 +128,7 @@ def build_dual_graph(molecules: Molecule | Sequence[Molecule]) -> DualGraph:
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     angles = np.column_stack((ends[first, 1], ends[first, 0], ends[second, 1]))
     angle_bonds = np.column_stack((end_bond[first], end_bond[second]))
-    # an angle's arms are its two bonds, whose lengths are known, finite and nonzero
+    # an angle's arms are its two bonds, whose lengths are known, finite and measurable
     arms = coords[angles[:, [0, 2]]] - coords[angles[:, [1]]]
     cosine = (arms[:, 0] * arms[:, 1]).sum(axis=1) / lengths[angle_bonds].prod(axis=1)
 

@@ -172,7 +172,6 @@ def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,
 @dataclass
 class GraphEmbedding:
     h_atoms: Tensor   # [V, hidden]
-    h_bonds: Tensor   # [E, hidden]
     h_graph: Tensor   # [B, hidden], mean over each molecule's atom rows
 
 
@@ -263,7 +262,7 @@ class GeoGNN:
 
         sums = T.segment_sum(h_atom, graph.atom_graph, graph.num_graphs)
         h_graph = T.div(sums, Tensor(graph.atom_counts.reshape(-1, 1), dtype=dtype))
-        return GraphEmbedding(h_atoms=h_atom, h_bonds=h_bond, h_graph=h_graph)
+        return GraphEmbedding(h_atoms=h_atom, h_graph=h_graph)
 
     # --- heads ---------------------------------------------------------------
 

@@ -1,5 +1,9 @@
 """Molecule model plus SDF (MOL V2000) and JSON-lines ingestion.
 
+Both formats share one record loop: a bad SDF record or JSONL line is one
+ParseError at its first line. ``parse_sdf_lenient`` and ``parse_jsonl_lenient``
+collect them; ``parse_sdf`` and ``parse_jsonl`` raise the first.
+
 Input hydrogens are kept as explicit atoms; no implicit-H inference is
 performed beyond counting bonded hydrogens.
 """
@@ -333,38 +337,41 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
             except (IndexError, ValueError):
                 raise ParseError("malformed M  CHG line", lineno) from None
 
-    mol = Molecule(
-        id=title or f"mol{index}",
-        atoms=atoms,
-        bonds=bonds,
-        coords=coords,
-    )
-    try:
-        mol.validate()
-    except DataError as err:
-        raise ParseError(str(err), first_line) from None
-    return annotate_derived_attributes(mol)
+    mol = Molecule(id=title or f"mol{index}", atoms=atoms, bonds=bonds, coords=coords)
+    return annotate_derived_attributes(mol.validate())
 
 
-def parse_sdf(data: bytes | str) -> list[Molecule]:
-    """Parse all $$$$-separated V2000 records; raises ParseError on the first problem."""
-    molecules, errors = parse_sdf_lenient(data)
+def _parse_records(records, parse_record) -> tuple[list[Molecule], list[ParseError]]:
+    """``parse_record(first_line, record, index)`` of each record, collecting
+    each bad record's ParseError instead of raising it: a DataError from its
+    ``validate`` is a ParseError at its first line."""
+    molecules, errors = [], []
+    for index, (first_line, record) in enumerate(records):
+        try:
+            molecules.append(parse_record(first_line, record, index))
+        except ParseError as err:
+            errors.append(err)
+        except DataError as err:
+            errors.append(ParseError(str(err), first_line))
+    return molecules, errors
+
+
+def _first_error_raised(parsed: tuple[list[Molecule], list[ParseError]]) -> list[Molecule]:
+    molecules, errors = parsed
     if errors:
         raise errors[0]
     return molecules
 
 
+def parse_sdf(data: bytes | str) -> list[Molecule]:
+    """Parse all $$$$-separated V2000 records; raises ParseError on the first problem."""
+    return _first_error_raised(parse_sdf_lenient(data))
+
+
 def parse_sdf_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseError]]:
     """Parse all $$$$-separated V2000 records, collecting each bad record's
     ParseError instead of raising it."""
-    text = _decode(data)
-    molecules, errors = [], []
-    for index, (first_line, lines) in enumerate(iter_sdf_records(text)):
-        try:
-            molecules.append(_parse_sdf_record(first_line, lines, index))
-        except ParseError as err:
-            errors.append(err)
-    return molecules, errors
+    return _parse_records(iter_sdf_records(_decode(data)), _parse_sdf_record)
 
 
 # --- JSON lines --------------------------------------------------------------
@@ -401,74 +408,70 @@ def _label(value, what: str, lineno: int) -> float | None:
     return number
 
 
+def _parse_jsonl_record(lineno: int, line: str, index: int) -> Molecule:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
+    try:
+        atoms = [
+            Atom(
+                element=_require(a, "element", lineno),
+                formal_charge=_int(_require(a, "formal_charge", lineno), "formal_charge", lineno),
+                chirality=_require(a, "chirality", lineno),
+                num_explicit_h=_int(_require(a, "num_h", lineno), "num_h", lineno),
+                aromatic=_bool(_require(a, "aromatic", lineno), "aromatic", lineno),
+                hybridization=_require(a, "hybridization", lineno),
+            )
+            for a in _require(obj, "atoms", lineno)
+        ]
+        bonds = [
+            Bond(
+                a=_int(_require(b, "a", lineno), "bond atom", lineno),
+                b=_int(_require(b, "b", lineno), "bond atom", lineno),
+                bond_type=_require(b, "type", lineno),
+                bond_dir=_require(b, "dir", lineno),
+            )
+            for b in _require(obj, "bonds", lineno)
+        ]
+        coords = [
+            tuple(_number(c, "coordinate", lineno) for c in xyz)
+            for xyz in _require(obj, "coords", lineno)
+        ]
+        fingerprint = obj.get("fingerprint")
+        mol = Molecule(
+            id=str(_require(obj, "id", lineno)), atoms=atoms, bonds=bonds, coords=coords,
+            labels={
+                str(k): _label(v, f"label {k}", lineno)
+                for k, v in _require(obj, "labels", lineno).items()
+            },
+            fingerprint=(
+                None if fingerprint is None
+                else [_int(bit, "fingerprint bit", lineno) for bit in fingerprint]
+            ),
+            split=obj.get("split"),
+        ).validate()
+    except (AttributeError, TypeError, ValueError) as err:
+        # a field of the wrong JSON type, e.g. "atoms": 5 or a label of "abc"
+        raise ParseError(f"bad field value: {err}", lineno) from None
+    for bond, in_ring in zip(mol.bonds, ring_membership(mol)):
+        bond.in_ring = in_ring
+    return mol
+
+
 def parse_jsonl(data: bytes | str) -> list[Molecule]:
     """One molecule per non-blank line; ParseError names the first bad line.
 
     A label of null or NaN is missing; a label of Infinity or -Infinity is
     a ParseError."""
-    text = _decode(data)
-    molecules = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
-        try:
-            atoms = [
-                Atom(
-                    element=_require(a, "element", lineno),
-                    formal_charge=_int(
-                        _require(a, "formal_charge", lineno), "formal_charge", lineno
-                    ),
-                    chirality=_require(a, "chirality", lineno),
-                    num_explicit_h=_int(_require(a, "num_h", lineno), "num_h", lineno),
-                    aromatic=_bool(_require(a, "aromatic", lineno), "aromatic", lineno),
-                    hybridization=_require(a, "hybridization", lineno),
-                )
-                for a in _require(obj, "atoms", lineno)
-            ]
-            bonds = [
-                Bond(
-                    a=_int(_require(b, "a", lineno), "bond atom", lineno),
-                    b=_int(_require(b, "b", lineno), "bond atom", lineno),
-                    bond_type=_require(b, "type", lineno),
-                    bond_dir=_require(b, "dir", lineno),
-                )
-                for b in _require(obj, "bonds", lineno)
-            ]
-            coords = [
-                tuple(_number(c, "coordinate", lineno) for c in xyz)
-                for xyz in _require(obj, "coords", lineno)
-            ]
-            fingerprint = obj.get("fingerprint")
-            mol = Molecule(
-                id=str(_require(obj, "id", lineno)),
-                atoms=atoms,
-                bonds=bonds,
-                coords=coords,
-                labels={
-                    str(k): _label(v, f"label {k}", lineno)
-                    for k, v in _require(obj, "labels", lineno).items()
-                },
-                fingerprint=(
-                    None if fingerprint is None
-                    else [_int(bit, "fingerprint bit", lineno) for bit in fingerprint]
-                ),
-                split=obj.get("split"),
-            )
-            mol.validate()
-        except DataError as err:
-            raise ParseError(str(err), lineno) from None
-        except (AttributeError, TypeError, ValueError) as err:
-            # a field of the wrong JSON type, e.g. "atoms": 5 or a label of "abc"
-            raise ParseError(f"bad field value: {err}", lineno) from None
-        rings = ring_membership(mol)
-        for bond, in_ring in zip(mol.bonds, rings):
-            bond.in_ring = in_ring
-        molecules.append(mol)
-    return molecules
+    return _first_error_raised(parse_jsonl_lenient(data))
+
+
+def parse_jsonl_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseError]]:
+    """One molecule per non-blank line, collecting each bad line's
+    ParseError instead of raising it."""
+    lines = enumerate(_decode(data).splitlines(), start=1)
+    return _parse_records(((n, line) for n, line in lines if line.strip()), _parse_jsonl_record)
 
 
 def molecule_to_json_dict(mol: Molecule) -> dict:

@@ -1,6 +1,10 @@
 """Self-supervised objectives: masked bond lengths, masked bond angles,
 binned atomic distances, and optional fingerprint reconstruction.
 
+The only target a run builds ahead is each molecule's distance bins
+(``build_targets``); the masked lengths and angles come from the pack's
+masking, and the fingerprint bits are read from each molecule as is.
+
 ``loss_pre`` packs the molecules into one graph (at most ``PACK_SIZE`` at
 a time, as the distance task's pairs grow with the square of a molecule's
 atoms), masks the pack, each molecule with its own stream, and runs one
@@ -48,29 +52,18 @@ def check_tasks(tasks) -> None:
         )
 
 
-@dataclass
-class PretrainTargets:
-    distance_bin_ids: np.ndarray      # [V*V] bin index per ordered atom pair
-    fingerprint: np.ndarray | None    # [B] bits or None
-
-
-def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> PretrainTargets:
-    """Targets of one molecule: ``graph`` is its union of one."""
+def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> np.ndarray:
+    """[V*V] distance bin of each ordered atom pair of one molecule, row-major:
+    ``graph`` is its union of one."""
     with np.errstate(all="ignore"):  # far-apart atoms overflow: named below
         dists = distance_matrix(graph.coords).reshape(-1)
     if not np.all(np.isfinite(dists)):
         raise DataError(f"molecule {molecule.id}: non-finite atomic distance")
     # clamped before the cast: a distance of 2**63 or more has no int64
-    bins = np.minimum(dists, num_bins - 1).astype(np.int64)
-    fingerprint = (
-        np.asarray(molecule.fingerprint, dtype=np.float64)
-        if molecule.fingerprint is not None
-        else None
-    )
-    return PretrainTargets(distance_bin_ids=bins, fingerprint=fingerprint)
+    return np.minimum(dists, num_bins - 1).astype(np.int64)
 
 
-def targets_of(items: Sequence[PreparedMolecule], num_bins: int) -> list[PretrainTargets]:
+def targets_of(items: Sequence[PreparedMolecule], num_bins: int) -> list[np.ndarray]:
     """``build_targets`` of each prepared molecule, in order."""
     return [build_targets(item.graph, item.molecule, num_bins) for item in items]
 
@@ -137,13 +130,14 @@ def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding, bits: np.ndarray) -> Te
     return T.bce_with_logits(logits, targets, present / bits.shape[1])
 
 
-def _fingerprint_rows(targets: list[PretrainTargets], model: GeoGNN) -> np.ndarray:
-    """loss_fingerprint's bits for a pack: NaN rows for molecules without bits."""
-    bits = np.full((len(targets), model.config.fingerprint_bits), np.nan)
-    for row, t in zip(bits, targets):
-        if t.fingerprint is not None and t.fingerprint.size:
-            _check_fingerprint_width(t.fingerprint.size, model)
-            row[:] = t.fingerprint
+def _fingerprint_rows(items: Sequence[PreparedMolecule], model: GeoGNN) -> np.ndarray:
+    """loss_fingerprint's bits for a pack, read from each molecule: NaN rows
+    for molecules without bits."""
+    bits = np.full((len(items), model.config.fingerprint_bits), np.nan)
+    for row, item in zip(bits, items):
+        if item.molecule.fingerprint:
+            _check_fingerprint_width(len(item.molecule.fingerprint), model)
+            row[:] = item.molecule.fingerprint
     return bits
 
 
@@ -187,7 +181,7 @@ def loss_pre(
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
     mode: str = "train",
-    targets: Sequence[PretrainTargets] | None = None,
+    targets: Sequence[np.ndarray] | None = None,
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean pretraining loss over a batch of molecules, one rng each, and the
     mean of each task's loss. A molecule is masked with its rng's "mask"
@@ -213,10 +207,9 @@ def loss_pre(
         if "angle" in tasks:
             parts["angle"] = loss_angle(model, emb, masked)
         if "distance" in tasks:
-            bin_ids = np.concatenate([t.distance_bin_ids for t in wanted])
-            parts["distance"] = loss_distance(model, emb, graph, bin_ids)
-        if "fingerprint" in tasks and any(t.fingerprint is not None for t in wanted):
-            parts["fingerprint"] = loss_fingerprint(model, emb, _fingerprint_rows(wanted, model))
+            parts["distance"] = loss_distance(model, emb, graph, np.concatenate(wanted))
+        if "fingerprint" in tasks and any(i.molecule.fingerprint is not None for i in items):
+            parts["fingerprint"] = loss_fingerprint(model, emb, _fingerprint_rows(items, model))
         for name, part in parts.items():
             terms.append(part)
             sums[name] = sums.get(name, 0.0) + part.item()

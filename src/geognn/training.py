@@ -307,8 +307,15 @@ def pretrain(
     Molecules tagged "valid" form a held-out loss log; everything else trains.
     """
     run_config.validate()
-    # no downstream head: finetuning starts its own, sized to its tasks
-    model_config = ModelConfig.from_dict({**model_config.to_dict(), "num_tasks": 0})
+    # no downstream head: finetuning starts its own, sized to its tasks; an
+    # unsized fingerprint head takes the width of the molecules' bits
+    sizes = {"num_tasks": 0}
+    if "fingerprint" in run_config.tasks and model_config.fingerprint_bits == 0:
+        widths = {len(m.fingerprint) for m in molecules if m.fingerprint is not None}
+        if len(widths) > 1:
+            raise DataError(f"inconsistent fingerprint widths: {sorted(widths)}")
+        sizes["fingerprint_bits"] = max(widths, default=0)
+    model_config = ModelConfig.from_dict({**model_config.to_dict(), **sizes})
     features = FeatureConfig()
     rng = Rng(run_config.seed)
     model = GeoGNN(model_config, rng=rng)

@@ -282,7 +282,7 @@ def roc_auc_pairs(scores, labels) -> float:
 
 def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
     """Eval-mode GeoGNN encoder on one molecule in plain numpy; returns
-    (h_atoms, h_bonds, h_graph), with h_graph a [1, hidden] row.
+    (h_atoms, h_graph), with h_graph a [1, hidden] row.
 
     params maps parameter names to arrays. Messages are accumulated one
     edge at a time, in edge order, with no tape and no segment_sum.
@@ -318,7 +318,7 @@ def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
         new_atom = update(f"block{k}.atom", aggregate(h_atom, graph.bonds, h_bond),
                           h_atom, atom_scale)
         h_bond, h_atom = new_bond, new_atom
-    return h_atom, h_bond, h_atom.mean(axis=0, keepdims=True)
+    return h_atom, h_atom.mean(axis=0, keepdims=True)
 
 
 # --- per-molecule references for the packed batch -------------------------
@@ -344,9 +344,9 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
     total, sums = Tensor(np.zeros(())), {}
     for item, rng in zip(batch, rngs):
         masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, [rng.fork("mask")])
-        targets = build_targets(item.graph, item.molecule, model.config.distance_bins)
+        bins = build_targets(item.graph, item.molecule, model.config.distance_bins)
         emb = model.forward(item.graph, masked_enc, mode=mode, rng=[rng.fork("dropout")])
-        h, n, bits = emb.h_atoms, item.graph.num_atoms, targets.fingerprint
+        h, n, bits = emb.h_atoms, item.graph.num_atoms, item.molecule.fingerprint
         parts = {name: None for name in tasks if name != "fingerprint" or bits is not None}
         if "length" in parts and masked.bond_lengths.size:
             parts["length"] = mse(model.head_length, h, masked.bond_atoms, masked.bond_lengths)
@@ -361,10 +361,10 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
             hidden = T.relu(T.affine(pairs, store["head_distance.l1.w"],
                                      store["head_distance.l1.b"]))
             logits = T.affine(hidden, store["head_distance.l2.w"], store["head_distance.l2.b"])
-            parts["distance"] = T.softmax_cross_entropy(logits, targets.distance_bin_ids)
-        if "fingerprint" in parts and bits.size:
+            parts["distance"] = T.softmax_cross_entropy(logits, bins)
+        if "fingerprint" in parts and bits:
             logits = model.head_fingerprint(emb.h_graph)
-            parts["fingerprint"] = T.bce_with_logits(logits, Tensor(bits.reshape(1, -1)))
+            parts["fingerprint"] = T.bce_with_logits(logits, Tensor(np.array([bits], dtype=float)))
         for name, part in parts.items():
             sums[name] = sums.get(name, 0.0) + (part.item() if part is not None else 0.0)
             if part is not None:

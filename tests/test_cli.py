@@ -104,6 +104,25 @@ class TestFeaturize:
         assert "data error: line 1: input is not UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_bad_jsonl_line_is_skipped_unless_strict(self, tmp_path, capsys, water, strict):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(write_jsonl([water]) + b"{\n" + write_jsonl([water]))
+        out = tmp_path / "o"
+        flags = ["--strict"] if strict else []
+        code = run_cli("featurize", "--input", str(src), "--out", str(out), *flags)
+        if strict:
+            assert code == 2
+            assert "data error: line 2: invalid JSON" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ids"] == ["water", "water"]
+        assert summary["parse_errors"] == [
+            "line 2: invalid JSON: Expecting property name enclosed in double quotes"
+        ]
+
     @pytest.mark.parametrize("name", ["in.jsonl", "in.txt"])
     def test_jsonl_with_byte_order_mark(self, tmp_path, water, name):
         src = tmp_path / name

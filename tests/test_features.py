@@ -141,11 +141,24 @@ def _off_block(mol):
     mol.atoms[1].num_explicit_h = -1
 
 
+def _bent(arm):
+    """Make the molecule w-u-v, both bonds ``arm`` long and 45 degrees apart.
+    At these arms the squared lengths are subnormal: unchecked, arms of
+    2.3e-162 measured 2.22e-162 long and 0 rad apart, and 1e-161 0.795 rad."""
+    def spoil(mol):
+        tip = (arm * math.cos(math.pi / 4), arm * math.sin(math.pi / 4), 0.0)
+        bent = make_molecule(["C"] * 3, [(0, 1), (1, 2)], [(arm, 0, 0), (0, 0, 0), tip])
+        mol.atoms, mol.bonds, mol.coords = bent.atoms, bent.bonds, bent.coords
+    return spoil
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spoil, message", [
     (_coincident, "coincident bonded atoms"),
     (_far_apart, "non-finite length of bond"),
     (_off_block, "one-hot index -1 outside block num_h"),
+    (_bent(2.3e-162), "bond too short to measure (0, 1)"),
+    (_bent(1e-161), "bond too short to measure (0, 1)"),
 ])
 def test_a_bad_molecule_in_a_union_raises_its_own_message(spoil, message):
     mols = [random_molecule(Rng(5).fork(i), min_atoms=4, max_atoms=8, mol_id=f"m{i}")
@@ -157,6 +170,12 @@ def test_a_bad_molecule_in_a_union_raises_its_own_message(spoil, message):
     with pytest.raises(DataError) as union:
         prepare_molecules(mols, FeatureConfig())
     assert str(union.value) == str(alone.value)
+
+
+def test_bond_of_normal_squared_length_is_measured():
+    mol = random_molecule(Rng(5))
+    _bent(1.5e-154)(mol)  # a squared length of 2.25e-308, just above the least normal
+    assert build_dual_graph(mol).lengths.tolist() == [1.5e-154, 1.5e-154]
 
 
 class TestEncode:

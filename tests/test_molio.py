@@ -13,6 +13,7 @@ from geognn.molio import (
     Molecule,
     molecule_to_json_dict,
     parse_jsonl,
+    parse_jsonl_lenient,
     parse_sdf,
     parse_sdf_lenient,
     ring_membership,
@@ -123,6 +124,18 @@ class TestJsonl:
         for m in mols:
             m.labels = {"y": 1.0}
         return mols
+
+    def test_lenient_collects_each_bad_line(self):
+        good = [json.dumps(molecule_to_json_dict(m)) for m in self._two_molecules()]
+        data = "\n".join([good[0], "", "{", good[1], '{"id": "x"}'])
+        mols, errors = parse_jsonl_lenient(data)
+        assert mols == parse_jsonl("\n".join(good))
+        assert [str(e) for e in errors] == [
+            "line 3: invalid JSON: Expecting property name enclosed in double quotes",
+            "line 5: missing required key 'atoms'",
+        ]
+        with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+            parse_jsonl(data)
 
     def test_missing_key_reports_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -296,17 +309,25 @@ class TestMutatedBytes:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(edits=st.lists(_EDIT, min_size=1, max_size=4))
     def test_parsers_raise_only_geognn_errors(self, edits):
-        """Every fixture and a JSONL seed, each with the same edits."""
+        """Every fixture and a JSONL seed, each with the same edits, through
+        both readers: the strict one raises exactly the lenient one's first
+        error, and every error line lies in the file."""
         for data in (_mutate(seed, edits) for seed in _SEEDS):
-            for parse in (parse_sdf, parse_jsonl):
+            for lenient, strict in ((parse_sdf_lenient, parse_sdf),
+                                    (parse_jsonl_lenient, parse_jsonl)):
                 try:
-                    parse(data)
-                except GeoGnnError:
-                    pass
-            try:
-                _, errors = parse_sdf_lenient(data)
-            except GeoGnnError:  # input that is not UTF-8 text
-                continue
-            lines = len(data.decode("utf-8").removeprefix("\ufeff").splitlines())
-            for err in errors:
-                assert 1 <= err.line <= lines
+                    molecules, errors = lenient(data)
+                except GeoGnnError:  # input that is not UTF-8 text
+                    with pytest.raises(GeoGnnError):
+                        strict(data)
+                    continue
+                lines = len(data.decode("utf-8").removeprefix("\ufeff").splitlines())
+                for err in errors:
+                    assert isinstance(err, ParseError)
+                    assert 1 <= err.line <= lines
+                if not errors:
+                    assert len(strict(data)) == len(molecules)
+                    continue
+                with pytest.raises(ParseError) as first:
+                    strict(data)
+                assert (first.value.line, str(first.value)) == (errors[0].line, str(errors[0]))

@@ -53,11 +53,11 @@ def distance_logits(model, h_u, h_v):
 
 
 def distance_bins(distances, num_bins=30):
-    """build_targets' distance_bin_ids of the pairs (0, i) of an unbonded
+    """build_targets' bins of the pairs (0, i) of an unbonded
     molecule with atom 0 at the origin and atom i at (distances[i - 1], 0, 0)."""
     coords = [(0.0, 0.0, 0.0)] + [(d, 0.0, 0.0) for d in distances]
     mol = make_molecule(["C"] * len(coords), [], coords)
-    bins = build_targets(build_dual_graph(mol), mol, num_bins).distance_bin_ids
+    bins = build_targets(build_dual_graph(mol), mol, num_bins)
     return bins.reshape(len(coords), len(coords))[0, 1:]
 
 
@@ -167,15 +167,15 @@ class TestDistanceLoss:
             model.store[f"head_distance.{layer}.w"].data[:] = 0.0
             model.store[f"head_distance.{layer}.b"].data[:] = 0.0
         emb = model.forward(item.graph, item.encoded)
-        targets = build_targets(item.graph, item.molecule, 30)
-        got = loss_distance(model, emb, item.graph, targets.distance_bin_ids).item()
+        bins = build_targets(item.graph, item.molecule, 30)
+        got = loss_distance(model, emb, item.graph, bins).item()
         assert got == pytest.approx(math.log(30.0), abs=1e-12)
 
     def test_two_atom_graph_averages_four_pairs(self, model):
         mol = random_molecule(Rng(14), min_atoms=2, max_atoms=2)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30).distance_bin_ids
+        bins = build_targets(item.graph, item.molecule, 30)
         got = loss_distance(model, emb, item.graph, bins).item()
         h = emb.h_atoms.data
         total = 0.0
@@ -191,7 +191,7 @@ class TestDistanceLoss:
         mol = random_molecule(Rng(15), min_atoms=4, max_atoms=4)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30).distance_bin_ids
+        bins = build_targets(item.graph, item.molecule, 30)
         got = loss_distance(model, emb, item.graph, bins).item()
         n = item.graph.num_atoms
         total = 0.0
@@ -212,7 +212,7 @@ class TestDistanceLoss:
     def test_diagonal_bins_are_zero(self, model):
         mol = random_molecule(Rng(17), min_atoms=3, max_atoms=6)
         item = prepare(mol, model)
-        bins = build_targets(item.graph, item.molecule, 30).distance_bin_ids
+        bins = build_targets(item.graph, item.molecule, 30)
         n = item.graph.num_atoms
         for u in range(n):
             assert bins[u * n + u] == 0
@@ -223,7 +223,7 @@ class TestDistanceLoss:
         items = [prepare(random_molecule(Rng(18).fork(i), min_atoms=n, max_atoms=n), model)
                  for i, n in enumerate((1, 7, 3, 12))]
         graph, encoded = pack(items)
-        bins = np.concatenate([build_targets(i.graph, i.molecule, 30).distance_bin_ids
+        bins = np.concatenate([build_targets(i.graph, i.molecule, 30)
                                for i in items])
         with Tape() as tape:
             emb = model.forward(graph, encoded)
@@ -275,7 +275,7 @@ class TestLossPre:
         total, parts = loss_pre(model, [item], [Rng(77)], mode="eval")
         masked_enc, masked = mask_context(item.graph, item.encoded, 0.15, [Rng(77).fork("mask")])
         emb = model.forward(item.graph, masked_enc, mode="eval")
-        bins = build_targets(item.graph, item.molecule, model.config.distance_bins).distance_bin_ids
+        bins = build_targets(item.graph, item.molecule, model.config.distance_bins)
         want = (
             loss_length(model, emb, masked).item()
             + loss_angle(model, emb, masked).item()
@@ -307,7 +307,7 @@ class TestLossPre:
         mol = random_molecule(Rng(27), min_atoms=4, max_atoms=7)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30).distance_bin_ids
+        bins = build_targets(item.graph, item.molecule, 30)
         base = loss_distance(model, emb, item.graph, bins).item()
         perm = Rng(28).permutation(len(mol.atoms))
         inverse = np.argsort(perm)
@@ -318,6 +318,6 @@ class TestLossPre:
         )
         item2 = prepare(relabeled, model)
         emb2 = model.forward(item2.graph, item2.encoded)
-        bins2 = build_targets(item2.graph, relabeled, 30).distance_bin_ids
+        bins2 = build_targets(item2.graph, relabeled, 30)
         got = loss_distance(model, emb2, item2.graph, bins2).item()
         assert got == pytest.approx(base, abs=1e-9)

@@ -243,6 +243,26 @@ class TestPretrainLoop:
         result = pretrain(mols, TINY_MODEL, run)
         assert all("eval_loss" in e for e in result.history)
 
+    def test_unsized_fingerprint_head_takes_the_molecules_width(self, tmp_path):
+        mols = tiny_dataset(6, seed=13, with_splits=False)
+        for i, m in enumerate(mols[1:]):  # the first molecule has no bits
+            m.fingerprint = [(i >> k) & 1 for k in range(5)]
+        run = RunConfig(epochs=1, batch_size=4, seed=14, tasks=("length", "fingerprint"))
+        result = pretrain(mols, TINY_MODEL, run, out_dir=tmp_path)
+        assert math.isfinite(result.history[0]["fingerprint"])
+        assert result.store["head_fp.l1.w"].data.shape[1] == 5
+        from geognn.checkpoint import load_checkpoint
+
+        assert load_checkpoint(result.checkpoint_paths[-1])[1].fingerprint_bits == 5
+
+    def test_mixed_fingerprint_widths_rejected(self):
+        mols = tiny_dataset(4, seed=15, with_splits=False)
+        for i, m in enumerate(mols):
+            m.fingerprint = [1] * (6 if i else 5)
+        run = RunConfig(epochs=1, batch_size=4, seed=16, tasks=("length", "fingerprint"))
+        with pytest.raises(DataError, match=r"inconsistent fingerprint widths: \[5, 6\]"):
+            pretrain(mols, TINY_MODEL, run)
+
 
 class TestFinetuneLoop:
     def test_overfits_small_regression_set(self):
