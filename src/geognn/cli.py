@@ -258,9 +258,10 @@ def cmd_evaluate(args) -> int:
     split = DatasetSplit.from_tags(molecules)
     part = getattr(split, args.split)
     names = extra.get("task_names")
-    if names is not None and not (isinstance(names, list)
+    if names is not None and not (isinstance(names, list) and len(names) == model_cfg.num_tasks
                                   and all(isinstance(n, str) for n in names)):
-        raise DataError(f"{args.checkpoint}: checkpoint task_names is not a list of strings")
+        raise DataError(f"{args.checkpoint}: checkpoint task_names is not a list of "
+                        f"{model_cfg.num_tasks} strings")
     report = evaluate(store, model_cfg, part, metric, names=names)
     report["split"] = args.split
     write_report(Path(args.out) / "evaluate_report.json", report)

@@ -118,6 +118,8 @@ class Molecule:
             if len(xyz) != 3 or not all(math.isfinite(c) for c in xyz):
                 raise DataError(f"molecule {self.id}: non-finite coordinate")
         if self.fingerprint is not None:
+            if not self.fingerprint:
+                raise DataError(f"molecule {self.id}: empty fingerprint")
             if any(bit not in (0, 1) for bit in self.fingerprint):
                 raise DataError(f"molecule {self.id}: fingerprint bits must be 0 or 1")
         if self.split is not None and self.split not in SPLITS:

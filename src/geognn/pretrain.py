@@ -1,9 +1,11 @@
 """Self-supervised objectives: masked bond lengths, masked bond angles,
 binned atomic distances, and optional fingerprint reconstruction.
 
-The only target a run builds ahead is each molecule's distance bins
-(``build_targets``); the masked lengths and angles come from the pack's
-masking, and the fingerprint bits are read from each molecule as is.
+Each target is read from its own molecule by the loss that uses it: the
+masked lengths and angles come from the pack's masking, the fingerprint
+bits from each molecule as is, and the distance bins from each prepared
+molecule's pair distances (``PreparedMolecule.distances``), which it
+computes the first time the distance loss reads them and then keeps.
 
 ``loss_pre`` packs the molecules into one graph (at most ``PACK_SIZE`` at
 a time, as the distance task's pairs grow with the square of a molecule's
@@ -18,6 +20,7 @@ rows, one molecule at a time, so no pair row outlives its molecule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,20 +55,14 @@ def check_tasks(tasks) -> None:
         )
 
 
-def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> np.ndarray:
-    """[V*V] distance bin of each ordered atom pair of one molecule, row-major:
+def build_targets(graph: DualGraph, molecule: Molecule) -> np.ndarray:
+    """[V*V] distance of each ordered atom pair of one molecule, row-major:
     ``graph`` is its union of one."""
     with np.errstate(all="ignore"):  # far-apart atoms overflow: named below
         dists = distance_matrix(graph.coords).reshape(-1)
     if not np.all(np.isfinite(dists)):
         raise DataError(f"molecule {molecule.id}: non-finite atomic distance")
-    # clamped before the cast: a distance of 2**63 or more has no int64
-    return np.minimum(dists, num_bins - 1).astype(np.int64)
-
-
-def targets_of(items: Sequence[PreparedMolecule], num_bins: int) -> list[np.ndarray]:
-    """``build_targets`` of each prepared molecule, in order."""
-    return [build_targets(item.graph, item.molecule, num_bins) for item in items]
+    return dists
 
 
 def squared_error(pred: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -109,43 +106,36 @@ def loss_distance(
     return T.pair_mlp_cross_entropy(emb.h_atoms, counts, *head, bin_ids, weights)
 
 
-def _check_fingerprint_width(width: int, model: GeoGNN) -> None:
-    if width != model.config.fingerprint_bits:
-        raise DataError(
-            f"fingerprint width {width} does not match the model "
-            f"({model.config.fingerprint_bits})"
-        )
-
-
-def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding, bits: np.ndarray) -> Tensor:
+def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding,
+                     molecules: Sequence[Molecule]) -> Tensor:
     """Sum over molecules of the mean binary cross-entropy with logits over
-    their fingerprint bits. ``bits`` has one row per molecule, NaN where a
-    molecule has none. No bits at all add nothing."""
-    if bits.size == 0:
-        return Tensor(np.zeros((), dtype=model.config.dtype))
-    _check_fingerprint_width(bits.shape[1], model)
+    their fingerprint bits; a molecule without bits adds nothing."""
+    width = model.config.fingerprint_bits
+    bits = np.full((len(molecules), width), np.nan)
+    for row, molecule in zip(bits, molecules):
+        if molecule.fingerprint is not None:
+            if len(molecule.fingerprint) != width:
+                raise DataError(f"fingerprint width {len(molecule.fingerprint)} does not match "
+                                f"the model ({width})")
+            row[:] = molecule.fingerprint
     present = ~np.isnan(bits)
     logits = model.head_fingerprint(emb.h_graph)
     targets = Tensor(np.where(present, bits, 0.0), dtype=logits.dtype)
-    return T.bce_with_logits(logits, targets, present / bits.shape[1])
-
-
-def _fingerprint_rows(items: Sequence[PreparedMolecule], model: GeoGNN) -> np.ndarray:
-    """loss_fingerprint's bits for a pack, read from each molecule: NaN rows
-    for molecules without bits."""
-    bits = np.full((len(items), model.config.fingerprint_bits), np.nan)
-    for row, item in zip(bits, items):
-        if item.molecule.fingerprint:
-            _check_fingerprint_width(len(item.molecule.fingerprint), model)
-            row[:] = item.molecule.fingerprint
-    return bits
+    return T.bce_with_logits(logits, targets, present / width)
 
 
 @dataclass
 class PreparedMolecule:
+    """A molecule with its graph and features; its pair distances, the
+    distance task's target, are built on first read and kept."""
+
     molecule: Molecule
     graph: DualGraph
     encoded: EncodedGraph
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return build_targets(self.graph, self.molecule)
 
 
 def pack(items: Sequence[PreparedMolecule]) -> tuple[DualGraph, EncodedGraph]:
@@ -181,21 +171,18 @@ def loss_pre(
     tasks: tuple[str, ...] = ("length", "angle", "distance"),
     mask_ratio: float = 0.15,
     mode: str = "train",
-    targets: Sequence[np.ndarray] | None = None,
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean pretraining loss over a batch of molecules, one rng each, and the
     mean of each task's loss. A molecule is masked with its rng's "mask"
-    fork and drops out with its "dropout" fork. ``targets`` holds each
-    molecule's ``build_targets``, which never change: a run builds them once."""
+    fork and drops out with its "dropout" fork."""
     check_tasks(tasks)
     if not batch:
         raise ConfigError("empty pretraining batch")
-    targets = targets if targets is not None else targets_of(batch, model.config.distance_bins)
-    if len(rngs) != len(batch) or len(targets) != len(batch):
-        raise ConfigError("need one rng and one target set per molecule")
+    if len(rngs) != len(batch):
+        raise ConfigError("need one rng per molecule")
     terms: list[Tensor] = []
     sums: dict[str, float] = {}
-    for items, streams, wanted in zip(in_packs(batch), in_packs(rngs), in_packs(targets)):
+    for items, streams in zip(in_packs(batch), in_packs(rngs)):
         graph, encoded = pack(items)
         encoded, masked = mask_context(graph, encoded, mask_ratio,
                                        [rng.fork("mask") for rng in streams])
@@ -207,9 +194,12 @@ def loss_pre(
         if "angle" in tasks:
             parts["angle"] = loss_angle(model, emb, masked)
         if "distance" in tasks:
-            parts["distance"] = loss_distance(model, emb, graph, np.concatenate(wanted))
+            # clamped before the cast: a distance of 2**63 or more has no int64
+            dists = np.concatenate([item.distances for item in items])
+            bin_ids = np.minimum(dists, model.config.distance_bins - 1).astype(np.int64)
+            parts["distance"] = loss_distance(model, emb, graph, bin_ids)
         if "fingerprint" in tasks and any(i.molecule.fingerprint is not None for i in items):
-            parts["fingerprint"] = loss_fingerprint(model, emb, _fingerprint_rows(items, model))
+            parts["fingerprint"] = loss_fingerprint(model, emb, [i.molecule for i in items])
         for name, part in parts.items():
             terms.append(part)
             sums[name] = sums.get(name, 0.0) + part.item()

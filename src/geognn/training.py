@@ -23,8 +23,7 @@ from .features import FeatureConfig, encode
 from .geometry import build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
-from .pretrain import (PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error,
-                       targets_of, unpack)
+from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error, unpack
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -314,6 +313,8 @@ def pretrain(
         widths = {len(m.fingerprint) for m in molecules if m.fingerprint is not None}
         if len(widths) > 1:
             raise DataError(f"inconsistent fingerprint widths: {sorted(widths)}")
+        if 0 in widths:
+            raise DataError("empty fingerprint: a fingerprint head needs at least one bit")
         sizes["fingerprint_bits"] = max(widths, default=0)
     model_config = ModelConfig.from_dict({**model_config.to_dict(), **sizes})
     features = FeatureConfig()
@@ -324,16 +325,13 @@ def pretrain(
     eval_mols = [m for m in molecules if m.split == "valid"]
     if not train_mols:
         raise DataError("no molecules to pretrain on")
+    # each item keeps its distance targets once built, so a run builds them once
     train_items = prepare_molecules(train_mols, features, dtype=model_config.dtype)
     eval_items = prepare_molecules(eval_mols, features, dtype=model_config.dtype)
-    train_targets, eval_targets = (targets_of(items, model_config.distance_bins)
-                                   for items in (train_items, eval_items))
 
-    def batch_loss(ids, rngs, items=train_items, targets=train_targets, mode="train"):
-        return loss_pre(
-            model, [items[i] for i in ids], rngs, tasks=run_config.tasks,
-            mask_ratio=run_config.mask_ratio, mode=mode, targets=[targets[i] for i in ids],
-        )
+    def batch_loss(ids, rngs):
+        return loss_pre(model, [train_items[i] for i in ids], rngs, tasks=run_config.tasks,
+                        mask_ratio=run_config.mask_ratio)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     history: list[dict] = []
@@ -360,8 +358,8 @@ def pretrain(
         entry = {"epoch": epoch, "loss": loss, **parts}
         if eval_items:
             eval_rngs = [Rng(run_config.seed).fork(f"eval{i}") for i in range(len(eval_items))]
-            entry["eval_loss"] = batch_loss(range(len(eval_items)), eval_rngs, eval_items,
-                                            eval_targets, "eval")[0].item()
+            entry["eval_loss"] = loss_pre(model, eval_items, eval_rngs, tasks=run_config.tasks,
+                                          mask_ratio=run_config.mask_ratio, mode="eval")[0].item()
         history.append(entry)
         logger.info("pretrain epoch %d: loss %.6f", epoch, entry["loss"])
         write_checkpoint(epoch)

@@ -333,7 +333,6 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
     its size. Returns (loss tensor, per-task means)."""
     from geognn import tensor as T
     from geognn.masking import mask_context
-    from geognn.pretrain import build_targets
     from geognn.tensor import Tensor
 
     def mse(head, h, atoms, targets):
@@ -344,7 +343,11 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
     total, sums = Tensor(np.zeros(())), {}
     for item, rng in zip(batch, rngs):
         masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, [rng.fork("mask")])
-        bins = build_targets(item.graph, item.molecule, model.config.distance_bins)
+        # each ordered pair's distance floored to its bin, the last bin
+        # taking every longer one
+        xyz = np.array(item.molecule.coords, dtype=float)
+        dists = np.sqrt(((xyz[:, None, :] - xyz[None, :, :]) ** 2).sum(axis=-1)).reshape(-1)
+        bins = np.minimum(np.floor(dists), model.config.distance_bins - 1).astype(np.int64)
         emb = model.forward(item.graph, masked_enc, mode=mode, rng=[rng.fork("dropout")])
         h, n, bits = emb.h_atoms, item.graph.num_atoms, item.molecule.fingerprint
         parts = {name: None for name in tasks if name != "fingerprint" or bits is not None}

@@ -360,6 +360,11 @@ def _set_fingerprint_bit_bool(obj):
     obj["fingerprint"] = [0, True]
 
 
+def _set_fingerprint_empty(obj):
+    # a width of 0, whatever the model's fingerprint_bits or the other molecules' bits
+    obj["fingerprint"] = []
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     @pytest.mark.parametrize(
@@ -368,7 +373,7 @@ class TestMalformedInput:
             _set_formal_charge, _set_label, _set_coordinate, _set_atoms_scalar, _drop_all_atoms,
             _set_aromatic_string, _set_num_h_fraction, _set_bond_atom_float,
             _set_label_numeric_string, _set_label_infinity, _set_coordinate_numeric_string,
-            _set_coordinate_bool, _set_fingerprint_bit_bool,
+            _set_coordinate_bool, _set_fingerprint_bit_bool, _set_fingerprint_empty,
         ],
     )
     def test_bad_jsonl_record_is_a_data_error(self, tmp_path, capsys, command, corrupt):
@@ -509,6 +514,7 @@ class TestMalformedCheckpointExtra:
     @pytest.mark.parametrize("key,value", [
         ("extra", None), ("extra", 5), ("extra", "x"), ("extra", True), ("extra", [1]),
         ("task_names", 5), ("task_names", True), ("task_names", [["y"]]),
+        ("task_names", ["y", "z"]),
     ])
     def test_evaluate_exit_2(self, tmp_path, capsys, key, value):
         cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,

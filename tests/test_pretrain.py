@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,14 +12,12 @@ from geognn.masking import mask_context
 from geognn.model import GeoGNN, ModelConfig
 from geognn.pretrain import (
     PreparedMolecule,
-    build_targets,
     loss_angle,
     loss_distance,
     loss_fingerprint,
     loss_length,
     loss_pre,
     pack,
-    targets_of,
 )
 from geognn.rng import Rng
 from geognn.synth import random_molecule
@@ -27,6 +26,9 @@ from geognn.training import prepare_molecules
 
 from conftest import make_molecule
 from oracles import softmax_ce_reference
+
+# the module: the package's own ``pretrain`` is the training function
+pretrain = importlib.import_module("geognn.pretrain")
 
 CFG = ModelConfig(
     num_blocks=2, hidden=8, dropout=0.0, distance_bins=30,
@@ -52,12 +54,29 @@ def distance_logits(model, h_u, h_v):
     return hidden @ p["head_distance.l2.w"] + p["head_distance.l2.b"]
 
 
-def distance_bins(distances, num_bins=30):
-    """build_targets' bins of the pairs (0, i) of an unbonded
-    molecule with atom 0 at the origin and atom i at (distances[i - 1], 0, 0)."""
+def loss_pre_bins(model, items):
+    """The distance bins ``loss_pre`` hands ``loss_distance`` for ``items``,
+    one pack: each molecule's pairs in turn, row-major."""
+    seen = []
+
+    def record(model, emb, graph, bin_ids):
+        seen.append(bin_ids)
+        return Tensor(np.zeros(()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pretrain, "loss_distance", record)
+        loss_pre(model, items, [Rng(i) for i in range(len(items))], tasks=("distance",),
+                 mode="eval")
+    return np.concatenate(seen)
+
+
+def distance_bins(distances):
+    """loss_pre's bins of the pairs (0, i) of an unbonded molecule with atom
+    0 at the origin and atom i at (distances[i - 1], 0, 0); 30 bins."""
     coords = [(0.0, 0.0, 0.0)] + [(d, 0.0, 0.0) for d in distances]
     mol = make_molecule(["C"] * len(coords), [], coords)
-    bins = build_targets(build_dual_graph(mol), mol, num_bins)
+    model = GeoGNN(CFG, rng=Rng(1))
+    bins = loss_pre_bins(model, [prepare(mol, model)])
     return bins.reshape(len(coords), len(coords))[0, 1:]
 
 
@@ -95,7 +114,7 @@ def test_far_apart_unbonded_atom_names_its_molecule():
                         mol_id="far")
     items = prepare_molecules([mol], FeatureConfig())
     with pytest.raises(DataError, match="molecule far: non-finite atomic distance"):
-        targets_of(items, num_bins=30)
+        items[0].distances
 
 
 class TestGeometryLosses:
@@ -167,7 +186,7 @@ class TestDistanceLoss:
             model.store[f"head_distance.{layer}.w"].data[:] = 0.0
             model.store[f"head_distance.{layer}.b"].data[:] = 0.0
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30)
+        bins = loss_pre_bins(model, [item])
         got = loss_distance(model, emb, item.graph, bins).item()
         assert got == pytest.approx(math.log(30.0), abs=1e-12)
 
@@ -175,7 +194,7 @@ class TestDistanceLoss:
         mol = random_molecule(Rng(14), min_atoms=2, max_atoms=2)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30)
+        bins = loss_pre_bins(model, [item])
         got = loss_distance(model, emb, item.graph, bins).item()
         h = emb.h_atoms.data
         total = 0.0
@@ -191,7 +210,7 @@ class TestDistanceLoss:
         mol = random_molecule(Rng(15), min_atoms=4, max_atoms=4)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30)
+        bins = loss_pre_bins(model, [item])
         got = loss_distance(model, emb, item.graph, bins).item()
         n = item.graph.num_atoms
         total = 0.0
@@ -212,7 +231,7 @@ class TestDistanceLoss:
     def test_diagonal_bins_are_zero(self, model):
         mol = random_molecule(Rng(17), min_atoms=3, max_atoms=6)
         item = prepare(mol, model)
-        bins = build_targets(item.graph, item.molecule, 30)
+        bins = loss_pre_bins(model, [item])
         n = item.graph.num_atoms
         for u in range(n):
             assert bins[u * n + u] == 0
@@ -223,8 +242,7 @@ class TestDistanceLoss:
         items = [prepare(random_molecule(Rng(18).fork(i), min_atoms=n, max_atoms=n), model)
                  for i, n in enumerate((1, 7, 3, 12))]
         graph, encoded = pack(items)
-        bins = np.concatenate([build_targets(i.graph, i.molecule, 30)
-                               for i in items])
+        bins = loss_pre_bins(model, items)
         with Tape() as tape:
             emb = model.forward(graph, encoded)
             start = len(tape)
@@ -250,21 +268,25 @@ class TestFingerprintLoss:
         model.store["head_fp.l1.w"].data[:] = 0.0
         model.store["head_fp.l1.b"].data[:] = 0.0
         emb = model.forward(item.graph, item.encoded)
-        got = loss_fingerprint(model, emb, np.array([mol.fingerprint], dtype=float)).item()
+        got = loss_fingerprint(model, emb, [mol]).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_width_mismatch_rejected(self, model):
         mol = random_molecule(Rng(22))
+        mol.fingerprint = [1, 0]
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        with pytest.raises(DataError):
-            loss_fingerprint(model, emb, np.array([[1.0, 0.0]]))
+        with pytest.raises(DataError, match=r"fingerprint width 2 does not match the model \(6\)"):
+            loss_fingerprint(model, emb, [mol])
 
-    def test_empty_bits_contribute_zero(self, model):
+    def test_empty_bits_rejected(self, model):
+        # an empty fingerprint is a width of 0, not a molecule without bits
         mol = random_molecule(Rng(23))
+        mol.fingerprint = []
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        assert loss_fingerprint(model, emb, np.zeros((1, 0))).item() == 0.0
+        with pytest.raises(DataError, match=r"fingerprint width 0 does not match the model \(6\)"):
+            loss_fingerprint(model, emb, [mol])
 
 
 class TestLossPre:
@@ -275,7 +297,7 @@ class TestLossPre:
         total, parts = loss_pre(model, [item], [Rng(77)], mode="eval")
         masked_enc, masked = mask_context(item.graph, item.encoded, 0.15, [Rng(77).fork("mask")])
         emb = model.forward(item.graph, masked_enc, mode="eval")
-        bins = build_targets(item.graph, item.molecule, model.config.distance_bins)
+        bins = loss_pre_bins(model, [item])
         want = (
             loss_length(model, emb, masked).item()
             + loss_angle(model, emb, masked).item()
@@ -307,7 +329,7 @@ class TestLossPre:
         mol = random_molecule(Rng(27), min_atoms=4, max_atoms=7)
         item = prepare(mol, model)
         emb = model.forward(item.graph, item.encoded)
-        bins = build_targets(item.graph, item.molecule, 30)
+        bins = loss_pre_bins(model, [item])
         base = loss_distance(model, emb, item.graph, bins).item()
         perm = Rng(28).permutation(len(mol.atoms))
         inverse = np.argsort(perm)
@@ -318,6 +340,6 @@ class TestLossPre:
         )
         item2 = prepare(relabeled, model)
         emb2 = model.forward(item2.graph, item2.encoded)
-        bins2 = build_targets(item2.graph, relabeled, 30)
+        bins2 = loss_pre_bins(model, [item2])
         got = loss_distance(model, emb2, item2.graph, bins2).item()
         assert got == pytest.approx(base, abs=1e-9)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 
@@ -262,6 +263,30 @@ class TestPretrainLoop:
         run = RunConfig(epochs=1, batch_size=4, seed=16, tasks=("length", "fingerprint"))
         with pytest.raises(DataError, match=r"inconsistent fingerprint widths: \[5, 6\]"):
             pretrain(mols, TINY_MODEL, run)
+
+    @pytest.mark.parametrize("bits", [0, 6], ids=["unsized", "sized"])
+    @pytest.mark.parametrize("others", [0, 1], ids=["alone", "beside-6-bits"])
+    def test_empty_fingerprint_rejected(self, bits, others):
+        mols = tiny_dataset(3, seed=17, with_splits=False)
+        mols[0].fingerprint = []
+        for m in mols[1 : 1 + others]:
+            m.fingerprint = [1, 0, 1, 1, 0, 0]
+        config = dataclasses.replace(TINY_MODEL, fingerprint_bits=bits)
+        run = RunConfig(epochs=1, batch_size=4, seed=18, tasks=("length", "fingerprint"))
+        with pytest.raises(DataError):
+            pretrain(mols, config, run)
+
+    @pytest.mark.parametrize("tasks,per_molecule", [
+        (("length", "angle", "distance"), 1), (("length", "angle"), 0),
+    ])
+    def test_distance_targets_built_once_per_run(self, monkeypatch, tasks, per_molecule):
+        module = importlib.import_module("geognn.pretrain")  # not the package's function
+        calls = []
+        build = module.build_targets
+        monkeypatch.setattr(module, "build_targets", lambda *a: calls.append(a) or build(*a))
+        mols = tiny_dataset(10, seed=19)  # 2 tagged valid are eval, the other 8 train
+        pretrain(mols, TINY_MODEL, RunConfig(epochs=3, batch_size=4, seed=20, tasks=tasks))
+        assert len(calls) == per_molecule * len(mols)
 
 
 class TestFinetuneLoop:
