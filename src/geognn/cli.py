@@ -37,15 +37,14 @@ from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseEr
 from .features import FeatureConfig
 from .model import ModelConfig
 from .molio import Molecule, parse_jsonl_lenient, parse_sdf_lenient
-from .pretrain import in_packs
 from .training import (
     METRICS,
     DatasetSplit,
     RunConfig,
     embed_molecules,
     evaluate,
+    featurized_packs,
     finetune,
-    prepare_molecules,
     pretrain,
     write_report,
 )
@@ -192,12 +191,9 @@ def cmd_featurize(args) -> int:
     molecules, errors = _read_molecules(args.input, strict=args.strict)
     features = FeatureConfig()
     counts = {"atoms": {}, "bonds": {}, "angles": {}}
-    # one pack's union at a time, so the encodings do not pile up; a bad
-    # molecule raises DataError naming it
-    for chunk in in_packs(molecules):
-        for item in prepare_molecules(chunk, features):
-            g = item.graph
-            for key, n in (("atoms", g.num_atoms), ("bonds", g.num_bonds), ("angles", g.num_angles)):
+    for _, g, _ in featurized_packs(molecules, features):
+        for key, ns in zip(counts, (g.atom_counts, g.bond_counts, g.angle_counts)):
+            for n in ns.tolist():
                 counts[key][str(n)] = counts[key].get(str(n), 0) + 1
     summary = {
         "molecules": len(molecules),

@@ -67,6 +67,10 @@ class DualGraph:
         return self.angles.shape[0]
 
     @property
+    def angle_counts(self) -> np.ndarray:  # [B] angles per molecule
+        return np.bincount(self.bond_graph[self.angle_bonds[:, 0]], minlength=self.num_graphs)
+
+    @property
     def atom_offsets(self) -> np.ndarray:  # [B] id of each molecule's first atom
         return np.cumsum(self.atom_counts) - self.atom_counts
 

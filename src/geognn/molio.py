@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import DataError, ParseError
@@ -48,6 +49,13 @@ _VALENCE_ELECTRONS = {
 }
 
 _STERIC_TO_HYBRIDIZATION = {2: "sp", 3: "sp2", 4: "sp3", 5: "sp3d", 6: "sp3d2"}
+
+
+def _is_int(value) -> bool:
+    """An integer of any kind, numpy's included, but not a bool. A plain int
+    skips the abstract-class check, which would triple the cost of validate."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 @dataclass
@@ -91,6 +99,9 @@ class Molecule:
                 f"molecule {self.id}: {len(self.coords)} coordinates for {len(self.atoms)} atoms"
             )
         for atom in self.atoms:
+            if not (_is_int(atom.formal_charge) and _is_int(atom.num_explicit_h)):
+                raise DataError(f"molecule {self.id}: charge {atom.formal_charge!r} and hydrogen "
+                                f"count {atom.num_explicit_h!r} must be integers")
             z = ATOMIC_NUMBER.get(atom.element)
             if z is None or not 1 <= z <= 118:
                 raise DataError(f"molecule {self.id}: unknown element {atom.element!r}")
@@ -102,6 +113,9 @@ class Molecule:
                 raise DataError(f"molecule {self.id}: negative hydrogen count")
         seen = set()
         for bond in self.bonds:
+            if not (_is_int(bond.a) and _is_int(bond.b)):
+                raise DataError(f"molecule {self.id}: bond atoms {bond.a!r}, {bond.b!r} "
+                                "must be integers")
             if bond.a == bond.b:
                 raise DataError(f"molecule {self.id}: bond joins atom {bond.a} to itself")
             if not (0 <= bond.a < len(self.atoms)) or not (0 <= bond.b < len(self.atoms)):
@@ -392,7 +406,7 @@ def _bool(value, what: str, lineno: int) -> bool:
 
 
 def _int(value, what: str, lineno: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ParseError(f"{what} must be an integer, got {value!r}", lineno)
     return value
 

@@ -37,8 +37,8 @@ from .tensor import Tensor
 
 TASKS = ("length", "angle", "distance", "fingerprint")
 
-# most molecules in one packed forward pass, in loss_pre and on the eval
-# paths: a pack's activations, and its distance pairs, grow with it
+# most molecules in one packed forward pass, in loss_pre and in the unions of
+# training.featurized_packs: a pack's activations, and its distance pairs, grow with it
 PACK_SIZE = 32
 
 
@@ -150,8 +150,7 @@ def pack(items: Sequence[PreparedMolecule]) -> tuple[DualGraph, EncodedGraph]:
 def unpack(molecules: Sequence[Molecule], graph: DualGraph,
            encoded: EncodedGraph) -> list[PreparedMolecule]:
     """``pack``'s inverse: each molecule with its own graph and views of its feature rows."""
-    angle_counts = np.bincount(graph.bond_graph[graph.angle_bonds[:, 0]], minlength=len(molecules))
-    counts = np.column_stack((graph.atom_counts, graph.bond_counts, angle_counts))
+    counts = np.column_stack((graph.atom_counts, graph.bond_counts, graph.angle_counts))
     ends = np.cumsum(counts, axis=0)
     return [
         PreparedMolecule(mol, DualGraph(

@@ -12,15 +12,15 @@ import logging
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericalError, check_int, check_real
-from .features import FeatureConfig, encode
-from .geometry import build_dual_graph
+from .features import EncodedGraph, FeatureConfig, encode
+from .geometry import DualGraph, build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
 from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error, unpack
@@ -199,8 +199,9 @@ class DatasetSplit:
     test: list[Molecule]
 
     def validate(self) -> "DatasetSplit":
-        if not self.train:
-            raise DataError("training split is empty")
+        for part in ("train", "valid", "test"):
+            if not getattr(self, part):
+                raise DataError(f"{part} split is empty")
         return self
 
     @classmethod
@@ -238,15 +239,21 @@ def label_matrix(molecules: list[Molecule], names: list[str]) -> np.ndarray:
     return out
 
 
-def prepare_molecules(
-    molecules: list[Molecule], features: FeatureConfig, dtype=np.float64
-) -> list[PreparedMolecule]:
-    """Each molecule with its graph and features: views of one union per pack."""
-    out = []
+def featurized_packs(molecules: list[Molecule], features: FeatureConfig,
+                     dtype=np.float64) -> Iterator[tuple[list[Molecule], DualGraph, EncodedGraph]]:
+    """Each pack of at most PACK_SIZE molecules with its union's dual graph and
+    features, built when asked for: using each union before asking for the next
+    holds one pack's features at a time, which bounds peak memory."""
     for chunk in in_packs(molecules):
         graph = build_dual_graph(chunk)
-        out += unpack(chunk, graph, encode(graph, chunk, features, dtype=dtype))
-    return out
+        yield chunk, graph, encode(graph, chunk, features, dtype=dtype)
+
+
+def prepare_molecules(molecules: list[Molecule], features: FeatureConfig,
+                      dtype=np.float64) -> list[PreparedMolecule]:
+    """Each molecule with its graph and features: views of one union per pack."""
+    return [item for packed in featurized_packs(molecules, features, dtype)
+            for item in unpack(*packed)]
 
 
 def write_report(path: Path, obj: dict) -> None:
@@ -374,11 +381,11 @@ def pretrain(
 # --- downstream loop ------------------------------------------------------------
 
 
-def _downstream_predictions(model: GeoGNN, items: list[PreparedMolecule]) -> np.ndarray:
-    """Eval-mode predictions, one row per molecule."""
+def _downstream_predictions(model: GeoGNN, packs: Iterable[tuple]) -> np.ndarray:
+    """Eval-mode predictions, one row per molecule, of ``featurized_packs``' unions."""
     return np.concatenate([
-        model.head_downstream(model.forward(*pack(chunk), mode="eval").h_graph).data
-        for chunk in in_packs(items)
+        model.head_downstream(model.forward(graph, encoded, mode="eval").h_graph).data
+        for _, graph, encoded in packs
     ])
 
 
@@ -445,15 +452,17 @@ def finetune(
         "valid": split.valid,
         "test": split.test,
     }
-    items = {
-        part: prepare_molecules(mols, features, dtype=model_config.dtype)
+    # eval passes forward each split's unions; shuffled minibatches need views
+    packs = {
+        part: list(featurized_packs(mols, features, dtype=model_config.dtype))
         for part, mols in parts.items()
     }
+    train_items = [item for packed in packs["train"] for item in unpack(*packed)]
     labels = {part: label_matrix(mols, names) for part, mols in parts.items()}
     metric_fn = METRICS[run_config.metric][0]
 
     def batch_loss(ids, rngs):
-        batch = [items["train"][i] for i in ids]
+        batch = [train_items[i] for i in ids]
         return _downstream_batch_loss(
             model, batch, labels["train"][ids], run_config.task_type, rngs
         )
@@ -464,10 +473,10 @@ def finetune(
     epochs_log: list[dict] = []
     for epoch in range(1, run_config.epochs + 1):
         train_loss, _ = _fit_epoch(
-            model, len(items["train"]), run_config, rng.fork(f"epoch{epoch}"), batch_loss
+            model, len(train_items), run_config, rng.fork(f"epoch{epoch}"), batch_loss
         )
-        train_metric = metric_fn(_downstream_predictions(model, items["train"]), labels["train"])
-        valid_metric = metric_fn(_downstream_predictions(model, items["valid"]), labels["valid"])
+        train_metric = metric_fn(_downstream_predictions(model, packs["train"]), labels["train"])
+        valid_metric = metric_fn(_downstream_predictions(model, packs["valid"]), labels["valid"])
         epochs_log.append(
             {
                 "epoch": epoch,
@@ -486,7 +495,7 @@ def finetune(
             best_store = model.store.copy()
 
     eval_model = GeoGNN(model_config, store=best_store)
-    test_metric = metric_fn(_downstream_predictions(eval_model, items["test"]), labels["test"])
+    test_metric = metric_fn(_downstream_predictions(eval_model, packs["test"]), labels["test"])
     report = {
         "kind": "finetune_report",
         "metric": run_config.metric,
@@ -530,8 +539,8 @@ def evaluate(
             f"checkpoint predicts {model_config.num_tasks} tasks but the dataset has {len(names)}"
         )
     model = GeoGNN(model_config, store=store)
-    items = prepare_molecules(molecules, features, dtype=model_config.dtype)
-    preds = _downstream_predictions(model, items)
+    preds = _downstream_predictions(
+        model, featurized_packs(molecules, features, dtype=model_config.dtype))
     value = METRICS[metric][0](preds, label_matrix(molecules, names))
     return {"kind": "evaluate_report", "metric": metric, "value": value,
             "task_names": names, "count": len(molecules)}
@@ -544,12 +553,6 @@ def embed_molecules(
 ) -> list[tuple[str, np.ndarray]]:
     features = FeatureConfig()
     model = GeoGNN(model_config, store=store)
-    out = []
-    for chunk in in_packs(molecules):
-        # one union per pack goes straight to the forward pass, so only one
-        # pack's features live at a time: this bounds peak memory
-        graph = build_dual_graph(chunk)
-        encoded = encode(graph, chunk, features, dtype=model_config.dtype)
-        h_graph = model.forward(graph, encoded, mode="eval").h_graph.data
-        out += [(mol.id, row.copy()) for mol, row in zip(chunk, h_graph)]
-    return out
+    return [(mol.id, row.copy())
+            for chunk, graph, encoded in featurized_packs(molecules, features, model_config.dtype)
+            for mol, row in zip(chunk, model.forward(graph, encoded, mode="eval").h_graph.data)]

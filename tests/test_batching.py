@@ -10,7 +10,7 @@ from geognn.features import FeatureConfig
 from geognn.geometry import DualGraph, pack_graphs
 from geognn.masking import mask_context
 from geognn.model import GeoGNN, ModelConfig
-from geognn.pretrain import loss_pre, pack
+from geognn.pretrain import PACK_SIZE, loss_pre, pack
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 from geognn.tensor import Tape
@@ -18,6 +18,7 @@ from geognn.training import (
     _downstream_batch_loss,
     _downstream_predictions,
     embed_molecules,
+    featurized_packs,
     prepare_molecules,
 )
 
@@ -100,12 +101,44 @@ def test_packed_batch_equals_per_molecule_reference(sizes, seed):
             run(model, lambda: downstream_loss_reference(model, items, y, task_type, rngs())),
         )
 
-    np.testing.assert_allclose(_downstream_predictions(model, items),
+    packs = featurized_packs(mols, model.features)
+    np.testing.assert_allclose(_downstream_predictions(model, packs),
                                predictions_reference(model, items), **TOL)
     embedded = embed_molecules(model.store, CONFIG, mols)
     assert [mol_id for mol_id, _ in embedded] == [m.id for m in mols]
     np.testing.assert_allclose(np.stack([vec for _, vec in embedded]),
                                embeddings_reference(model, items), **TOL)
+
+
+def test_eval_paths_across_pack_boundaries_equal_per_molecule_reference():
+    """Each eval path over three packs of small molecules against each
+    molecule featurized and run on its own."""
+    seed = 7
+    model = GeoGNN(CONFIG, rng=Rng(seed).fork("model"))
+    count = 2 * PACK_SIZE + 1
+    sizes = [1 + int(u * 6) for u in Rng(seed).fork("sizes").uniform_array(count)]
+    mols = molecules(sizes, seed)
+    alone = [prepare_molecules([m], model.features)[0] for m in mols]
+
+    packs = list(featurized_packs(mols, model.features))
+    assert [[m.id for m in chunk] for chunk, _, _ in packs] == [
+        [m.id for m in mols[start : start + PACK_SIZE]] for start in (0, PACK_SIZE, 2 * PACK_SIZE)
+    ]
+    np.testing.assert_allclose(_downstream_predictions(model, packs),
+                               predictions_reference(model, alone), **TOL)
+    embedded = embed_molecules(model.store, CONFIG, mols)
+    assert [mol_id for mol_id, _ in embedded] == [m.id for m in mols]
+    np.testing.assert_allclose(np.stack([vec for _, vec in embedded]),
+                               embeddings_reference(model, alone), **TOL)
+
+    def rngs():
+        return [Rng(seed).fork(f"eval{i}") for i in range(count)]
+
+    items = prepare_molecules(mols, model.features)
+    assert_same(
+        run(model, lambda: loss_pre(model, items, rngs(), tasks=TASKS, mode="eval")),
+        run(model, lambda: pretrain_loss_reference(model, alone, rngs(), TASKS, mode="eval")),
+    )
 
 
 

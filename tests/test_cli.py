@@ -9,12 +9,15 @@ import pytest
 from geognn.cli import main
 from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
+from geognn.geometry import build_dual_graph
 from geognn.model import GeoGNN, ModelConfig, ParamStore
 from geognn.molio import molecule_to_json_dict, write_jsonl
+from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
 from conftest import FIXTURES, edit_header, make_molecule, rename_atom_block
+from oracles import angle_count_reference
 
 
 def run_cli(*argv) -> int:
@@ -86,6 +89,24 @@ class TestFeaturize:
         assert run_cli("featurize", "--input", str(FIXTURES / "golden.sdf"), "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["molecules"] == 3
+
+    def test_histograms_across_packs(self, tmp_path):
+        mols = [random_molecule(Rng(5).fork(i), min_atoms=1, max_atoms=12, mol_id=f"m{i}")
+                for i in range(2 * PACK_SIZE + 3)]
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(write_jsonl(mols))
+        out = tmp_path / "out"
+        assert run_cli("featurize", "--input", str(src), "--out", str(out)) == 0
+        want = {"atoms": {}, "bonds": {}, "angles": {}}
+        for m in mols:
+            graph = build_dual_graph(m)
+            angles = angle_count_reference(len(m.atoms), [(b.a, b.b) for b in m.bonds])
+            for key, n in (("atoms", graph.num_atoms), ("bonds", graph.num_bonds),
+                           ("angles", angles)):
+                want[key][str(n)] = want[key].get(str(n), 0) + 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["molecules"] == len(mols)
+        assert summary["histograms"] == want
 
     @pytest.mark.parametrize(
         "name,strict", [("in.sdf", False), ("in.sdf", True), ("in.jsonl", False)]

@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -236,6 +237,26 @@ class TestValidation:
         )
         with pytest.raises(DataError, match="duplicate bond"):
             mol.validate()
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, True])
+    @pytest.mark.parametrize("field", ["bond_a", "bond_b", "formal_charge", "num_explicit_h"])
+    def test_non_integer_field_rejected(self, field, value):
+        mol = make_molecule(["C", "C", "O"], [(0, 1), (1, 2)],
+                            [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0), (2.5, 1.0, 0.0)], mol_id="frac")
+        if field.startswith("bond_"):
+            setattr(mol.bonds[1], field[-1], value)
+        else:
+            setattr(mol.atoms[1], field, value)
+        with pytest.raises(DataError, match="^molecule frac: .* must be integers$"):
+            mol.validate()
+
+    def test_numpy_integers_accepted(self):
+        mol = make_molecule(["C", "C", "O"], [(0, 1), (1, 2)],
+                            [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0), (2.5, 1.0, 0.0)])
+        mol.bonds[1].a, mol.bonds[1].b = np.int64(1), np.int32(2)
+        mol.atoms[2].formal_charge = np.int64(-1)
+        mol.atoms[0].num_explicit_h = np.int16(3)
+        assert mol.validate() is mol
 
     def test_nonfinite_coordinate_rejected(self):
         mol = Molecule(

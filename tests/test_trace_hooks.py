@@ -73,6 +73,41 @@ def test_training_calls_reach_the_wrappers(tmp_path):
     assert tracer.totals["checkpoint.save_checkpoint"][0] == 2
 
 
+def test_eval_passes_reach_the_wrappers():
+    """finetune, evaluate and embed_molecules featurize one union per pack
+    through ``training``'s own names, and forward it in eval mode."""
+    g = import_geognn(ROOT)
+    mols = [random_molecule(Rng(4).fork(i), min_atoms=2, max_atoms=6, mol_id=f"m{i}")
+            for i in range(6)]
+    for i, mol in enumerate(mols):
+        mol.labels = {"y": float(i % 3)}
+        mol.split = ("train", "train", "valid", "test")[i % 4]
+    config = g.model.ModelConfig(num_blocks=1, hidden=4, distance_bins=5,
+                                 geom_head_hidden=4, down_head_hidden=4)
+
+    def traced(call):
+        tracer = tracing.Tracer()
+        try:
+            tracer.install(g)
+            out = call()
+        finally:
+            tracer.uninstall()
+        tracer.drain()
+        return out, {name: entry[0] for name, entry in tracer.totals.items()}
+
+    split = g.training.DatasetSplit.from_tags(mols)
+    run = g.training.RunConfig(epochs=1, batch_size=2)
+    result, finetuned = traced(lambda: g.training.finetune(split, config, run))
+    store, config = result.store, result.model_config
+    _, evaluated = traced(lambda: g.training.evaluate(store, config, mols, "rmse"))
+    _, embedded = traced(lambda: g.training.embed_molecules(store, config, mols))
+    # a pack per split when finetuning, then all six molecules in one
+    for counts, packs, head in ((finetuned, 3, True), (evaluated, 1, True), (embedded, 1, False)):
+        assert counts["geometry.build_dual_graph"] == counts["features.encode"] == packs
+        assert counts["model.forward.eval"] >= packs
+        assert ("model.head_downstream" in counts) == head
+
+
 def test_ingest_checks_run_on_random_molecules():
     g = import_geognn(ROOT)
     mols = [random_molecule(Rng(2).fork(i), min_atoms=1, max_atoms=12, mol_id=f"m{i}")

@@ -182,6 +182,14 @@ class TestSplits:
         mols[1].labels = {"y": 2.0, "z": None}
         assert task_names(mols) == ["y"]
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("empty", ["valid", "test"])
+    def test_empty_valid_or_test_split_rejected(self, empty, epochs):
+        mols = tiny_dataset(4, seed=3, with_splits=False)
+        split = DatasetSplit(**{"train": mols, "valid": mols, "test": mols, empty: []})
+        with pytest.raises(DataError, match=f"^{empty} split is empty$"):
+            finetune(split, TINY_MODEL, RunConfig(epochs=epochs, batch_size=4))
+
 
 def tiny_dataset(n, seed, with_splits=True):
     rng = Rng(seed)
