@@ -8,10 +8,12 @@ Layout (all integers little-endian):
     header        UTF-8 JSON: model config, feature-layout manifest,
                   tensor directory (name, kind "param", dtype, shape,
                   offset, nbytes), free-form extra
-    payload       raw tensor bytes at the directory offsets
+    payload       the store's parameter buffer (``ParamStore.flat``): each
+                  tensor's bytes at its directory offset, in store order
 
 A checkpoint holds parameters only: finetuning starts from one with a
-fresh optimizer. Older files also hold Adam moments (entries of kind
+fresh optimizer, and a loaded store has no moments (``moments`` is None)
+until its first step. Older files also hold Adam moments (entries of kind
 "adam_m" and "adam_v"); loading checks them like parameters, then skips them.
 
 Writes are atomic: the file is assembled under a temporary name in the
@@ -46,14 +48,14 @@ def save_checkpoint(
     feature_config: FeatureConfig,
     extra: dict | None = None,
 ) -> None:
+    flat = store.flat()
+    dtype_name = str(flat.dtype)
+    if dtype_name not in _DTYPES:
+        raise ConfigError(f"unsupported tensor dtype {dtype_name}")
     tensors = []
-    blobs = []
     offset = 0
     for name, tensor in store.items():
-        dtype_name = str(tensor.data.dtype)
-        if dtype_name not in _DTYPES:
-            raise ConfigError(f"unsupported tensor dtype {dtype_name}")
-        raw = np.ascontiguousarray(tensor.data.astype(_DTYPES[dtype_name])).tobytes()
+        nbytes = tensor.size * flat.itemsize
         tensors.append(
             {
                 "name": name,
@@ -61,11 +63,10 @@ def save_checkpoint(
                 "dtype": dtype_name,
                 "shape": list(tensor.shape),
                 "offset": offset,
-                "nbytes": len(raw),
+                "nbytes": nbytes,
             }
         )
-        blobs.append(raw)
-        offset += len(raw)
+        offset += nbytes
 
     header = {
         "format_version": FORMAT_VERSION,
@@ -85,8 +86,7 @@ def save_checkpoint(
             fh.write(FORMAT_VERSION.to_bytes(4, "little"))
             fh.write(len(header_bytes).to_bytes(8, "little"))
             fh.write(header_bytes)
-            for raw in blobs:
-                fh.write(raw)
+            fh.write(flat.astype(_DTYPES[dtype_name], copy=False))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -79,21 +79,58 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Named trainable tensors plus their optimizer moment slots."""
+    """Named trainable tensors plus the optimizer's state.
+
+    Once built by ``flat``, one buffer holds every parameter, in store order,
+    and each tensor's ``.data`` is a view of it: the optimizer updates the
+    buffer in place, so an alias of a tensor's data sees every later step,
+    while ``copy`` takes a snapshot. Set a parameter by writing its ``.data``
+    in place: rebinding it would detach it from the buffer.
+
+    ``moments`` is None until the first Adam step, then Adam's (m, v), flat
+    like the buffer; ``stepped`` names the parameters a step has had a
+    gradient for (the others' moments are still zero); ``scratch`` holds a
+    step's gathered gradient and one work array.
+    """
 
     def __init__(self, dtype=np.float64):
         self.dtype = dtype
         self._params: dict[str, Tensor] = {}
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._flat: np.ndarray | None = None
+        self.moments: tuple[np.ndarray, np.ndarray] | None = None
+        self.stepped: set[str] = set()
+        self.scratch: tuple[np.ndarray, np.ndarray] | None = None
         self.step = 0
 
     def put(self, name: str, data) -> Tensor:
-        """Install a new trainable tensor holding a copy of data in the store's dtype."""
+        """Install a new trainable tensor holding a copy of data in the store's
+        dtype. A store whose optimizer has taken a step takes no new tensor."""
         if name in self._params:
             raise ConfigError(f"duplicate parameter {name}")
+        if self.moments is not None:
+            raise ConfigError(f"cannot add parameter {name} after an optimizer step")
         tensor = Tensor(np.array(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = tensor
+        self._flat = self.scratch = None
         return tensor
+
+    def flat(self) -> np.ndarray:
+        """The one buffer of every parameter in store order, built on first
+        call by copying each tensor in and making its ``.data`` a view of it."""
+        if self._flat is None:
+            flat = np.empty(sum(t.size for t in self._params.values()), dtype=self.dtype)
+            for t, view in zip(self._params.values(), self._views(flat)):
+                view[...] = t.data
+                t.data = view
+            self._flat = flat
+        return self._flat
+
+    def _views(self, flat: np.ndarray) -> Iterator[np.ndarray]:
+        """Each tensor's place in ``flat``, in store order, shaped as the tensor."""
+        start = 0
+        for t in self._params.values():
+            yield flat[start : start + t.size].reshape(t.shape)
+            start += t.size
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -112,10 +149,12 @@ class ParamStore:
             t.grad = None
 
     def copy(self) -> "ParamStore":
-        """A copy of the parameters; the clone starts at step 0 with no moments."""
+        """A copy of the parameters, as one copy of the buffer; the clone
+        starts at step 0 with no moments."""
         clone = ParamStore(dtype=self.dtype)
-        for name, t in self._params.items():
-            clone.put(name, t.data)
+        clone._flat = self.flat().copy()
+        clone._params = {name: Tensor(view, requires_grad=True)
+                         for name, view in zip(self._params, self._views(clone._flat))}
         return clone
 
 

@@ -87,31 +87,70 @@ def adam_step(store: ParamStore, lr_body: float, lr_head: float | None = None) -
     """One bias-corrected Adam update over every parameter with a gradient.
 
     Downstream-head parameters use lr_head (default lr_body); everything
-    else uses lr_body. Missing gradients are treated as zero.
+    else uses lr_body. Missing gradients are treated as zero. A non-finite
+    gradient raises NumericalError before anything changes.
+
+    The update runs in place on the store's buffer and flat moments, one run
+    of adjacent parameters that share a learning rate at a time, through two
+    scratch arrays allocated once per store, with the per-tensor rule's
+    arithmetic in its order, so it gives the same bits. A parameter that has
+    never had a gradient is skipped: its moments are zero, so its update is.
     """
     if lr_head is None:
         lr_head = lr_body
-    store.step += 1
-    t = store.step
-    correction1 = 1.0 - _BETA1**t
-    correction2 = 1.0 - _BETA2**t
+    flat = store.flat()
+    if store.scratch is None:
+        store.scratch = (np.empty_like(flat), np.empty_like(flat))
+    g, tmp = store.scratch
+    runs: list[list] = []  # [start, stop, lr] of each run to update
+    graded = []
+    start = 0
     for name, tensor in store.items():
-        grad = tensor.grad
-        if grad is None:
-            grad = np.zeros_like(tensor.data)
-        elif not np.all(np.isfinite(grad)):
-            raise NumericalError(f"non-finite gradient for {name}")
-        if name not in store.moments:
-            store.moments[name] = (np.zeros_like(tensor.data), np.zeros_like(tensor.data))
-        m, v = store.moments[name]
-        m *= _BETA1
-        m += (1.0 - _BETA1) * grad
-        v *= _BETA2
-        v += (1.0 - _BETA2) * grad * grad
-        m_hat = m / correction1
-        v_hat = v / correction2
+        stop = start + tensor.size
+        if tensor.grad is not None:
+            g[start:stop] = tensor.grad.reshape(-1)
+            graded.append(name)
+        elif name in store.stepped:
+            g[start:stop] = 0.0
+        else:
+            start = stop
+            continue
         lr = lr_head if name.startswith(_HEAD_PREFIX) else lr_body
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        if runs and runs[-1][1:] == [start, lr]:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, lr])
+        start = stop
+    # a finite sum proves every gradient finite; one that overflowed proves nothing
+    with np.errstate(over="ignore"):
+        finite = all(np.isfinite(g[a:b].sum()) for a, b, _ in runs)
+    if not finite:
+        for name, tensor in store.items():
+            if tensor.grad is not None and not np.all(np.isfinite(tensor.grad)):
+                raise NumericalError(f"non-finite gradient for {name}")
+
+    if store.moments is None:
+        store.moments = (np.zeros_like(flat), np.zeros_like(flat))
+    store.stepped.update(graded)
+    store.step += 1
+    correction1 = 1.0 - _BETA1**store.step
+    correction2 = 1.0 - _BETA2**store.step
+    for a, b, lr in runs:
+        p, m, v, gr, up = (x[a:b] for x in (flat, *store.moments, g, tmp))
+        m *= _BETA1
+        np.multiply(gr, 1.0 - _BETA1, out=up)
+        m += up
+        v *= _BETA2
+        np.multiply(gr, 1.0 - _BETA2, out=up)
+        up *= gr
+        v += up
+        np.divide(m, correction1, out=up)
+        up *= lr
+        np.divide(v, correction2, out=gr)
+        np.sqrt(gr, out=gr)
+        gr += _EPS
+        up /= gr
+        p -= up
 
 
 # --- metrics -------------------------------------------------------------------
@@ -469,7 +508,7 @@ def finetune(
 
     best_metric = None
     best_epoch = 0
-    best_store = model.store.copy()
+    best_store = model.store  # epoch 1 always replaces it, so only epochs=0 keeps it
     epochs_log: list[dict] = []
     for epoch in range(1, run_config.epochs + 1):
         train_loss, _ = _fit_epoch(

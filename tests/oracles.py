@@ -411,3 +411,46 @@ def predictions_reference(model, items) -> np.ndarray:
         model.head_downstream(model.forward(i.graph, i.encoded, mode="eval").h_graph).data
         for i in items
     ])
+
+
+def adam_reference(params: dict, grads: dict, moments: dict, t: int, lr_body: float,
+                   lr_head: float) -> None:
+    """Adam step ``t`` one tensor at a time, in place on the arrays of
+    ``params`` and ``moments`` (name -> (m, v), created on first use): a
+    missing gradient counts as zero, and "head_down." tensors use lr_head."""
+    correction1 = 1.0 - 0.9**t
+    correction2 = 1.0 - 0.999**t
+    for name, data in params.items():
+        grad = grads.get(name)
+        if grad is None:
+            grad = np.zeros_like(data)
+        if name not in moments:
+            moments[name] = (np.zeros_like(data), np.zeros_like(data))
+        m, v = moments[name]
+        m *= 0.9
+        m += (1.0 - 0.9) * grad
+        v *= 0.999
+        v += (1.0 - 0.999) * grad * grad
+        m_hat = m / correction1
+        v_hat = v / correction2
+        lr = lr_head if name.startswith("head_down.") else lr_body
+        data[...] = data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def checkpoint_bytes_reference(store, model_config, feature_config, extra=None) -> bytes:
+    """A checkpoint file as the layout in ``geognn.checkpoint``'s docstring
+    states it, assembled one tensor at a time."""
+    import json
+
+    entries, blobs, offset = [], [], 0
+    for name, tensor in store.items():
+        raw = tensor.data.astype("<f4" if tensor.data.dtype == np.float32 else "<f8").tobytes()
+        entries.append({"name": name, "kind": "param", "dtype": str(tensor.data.dtype),
+                        "shape": list(tensor.shape), "offset": offset, "nbytes": len(raw)})
+        blobs.append(raw)
+        offset += len(raw)
+    header = json.dumps({"format_version": 1, "model_config": model_config.to_dict(),
+                         "feature_manifest": feature_config.manifest(), "tensors": entries,
+                         "extra": extra or {}}, sort_keys=True).encode("utf-8")
+    return (b"GEM1" + (1).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
+            + b"".join(blobs))

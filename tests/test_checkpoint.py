@@ -15,6 +15,7 @@ from geognn.synth import random_molecule
 from geognn.training import adam_step
 
 from conftest import edit_header, rename_atom_block
+from oracles import checkpoint_bytes_reference
 
 
 CFG = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
@@ -51,7 +52,26 @@ def test_checkpoint_holds_parameters_only(tmp_path):
     for name in model.store.names():
         assert np.array_equal(store[name].data, model.store[name].data)
     assert store.step == 0
-    assert store.moments == {}
+    assert store.moments is None
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("fingerprint_bits, num_tasks", [(0, 0), (3, 0), (0, 2), (3, 2)])
+def test_file_is_the_per_tensor_layout(tmp_path, precision, fingerprint_bits, num_tasks):
+    cfg = ModelConfig(num_blocks=2, hidden=4, dropout=0.0, distance_bins=5, geom_head_hidden=8,
+                      down_head_hidden=8, fingerprint_bits=fingerprint_bits, num_tasks=num_tasks,
+                      precision=precision)
+    store = GeoGNN(cfg, rng=Rng(12)).store
+    extra = {"epoch": 3, "phase": "test"}
+    expected = checkpoint_bytes_reference(store, cfg, FeatureConfig(), extra)
+    save_checkpoint(tmp_path / "fresh.ckpt", store, cfg, FeatureConfig(), extra=extra)
+    assert (tmp_path / "fresh.ckpt").read_bytes() == expected
+    for i, (_, t) in enumerate(store.items()):
+        t.grad = np.full(t.shape, 0.1 * (i % 3), dtype=t.dtype)
+    adam_step(store, lr_body=1e-3, lr_head=1e-2)
+    save_checkpoint(tmp_path / "stepped.ckpt", store, cfg, FeatureConfig(), extra=extra)
+    expected = checkpoint_bytes_reference(store, cfg, FeatureConfig(), extra)
+    assert (tmp_path / "stepped.ckpt").read_bytes() == expected
 
 
 def test_magic_is_checked(tmp_path):
@@ -139,7 +159,7 @@ def test_legacy_checkpoint_with_moments_loads_its_params(tmp_path):
     for name in store.names():
         assert np.array_equal(store[name].data, model.store[name].data)
     assert store.step == 0
-    assert store.moments == {}
+    assert store.moments is None
 
 
 def test_unknown_tensor_kind_is_a_data_error(tmp_path):

@@ -281,6 +281,22 @@ class TestParamStore:
             snapshot["embed.atom.w"].data, model.store["embed.atom.w"].data
         )
 
+    def test_put_after_an_optimizer_step_is_refused(self):
+        from geognn.training import adam_step
+
+        store = ParamStore()
+        store.put("a", [1.0])
+        store.flat()
+        store.put("b", [[2.0, 3.0]])  # the buffer is rebuilt to hold it
+        assert np.array_equal(store.flat(), [1.0, 2.0, 3.0])
+        assert all(np.shares_memory(t.data, store.flat()) for _, t in store.items())
+        store["a"].grad = np.array([1.0])
+        adam_step(store, lr_body=0.1)
+        with pytest.raises(ConfigError, match="cannot add parameter c after an optimizer step"):
+            store.put("c", [4.0])
+        assert store.names() == ["a", "b"]
+        assert store.copy().put("c", [4.0]).shape == (1,)
+
     def test_init_is_seed_deterministic(self):
         a = GeoGNN(SMALL, rng=Rng(51)).store
         b = GeoGNN(SMALL, rng=Rng(51)).store

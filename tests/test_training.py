@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geognn import tensor, training
 from geognn.errors import ConfigError, DataError
@@ -26,7 +27,7 @@ from geognn.training import (
     task_names,
 )
 
-from oracles import roc_auc_pairs
+from oracles import adam_reference, roc_auc_pairs
 
 
 def one_param_store(value: float) -> ParamStore:
@@ -85,6 +86,92 @@ class TestAdam:
         adam_step(store, lr_body=0.0, lr_head=0.5)
         assert store["embed.atom.w"].data[0] == 1.0
         assert store["head_down.l1.w"].data[0] != 1.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), f32=st.booleans())
+    def test_matches_per_tensor_reference(self, seed, f32):
+        # head and body names interleaved, shapes (1,) to 2-D, gradients
+        # missing at random (some tensors never get one), 30 steps
+        r = np.random.default_rng(seed)
+        dtype = np.float32 if f32 else np.float64
+        store = ParamStore(dtype=dtype)
+        for i in range(int(r.integers(1, 12))):
+            prefix = "head_down." if r.random() < 0.4 else "block."
+            shape = tuple(int(k) for k in r.integers(1, 9, size=int(r.integers(1, 3))))
+            store.put(f"{prefix}{i}", r.standard_normal(shape))
+        params = {name: t.data.copy() for name, t in store.items()}
+        never = {name for name in params if r.random() < 0.2}
+        moments: dict = {}
+        lr_body, lr_head = 10.0 ** r.uniform(-4, -1), 10.0 ** r.uniform(-4, -1)
+        for step in range(1, 31):
+            grads = {name: None if name in never or r.random() < 0.3
+                     else (r.standard_normal(data.shape) * 10.0 ** r.uniform(-3, 3)).astype(dtype)
+                     for name, data in params.items()}
+            for name, t in store.items():
+                t.grad = grads[name]
+            adam_step(store, lr_body, lr_head)
+            adam_reference(params, grads, moments, step, lr_body, lr_head)
+        m, v = store.moments
+        start = 0
+        for name, t in store.items():
+            stop = start + t.size
+            assert t.data.dtype == dtype
+            assert np.array_equal(t.data, params[name])
+            assert np.array_equal(m[start:stop], moments[name][0].reshape(-1))
+            assert np.array_equal(v[start:stop], moments[name][1].reshape(-1))
+            start = stop
+
+    def test_rejected_step_leaves_the_store_as_it_was(self):
+        from geognn.errors import NumericalError
+
+        store = ParamStore()
+        store.put("a", [1.0])
+        store.put("b", [2.0, 3.0])
+        store["a"].grad, store["b"].grad = np.array([1.0]), np.array([0.5, np.nan])
+        with pytest.raises(NumericalError, match="^non-finite gradient for b$"):
+            adam_step(store, lr_body=0.1)
+        assert store.step == 0 and store.moments is None
+        assert store["a"].data[0] == 1.0
+        store["b"].grad = np.array([0.5, 0.25])
+        adam_step(store, lr_body=0.1)
+        before = store.copy()
+        moments = tuple(x.copy() for x in store.moments)
+        store["a"].grad = np.array([np.inf])
+        with pytest.raises(NumericalError, match="^non-finite gradient for a$"):
+            adam_step(store, lr_body=0.1)
+        assert store.step == 1
+        for name, t in store.items():
+            assert np.array_equal(t.data, before[name].data)
+        assert all(np.array_equal(x, y) for x, y in zip(store.moments, moments))
+
+    def test_finite_gradients_whose_sum_overflows_are_accepted(self):
+        store = ParamStore()
+        store.put("x", [1.0, 1.0])
+        store["x"].grad = np.array([1e308, 1e308])
+        params, moments = {"x": np.array([1.0, 1.0])}, {}
+        with np.errstate(over="ignore"):  # v overflows in either rule
+            adam_step(store, lr_body=0.1)
+            adam_reference(params, {"x": store["x"].grad}, moments, 1, 0.1, 0.1)
+        assert store.step == 1
+        assert np.array_equal(store["x"].data, params["x"])
+
+    def test_parameters_are_views_of_one_buffer_updated_in_place(self):
+        store = ParamStore()
+        store.put("block.w", np.ones((2, 3)))
+        store.put("head_down.b", np.ones(2))
+        tensors = {name: t for name, t in store.items()}
+        snapshot = store.copy()
+        for _ in range(4):
+            for t in tensors.values():
+                t.grad = np.ones(t.shape)
+            adam_step(store, lr_body=0.1, lr_head=0.2)
+            for name, t in store.items():
+                assert t is tensors[name]
+                assert np.shares_memory(t.data, store.flat())
+        assert np.array_equal(snapshot.flat(), np.ones(8))
+        assert snapshot.step == 0 and snapshot.moments is None
+        assert not np.shares_memory(snapshot.flat(), store.flat())
+        assert np.all(store["block.w"].data < 1.0)
 
 
 class TestMetrics:
@@ -375,6 +462,25 @@ class TestFinetuneLoop:
         run = RunConfig(epochs=2, batch_size=4, seed=20)
         result = finetune(split, TINY_MODEL, run, init_store=pre.store)
         assert result.report["selected_epoch"] >= 1
+
+    def test_best_store_is_a_snapshot_of_its_epoch(self):
+        # epoch 2 is the best of 3, so the live buffer moves on after it
+        split = DatasetSplit.from_tags(tiny_dataset(15, seed=40))
+        run = RunConfig(epochs=3, batch_size=4, lr_body=3e-2, lr_head=5e-2, seed=0)
+        result = finetune(split, TINY_MODEL, run)
+        best = result.report["selected_epoch"]
+        assert best == 2
+        rerun = finetune(split, TINY_MODEL, dataclasses.replace(run, epochs=best))
+        assert rerun.report["selected_epoch"] == best
+        assert np.array_equal(result.store.flat(), rerun.store.flat())
+
+    def test_zero_epochs_return_the_untrained_store(self):
+        split = DatasetSplit.from_tags(tiny_dataset(10, seed=41))
+        result = finetune(split, TINY_MODEL, RunConfig(epochs=0, seed=5))
+        assert result.report["selected_epoch"] == 0
+        init = GeoGNN(TINY_MODEL, rng=Rng(5)).store
+        assert result.store.names() == init.names()
+        assert np.array_equal(result.store.flat(), init.flat())
 
 
 class TestFloat32:
