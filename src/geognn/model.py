@@ -284,20 +284,27 @@ class GeoGNN:
         if rng is not None:
             atom_rng, bond_rng = BlockRng(rng, graph.atom_counts), BlockRng(rng, graph.bond_counts)
         training = mode == "train"
+        last = self.config.num_blocks - 1
 
         for k in range(self.config.num_blocks):
             try:
                 # bonds on the bond-angle graph, then atoms on the atom-bond
                 # graph, both from iteration k-1 states; each molecule's bond
-                # dropout draws come before its atom draws
-                new_bond = self._update(f"block{k}.bond", T.aggregate(h_bond, angle_edges, x_angle),
-                                        h_bond, bond_scale, bond_rng, training)
-                new_atom = self._update(f"block{k}.atom", T.aggregate(h_atom, bond_edges, h_bond),
-                                        h_atom, atom_scale, atom_rng, training)
+                # dropout draws come before its atom draws. Nothing reads the
+                # last block's bond states, so that update is skipped, and
+                # each stream steps past the draws it would have made.
+                new_bond = h_bond
+                if k < last:
+                    new_bond = self._update(f"block{k}.bond",
+                                            T.aggregate(h_bond, angle_edges, x_angle),
+                                            h_bond, bond_scale, bond_rng, training)
+                elif training and self.config.dropout > 0.0:
+                    bond_rng.skip(hidden)
+                h_atom = self._update(f"block{k}.atom", T.aggregate(h_atom, bond_edges, h_bond),
+                                      h_atom, atom_scale, atom_rng, training)
             except NumericalError as err:
                 raise NumericalError(f"block {k}: {err}") from None
-
-            h_bond, h_atom = new_bond, new_atom
+            h_bond = new_bond
 
         sums = T.segment_sum(h_atom, graph.atom_graph, graph.num_graphs)
         h_graph = T.div(sums, Tensor(graph.atom_counts.reshape(-1, 1), dtype=dtype))

@@ -2,7 +2,9 @@
 
 Both formats share one record loop: a bad SDF record or JSONL line is one
 ParseError at its first line. ``parse_sdf_lenient`` and ``parse_jsonl_lenient``
-collect them; ``parse_sdf`` and ``parse_jsonl`` raise the first.
+collect them; ``parse_sdf`` and ``parse_jsonl`` raise the first. Every field
+is judged by ``Molecule.validate``, which both readers and the training API
+(``pretrain``, ``finetune``, ``evaluate``, ``embed_molecules``) apply.
 
 Input hydrogens are kept as explicit atoms; no implicit-H inference is
 performed beyond counting bonded hydrogens.
@@ -51,11 +53,35 @@ _VALENCE_ELECTRONS = {
 _STERIC_TO_HYBRIDIZATION = {2: "sp", 3: "sp2", 4: "sp3", 5: "sp3d", 6: "sp3d2"}
 
 
+_INF = math.inf
+
+
 def _is_int(value) -> bool:
-    """An integer of any kind, numpy's included, but not a bool. A plain int
-    skips the abstract-class check, which would triple the cost of validate."""
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
+    """An integer of any kind, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value, nan_ok: bool = False) -> bool:
+    """A real number, not a bool, that is finite as a float (or NaN, if nan_ok)."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+    return -_INF < value < _INF or nan_ok and value != value
+
+
+def _is_point(xyz) -> bool:
+    """Three finite real numbers, none of them a bool."""
+    try:
+        x, y, z = xyz
+    except (TypeError, ValueError):
+        return False
+    if type(x) is type(y) is type(z) is float:  # the readers' points, without three calls
+        return -_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF
+    return _is_real(x) and _is_real(y) and _is_real(z)
 
 
 @dataclass
@@ -83,6 +109,26 @@ class Bond:
 
 @dataclass
 class Molecule:
+    """A molecule as both readers build it and the training API takes it.
+
+    ``validate`` is the one check of these rules. An integer may be of any
+    kind, numpy's included; no integer or real number may be a bool.
+
+    - atoms: at least one ``Atom``; coords: one (x, y, z) of finite reals per atom
+    - ``Atom.element``: a symbol of ``ELEMENTS``
+    - ``Atom.formal_charge``: an integer
+    - ``Atom.chirality``: one of ``CHIRALITIES``
+    - ``Atom.num_explicit_h``: an integer, at least 0
+    - ``Atom.aromatic``: a bool
+    - ``Atom.hybridization``: one of ``HYBRIDIZATIONS``
+    - ``Bond.a``, ``Bond.b``: integers, two different atom indices, one bond per pair
+    - ``Bond.bond_type``: one of ``BOND_TYPES``; ``Bond.bond_dir``: one of ``BOND_DIRS``
+    - ``Bond.in_ring``: a bool
+    - labels: a dict from str to None, NaN (both missing) or a finite real
+    - fingerprint: None, or a non-empty list or tuple of the integers 0 and 1
+    - split: None or one of ``SPLITS``
+    """
+
     id: str
     atoms: list[Atom]
     bonds: list[Bond]
@@ -92,52 +138,71 @@ class Molecule:
     split: str | None = None
 
     def validate(self) -> "Molecule":
-        if not self.atoms:
-            raise DataError(f"molecule {self.id}: no atoms")
-        if len(self.coords) != len(self.atoms):
-            raise DataError(
-                f"molecule {self.id}: {len(self.coords)} coordinates for {len(self.atoms)} atoms"
-            )
-        for atom in self.atoms:
-            if not (_is_int(atom.formal_charge) and _is_int(atom.num_explicit_h)):
-                raise DataError(f"molecule {self.id}: charge {atom.formal_charge!r} and hydrogen "
-                                f"count {atom.num_explicit_h!r} must be integers")
-            z = ATOMIC_NUMBER.get(atom.element)
-            if z is None or not 1 <= z <= 118:
-                raise DataError(f"molecule {self.id}: unknown element {atom.element!r}")
-            if atom.chirality not in CHIRALITIES:
-                raise DataError(f"molecule {self.id}: bad chirality {atom.chirality!r}")
-            if atom.hybridization not in HYBRIDIZATIONS:
-                raise DataError(f"molecule {self.id}: bad hybridization {atom.hybridization!r}")
-            if atom.num_explicit_h < 0:
-                raise DataError(f"molecule {self.id}: negative hydrogen count")
-        seen = set()
+        """The molecule, if it keeps every rule of the class docstring; else
+        a DataError naming it. One pass over the atoms, one over the bonds."""
+        name, atoms = f"molecule {self.id}", self.atoms
+        if not atoms:
+            raise DataError(f"{name}: no atoms")
+        try:
+            num_coords = len(self.coords)
+        except TypeError:
+            raise DataError(f"{name}: coords must be a list of points, got {self.coords!r}")
+        if num_coords != len(atoms):
+            raise DataError(f"{name}: {num_coords} coordinates for {len(atoms)} atoms")
+        for atom, xyz in zip(atoms, self.coords):
+            # a plain int skips the abstract-class check, which alone would
+            # triple the cost of validate
+            charge, num_h = atom.formal_charge, atom.num_explicit_h
+            if not ((type(charge) is int or _is_int(charge))
+                    and (type(num_h) is int or _is_int(num_h))):
+                raise DataError(f"{name}: charge {charge!r} and hydrogen "
+                                f"count {num_h!r} must be integers")
+            if not (isinstance(atom.element, str) and atom.element in ATOMIC_NUMBER):
+                raise DataError(f"{name}: unknown element {atom.element!r}")
+            if not (isinstance(atom.chirality, str) and atom.chirality in CHIRALITIES):
+                raise DataError(f"{name}: bad chirality {atom.chirality!r}")
+            if not (isinstance(atom.hybridization, str)
+                    and atom.hybridization in HYBRIDIZATIONS):
+                raise DataError(f"{name}: bad hybridization {atom.hybridization!r}")
+            if num_h < 0:
+                raise DataError(f"{name}: negative hydrogen count")
+            if type(atom.aromatic) is not bool:
+                raise DataError(f"{name}: aromatic flag {atom.aromatic!r} must be a bool")
+            if not _is_point(xyz):
+                raise DataError(f"{name}: coordinate {xyz!r} must be 3 finite real numbers")
+        num_atoms, seen = len(atoms), set()
         for bond in self.bonds:
-            if not (_is_int(bond.a) and _is_int(bond.b)):
-                raise DataError(f"molecule {self.id}: bond atoms {bond.a!r}, {bond.b!r} "
-                                "must be integers")
-            if bond.a == bond.b:
-                raise DataError(f"molecule {self.id}: bond joins atom {bond.a} to itself")
-            if not (0 <= bond.a < len(self.atoms)) or not (0 <= bond.b < len(self.atoms)):
-                raise DataError(f"molecule {self.id}: atom index out of range")
-            if bond.bond_type not in BOND_TYPES:
-                raise DataError(f"molecule {self.id}: bad bond type {bond.bond_type!r}")
-            if bond.bond_dir not in BOND_DIRS:
-                raise DataError(f"molecule {self.id}: bad bond dir {bond.bond_dir!r}")
-            key = (min(bond.a, bond.b), max(bond.a, bond.b))
+            a, b = bond.a, bond.b
+            if not ((type(a) is int or _is_int(a)) and (type(b) is int or _is_int(b))):
+                raise DataError(f"{name}: bond atoms {a!r}, {b!r} must be integers")
+            if a == b:
+                raise DataError(f"{name}: bond joins atom {a} to itself")
+            if not (0 <= a < num_atoms and 0 <= b < num_atoms):
+                raise DataError(f"{name}: atom index out of range")
+            if not (isinstance(bond.bond_type, str) and bond.bond_type in BOND_TYPES):
+                raise DataError(f"{name}: bad bond type {bond.bond_type!r}")
+            if not (isinstance(bond.bond_dir, str) and bond.bond_dir in BOND_DIRS):
+                raise DataError(f"{name}: bad bond dir {bond.bond_dir!r}")
+            if type(bond.in_ring) is not bool:
+                raise DataError(f"{name}: in_ring flag {bond.in_ring!r} must be a bool")
+            key = (a, b) if a < b else (b, a)
             if key in seen:
-                raise DataError(f"molecule {self.id}: duplicate bond {key}")
+                raise DataError(f"{name}: duplicate bond {key}")
             seen.add(key)
-        for xyz in self.coords:
-            if len(xyz) != 3 or not all(math.isfinite(c) for c in xyz):
-                raise DataError(f"molecule {self.id}: non-finite coordinate")
-        if self.fingerprint is not None:
-            if not self.fingerprint:
-                raise DataError(f"molecule {self.id}: empty fingerprint")
-            if any(bit not in (0, 1) for bit in self.fingerprint):
-                raise DataError(f"molecule {self.id}: fingerprint bits must be 0 or 1")
-        if self.split is not None and self.split not in SPLITS:
-            raise DataError(f"molecule {self.id}: bad split tag {self.split!r}")
+        if not isinstance(self.labels, dict):
+            raise DataError(f"{name}: labels must be a dict, got {self.labels!r}")
+        for label, value in self.labels.items():
+            if not isinstance(label, str):
+                raise DataError(f"{name}: label name {label!r} must be a str")
+            if not (value is None or _is_real(value, nan_ok=True)):
+                raise DataError(f"{name}: label {label} must be None, NaN or a finite "
+                                f"real number, got {value!r}")
+        bits = self.fingerprint
+        if bits is not None and not (isinstance(bits, (list, tuple)) and bits
+                                     and all(_is_int(bit) and 0 <= bit <= 1 for bit in bits)):
+            raise DataError(f"{name}: fingerprint must be a non-empty list of bits 0 and 1")
+        if self.split is not None and not (isinstance(self.split, str) and self.split in SPLITS):
+            raise DataError(f"{name}: bad split tag {self.split!r}")
         return self
 
 
@@ -393,35 +458,10 @@ def parse_sdf_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseErro
 # --- JSON lines --------------------------------------------------------------
 
 
-def _require(obj: dict, key: str, lineno: int):
-    if key not in obj:
-        raise ParseError(f"missing required key {key!r}", lineno)
-    return obj[key]
-
-
-def _bool(value, what: str, lineno: int) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError(f"{what} must be true or false, got {value!r}", lineno)
-    return value
-
-
-def _int(value, what: str, lineno: int) -> int:
-    if not _is_int(value):
-        raise ParseError(f"{what} must be an integer, got {value!r}", lineno)
-    return value
-
-
-def _number(value, what: str, lineno: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what} must be a number, got {value!r}", lineno)
-    return float(value)
-
-
-def _label(value, what: str, lineno: int) -> float | None:
-    number = None if value is None else _number(value, what, lineno)
-    if number is not None and math.isinf(number):
-        raise ParseError(f"{what} must be finite, got {value!r}", lineno)
-    return number
+# the JSONL key of each Atom and Bond field, in field order
+_ATOM_KEYS = {"element": "element", "formal_charge": "formal_charge", "chirality": "chirality",
+              "num_explicit_h": "num_h", "aromatic": "aromatic", "hybridization": "hybridization"}
+_BOND_KEYS = {"a": "a", "b": "b", "bond_type": "type", "bond_dir": "dir"}
 
 
 def _parse_jsonl_record(lineno: int, line: str, index: int) -> Molecule:
@@ -430,56 +470,26 @@ def _parse_jsonl_record(lineno: int, line: str, index: int) -> Molecule:
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", lineno) from None
     try:
-        atoms = [
-            Atom(
-                element=_require(a, "element", lineno),
-                formal_charge=_int(_require(a, "formal_charge", lineno), "formal_charge", lineno),
-                chirality=_require(a, "chirality", lineno),
-                num_explicit_h=_int(_require(a, "num_h", lineno), "num_h", lineno),
-                aromatic=_bool(_require(a, "aromatic", lineno), "aromatic", lineno),
-                hybridization=_require(a, "hybridization", lineno),
-            )
-            for a in _require(obj, "atoms", lineno)
-        ]
-        bonds = [
-            Bond(
-                a=_int(_require(b, "a", lineno), "bond atom", lineno),
-                b=_int(_require(b, "b", lineno), "bond atom", lineno),
-                bond_type=_require(b, "type", lineno),
-                bond_dir=_require(b, "dir", lineno),
-            )
-            for b in _require(obj, "bonds", lineno)
-        ]
-        coords = [
-            tuple(_number(c, "coordinate", lineno) for c in xyz)
-            for xyz in _require(obj, "coords", lineno)
-        ]
-        fingerprint = obj.get("fingerprint")
-        mol = Molecule(
-            id=str(_require(obj, "id", lineno)), atoms=atoms, bonds=bonds, coords=coords,
-            labels={
-                str(k): _label(v, f"label {k}", lineno)
-                for k, v in _require(obj, "labels", lineno).items()
-            },
-            fingerprint=(
-                None if fingerprint is None
-                else [_int(bit, "fingerprint bit", lineno) for bit in fingerprint]
-            ),
-            split=obj.get("split"),
-        ).validate()
+        atoms = [Atom(*[a[key] for key in _ATOM_KEYS.values()]) for a in obj["atoms"]]
+        bonds = [Bond(*[b[key] for key in _BOND_KEYS.values()]) for b in obj["bonds"]]
+        mol = Molecule(id=str(obj["id"]), atoms=atoms, bonds=bonds, coords=obj["coords"],
+                       labels=obj["labels"], fingerprint=obj.get("fingerprint"),
+                       split=obj.get("split")).validate()
+    except KeyError as err:
+        raise ParseError(f"missing required key {err.args[0]!r}", lineno) from None
     except (AttributeError, TypeError, ValueError) as err:
-        # a field of the wrong JSON type, e.g. "atoms": 5 or a label of "abc"
+        # a field of the wrong JSON type, e.g. "atoms": 5
         raise ParseError(f"bad field value: {err}", lineno) from None
+    # JSON numbers as floats, once validate has accepted them
+    mol.coords = [(float(x), float(y), float(z)) for x, y, z in mol.coords]
+    mol.labels = {k: None if v is None else float(v) for k, v in mol.labels.items()}
     for bond, in_ring in zip(mol.bonds, ring_membership(mol)):
         bond.in_ring = in_ring
     return mol
 
 
 def parse_jsonl(data: bytes | str) -> list[Molecule]:
-    """One molecule per non-blank line; ParseError names the first bad line.
-
-    A label of null or NaN is missing; a label of Infinity or -Infinity is
-    a ParseError."""
+    """One molecule per non-blank line; ParseError names the first bad line."""
     return _first_error_raised(parse_jsonl_lenient(data))
 
 
@@ -493,20 +503,8 @@ def parse_jsonl_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseEr
 def molecule_to_json_dict(mol: Molecule) -> dict:
     obj = {
         "id": mol.id,
-        "atoms": [
-            {
-                "element": a.element,
-                "formal_charge": a.formal_charge,
-                "chirality": a.chirality,
-                "aromatic": a.aromatic,
-                "num_h": a.num_explicit_h,
-                "hybridization": a.hybridization,
-            }
-            for a in mol.atoms
-        ],
-        "bonds": [
-            {"a": b.a, "b": b.b, "type": b.bond_type, "dir": b.bond_dir} for b in mol.bonds
-        ],
+        "atoms": [{key: getattr(a, name) for name, key in _ATOM_KEYS.items()} for a in mol.atoms],
+        "bonds": [{key: getattr(b, name) for name, key in _BOND_KEYS.items()} for b in mol.bonds],
         "coords": [list(xyz) for xyz in mol.coords],
         "labels": mol.labels,
     }

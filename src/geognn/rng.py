@@ -38,6 +38,12 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _skip(rngs: list["Rng"], rows: np.ndarray, width: int) -> None:
+    """Advance each stream ``rngs[i]`` past its next ``rows[i] * width`` draws."""
+    for rng, n in zip(rngs, rows.tolist()):
+        rng._counter += n * width
+
+
 def _raw_draws(rngs: list["Rng"], rows, width: int) -> np.ndarray:
     """The next ``rows[i] * width`` raw draws of each stream ``rngs[i]``, as
     an [sum(rows), width] uint64 array whose block i of rows[i] rows comes
@@ -45,8 +51,7 @@ def _raw_draws(rngs: list["Rng"], rows, width: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     seeds = np.array([rng._seed for rng in rngs], dtype=np.uint64)
     counters = np.array([rng._counter for rng in rngs], dtype=np.uint64)
-    for rng, n in zip(rngs, rows.tolist()):
-        rng._counter += n * width
+    _skip(rngs, rows, width)
     # element (j, c) of block i, whose first row is s[i], is draw
     # k = counters[i] + (j - s[i]) * width + c + 1 of stream i, that is
     # _finalize(seed + (k + 1) * golden); all in uint64 arrays, which wrap
@@ -141,3 +146,8 @@ class BlockRng(_ArrayDraws):
 
     def _draws(self, shape) -> np.ndarray:
         return _raw_draws(self.rngs, self.rows, int(np.prod(shape[1:]))).reshape(shape)
+
+    def skip(self, width: int) -> None:
+        """Step each stream past the draws of a matrix ``width`` columns wide,
+        without making them: the next draws are those after that matrix's."""
+        _skip(self.rngs, self.rows, width)

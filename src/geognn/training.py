@@ -11,6 +11,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, asdict
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -238,16 +239,20 @@ class DatasetSplit:
     test: list[Molecule]
 
     def validate(self) -> "DatasetSplit":
+        """Every split non-empty, and every molecule as ``Molecule.validate`` requires."""
         for part in ("train", "valid", "test"):
             if not getattr(self, part):
                 raise DataError(f"{part} split is empty")
+        for molecule in chain(self.train, self.valid, self.test):
+            molecule.validate()
         return self
 
     @classmethod
     def from_tags(cls, molecules: list[Molecule]) -> "DatasetSplit":
-        """Split by each molecule's tag. Untagged molecules train; missing
-        valid falls back to train, missing test falls back to valid."""
-        train = [m for m in molecules if m.split in (None, "train")]
+        """Split by each molecule's tag. Molecules tagged neither valid nor
+        test train, so ``validate`` sees a bad tag; missing valid falls back
+        to train, missing test falls back to valid."""
+        train = [m for m in molecules if m.split not in ("valid", "test")]
         valid = [m for m in molecules if m.split == "valid"]
         test = [m for m in molecules if m.split == "test"]
         if not valid:
@@ -350,8 +355,11 @@ def pretrain(
     """Minibatch Adam on the self-supervised loss; one checkpoint per epoch.
 
     Molecules tagged "valid" form a held-out loss log; everything else trains.
+    Each molecule must pass ``Molecule.validate``, as the readers require.
     """
     run_config.validate()
+    for molecule in molecules:
+        molecule.validate()
     # no downstream head: finetuning starts its own, sized to its tasks; an
     # unsized fingerprint head takes the width of the molecules' bits
     sizes = {"num_tasks": 0}
@@ -359,8 +367,6 @@ def pretrain(
         widths = {len(m.fingerprint) for m in molecules if m.fingerprint is not None}
         if len(widths) > 1:
             raise DataError(f"inconsistent fingerprint widths: {sorted(widths)}")
-        if 0 in widths:
-            raise DataError("empty fingerprint: a fingerprint head needs at least one bit")
         sizes["fingerprint_bits"] = max(widths, default=0)
     model_config = ModelConfig.from_dict({**model_config.to_dict(), **sizes})
     features = FeatureConfig()
@@ -464,7 +470,8 @@ def finetune(
 ) -> FinetuneResult:
     """Train the downstream head (and body) on the train split, select the
     epoch with the best validation metric, and report the test metric of
-    that epoch. Ties keep the earliest epoch."""
+    that epoch. Ties keep the earliest epoch. ``split.validate`` checks
+    each molecule with ``Molecule.validate``, as the readers do."""
     run_config.validate()
     split.validate()
     features = FeatureConfig()
@@ -564,11 +571,14 @@ def evaluate(
     metric: str,
     names: list[str] | None = None,
 ) -> dict:
-    """Metric of the stored parameters on an arbitrary molecule list."""
+    """Metric of the stored parameters on a molecule list; each molecule must
+    pass ``Molecule.validate``, as the readers require."""
     if not isinstance(metric, str) or metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if not molecules:
         raise DataError("no molecules to evaluate")
+    for molecule in molecules:
+        molecule.validate()
     features = FeatureConfig()
     names = names if names is not None else task_names(molecules)
     if not names:
@@ -590,6 +600,10 @@ def embed_molecules(
     model_config: ModelConfig,
     molecules: list[Molecule],
 ) -> list[tuple[str, np.ndarray]]:
+    """(id, eval-mode graph embedding) of each molecule; each molecule must
+    pass ``Molecule.validate``, as the readers require."""
+    for molecule in molecules:
+        molecule.validate()
     features = FeatureConfig()
     model = GeoGNN(model_config, store=store)
     return [(mol.id, row.copy())

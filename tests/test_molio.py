@@ -112,7 +112,8 @@ class TestJsonl:
     def test_infinite_label_rejected(self, value):
         lines = [json.dumps(molecule_to_json_dict(m)) for m in self._two_molecules()]
         lines[1] = lines[1].replace('"y": 1.0', f'"y": {value}')
-        with pytest.raises(ParseError, match="line 2: label y must be finite, got -?inf"):
+        with pytest.raises(ParseError, match="^line 2: molecule m: label y must be None, NaN "
+                                             "or a finite real number, got -?inf$"):
             parse_jsonl("\n".join(lines))
 
     def test_nan_label_is_read_as_nan(self):
