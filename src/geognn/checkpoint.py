@@ -6,15 +6,18 @@ Layout (all integers little-endian):
     bytes 4..7    uint32 format version (currently 1)
     bytes 8..15   uint64 length of the JSON header
     header        UTF-8 JSON: model config, feature-layout manifest,
-                  tensor directory (name, kind "param", dtype, shape,
-                  offset, nbytes), free-form extra
-    payload       the store's parameter buffer (``ParamStore.flat``): each
-                  tensor's bytes at its directory offset, in store order
+                  tensor directory, free-form extra
+    payload       the store's parameter buffer (``ParamStore.flat``)
+
+The directory follows one rule, ``tensor_directory``, when written and when
+read: an entry (name, kind "param", dtype, shape, offset, nbytes) per
+parameter in store order, each starting where the one before ends (the first
+at 0), ``size * itemsize`` bytes long, in the dtype of the config's precision.
 
 A checkpoint holds parameters only: finetuning starts from one with a
 fresh optimizer, and a loaded store has no moments (``moments`` is None)
 until its first step. Older files also hold Adam moments (entries of kind
-"adam_m" and "adam_v"); loading checks them like parameters, then skips them.
+"adam_m" and "adam_v"); loading checks their shape and bounds, then skips them.
 
 Writes are atomic: the file is assembled under a temporary name in the
 target directory and moved into place with os.replace.
@@ -23,9 +26,10 @@ target directory and moved into place with os.replace.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +41,16 @@ from .model import ModelConfig, ParamStore, parameter_table
 MAGIC = b"GEM1"
 FORMAT_VERSION = 1
 
-_DTYPES = {"float32": "<f4", "float64": "<f8"}
-_LEGACY_KINDS = ("adam_m", "adam_v")  # older files' Adam moments, skipped on load
+
+def tensor_directory(table: list[tuple[str, tuple[int, ...]]], dtype) -> list[dict]:
+    """The directory of the parameters (name, shape) of ``table`` in ``dtype``."""
+    dtype, entries, offset = np.dtype(dtype), [], 0
+    for name, shape in table:
+        nbytes = math.prod(shape) * dtype.itemsize
+        entries.append({"name": name, "kind": "param", "dtype": dtype.name,
+                        "shape": list(shape), "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return entries
 
 
 def save_checkpoint(
@@ -48,31 +60,15 @@ def save_checkpoint(
     feature_config: FeatureConfig,
     extra: dict | None = None,
 ) -> None:
+    """Write ``store`` atomically; a ConfigError if its dtype is not the config's."""
     flat = store.flat()
-    dtype_name = str(flat.dtype)
-    if dtype_name not in _DTYPES:
-        raise ConfigError(f"unsupported tensor dtype {dtype_name}")
-    tensors = []
-    offset = 0
-    for name, tensor in store.items():
-        nbytes = tensor.size * flat.itemsize
-        tensors.append(
-            {
-                "name": name,
-                "kind": "param",
-                "dtype": dtype_name,
-                "shape": list(tensor.shape),
-                "offset": offset,
-                "nbytes": nbytes,
-            }
-        )
-        offset += nbytes
-
+    if flat.dtype != model_config.dtype:
+        raise ConfigError(f"cannot save {flat.dtype} parameters as {model_config.precision}")
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": model_config.to_dict(),
         "feature_manifest": feature_config.manifest(),
-        "tensors": tensors,
+        "tensors": tensor_directory(store.shapes(), flat.dtype),
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -86,7 +82,7 @@ def save_checkpoint(
             fh.write(FORMAT_VERSION.to_bytes(4, "little"))
             fh.write(len(header_bytes).to_bytes(8, "little"))
             fh.write(header_bytes)
-            fh.write(flat.astype(_DTYPES[dtype_name], copy=False))
+            fh.write(flat.astype(flat.dtype.newbyteorder("<"), copy=False))
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -96,8 +92,8 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, dict, dict]:
     """Returns (store, model_config, feature_manifest, extra). A file that
-    cannot be read back is a DataError; one whose feature layout is not
-    this build's is a ConfigError."""
+    cannot be read back, or whose directory breaks the layout rule, is a
+    DataError; one whose feature layout is not this build's is a ConfigError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
@@ -110,7 +106,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     header_len = int.from_bytes(raw[8:16], "little")
     if len(raw) < 16 + header_len:
         raise DataError(f"{path}: truncated checkpoint header")
-    payload = raw[16 + header_len :]
+    payload = memoryview(raw)[16 + header_len :]
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         model_config = ModelConfig.from_dict(header["model_config"])
@@ -123,29 +119,30 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
         widths = [sum(block["width"] for block in manifest[kind])
                   for kind in ("atom", "bond", "angle")]
         entries = header["tensors"]
-        table = islice(parameter_table(model_config, *widths), len(entries) + 1)
-        shapes = {name: list(shape) for name, shape, _ in table}
-        store = ParamStore(dtype=model_config.dtype)
+        table = [(name, shape) for name, shape, _ in
+                 islice(parameter_table(model_config, *widths), len(entries) + 1)]
+        shapes = {name: list(shape) for name, shape in table}
         for entry in entries:
-            name, start, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+            name = entry["name"]
             if shapes.get(name) != entry["shape"]:
                 raise DataError(f"{path}: tensor {name} has shape {entry['shape']}; its config "
                                 f"has {shapes.get(name, 'no such tensor')}")
-            if start + nbytes > len(payload):
+            if entry["offset"] + entry["nbytes"] > len(payload):
                 raise DataError(f"{path}: truncated checkpoint payload at {name}")
-            arr = np.frombuffer(payload[start : start + nbytes], dtype=_DTYPES[entry["dtype"]])
-            arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
-            if entry["kind"] == "param":
-                store.put(name, arr)
-            elif entry["kind"] not in _LEGACY_KINDS:
+            if entry["kind"] not in ("param", "adam_m", "adam_v"):  # older files' moments
                 raise DataError(f"{path}: tensor {name} has unknown kind {entry['kind']!r}")
-        missing = [name for name in shapes if name not in store]
+        params = [entry for entry in entries if entry["kind"] == "param"]
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: corrupt checkpoint ({type(err).__name__}: {err})") from None
-    if missing:
-        raise DataError(f"{path}: tensor {missing[0]} of its model config is missing")
+    for got, want in zip_longest(params, tensor_directory(table, model_config.dtype)):
+        if got != want:
+            raise DataError(f"{path}: tensor {(want or got)['name']} breaks the checkpoint "
+                            f"layout: the file has {got}, the layout {want}")
     check_manifest(FeatureConfig(), manifest, str(path))
-    return store, model_config, manifest, extra
+    dtype = np.dtype(model_config.dtype)
+    count = sum(math.prod(shape) for _, shape in table)
+    flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count).astype(dtype)
+    return ParamStore.on_buffer(flat, table), model_config, manifest, extra
 
 
 def check_manifest(feature_config: FeatureConfig, manifest: dict, source: str) -> None:

@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, NumericalError, check_int, check_real
+from .errors import ConfigError, DataError, NumericalError, check_choice, check_int, check_real
 from .features import EncodedGraph, FeatureConfig
 from .geometry import DualGraph
 from .rng import BlockRng, Rng
@@ -62,8 +62,7 @@ class ModelConfig:
         check_real("dropout", self.dropout, 0.0)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError("precision must be f32 or f64")
+        check_choice("precision", self.precision, ("f32", "f64"))
         return self
 
     @property
@@ -81,11 +80,11 @@ class ModelConfig:
 class ParamStore:
     """Named trainable tensors plus the optimizer's state.
 
-    Once built by ``flat``, one buffer holds every parameter, in store order,
-    and each tensor's ``.data`` is a view of it: the optimizer updates the
-    buffer in place, so an alias of a tensor's data sees every later step,
-    while ``copy`` takes a snapshot. Set a parameter by writing its ``.data``
-    in place: rebinding it would detach it from the buffer.
+    One buffer holds every parameter, in store order, and each tensor's
+    ``.data`` is a view of it, made by ``on_buffer``, the one constructor of a
+    store on a buffer. The optimizer updates the buffer in place, so an alias
+    of a tensor's data sees every later step, while ``copy`` takes a snapshot.
+    Set a parameter by writing its ``.data`` in place, never by rebinding it.
 
     ``moments`` is None until the first Adam step, then Adam's (m, v), flat
     like the buffer; ``stepped`` names the parameters a step has had a
@@ -101,6 +100,17 @@ class ParamStore:
         self.stepped: set[str] = set()
         self.scratch: tuple[np.ndarray, np.ndarray] | None = None
         self.step = 0
+
+    @classmethod
+    def on_buffer(cls, flat: np.ndarray, table: list[tuple[str, tuple]]) -> "ParamStore":
+        """A fresh store whose buffer ``flat`` holds exactly the (name, shape)s of ``table``."""
+        store, at = cls(dtype=flat.dtype.type), 0
+        for name, shape in table:
+            size = math.prod(shape)
+            store._params[name] = Tensor(flat[at : at + size].reshape(shape), requires_grad=True)
+            at += size
+        store._flat = flat
+        return store
 
     def put(self, name: str, data) -> Tensor:
         """Install a new trainable tensor holding a copy of data in the store's
@@ -118,19 +128,17 @@ class ParamStore:
         """The one buffer of every parameter in store order, built on first
         call by copying each tensor in and making its ``.data`` a view of it."""
         if self._flat is None:
-            flat = np.empty(sum(t.size for t in self._params.values()), dtype=self.dtype)
-            for t, view in zip(self._params.values(), self._views(flat)):
-                view[...] = t.data
-                t.data = view
-            self._flat = flat
+            total = sum(t.size for t in self._params.values())
+            built = ParamStore.on_buffer(np.empty(total, dtype=self.dtype), self.shapes())
+            for t, new in zip(self._params.values(), built._params.values()):
+                new.data[...] = t.data
+                t.data = new.data
+            self._flat = built._flat
         return self._flat
 
-    def _views(self, flat: np.ndarray) -> Iterator[np.ndarray]:
-        """Each tensor's place in ``flat``, in store order, shaped as the tensor."""
-        start = 0
-        for t in self._params.values():
-            yield flat[start : start + t.size].reshape(t.shape)
-            start += t.size
+    def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of each parameter, in store order."""
+        return [(name, t.shape) for name, t in self._params.items()]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -151,11 +159,7 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         """A copy of the parameters, as one copy of the buffer; the clone
         starts at step 0 with no moments."""
-        clone = ParamStore(dtype=self.dtype)
-        clone._flat = self.flat().copy()
-        clone._params = {name: Tensor(view, requires_grad=True)
-                         for name, view in zip(self._params, self._views(clone._flat))}
-        return clone
+        return ParamStore.on_buffer(self.flat().copy(), self.shapes())
 
 
 def parameter_table(
@@ -258,8 +262,7 @@ class GeoGNN:
     ) -> GraphEmbedding:
         """Encode the molecules of ``graph``: ``encoded`` holds its feature
         rows and ``rng`` one dropout stream per molecule (train mode)."""
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"mode must be train or eval, got {mode!r}")
+        check_choice("mode", mode, ("train", "eval"))
         if mode == "train" and self.config.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode forward needs an rng for dropout")
         if rng is not None and len(rng) != graph.num_graphs:
@@ -270,21 +273,22 @@ class GeoGNN:
                 f"the configured layout ({self.features.atom_width})"
             )
 
-        dtype = self.config.dtype
+        dtype, hidden = self.config.dtype, self.config.hidden
+        last = self.config.num_blocks - 1
         h_atom = self._apply_linear("embed.atom", Tensor(np.asarray(encoded.atom, dtype=dtype)))
         h_bond = self._apply_linear("embed.bond", Tensor(np.asarray(encoded.bond, dtype=dtype)))
-        x_angle = self._apply_linear("embed.angle", Tensor(np.asarray(encoded.angle, dtype=dtype)))
+        if last > 0:  # only the bond updates, which the last block skips, read angles
+            x_angle = self._apply_linear("embed.angle",
+                                         Tensor(np.asarray(encoded.angle, dtype=dtype)))
+            angle_edges = T.Edges(graph.angle_bonds, h_bond.shape[0], hidden)
 
         atom_scale = _row_scale(graph.atom_counts, dtype)
         bond_scale = _row_scale(graph.bond_counts, dtype)
-        hidden = self.config.hidden
         bond_edges = T.Edges(graph.bonds, h_atom.shape[0], hidden)
-        angle_edges = T.Edges(graph.angle_bonds, h_bond.shape[0], hidden)
         atom_rng = bond_rng = None
         if rng is not None:
             atom_rng, bond_rng = BlockRng(rng, graph.atom_counts), BlockRng(rng, graph.bond_counts)
         training = mode == "train"
-        last = self.config.num_blocks - 1
 
         for k in range(self.config.num_blocks):
             try:

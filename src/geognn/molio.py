@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, is_int, is_real
 
 # fmt: off
 ELEMENTS = (
@@ -53,35 +52,15 @@ _VALENCE_ELECTRONS = {
 _STERIC_TO_HYBRIDIZATION = {2: "sp", 3: "sp2", 4: "sp3", 5: "sp3d", 6: "sp3d2"}
 
 
-_INF = math.inf
-
-
-def _is_int(value) -> bool:
-    """An integer of any kind, numpy's included, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value, nan_ok: bool = False) -> bool:
-    """A real number, not a bool, that is finite as a float (or NaN, if nan_ok)."""
-    if type(value) is not float and (isinstance(value, bool)
-                                     or not isinstance(value, numbers.Real)):
-        return False
-    try:
-        value = float(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-    return -_INF < value < _INF or nan_ok and value != value
-
-
 def _is_point(xyz) -> bool:
     """Three finite real numbers, none of them a bool."""
     try:
         x, y, z = xyz
     except (TypeError, ValueError):
         return False
-    if type(x) is type(y) is type(z) is float:  # the readers' points, without three calls
-        return -_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF
-    return _is_real(x) and _is_real(y) and _is_real(z)
+    if type(x) is type(y) is type(z) is float:  # the readers' points: no type checks
+        return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+    return is_real(x) and is_real(y) and is_real(z)
 
 
 @dataclass
@@ -153,8 +132,8 @@ class Molecule:
             # a plain int skips the abstract-class check, which alone would
             # triple the cost of validate
             charge, num_h = atom.formal_charge, atom.num_explicit_h
-            if not ((type(charge) is int or _is_int(charge))
-                    and (type(num_h) is int or _is_int(num_h))):
+            if not ((type(charge) is int or is_int(charge))
+                    and (type(num_h) is int or is_int(num_h))):
                 raise DataError(f"{name}: charge {charge!r} and hydrogen "
                                 f"count {num_h!r} must be integers")
             if not (isinstance(atom.element, str) and atom.element in ATOMIC_NUMBER):
@@ -173,7 +152,7 @@ class Molecule:
         num_atoms, seen = len(atoms), set()
         for bond in self.bonds:
             a, b = bond.a, bond.b
-            if not ((type(a) is int or _is_int(a)) and (type(b) is int or _is_int(b))):
+            if not ((type(a) is int or is_int(a)) and (type(b) is int or is_int(b))):
                 raise DataError(f"{name}: bond atoms {a!r}, {b!r} must be integers")
             if a == b:
                 raise DataError(f"{name}: bond joins atom {a} to itself")
@@ -194,12 +173,12 @@ class Molecule:
         for label, value in self.labels.items():
             if not isinstance(label, str):
                 raise DataError(f"{name}: label name {label!r} must be a str")
-            if not (value is None or _is_real(value, nan_ok=True)):
+            if not (value is None or is_real(value, nan_ok=True)):
                 raise DataError(f"{name}: label {label} must be None, NaN or a finite "
                                 f"real number, got {value!r}")
         bits = self.fingerprint
         if bits is not None and not (isinstance(bits, (list, tuple)) and bits
-                                     and all(_is_int(bit) and 0 <= bit <= 1 for bit in bits)):
+                                     and all(is_int(bit) and 0 <= bit <= 1 for bit in bits)):
             raise DataError(f"{name}: fingerprint must be a non-empty list of bits 0 and 1")
         if self.split is not None and not (isinstance(self.split, str) and self.split in SPLITS):
             raise DataError(f"{name}: bad split tag {self.split!r}")

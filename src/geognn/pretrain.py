@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_choice
 from .features import EncodedGraph
 from .geometry import DualGraph, distance_matrix, pack_graphs
 from .masking import MaskTargets, mask_context
@@ -48,11 +48,11 @@ def in_packs(items: Sequence) -> list:
 
 
 def check_tasks(tasks) -> None:
-    """Reject an empty task list or a name outside TASKS."""
-    if not tasks or not set(tasks) <= set(TASKS):
-        raise ConfigError(
-            f"pretrain tasks must be a non-empty subset of {list(TASKS)}, got {list(tasks)}"
-        )
+    """Reject anything but a non-empty list or tuple of names in TASKS."""
+    if not (isinstance(tasks, (list, tuple)) and tasks):
+        raise ConfigError(f"pretrain tasks must be a non-empty list of names in {list(TASKS)}")
+    for task in tasks:
+        check_choice("pretrain task", task, TASKS)
 
 
 def build_targets(graph: DualGraph, molecule: Molecule) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, DataError, NumericalError, check_int, check_real
+from .errors import ConfigError, DataError, NumericalError, check_choice, check_int, check_real
 from .features import EncodedGraph, FeatureConfig, encode
 from .geometry import DualGraph, build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
@@ -49,10 +49,9 @@ class RunConfig:
         check_int("seed", self.seed, 0, 2**64)
         for name in ("lr_body", "lr_head", "mask_ratio"):
             check_real(name, getattr(self, name), 0.0)
-        if self.task_type not in (None, "regression", "classification"):
-            raise ConfigError(f"unknown task type {self.task_type!r}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        if self.task_type is not None:
+            check_choice("task type", self.task_type, ("regression", "classification"))
+        check_choice("metric", self.metric, METRICS)
         task_type = METRICS[self.metric][2]
         if self.task_type not in (None, task_type):
             raise ConfigError(f"{self.metric} is a {task_type} metric")
@@ -573,8 +572,7 @@ def evaluate(
 ) -> dict:
     """Metric of the stored parameters on a molecule list; each molecule must
     pass ``Molecule.validate``, as the readers require."""
-    if not isinstance(metric, str) or metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
+    check_choice("metric", metric, METRICS)
     if not molecules:
         raise DataError("no molecules to evaluate")
     for molecule in molecules:

@@ -33,6 +33,18 @@ def test_round_trip_params_and_config(tmp_path):
     for name in store.names():
         assert np.array_equal(store[name].data, model.store[name].data)
     check_manifest(FeatureConfig(), manifest, "test")  # no raise
+    # the loaded tensors are views of one buffer, which ``flat`` returns as is
+    buffer = store["embed.atom.w"].data.base
+    assert buffer is not None and buffer.size == sum(t.size for _, t in store.items())
+    assert all(np.shares_memory(t.data, buffer) for _, t in store.items())
+    assert store.flat() is buffer
+
+
+def test_store_of_another_precision_is_not_saved(tmp_path):
+    store = GeoGNN(ModelConfig(**{**CFG.to_dict(), "precision": "f32"}), rng=Rng(1)).store
+    with pytest.raises(ConfigError, match="cannot save float32 parameters as f64"):
+        save_checkpoint(tmp_path / "model.ckpt", store, CFG, FeatureConfig())
+    assert not any(tmp_path.iterdir())
 
 
 def test_checkpoint_holds_parameters_only(tmp_path):
@@ -133,6 +145,47 @@ def test_corrupt_num_blocks_reads_no_more_of_its_table_than_the_file_holds(tmp_p
     with pytest.raises(DataError, match="tensor head_length.l1.w has shape"):
         load_checkpoint(path)
     assert len(read) <= len(_header(path)["tensors"]) + 1
+
+
+def _edit_directory(entries: list, edit: str, item: int) -> None:
+    """One edit of a mid-table entry, whose bytes stay inside the payload."""
+    i = len(entries) // 2
+    entry = entries[i]
+    if edit == "swapped":
+        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+    elif edit == "dtype":
+        entry["dtype"] = "float32" if item == 8 else "float64"
+    else:
+        key, value = {"negative": ("offset", -2 * entry["nbytes"]),
+                      "overlap": ("offset", entries[i - 1]["offset"]),
+                      "offset+item": ("offset", entry["offset"] + item),
+                      "nbytes+item": ("nbytes", entry["nbytes"] + item),
+                      "nbytes-item": ("nbytes", entry["nbytes"] - item)}[edit]
+        entry[key] = value
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("edit", ["negative", "overlap", "offset+item", "nbytes+item",
+                                  "nbytes-item", "swapped", "dtype"])
+def test_directory_off_the_layout_is_a_data_error(tmp_path, capsys, precision, edit):
+    cfg = ModelConfig(**{**CFG.to_dict(), "num_tasks": 1, "precision": precision})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(cfg, rng=Rng(10)).store, cfg, FeatureConfig(),
+                    extra={"task_names": ["y"]})
+    item = np.dtype(cfg.dtype).itemsize
+    edit_header(path, lambda header: _edit_directory(header["tensors"], edit, item))
+    with pytest.raises(DataError, match="breaks the checkpoint layout") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    mol = random_molecule(Rng(11), min_atoms=3, max_atoms=5, mol_id="m0")
+    mol.labels = {"y": 1.0}
+    (tmp_path / "in.jsonl").write_bytes(write_jsonl([mol]))
+    for command, flags in (("embed", []), ("evaluate", ["--metric", "rmse"])):
+        assert main([command, "--input", str(tmp_path / "in.jsonl"), "--out",
+                     str(tmp_path / "out"), "--checkpoint", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "breaks the checkpoint layout" in err
+        assert "Traceback" not in err
 
 
 def _legacy_checkpoint(path, name="embed.atom.w", kinds=("adam_m", "adam_v"), **changes):

@@ -239,12 +239,27 @@ class TestUsageErrors:
                 {"run": {"seed": -1}},
                 {"model": [1]},
                 {"run": [1]},
+                {"model": {"dropout": 10**400}},
+                {"model": {"dropout": [0.1]}},
+                {"model": {"precision": ["f64"]}},
+                {"run": {"lr_body": 10**400}},
+                {"run": {"lr_body": [1e-3]}},
+                {"run": {"lr_head": 10**400}},
+                {"run": {"lr_head": [1e-3]}},
+                {"run": {"mask_ratio": 10**400}},
+                {"run": {"mask_ratio": [0.15]}},
+                {"run": {"metric": ["rmse"]}},
+                {"run": {"task_type": ["regression"]}},
+                {"run": {"tasks": [["length"]]}},
             )
         ] + [b"\xff\xfe{}"],
         ids=["num_blocks-float", "hidden-float", "geom_head_hidden-0", "down_head_hidden-0",
              "fingerprint_bits-negative", "mask_ratio-bool", "epochs-float", "batch_size-float",
              "lr_body-string", "lr_body-nan", "lr_head-negative", "seed-string",
-             "seed-negative", "model-list", "run-list", "not-utf8"],
+             "seed-negative", "model-list", "run-list", "dropout-huge", "dropout-list",
+             "precision-list", "lr_body-huge", "lr_body-list", "lr_head-huge", "lr_head-list",
+             "mask_ratio-huge", "mask_ratio-list", "metric-list", "task_type-list",
+             "tasks-nested-list", "not-utf8"],
     )
     def test_bad_config_value_exit_1(self, tmp_path, capsys, body):
         src = tmp_path / "in.jsonl"

@@ -151,6 +151,16 @@ class TestForward:
         _, _, flat_trans = embed_molecule(model, trans, include_geometry=False)
         assert np.max(np.abs(flat_cis.h_graph.data - flat_trans.h_graph.data)) < 1e-12
 
+    def test_one_block_model_reads_no_angle_embedding(self):
+        # its one bond update, the only reader of angles, is skipped
+        model = GeoGNN(ModelConfig(num_blocks=1, hidden=4, dropout=0.0), rng=Rng(4))
+        mol = random_molecule(Rng(5), min_atoms=5, max_atoms=8)
+        graph, _, want = embed_molecule(model, mol)
+        assert graph.num_angles > 0
+        model.store["embed.angle.w"].data[...] = np.nan
+        _, _, got = embed_molecule(model, mol)
+        assert np.array_equal(got.h_graph.data, want.h_graph.data)
+
     def test_feature_width_mismatch_rejected(self):
         mol = random_molecule(Rng(12))
         model = GeoGNN(SMALL, rng=Rng(13))

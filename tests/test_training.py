@@ -278,6 +278,25 @@ class TestSplits:
             finetune(split, TINY_MODEL, RunConfig(epochs=epochs, batch_size=4))
 
 
+_HUGE = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (ModelConfig, "dropout", _HUGE), (ModelConfig, "dropout", [0.1]),
+    (ModelConfig, "precision", ["f64"]),
+    (RunConfig, "lr_body", _HUGE), (RunConfig, "lr_body", [1e-3]),
+    (RunConfig, "lr_head", _HUGE), (RunConfig, "lr_head", [1e-3]),
+    (RunConfig, "mask_ratio", _HUGE), (RunConfig, "mask_ratio", [0.15]),
+    (RunConfig, "metric", ["rmse"]), (RunConfig, "task_type", ["regression"]),
+    (RunConfig, "tasks", [["length"]]), (RunConfig, "tasks", 5),
+], ids=lambda v: "huge" if v is _HUGE else None)
+def test_config_value_of_the_wrong_kind_is_a_config_error(config, field, value):
+    """A real too large for a float, a list for a real, and a list for a
+    string choice."""
+    with pytest.raises(ConfigError):
+        config(**{field: value}).validate()
+
+
 def tiny_dataset(n, seed, with_splits=True):
     rng = Rng(seed)
     mols = []
