@@ -9,6 +9,14 @@ other run refuses; GEM featurizes with one. The manifest (block names,
 offsets, widths and RBF grids) is embedded in each checkpoint and checked
 on load. Each entity type carries one extra trailing column: an is-masked
 indicator used by the pretraining tasks.
+
+``encode`` reads a pack in one pass per attribute: the slots of a one-hot
+block, for every atom or bond of the pack, come from one list comprehension
+(through a ``{value: slot}`` table for a categorical field), clamped as
+whole arrays where the block clamps. They form one int64 slot matrix per
+entity kind, bounds-checked and written with one fancy assignment, its bond
+columns put in ``geometry.bond_order``'s row order. The RBF blocks are
+computed in place in the feature rows.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import DualGraph, bond_order
-from .molio import BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS, Molecule
+from .molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS, Molecule
 
 RBF_GAMMA = 10.0
 
@@ -94,14 +102,34 @@ class EncodedGraph:
         return EncodedGraph(atom=self.atom.copy(), bond=self.bond.copy(), angle=self.angle.copy())
 
 
-def rbf_expand(values, centers: np.ndarray, gamma: float = RBF_GAMMA) -> np.ndarray:
-    """exp(-gamma * (value - center)^2) over the center grid, one row per value."""
+def rbf_expand(values, centers: np.ndarray, gamma: float = RBF_GAMMA,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-gamma * (value - center)^2) over the center grid, one row per
+    value, written into ``out`` if given (it may be a block of wider rows)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     if not np.isfinite(values).all():
         raise DataError("rbf_expand: non-finite input")
     d = values - np.asarray(centers, dtype=np.float64)
     with np.errstate(over="ignore"):  # a value too far from a center weighs 0 there
-        return np.exp(-gamma * d * d)
+        exponent = np.multiply(d, -gamma)
+        exponent *= d
+        return np.exp(exponent, out=exponent if out is None else out)
+
+
+# the slot of each value of a categorical field
+_SLOT = {name: {value: slot for slot, value in enumerate(values)}
+         for name, values in (("chirality", CHIRALITIES), ("hybridization", HYBRIDIZATIONS),
+                              ("bond_dir", BOND_DIRS), ("bond_type", BOND_TYPES))}
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+def _clipped(values: list, lo: int, hi: int) -> np.ndarray:
+    """The integers ``values`` clipped to [lo, hi], as int64; one too large
+    for int64 is clipped before it is converted."""
+    try:
+        return np.clip(np.array(values, dtype=np.int64), lo, hi)
+    except OverflowError:
+        return np.array([min(max(v, lo), hi) for v in values], dtype=np.int64)
 
 
 def encode(
@@ -114,43 +142,41 @@ def encode(
     molecules = [molecules] if isinstance(molecules, Molecule) else molecules
     atoms = [a for m in molecules for a in m.atoms]
     bonds = [b for m in molecules for b in m.bonds]
-    bonds = [bonds[i] for i in bond_order(molecules)[0]]  # in dual-graph row order
-    slots = {  # per one-hot block, the slot of each atom or bond row
-        "atom_type": [a.atomic_number for a in atoms],
+    chirality, hybridization = _SLOT["chirality"], _SLOT["hybridization"]
+    bond_dir, bond_type = _SLOT["bond_dir"], _SLOT["bond_type"]
+    slots = {  # per one-hot block, the slot of each atom row or each bond in list order
+        "atom_type": [ATOMIC_NUMBER[a.element] for a in atoms],
         "aromatic": [a.aromatic for a in atoms],
-        "formal_charge": [min(max(a.formal_charge + 8, 0), _WIDTH["formal_charge"] - 1)
-                          for a in atoms],
-        "chirality": [CHIRALITIES.index(a.chirality) for a in atoms],
+        "formal_charge": _clipped([a.formal_charge for a in atoms],
+                                  -8, _WIDTH["formal_charge"] - 9) + 8,
+        "chirality": [chirality[a.chirality] for a in atoms],
         "degree": np.minimum(graph.degrees(), _WIDTH["degree"] - 1),
-        "num_h": [min(a.num_explicit_h, _WIDTH["num_h"] - 1) for a in atoms],
-        "hybridization": [HYBRIDIZATIONS.index(a.hybridization) for a in atoms],
-        "bond_dir": [BOND_DIRS.index(b.bond_dir) for b in bonds],
-        "bond_type": [BOND_TYPES.index(b.bond_type) for b in bonds],
+        "num_h": _clipped([a.num_explicit_h for a in atoms], _INT64_MIN, _WIDTH["num_h"] - 1),
+        "hybridization": [hybridization[a.hybridization] for a in atoms],
+        "bond_dir": [bond_dir[b.bond_dir] for b in bonds],
+        "bond_type": [bond_type[b.bond_type] for b in bonds],
         "in_ring": [b.in_ring for b in bonds],
     }
-    columns = {
-        "length_rbf": rbf_expand(graph.lengths, config.length_centers, config.rbf_gamma),
-        "angle_rbf": rbf_expand(graph.angle_values, config.angle_centers, config.rbf_gamma),
-    }
-    out = []
-    for kind, count in (("atom", graph.num_atoms), ("bond", graph.num_bonds),
-                        ("angle", graph.num_angles)):
-        layout = _LAYOUT[kind]
-        rows = np.zeros((count, layout["mask_flag"][0] + 1))
+    atom, bond, angle = (np.zeros((count, width)) for count, width in (
+        (graph.num_atoms, config.atom_width), (graph.num_bonds, config.bond_width),
+        (graph.num_angles, config.angle_width)))
+    for rows, kind, name, values, centers in (
+            (bond, "bond", "length_rbf", graph.lengths, config.length_centers),
+            (angle, "angle", "angle_rbf", graph.angle_values, config.angle_centers)):
+        start, width = _LAYOUT[kind][name]
+        rbf_expand(values, centers, config.rbf_gamma, out=rows[:, start : start + width])
+    for rows, kind in ((atom, "atom"), (bond, "bond")):
+        layout, count = _LAYOUT[kind], len(rows)
         hot = [name for name in layout if name in slots]
-        if hot:
-            index = np.array([slots[name] for name in hot], dtype=np.int64).reshape(len(hot), count)
-            offset, width = np.array([layout[name] for name in hot]).T
-            outside = (index < 0) | (index >= width[:, None])
-            if outside.any():
-                k, i = np.argwhere(outside)[0]
-                owner = (graph.atom_graph if kind == "atom" else graph.bond_graph)[i]
-                raise DataError(f"molecule {molecules[owner].id}: one-hot index {index[k, i]} "
-                                f"outside block {hot[k]} of size {width[k]}")
-            rows[np.arange(count), index + offset[:, None]] = 1.0
-        for name, values in columns.items():
-            if name in layout:
-                start, width = layout[name]
-                rows[:, start : start + width] = values
-        out.append(rows.astype(dtype, copy=False))
-    return EncodedGraph(*out)
+        index = np.array([slots[name] for name in hot], dtype=np.int64).reshape(len(hot), count)
+        if kind == "bond":
+            index = index[:, bond_order(molecules)[0]]  # in dual-graph row order
+        offset, width = np.array([layout[name] for name in hot]).T
+        outside = (index < 0) | (index >= width[:, None])
+        if outside.any():
+            k, i = np.argwhere(outside)[0]
+            owner = (graph.atom_graph if kind == "atom" else graph.bond_graph)[i]
+            raise DataError(f"molecule {molecules[owner].id}: one-hot index {index[k, i]} "
+                            f"outside block {hot[k]} of size {width[k]}")
+        rows[np.arange(count), index + offset[:, None]] = 1.0
+    return EncodedGraph(*(rows.astype(dtype, copy=False) for rows in (atom, bond, angle)))

@@ -6,8 +6,13 @@ From a molecule with 3D coordinates this derives
     sharing an atom),
   - bond lengths and bond angles in radians, kept with the coordinates.
 
-``bond_order`` alone fixes the bond row order, which ``encode`` reads too.
-``build_dual_graph`` works in whole-array passes, with no per-angle loop.
+``bond_order`` is the one owner of the bond row order: ``build_dual_graph``
+and ``features.encode`` both take it from there. A pack is read into arrays
+in one flat pass per field: each bond end by a list comprehension over the
+pack's bonds, shifted by its molecule's atom offset with one ``np.repeat``,
+and the coordinates by ``np.fromiter`` over the pack's flattened points.
+From there ``build_dual_graph`` works in whole-array passes, with no
+per-angle loop.
 
 A ``DualGraph`` is always a disjoint union: ``build_dual_graph`` makes one
 of any number of molecules and ``pack_graphs`` joins unions, so a batch of
@@ -17,6 +22,7 @@ molecules runs through the network as a single graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -90,12 +96,14 @@ def bond_order(molecules: Sequence[Molecule]) -> tuple[np.ndarray, np.ndarray]:
     """The dual graph's bond rows: each bond as (a, b) with a < b in union
     atom ids, the rows sorted by (a, b). Returns (order, bonds), where row i
     is bond ``order[i]`` of the molecules' bond lists joined in turn."""
-    offsets = np.cumsum([0] + [len(m.atoms) for m in molecules])
-    ends = np.array([(b.a + o, b.b + o) for m, o in zip(molecules, offsets.tolist())
-                     for b in m.bonds], dtype=np.int64).reshape(-1, 2)
-    ends.sort(axis=1)
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
-    return order, ends[order]
+    offsets = np.cumsum([0] + [len(m.atoms) for m in molecules])[:-1]
+    bonds = [bond for m in molecules for bond in m.bonds]
+    ends = np.array([[bond.a for bond in bonds], [bond.b for bond in bonds]],
+                    dtype=np.int64).reshape(2, -1)
+    ends += np.repeat(offsets, [len(m.bonds) for m in molecules])
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    order = np.lexsort((hi, lo))
+    return order, np.column_stack((lo, hi))[order]
 
 
 def build_dual_graph(molecules: Molecule | Sequence[Molecule]) -> DualGraph:
@@ -103,7 +111,8 @@ def build_dual_graph(molecules: Molecule | Sequence[Molecule]) -> DualGraph:
     molecules = [molecules] if isinstance(molecules, Molecule) else molecules
     atom_counts = np.array([len(m.atoms) for m in molecules], dtype=np.int64)
     offsets = np.cumsum(atom_counts) - atom_counts
-    coords = np.array([xyz for m in molecules for xyz in m.coords], dtype=np.float64).reshape(-1, 3)
+    coords = np.fromiter(chain.from_iterable(chain.from_iterable(m.coords for m in molecules)),
+                         dtype=np.float64, count=3 * int(atom_counts.sum())).reshape(-1, 3)
     _, bonds = bond_order(molecules)
     # each bond's length from its two ends, by distance_matrix's formula, so
     # the two agree exactly without building the [V, V] matrix; far-apart ends overflow, named below

@@ -41,6 +41,10 @@ from .geometry import DualGraph
 from .rng import BlockRng, Rng
 from .tensor import Tensor
 
+# the most parameters a model may have: 0.8 GB per copy in f64, and training
+# holds several copies (the parameters, gradients, Adam's two moments, work)
+MAX_PARAMETERS = 10**8
+
 
 @dataclass
 class ModelConfig:
@@ -58,11 +62,20 @@ class ModelConfig:
         for name, lo in (("num_blocks", 1), ("hidden", 1), ("distance_bins", 2),
                          ("geom_head_hidden", 1), ("down_head_hidden", 1),
                          ("fingerprint_bits", 0), ("num_tasks", 0)):
-            check_int(name, getattr(self, name), lo)
+            check_int(name, getattr(self, name), lo, MAX_PARAMETERS)
         check_real("dropout", self.dropout, 0.0)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         check_choice("precision", self.precision, ("f32", "f64"))
+        features = FeatureConfig()
+        count = parameter_count(self, features.atom_width, features.bond_width,
+                                features.angle_width)
+        if count > MAX_PARAMETERS:
+            sizes = ", ".join(f"{name}={getattr(self, name)}" for name in (
+                "num_blocks", "hidden", "distance_bins", "geom_head_hidden", "down_head_hidden",
+                "fingerprint_bits", "num_tasks"))
+            raise ConfigError(f"a model of {sizes} has {count} parameters, "
+                              f"more than the cap of {MAX_PARAMETERS}")
         return self
 
     @property
@@ -189,6 +202,21 @@ def parameter_table(
         else:
             yield f"{name}.w", (n_in, n_out), n_in
             yield f"{name}.b", (n_out,), n_in
+
+
+def parameter_count(config: ModelConfig, atom_width: int, bond_width: int,
+                    angle_width: int) -> int:
+    """The number of values in ``parameter_table``'s tensors, in closed form."""
+    h, g, d = config.hidden, config.geom_head_hidden, config.down_head_hidden
+    count = (atom_width + 1 + bond_width + 1 + angle_width + 1) * h
+    count += config.num_blocks * 2 * (2 * (h + 1) * h + 2 * h)  # bond, atom: 2 layers, a norm
+    count += (2 * h + 1) * g + (g + 1) + (3 * h + 1) * g + (g + 1)  # length, angle
+    count += (2 * h + 1) * g + (g + 1) * config.distance_bins
+    if config.fingerprint_bits > 0:
+        count += (h + 1) * config.fingerprint_bits
+    if config.num_tasks > 0:
+        count += (h + 1) * d + (d + 1) * d + (d + 1) * config.num_tasks
+    return count
 
 
 def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,

@@ -242,24 +242,24 @@ def _hybridization_heuristic(element: str, degree: int, formal_charge: int) -> s
 
 def annotate_derived_attributes(molecule: Molecule) -> Molecule:
     """Fill in_ring, aromatic flags, hydrogen counts and hybridization."""
-    rings = ring_membership(molecule)
-    for bond, in_ring in zip(molecule.bonds, rings):
+    atoms, bonds = molecule.atoms, molecule.bonds
+    for bond, in_ring in zip(bonds, ring_membership(molecule)):
         bond.in_ring = in_ring
-    degree = [0] * len(molecule.atoms)
-    h_neighbors = [0] * len(molecule.atoms)
-    for bond in molecule.bonds:
-        degree[bond.a] += 1
-        degree[bond.b] += 1
-        if molecule.atoms[bond.b].element == "H":
-            h_neighbors[bond.a] += 1
-        if molecule.atoms[bond.a].element == "H":
-            h_neighbors[bond.b] += 1
+    is_h = [atom.element == "H" for atom in atoms]
+    degree = [0] * len(atoms)
+    h_neighbors = [0] * len(atoms)
+    for bond in bonds:
+        a, b = bond.a, bond.b
+        degree[a] += 1
+        degree[b] += 1
+        h_neighbors[a] += is_h[b]
+        h_neighbors[b] += is_h[a]
         if bond.bond_type == "aromatic":
-            molecule.atoms[bond.a].aromatic = True
-            molecule.atoms[bond.b].aromatic = True
-    for i, atom in enumerate(molecule.atoms):
-        atom.num_explicit_h = h_neighbors[i]
-        atom.hybridization = _hybridization_heuristic(atom.element, degree[i], atom.formal_charge)
+            atoms[a].aromatic = atoms[b].aromatic = True
+    for atom, num_h, atom_degree in zip(atoms, h_neighbors, degree):
+        atom.num_explicit_h = num_h
+        atom.hybridization = _hybridization_heuristic(atom.element, atom_degree,
+                                                      atom.formal_charge)
     return molecule
 
 
@@ -307,6 +307,18 @@ def _int_field(line: str, lo: int, hi: int, lineno: int, what: str,
         raise ParseError(f"bad {what} field {raw!r}", lineno) from None
 
 
+def _coordinate(line: str, lo: int, lineno: int) -> float:
+    """The finite real number in columns [lo, lo + 10)."""
+    raw = line[lo : lo + 10].strip()
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(f"non-numeric coordinate {raw!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite coordinate {raw!r}", lineno)
+    return value
+
+
 def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule:
     if len(lines) < 4:
         raise ParseError("record too short for a V2000 header", first_line)
@@ -324,29 +336,31 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
             f"record ends before {num_atoms} atom and {num_bonds} bond lines", counts_no
         )
 
+    # float() and int() take a field's blank padding; a line they refuse (a
+    # bad field, or padding only str.strip() takes, such as "\x1f") is read
+    # again a field at a time by the helpers, which name the first bad field
+    isfinite = math.isfinite
     atoms: list[Atom] = []
-    coords: list[tuple[float, float, float]] = []
+    xs, ys, zs = [], [], []
     for i in range(num_atoms):
         lineno = counts_no + 1 + i
         line = lines[4 + i]
         if len(line) < 34:
             raise ParseError("atom line shorter than 34 columns", lineno)
-        xyz = []
-        for lo in (0, 10, 20):
-            raw = line[lo : lo + 10].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"non-numeric coordinate {raw!r}", lineno) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite coordinate {raw!r}", lineno)
-            xyz.append(value)
+        try:
+            x, y, z = float(line[:10]), float(line[10:20]), float(line[20:30])
+        except ValueError:
+            x = math.nan
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            x, y, z = (_coordinate(line, lo, lineno) for lo in (0, 10, 20))
         symbol = line[31:34].strip()
         if symbol not in ATOMIC_NUMBER:
             raise ParseError(f"unknown element symbol {symbol!r}", lineno)
         charge = _OLD_STYLE_CHARGE.get(_int_field(line, 36, 39, lineno, "charge", 0), 0)
-        atoms.append(Atom(element=symbol, formal_charge=charge))
-        coords.append((xyz[0], xyz[1], xyz[2]))
+        atoms.append(Atom(symbol, charge))
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
 
     bonds: list[Bond] = []
     for i in range(num_bonds):
@@ -354,9 +368,12 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
         line = lines[4 + num_atoms + i]
         if len(line) < 9:
             raise ParseError("bond line shorter than 9 columns", lineno)
-        a = _int_field(line, 0, 3, lineno, "bond atom")
-        b = _int_field(line, 3, 6, lineno, "bond atom")
-        code = _int_field(line, 6, 9, lineno, "bond type")
+        try:
+            a, b, code = int(line[:3]), int(line[3:6]), int(line[6:9])
+        except ValueError:
+            a = _int_field(line, 0, 3, lineno, "bond atom")
+            b = _int_field(line, 3, 6, lineno, "bond atom")
+            code = _int_field(line, 6, 9, lineno, "bond type")
         if not (1 <= a <= num_atoms) or not (1 <= b <= num_atoms):
             raise ParseError("atom index out of range", lineno)
         if a == b:
@@ -364,14 +381,7 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
         if code not in _SDF_BOND_TYPE:
             raise ParseError(f"unknown bond type {code}", lineno)
         stereo = _int_field(line, 9, 12, lineno, "bond stereo", 0)
-        bonds.append(
-            Bond(
-                a=a - 1,
-                b=b - 1,
-                bond_type=_SDF_BOND_TYPE[code],
-                bond_dir=_SDF_BOND_DIR.get(stereo, "none"),
-            )
-        )
+        bonds.append(Bond(a - 1, b - 1, _SDF_BOND_TYPE[code], _SDF_BOND_DIR.get(stereo, "none")))
 
     # property block: M CHG supersedes all atom-block charges
     charge_reset_done = False
@@ -397,7 +407,8 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
             except (IndexError, ValueError):
                 raise ParseError("malformed M  CHG line", lineno) from None
 
-    mol = Molecule(id=title or f"mol{index}", atoms=atoms, bonds=bonds, coords=coords)
+    mol = Molecule(id=title or f"mol{index}", atoms=atoms, bonds=bonds,
+                   coords=list(zip(xs, ys, zs)))
     return annotate_derived_attributes(mol.validate())
 
 

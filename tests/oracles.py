@@ -207,6 +207,153 @@ def encode_reference(graph, molecule):
     return EncodedGraph(atom=atom, bond=bond, angle=angle)
 
 
+def _int_field_reference(line, lo, hi, lineno, what, default=None):
+    from geognn.errors import ParseError
+
+    raw = line[lo:hi].strip()
+    if default is not None and (not raw or len(line) < hi):
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"bad {what} field {raw!r}", lineno) from None
+
+
+def sdf_record_reference(first_line: int, lines: list[str], index: int):
+    """One V2000 record read a field at a time: each field is stripped, then
+    converted, and checked before the next is read. The derived attributes
+    come from ``annotate_reference``."""
+    from geognn.errors import ParseError
+    from geognn.molio import (_OLD_STYLE_CHARGE, _SDF_BOND_DIR, _SDF_BOND_TYPE, ATOMIC_NUMBER,
+                              Atom, Bond, Molecule)
+
+    if len(lines) < 4:
+        raise ParseError("record too short for a V2000 header", first_line)
+    title = lines[0].strip()
+    counts_line = lines[3]
+    counts_no = first_line + 3
+    if len(counts_line) < 6:
+        raise ParseError("counts line shorter than 6 columns", counts_no)
+    num_atoms = _int_field_reference(counts_line, 0, 3, counts_no, "atom count")
+    num_bonds = _int_field_reference(counts_line, 3, 6, counts_no, "bond count")
+    if num_atoms < 0 or num_bonds < 0:
+        raise ParseError("negative counts", counts_no)
+    if len(lines) < 4 + num_atoms + num_bonds:
+        raise ParseError(
+            f"record ends before {num_atoms} atom and {num_bonds} bond lines", counts_no
+        )
+
+    atoms, coords = [], []
+    for i in range(num_atoms):
+        lineno = counts_no + 1 + i
+        line = lines[4 + i]
+        if len(line) < 34:
+            raise ParseError("atom line shorter than 34 columns", lineno)
+        xyz = []
+        for lo in (0, 10, 20):
+            raw = line[lo : lo + 10].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ParseError(f"non-numeric coordinate {raw!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite coordinate {raw!r}", lineno)
+            xyz.append(value)
+        symbol = line[31:34].strip()
+        if symbol not in ATOMIC_NUMBER:
+            raise ParseError(f"unknown element symbol {symbol!r}", lineno)
+        charge = _OLD_STYLE_CHARGE.get(
+            _int_field_reference(line, 36, 39, lineno, "charge", 0), 0)
+        atoms.append(Atom(element=symbol, formal_charge=charge))
+        coords.append((xyz[0], xyz[1], xyz[2]))
+
+    bonds = []
+    for i in range(num_bonds):
+        lineno = counts_no + 1 + num_atoms + i
+        line = lines[4 + num_atoms + i]
+        if len(line) < 9:
+            raise ParseError("bond line shorter than 9 columns", lineno)
+        a = _int_field_reference(line, 0, 3, lineno, "bond atom")
+        b = _int_field_reference(line, 3, 6, lineno, "bond atom")
+        code = _int_field_reference(line, 6, 9, lineno, "bond type")
+        if not (1 <= a <= num_atoms) or not (1 <= b <= num_atoms):
+            raise ParseError("atom index out of range", lineno)
+        if a == b:
+            raise ParseError(f"bond joins atom {a} to itself", lineno)
+        if code not in _SDF_BOND_TYPE:
+            raise ParseError(f"unknown bond type {code}", lineno)
+        stereo = _int_field_reference(line, 9, 12, lineno, "bond stereo", 0)
+        bonds.append(Bond(a=a - 1, b=b - 1, bond_type=_SDF_BOND_TYPE[code],
+                          bond_dir=_SDF_BOND_DIR.get(stereo, "none")))
+
+    # property block: M CHG supersedes all atom-block charges
+    charge_reset_done = False
+    for offset, line in enumerate(lines[4 + num_atoms + num_bonds :]):
+        lineno = counts_no + 1 + num_atoms + num_bonds + offset
+        if line.startswith("M  END"):
+            break
+        if line.startswith("M  CHG"):
+            if not charge_reset_done:
+                for atom in atoms:
+                    atom.formal_charge = 0
+                charge_reset_done = True
+            fields = line.split()
+            try:
+                count = int(fields[2])
+                pairs = fields[3 : 3 + 2 * count]
+                for j in range(count):
+                    atom_no = int(pairs[2 * j])
+                    value = int(pairs[2 * j + 1])
+                    if not 1 <= atom_no <= num_atoms:
+                        raise ParseError("malformed M  CHG line", lineno)
+                    atoms[atom_no - 1].formal_charge = value
+            except (IndexError, ValueError):
+                raise ParseError("malformed M  CHG line", lineno) from None
+
+    mol = Molecule(id=title or f"mol{index}", atoms=atoms, bonds=bonds, coords=coords)
+    return annotate_reference(mol.validate())
+
+
+def annotate_reference(molecule):
+    """in_ring by ``cycle_bonds_by_removal``; aromatic flags from aromatic
+    bonds; hydrogen counts from bonded H atoms; hybridization from the
+    steric number, degree plus main-group lone pairs."""
+    from geognn.molio import _STERIC_TO_HYBRIDIZATION, _VALENCE_ELECTRONS
+
+    rings = cycle_bonds_by_removal(len(molecule.atoms), [(b.a, b.b) for b in molecule.bonds])
+    for bond, in_ring in zip(molecule.bonds, rings):
+        bond.in_ring = in_ring
+    degree = [0] * len(molecule.atoms)
+    h_neighbors = [0] * len(molecule.atoms)
+    for bond in molecule.bonds:
+        degree[bond.a] += 1
+        degree[bond.b] += 1
+        if molecule.atoms[bond.b].element == "H":
+            h_neighbors[bond.a] += 1
+        if molecule.atoms[bond.a].element == "H":
+            h_neighbors[bond.b] += 1
+        if bond.bond_type == "aromatic":
+            molecule.atoms[bond.a].aromatic = True
+            molecule.atoms[bond.b].aromatic = True
+    for i, atom in enumerate(molecule.atoms):
+        atom.num_explicit_h = h_neighbors[i]
+        valence = _VALENCE_ELECTRONS.get(atom.element)
+        if valence is None or degree[i] == 0:
+            atom.hybridization = "unknown"
+            continue
+        lone_pairs = max(0, (valence - atom.formal_charge - degree[i]) // 2)
+        atom.hybridization = _STERIC_TO_HYBRIDIZATION.get(degree[i] + lone_pairs, "unknown")
+    return molecule
+
+
+def sdf_reference(data):
+    """(molecules, errors) of ``parse_sdf_lenient``'s record framing, each
+    record read by ``sdf_record_reference``."""
+    from geognn.molio import _decode, _parse_records, iter_sdf_records
+
+    return _parse_records(iter_sdf_records(_decode(data)), sdf_record_reference)
+
+
 def cycle_bonds_by_removal(num_atoms: int, bonds) -> list[bool]:
     """A bond lies on a cycle iff removing it keeps its endpoints connected."""
     result = []

@@ -169,6 +169,9 @@ class TestFeaturize:
         assert "Traceback" not in err
 
 
+_MODEL_SIZES = ("num_blocks", "hidden", "geom_head_hidden", "down_head_hidden", "distance_bins")
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exit_1(self):
         assert run_cli("featurize", "--out", "/tmp/x") == 1
@@ -251,6 +254,7 @@ class TestUsageErrors:
                 {"run": {"metric": ["rmse"]}},
                 {"run": {"task_type": ["regression"]}},
                 {"run": {"tasks": [["length"]]}},
+                *({"model": {name: value}} for name in _MODEL_SIZES for value in (10**400, 2**40)),
             )
         ] + [b"\xff\xfe{}"],
         ids=["num_blocks-float", "hidden-float", "geom_head_hidden-0", "down_head_hidden-0",
@@ -259,7 +263,9 @@ class TestUsageErrors:
              "seed-negative", "model-list", "run-list", "dropout-huge", "dropout-list",
              "precision-list", "lr_body-huge", "lr_body-list", "lr_head-huge", "lr_head-list",
              "mask_ratio-huge", "mask_ratio-list", "metric-list", "task_type-list",
-             "tasks-nested-list", "not-utf8"],
+             "tasks-nested-list",
+             *(f"{name}-{size}" for name in _MODEL_SIZES for size in ("10**400", "2**40")),
+             "not-utf8"],
     )
     def test_bad_config_value_exit_1(self, tmp_path, capsys, body):
         src = tmp_path / "in.jsonl"

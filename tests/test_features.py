@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -350,3 +351,48 @@ class TestMaskContext:
         before = enc.bond.copy()
         mask_context(graph, enc, 1.0, [Rng(5)])
         assert np.array_equal(enc.bond, before)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_typed_fields_read_as_plain_numbers(seed):
+    """``Molecule.validate`` takes any integer kind for bond ends, charges and
+    hydrogen counts, and ints, numpy floats and Fractions for coordinates;
+    the dual graph and features of such a molecule, alone and in a union,
+    are those of the same molecule in plain ints and floats."""
+    from fractions import Fraction
+
+    int_kinds = (int, np.int8, np.int32, np.uint16, np.int64, np.uint64)
+    real_kinds = (lambda x: int(round(x * 1000)), np.float32, np.float64, Fraction)
+    typed = random_molecule(Rng(seed), min_atoms=6, max_atoms=20, mol_id="typed")
+    typed.coords = [tuple(real_kinds[(3 * i + j) % 4](x) for j, x in enumerate(xyz))
+                    for i, xyz in enumerate(typed.coords)]
+    for i, atom in enumerate(typed.atoms):
+        atom.formal_charge = (np.int8, np.int64, int)[i % 3](atom.formal_charge)
+        atom.num_explicit_h = int_kinds[i % 6](atom.num_explicit_h)
+    for i, bond in enumerate(typed.bonds):
+        bond.a, bond.b = int_kinds[i % 6](bond.a), int_kinds[(i + 1) % 6](bond.b)
+    plain = copy.deepcopy(typed)
+    plain.coords = [tuple(float(x) for x in xyz) for xyz in plain.coords]
+    for atom in plain.atoms:
+        atom.formal_charge, atom.num_explicit_h = int(atom.formal_charge), int(atom.num_explicit_h)
+    for bond in plain.bonds:
+        bond.a, bond.b = int(bond.a), int(bond.b)
+    typed.validate()
+    other = random_molecule(Rng(seed + 100), min_atoms=3, max_atoms=9)
+    for got_mols, want_mols in (([typed], [plain]), ([other, typed], [other, plain])):
+        got, want = build_dual_graph(got_mols), build_dual_graph(want_mols)
+        assert_same(got, want, GRAPH_FIELDS)
+        for dtype in (np.float64, np.float32):
+            assert_same(encode(got, got_mols, FeatureConfig(), dtype=dtype),
+                        encode(want, want_mols, FeatureConfig(), dtype=dtype),
+                        ("atom", "bond", "angle"))
+
+
+def test_integers_beyond_int64_are_clamped_like_the_rest():
+    big = random_molecule(Rng(9), min_atoms=4, max_atoms=8)
+    edge = copy.deepcopy(big)
+    for i, (charge, clamped) in enumerate(((10**30, 7), (-(10**30), -8), (np.uint64(2**63), 7))):
+        big.atoms[i].formal_charge, edge.atoms[i].formal_charge = charge, clamped
+    big.atoms[3].num_explicit_h, edge.atoms[3].num_explicit_h = 2**70, 8
+    got, want = (encode(build_dual_graph(m), m, FeatureConfig()) for m in (big.validate(), edge))
+    assert_same(got, want, ("atom", "bond", "angle"))

@@ -5,7 +5,8 @@ from geognn import tensor as T
 from geognn.errors import ConfigError, NumericalError, ShapeError
 from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph, distance_matrix
-from geognn.model import GeoGNN, ModelConfig, ParamStore, init_params
+from geognn.model import (MAX_PARAMETERS, GeoGNN, ModelConfig, ParamStore, init_params,
+                          parameter_count, parameter_table)
 from geognn.pretrain import loss_distance
 from geognn.rng import Rng
 from geognn.synth import random_molecule
@@ -339,3 +340,30 @@ class TestParamStore:
         bound = 1.0 / np.sqrt(FeatureConfig().atom_width)
         assert np.abs(w).max() <= bound
         assert np.abs(w).max() > bound * 0.5
+
+
+class TestModelSize:
+    def test_count_is_the_table_sum(self):
+        gen = np.random.default_rng(60)
+        widths = FeatureConfig().atom_width, FeatureConfig().bond_width, FeatureConfig().angle_width
+        for _ in range(20):
+            config = ModelConfig(
+                num_blocks=int(gen.integers(1, 5)), hidden=int(gen.integers(1, 40)),
+                distance_bins=int(gen.integers(2, 40)), geom_head_hidden=int(gen.integers(1, 40)),
+                down_head_hidden=int(gen.integers(1, 40)),
+                fingerprint_bits=int(gen.integers(0, 3)) * 7, num_tasks=int(gen.integers(0, 3)))
+            table = sum(int(np.prod(shape)) for _, shape, _ in parameter_table(config, *widths))
+            assert parameter_count(config, *widths) == table, config
+
+    @pytest.mark.parametrize("name", ["num_blocks", "hidden", "geom_head_hidden",
+                                      "down_head_hidden", "distance_bins", "fingerprint_bits",
+                                      "num_tasks"])
+    @pytest.mark.parametrize("value", [10**400, 2**40, MAX_PARAMETERS])
+    def test_size_over_the_cap_is_named(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer in"):
+            ModelConfig(**{name: value}).validate()
+
+    def test_sizes_whose_product_is_over_the_cap_are_named(self):
+        with pytest.raises(ConfigError, match=r"num_blocks=8, hidden=4000, .* more than the cap"):
+            ModelConfig(hidden=4000).validate()
+        ModelConfig(hidden=1000).validate()

@@ -23,7 +23,7 @@ from geognn.molio import (
 from geognn.rng import Rng
 
 from conftest import FIXTURES, make_dce, make_molecule
-from oracles import cycle_bonds_by_removal
+from oracles import cycle_bonds_by_removal, sdf_reference
 
 
 class TestSdfParsing:
@@ -292,9 +292,10 @@ def _jsonl_seed() -> bytes:
     return write_jsonl([cis, trans])
 
 
-_SEEDS = [(FIXTURES / "golden.sdf").read_bytes(), _jsonl_seed()] + [
+_SDF_SEEDS = [(FIXTURES / "golden.sdf").read_bytes()] + [
     path.read_bytes() for path in sorted((FIXTURES / "malformed").glob("*.sdf"))
 ]
+_SEEDS = _SDF_SEEDS[:1] + [_jsonl_seed()] + _SDF_SEEDS[1:]
 _SPANS = [b"$$$$\n", b"M  CHG  1   1   2\n", b"M  END\n", b"nan", b"1e400", b"-1", b"999",
           b"  ", b"\n", b"\r", b"\xef\xbb\xbf", b"\xff", b"{", b"null", b"[]"]
 # where V2000 fields start and end: the counts and bond lines' three-column
@@ -353,3 +354,52 @@ class TestMutatedBytes:
                 with pytest.raises(ParseError) as first:
                     strict(data)
                 assert (first.value.line, str(first.value)) == (errors[0].line, str(errors[0]))
+
+
+def _read(parse, data: bytes):
+    """What a lenient SDF reader makes of ``data``: its molecules as JSONL
+    bytes with their ring flags, and each error as (line, text); or the
+    error it raised."""
+    try:
+        molecules, errors = parse(data)
+    except GeoGnnError as err:
+        return type(err), str(err)
+    return (write_jsonl(molecules), [[b.in_ring for b in m.bonds] for m in molecules],
+            [(err.line, str(err)) for err in errors])
+
+
+class TestSdfReference:
+    """``parse_sdf_lenient`` against ``oracles.sdf_reference``, which reads
+    each field on its own, stripped: the same molecules with the same derived
+    fields, and the same errors at the same lines."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+    def test_mutated_fixtures(self, edits):
+        for data in (_mutate(seed, edits) for seed in _SDF_SEEDS):
+            assert _read(parse_sdf_lenient, data) == _read(sdf_reference, data)
+
+    @pytest.mark.parametrize("old, new", [
+        ("    0.9572", "\x1f   0.9572"),       # padding only str.strip() takes
+        ("    0.9572", "   0.9572\x1f"),
+        ("    0.9572", "   0.95 72"),
+        ("    0.9572", "   1_0.572"),         # float() takes an underscore
+        ("    0.9572", "       \u0661.\u0665"),  # and non-ASCII digits
+        ("    0.9572", "       nan"),
+        ("    0.9572    0.0000", "       inf       abc"),  # the first bad field is named
+        ("    0.9572    0.0000", "       abc       inf"),
+        ("    0.9572    0.0000    0.0000", "    0.9572    0.0000    1e400"),
+        ("  1  2  1  0", "\x1f 1  2  1  0"),
+        ("  1  2  1  0", "  1 \x1f2  1  0"),
+        ("  1  2  1  0", "  1  2 \x1f1  0"),
+        ("  1  2  1  0", "  1  2  x  0"),
+        ("  1  2  1  0", "  x  y  z  0"),
+        ("  1  2  1  0", " +1  2 01  0"),
+        ("  1  2  1  0", "  1  2  1"),
+        ("  1  2  1  0", "  1  2  1  x"),
+    ])
+    def test_edited_field(self, old, new):
+        text = (FIXTURES / "golden.sdf").read_text()
+        assert old in text
+        data = text.replace(old, new, 1).encode()
+        assert _read(parse_sdf_lenient, data) == _read(sdf_reference, data)
