@@ -3,11 +3,17 @@
 Layout (all integers little-endian):
 
     bytes 0..3    magic b"GEM1"
-    bytes 4..7    uint32 format version (currently 1)
+    bytes 4..7    uint32 format version (currently 2)
     bytes 8..15   uint64 length of the JSON header
     header        UTF-8 JSON: model config, feature-layout manifest,
-                  tensor directory, free-form extra
+                  tensor directory, payload length and checksum,
+                  free-form extra
     payload       the store's parameter buffer (``ParamStore.flat``)
+
+The header's ``payload_nbytes`` is the payload's length and
+``payload_crc32`` its ``zlib.crc32``; a payload of another length or
+checksum is a DataError. Version 1 files have neither key and still load,
+their payload unchecked.
 
 The directory follows one rule, ``tensor_directory``, when written and when
 read: an entry (name, kind "param", dtype, shape, offset, nbytes) per
@@ -29,6 +35,7 @@ import json
 import math
 import os
 import tempfile
+import zlib
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -39,7 +46,7 @@ from .features import FeatureConfig
 from .model import ModelConfig, ParamStore, parameter_table
 
 MAGIC = b"GEM1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def tensor_directory(table: list[tuple[str, tuple[int, ...]]], dtype) -> list[dict]:
@@ -64,11 +71,14 @@ def save_checkpoint(
     flat = store.flat()
     if flat.dtype != model_config.dtype:
         raise ConfigError(f"cannot save {flat.dtype} parameters as {model_config.precision}")
+    payload = flat.astype(flat.dtype.newbyteorder("<"), copy=False)
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": model_config.to_dict(),
         "feature_manifest": feature_config.manifest(),
         "tensors": tensor_directory(store.shapes(), flat.dtype),
+        "payload_nbytes": payload.nbytes,
+        "payload_crc32": zlib.crc32(payload),
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -82,7 +92,7 @@ def save_checkpoint(
             fh.write(FORMAT_VERSION.to_bytes(4, "little"))
             fh.write(len(header_bytes).to_bytes(8, "little"))
             fh.write(header_bytes)
-            fh.write(flat.astype(flat.dtype.newbyteorder("<"), copy=False))
+            fh.write(payload)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -92,8 +102,9 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, dict, dict]:
     """Returns (store, model_config, feature_manifest, extra). A file that
-    cannot be read back, or whose directory breaks the layout rule, is a
-    DataError; one whose feature layout is not this build's is a ConfigError."""
+    cannot be read back, whose payload is not the length or checksum its
+    header gives, or whose directory breaks the layout rule, is a DataError;
+    one whose feature layout is not this build's is a ConfigError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
@@ -101,7 +112,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     version = int.from_bytes(raw[4:8], "little")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     header_len = int.from_bytes(raw[8:16], "little")
     if len(raw) < 16 + header_len:
@@ -109,6 +120,8 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     payload = memoryview(raw)[16 + header_len :]
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        if version > 1:
+            _check_payload(header["payload_nbytes"], header["payload_crc32"], payload, str(path))
         model_config = ModelConfig.from_dict(header["model_config"])
         manifest, extra = header["feature_manifest"], header.get("extra", {})
         if not isinstance(extra, dict):
@@ -143,6 +156,19 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     count = sum(math.prod(shape) for _, shape in table)
     flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count).astype(dtype)
     return ParamStore.on_buffer(flat, table), model_config, manifest, extra
+
+
+def _check_payload(nbytes: int, crc32: int, payload: memoryview, source: str) -> None:
+    """DataError unless ``payload`` is ``nbytes`` long with checksum ``crc32``."""
+    if len(payload) < nbytes:
+        raise DataError(f"{source}: truncated checkpoint payload: {len(payload)} of "
+                        f"{nbytes} bytes")
+    if len(payload) != nbytes:
+        raise DataError(f"{source}: checkpoint payload is {len(payload)} bytes, its header "
+                        f"says {nbytes}")
+    got = zlib.crc32(payload)
+    if got != crc32:
+        raise DataError(f"{source}: checkpoint payload has crc32 {got}, its header says {crc32}")
 
 
 def check_manifest(feature_config: FeatureConfig, manifest: dict, source: str) -> None:

@@ -14,7 +14,8 @@ forward pass per pack. Each task loss is a weighted sum over the pack's
 rows that equals the sum of the molecules' own mean losses; the distance
 task shares the same pass. Its loss, ``tensor.pair_mlp_cross_entropy``,
 scores every ordered atom pair of each molecule straight from the atom
-rows, one molecule at a time, so no pair row outlives its molecule.
+rows, a tile of whole rows of one molecule at a time, so no pair row
+outlives its tile of at most ``tensor.TILE_BYTES``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ column against an ``[n, k]`` matrix; backward sums each gradient back over
 what its operand was broadcast along.
 
 ``pair_mlp_cross_entropy``, the distance objective, is a 2-layer MLP and its
-cross-entropy over the ordered row pairs of each run of rows, one run at a time.
+cross-entropy over the ordered row pairs of each run of rows. It scores a run
+a tile of whole rows at a time, each tile's pair block no larger than
+``TILE_BYTES``, so its buffers stay in cache and grow with the run's rows, not
+their square.
 
 ``aggregate`` and ``node_update`` are the two halves of a GeoGNN block
 update, each one op: the sum of edge messages at both ends of every edge
@@ -540,16 +543,24 @@ def softmax_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
     return _emit(np.asarray(loss, dtype=logits.dtype), (logits,), grad_fn, "softmax_cross_entropy")
 
 
+# bytes of one tile's [pairs, h] hidden block. The block, its gradient and
+# the relu mask then take about 0.5 MiB and stay in a 2 MiB L2 cache next to
+# w2 and the logits: 256 KiB is 128 pairs at h = 256 in f64, the fastest of a
+# 32-512-pair sweep; a whole 30-atom block and its gradient need 3.7 MB
+TILE_BYTES = 256 * 1024
+
+
 def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                            labels, weights=None) -> Tensor:
     """Sum over pairs of weights[pair] * -log softmax(logits)[labels[pair]]
     (without weights, the mean). The pairs are the ordered pairs (i, j) of
     rows within each run of counts[m] consecutive rows of x, runs in turn,
     i-major; a pair's logits are relu(concat(x[i], x[j]) @ w1 + b1) @ w2 + b2,
-    with x[i] @ w1[:k] + x[j] @ w1[k:] for the concat. One run's [n * n, h]
-    block is scored and dropped before the next; the result is a scalar, so a
-    taped call sums its gradients at upstream 1 as it goes, and backward only
-    scales them."""
+    with x[i] @ w1[:k] + x[j] @ w1[k:] for the concat. A run is scored a tile
+    at a time: the most whole rows i whose [rows * n, h] hidden block fits
+    ``TILE_BYTES``, at least one. The result is a scalar, so a taped call sums
+    its gradients at upstream 1 tile by tile (da's rows are set, dc, dw2 and
+    db2 add up across tiles), and backward only scales them."""
     x, w1, b1, w2, b2 = inputs = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
     if ([t.data.ndim for t in inputs] != [2, 2, 1, 2, 1] or b2.shape != w2.shape[1:]
             or w1.shape != (2 * x.shape[1], w2.shape[0]) or b1.shape != w2.shape[:1]):
@@ -558,39 +569,55 @@ def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor
     counts = _check_ids(counts, x.shape[0] + 1, "pair_mlp_cross_entropy: counts").astype(np.intp)
     if int(counts.sum()) != x.shape[0]:
         raise ShapeError(f"pair_mlp_cross_entropy: counts sum to {counts.sum()}, not {x.shape[0]}")
-    k, h, sizes = x.shape[1], w2.shape[0], counts * counts
-    pairs = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    labels = _check_ids(labels, b2.shape[0], "class labels", rows=pairs[-1])
+    k, (h, num_classes) = x.shape[1], w2.shape
+    pairs = np.concatenate([[0], np.cumsum(counts * counts)]).tolist()
+    labels = _check_ids(labels, num_classes, "class labels", rows=pairs[-1])
     weights = _loss_weights(weights, labels.shape, x.dtype, "pair_mlp_cross_entropy")
     taped = bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
     a, c = x.data @ w1.data[:k] + b1.data, x.data @ w1.data[k:]
     picked = np.empty(labels.shape, dtype=np.result_type(a, w2.data))
-    # one buffer for every run's block: fresh ones would cost page faults
-    hidden_buf = np.empty(int(sizes.max(initial=0)) * h, dtype=picked.dtype)
+    row_bytes = np.maximum(counts * h * picked.itemsize, 1)
+    tile_rows = np.clip(TILE_BYTES // row_bytes, 1, np.maximum(counts, 1))
+    # one set of buffers for every tile: fresh ones would cost page faults
+    most = int((tile_rows * counts).max(initial=0))
+    hidden_buf, logits_buf = (np.empty(most * width, dtype=picked.dtype)
+                              for width in (h, num_classes))
+    tile_ids, ones = np.arange(most), np.ones(int(counts.max(initial=0)), dtype=picked.dtype)
     if taped:
-        grad_buf, da, dc = np.empty_like(hidden_buf), np.empty_like(a), np.empty_like(c)
+        grad_buf, mask_buf = np.empty_like(hidden_buf), np.empty(most * h, dtype=bool)
+        da, dc = np.empty_like(a), np.zeros_like(c)
         dw2, db2 = np.zeros_like(w2.data), np.zeros_like(b2.data)
-    for n, r, p in zip(counts.tolist(), np.cumsum(counts).tolist(), pairs):
-        m, r = n * n, r - n
-        hidden = hidden_buf[: m * h].reshape(m, h)
-        np.add(a[r : r + n, None], c[None, r : r + n], out=hidden.reshape(n, n, h))
-        np.maximum(hidden, 0.0, out=hidden)
-        z = _finite(hidden @ w2.data + b2.data, "pair_mlp_cross_entropy")
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        total = e.sum(axis=1, keepdims=True)
-        rows, ids = np.arange(m), labels[p : p + m]
-        picked[p : p + m] = z[rows, ids] - np.log(total[:, 0])
-        if taped:  # e becomes the logits' gradient, gh the hidden block's
-            e /= total
-            e[rows, ids] -= 1.0
-            e *= weights[p : p + m, None]
+    for n, t, r, p in zip(counts.tolist(), tile_rows.tolist(), np.cumsum(counts).tolist(), pairs):
+        r -= n
+        for i in range(r, r + n, t):
+            rows = min(t, r + n - i)  # rows i .. i + rows of the run, pairs q .. q + m
+            m, q = rows * n, p + (i - r) * n
+            hidden = hidden_buf[: m * h].reshape(m, h)
+            np.add(a[i : i + rows, None], c[None, r : r + n], out=hidden.reshape(rows, n, h))
+            np.maximum(hidden, 0.0, out=hidden)
+            z = np.matmul(hidden, w2.data, out=logits_buf[: m * num_classes].reshape(m, -1))
+            z += b2.data
+            _finite(z, "pair_mlp_cross_entropy")
+            z -= z.max(axis=1, keepdims=True)
+            pick = tile_ids[:m], labels[q : q + m]
+            picked[q : q + m] = z[pick]
+            e = np.exp(z, out=z)
+            total = e.sum(axis=1, keepdims=True)
+            picked[q : q + m] -= np.log(total[:, 0])
+            if not taped:
+                continue
+            # e becomes the logits' gradient, gh the hidden block's
+            mask = np.greater(hidden, 0.0, out=mask_buf[: m * h].reshape(m, h))
+            w = weights[q : q + m]
+            e *= (w / total[:, 0])[:, None]
+            e[pick] -= w
             dw2 += hidden.T @ e
             db2 += e.sum(axis=0)
             gh = np.matmul(e, w2.data.T, out=grad_buf[: m * h].reshape(m, h))
-            gh *= hidden > 0
-            np.sum(gh.reshape(n, n, h), axis=1, out=da[r : r + n])
-            np.sum(gh.reshape(n, n, h), axis=0, out=dc[r : r + n])
+            gh *= mask
+            # row sums as products with ones: BLAS sums them faster than np.sum
+            np.matmul(ones[:n], gh.reshape(rows, n, h), out=da[i : i + rows])
+            dc[r : r + n] += np.matmul(ones[:rows], gh.reshape(rows, n * h)).reshape(n, h)
 
     def grad_fn(g):
         dx = da @ w1.data[:k].T + dc @ w1.data[k:].T

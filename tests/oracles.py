@@ -588,6 +588,7 @@ def checkpoint_bytes_reference(store, model_config, feature_config, extra=None) 
     """A checkpoint file as the layout in ``geognn.checkpoint``'s docstring
     states it, assembled one tensor at a time."""
     import json
+    import zlib
 
     entries, blobs, offset = [], [], 0
     for name, tensor in store.items():
@@ -596,8 +597,9 @@ def checkpoint_bytes_reference(store, model_config, feature_config, extra=None) 
                         "shape": list(tensor.shape), "offset": offset, "nbytes": len(raw)})
         blobs.append(raw)
         offset += len(raw)
-    header = json.dumps({"format_version": 1, "model_config": model_config.to_dict(),
+    payload = b"".join(blobs)
+    header = json.dumps({"format_version": 2, "model_config": model_config.to_dict(),
                          "feature_manifest": feature_config.manifest(), "tensors": entries,
+                         "payload_nbytes": len(payload), "payload_crc32": zlib.crc32(payload),
                          "extra": extra or {}}, sort_keys=True).encode("utf-8")
-    return (b"GEM1" + (1).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
-            + b"".join(blobs))
+    return b"GEM1" + (2).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + payload

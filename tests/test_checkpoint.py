@@ -115,6 +115,75 @@ def test_corrupt_header_is_a_data_error(tmp_path):
         load_checkpoint(path)
 
 
+def _as_version_1(path) -> None:
+    """Rewrite a checkpoint as format version 1 wrote it, without the
+    payload's length and checksum."""
+    def drop(header):
+        del header["payload_nbytes"], header["payload_crc32"]
+        header["format_version"] = 1
+
+    edit_header(path, drop)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+
+
+def test_version_1_file_still_loads(tmp_path):
+    model = GeoGNN(CFG, rng=Rng(14))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.store, CFG, FeatureConfig(), extra={"epoch": 2})
+    _as_version_1(path)
+    store, cfg, _, extra = load_checkpoint(path)
+    assert cfg == CFG and extra == {"epoch": 2}
+    assert np.array_equal(store.flat(), model.store.flat())
+
+
+def test_unknown_version_is_a_data_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(15)).store, CFG, FeatureConfig())
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(DataError, match="unsupported checkpoint version 3"):
+        load_checkpoint(path)
+
+
+def _edit_payload(path, edit: str) -> None:
+    """One edit of the payload, or of the header's length or checksum of it."""
+    raw = bytearray(path.read_bytes())
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    if edit == "flip":
+        raw[(end + len(raw)) // 2] ^= 0x10
+    elif edit == "append":
+        raw += b"\x00"
+    elif edit == "drop":
+        del raw[-1]
+    path.write_bytes(bytes(raw))
+    if edit.startswith("header"):
+        key = {"header length": "payload_nbytes", "header crc": "payload_crc32"}[edit]
+        edit_header(path, lambda header: header.__setitem__(key, header[key] + 1))
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("flip", "payload has crc32"),
+    ("append", "payload is"),
+    ("drop", "truncated checkpoint payload"),
+    ("header length", "truncated checkpoint payload"),
+    ("header crc", "payload has crc32"),
+])
+def test_payload_off_its_header_is_a_data_error(tmp_path, capsys, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(16)).store, CFG, FeatureConfig())
+    _edit_payload(path, edit)
+    with pytest.raises(DataError, match=message) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    mol = random_molecule(Rng(17), min_atoms=3, max_atoms=5, mol_id="m0")
+    (tmp_path / "in.jsonl").write_bytes(write_jsonl([mol]))
+    assert main(["embed", "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def _header(path) -> dict:
     raw = path.read_bytes()
     return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
@@ -327,17 +396,21 @@ def mutation_seed(tmp_path_factory):
 def test_mutated_checkpoint_fails_only_as_geognn_error(mutation_seed, edits):
     """Truncations, byte flips, copied spans and JSON punctuation: loading
     raises nothing but a GeoGnnError, and embed and evaluate exit with a
-    documented code. A flipped payload byte can make a weight huge, whose
-    overflow is a numerical failure (exit 3), not a warning to stop at."""
+    documented code. A file whose header is intact but whose payload changed
+    fails its payload's length or checksum: a DataError, exit 2."""
     root, raw, header_end = mutation_seed
     path = root / "mutant.ckpt"
-    path.write_bytes(_mutate(raw, header_end, edits))
+    mutant = _mutate(raw, header_end, edits)
+    payload_only = mutant != raw and mutant[:header_end] == raw[:header_end]
+    path.write_bytes(mutant)
     try:
         load_checkpoint(path)
-    except GeoGnnError:
-        pass
+    except GeoGnnError as err:
+        assert isinstance(err, DataError) or not payload_only
+    else:
+        assert not payload_only
     for command, flags in (("embed", []), ("evaluate", ["--metric", "rmse"])):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main([command, "--input", str(root / "in.jsonl"), "--out", str(root / "out"),
                          "--checkpoint", str(path), *flags])
-        assert code in (0, 1, 2, 3)
+        assert code == 2 if payload_only else code in (0, 1, 2, 3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,14 +360,18 @@ class TestPairAffineRelu:
     """The pair layer relu(concat(x[i], x[j]) @ w1 + b1), tested through the
     one op that runs it: the fused distance objective pair_mlp_cross_entropy."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(pair_cases())
-    def test_matches_concat_reference(self, case):
+    @staticmethod
+    def _assert_matches_reference(case):
         got = _pair_value_and_grads(T.pair_mlp_cross_entropy, *case)
         want = _pair_value_and_grads(_pair_reference, *case)
         for name, g, r in zip(("loss", "x", "w1", "b1", "w2", "b2"), got, want):
             assert g.shape == r.shape, name
             assert np.abs(g - r).max() <= 1e-12 * max(np.abs(r).max(), 1.0), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair_cases())
+    def test_matches_concat_reference(self, case):
+        self._assert_matches_reference(case)
 
     def test_grads_vs_finite_differences(self):
         x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(13)
@@ -397,6 +402,53 @@ class TestPairAffineRelu:
         assert len(tape) == 1 and taped.requires_grad
         assert untaped.item() == taped.item()
         assert all(t.grad is None for t in leaves)
+
+    def test_runs_across_tiles_at_model_widths(self):
+        """The distance head's widths (k = 32, h = 256, 30 classes): at 256 KiB
+        tiles an 11-row run fits one tile, a 12-row run takes two and a 40-row
+        run fourteen of three rows or one."""
+        gen = np.random.default_rng(18)
+        counts = np.array([1, 2, 11, 12, 23, 30, 40])
+        k, h, c = 32, 256, 30
+        assert counts.max() ** 2 * h * 8 > T.TILE_BYTES  # the longest run takes several tiles
+        case = (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(2 * k, h)) / 8,
+                gen.normal(size=h) / 8, gen.normal(size=(h, c)) / 4, gen.normal(size=c),
+                gen.integers(0, c, size=(counts**2).sum()), _distance_weights(counts))
+        self._assert_matches_reference(case)
+        leaves = [Tensor(a, requires_grad=True) for a in (case[0], *case[2:6])]
+        untaped = T.pair_mlp_cross_entropy(leaves[0], counts, *leaves[1:], *case[6:])
+        with Tape():
+            taped = T.pair_mlp_cross_entropy(leaves[0], counts, *leaves[1:], *case[6:])
+        assert taped.requires_grad and untaped.item() == taped.item()
+
+    def test_taped_call_holds_tiles_not_the_pair_block(self):
+        """One taped call and its backward on a 150-row run at h = 64 peak
+        below a quarter of the run's [150 * 150, 64] f64 block (11.5 MB)."""
+        gen = np.random.default_rng(19)
+        n, k, h, c = 150, 16, 64, 30
+        leaves = [Tensor(gen.normal(size=shape), requires_grad=True)
+                  for shape in ((n, k), (2 * k, h), (h,), (h, c), (c,))]
+        counts, labels = np.array([n]), gen.integers(0, c, size=n * n)
+        weights = _distance_weights(counts)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = T.pair_mlp_cross_entropy(leaves[0], counts, *leaves[1:], labels, weights)
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in leaves)
+        assert peak < n * n * h * 8 / 4
+
+    def test_a_run_of_no_rows_adds_nothing(self):
+        x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(20, counts=(2, 3))
+        with_empty = (x, np.array([0, 2, 0, 3, 0]), w1, b1, w2, b2, labels, weights)
+        got = _pair_value_and_grads(T.pair_mlp_cross_entropy, *with_empty)
+        want = _pair_value_and_grads(T.pair_mlp_cross_entropy, x, counts, w1, b1, w2, b2,
+                                     labels, weights)
+        for g, r in zip(got, want):
+            np.testing.assert_array_equal(g, r)
 
     def test_non_finite_logits_name_the_op(self):
         x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(16)
