@@ -68,7 +68,7 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write ``store`` atomically; a ConfigError if its dtype is not the config's."""
-    flat = store.flat()
+    flat = store.flat
     if flat.dtype != model_config.dtype:
         raise ConfigError(f"cannot save {flat.dtype} parameters as {model_config.precision}")
     payload = flat.astype(flat.dtype.newbyteorder("<"), copy=False)
@@ -155,7 +155,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
     dtype = np.dtype(model_config.dtype)
     count = sum(math.prod(shape) for _, shape in table)
     flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count).astype(dtype)
-    return ParamStore.on_buffer(flat, table), model_config, manifest, extra
+    return ParamStore(flat, table), model_config, manifest, extra
 
 
 def _check_payload(nbytes: int, crc32: int, payload: memoryview, source: str) -> None:

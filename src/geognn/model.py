@@ -93,11 +93,11 @@ class ModelConfig:
 class ParamStore:
     """Named trainable tensors plus the optimizer's state.
 
-    One buffer holds every parameter, in store order, and each tensor's
-    ``.data`` is a view of it, made by ``on_buffer``, the one constructor of a
-    store on a buffer. The optimizer updates the buffer in place, so an alias
-    of a tensor's data sees every later step, while ``copy`` takes a snapshot.
-    Set a parameter by writing its ``.data`` in place, never by rebinding it.
+    ``flat`` is the one buffer of every parameter, in the (name, shape) order
+    of ``table``, and each tensor's ``.data`` is a view of it. The optimizer
+    updates the buffer in place, so an alias of a tensor's data sees every
+    later step, while ``copy`` takes a snapshot. Set a parameter by writing
+    its ``.data`` in place, never by rebinding it.
 
     ``moments`` is None until the first Adam step, then Adam's (m, v), flat
     like the buffer; ``stepped`` names the parameters a step has had a
@@ -105,49 +105,18 @@ class ParamStore:
     step's gathered gradient and one work array.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = dtype
+    def __init__(self, flat: np.ndarray, table: list[tuple[str, tuple]]):
+        self.flat = flat
         self._params: dict[str, Tensor] = {}
-        self._flat: np.ndarray | None = None
+        at = 0
+        for name, shape in table:
+            size = math.prod(shape)
+            self._params[name] = Tensor(flat[at : at + size].reshape(shape), requires_grad=True)
+            at += size
         self.moments: tuple[np.ndarray, np.ndarray] | None = None
         self.stepped: set[str] = set()
         self.scratch: tuple[np.ndarray, np.ndarray] | None = None
         self.step = 0
-
-    @classmethod
-    def on_buffer(cls, flat: np.ndarray, table: list[tuple[str, tuple]]) -> "ParamStore":
-        """A fresh store whose buffer ``flat`` holds exactly the (name, shape)s of ``table``."""
-        store, at = cls(dtype=flat.dtype.type), 0
-        for name, shape in table:
-            size = math.prod(shape)
-            store._params[name] = Tensor(flat[at : at + size].reshape(shape), requires_grad=True)
-            at += size
-        store._flat = flat
-        return store
-
-    def put(self, name: str, data) -> Tensor:
-        """Install a new trainable tensor holding a copy of data in the store's
-        dtype. A store whose optimizer has taken a step takes no new tensor."""
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter {name}")
-        if self.moments is not None:
-            raise ConfigError(f"cannot add parameter {name} after an optimizer step")
-        tensor = Tensor(np.array(data, dtype=self.dtype), requires_grad=True)
-        self._params[name] = tensor
-        self._flat = self.scratch = None
-        return tensor
-
-    def flat(self) -> np.ndarray:
-        """The one buffer of every parameter in store order, built on first
-        call by copying each tensor in and making its ``.data`` a view of it."""
-        if self._flat is None:
-            total = sum(t.size for t in self._params.values())
-            built = ParamStore.on_buffer(np.empty(total, dtype=self.dtype), self.shapes())
-            for t, new in zip(self._params.values(), built._params.values()):
-                new.data[...] = t.data
-                t.data = new.data
-            self._flat = built._flat
-        return self._flat
 
     def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         """(name, shape) of each parameter, in store order."""
@@ -172,7 +141,7 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         """A copy of the parameters, as one copy of the buffer; the clone
         starts at step 0 with no moments."""
-        return ParamStore.on_buffer(self.flat().copy(), self.shapes())
+        return ParamStore(self.flat.copy(), self.shapes())
 
 
 def parameter_table(
@@ -225,18 +194,22 @@ def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,
     name in ``given`` where it has one (ConfigError if its shape differs),
     else drawn: linear layers uniformly in +-1/sqrt(fan_in), each from its
     own name's fork of ``rng``; layer norms with unit gain and zero bias."""
-    store = ParamStore(dtype=config.dtype)
-    widths = (features.atom_width, features.bond_width, features.angle_width)
-    for name, shape, fan_in in parameter_table(config, *widths):
+    table = list(parameter_table(config, features.atom_width, features.bond_width,
+                                 features.angle_width))
+    total = sum(math.prod(shape) for _, shape, _ in table)
+    store = ParamStore(np.empty(total, dtype=config.dtype),
+                       [(name, shape) for name, shape, _ in table])
+    for name, shape, fan_in in table:
+        data = store[name].data
         if given is not None and name in given:
             if given[name].shape != shape:
                 raise ConfigError(f"parameter {name}: shape mismatch")
-            store.put(name, given[name].data)
+            data[...] = given[name].data
         elif fan_in is None:
-            store.put(name, np.full(shape, 1.0 if name.endswith(".gain") else 0.0))
+            data[...] = 1.0 if name.endswith(".gain") else 0.0
         else:
             bound = 1.0 / math.sqrt(fan_in)
-            store.put(name, rng.fork(name).uniform_array(shape, -bound, bound))
+            data[...] = rng.fork(name).uniform_array(shape, -bound, bound)
     return store
 
 

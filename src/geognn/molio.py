@@ -72,10 +72,6 @@ class Atom:
     aromatic: bool = False
     hybridization: str = "unknown"
 
-    @property
-    def atomic_number(self) -> int:
-        return ATOMIC_NUMBER[self.element]
-
 
 @dataclass
 class Bond:

@@ -37,6 +37,7 @@ Every op validates that its output is finite and raises
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,13 +119,10 @@ class Tape:
                     tensor.grad = tensor.grad + grad
 
 
-import math as _math
-
-
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     # fast path: a non-finite element makes the sum non-finite; the exact
     # (slower) check then rules out pure accumulator overflow
-    if not _math.isfinite(float(arr.sum())) and not np.isfinite(arr).all():
+    if not math.isfinite(float(arr.sum())) and not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values produced by {op}")
     return arr
 

@@ -83,22 +83,20 @@ _EPS = 1e-8
 _HEAD_PREFIX = "head_down."
 
 
-def adam_step(store: ParamStore, lr_body: float, lr_head: float | None = None) -> None:
+def adam_step(store: ParamStore, lr_body: float, lr_head: float) -> None:
     """One bias-corrected Adam update over every parameter with a gradient.
 
-    Downstream-head parameters use lr_head (default lr_body); everything
-    else uses lr_body. Missing gradients are treated as zero. A non-finite
-    gradient raises NumericalError before anything changes.
+    Downstream-head parameters use lr_head; everything else uses lr_body.
+    Missing gradients are treated as zero. A non-finite gradient raises
+    NumericalError before anything changes.
 
-    The update runs in place on the store's buffer and flat moments, one run
+    The update runs in place on ``store.flat`` and the flat moments, one run
     of adjacent parameters that share a learning rate at a time, through two
     scratch arrays allocated once per store, with the per-tensor rule's
     arithmetic in its order, so it gives the same bits. A parameter that has
     never had a gradient is skipped: its moments are zero, so its update is.
     """
-    if lr_head is None:
-        lr_head = lr_body
-    flat = store.flat()
+    flat = store.flat
     if store.scratch is None:
         store.scratch = (np.empty_like(flat), np.empty_like(flat))
     g, tmp = store.scratch

@@ -2,9 +2,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geognn.features import EncodedGraph, FeatureConfig
+from geognn.model import ParamStore
 from geognn.molio import Atom, Bond, Molecule, annotate_derived_attributes
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,6 +22,13 @@ def without_geometry(encoded: EncodedGraph) -> EncodedGraph:
             if block["name"].endswith("_rbf"):
                 getattr(out, kind)[:, block["offset"] : block["offset"] + block["width"]] = 0.0
     return out
+
+
+def store_of(arrays: dict, dtype=np.float64) -> ParamStore:
+    """A store holding a copy of each named array in ``dtype``, in dict order."""
+    arrays = {name: np.asarray(data, dtype=dtype) for name, data in arrays.items()}
+    flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
+    return ParamStore(flat, [(name, a.shape) for name, a in arrays.items()])
 
 
 def edit_header(path, edit) -> None:

@@ -161,7 +161,7 @@ def encode_reference(graph, molecule):
     widths are read by name from the manifest."""
     from geognn.errors import DataError
     from geognn.features import FeatureConfig, EncodedGraph
-    from geognn.molio import BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS
+    from geognn.molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS
 
     config = FeatureConfig()
     manifest = config.manifest()
@@ -181,7 +181,7 @@ def encode_reference(graph, molecule):
     atom = np.zeros((graph.num_atoms, config.atom_width))
     for i, a in enumerate(molecule.atoms):
         row, offset = atom[i], 0
-        offset = one_hot(row, offset, "atom_type", a.atomic_number)
+        offset = one_hot(row, offset, "atom_type", ATOMIC_NUMBER[a.element])
         offset = one_hot(row, offset, "aromatic", int(a.aromatic))
         charge = min(max(a.formal_charge + 8, 0), size["formal_charge"] - 1)
         offset = one_hot(row, offset, "formal_charge", charge)
@@ -385,11 +385,15 @@ def angle_count_reference(num_atoms: int, bonds) -> int:
     return count
 
 
-def model_gradcheck(store, loss_fn, h: float = 1e-5, floor: float = 1e-3) -> float:
+def model_gradcheck(store, loss_fn, h: float = 1e-5, floor: float = 1e-3,
+                    zero: dict | None = None) -> float:
     """Max relative error between tape gradients and central differences.
 
     loss_fn() must rebuild the loss from the store's current values; it is
     called repeatedly with individual parameter entries nudged by +-h.
+    ``zero`` maps a parameter name to a boolean mask of its shape: entries
+    the loss cannot depend on, whose tape gradient must be exactly 0.0
+    (AssertionError otherwise) and which are not nudged.
     """
     from geognn.tensor import Tape
 
@@ -401,9 +405,14 @@ def model_gradcheck(store, loss_fn, h: float = 1e-5, floor: float = 1e-3) -> flo
     worst = 0.0
     for name, tensor in store.items():
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        skip = np.zeros(tensor.size, dtype=bool)
+        if zero is not None and name in zero:
+            skip = zero[name].reshape(-1)
+            if np.any(analytic.reshape(-1)[skip] != 0.0):
+                raise AssertionError(f"{name}: nonzero gradient on an entry the loss ignores")
         flat = tensor.data.reshape(-1)
         fd = np.zeros_like(flat)
-        for i in range(flat.size):
+        for i in np.flatnonzero(~skip):
             orig = flat[i]
             flat[i] = orig + h
             up = loss_fn().item()

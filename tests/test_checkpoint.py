@@ -33,11 +33,11 @@ def test_round_trip_params_and_config(tmp_path):
     for name in store.names():
         assert np.array_equal(store[name].data, model.store[name].data)
     check_manifest(FeatureConfig(), manifest, "test")  # no raise
-    # the loaded tensors are views of one buffer, which ``flat`` returns as is
+    # the loaded tensors are views of one buffer, the store's ``flat``
     buffer = store["embed.atom.w"].data.base
     assert buffer is not None and buffer.size == sum(t.size for _, t in store.items())
     assert all(np.shares_memory(t.data, buffer) for _, t in store.items())
-    assert store.flat() is buffer
+    assert store.flat is buffer
 
 
 def test_store_of_another_precision_is_not_saved(tmp_path):
@@ -51,7 +51,7 @@ def test_checkpoint_holds_parameters_only(tmp_path):
     model = GeoGNN(CFG, rng=Rng(2))
     for _, t in model.store.items():
         t.grad = np.ones_like(t.data) * 0.1
-    adam_step(model.store, lr_body=1e-3)
+    adam_step(model.store, lr_body=1e-3, lr_head=1e-3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.store, CFG, FeatureConfig())
     header = _header(path)
@@ -134,7 +134,7 @@ def test_version_1_file_still_loads(tmp_path):
     _as_version_1(path)
     store, cfg, _, extra = load_checkpoint(path)
     assert cfg == CFG and extra == {"epoch": 2}
-    assert np.array_equal(store.flat(), model.store.flat())
+    assert np.array_equal(store.flat, model.store.flat)
 
 
 def test_unknown_version_is_a_data_error(tmp_path):

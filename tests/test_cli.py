@@ -16,7 +16,7 @@ from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
-from conftest import FIXTURES, edit_header, make_molecule, rename_atom_block
+from conftest import FIXTURES, edit_header, make_molecule, rename_atom_block, store_of
 from oracles import angle_count_reference
 
 
@@ -476,15 +476,15 @@ def _tampered_store(store: ParamStore, tamper: str) -> tuple[ParamStore, str]:
     that tensor's name."""
     name = {"missing": "block0.atom.mlp1.w", "reshaped": "embed.atom.w",
             "extra": "block7.atom.mlp1.w"}[tamper]
-    out = ParamStore(dtype=store.dtype)
+    arrays = {}
     for key, tensor in store.items():
         if key != name:
-            out.put(key, tensor.data)
+            arrays[key] = tensor.data
         elif tamper == "reshaped":
-            out.put(key, tensor.data.reshape(tensor.shape[0] // 2, -1))
+            arrays[key] = tensor.data.reshape(tensor.shape[0] // 2, -1)
     if tamper == "extra":
-        out.put(name, store["block0.atom.mlp1.w"].data)
-    return out, name
+        arrays[name] = store["block0.atom.mlp1.w"].data
+    return store_of(arrays, store.flat.dtype), name
 
 
 class TestCheckpointMatchesItsConfig:

@@ -5,14 +5,14 @@ from geognn import tensor as T
 from geognn.errors import ConfigError, NumericalError, ShapeError
 from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph, distance_matrix
-from geognn.model import (MAX_PARAMETERS, GeoGNN, ModelConfig, ParamStore, init_params,
+from geognn.model import (MAX_PARAMETERS, GeoGNN, ModelConfig, init_params,
                           parameter_count, parameter_table)
 from geognn.pretrain import loss_distance
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 
-from conftest import make_molecule, without_geometry
+from conftest import make_molecule, store_of, without_geometry
 from oracles import geognn_forward_reference, model_gradcheck, relative_error
 
 SMALL = ModelConfig(
@@ -276,9 +276,17 @@ class TestFullModelGradcheck:
         c = SMALL.distance_bins
         bins = np.minimum(np.floor(distance_matrix(graph.coords).reshape(-1)), c - 1).astype(int)
         bits = (Rng(42).uniform_array((1, 4)) > 0.5).astype(float)
+        # an embedding weight on a feature column that is 0 in every row
+        # multiplies only zeros, so both nudged losses are the same bits and
+        # its gradient must be exactly 0 (1,344 of the 4,426 values here)
+        zero = {}
+        for kind in ("atom", "bond", "angle"):
+            unused = ~getattr(enc, kind).any(axis=0)
+            zero[f"embed.{kind}.w"] = np.repeat(unused[:, None], SMALL.hidden, axis=1)
+        assert sum(int(mask.sum()) for mask in zero.values()) == 1344
 
         worst = model_gradcheck(
-            model.store, lambda: composite_loss(model, graph, enc, bits, bins)
+            model.store, lambda: composite_loss(model, graph, enc, bits, bins), zero=zero
         )
         assert worst < 1e-4
 
@@ -292,21 +300,15 @@ class TestParamStore:
             snapshot["embed.atom.w"].data, model.store["embed.atom.w"].data
         )
 
-    def test_put_after_an_optimizer_step_is_refused(self):
-        from geognn.training import adam_step
-
-        store = ParamStore()
-        store.put("a", [1.0])
-        store.flat()
-        store.put("b", [[2.0, 3.0]])  # the buffer is rebuilt to hold it
-        assert np.array_equal(store.flat(), [1.0, 2.0, 3.0])
-        assert all(np.shares_memory(t.data, store.flat()) for _, t in store.items())
-        store["a"].grad = np.array([1.0])
-        adam_step(store, lr_body=0.1)
-        with pytest.raises(ConfigError, match="cannot add parameter c after an optimizer step"):
-            store.put("c", [4.0])
-        assert store.names() == ["a", "b"]
-        assert store.copy().put("c", [4.0]).shape == (1,)
+    def test_fresh_parameters_are_views_of_one_buffer_in_store_order(self):
+        store = GeoGNN(SMALL, rng=Rng(56)).store
+        assert store.flat.dtype == SMALL.dtype
+        assert store.flat.size == sum(t.size for _, t in store.items())
+        at = 0
+        for _, t in store.items():
+            assert t.data.base is store.flat
+            assert np.shares_memory(t.data, store.flat[at : at + t.size])
+            at += t.size
 
     def test_init_is_seed_deterministic(self):
         a = GeoGNN(SMALL, rng=Rng(51)).store
@@ -318,10 +320,9 @@ class TestParamStore:
 
     def test_given_tensors_are_kept_and_the_rest_drawn_as_fresh(self):
         fresh = GeoGNN(SMALL, rng=Rng(54)).store
-        given = ParamStore()
-        given.put("embed.atom.w", np.ones(fresh["embed.atom.w"].shape))
-        given.put("block0.bond.norm.gain", np.full(SMALL.hidden, 2.0))
-        given.put("no.such.tensor", np.ones(3))
+        given = store_of({"embed.atom.w": np.ones(fresh["embed.atom.w"].shape),
+                          "block0.bond.norm.gain": np.full(SMALL.hidden, 2.0),
+                          "no.such.tensor": np.ones(3)})
         store = init_params(SMALL, FeatureConfig(), Rng(54).fork("init"), given=given)
         assert store.names() == fresh.names()
         for name in store.names():
@@ -329,8 +330,8 @@ class TestParamStore:
             assert np.array_equal(store[name].data, want), name
 
     def test_given_tensor_of_wrong_shape_is_a_config_error(self):
-        given = ParamStore()
-        given.put("head_down.l3.w", np.ones((SMALL.down_head_hidden, SMALL.num_tasks + 1)))
+        given = store_of({"head_down.l3.w": np.ones((SMALL.down_head_hidden,
+                                                     SMALL.num_tasks + 1))})
         with pytest.raises(ConfigError, match="head_down.l3.w: shape mismatch"):
             init_params(SMALL, FeatureConfig(), Rng(55), given=given)
 

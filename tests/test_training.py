@@ -27,27 +27,26 @@ from geognn.training import (
     task_names,
 )
 
+from conftest import store_of
 from oracles import adam_reference, roc_auc_pairs
 
 
 def one_param_store(value: float) -> ParamStore:
-    store = ParamStore()
-    store.put("x", [value])
-    return store
+    return store_of({"x": [value]})
 
 
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         store = one_param_store(1.5)
         store["x"].grad = np.array([0.0])
-        adam_step(store, lr_body=0.1)
+        adam_step(store, lr_body=0.1, lr_head=0.1)
         assert store["x"].data[0] == 1.5
 
     def test_first_step_moves_by_lr_sign(self):
         for g in (0.3, -2.0):
             store = one_param_store(1.0)
             store["x"].grad = np.array([g])
-            adam_step(store, lr_body=0.01)
+            adam_step(store, lr_body=0.01, lr_head=0.01)
             expected = 1.0 - 0.01 * g / (abs(g) + 1e-8)
             assert store["x"].data[0] == pytest.approx(expected, abs=1e-12)
             assert store["x"].data[0] == pytest.approx(1.0 - 0.01 * math.copysign(1, g), abs=1e-6)
@@ -60,7 +59,7 @@ class TestAdam:
         for t in range(1, 101):
             g = 2.0 * store["x"].data[0]
             store["x"].grad = np.array([g])
-            adam_step(store, lr_body=0.1)
+            adam_step(store, lr_body=0.1, lr_head=0.1)
 
             g_ref = 2.0 * x_ref
             m_ref = 0.9 * m_ref + 0.1 * g_ref
@@ -75,12 +74,10 @@ class TestAdam:
         store = one_param_store(1.0)
         store["x"].grad = np.array([np.nan])
         with pytest.raises(NumericalError):
-            adam_step(store, lr_body=0.1)
+            adam_step(store, lr_body=0.1, lr_head=0.1)
 
     def test_head_lr_applies_to_head_params(self):
-        store = ParamStore()
-        store.put("head_down.l1.w", [1.0])
-        store.put("embed.atom.w", [1.0])
+        store = store_of({"head_down.l1.w": [1.0], "embed.atom.w": [1.0]})
         for name in store.names():
             store[name].grad = np.array([1.0])
         adam_step(store, lr_body=0.0, lr_head=0.5)
@@ -94,11 +91,12 @@ class TestAdam:
         # missing at random (some tensors never get one), 30 steps
         r = np.random.default_rng(seed)
         dtype = np.float32 if f32 else np.float64
-        store = ParamStore(dtype=dtype)
+        arrays = {}
         for i in range(int(r.integers(1, 12))):
             prefix = "head_down." if r.random() < 0.4 else "block."
             shape = tuple(int(k) for k in r.integers(1, 9, size=int(r.integers(1, 3))))
-            store.put(f"{prefix}{i}", r.standard_normal(shape))
+            arrays[f"{prefix}{i}"] = r.standard_normal(shape)
+        store = store_of(arrays, dtype)
         params = {name: t.data.copy() for name, t in store.items()}
         never = {name for name in params if r.random() < 0.2}
         moments: dict = {}
@@ -124,41 +122,36 @@ class TestAdam:
     def test_rejected_step_leaves_the_store_as_it_was(self):
         from geognn.errors import NumericalError
 
-        store = ParamStore()
-        store.put("a", [1.0])
-        store.put("b", [2.0, 3.0])
+        store = store_of({"a": [1.0], "b": [2.0, 3.0]})
         store["a"].grad, store["b"].grad = np.array([1.0]), np.array([0.5, np.nan])
         with pytest.raises(NumericalError, match="^non-finite gradient for b$"):
-            adam_step(store, lr_body=0.1)
+            adam_step(store, lr_body=0.1, lr_head=0.1)
         assert store.step == 0 and store.moments is None
         assert store["a"].data[0] == 1.0
         store["b"].grad = np.array([0.5, 0.25])
-        adam_step(store, lr_body=0.1)
+        adam_step(store, lr_body=0.1, lr_head=0.1)
         before = store.copy()
         moments = tuple(x.copy() for x in store.moments)
         store["a"].grad = np.array([np.inf])
         with pytest.raises(NumericalError, match="^non-finite gradient for a$"):
-            adam_step(store, lr_body=0.1)
+            adam_step(store, lr_body=0.1, lr_head=0.1)
         assert store.step == 1
         for name, t in store.items():
             assert np.array_equal(t.data, before[name].data)
         assert all(np.array_equal(x, y) for x, y in zip(store.moments, moments))
 
     def test_finite_gradients_whose_sum_overflows_are_accepted(self):
-        store = ParamStore()
-        store.put("x", [1.0, 1.0])
+        store = store_of({"x": [1.0, 1.0]})
         store["x"].grad = np.array([1e308, 1e308])
         params, moments = {"x": np.array([1.0, 1.0])}, {}
         with np.errstate(over="ignore"):  # v overflows in either rule
-            adam_step(store, lr_body=0.1)
+            adam_step(store, lr_body=0.1, lr_head=0.1)
             adam_reference(params, {"x": store["x"].grad}, moments, 1, 0.1, 0.1)
         assert store.step == 1
         assert np.array_equal(store["x"].data, params["x"])
 
     def test_parameters_are_views_of_one_buffer_updated_in_place(self):
-        store = ParamStore()
-        store.put("block.w", np.ones((2, 3)))
-        store.put("head_down.b", np.ones(2))
+        store = store_of({"block.w": np.ones((2, 3)), "head_down.b": np.ones(2)})
         tensors = {name: t for name, t in store.items()}
         snapshot = store.copy()
         for _ in range(4):
@@ -167,10 +160,10 @@ class TestAdam:
             adam_step(store, lr_body=0.1, lr_head=0.2)
             for name, t in store.items():
                 assert t is tensors[name]
-                assert np.shares_memory(t.data, store.flat())
-        assert np.array_equal(snapshot.flat(), np.ones(8))
+                assert np.shares_memory(t.data, store.flat)
+        assert np.array_equal(snapshot.flat, np.ones(8))
         assert snapshot.step == 0 and snapshot.moments is None
-        assert not np.shares_memory(snapshot.flat(), store.flat())
+        assert not np.shares_memory(snapshot.flat, store.flat)
         assert np.all(store["block.w"].data < 1.0)
 
 
@@ -491,7 +484,7 @@ class TestFinetuneLoop:
         assert best == 2
         rerun = finetune(split, TINY_MODEL, dataclasses.replace(run, epochs=best))
         assert rerun.report["selected_epoch"] == best
-        assert np.array_equal(result.store.flat(), rerun.store.flat())
+        assert np.array_equal(result.store.flat, rerun.store.flat)
 
     def test_zero_epochs_return_the_untrained_store(self):
         split = DatasetSplit.from_tags(tiny_dataset(10, seed=41))
@@ -499,7 +492,7 @@ class TestFinetuneLoop:
         assert result.report["selected_epoch"] == 0
         init = GeoGNN(TINY_MODEL, rng=Rng(5)).store
         assert result.store.names() == init.names()
-        assert np.array_equal(result.store.flat(), init.flat())
+        assert np.array_equal(result.store.flat, init.flat)
 
 
 class TestFloat32:
