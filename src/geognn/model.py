@@ -28,7 +28,7 @@ all V^2 ordered atom pairs of each molecule, and only its loss is used:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from typing import Iterator
 
@@ -175,17 +175,11 @@ def parameter_table(
 
 def parameter_count(config: ModelConfig, atom_width: int, bond_width: int,
                     angle_width: int) -> int:
-    """The number of values in ``parameter_table``'s tensors, in closed form."""
-    h, g, d = config.hidden, config.geom_head_hidden, config.down_head_hidden
-    count = (atom_width + 1 + bond_width + 1 + angle_width + 1) * h
-    count += config.num_blocks * 2 * (2 * (h + 1) * h + 2 * h)  # bond, atom: 2 layers, a norm
-    count += (2 * h + 1) * g + (g + 1) + (3 * h + 1) * g + (g + 1)  # length, angle
-    count += (2 * h + 1) * g + (g + 1) * config.distance_bins
-    if config.fingerprint_bits > 0:
-        count += (h + 1) * config.fingerprint_bits
-    if config.num_tasks > 0:
-        count += (h + 1) * d + (d + 1) * d + (d + 1) * config.num_tasks
-    return count
+    """The number of values in ``parameter_table``'s tensors, from its sums at
+    0 and 1 blocks: every block has the same size, so none is walked."""
+    zero, one = (sum(math.prod(shape) for _, shape, _ in parameter_table(
+        replace(config, num_blocks=n), atom_width, bond_width, angle_width)) for n in (0, 1))
+    return zero + config.num_blocks * (one - zero)
 
 
 def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,

@@ -181,46 +181,45 @@ class Molecule:
         return self
 
 
+def _neighbours(molecule: Molecule) -> list[list[tuple[int, int]]]:
+    """(neighbour, bond index) of each atom's bonds, in bond order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in molecule.atoms]
+    for i, bond in enumerate(molecule.bonds):
+        adj[bond.a].append((bond.b, i))
+        adj[bond.b].append((bond.a, i))
+    return adj
+
+
+def _ring_flags(adj: list[list[tuple[int, int]]], num_bonds: int) -> list[bool]:
+    """True per bond iff the bond lies on some cycle. A breadth-first
+    spanning forest leaves out one bond per independent cycle; each such bond
+    marks itself and the tree paths from its two ends up to where they meet."""
+    depth, parent, up = [-1] * len(adj), [-1] * len(adj), [-1] * len(adj)
+    in_ring = [False] * num_bonds
+    for root in range(len(adj)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:
+            for w, i in adj[v]:
+                if depth[w] < 0:
+                    depth[w], parent[w], up[w] = depth[v] + 1, v, i
+                    queue.append(w)
+                elif i != up[v] and not in_ring[i]:  # a left-out bond, first seen
+                    in_ring[i] = True
+                    a, b = v, w
+                    while a != b:
+                        if depth[a] < depth[b]:
+                            a, b = b, a
+                        in_ring[up[a]] = True
+                        a = parent[a]
+    return in_ring
+
+
 def ring_membership(molecule: Molecule) -> list[bool]:
     """True per bond iff the bond lies on some cycle (i.e. is not a bridge)."""
-    n = len(molecule.atoms)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, bond in enumerate(molecule.bonds):
-        adj[bond.a].append((bond.b, idx))
-        adj[bond.b].append((bond.a, idx))
-
-    disc = [-1] * n
-    low = [0] * n
-    is_bridge = [False] * len(molecule.bonds)
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # iterative DFS with explicit stack: (vertex, incoming bond, edge iterator)
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_bond, it = stack[-1]
-            advanced = False
-            for w, bond_idx in it:
-                if bond_idx == in_bond:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, bond_idx, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        is_bridge[in_bond] = True
-    return [not b for b in is_bridge]
+    return _ring_flags(_neighbours(molecule), len(molecule.bonds))
 
 
 def _hybridization_heuristic(element: str, degree: int, formal_charge: int) -> str:
@@ -237,24 +236,22 @@ def _hybridization_heuristic(element: str, degree: int, formal_charge: int) -> s
 
 
 def annotate_derived_attributes(molecule: Molecule) -> Molecule:
-    """Fill in_ring, aromatic flags, hydrogen counts and hybridization."""
+    """Fill in_ring, aromatic flags, hydrogen counts and hybridization, all
+    read from one set of neighbour lists."""
     atoms, bonds = molecule.atoms, molecule.bonds
-    for bond, in_ring in zip(bonds, ring_membership(molecule)):
+    adj = _neighbours(molecule)
+    for bond, in_ring in zip(bonds, _ring_flags(adj, len(bonds))):
         bond.in_ring = in_ring
     is_h = [atom.element == "H" for atom in atoms]
-    degree = [0] * len(atoms)
-    h_neighbors = [0] * len(atoms)
-    for bond in bonds:
-        a, b = bond.a, bond.b
-        degree[a] += 1
-        degree[b] += 1
-        h_neighbors[a] += is_h[b]
-        h_neighbors[b] += is_h[a]
-        if bond.bond_type == "aromatic":
-            atoms[a].aromatic = atoms[b].aromatic = True
-    for atom, num_h, atom_degree in zip(atoms, h_neighbors, degree):
+    aromatic = [bond.bond_type == "aromatic" for bond in bonds]
+    for atom, neighbours in zip(atoms, adj):
+        num_h = 0
+        for w, i in neighbours:
+            num_h += is_h[w]
+            if aromatic[i]:
+                atom.aromatic = True
         atom.num_explicit_h = num_h
-        atom.hybridization = _hybridization_heuristic(atom.element, atom_degree,
+        atom.hybridization = _hybridization_heuristic(atom.element, len(neighbours),
                                                       atom.formal_charge)
     return molecule
 

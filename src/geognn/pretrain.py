@@ -37,6 +37,9 @@ from .rng import Rng
 from .tensor import Tensor
 
 TASKS = ("length", "angle", "distance", "fingerprint")
+# the tasks and the masked fraction of a run that names none
+DEFAULT_TASKS = ("length", "angle", "distance")
+DEFAULT_MASK_RATIO = 0.15
 
 # most molecules in one packed forward pass, in loss_pre and in the unions of
 # training.featurized_packs: a pack's activations, and its distance pairs, grow with it
@@ -168,8 +171,8 @@ def loss_pre(
     model: GeoGNN,
     batch: list[PreparedMolecule],
     rngs: list[Rng],
-    tasks: tuple[str, ...] = ("length", "angle", "distance"),
-    mask_ratio: float = 0.15,
+    tasks: tuple[str, ...] = DEFAULT_TASKS,
+    mask_ratio: float = DEFAULT_MASK_RATIO,
     mode: str = "train",
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean pretraining loss over a batch of molecules, one rng each, and the

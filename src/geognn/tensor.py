@@ -352,8 +352,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape}, {w.shape}, {b.shape}")
 
-    def grad_fn(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+    def grad_fn(g):  # a constant x, such as a feature matrix, needs no gradient
+        return g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0)
 
     return _emit(x.data @ w.data + b.data, (x, w, b), grad_fn, "affine")
 

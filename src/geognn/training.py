@@ -24,7 +24,8 @@ from .features import EncodedGraph, FeatureConfig, encode
 from .geometry import DualGraph, build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params
 from .molio import Molecule
-from .pretrain import PreparedMolecule, check_tasks, in_packs, loss_pre, pack, squared_error, unpack
+from .pretrain import (DEFAULT_MASK_RATIO, DEFAULT_TASKS, PreparedMolecule, check_tasks,
+                       in_packs, loss_pre, pack, squared_error, unpack)
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -40,8 +41,8 @@ class RunConfig:
     seed: int = 0
     task_type: str | None = None       # regression | classification; None: the metric's
     metric: str = "rmse"               # rmse | mae | rocauc
-    tasks: tuple[str, ...] = ("length", "angle", "distance")
-    mask_ratio: float = 0.15
+    tasks: tuple[str, ...] = DEFAULT_TASKS
+    mask_ratio: float = DEFAULT_MASK_RATIO
 
     def validate(self) -> "RunConfig":
         check_int("epochs", self.epochs, 0)

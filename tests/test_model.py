@@ -367,4 +367,7 @@ class TestModelSize:
     def test_sizes_whose_product_is_over_the_cap_are_named(self):
         with pytest.raises(ConfigError, match=r"num_blocks=8, hidden=4000, .* more than the cap"):
             ModelConfig(hidden=4000).validate()
+        # counted from two block counts' tables, not by walking every block
+        with pytest.raises(ConfigError, match=r"num_blocks=99999999, .* more than the cap"):
+            ModelConfig(num_blocks=99_999_999).validate()
         ModelConfig(hidden=1000).validate()

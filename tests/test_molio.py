@@ -1,6 +1,7 @@
 import codecs
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -226,6 +227,53 @@ class TestRingMembership:
                 [(float(i), float((i * 7) % 3), 0.0) for i in range(len(used))],
             )
             assert ring_membership(mol) == cycle_bonds_by_removal(len(used), bonds)
+
+    @pytest.mark.parametrize("bonds, want", [
+        # a 4-ring and a 3-ring joined by the bridge path 0-7-8-4
+        ([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4), (0, 7), (7, 8), (8, 4)],
+         [True] * 7 + [False] * 3),
+        # two 6-rings fused on the bond 0-5
+        ([(i, i + 1) for i in range(5)] + [(5, 0)] + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 0)],
+         [True] * 11),
+        # a 5-ring with a 3-atom chain on atom 0 and a 2-atom chain on atom 2
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7), (2, 8), (8, 9)],
+         [True] * 5 + [False] * 5),
+        # two 3-rings sharing atom 0
+        ([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], [True] * 6),
+        # components: a 3-ring, a lone atom (5), a path and a 4-ring with a chord
+        ([(3, 4), (0, 1), (1, 2), (2, 0), (6, 7), (8, 9), (9, 10), (10, 11), (11, 8), (8, 10)],
+         [False, True, True, True, False] + [True] * 5),
+    ], ids=["bridge-path", "fused", "pendant-chains", "spiro", "components"])
+    def test_shapes_beyond_one_closure(self, bonds, want):
+        num_atoms = 1 + max(max(pair) for pair in bonds)
+        mol = make_molecule(["C"] * num_atoms, bonds,
+                            [(1.5 * i, 0.0, 0.0) for i in range(num_atoms)])
+        assert cycle_bonds_by_removal(num_atoms, bonds) == want
+        assert ring_membership(mol) == want
+        assert [bond.in_ring for bond in mol.bonds] == want
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_sparse_graphs_match_bond_removal_under_relabelling(self, seed):
+        # a random tree less up to 2 bonds, plus up to 4 closing bonds, in
+        # shuffled order with random ends first; then its atoms relabelled
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 24)
+        pairs = {(rnd.randrange(v), v) for v in range(1, n)}
+        pairs -= set(rnd.sample(sorted(pairs), min(len(pairs), rnd.randint(0, 2))))
+        for _ in range(rnd.randint(0, 4)):
+            a, b = rnd.randrange(n), rnd.randrange(n)
+            if a != b and (b, a) not in pairs:
+                pairs.add((a, b))
+        bonds = [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in sorted(pairs)]
+        rnd.shuffle(bonds)
+        label = list(range(n))
+        rnd.shuffle(label)
+        want = cycle_bonds_by_removal(n, bonds)
+        for edges in (bonds, [(label[a], label[b]) for a, b in bonds]):
+            mol = make_molecule(["C"] * n, edges, [(1.5 * i, 0.0, 0.0) for i in range(n)])
+            assert ring_membership(mol) == want
+            assert [bond.in_ring for bond in mol.bonds] == want
 
 
 class TestValidation:

@@ -801,6 +801,21 @@ class TestPlumbingOps:
         for got, want in zip(analytic, numeric):
             assert relative_error(got, want) < 1e-4
 
+    def test_affine_computes_no_gradient_for_a_constant_input(self):
+        rng = np.random.default_rng(12)
+        x, g = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        grads = {}
+        for requires_grad in (True, False):
+            with Tape() as tape:
+                T.affine(Tensor(x, requires_grad=requires_grad), w, b)
+            [(_, _, grad_fn)] = tape._records
+            grads[requires_grad] = grad_fn(g)
+        assert grads[True][0] is not None and grads[False][0] is None
+        for taped, constant in zip(grads[True][1:], grads[False][1:]):
+            np.testing.assert_array_equal(taped, constant)
+
     def test_gather_concat_mean_grads(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 3))
