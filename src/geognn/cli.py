@@ -187,6 +187,16 @@ def _build_model_config(args, file_cfg: dict, base: ModelConfig | None = None) -
         raise ConfigError(f"bad model config: {err}") from None
 
 
+def _check_out(path: str) -> None:
+    """--out must be a directory or a path one can be made at: neither it nor
+    the nearest of its parents that exists may be anything else."""
+    for p in (Path(path), *Path(path).parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"--out {path}: {p} exists and is not a directory")
+            return
+
+
 def cmd_featurize(args) -> int:
     molecules, errors = _read_molecules(args.input, strict=args.strict)
     features = FeatureConfig()
@@ -297,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")

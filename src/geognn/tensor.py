@@ -129,7 +129,7 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn: Callable, op: str,
           check: bool = True) -> Tensor:
-    # ops that only move data (gather, concat, reshape) pass check=False:
+    # ops that only move data (gather, concat) pass check=False:
     # they cannot create non-finite values from finite inputs
     if check:
         _finite(data, op)
@@ -155,19 +155,6 @@ def _reduce_to(grad: np.ndarray, tensor: Tensor) -> np.ndarray:
     if tensor.size != 1:  # a column broadcast over the row
         return grad.sum(axis=1, keepdims=True)
     return np.full(tensor.shape, grad.sum(), dtype=grad.dtype)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions {a.shape[1]} and {b.shape[0]} differ")
-
-    def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _emit(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
 def _binary(op: str, a, b, forward: Callable, grads: Callable) -> Tensor:
@@ -219,37 +206,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * (x.data > 0),)
 
     return _emit(np.maximum(x.data, 0.0), (x,), grad_fn, "relu")
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    with np.errstate(over="ignore"):
-        out_data = np.exp(x.data)
-
-    def grad_fn(g):
-        return (g * out_data,)
-
-    return _emit(out_data, (x,), grad_fn, "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    x = _coerce(x)
-    if np.any(x.data <= 0.0):
-        raise NumericalError("log: non-positive input")
-
-    def grad_fn(g):
-        return (g / x.data,)
-
-    return _emit(np.log(x.data), (x,), grad_fn, "log")
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _coerce(x)
-
-    def grad_fn(g):
-        return (g.reshape(x.shape),)
-
-    return _emit(x.data.reshape(shape), (x,), grad_fn, "reshape", check=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -329,21 +285,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit(np.asarray(x.data.sum(), dtype=x.dtype), (x,), grad_fn, "sum_all")
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Column means of a 2-D tensor; the mean-pooling readout."""
-    x = _coerce(x)
-    if x.data.ndim != 2:
-        raise ShapeError("mean_rows expects a 2-D tensor")
-    n = x.shape[0]
-    if n == 0:
-        raise ShapeError("mean_rows of an empty tensor")
-
-    def grad_fn(g):
-        return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return _emit(x.data.mean(axis=0), (x,), grad_fn, "mean_rows")
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with the bias broadcast over rows (one fused primitive)."""
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
@@ -383,22 +324,6 @@ def _layer_norm_grads(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv_std
     return gx, np.multiply(g, xhat, out=tmp).sum(axis=0), g.sum(axis=0)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then scale+shift."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    if x.data.ndim != 2:
-        raise ShapeError("layer_norm expects a 2-D tensor")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError("layer_norm gain/bias must match the feature width")
-    xhat, inv_std = _normalize(x.data, eps, "layer_norm")
-
-    def grad_fn(g):
-        return _layer_norm_grads(g, gain.data, xhat, inv_std)
-
-    return _emit(xhat * gain.data + bias.data, (x, gain, bias), grad_fn, "layer_norm")
-
-
 def _dropout_keep(shape, dtype, rate: float, rng, training: bool) -> np.ndarray | None:
     """Inverted dropout's multiplier, 0 or 1 / (1 - rate) per element from
     ``rng.keep_mask``; None where dropout is the identity."""
@@ -411,19 +336,6 @@ def _dropout_keep(shape, dtype, rate: float, rng, training: bool) -> np.ndarray 
     keep = rng.keep_mask(shape, rate).astype(dtype)
     keep /= 1.0 - rate
     return keep
-
-
-def dropout(x: Tensor, rate: float, rng: Rng | BlockRng | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is zero."""
-    x = _coerce(x)
-    keep = _dropout_keep(x.shape, x.dtype, rate, rng, training)
-    if keep is None:
-        return x
-
-    def grad_fn(g):
-        return (g * keep,)
-
-    return _emit(x.data * keep, (x,), grad_fn, "dropout")
 
 
 class Edges:
@@ -516,29 +428,6 @@ def _loss_weights(weights, shape: tuple[int, ...], dtype, what: str) -> np.ndarr
     if weights.shape != shape:
         raise ShapeError(f"{what}: weights of shape {weights.shape} for shape {shape}")
     return weights
-
-
-def softmax_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
-    """Sum over rows of weights[row] * -log softmax(logits)[row, labels[row]];
-    without weights, the mean over rows."""
-    logits = _coerce(logits)
-    if logits.data.ndim != 2:
-        raise ShapeError("softmax_cross_entropy expects 2-D logits")
-    n, c = logits.shape
-    labels = _check_ids(labels, c, "class labels", rows=n)
-    weights = _loss_weights(weights, (n,), logits.dtype, "softmax_cross_entropy")
-    _finite(logits.data, "softmax_cross_entropy")
-    rows = np.arange(n)
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-    def grad_fn(g):
-        glogits = np.exp(log_probs)
-        glogits[rows, labels] -= 1.0
-        return (glogits * (weights * float(g))[:, None],)
-
-    loss = -(log_probs[rows, labels] * weights).sum()
-    return _emit(np.asarray(loss, dtype=logits.dtype), (logits,), grad_fn, "softmax_cross_entropy")
 
 
 # bytes of one tile's [pairs, h] hidden block. The block, its gradient and
@@ -642,3 +531,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor, weights=None) -> Tensor:
 
     loss = (elem * weights).sum()
     return _emit(np.asarray(loss, dtype=logits.dtype), (logits, targets), grad_fn, "bce_with_logits")
+
+
+# names of deleted ops, kept only because bench/tracing.py patches them by
+# string; ROADMAP item 1 (a tracer that patches only live ops) deletes the line
+matmul = exp = log = reshape = mean_rows = softmax_cross_entropy = layer_norm = dropout = None

@@ -504,6 +504,10 @@ def finetune(
     train_items = [item for packed in packs["train"] for item in unpack(*packed)]
     labels = {part: label_matrix(mols, names) for part, mols in parts.items()}
     metric_fn = METRICS[run_config.metric][0]
+    # every split the run scores (train and valid after each epoch, test at
+    # the end) through the metric's label checks, before the first step
+    for part in ("train", "valid", "test") if run_config.epochs else ("test",):
+        metric_fn(np.zeros_like(labels[part]), labels[part])
 
     def batch_loss(ids, rngs):
         batch = [train_items[i] for i in ids]

@@ -95,14 +95,58 @@ def aggregate_chain(h, pairs, x):
     return T.add(T.segment_sum(msg, u, h.shape[0]), T.segment_sum(msg, v, h.shape[0]))
 
 
-def node_update_chain(x, residual, scale, w1, b1, w2, b2, gain, bias, rate, rng, training):
-    """``tensor.node_update`` as the 7 taped ops it replaced: affine, relu,
-    affine, layer norm, the graph-size scale, the residual and dropout."""
-    from geognn import tensor as T
-    from geognn.tensor import Tensor
+def node_update_reference(x, residual, scale, w1, b1, w2, b2, gain, bias, keep, upstream):
+    """``tensor.node_update`` in plain numpy: its value, in the op's order of
+    operations, and the gradients of sum(value * upstream) with respect to
+    (x, residual, w1, b1, w2, b2, gain, bias), layer norm's by its closed
+    form. ``keep`` is the dropout multiplier, None in eval mode."""
+    hidden = np.maximum(x @ w1 + b1, 0.0)
+    pre_norm = hidden @ w2 + b2
+    mu = pre_norm.mean(axis=1, keepdims=True, dtype=np.float64)
+    xhat = (pre_norm - mu).astype(pre_norm.dtype)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + 1e-5)
+    xhat = xhat * inv_std
+    out = (xhat * gain + bias) * scale + residual
+    g_res = upstream
+    if keep is not None:
+        out, g_res = out * keep, upstream * keep
+    g_norm = g_res * scale
+    g_xhat = g_norm * gain
+    g_pre = g_xhat - g_xhat.mean(axis=1, keepdims=True)
+    g_pre = (g_pre - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True)) * inv_std
+    g_hidden = (g_pre @ w2.T) * (hidden > 0)
+    return out, (g_hidden @ w1.T, g_res, x.T @ g_hidden, g_hidden.sum(axis=0),
+                 hidden.T @ g_pre, g_pre.sum(axis=0), (g_norm * xhat).sum(axis=0),
+                 g_norm.sum(axis=0))
 
-    out = T.layer_norm(T.affine(T.relu(T.affine(x, w1, b1)), w2, b2), gain, bias)
-    return T.dropout(T.add(T.mul(out, Tensor(scale)), residual), rate, rng, training)
+
+def pair_mlp_reference(x, counts, w1, b1, w2, b2, labels, weights=None):
+    """``tensor.pair_mlp_cross_entropy`` in plain numpy on concatenated pair
+    rows: both rows of every ordered pair, i-major within each run, through
+    both layers and the weighted softmax cross-entropy (without weights, the
+    mean). Returns the loss and its gradients with respect to (x, w1, b1, w2,
+    b2), the chain rule written out."""
+    starts = np.cumsum(counts) - counts
+    u = np.concatenate([np.repeat(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
+    v = np.concatenate([np.tile(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
+    pairs = np.concatenate([x[u], x[v]], axis=1)
+    hidden = np.maximum(pairs @ w1 + b1, 0.0)
+    logits = hidden @ w2 + b2
+    rows = np.arange(len(labels))
+    weights = np.full(rows.size, 1.0 / rows.size, x.dtype) if weights is None else weights
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -(log_probs[rows, labels] * weights).sum()
+    g_logits = np.exp(log_probs)
+    g_logits[rows, labels] -= 1.0
+    g_logits *= weights[:, None]
+    g_hidden = (g_logits @ w2.T) * (hidden > 0)
+    g_pairs = g_hidden @ w1.T
+    g_x = np.zeros_like(x)
+    np.add.at(g_x, u, g_pairs[:, : x.shape[1]])
+    np.add.at(g_x, v, g_pairs[:, x.shape[1] :])
+    return loss, (g_x, pairs.T @ g_hidden, g_hidden.sum(axis=0), hidden.T @ g_logits,
+                  g_logits.sum(axis=0))
 
 
 def angle_reference(pw, pu, pv) -> float:
@@ -512,15 +556,12 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
         if "angle" in parts and masked.angle_values.size:
             parts["angle"] = mse(model.head_angle, h, masked.angle_atoms, masked.angle_values)
         if "distance" in parts and n > 1:
-            # the distance head spelled out on concatenated pair rows, so the
-            # reference does not run tensor.pair_mlp_cross_entropy
-            pairs = T.concat([T.gather_rows(h, np.repeat(np.arange(n), n)),
-                              T.gather_rows(h, np.tile(np.arange(n), n))])
+            # the op on this molecule alone, one run of n rows; test_tensor
+            # holds the op itself to ``pair_mlp_reference``
             store = model.store
-            hidden = T.relu(T.affine(pairs, store["head_distance.l1.w"],
-                                     store["head_distance.l1.b"]))
-            logits = T.affine(hidden, store["head_distance.l2.w"], store["head_distance.l2.b"])
-            parts["distance"] = T.softmax_cross_entropy(logits, bins)
+            parts["distance"] = T.pair_mlp_cross_entropy(
+                h, [n], store["head_distance.l1.w"], store["head_distance.l1.b"],
+                store["head_distance.l2.w"], store["head_distance.l2.b"], bins)
         if "fingerprint" in parts and bits:
             logits = model.head_fingerprint(emb.h_graph)
             parts["fingerprint"] = T.bce_with_logits(logits, Tensor(np.array([bits], dtype=float)))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geognn import training
 from geognn.cli import main
 from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
@@ -342,6 +343,30 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "config error: unknown metric ['rmse']" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["featurize", "pretrain", "finetune", "evaluate", "embed"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exit_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, under):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=5)
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig())
+        steps = []
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "o" if under else taken
+        flags = {"featurize": [], "pretrain": ["--epochs", "1"], "finetune": ["--epochs", "1"],
+                 "evaluate": ["--checkpoint", str(ckpt), "--metric", "rmse"],
+                 "embed": ["--checkpoint", str(ckpt)]}[command]
+        assert run_cli(command, "--input", str(src), "--out", str(out), *flags) == 1
+        err = capsys.readouterr().err
+        assert f"config error: --out {out}: {taken} exists and is not a directory" in err
+        assert "Traceback" not in err
+        assert steps == [] and taken.read_text() == ""
 
     def test_directory_input_exit_2(self, tmp_path, capsys):
         assert run_cli("featurize", "--input", str(tmp_path), "--out", str(tmp_path / "o")) == 2

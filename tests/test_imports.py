@@ -9,16 +9,11 @@ A function, class or method under ``src/geognn/`` whose name nothing in
 """
 
 import ast
-import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
-
-import tracing  # noqa: E402
-
 PACKAGE = sorted((ROOT / "src" / "geognn").glob("*.py"))
 MODULES = sorted(
     p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
@@ -52,13 +47,12 @@ def test_lint_sees_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 3: t"]
 
 
-def dead_definitions(sources: dict[str, str], exempt_files: set[str],
-                     exempt_names: set[str]) -> list[str]:
+def dead_definitions(sources: dict[str, str], exempt_files: set[str]) -> list[str]:
     """Functions, classes and methods defined in ``sources`` (file name ->
     source) whose name no ``ast.Name``, ``ast.Attribute`` or import alias in
-    any of them reads. Definitions in ``exempt_files``, names in
-    ``exempt_names`` and dunder methods, which Python calls by protocol, are
-    not reported; reads in every file count.
+    any of them reads. Definitions in ``exempt_files`` and dunder methods,
+    which Python calls by protocol, are not reported; reads in every file
+    count.
 
     The check goes by bare name, so any read of a name counts for every
     definition of it: a name shared with numpy, such as ``np.matmul``, hides
@@ -76,27 +70,25 @@ def dead_definitions(sources: dict[str, str], exempt_files: set[str],
             elif isinstance(node, ast.alias):
                 read.add(node.name.split(".")[-1])
     return [f"{file}:{line}: {name}" for file, line, name in defined
-            if name not in read and name not in exempt_names
-            and not (name.startswith("__") and name.endswith("__"))]
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
 
 
 def test_every_definition_is_read():
-    # synth.py generates the tests' and the benchmark's data, and the bench
-    # tracer patches its ops by name, so neither needs a reader in the package
+    # synth.py generates the tests' and the benchmark's data, so it needs no
+    # reader in the package
     sources = {p.name: p.read_text() for p in PACKAGE}
-    ops = set(tracing.NAMED_OPS + tracing.OTHER_OPS)
-    assert dead_definitions(sources, {"synth.py"}, ops) == []
+    assert dead_definitions(sources, {"synth.py"}) == []
 
 
 def test_lint_sees_a_dead_definition():
     sources = {
         "a.py": "import numpy as np\nfrom b import used\n"
-                "def dead(): pass\ndef matmul(): pass\ndef op(): pass\n"
+                "def dead(): pass\ndef matmul(): pass\n"
                 "class C:\n    def __len__(self): return 0\n    def live(self): pass\n"
                 "    def gone(self): pass\n"
                 "def caller(c):\n    c.live()\n    return np.matmul\n",
         "b.py": "def used(): pass\ndef unread(): pass\nx = caller\n",
         "gen.py": "def generated(): pass\nC()\n",
     }
-    assert dead_definitions(sources, {"gen.py"}, {"op"}) == [
-        "a.py:3: dead", "a.py:9: gone", "b.py:2: unread"]
+    assert dead_definitions(sources, {"gen.py"}) == [
+        "a.py:3: dead", "a.py:8: gone", "b.py:2: unread"]

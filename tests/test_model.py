@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geognn import tensor as T
 from geognn.errors import ConfigError, NumericalError, ShapeError
@@ -7,10 +10,12 @@ from geognn.features import FeatureConfig, encode
 from geognn.geometry import build_dual_graph, distance_matrix
 from geognn.model import (MAX_PARAMETERS, GeoGNN, ModelConfig, init_params,
                           parameter_count, parameter_table)
+from geognn.molio import CHIRALITIES
 from geognn.pretrain import loss_distance
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
+from geognn.training import embed_molecules
 
 from conftest import make_molecule, store_of, without_geometry
 from oracles import geognn_forward_reference, model_gradcheck, relative_error
@@ -178,6 +183,67 @@ class TestForward:
         with pytest.raises(NumericalError,
                            match="^block 1: non-finite values produced by affine in node_update"):
             embed_molecule(model, random_molecule(Rng(1)))
+
+
+def _relabel(mol, perm):
+    """mol with atom i moved to perm[i], every atom and bond field carried along."""
+    inverse = np.argsort(perm)
+    return dataclasses.replace(
+        mol, atoms=[mol.atoms[j] for j in inverse], coords=[mol.coords[j] for j in inverse],
+        bonds=[dataclasses.replace(b, a=int(perm[b.a]), b=int(perm[b.b])) for b in mol.bonds])
+
+
+def _moved(mol, rot, shift):
+    return dataclasses.replace(mol, coords=[tuple(xyz) for xyz in
+                                            (np.asarray(mol.coords) @ rot.T + shift).tolist()])
+
+
+@pytest.mark.parametrize("precision,tol", [("f64", 1e-12), ("f32", 1e-5)])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=8))
+def test_embeddings_are_invariant_at_the_default_widths(precision, tol, seed, sizes):
+    """Eval embeddings of a pack of random molecules, with chiral tags and
+    wedge and dash bonds, under relabelled atoms, a shuffled bond list,
+    swapped ends of undirected bonds and a mirror image (each exactly the
+    same), and under a rotation plus a shift of about 10 A and embedding
+    each molecule alone (each within the rounding of ``tol``)."""
+    config = ModelConfig(precision=precision)
+    store = GeoGNN(config, rng=Rng(1)).store
+    gen = np.random.default_rng(seed)
+    mols = []
+    for i, n in enumerate(sizes):
+        mol = random_molecule(Rng(seed).fork(i), min_atoms=n, max_atoms=n,
+                              ring_probability=0.7, mol_id=f"m{i}")
+        for atom in mol.atoms:
+            atom.chirality = CHIRALITIES[gen.integers(len(CHIRALITIES))]
+        for bond in mol.bonds:
+            bond.bond_dir = ("none", "none", "begin_wedge", "begin_dash")[gen.integers(4)]
+        mols.append(mol)
+
+    def embedded(molecules):
+        return np.stack([vec for _, vec in embed_molecules(store, config, molecules)])
+
+    base = embedded(mols)
+    rot, r = np.linalg.qr(gen.normal(size=(3, 3)))
+    rot *= np.sign(np.diag(r))
+    exact = {
+        "shuffled bonds": [dataclasses.replace(m, bonds=[m.bonds[j] for j in
+                                                         gen.permutation(len(m.bonds))])
+                           for m in mols],
+        "swapped ends": [dataclasses.replace(m, bonds=[
+            dataclasses.replace(b, a=b.b, b=b.a) if b.bond_dir == "none" and gen.random() < 0.5
+            else b for b in m.bonds]) for m in mols],
+        "mirror image": [_moved(m, np.diag([-1.0, 1.0, 1.0]), np.zeros(3)) for m in mols],
+    }
+    for name, changed in exact.items():
+        assert np.array_equal(embedded(changed), base), name
+    close = {
+        "relabelled atoms": embedded([_relabel(m, gen.permutation(len(m.atoms))) for m in mols]),
+        "rigid motion": embedded([_moved(m, rot, gen.normal(size=3) * 6.0) for m in mols]),
+        "alone": np.concatenate([embedded([m]) for m in mols]),
+    }
+    for name, got in close.items():
+        assert np.abs(got - base).max() <= tol, name
 
 
 class TestHeads:

@@ -95,13 +95,11 @@ def test_keep_mask_agrees_at_the_threshold(rate):
     [
         lambda: Rng(1).below(0),
         lambda: Rng(1).sample(2, 3),
-        lambda: T.dropout(T.Tensor(np.ones((2, 2))), 0.5, None, training=True),
         lambda: T.node_update(*(T.Tensor(np.ones(s)) for s in ((2, 2), (2, 2))), np.ones((2, 1)),
                               *(T.Tensor(np.ones(s)) for s in ((2, 3), 3, (3, 2), 2, 2, 2)),
                               0.5, None, training=True),
     ],
-    ids=["below-zero", "sample-more-than-population", "dropout-without-rng",
-         "node-update-without-rng"],
+    ids=["below-zero", "sample-more-than-population", "node-update-without-rng"],
 )
 def test_impossible_draw_is_a_config_error(draw):
     with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ deleting a traced name, or calling one through a private alias the
 wrappers cannot see, fails here and not only in a traced benchmark run.
 The benchmark's in-process checks run here too, for the same reason."""
 
+import ast
 import inspect
 import math
 import sys
@@ -45,6 +46,39 @@ def test_install_then_uninstall_restores_every_name():
         tracer.uninstall()
     for ns in _namespaces(g):
         assert dict(vars(ns)) == before[id(ns)], ns
+
+
+def _tensor_reads(source: str) -> set[str]:
+    """The names a module reads from ``geognn.tensor``: imported from it, or
+    read as an attribute of the name it imports the module as."""
+    tree = ast.parse(source)
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "tensor")
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases}
+
+
+def test_placeholder_op_names_are_patched_and_never_read():
+    """``geognn.tensor`` binds the names of deleted ops to None only so that
+    ``Tracer.install``, which patches them by string, still finds them."""
+    g = import_geognn(ROOT)
+    placeholders = {name for name, value in vars(g.tensor).items() if value is None}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(g)
+        patched = {attr for owner, attr, _ in tracer._patches if owner is g.tensor}
+    finally:
+        tracer.uninstall()
+    assert placeholders <= patched
+    for path in sorted((ROOT / "src" / "geognn").glob("*.py")):
+        assert not placeholders & _tensor_reads(path.read_text()), path.name
+    assert _tensor_reads("from . import tensor as T\nfrom .tensor import Tape\nT.affine(T.x)\n"
+                         "np.exp(1)") == {"Tape", "affine", "x"}
 
 
 def test_training_calls_reach_the_wrappers(tmp_path):

@@ -429,6 +429,31 @@ class TestFinetuneLoop:
         result = finetune(split, TINY_MODEL, run)
         assert 0.0 <= result.report["test_metric"] <= 1.0
 
+    @pytest.mark.parametrize("metric,part,labels,error,text", [
+        ("rmse", "test", [None, None], DataError, "no task had any labels"),
+        ("rocauc", "valid", [0.0, 2.0], ConfigError, "rocauc requires binary 0/1 labels"),
+        ("rocauc", "valid", [1.0, 1.0], DataError, "no task had both classes present"),
+        ("rocauc", "train", [1.0] * 6, DataError, "no task had both classes present"),
+    ], ids=["unlabelled-test", "non-binary-valid", "one-class-valid", "one-class-train"])
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_unscorable_split_raises_before_the_first_step(self, monkeypatch, metric, part,
+                                                           labels, error, text, epochs):
+        # train and valid are scored only after an epoch; test always is
+        mols = tiny_dataset(10, seed=27)
+        for i, m in enumerate(mols):
+            m.labels = {"y": float(i % 2)}
+        for m, y in zip([m for m in mols if m.split == part], labels):
+            m.labels = {"y": y}
+        steps = []
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        run = RunConfig(epochs=epochs, batch_size=4, metric=metric, seed=28)
+        if epochs == 0 and part != "test":
+            finetune(DatasetSplit.from_tags(mols), TINY_MODEL, run)
+            return
+        with pytest.raises(error, match=text):
+            finetune(DatasetSplit.from_tags(mols), TINY_MODEL, run)
+        assert steps == []
+
     def test_dropout_stream_per_molecule(self, monkeypatch):
         # molecules at the same position of different batches must not
         # share a dropout stream
