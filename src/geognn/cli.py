@@ -36,7 +36,7 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, GeoGnnError, NumericalError, ParseError
 from .features import FeatureConfig
 from .model import ModelConfig
-from .molio import Molecule, parse_jsonl_lenient, parse_sdf_lenient
+from .molio import Molecule, parse_jsonl, parse_jsonl_lenient, parse_sdf, parse_sdf_lenient
 from .training import (
     METRICS,
     DatasetSplit,
@@ -151,9 +151,10 @@ def _read_molecules(paths: list[str], strict: bool = True):
             raise DataError(f"input file {path}: cannot read ({err.strerror})") from None
         sniff = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
         is_jsonl = p.suffix.lower() in (".jsonl", ".json") or sniff == b"{"
+        if strict:
+            molecules.extend((parse_jsonl if is_jsonl else parse_sdf)(data))
+            continue
         mols, errs = (parse_jsonl_lenient if is_jsonl else parse_sdf_lenient)(data)
-        if strict and errs:
-            raise errs[0]
         molecules.extend(mols)
         for e in errs:
             logger.warning("%s: %s", path, e)

@@ -1,10 +1,13 @@
 """Molecule model plus SDF (MOL V2000) and JSON-lines ingestion.
 
-Both formats share one record loop: a bad SDF record or JSONL line is one
+Both formats share one record parse: a bad SDF record or JSONL line is one
 ParseError at its first line. ``parse_sdf_lenient`` and ``parse_jsonl_lenient``
-collect them; ``parse_sdf`` and ``parse_jsonl`` raise the first. Every field
-is judged by ``Molecule.validate``, which both readers and the training API
-(``pretrain``, ``finetune``, ``evaluate``, ``embed_molecules``) apply.
+collect them, each stored without its traceback and context, so no frame of
+the reader keeps the call's molecules and text alive after it returns.
+``parse_sdf`` and ``parse_jsonl`` stop at the first bad record and raise its
+ParseError from where it happened. Every field is judged by
+``Molecule.validate``, which both readers and the training API (``pretrain``,
+``finetune``, ``evaluate``, ``embed_molecules``) apply.
 
 Input hydrogens are kept as explicit atoms; no implicit-H inference is
 performed beyond counting bonded hydrogens.
@@ -405,31 +408,44 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
     return annotate_derived_attributes(mol.validate())
 
 
-def _parse_records(records, parse_record) -> tuple[list[Molecule], list[ParseError]]:
-    """``parse_record(first_line, record, index)`` of each record, collecting
-    each bad record's ParseError instead of raising it: a DataError from its
-    ``validate`` is a ParseError at its first line."""
+def _parse_record(parse, first_line: int, record, index: int) -> Molecule:
+    """``parse(first_line, record, index)``; a DataError from the molecule's
+    ``validate`` is a ParseError at the record's first line."""
+    try:
+        return parse(first_line, record, index)
+    except DataError as err:
+        raise ParseError(str(err), first_line) from None
+
+
+def _parse_records(records, parse) -> tuple[list[Molecule], list[ParseError]]:
+    """``_parse_record`` of each record, collecting each bad record's
+    ParseError instead of raising it.
+
+    A collected error is stored with no traceback and no context. Both lead
+    back to this frame, which holds the molecule and error lists and the
+    record iterator over the whole text: a reference cycle that would keep all
+    of it alive, after the caller drops it, until the cyclic collector runs."""
     molecules, errors = [], []
     for index, (first_line, record) in enumerate(records):
         try:
-            molecules.append(parse_record(first_line, record, index))
+            molecules.append(_parse_record(parse, first_line, record, index))
         except ParseError as err:
+            err.__traceback__ = err.__context__ = None
             errors.append(err)
-        except DataError as err:
-            errors.append(ParseError(str(err), first_line))
     return molecules, errors
 
 
-def _first_error_raised(parsed: tuple[list[Molecule], list[ParseError]]) -> list[Molecule]:
-    molecules, errors = parsed
-    if errors:
-        raise errors[0]
-    return molecules
+def _parse_all(records, parse) -> list[Molecule]:
+    """``_parse_record`` of each record, up to the first bad one, whose
+    ParseError propagates; no record after it is read."""
+    return [_parse_record(parse, first_line, record, index)
+            for index, (first_line, record) in enumerate(records)]
 
 
 def parse_sdf(data: bytes | str) -> list[Molecule]:
-    """Parse all $$$$-separated V2000 records; raises ParseError on the first problem."""
-    return _first_error_raised(parse_sdf_lenient(data))
+    """Parse all $$$$-separated V2000 records; raises the first bad record's
+    ParseError, reading no record after it."""
+    return _parse_all(iter_sdf_records(_decode(data)), _parse_sdf_record)
 
 
 def parse_sdf_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseError]]:
@@ -471,16 +487,23 @@ def _parse_jsonl_record(lineno: int, line: str, index: int) -> Molecule:
     return mol
 
 
+def _jsonl_records(text: str):
+    """Yield (line_number, line) for each non-blank line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
+
+
 def parse_jsonl(data: bytes | str) -> list[Molecule]:
-    """One molecule per non-blank line; ParseError names the first bad line."""
-    return _first_error_raised(parse_jsonl_lenient(data))
+    """One molecule per non-blank line; ParseError names the first bad line,
+    and no line after it is read."""
+    return _parse_all(_jsonl_records(_decode(data)), _parse_jsonl_record)
 
 
 def parse_jsonl_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseError]]:
     """One molecule per non-blank line, collecting each bad line's
     ParseError instead of raising it."""
-    lines = enumerate(_decode(data).splitlines(), start=1)
-    return _parse_records(((n, line) for n, line in lines if line.strip()), _parse_jsonl_record)
+    return _parse_records(_jsonl_records(_decode(data)), _parse_jsonl_record)
 
 
 def molecule_to_json_dict(mol: Molecule) -> dict:

@@ -174,7 +174,8 @@ def _binary(op: str, a, b, forward: Callable, grads: Callable) -> Tensor:
         ga, gb = grads(g, a.data, b.data)
         return _reduce_to(ga, a), _reduce_to(gb, b)
 
-    return _emit(forward(a.data, b.data), (a, b), grad_fn, op)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
+        return _emit(forward(a.data, b.data), (a, b), grad_fn, op)
 
 
 def add(a, b) -> Tensor:
@@ -282,7 +283,8 @@ def sum_all(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.full(x.shape, float(g), dtype=x.dtype),)
 
-    return _emit(np.asarray(x.data.sum(), dtype=x.dtype), (x,), grad_fn, "sum_all")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
+        return _emit(np.asarray(x.data.sum(), dtype=x.dtype), (x,), grad_fn, "sum_all")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -296,7 +298,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):  # a constant x, such as a feature matrix, needs no gradient
         return g @ w.data.T if x.requires_grad else None, x.data.T @ g, g.sum(axis=0)
 
-    return _emit(x.data @ w.data + b.data, (x, w, b), grad_fn, "affine")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
+        return _emit(x.data @ w.data + b.data, (x, w, b), grad_fn, "affine")
 
 
 def _normalize(x: np.ndarray, eps: float, op: str) -> tuple[np.ndarray, np.ndarray]:

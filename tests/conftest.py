@@ -1,5 +1,8 @@
+import contextlib
+import gc
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,29 @@ def without_geometry(encoded: EncodedGraph) -> EncodedGraph:
             if block["name"].endswith("_rbf"):
                 getattr(out, kind)[:, block["offset"] : block["offset"] + block["width"]] = 0.0
     return out
+
+
+@contextlib.contextmanager
+def no_cyclic_garbage():
+    """Assert that the body leaves nothing in a reference cycle: with the
+    cyclic collector off, all that the body drops must be freed by reference
+    counting alone, so the collection after it finds nothing. On failure the
+    message lists the types of the objects it found."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what it finds, to name it
+        try:
+            found = gc.collect()
+            left = Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert found == 0, f"{found} objects left in reference cycles: {left.most_common(10)}"
+    finally:
+        gc.enable()
 
 
 def store_of(arrays: dict, dtype=np.float64) -> ParamStore:

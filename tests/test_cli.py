@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geognn import training
+from geognn import cli, training
 from geognn.cli import main
 from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
@@ -144,6 +144,36 @@ class TestFeaturize:
         assert summary["parse_errors"] == [
             "line 2: invalid JSON: Expecting property name enclosed in double quotes"
         ]
+
+    @pytest.mark.parametrize("command,name", [
+        ("featurize", "in.sdf"), ("featurize", "in.jsonl"), ("pretrain", "in.sdf")])
+    def test_strict_read_exit_2_names_only_the_first_bad_record(
+            self, tmp_path, capsys, monkeypatch, water, command, name):
+        """Strict reads go through the strict readers, which stop at the
+        first bad record: the lenient ones are never called."""
+        def lenient(data):
+            raise AssertionError("a strict read called a lenient reader")
+
+        monkeypatch.setattr(cli, "parse_sdf_lenient", lenient)
+        monkeypatch.setattr(cli, "parse_jsonl_lenient", lenient)
+        if name.endswith(".sdf"):
+            body = "".join(path.read_text() for path in (
+                FIXTURES / "golden.sdf", FIXTURES / "malformed" / "bad_counts.sdf",
+                FIXTURES / "malformed" / "bad_bond_type.sdf"))
+            first, second = "line 41: bad atom count field 'X'", "line 52"
+        else:
+            good = write_jsonl([water]).decode()
+            body = good + "{\n" + good + '{"id": "x"}\n'
+            first, second = "line 2: invalid JSON", "line 4"
+        src = tmp_path / name
+        src.write_text(body)
+        flags = ["--strict"] if command == "featurize" else ["--epochs", "1"]
+        code = run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"), *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: {first}" in err
+        assert second not in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["in.jsonl", "in.txt"])
     def test_jsonl_with_byte_order_mark(self, tmp_path, water, name):

@@ -15,7 +15,7 @@ from geognn.pretrain import loss_distance
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
-from geognn.training import embed_molecules
+from geognn.training import _downstream_batch_loss, embed_molecules, prepare_molecules
 
 from conftest import make_molecule, store_of, without_geometry
 from oracles import geognn_forward_reference, model_gradcheck, relative_error
@@ -244,6 +244,46 @@ def test_embeddings_are_invariant_at_the_default_widths(precision, tol, seed, si
     }
     for name, got in close.items():
         assert np.abs(got - base).max() <= tol, name
+
+
+@pytest.mark.parametrize("precision,tol", [("f64", 1e-12), ("f32", 1e-5)])
+def test_downstream_step_gradients_are_invariant_under_relabelling(precision, tol):
+    """One train-mode downstream step (dropout 0) at the default widths on a
+    batch of random molecules with chiral tags, wedge and dash bonds and a
+    missing label: relabelling each molecule's atoms, every atom and bond
+    field carried along, gives the same loss and every parameter the same
+    gradient, within the rounding of ``tol`` relative to its largest entry."""
+    config = ModelConfig(precision=precision, dropout=0.0, num_tasks=2)
+    gen = np.random.default_rng(8)
+    mols = []
+    for i, n in enumerate((1, 2, 6, 13, 24, 37)):
+        mol = random_molecule(Rng(8).fork(i), min_atoms=n, max_atoms=n,
+                              ring_probability=0.7, mol_id=f"m{i}")
+        for atom in mol.atoms:
+            atom.chirality = CHIRALITIES[gen.integers(len(CHIRALITIES))]
+        for bond in mol.bonds:
+            bond.bond_dir = ("none", "none", "begin_wedge", "begin_dash")[gen.integers(4)]
+        mols.append(mol)
+    labels = gen.normal(size=(len(mols), 2))
+    labels[3, 1] = np.nan
+
+    def step(molecules):
+        model = GeoGNN(config, rng=Rng(2))
+        items = prepare_molecules(molecules, model.features, dtype=config.dtype)
+        with Tape() as tape:
+            loss, _ = _downstream_batch_loss(model, items, labels, "regression",
+                                             [Rng(3).fork(i) for i in range(len(items))])
+        tape.backward(loss)
+        return loss.item(), {name: t.grad for name, t in model.store.items()}
+
+    loss, grads = step(mols)
+    moved_loss, moved = step([_relabel(m, gen.permutation(len(m.atoms))) for m in mols])
+    assert abs(moved_loss - loss) <= tol * abs(loss)
+    assert {n for n, g in moved.items() if g is None} == {n for n, g in grads.items() if g is None}
+    assert any(name.startswith("block") for name, g in grads.items() if g is not None)
+    for name, grad in grads.items():
+        if grad is not None:
+            assert np.abs(moved[name] - grad).max() <= tol * np.abs(grad).max(), name
 
 
 class TestHeads:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geognn import molio
 from geognn.errors import DataError, GeoGnnError, ParseError
+from geognn.model import GeoGNN, ModelConfig
 from geognn.molio import (
     Atom,
     Bond,
@@ -22,8 +24,9 @@ from geognn.molio import (
     write_jsonl,
 )
 from geognn.rng import Rng
+from geognn.training import embed_molecules
 
-from conftest import FIXTURES, make_dce, make_molecule
+from conftest import FIXTURES, make_dce, make_molecule, no_cyclic_garbage
 from oracles import cycle_bonds_by_removal, sdf_reference
 
 
@@ -180,6 +183,115 @@ class TestJsonl:
     def test_golden_sdf_round_trips_through_jsonl(self):
         mols = parse_sdf((FIXTURES / "golden.sdf").read_bytes())
         assert parse_jsonl(write_jsonl(mols)) == mols
+
+
+_MALFORMED = sorted(p.name for p in (FIXTURES / "malformed").iterdir())
+
+# (line, text) of each error of _mixed_sdf, one per malformed fixture in name
+# order: field errors, one Molecule.validate error (duplicate_bond.sdf) and
+# errors raised while handling a ValueError (bad_counts.sdf)
+_MIXED_SDF_ERRORS = [
+    (44, "line 44: unknown bond type 9"),
+    (89, "line 89: non-numeric coordinate 'abcdef'"),
+    (133, "line 133: bad atom count field 'X'"),
+    (181, "line 181: atom index out of range"),
+    (221, "line 221: molecule duplicate bond: duplicate bond (0, 1)"),
+    (274, "line 274: bond joins atom 1 to itself"),
+    (318, "line 318: atom line shorter than 34 columns"),
+    (358, "line 358: record too short for a V2000 header"),
+    (400, "line 400: record ends before 3 atom and 1 bond lines"),
+    (446, "line 446: unknown element symbol 'Xx'"),
+]
+
+
+def _mixed_sdf() -> str:
+    """The three golden records before each malformed fixture in turn."""
+    good = (FIXTURES / "golden.sdf").read_text()
+    return "".join(good + (FIXTURES / "malformed" / name).read_text() for name in _MALFORMED)
+
+
+def _mixed_jsonl() -> str:
+    """Three good lines and a blank one around a bad line of each kind: bad
+    JSON, a missing key, a value validate refuses, a field of the wrong type."""
+    mol = make_molecule(["O", "H"], [(0, 1)], [(0, 0, 0), (0.96, 0, 0)], labels={"y": 1.0})
+    good = json.dumps(molecule_to_json_dict(mol))
+    return "\n".join([good, "{", good, '{"id": "x"}', good.replace('"y": 1.0', '"y": Infinity'),
+                      good.replace('"bonds": [', '"bonds": 5, "x": ['), "", good])
+
+
+_MIXED_JSONL_ERRORS = [
+    (2, "line 2: invalid JSON: Expecting property name enclosed in double quotes"),
+    (4, "line 4: missing required key 'atoms'"),
+    (5, "line 5: molecule m: label y must be None, NaN or a finite real number, got inf"),
+    (6, "line 6: bad field value: 'int' object is not iterable"),
+]
+
+
+def _collected(parsed) -> tuple[list[str], list[tuple]]:
+    """A lenient reader's molecule ids, and per error its line, its text and
+    whether its traceback and its context are None."""
+    molecules, errors = parsed
+    return [m.id for m in molecules], [
+        (e.line, str(e), e.__traceback__ is None, e.__context__ is None) for e in errors]
+
+
+class TestReadersKeepNoCycles:
+    """Once the caller drops what a reader returned or raised, reference
+    counting alone frees it: a collected error holds no frame, and nothing a
+    raised error holds refers back to it."""
+
+    def test_lenient_sdf_with_every_malformed_record(self):
+        data = _mixed_sdf()
+        with no_cyclic_garbage():
+            ids, errors = _collected(parse_sdf_lenient(data))
+        assert ids == ["water", "cyclopropane", "acetate"] * len(_MALFORMED)
+        assert errors == [(line, text, True, True) for line, text in _MIXED_SDF_ERRORS]
+
+    def test_lenient_jsonl_with_bad_lines(self):
+        data = _mixed_jsonl()
+        with no_cyclic_garbage():
+            ids, errors = _collected(parse_jsonl_lenient(data))
+        assert ids == ["m"] * 3
+        assert errors == [(line, text, True, True) for line, text in _MIXED_JSONL_ERRORS]
+
+    def test_strict_readers_raise_the_first_error(self):
+        raised, inputs = [], ((parse_sdf, _mixed_sdf()), (parse_jsonl, _mixed_jsonl()))
+        with no_cyclic_garbage():
+            for parse, data in inputs:
+                try:
+                    parse(data)
+                except ParseError as err:
+                    raised.append((err.line, str(err)))
+        assert raised == [_MIXED_SDF_ERRORS[0], _MIXED_JSONL_ERRORS[0]]
+
+    @pytest.mark.parametrize("parse, record_parser, data, records_read", [
+        (parse_sdf, "_parse_sdf_record", _mixed_sdf(), 4),
+        (parse_jsonl, "_parse_jsonl_record", _mixed_jsonl(), 2),
+    ], ids=["sdf", "jsonl"])
+    def test_strict_readers_read_no_record_after_the_first_bad_one(
+            self, monkeypatch, parse, record_parser, data, records_read):
+        first_lines = []
+        real = getattr(molio, record_parser)
+
+        def counted(first_line, record, index):
+            first_lines.append(first_line)
+            return real(first_line, record, index)
+
+        monkeypatch.setattr(molio, record_parser, counted)
+        with pytest.raises(ParseError):
+            parse(data)
+        assert len(first_lines) == records_read
+
+    def test_lenient_sdf_then_embed(self):
+        config = ModelConfig(num_blocks=2, hidden=8, dropout=0.0, distance_bins=5,
+                             geom_head_hidden=8, down_head_hidden=8)
+        store = GeoGNN(config, rng=Rng(1)).store
+        data = _mixed_sdf()
+        want = [vec for _, vec in embed_molecules(store, config, parse_sdf_lenient(data)[0])]
+        with no_cyclic_garbage():
+            got = [vec for _, vec in embed_molecules(store, config, parse_sdf_lenient(data)[0])]
+        assert len(got) == 3 * len(_MALFORMED)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestRingMembership:

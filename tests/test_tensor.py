@@ -890,6 +890,24 @@ class TestDeterminismAndSafety:
         with pytest.raises(NumericalError, match="segment_sum"):
             T.segment_sum(Tensor([[1e308], [1e308]]), [0, 0], 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "affine", "sum_all"])
+    def test_finite_operands_that_overflow_raise_only_numerical_error(self, op):
+        """numpy's overflow warning would come first, and under this filter
+        it would be what is raised."""
+        run = {
+            "add": lambda: T.add(Tensor([[1.7e308]]), Tensor([[1.7e308]])),
+            "sub": lambda: T.sub(Tensor([[1.7e308]]), Tensor([[-1.7e308]])),
+            # inf and -inf: the finite check's own sum is NaN
+            "mul": lambda: T.mul(Tensor([[1e200, -1e200]]), Tensor([[1e200, 1e200]])),
+            "div": lambda: T.div(Tensor([[1e300]]), Tensor([[1e-300]])),
+            "affine": lambda: T.affine(Tensor(np.full((2, 3), 1e200)),
+                                       Tensor(np.full((3, 2), 1e200)), Tensor(np.zeros(2))),
+            "sum_all": lambda: T.sum_all(Tensor([1.7e308, 1.7e308])),
+        }[op]
+        with pytest.raises(NumericalError, match=f"^non-finite values produced by {op}$"):
+            run()
+
     def test_gradcheck_random_ops_20_instances(self):
         # every differentiable primitive, 20 random instances, rel err < 1e-4
         rng = np.random.default_rng(14)
