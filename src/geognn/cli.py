@@ -264,12 +264,7 @@ def cmd_evaluate(args) -> int:
     molecules, _ = _read_molecules(args.input)
     split = DatasetSplit.from_tags(molecules)
     part = getattr(split, args.split)
-    names = extra.get("task_names")
-    if names is not None and not (isinstance(names, list) and len(names) == model_cfg.num_tasks
-                                  and all(isinstance(n, str) for n in names)):
-        raise DataError(f"{args.checkpoint}: checkpoint task_names is not a list of "
-                        f"{model_cfg.num_tasks} strings")
-    report = evaluate(store, model_cfg, part, metric, names=names)
+    report = evaluate(store, model_cfg, part, metric, names=extra.get("task_names"))
     report["split"] = args.split
     write_report(Path(args.out) / "evaluate_report.json", report)
     print(f"{args.split} {metric}: {report['value']:.6f} ({report['count']} molecules)")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import json
 import math
@@ -71,6 +72,14 @@ def rename_atom_block(header) -> None:
     """edit_header edit: a foreign feature layout of the same widths, its
     first atom block renamed."""
     header["feature_manifest"]["atom"][0]["name"] = "element"
+
+
+def relabel(mol, perm):
+    """mol with atom i moved to perm[i], every atom and bond field carried along."""
+    inverse = np.argsort(perm)
+    return dataclasses.replace(
+        mol, atoms=[mol.atoms[j] for j in inverse], coords=[mol.coords[j] for j in inverse],
+        bonds=[dataclasses.replace(b, a=int(perm[b.a]), b=int(perm[b.b])) for b in mol.bonds])
 
 
 def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):

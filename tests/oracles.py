@@ -636,20 +636,14 @@ def adam_reference(params: dict, grads: dict, moments: dict, t: int, lr_body: fl
 
 def checkpoint_bytes_reference(store, model_config, feature_config, extra=None) -> bytes:
     """A checkpoint file as the layout in ``geognn.checkpoint``'s docstring
-    states it, assembled one tensor at a time."""
+    states it, its payload assembled one tensor at a time."""
     import json
     import zlib
 
-    entries, blobs, offset = [], [], 0
-    for name, tensor in store.items():
-        raw = tensor.data.astype("<f4" if tensor.data.dtype == np.float32 else "<f8").tobytes()
-        entries.append({"name": name, "kind": "param", "dtype": str(tensor.data.dtype),
-                        "shape": list(tensor.shape), "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
-    payload = b"".join(blobs)
-    header = json.dumps({"format_version": 2, "model_config": model_config.to_dict(),
-                         "feature_manifest": feature_config.manifest(), "tensors": entries,
+    payload = b"".join(tensor.data.astype("<f4" if tensor.data.dtype == np.float32 else "<f8")
+                       .tobytes() for _, tensor in store.items())
+    header = json.dumps({"format_version": 3, "model_config": model_config.to_dict(),
+                         "feature_manifest": feature_config.manifest(),
                          "payload_nbytes": len(payload), "payload_crc32": zlib.crc32(payload),
                          "extra": extra or {}}, sort_keys=True).encode("utf-8")
-    return b"GEM1" + (2).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + payload
+    return b"GEM1" + (3).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + payload

@@ -8,7 +8,7 @@ from geognn.checkpoint import check_manifest, load_checkpoint, save_checkpoint
 from geognn.cli import main
 from geognn.errors import ConfigError, DataError, GeoGnnError
 from geognn.features import FeatureConfig
-from geognn.model import GeoGNN, ModelConfig, parameter_table
+from geognn.model import GeoGNN, ModelConfig, parameter_count, parameter_table
 from geognn.molio import write_jsonl
 from geognn.rng import Rng
 from geognn.synth import random_molecule
@@ -54,12 +54,8 @@ def test_checkpoint_holds_parameters_only(tmp_path):
     adam_step(model.store, lr_body=1e-3, lr_head=1e-3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.store, CFG, FeatureConfig())
-    header = _header(path)
-    features = FeatureConfig()
-    table = parameter_table(CFG, features.atom_width, features.bond_width, features.angle_width)
-    assert [entry["name"] for entry in header["tensors"]] == [name for name, _, _ in table]
-    assert {entry["kind"] for entry in header["tensors"]} == {"param"}
-    assert "adam_step" not in header
+    assert set(_header(path)) == {"format_version", "model_config", "feature_manifest",
+                                  "payload_nbytes", "payload_crc32", "extra"}
     store, _, _, _ = load_checkpoint(path)
     for name in model.store.names():
         assert np.array_equal(store[name].data, model.store[name].data)
@@ -84,6 +80,13 @@ def test_file_is_the_per_tensor_layout(tmp_path, precision, fingerprint_bits, nu
     save_checkpoint(tmp_path / "stepped.ckpt", store, cfg, FeatureConfig(), extra=extra)
     expected = checkpoint_bytes_reference(store, cfg, FeatureConfig(), extra)
     assert (tmp_path / "stepped.ckpt").read_bytes() == expected
+    # save -> load -> save: the same parameters, bit for bit, and the same bytes
+    loaded, loaded_cfg, _, loaded_extra = load_checkpoint(tmp_path / "stepped.ckpt")
+    assert loaded.shapes() == store.shapes()
+    assert loaded.flat.tobytes() == store.flat.tobytes()
+    save_checkpoint(tmp_path / "again.ckpt", loaded, loaded_cfg, FeatureConfig(),
+                    extra=loaded_extra)
+    assert (tmp_path / "again.ckpt").read_bytes() == expected
 
 
 def test_magic_is_checked(tmp_path):
@@ -115,35 +118,18 @@ def test_corrupt_header_is_a_data_error(tmp_path):
         load_checkpoint(path)
 
 
-def _as_version_1(path) -> None:
-    """Rewrite a checkpoint as format version 1 wrote it, without the
-    payload's length and checksum."""
-    def drop(header):
-        del header["payload_nbytes"], header["payload_crc32"]
-        header["format_version"] = 1
-
-    edit_header(path, drop)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
-
-
-def test_version_1_file_still_loads(tmp_path):
-    model = GeoGNN(CFG, rng=Rng(14))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.store, CFG, FeatureConfig(), extra={"epoch": 2})
-    _as_version_1(path)
-    store, cfg, _, extra = load_checkpoint(path)
-    assert cfg == CFG and extra == {"epoch": 2}
-    assert np.array_equal(store.flat, model.store.flat)
-
-
-def test_unknown_version_is_a_data_error(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 4])
+def test_other_version_is_a_data_error(tmp_path, capsys, version):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, GeoGNN(CFG, rng=Rng(15)).store, CFG, FeatureConfig())
     raw = path.read_bytes()
-    path.write_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
-    with pytest.raises(DataError, match="unsupported checkpoint version 3"):
+    path.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+    message = f"unsupported checkpoint version {version}; this build reads version 3 only"
+    with pytest.raises(DataError, match=message) as info:
         load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert _embed(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
 
 
 def _edit_payload(path, edit: str) -> None:
@@ -176,12 +162,17 @@ def test_payload_off_its_header_is_a_data_error(tmp_path, capsys, edit, message)
     with pytest.raises(DataError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    mol = random_molecule(Rng(17), min_atoms=3, max_atoms=5, mol_id="m0")
-    (tmp_path / "in.jsonl").write_bytes(write_jsonl([mol]))
-    assert main(["embed", "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "out"),
-                 "--checkpoint", str(path)]) == 2
+    assert _embed(tmp_path, path) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def _embed(tmp_path, path) -> int:
+    """The exit code of ``embed`` from the checkpoint at ``path`` on one molecule."""
+    mol = random_molecule(Rng(17), min_atoms=3, max_atoms=5, mol_id="m0")
+    (tmp_path / "in.jsonl").write_bytes(write_jsonl([mol]))
+    return main(["embed", "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(path)])
 
 
 def _header(path) -> dict:
@@ -198,8 +189,29 @@ def test_invalid_header_config_is_a_data_error(tmp_path, key, value):
         load_checkpoint(path)
 
 
-def test_corrupt_num_blocks_reads_no_more_of_its_table_than_the_file_holds(tmp_path,
-                                                                           monkeypatch):
+@pytest.mark.parametrize("value", [None, 5, "x", [1]])
+def test_manifest_not_an_object_is_a_data_error(tmp_path, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(7)).store, CFG, FeatureConfig())
+    edit_header(path, lambda header: header.__setitem__("feature_manifest", value))
+    with pytest.raises(DataError, match="checkpoint feature_manifest is not an object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("names", [5, "yz", ["y"], ["y", 2], ["y", "z", "w"]])
+def test_task_names_off_the_config_is_a_data_error(tmp_path, capsys, names):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GeoGNN(CFG, rng=Rng(7)).store, CFG, FeatureConfig(),
+                    extra={"task_names": ["y", "z"]})
+    edit_header(path, lambda header: header["extra"].__setitem__("task_names", names))
+    message = "checkpoint task_names is not a list of 2 strings"
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+    assert _embed(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_corrupt_num_blocks_reads_none_of_its_table(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, GeoGNN(CFG, rng=Rng(8)).store, CFG, FeatureConfig())
     edit_header(path, lambda header: header["model_config"].__setitem__("num_blocks", 10**4))
@@ -211,93 +223,52 @@ def test_corrupt_num_blocks_reads_no_more_of_its_table_than_the_file_holds(tmp_p
             yield row
 
     monkeypatch.setattr("geognn.checkpoint.parameter_table", counted)
-    with pytest.raises(DataError, match="tensor head_length.l1.w has shape"):
+    with pytest.raises(DataError, match="its config's parameters take"):
         load_checkpoint(path)
-    assert len(read) <= len(_header(path)["tensors"]) + 1
+    assert read == []
 
 
-def _edit_directory(entries: list, edit: str, item: int) -> None:
-    """One edit of a mid-table entry, whose bytes stay inside the payload."""
-    i = len(entries) // 2
-    entry = entries[i]
-    if edit == "swapped":
-        entries[i], entries[i + 1] = entries[i + 1], entries[i]
-    elif edit == "dtype":
-        entry["dtype"] = "float32" if item == 8 else "float64"
-    else:
-        key, value = {"negative": ("offset", -2 * entry["nbytes"]),
-                      "overlap": ("offset", entries[i - 1]["offset"]),
-                      "offset+item": ("offset", entry["offset"] + item),
-                      "nbytes+item": ("nbytes", entry["nbytes"] + item),
-                      "nbytes-item": ("nbytes", entry["nbytes"] - item)}[edit]
-        entry[key] = value
+# each field of the config that fixes the payload's layout, over CFG's values
+# (down_head_hidden counts as CFG has tasks); num_tasks also from 0 tasks
+_LAYOUT_EDITS = [("num_blocks", {}), ("hidden", {}), ("distance_bins", {}),
+                 ("geom_head_hidden", {}), ("down_head_hidden", {}), ("fingerprint_bits", {}),
+                 ("num_tasks", {}), ("num_tasks", {"num_tasks": 0}), ("precision", {})]
 
 
+@pytest.mark.parametrize("key,base", _LAYOUT_EDITS,
+                         ids=[key + ("-from-0" if base.get("num_tasks") == 0 else "")
+                              for key, base in _LAYOUT_EDITS])
 @pytest.mark.parametrize("precision", ["f64", "f32"])
-@pytest.mark.parametrize("edit", ["negative", "overlap", "offset+item", "nbytes+item",
-                                  "nbytes-item", "swapped", "dtype"])
-def test_directory_off_the_layout_is_a_data_error(tmp_path, capsys, precision, edit):
-    cfg = ModelConfig(**{**CFG.to_dict(), "num_tasks": 1, "precision": precision})
+def test_header_config_off_the_payload_size_is_a_data_error(tmp_path, capsys, key, base,
+                                                            precision):
+    cfg = ModelConfig(**{**CFG.to_dict(), **base, "precision": precision})
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, GeoGNN(cfg, rng=Rng(10)).store, cfg, FeatureConfig(),
-                    extra={"task_names": ["y"]})
-    item = np.dtype(cfg.dtype).itemsize
-    edit_header(path, lambda header: _edit_directory(header["tensors"], edit, item))
-    with pytest.raises(DataError, match="breaks the checkpoint layout") as info:
+    save_checkpoint(path, GeoGNN(cfg, rng=Rng(10)).store, cfg, FeatureConfig())
+    swapped = {"f64": "f32", "f32": "f64"}[precision]
+    edited = {**cfg.to_dict(), key: swapped if key == "precision" else getattr(cfg, key) + 1}
+    edit_header(path, lambda header: header.__setitem__("model_config", edited))
+    features = FeatureConfig()
+    widths = features.atom_width, features.bond_width, features.angle_width
+    sizes = [parameter_count(c, *widths) * np.dtype(c.dtype).itemsize
+             for c in (ModelConfig(**edited), cfg)]
+    assert sizes[0] != sizes[1]
+    message = f"its config's parameters take {sizes[0]} bytes; its payload holds {sizes[1]}"
+    with pytest.raises(DataError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    mol = random_molecule(Rng(11), min_atoms=3, max_atoms=5, mol_id="m0")
-    mol.labels = {"y": 1.0}
-    (tmp_path / "in.jsonl").write_bytes(write_jsonl([mol]))
-    for command, flags in (("embed", []), ("evaluate", ["--metric", "rmse"])):
-        assert main([command, "--input", str(tmp_path / "in.jsonl"), "--out",
-                     str(tmp_path / "out"), "--checkpoint", str(path), *flags]) == 2
-        err = capsys.readouterr().err
-        assert "breaks the checkpoint layout" in err
-        assert "Traceback" not in err
+    assert _embed(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
-def _legacy_checkpoint(path, name="embed.atom.w", kinds=("adam_m", "adam_v"), **changes):
-    """A checkpoint as written before checkpoints held parameters only: an
-    "adam_step" header key and, for the named parameter, one entry per kind
-    in kinds that points at that parameter's bytes, with changes applied."""
-    model = GeoGNN(CFG, rng=Rng(9))
+def test_header_dropout_edit_still_loads(tmp_path):
+    model = GeoGNN(CFG, rng=Rng(11))
+    path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.store, CFG, FeatureConfig())
-
-    def add_moments(header):
-        param = next(entry for entry in header["tensors"] if entry["name"] == name)
-        header["tensors"] += [{**param, "kind": kind, **changes} for kind in kinds]
-        header["adam_step"] = 1
-
-    edit_header(path, add_moments)
-    return model
-
-
-def test_legacy_checkpoint_with_moments_loads_its_params(tmp_path):
-    path = tmp_path / "model.ckpt"
-    model = _legacy_checkpoint(path)
-    store, _, _, _ = load_checkpoint(path)
-    assert store.names() == model.store.names()
-    for name in store.names():
-        assert np.array_equal(store[name].data, model.store[name].data)
-    assert store.step == 0
-    assert store.moments is None
-
-
-def test_unknown_tensor_kind_is_a_data_error(tmp_path):
-    path = tmp_path / "model.ckpt"
-    _legacy_checkpoint(path, kinds=("adam_m", "adam_x"))
-    with pytest.raises(DataError, match="tensor embed.atom.w has unknown kind 'adam_x'") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
-
-
-def test_legacy_moment_out_of_bounds_is_a_data_error(tmp_path):
-    path = tmp_path / "model.ckpt"
-    _legacy_checkpoint(path, offset=10**9)
-    with pytest.raises(DataError, match="truncated checkpoint payload at embed.atom.w") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
+    edit_header(path, lambda header: header["model_config"].__setitem__("dropout", 0.5))
+    store, cfg, _, _ = load_checkpoint(path)
+    assert cfg == ModelConfig(**{**CFG.to_dict(), "dropout": 0.5})
+    assert store.flat.tobytes() == model.store.flat.tobytes()
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
@@ -322,15 +293,6 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_checkpoint(tmp_path / "a.ckpt", model.store, CFG, FeatureConfig())
     save_checkpoint(tmp_path / "a.ckpt", model.store, CFG, FeatureConfig())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
-
-
-def test_moment_of_wrong_shape_is_a_data_error(tmp_path):
-    path = tmp_path / "model.ckpt"
-    shape = [CFG.hidden, FeatureConfig().bond_width]  # embed.bond.w is [bond_width, hidden]
-    _legacy_checkpoint(path, name="embed.bond.w", kinds=("adam_v",), shape=shape)
-    with pytest.raises(DataError, match="tensor embed.bond.w has shape") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
 
 
 # --- mutated bytes ----------------------------------------------------------------

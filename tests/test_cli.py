@@ -8,6 +8,7 @@ import pytest
 
 from geognn import cli, training
 from geognn.cli import main
+from geognn.errors import ConfigError
 from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
 from geognn.geometry import build_dual_graph
@@ -543,14 +544,22 @@ def _tampered_store(store: ParamStore, tamper: str) -> tuple[ParamStore, str]:
 
 
 class TestCheckpointMatchesItsConfig:
-    @pytest.mark.parametrize("command", ["embed", "evaluate", "finetune"])
     @pytest.mark.parametrize("tamper", ["missing", "reshaped", "extra"])
-    def test_tampered_tensor_exit_2(self, tmp_path, capsys, command, tamper):
+    def test_tampered_tensor_is_not_saved(self, tmp_path, tamper):
         cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
                           geom_head_hidden=8, down_head_hidden=8)
         store, name = _tampered_store(GeoGNN(cfg, rng=Rng(1)).store, tamper)
+        with pytest.raises(ConfigError, match=f"cannot save tensor {name}: its config has"):
+            save_checkpoint(tmp_path / "model.ckpt", store, cfg, FeatureConfig())
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["embed", "evaluate", "finetune"])
+    def test_header_config_off_its_payload_exit_2(self, tmp_path, capsys, command):
+        cfg = ModelConfig(num_blocks=1, hidden=4, dropout=0.0, distance_bins=5,
+                          geom_head_hidden=8, down_head_hidden=8)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, store, cfg, FeatureConfig())
+        save_checkpoint(path, GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig())
+        edit_header(path, lambda header: header["model_config"].__setitem__("num_blocks", 2))
         src = tmp_path / "in.jsonl"
         write_dataset(src, n=5)
         flags = {"embed": [], "evaluate": ["--metric", "rmse"], "finetune": ["--epochs", "1"]}
@@ -558,7 +567,7 @@ class TestCheckpointMatchesItsConfig:
                        "--checkpoint", str(path), *flags[command])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"data error: {path}: tensor {name} " in err
+        assert f"data error: {path}: its config's parameters take " in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

@@ -17,7 +17,7 @@ from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 from geognn.training import _downstream_batch_loss, embed_molecules, prepare_molecules
 
-from conftest import make_molecule, store_of, without_geometry
+from conftest import make_molecule, relabel, store_of, without_geometry
 from oracles import geognn_forward_reference, model_gradcheck, relative_error
 
 SMALL = ModelConfig(
@@ -185,14 +185,6 @@ class TestForward:
             embed_molecule(model, random_molecule(Rng(1)))
 
 
-def _relabel(mol, perm):
-    """mol with atom i moved to perm[i], every atom and bond field carried along."""
-    inverse = np.argsort(perm)
-    return dataclasses.replace(
-        mol, atoms=[mol.atoms[j] for j in inverse], coords=[mol.coords[j] for j in inverse],
-        bonds=[dataclasses.replace(b, a=int(perm[b.a]), b=int(perm[b.b])) for b in mol.bonds])
-
-
 def _moved(mol, rot, shift):
     return dataclasses.replace(mol, coords=[tuple(xyz) for xyz in
                                             (np.asarray(mol.coords) @ rot.T + shift).tolist()])
@@ -238,7 +230,7 @@ def test_embeddings_are_invariant_at_the_default_widths(precision, tol, seed, si
     for name, changed in exact.items():
         assert np.array_equal(embedded(changed), base), name
     close = {
-        "relabelled atoms": embedded([_relabel(m, gen.permutation(len(m.atoms))) for m in mols]),
+        "relabelled atoms": embedded([relabel(m, gen.permutation(len(m.atoms))) for m in mols]),
         "rigid motion": embedded([_moved(m, rot, gen.normal(size=3) * 6.0) for m in mols]),
         "alone": np.concatenate([embedded([m]) for m in mols]),
     }
@@ -277,7 +269,7 @@ def test_downstream_step_gradients_are_invariant_under_relabelling(precision, to
         return loss.item(), {name: t.grad for name, t in model.store.items()}
 
     loss, grads = step(mols)
-    moved_loss, moved = step([_relabel(m, gen.permutation(len(m.atoms))) for m in mols])
+    moved_loss, moved = step([relabel(m, gen.permutation(len(m.atoms))) for m in mols])
     assert abs(moved_loss - loss) <= tol * abs(loss)
     assert {n for n, g in moved.items() if g is None} == {n for n, g in grads.items() if g is None}
     assert any(name.startswith("block") for name, g in grads.items() if g is not None)

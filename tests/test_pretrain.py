@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 from geognn.training import prepare_molecules
 
-from conftest import make_molecule
+from conftest import make_molecule, relabel
 from oracles import softmax_ce_reference
 
 # the module: the package's own ``pretrain`` is the training function
@@ -325,21 +326,71 @@ class TestLossPre:
         assert all(v >= 0.0 for v in parts.values())
         assert a.item() == b.item()
 
-    def test_distance_loss_invariant_under_relabeling(self, model):
-        mol = random_molecule(Rng(27), min_atoms=4, max_atoms=7)
-        item = prepare(mol, model)
-        emb = model.forward(item.graph, item.encoded)
-        bins = loss_pre_bins(model, [item])
-        base = loss_distance(model, emb, item.graph, bins).item()
-        perm = Rng(28).permutation(len(mol.atoms))
-        inverse = np.argsort(perm)
-        relabeled = make_molecule(
-            [mol.atoms[j].element for j in inverse],
-            [(int(perm[b.a]), int(perm[b.b])) for b in mol.bonds],
-            [mol.coords[j] for j in inverse],
-        )
-        item2 = prepare(relabeled, model)
-        emb2 = model.forward(item2.graph, item2.encoded)
-        bins2 = loss_pre_bins(model, [item2])
-        got = loss_distance(model, emb2, item2.graph, bins2).item()
-        assert got == pytest.approx(base, abs=1e-9)
+
+class _DrawnMask:
+    """A molecule's stream for ``loss_pre`` whose "mask" fork draws the
+    given atoms; its other forks are forks of a fixed stream."""
+
+    def __init__(self, atoms):
+        self.atoms = np.asarray(atoms)
+
+    def fork(self, tag):
+        return self if tag == "mask" else Rng(0).fork(tag)
+
+    def sample(self, n, k):
+        assert k == len(self.atoms) <= n
+        return self.atoms
+
+
+def _order_keeping_permutation(mol, gen) -> np.ndarray:
+    """A random relabelling of mol's atoms, as ``relabel`` takes it, that keeps
+    the order of each bond's two ends and of any two neighbours of one atom:
+    the length head reads a bond's lower-numbered end first, and the angle
+    head an angle's lower-numbered arm first."""
+    neighbours = [set() for _ in mol.atoms]
+    for bond in mol.bonds:
+        neighbours[bond.a].add(bond.b)
+        neighbours[bond.b].add(bond.a)
+    before = [set() for _ in mol.atoms]  # the atoms that must precede each atom
+    for atom, around in enumerate(neighbours):  # an atom and its neighbours keep their order
+        for x, y in itertools.combinations(sorted(around | {atom}), 2):
+            before[y].add(x)
+    order: list[int] = []
+    while len(order) < len(mol.atoms):
+        ready = [i for i, need in enumerate(before) if i not in order and need <= set(order)]
+        order.append(ready[gen.integers(len(ready))])
+    perm = np.empty(len(order), dtype=np.int64)
+    perm[order] = np.arange(len(order))
+    return perm
+
+
+@pytest.mark.parametrize("mask_ratio", [0.15, 0.5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eval_pretraining_losses_are_invariant_under_relabelling(seed, mask_ratio):
+    """Eval-mode pretraining losses of a pack of random molecules at the
+    default widths, each molecule's atoms relabelled with every field and the
+    masked atoms carried along, stay within 1e-12 of their values, relative:
+    the distance loss under any relabelling, the length and angle losses under
+    one that keeps the atom order their heads read."""
+    model = GeoGNN(ModelConfig(), rng=Rng(seed))
+    gen = np.random.default_rng(seed)
+    sizes = [1, 2, 3, *gen.integers(4, 31, size=9).tolist()]
+    mols = [random_molecule(Rng(seed).fork(i), min_atoms=n, max_atoms=n, ring_probability=0.7,
+                            mol_id=f"m{i}") for i, n in enumerate(sizes)]
+    masks = [Rng(seed).fork(f"mask{i}").sample(n, max(1, round(mask_ratio * n)))
+             for i, n in enumerate(sizes)]
+
+    def losses(perms):
+        items = [prepare(relabel(mol, perm), model) for mol, perm in zip(mols, perms)]
+        streams = [_DrawnMask(perm[atoms]) for perm, atoms in zip(perms, masks)]
+        return loss_pre(model, items, streams, mask_ratio=mask_ratio, mode="eval")[1]
+
+    base = losses([np.arange(n) for n in sizes])
+    assert set(base) == {"length", "angle", "distance"} and all(base.values())
+    keeping = [_order_keeping_permutation(mol, gen) for mol in mols]
+    assert sum(not np.array_equal(perm, np.arange(len(perm))) for perm in keeping) >= 6
+    for perms, tasks in (([gen.permutation(n) for n in sizes], ("distance",)),
+                         (keeping, ("length", "angle", "distance"))):
+        moved = losses(perms)
+        for task in tasks:
+            assert abs(moved[task] - base[task]) <= 1e-12 * abs(base[task]), task
