@@ -49,8 +49,7 @@ def save_checkpoint(
     flat = store.flat
     if flat.dtype != model_config.dtype:
         raise ConfigError(f"cannot save {flat.dtype} parameters as {model_config.precision}")
-    widths = feature_config.atom_width, feature_config.bond_width, feature_config.angle_width
-    table = [(name, shape) for name, shape, _ in parameter_table(model_config, *widths)]
+    table = [(name, shape) for name, shape, _ in parameter_table(model_config)]
     for got, want in zip_longest(store.shapes(), table):
         if got != want:
             raise ConfigError(f"cannot save tensor {(want or got)[0]}: its config has {want}, "
@@ -117,15 +116,13 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[ParamStore, ModelConfig, d
                                   and all(isinstance(n, str) for n in names)):
         raise DataError(f"{path}: checkpoint task_names is not a list of "
                         f"{model_config.num_tasks} strings")
-    features = FeatureConfig()
-    check_manifest(features, manifest, str(path))
-    widths = features.atom_width, features.bond_width, features.angle_width
+    check_manifest(FeatureConfig(), manifest, str(path))
     dtype = np.dtype(model_config.dtype)
-    nbytes = parameter_count(model_config, *widths) * dtype.itemsize
+    nbytes = parameter_count(model_config) * dtype.itemsize
     if nbytes != len(payload):
         raise DataError(f"{path}: its config's parameters take {nbytes} bytes; its payload "
                         f"holds {len(payload)}")
-    table = [(name, shape) for name, shape, _ in parameter_table(model_config, *widths)]
+    table = [(name, shape) for name, shape, _ in parameter_table(model_config)]
     flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
     return ParamStore(flat, table), model_config, manifest, extra
 

@@ -4,8 +4,9 @@ Each command takes only the flags it reads:
 
     featurize  --input --out --strict
     pretrain   --input --out --config --seed --precision --epochs --batch
-               --lr-body --lr-head --mask-ratio --tasks --metric
-    finetune   the pretrain flags and --checkpoint
+               --lr-body --lr-head --mask-ratio --tasks
+    finetune   --input --out --config --seed --precision --epochs --batch
+               --lr-body --lr-head --metric --checkpoint
     evaluate   --input --out --checkpoint --config --metric --split
     embed      --input --out --checkpoint
 
@@ -76,7 +77,9 @@ def _task_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _add_training_flags(p: argparse.ArgumentParser):
+def _add_training_flags(p: argparse.ArgumentParser, pretraining: bool):
+    """The flags of both training commands, then pretraining's task flags or
+    finetuning's metric."""
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--precision", choices=("f32", "f64"))
     # each dest is the RunConfig field the flag sets; a flag not given sets nothing
@@ -86,10 +89,12 @@ def _add_training_flags(p: argparse.ArgumentParser):
     p.add_argument("--batch", dest="batch_size", type=int, default=unset)
     p.add_argument("--lr-body", type=float, default=unset)
     p.add_argument("--lr-head", type=float, default=unset)
-    p.add_argument("--mask-ratio", type=float, default=unset)
-    p.add_argument("--tasks", type=_task_list, default=unset,
-                   help="comma list from: length,angle,distance,fingerprint")
-    p.add_argument("--metric", choices=tuple(METRICS), default=unset)
+    if pretraining:
+        p.add_argument("--mask-ratio", type=float, default=unset)
+        p.add_argument("--tasks", type=_task_list, default=unset,
+                       help="comma list from: length,angle,distance,fingerprint")
+    else:
+        p.add_argument("--metric", choices=tuple(METRICS), default=unset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="self-supervised pretraining")
     _add_io(p)
-    _add_training_flags(p)
+    _add_training_flags(p, pretraining=True)
 
     p = sub.add_parser("finetune", help="supervised training with best-epoch selection")
     _add_io(p, checkpoint=False)
-    _add_training_flags(p)
+    _add_training_flags(p, pretraining=False)
 
     p = sub.add_parser("evaluate", help="metric report for a checkpoint on a split")
     _add_io(p, checkpoint=True)

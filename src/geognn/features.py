@@ -13,10 +13,12 @@ indicator used by the pretraining tasks.
 ``encode`` reads a pack in one pass per attribute: the slots of a one-hot
 block, for every atom or bond of the pack, come from one list comprehension
 (through a ``{value: slot}`` table for a categorical field), clamped as
-whole arrays where the block clamps. They form one int64 slot matrix per
-entity kind, bounds-checked and written with one fancy assignment, its bond
-columns put in ``geometry.bond_order``'s row order. The RBF blocks are
-computed in place in the feature rows.
+whole arrays where the block clamps. Two blocks are derived, not read from
+a field: each atom's degree comes from the dual graph, and each bond's ring
+flag from ``molio.ring_membership`` of its molecule. The slots form one
+int64 slot matrix per entity kind, bounds-checked and written with one
+fancy assignment, its bond columns put in ``geometry.bond_order``'s row
+order. The RBF blocks are computed in place in the feature rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import DualGraph, bond_order
-from .molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS, Molecule
+from .molio import (ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS, Molecule,
+                    ring_membership)
 
 RBF_GAMMA = 10.0
 
@@ -155,7 +158,7 @@ def encode(
         "hybridization": [hybridization[a.hybridization] for a in atoms],
         "bond_dir": [bond_dir[b.bond_dir] for b in bonds],
         "bond_type": [bond_type[b.bond_type] for b in bonds],
-        "in_ring": [b.in_ring for b in bonds],
+        "in_ring": [flag for m in molecules for flag in ring_membership(m)],
     }
     atom, bond, angle = (np.zeros((count, width)) for count, width in (
         (graph.num_atoms, config.atom_width), (graph.num_bonds, config.bond_width),

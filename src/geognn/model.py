@@ -67,9 +67,7 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         check_choice("precision", self.precision, ("f32", "f64"))
-        features = FeatureConfig()
-        count = parameter_count(self, features.atom_width, features.bond_width,
-                                features.angle_width)
+        count = parameter_count(self)
         if count > MAX_PARAMETERS:
             sizes = ", ".join(f"{name}={getattr(self, name)}" for name in (
                 "num_blocks", "hidden", "distance_bins", "geom_head_hidden", "down_head_hidden",
@@ -144,15 +142,15 @@ class ParamStore:
         return ParamStore(self.flat.copy(), self.shapes())
 
 
-def parameter_table(
-    config: ModelConfig, atom_width: int, bond_width: int, angle_width: int
-) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
+def parameter_table(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
     """(name, shape, fan_in) of every GeoGNN parameter, in store order, for
-    feature rows of the given widths; layer-norm parameters have no fan-in.
-    Yielded one at a time, so a reader can stop before the blocks run out."""
+    feature rows of ``FeatureConfig``'s one layout; layer-norm parameters
+    have no fan-in. Yielded one at a time, so a reader can stop before the
+    blocks run out."""
     h, g, d = config.hidden, config.geom_head_hidden, config.down_head_hidden
-    embeds = [("embed.atom", atom_width, h), ("embed.bond", bond_width, h),
-              ("embed.angle", angle_width, h)]
+    embeds = [("embed.atom", FeatureConfig.atom_width, h),
+              ("embed.bond", FeatureConfig.bond_width, h),
+              ("embed.angle", FeatureConfig.angle_width, h)]
     blocks = ((f"block{k}.{s}.{layer}", n_in, h)
               for k in range(config.num_blocks) for s in ("bond", "atom")
               for layer, n_in in (("mlp1", h), ("mlp2", h), ("norm", None)))
@@ -173,23 +171,20 @@ def parameter_table(
             yield f"{name}.b", (n_out,), n_in
 
 
-def parameter_count(config: ModelConfig, atom_width: int, bond_width: int,
-                    angle_width: int) -> int:
+def parameter_count(config: ModelConfig) -> int:
     """The number of values in ``parameter_table``'s tensors, from its sums at
     0 and 1 blocks: every block has the same size, so none is walked."""
-    zero, one = (sum(math.prod(shape) for _, shape, _ in parameter_table(
-        replace(config, num_blocks=n), atom_width, bond_width, angle_width)) for n in (0, 1))
+    zero, one = (sum(math.prod(shape) for _, shape, _ in
+                     parameter_table(replace(config, num_blocks=n))) for n in (0, 1))
     return zero + config.num_blocks * (one - zero)
 
 
-def init_params(config: ModelConfig, features: FeatureConfig, rng: Rng,
-                given: ParamStore | None = None) -> ParamStore:
+def init_params(config: ModelConfig, rng: Rng, given: ParamStore | None = None) -> ParamStore:
     """Every GeoGNN parameter, in store order: a copy of the tensor of that
     name in ``given`` where it has one (ConfigError if its shape differs),
     else drawn: linear layers uniformly in +-1/sqrt(fan_in), each from its
     own name's fork of ``rng``; layer norms with unit gain and zero bias."""
-    table = list(parameter_table(config, features.atom_width, features.bond_width,
-                                 features.angle_width))
+    table = list(parameter_table(config))
     total = sum(math.prod(shape) for _, shape, _ in table)
     store = ParamStore(np.empty(total, dtype=config.dtype),
                        [(name, shape) for name, shape, _ in table])
@@ -232,7 +227,7 @@ class GeoGNN:
         else:
             if rng is None:
                 raise ConfigError("either an rng (fresh init) or a store is required")
-            self.store = init_params(self.config, self.features, rng.fork("init"))
+            self.store = init_params(self.config, rng.fork("init"))
 
     # --- parameters ---------------------------------------------------------
 

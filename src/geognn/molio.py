@@ -10,7 +10,9 @@ ParseError from where it happened. Every field is judged by
 ``finetune``, ``evaluate``, ``embed_molecules``) apply.
 
 Input hydrogens are kept as explicit atoms; no implicit-H inference is
-performed beyond counting bonded hydrogens.
+performed beyond counting bonded hydrogens. A bond's ring membership is no
+field: ``ring_membership`` derives it from the bond list where features are
+built, as a molecule's graph gives each atom's degree.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class Bond:
     b: int
     bond_type: str = "single"
     bond_dir: str = "none"
-    in_ring: bool = False
 
 
 @dataclass
@@ -101,7 +102,6 @@ class Molecule:
     - ``Atom.hybridization``: one of ``HYBRIDIZATIONS``
     - ``Bond.a``, ``Bond.b``: integers, two different atom indices, one bond per pair
     - ``Bond.bond_type``: one of ``BOND_TYPES``; ``Bond.bond_dir``: one of ``BOND_DIRS``
-    - ``Bond.in_ring``: a bool
     - labels: a dict from str to None, NaN (both missing) or a finite real
     - fingerprint: None, or a non-empty list or tuple of the integers 0 and 1
     - split: None or one of ``SPLITS``
@@ -161,8 +161,6 @@ class Molecule:
                 raise DataError(f"{name}: bad bond type {bond.bond_type!r}")
             if not (isinstance(bond.bond_dir, str) and bond.bond_dir in BOND_DIRS):
                 raise DataError(f"{name}: bad bond dir {bond.bond_dir!r}")
-            if type(bond.in_ring) is not bool:
-                raise DataError(f"{name}: in_ring flag {bond.in_ring!r} must be a bool")
             key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise DataError(f"{name}: duplicate bond {key}")
@@ -193,12 +191,14 @@ def _neighbours(molecule: Molecule) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _ring_flags(adj: list[list[tuple[int, int]]], num_bonds: int) -> list[bool]:
-    """True per bond iff the bond lies on some cycle. A breadth-first
-    spanning forest leaves out one bond per independent cycle; each such bond
-    marks itself and the tree paths from its two ends up to where they meet."""
+def ring_membership(molecule: Molecule) -> list[bool]:
+    """True per bond iff the bond lies on some cycle (i.e. is not a bridge).
+    A breadth-first spanning forest leaves out one bond per independent
+    cycle; each such bond marks itself and the tree paths from its two ends
+    up to where they meet."""
+    adj = _neighbours(molecule)
     depth, parent, up = [-1] * len(adj), [-1] * len(adj), [-1] * len(adj)
-    in_ring = [False] * num_bonds
+    in_ring = [False] * len(molecule.bonds)
     for root in range(len(adj)):
         if depth[root] >= 0:
             continue
@@ -220,11 +220,6 @@ def _ring_flags(adj: list[list[tuple[int, int]]], num_bonds: int) -> list[bool]:
     return in_ring
 
 
-def ring_membership(molecule: Molecule) -> list[bool]:
-    """True per bond iff the bond lies on some cycle (i.e. is not a bridge)."""
-    return _ring_flags(_neighbours(molecule), len(molecule.bonds))
-
-
 def _hybridization_heuristic(element: str, degree: int, formal_charge: int) -> str:
     """Steric-number estimate from degree plus main-group lone pairs.
 
@@ -239,12 +234,10 @@ def _hybridization_heuristic(element: str, degree: int, formal_charge: int) -> s
 
 
 def annotate_derived_attributes(molecule: Molecule) -> Molecule:
-    """Fill in_ring, aromatic flags, hydrogen counts and hybridization, all
-    read from one set of neighbour lists."""
+    """Fill aromatic flags, hydrogen counts and hybridization, all read from
+    one set of neighbour lists."""
     atoms, bonds = molecule.atoms, molecule.bonds
     adj = _neighbours(molecule)
-    for bond, in_ring in zip(bonds, _ring_flags(adj, len(bonds))):
-        bond.in_ring = in_ring
     is_h = [atom.element == "H" for atom in atoms]
     aromatic = [bond.bond_type == "aromatic" for bond in bonds]
     for atom, neighbours in zip(atoms, adj):
@@ -482,8 +475,6 @@ def _parse_jsonl_record(lineno: int, line: str, index: int) -> Molecule:
     # JSON numbers as floats, once validate has accepted them
     mol.coords = [(float(x), float(y), float(z)) for x, y, z in mol.coords]
     mol.labels = {k: None if v is None else float(v) for k, v in mol.labels.items()}
-    for bond, in_ring in zip(mol.bonds, ring_membership(mol)):
-        bond.in_ring = in_ring
     return mol
 
 

@@ -70,7 +70,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         obj = dict(obj)
-        if "tasks" in obj:
+        if isinstance(obj.get("tasks"), list):  # anything else fails check_tasks
             obj["tasks"] = tuple(obj["tasks"])
         return cls(**obj).validate()
 
@@ -480,7 +480,7 @@ def finetune(
 
     rng = Rng(run_config.seed)
     # the checkpoint's tensors as they are; only the ones it lacks are drawn
-    store = init_params(model_config, features, rng.fork("init"), given=init_store)
+    store = init_params(model_config, rng.fork("init"), given=init_store)
     model = GeoGNN(model_config, store=store)
     if init_store is not None:
         loaded = set(init_store.names()) & set(model.store.names())

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geognn.features import EncodedGraph, FeatureConfig
+from geognn.features import EncodedGraph, FeatureConfig, encode
+from geognn.geometry import bond_order, build_dual_graph
 from geognn.model import ParamStore
 from geognn.molio import Atom, Bond, Molecule, annotate_derived_attributes
 
@@ -80,6 +81,17 @@ def relabel(mol, perm):
     return dataclasses.replace(
         mol, atoms=[mol.atoms[j] for j in inverse], coords=[mol.coords[j] for j in inverse],
         bonds=[dataclasses.replace(b, a=int(perm[b.a]), b=int(perm[b.b])) for b in mol.bonds])
+
+
+def encoded_ring_flags(mol) -> list[bool]:
+    """The ring flag ``encode`` gives each bond of ``mol``, in bond-list order:
+    the second column of the in_ring block, found by the manifest's offset,
+    its rows put back from ``bond_order``'s row order."""
+    offset = {b["name"]: b["offset"] for b in FeatureConfig().manifest()["bond"]}["in_ring"]
+    rows = encode(build_dual_graph(mol), mol, FeatureConfig()).bond[:, offset + 1]
+    flags = np.empty(len(rows), dtype=bool)
+    flags[bond_order([mol])[0]] = rows == 1.0
+    return flags.tolist()
 
 
 def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):

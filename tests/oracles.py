@@ -200,9 +200,10 @@ def dual_graph_reference(molecule):
 
 def encode_reference(graph, molecule):
     """``encode`` one row at a time in float64: one-hot blocks written slot
-    by slot at hand-summed offsets, bond attributes looked up by their
-    (min, max) key, and one RBF expansion per bond and per angle. Block
-    widths are read by name from the manifest."""
+    by slot at hand-summed offsets, bond attributes and ring flags (from
+    ``ring_flags_reference``) looked up by their (min, max) key, and one RBF
+    expansion per bond and per angle. Block widths are read by name from the
+    manifest."""
     from geognn.errors import DataError
     from geognn.features import FeatureConfig, EncodedGraph
     from geognn.molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS
@@ -234,14 +235,17 @@ def encode_reference(graph, molecule):
         offset = one_hot(row, offset, "num_h", min(a.num_explicit_h, size["num_h"] - 1))
         one_hot(row, offset, "hybridization", HYBRIDIZATIONS.index(a.hybridization))
 
-    attr_by_key = {(min(b.a, b.b), max(b.a, b.b)): b for b in molecule.bonds}
+    keys = [(min(b.a, b.b), max(b.a, b.b)) for b in molecule.bonds]
+    attr_by_key = dict(zip(keys, molecule.bonds))
+    ring_by_key = dict(zip(keys, ring_flags_reference(molecule)))
     bond = np.zeros((graph.num_bonds, config.bond_width))
     for e in range(graph.num_bonds):
-        b = attr_by_key[(int(graph.bonds[e, 0]), int(graph.bonds[e, 1]))]
+        key = (int(graph.bonds[e, 0]), int(graph.bonds[e, 1]))
+        b = attr_by_key[key]
         row, offset = bond[e], 0
         offset = one_hot(row, offset, "bond_dir", BOND_DIRS.index(b.bond_dir))
         offset = one_hot(row, offset, "bond_type", BOND_TYPES.index(b.bond_type))
-        offset = one_hot(row, offset, "in_ring", int(b.in_ring))
+        offset = one_hot(row, offset, "in_ring", int(ring_by_key[key]))
         row[offset : offset + size["length_rbf"]] = rbf(float(graph.lengths[e]),
                                                         manifest["length_centers"])
 
@@ -359,14 +363,11 @@ def sdf_record_reference(first_line: int, lines: list[str], index: int):
 
 
 def annotate_reference(molecule):
-    """in_ring by ``cycle_bonds_by_removal``; aromatic flags from aromatic
-    bonds; hydrogen counts from bonded H atoms; hybridization from the
-    steric number, degree plus main-group lone pairs."""
+    """Aromatic flags from aromatic bonds; hydrogen counts from bonded H
+    atoms; hybridization from the steric number, degree plus main-group lone
+    pairs."""
     from geognn.molio import _STERIC_TO_HYBRIDIZATION, _VALENCE_ELECTRONS
 
-    rings = cycle_bonds_by_removal(len(molecule.atoms), [(b.a, b.b) for b in molecule.bonds])
-    for bond, in_ring in zip(molecule.bonds, rings):
-        bond.in_ring = in_ring
     degree = [0] * len(molecule.atoms)
     h_neighbors = [0] * len(molecule.atoms)
     for bond in molecule.bonds:
@@ -418,6 +419,11 @@ def cycle_bonds_by_removal(num_atoms: int, bonds) -> list[bool]:
                     stack.append(w)
         result.append(b in seen)
     return result
+
+
+def ring_flags_reference(molecule) -> list[bool]:
+    """``cycle_bonds_by_removal`` of the molecule's bond list, in its order."""
+    return cycle_bonds_by_removal(len(molecule.atoms), [(b.a, b.b) for b in molecule.bonds])
 
 
 def angle_count_reference(num_atoms: int, bonds) -> int:

@@ -247,9 +247,7 @@ def test_header_config_off_the_payload_size_is_a_data_error(tmp_path, capsys, ke
     swapped = {"f64": "f32", "f32": "f64"}[precision]
     edited = {**cfg.to_dict(), key: swapped if key == "precision" else getattr(cfg, key) + 1}
     edit_header(path, lambda header: header.__setitem__("model_config", edited))
-    features = FeatureConfig()
-    widths = features.atom_width, features.bond_width, features.angle_width
-    sizes = [parameter_count(c, *widths) * np.dtype(c.dtype).itemsize
+    sizes = [parameter_count(c) * np.dtype(c.dtype).itemsize
              for c in (ModelConfig(**edited), cfg)]
     assert sizes[0] != sizes[1]
     message = f"its config's parameters take {sizes[0]} bytes; its payload holds {sizes[1]}"

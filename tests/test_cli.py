@@ -227,24 +227,44 @@ class TestUsageErrors:
         assert "config error: bad run config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags,run",
+        "flags,run,message",
         [
-            (["--tasks", "length,lenght"], {}),
-            (["--tasks", "length,lenght", "--epochs", "0"], {}),
-            ([], {"tasks": []}),
-            (["--tasks", ""], {}),
+            (["--tasks", "length,lenght"], {}, "unknown pretrain task 'lenght'"),
+            (["--tasks", "length,lenght", "--epochs", "0"], {}, "unknown pretrain task 'lenght'"),
+            ([], {"tasks": []}, "pretrain tasks must be a non-empty list"),
+            (["--tasks", ""], {}, "pretrain tasks must be a non-empty list"),
+            ([], {"tasks": "length"}, "pretrain tasks must be a non-empty list"),
+            ([], {"tasks": {"length": 1}}, "pretrain tasks must be a non-empty list"),
         ],
-        ids=["misspelled", "misspelled-zero-epochs", "empty", "empty-flag"],
+        ids=["misspelled", "misspelled-zero-epochs", "empty", "empty-flag", "string", "object"],
     )
-    def test_bad_pretrain_tasks_exit_1_and_write_nothing(self, tmp_path, capsys, flags, run):
+    def test_bad_pretrain_tasks_exit_1_and_write_nothing(self, tmp_path, capsys, flags, run,
+                                                         message):
         src = tmp_path / "in.jsonl"
         write_dataset(src, n=4)
         cfg = write_config(tmp_path / "cfg.json", epochs=1, **run)
         out = tmp_path / "o"
         assert run_cli("pretrain", "--input", str(src), "--out", str(out),
                        "--config", str(cfg), *flags) == 1
-        assert "config error: " in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("pretrain", "--metric", "rmse"),
+        ("finetune", "--tasks", "length"),
+        ("finetune", "--mask-ratio", "0.2"),
+    ])
+    def test_run_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, command, flag,
+                                                       value):
+        src = tmp_path / "in.jsonl"
+        write_dataset(src, n=4)
+        out = tmp_path / "o"
+        assert run_cli(command, "--input", str(src), "--out", str(out), "--epochs", "1",
+                       flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: geognn")
+        assert f"geognn: error: unrecognized arguments: {flag} {value}" in err
+        assert not out.exists()
 
     def test_bad_config_file_exit_1(self, tmp_path):
         src = tmp_path / "in.jsonl"

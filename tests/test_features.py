@@ -21,21 +21,21 @@ from oracles import dual_graph_reference, encode_reference, masked_entities_refe
 
 @st.composite
 def scrambled_molecules(draw):
-    """A random molecule of 1-40 atoms whose bond list is shuffled, each
-    bond's ends swapped at random, and whose bond types, directions and
-    ring flags are drawn per bond, so that reading bond attributes in the
-    wrong row order changes the features. Some molecules lose bonds, and
-    atoms get charges and hydrogen counts beyond their blocks' clamps."""
+    """A random molecule of 1-40 atoms, drawn with ring probability 0.5,
+    whose bond list is shuffled, each bond's ends swapped at random,
+    and whose bond types and directions are drawn per bond, so that reading
+    bond attributes or ring flags in the wrong row order changes the
+    features. Some molecules lose bonds, and atoms get charges and hydrogen
+    counts beyond their blocks' clamps."""
     seed = draw(st.integers(0, 2**32 - 1))
     gen = np.random.default_rng(seed)
     atoms = int(gen.integers(1, 41))
-    mol = random_molecule(Rng(seed), min_atoms=atoms, max_atoms=atoms)
+    mol = random_molecule(Rng(seed), min_atoms=atoms, max_atoms=atoms, ring_probability=0.5)
     keep = len(mol.bonds) if gen.random() < 0.75 else gen.integers(len(mol.bonds) + 1)
     mol.bonds = [
         Bond(*((b.b, b.a) if gen.random() < 0.5 else (b.a, b.b)),
              bond_type=BOND_TYPES[gen.integers(len(BOND_TYPES))],
-             bond_dir=BOND_DIRS[gen.integers(len(BOND_DIRS))],
-             in_ring=bool(gen.random() < 0.5))
+             bond_dir=BOND_DIRS[gen.integers(len(BOND_DIRS))])
         for b in [mol.bonds[i] for i in gen.permutation(len(mol.bonds))[:keep]]
     ]
     for atom in mol.atoms:

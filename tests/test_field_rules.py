@@ -46,7 +46,6 @@ FIELDS = [
     ("b", "bond", _without(_NP_INT)),
     ("bond_type", "bond", _without()),
     ("bond_dir", "bond", _without()),
-    ("in_ring", "bond", _without(True, False)),
     ("point", "point", _without()),
     ("coord", "coord", _without(_FLOAT, _NP_FLOAT, _NP_INT)),
     ("label", "label", _without(_FLOAT, None, math.nan, _NP_FLOAT, _NP_INT)),
@@ -131,8 +130,7 @@ class TestOneRulePerField:
                 for call in _api_calls(mol, base):
                     _raises(GeoGnnError, call, case)
                 data = _serialised(mol)
-                # JSONL has no in_ring: the reader derives it from the bonds
-                if data is not None and what != "in_ring":
+                if data is not None:
                     _raises(ParseError, lambda: parse_jsonl(data), case)
 
     def test_valid_edge_cases_accepted(self):

@@ -421,7 +421,7 @@ class TestParamStore:
         given = store_of({"embed.atom.w": np.ones(fresh["embed.atom.w"].shape),
                           "block0.bond.norm.gain": np.full(SMALL.hidden, 2.0),
                           "no.such.tensor": np.ones(3)})
-        store = init_params(SMALL, FeatureConfig(), Rng(54).fork("init"), given=given)
+        store = init_params(SMALL, Rng(54).fork("init"), given=given)
         assert store.names() == fresh.names()
         for name in store.names():
             want = given[name].data if name in given else fresh[name].data
@@ -431,7 +431,7 @@ class TestParamStore:
         given = store_of({"head_down.l3.w": np.ones((SMALL.down_head_hidden,
                                                      SMALL.num_tasks + 1))})
         with pytest.raises(ConfigError, match="head_down.l3.w: shape mismatch"):
-            init_params(SMALL, FeatureConfig(), Rng(55), given=given)
+            init_params(SMALL, Rng(55), given=given)
 
     def test_uniform_init_respects_fan_in_bound(self):
         model = GeoGNN(SMALL, rng=Rng(53))
@@ -444,15 +444,14 @@ class TestParamStore:
 class TestModelSize:
     def test_count_is_the_table_sum(self):
         gen = np.random.default_rng(60)
-        widths = FeatureConfig().atom_width, FeatureConfig().bond_width, FeatureConfig().angle_width
         for _ in range(20):
             config = ModelConfig(
                 num_blocks=int(gen.integers(1, 5)), hidden=int(gen.integers(1, 40)),
                 distance_bins=int(gen.integers(2, 40)), geom_head_hidden=int(gen.integers(1, 40)),
                 down_head_hidden=int(gen.integers(1, 40)),
                 fingerprint_bits=int(gen.integers(0, 3)) * 7, num_tasks=int(gen.integers(0, 3)))
-            table = sum(int(np.prod(shape)) for _, shape, _ in parameter_table(config, *widths))
-            assert parameter_count(config, *widths) == table, config
+            table = sum(int(np.prod(shape)) for _, shape, _ in parameter_table(config))
+            assert parameter_count(config) == table, config
 
     @pytest.mark.parametrize("name", ["num_blocks", "hidden", "geom_head_hidden",
                                       "down_head_hidden", "distance_bins", "fingerprint_bits",

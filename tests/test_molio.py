@@ -26,8 +26,8 @@ from geognn.molio import (
 from geognn.rng import Rng
 from geognn.training import embed_molecules
 
-from conftest import FIXTURES, make_dce, make_molecule, no_cyclic_garbage
-from oracles import cycle_bonds_by_removal, sdf_reference
+from conftest import FIXTURES, encoded_ring_flags, make_dce, make_molecule, no_cyclic_garbage
+from oracles import cycle_bonds_by_removal, ring_flags_reference, sdf_reference
 
 
 class TestSdfParsing:
@@ -45,10 +45,10 @@ class TestSdfParsing:
     def test_cyclopropane_ring_flags(self):
         mols = parse_sdf((FIXTURES / "golden.sdf").read_bytes())
         ring = mols[1]
-        assert all(b.in_ring for b in ring.bonds)
+        assert all(encoded_ring_flags(ring))
         # oracle: drop each bond and check connectivity of its endpoints
         pairs = [(b.a, b.b) for b in ring.bonds]
-        assert [b.in_ring for b in ring.bonds] == cycle_bonds_by_removal(3, pairs)
+        assert ring_membership(ring) == cycle_bonds_by_removal(3, pairs)
 
     def test_charge_property_block(self):
         mols = parse_sdf((FIXTURES / "golden.sdf").read_bytes())
@@ -183,6 +183,34 @@ class TestJsonl:
     def test_golden_sdf_round_trips_through_jsonl(self):
         mols = parse_sdf((FIXTURES / "golden.sdf").read_bytes())
         assert parse_jsonl(write_jsonl(mols)) == mols
+
+    def test_hand_built_molecules_embed_like_their_jsonl_copies(self):
+        """Molecules built from fresh Atom and Bond objects, through no reader
+        and no annotation, embed bit for bit like their write_jsonl ->
+        parse_jsonl copies: what encode does not read from the fields, it
+        derives from the bonds on both sides."""
+        from geognn.synth import random_molecule
+
+        rng = Rng(33)
+        built = []
+        for i in range(64):
+            mol = random_molecule(rng.fork(i), min_atoms=4, max_atoms=16, ring_probability=0.8,
+                                  mol_id=f"h{i}")
+            built.append(Molecule(
+                id=mol.id,
+                atoms=[Atom(a.element, a.formal_charge, a.chirality, a.num_explicit_h,
+                            a.aromatic, a.hybridization) for a in mol.atoms],
+                bonds=[Bond(b.a, b.b, b.bond_type, b.bond_dir) for b in mol.bonds],
+                coords=list(mol.coords),
+            ))
+        assert sum(any(ring_membership(m)) for m in built) >= 32
+        config = ModelConfig(num_blocks=2, hidden=8, dropout=0.0, distance_bins=5,
+                             geom_head_hidden=8, down_head_hidden=8)
+        store = GeoGNN(config, rng=Rng(3)).store
+        copies = parse_jsonl(write_jsonl(built))
+        for (name, got), (_, want) in zip(embed_molecules(store, config, built),
+                                          embed_molecules(store, config, copies), strict=True):
+            assert got.tobytes() == want.tobytes(), name
 
 
 _MALFORMED = sorted(p.name for p in (FIXTURES / "malformed").iterdir())
@@ -362,7 +390,7 @@ class TestRingMembership:
                             [(1.5 * i, 0.0, 0.0) for i in range(num_atoms)])
         assert cycle_bonds_by_removal(num_atoms, bonds) == want
         assert ring_membership(mol) == want
-        assert [bond.in_ring for bond in mol.bonds] == want
+        assert encoded_ring_flags(mol) == want
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=1000, deadline=None)
@@ -385,7 +413,8 @@ class TestRingMembership:
         for edges in (bonds, [(label[a], label[b]) for a, b in bonds]):
             mol = make_molecule(["C"] * n, edges, [(1.5 * i, 0.0, 0.0) for i in range(n)])
             assert ring_membership(mol) == want
-            assert [bond.in_ring for bond in mol.bonds] == want
+        # encode's flags, of the relabelled molecule, in its bond-list order
+        assert encoded_ring_flags(mol) == want
 
 
 class TestValidation:
@@ -516,15 +545,15 @@ class TestMutatedBytes:
                 assert (first.value.line, str(first.value)) == (errors[0].line, str(errors[0]))
 
 
-def _read(parse, data: bytes):
+def _read(parse, data: bytes, rings=ring_membership):
     """What a lenient SDF reader makes of ``data``: its molecules as JSONL
-    bytes with their ring flags, and each error as (line, text); or the
+    bytes with their ``rings`` flags, and each error as (line, text); or the
     error it raised."""
     try:
         molecules, errors = parse(data)
     except GeoGnnError as err:
         return type(err), str(err)
-    return (write_jsonl(molecules), [[b.in_ring for b in m.bonds] for m in molecules],
+    return (write_jsonl(molecules), [rings(m) for m in molecules],
             [(err.line, str(err)) for err in errors])
 
 
@@ -537,7 +566,8 @@ class TestSdfReference:
     @given(edits=st.lists(_EDIT, min_size=1, max_size=4))
     def test_mutated_fixtures(self, edits):
         for data in (_mutate(seed, edits) for seed in _SDF_SEEDS):
-            assert _read(parse_sdf_lenient, data) == _read(sdf_reference, data)
+            assert _read(parse_sdf_lenient, data) == _read(sdf_reference, data,
+                                                           ring_flags_reference)
 
     @pytest.mark.parametrize("old, new", [
         ("    0.9572", "\x1f   0.9572"),       # padding only str.strip() takes
@@ -562,4 +592,4 @@ class TestSdfReference:
         text = (FIXTURES / "golden.sdf").read_text()
         assert old in text
         data = text.replace(old, new, 1).encode()
-        assert _read(parse_sdf_lenient, data) == _read(sdf_reference, data)
+        assert _read(parse_sdf_lenient, data) == _read(sdf_reference, data, ring_flags_reference)
