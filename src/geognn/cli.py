@@ -4,7 +4,7 @@ Each command takes only the flags it reads:
 
     featurize  --input --out --strict
     pretrain   --input --out --config --seed --precision --epochs --batch
-               --lr-body --lr-head --mask-ratio --tasks
+               --lr-body --mask-ratio --tasks
     finetune   --input --out --config --seed --precision --epochs --batch
                --lr-body --lr-head --metric --checkpoint
     evaluate   --input --out --checkpoint --config --metric --split
@@ -16,9 +16,10 @@ skips it unless --strict is given; every other command exits 2 on the first.
 A JSON config file has a "model" and a "run" section. Each config is merged
 in one step: the defaults (the checkpoint's model config, when finetuning
 from one), then the file, then the flags. Model keys other than dropout
-and precision must match a loaded checkpoint. The model's num_tasks comes
-from the labels (pretraining has none), so a config file that sets it is a
-config error. The run's task type follows from its metric.
+and precision must match a loaded checkpoint. Each training phase sizes the
+model's data-sized heads itself, num_tasks from the labels and
+fingerprint_bits from the fingerprints, so a config file that sets either is
+a config error. The run's task type follows from its metric.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numerical
 failure.
@@ -79,7 +80,7 @@ def _task_list(text: str) -> list[str]:
 
 def _add_training_flags(p: argparse.ArgumentParser, pretraining: bool):
     """The flags of both training commands, then pretraining's task flags or
-    finetuning's metric."""
+    finetuning's --lr-head and --metric."""
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--precision", choices=("f32", "f64"))
     # each dest is the RunConfig field the flag sets; a flag not given sets nothing
@@ -88,12 +89,12 @@ def _add_training_flags(p: argparse.ArgumentParser, pretraining: bool):
     p.add_argument("--epochs", type=int, default=unset)
     p.add_argument("--batch", dest="batch_size", type=int, default=unset)
     p.add_argument("--lr-body", type=float, default=unset)
-    p.add_argument("--lr-head", type=float, default=unset)
     if pretraining:
         p.add_argument("--mask-ratio", type=float, default=unset)
         p.add_argument("--tasks", type=_task_list, default=unset,
                        help="comma list from: length,angle,distance,fingerprint")
     else:
+        p.add_argument("--lr-head", type=float, default=unset)
         p.add_argument("--metric", choices=tuple(METRICS), default=unset)
 
 
@@ -101,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="geognn", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser, by name
 
     p = sub.add_parser("featurize", help="parse and encode molecules and write a summary")
     _add_io(p)
@@ -177,8 +179,9 @@ def _build_run_config(args, file_cfg: dict) -> RunConfig:
 
 
 def _build_model_config(args, file_cfg: dict, base: ModelConfig | None = None) -> ModelConfig:
-    if "num_tasks" in file_cfg.get("model", {}):
-        raise ConfigError("model.num_tasks is set by the labels, not by a config file")
+    for key, source in (("num_tasks", "the labels"), ("fingerprint_bits", "the fingerprints")):
+        if key in file_cfg.get("model", {}):
+            raise ConfigError(f"model.{key} is set by {source}, not by a config file")
     start = (base or ModelConfig()).to_dict()
     merged = {**start, **file_cfg.get("model", {})}
     if args.precision is not None:
@@ -304,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
                         stream=sys.stderr)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the command's own usage line
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

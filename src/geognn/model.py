@@ -54,8 +54,8 @@ class ModelConfig:
     distance_bins: int = 30
     geom_head_hidden: int = 256
     down_head_hidden: int = 128
-    fingerprint_bits: int = 0   # 0 disables the fingerprint head
-    num_tasks: int = 1
+    fingerprint_bits: int = 0   # 0: no head; pretrain: the bits' width, finetune: 0
+    num_tasks: int = 1          # 0: no head; finetune: the labelled tasks, pretrain: 0
     precision: str = "f64"
 
     def validate(self) -> "ModelConfig":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -308,29 +308,36 @@ def _fit_epoch(
     model: GeoGNN,
     n: int,
     run_config: RunConfig,
-    epoch_rng: Rng,
+    rng: Rng,
+    epoch: int,
     batch_loss: Callable[[np.ndarray, list[Rng]], tuple[Tensor, dict[str, float]]],
 ) -> tuple[float, dict[str, float]]:
-    """One epoch of minibatch Adam over training items 0..n-1 in shuffled order.
+    """Epoch ``epoch`` of minibatch Adam over training items 0..n-1 in shuffled
+    order, drawn from the run ``rng``'s "epoch<epoch>" fork.
 
     ``batch_loss(ids, rngs)`` returns the mean loss of the items ``ids`` and
     their per-task means; ``rngs[k]`` is item ``ids[k]``'s stream, keyed by
     its index so that no two items of an epoch share one. Returns the
-    size-weighted means of both over the epoch.
+    size-weighted means of both over the epoch. A NumericalError gains the
+    prefix "epoch E, batch B: ", both counted from 1.
     """
     total = 0.0
     sums: dict[str, float] = {}
+    epoch_rng = rng.fork(f"epoch{epoch}")
     order = epoch_rng.fork("shuffle").permutation(n)
-    for start in range(0, n, run_config.batch_size):
-        ids = order[start : start + run_config.batch_size]
-        model.store.zero_grad()
-        with Tape() as tape:
-            loss, parts = batch_loss(ids, [epoch_rng.fork(f"mol{i}") for i in ids])
-        tape.backward(loss)
-        adam_step(model.store, run_config.lr_body, run_config.lr_head)
-        total += loss.item() * len(ids)
-        for k, v in parts.items():
-            sums[k] = sums.get(k, 0.0) + v * len(ids)
+    try:
+        for batch, start in enumerate(range(0, n, run_config.batch_size), 1):
+            ids = order[start : start + run_config.batch_size]
+            model.store.zero_grad()
+            with Tape() as tape:
+                loss, parts = batch_loss(ids, [epoch_rng.fork(f"mol{i}") for i in ids])
+            tape.backward(loss)
+            adam_step(model.store, run_config.lr_body, run_config.lr_head)
+            total += loss.item() * len(ids)
+            for k, v in parts.items():
+                sums[k] = sums.get(k, 0.0) + v * len(ids)
+    except NumericalError as err:
+        raise NumericalError(f"epoch {epoch}, batch {batch}: {err}") from None
     return total / n, {k: v / n for k, v in sums.items()}
 
 
@@ -354,19 +361,19 @@ def pretrain(
 
     Molecules tagged "valid" form a held-out loss log; everything else trains.
     Each molecule must pass ``Molecule.validate``, as the readers require.
+    The data sizes the heads, whatever ``model_config`` says: no downstream
+    head, and a fingerprint head as wide as the molecules' one width of bits
+    (none without the fingerprint task or bits).
     """
     run_config.validate()
     for molecule in molecules:
         molecule.validate()
-    # no downstream head: finetuning starts its own, sized to its tasks; an
-    # unsized fingerprint head takes the width of the molecules' bits
-    sizes = {"num_tasks": 0}
-    if "fingerprint" in run_config.tasks and model_config.fingerprint_bits == 0:
-        widths = {len(m.fingerprint) for m in molecules if m.fingerprint is not None}
-        if len(widths) > 1:
-            raise DataError(f"inconsistent fingerprint widths: {sorted(widths)}")
-        sizes["fingerprint_bits"] = max(widths, default=0)
-    model_config = ModelConfig.from_dict({**model_config.to_dict(), **sizes})
+    widths = {len(m.fingerprint) for m in molecules
+              if m.fingerprint is not None and "fingerprint" in run_config.tasks}
+    if len(widths) > 1:
+        raise DataError(f"inconsistent fingerprint widths: {sorted(widths)}")
+    model_config = replace(model_config, num_tasks=0,
+                           fingerprint_bits=max(widths, default=0)).validate()
     features = FeatureConfig()
     rng = Rng(run_config.seed)
     model = GeoGNN(model_config, rng=rng)
@@ -398,13 +405,7 @@ def pretrain(
 
     write_checkpoint(0)
     for epoch in range(1, run_config.epochs + 1):
-        try:
-            loss, parts = _fit_epoch(
-                model, len(train_items), run_config, rng.fork(f"epoch{epoch}"), batch_loss
-            )
-        except NumericalError as err:
-            logger.error("pretraining diverged at epoch %d: %s", epoch, err)
-            raise
+        loss, parts = _fit_epoch(model, len(train_items), run_config, rng, epoch, batch_loss)
         entry = {"epoch": epoch, "loss": loss, **parts}
         if eval_items:
             eval_rngs = [Rng(run_config.seed).fork(f"eval{i}") for i in range(len(eval_items))]
@@ -469,14 +470,16 @@ def finetune(
     """Train the downstream head (and body) on the train split, select the
     epoch with the best validation metric, and report the test metric of
     that epoch. Ties keep the earliest epoch. ``split.validate`` checks
-    each molecule with ``Molecule.validate``, as the readers do."""
+    each molecule with ``Molecule.validate``, as the readers do. The labels
+    size the heads, whatever ``model_config`` says: one output per task of
+    the train split, and no fingerprint head (an ``init_store``'s is left out)."""
     run_config.validate()
     split.validate()
     features = FeatureConfig()
     names = task_names(split.train)
     if not names:
         raise DataError("no labelled tasks in the training split")
-    model_config = ModelConfig.from_dict({**model_config.to_dict(), "num_tasks": len(names)})
+    model_config = replace(model_config, num_tasks=len(names), fingerprint_bits=0).validate()
 
     rng = Rng(run_config.seed)
     # the checkpoint's tensors as they are; only the ones it lacks are drawn
@@ -520,9 +523,7 @@ def finetune(
     best_store = model.store  # epoch 1 always replaces it, so only epochs=0 keeps it
     epochs_log: list[dict] = []
     for epoch in range(1, run_config.epochs + 1):
-        train_loss, _ = _fit_epoch(
-            model, len(train_items), run_config, rng.fork(f"epoch{epoch}"), batch_loss
-        )
+        train_loss, _ = _fit_epoch(model, len(train_items), run_config, rng, epoch, batch_loss)
         train_metric = metric_fn(_downstream_predictions(model, packs["train"]), labels["train"])
         valid_metric = metric_fn(_downstream_predictions(model, packs["valid"]), labels["valid"])
         epochs_log.append(

@@ -11,7 +11,7 @@ import pytest
 
 from geognn.features import EncodedGraph, FeatureConfig, encode
 from geognn.geometry import bond_order, build_dual_graph
-from geognn.model import ParamStore
+from geognn.model import GeoGNN, ParamStore
 from geognn.molio import Atom, Bond, Molecule, annotate_derived_attributes
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -57,6 +57,14 @@ def store_of(arrays: dict, dtype=np.float64) -> ParamStore:
     arrays = {name: np.asarray(data, dtype=dtype) for name, data in arrays.items()}
     flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
     return ParamStore(flat, [(name, a.shape) for name, a in arrays.items()])
+
+
+def overflowing_model(config, **kwargs) -> GeoGNN:
+    """A GeoGNN whose atom embedding weights are 1e300: the first block's
+    layer-norm variance overflows in every forward pass."""
+    model = GeoGNN(config, **kwargs)
+    model.store["embed.atom.w"].data[...] = 1e300
+    return model
 
 
 def edit_header(path, edit) -> None:

@@ -18,7 +18,8 @@ from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
-from conftest import FIXTURES, edit_header, make_molecule, rename_atom_block, store_of
+from conftest import (FIXTURES, edit_header, make_molecule, overflowing_model,
+                      rename_atom_block, store_of)
 from oracles import angle_count_reference
 
 
@@ -251,19 +252,21 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("pretrain", "--metric", "rmse"),
+        ("pretrain", "--lr-head", "1"),
         ("finetune", "--tasks", "length"),
         ("finetune", "--mask-ratio", "0.2"),
     ])
     def test_run_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, command, flag,
                                                        value):
+        """The command that does not take a flag reports it, with its own usage line."""
         src = tmp_path / "in.jsonl"
         write_dataset(src, n=4)
         out = tmp_path / "o"
         assert run_cli(command, "--input", str(src), "--out", str(out), "--epochs", "1",
                        flag, value) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: geognn")
-        assert f"geognn: error: unrecognized arguments: {flag} {value}" in err
+        assert err.startswith(f"usage: geognn {command} ")
+        assert f"\ngeognn {command}: error: unrecognized arguments: {flag} {value}\n" in err
         assert not out.exists()
 
     def test_bad_config_file_exit_1(self, tmp_path):
@@ -333,16 +336,21 @@ class TestUsageErrors:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
-    def test_num_tasks_in_config_file_exit_1(self, tmp_path, capsys, command):
-        """num_tasks comes from the labels; a config file may not set it."""
+    @pytest.mark.parametrize("key, source", [("num_tasks", "the labels"),
+                                             ("fingerprint_bits", "the fingerprints")],
+                             ids=["num_tasks", "fingerprint_bits"])
+    def test_data_sized_head_in_config_file_exit_1(self, tmp_path, capsys, command, key, source):
+        """Each training phase sizes its heads from its data; a config file
+        may set neither size, not even to the value the data would give."""
         src = tmp_path / "in.jsonl"
         write_dataset(src, n=4)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"num_tasks": 7}}))
+        cfg.write_text(json.dumps({"model": {key: 0}}))
         out = tmp_path / "o"
         assert run_cli(command, "--input", str(src), "--out", str(out), "--config", str(cfg),
                        "--epochs", "1") == 1
-        assert "config error: model.num_tasks" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: model.{key} is set by {source}, not by a config file" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["finetune", "evaluate", "embed"])
@@ -868,3 +876,93 @@ class TestTrainingCommands:
         rows = [json.loads(l) for l in (emb_out / "embeddings.jsonl").read_text().splitlines()]
         assert len(rows) == 10
         assert np.all(np.isfinite([row["h_G"] for row in rows]))
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_failed_step_names_its_epoch_and_batch_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        monkeypatch.setattr(training, "GeoGNN", overflowing_model)
+        src = tmp_path / "data.jsonl"
+        write_dataset(src, n=6, seed=4)
+        assert run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--config", str(write_config(tmp_path / "cfg.json", epochs=2))) == 3
+        assert "numerical failure: epoch 1, batch 1: block 0: " in capsys.readouterr().err
+
+
+# a value of each training flag that differs from the base run's; a callable
+# takes the directory of the base runs
+_FLAG_VALUES = {
+    "--config": lambda base: str(write_config(base / "other.json", dropout=0.1, epochs=1,
+                                              batch_size=2)),
+    "--precision": "f32",
+    "--seed": "5",
+    "--epochs": "2",
+    "--batch": "3",
+    "--lr-body": "0.01",
+    "--lr-head": "0.01",
+    "--mask-ratio": "0.5",
+    "--tasks": "length",
+    "--metric": "mae",
+    "--checkpoint": lambda base: str(base / "pretrain" / "pretrain_epoch001.ckpt"),
+}
+
+
+def _training_flags() -> list[tuple[str, str]]:
+    """(command, flag) of every optional flag of the training commands, as
+    ``build_parser`` defines them."""
+    commands = cli.build_parser().commands
+    return [(command, action.option_strings[0]) for command in ("pretrain", "finetune")
+            for action in commands[command]._actions
+            if action.option_strings and not action.required and action.dest != "help"]
+
+
+def _numbers(obj) -> list:
+    """Every number in a JSON value, in key order."""
+    if isinstance(obj, dict):
+        return [x for key in sorted(obj) for x in _numbers(obj[key])]
+    if isinstance(obj, list):
+        return [x for item in obj for x in _numbers(item)]
+    return [obj] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
+def _computed(out: Path) -> dict:
+    """What a training run computed: each checkpoint's parameters, and each
+    report's numbers outside its echo of the config and seed."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".ckpt":
+            found[path.name] = load_checkpoint(path)[0].flat.tobytes()
+        else:
+            report = json.loads(path.read_text())
+            found[path.name] = _numbers({k: v for k, v in report.items()
+                                         if k not in ("config", "seed")})
+    return found
+
+
+def _training_run(base: Path, command: str, out: Path, *flags: str) -> dict:
+    argv = [command, "--input", str(base / "data.jsonl"), "--out", str(out), *flags]
+    if "--config" not in flags:
+        argv += ["--config", str(base / "base.json")]
+    assert run_cli(*argv) == 0
+    return _computed(out)
+
+
+@pytest.fixture(scope="module")
+def base_runs(tmp_path_factory):
+    """A small dataset, a base config, and each training command's run with it."""
+    base = tmp_path_factory.mktemp("flags")
+    write_dataset(base / "data.jsonl", n=6, seed=8)
+    write_config(base / "base.json", epochs=1, batch_size=2)
+    return base, {command: _training_run(base, command, base / command)
+                  for command in ("pretrain", "finetune")}
+
+
+@pytest.mark.parametrize("command, flag", _training_flags())
+def test_every_training_flag_is_read(tmp_path, base_runs, command, flag):
+    """A training command's flag changes what the command computes."""
+    if flag not in _FLAG_VALUES:
+        pytest.fail(f"add a value of {flag} that differs from the base run's to _FLAG_VALUES")
+    base, computed = base_runs
+    value = _FLAG_VALUES[flag]
+    value = value(base) if callable(value) else value
+    assert _training_run(base, command, tmp_path / "o", flag, value) != computed[command], \
+        f"{command} {flag} {value} changed nothing the command computes"

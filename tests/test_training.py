@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geognn import tensor, training
-from geognn.errors import ConfigError, DataError
+from geognn.errors import ConfigError, DataError, NumericalError
 from geognn.model import GeoGNN, ModelConfig, ParamStore
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
@@ -27,7 +27,7 @@ from geognn.training import (
     task_names,
 )
 
-from conftest import store_of
+from conftest import overflowing_model, store_of
 from oracles import adam_reference, roc_auc_pairs
 
 
@@ -351,17 +351,55 @@ class TestPretrainLoop:
         result = pretrain(mols, TINY_MODEL, run)
         assert all("eval_loss" in e for e in result.history)
 
-    def test_unsized_fingerprint_head_takes_the_molecules_width(self, tmp_path):
+    @pytest.mark.parametrize("width", [0, 3, 5], ids=["given-0", "given-3", "given-5"])
+    def test_fingerprint_head_takes_the_molecules_width(self, tmp_path, width):
+        """Whatever width the config gives, the head has the molecules' width,
+        and every epoch's checkpoint is written."""
         mols = tiny_dataset(6, seed=13, with_splits=False)
         for i, m in enumerate(mols[1:]):  # the first molecule has no bits
             m.fingerprint = [(i >> k) & 1 for k in range(5)]
-        run = RunConfig(epochs=1, batch_size=4, seed=14, tasks=("length", "fingerprint"))
-        result = pretrain(mols, TINY_MODEL, run, out_dir=tmp_path)
-        assert math.isfinite(result.history[0]["fingerprint"])
+        run = RunConfig(epochs=2, batch_size=4, seed=14, tasks=("length", "fingerprint"))
+        config = dataclasses.replace(TINY_MODEL, fingerprint_bits=width)
+        result = pretrain(mols, config, run, out_dir=tmp_path)
+        assert all(math.isfinite(entry["fingerprint"]) for entry in result.history)
         assert result.store["head_fp.l1.w"].data.shape[1] == 5
         from geognn.checkpoint import load_checkpoint
 
-        assert load_checkpoint(result.checkpoint_paths[-1])[1].fingerprint_bits == 5
+        assert len(result.checkpoint_paths) == 3
+        for path in result.checkpoint_paths:
+            store, saved, _, _ = load_checkpoint(path)
+            assert saved.fingerprint_bits == 5
+            assert store["head_fp.l1.w"].shape == (TINY_MODEL.hidden, 5)
+
+    @pytest.mark.parametrize("tasks, bits", [
+        (("length", "angle", "distance"), [1, 0, 1, 1]), (("length", "fingerprint"), None),
+    ], ids=["no-fingerprint-task", "no-molecule-has-bits"])
+    def test_no_fingerprint_head_without_bits_to_predict(self, tmp_path, tasks, bits):
+        """A fingerprint head that no loss reads is not made, whatever the
+        config says: no tensor, gradient or checkpoint entry for it."""
+        mols = tiny_dataset(6, seed=21, with_splits=False)
+        for m in mols:
+            m.fingerprint = bits
+        config = dataclasses.replace(TINY_MODEL, fingerprint_bits=3)
+        result = pretrain(mols, config, RunConfig(epochs=2, batch_size=4, seed=22, tasks=tasks),
+                          out_dir=tmp_path)
+        from geognn.checkpoint import load_checkpoint
+
+        assert not [n for n in result.store.names() if n.startswith("head_fp.")]
+        assert len(result.checkpoint_paths) == 3
+        for path in result.checkpoint_paths:
+            store, saved, _, _ = load_checkpoint(path)
+            assert saved.fingerprint_bits == 0
+            assert not [n for n in store.names() if n.startswith("head_fp.")]
+
+    def test_lr_head_changes_nothing(self):
+        """Pretraining has no downstream head, so the head learning rate has
+        nothing to act on."""
+        mols = tiny_dataset(6, seed=23, with_splits=False)
+        run = RunConfig(epochs=2, batch_size=4, seed=24)
+        a = pretrain(mols, TINY_MODEL, run)
+        b = pretrain(mols, TINY_MODEL, dataclasses.replace(run, lr_head=5.0))
+        assert np.array_equal(a.store.flat, b.store.flat)
 
     def test_mixed_fingerprint_widths_rejected(self):
         mols = tiny_dataset(4, seed=15, with_splits=False)
@@ -500,6 +538,29 @@ class TestFinetuneLoop:
         result = finetune(split, TINY_MODEL, run, init_store=pre.store)
         assert result.report["selected_epoch"] >= 1
 
+    def test_pretrained_fingerprint_head_is_left_behind(self, tmp_path):
+        """Finetuning keeps a checkpoint's body and drops its fingerprint head,
+        whatever width the given config has for it."""
+        mols = tiny_dataset(10, seed=29)
+        for i, m in enumerate(mols):
+            m.fingerprint = [(i >> k) & 1 for k in range(4)]
+        pre = pretrain(mols, TINY_MODEL, RunConfig(epochs=1, batch_size=4, seed=30,
+                                                   tasks=("length", "fingerprint")))
+        assert pre.store["head_fp.l1.w"].shape == (TINY_MODEL.hidden, 4)
+        config = dataclasses.replace(TINY_MODEL, fingerprint_bits=4)
+        result = finetune(DatasetSplit.from_tags(mols), config, RunConfig(epochs=0, seed=31),
+                          init_store=pre.store, out_dir=tmp_path)
+        from geognn.checkpoint import load_checkpoint
+
+        store, saved, _, _ = load_checkpoint(tmp_path / "finetune_best.ckpt")
+        assert saved.fingerprint_bits == 0 == result.model_config.fingerprint_bits
+        assert result.report["config"]["model"]["fingerprint_bits"] == 0
+        assert not [n for n in store.names() if n.startswith("head_fp.")]
+        body = [n for n in pre.store.names() if not n.startswith("head_fp.")]
+        assert body == [n for n in store.names() if not n.startswith("head_down.")]
+        for name in body:
+            assert np.array_equal(store[name].data, pre.store[name].data)
+
     def test_best_store_is_a_snapshot_of_its_epoch(self):
         # epoch 2 is the best of 3, so the live buffer moves on after it
         split = DatasetSplit.from_tags(tiny_dataset(15, seed=40))
@@ -518,6 +579,19 @@ class TestFinetuneLoop:
         init = GeoGNN(TINY_MODEL, rng=Rng(5)).store
         assert result.store.names() == init.names()
         assert np.array_equal(result.store.flat, init.flat)
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+def test_failed_step_names_its_epoch_and_batch(monkeypatch, phase):
+    monkeypatch.setattr(training, "GeoGNN", overflowing_model)
+    mols = tiny_dataset(10, seed=33)
+    run = RunConfig(epochs=2, batch_size=4, seed=34)
+    with pytest.raises(NumericalError) as err:
+        if phase == "pretrain":
+            pretrain(mols, TINY_MODEL, run)
+        else:
+            finetune(DatasetSplit.from_tags(mols), TINY_MODEL, run)
+    assert str(err.value).startswith("epoch 1, batch 1: block 0: non-finite values")
 
 
 class TestFloat32:
