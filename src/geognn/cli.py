@@ -15,9 +15,10 @@ skips it unless --strict is given; every other command exits 2 on the first.
 
 A JSON config file has a "model" and a "run" section. Each config is merged
 in one step: the defaults (the checkpoint's model config, when finetuning
-from one), then the file, then the flags. Model keys other than dropout
-and precision must match a loaded checkpoint. Each training phase sizes the
-model's data-sized heads itself, num_tasks from the labels and
+from one), then the file, then the flags. A loaded checkpoint must fit the
+finetuning model tensor for tensor, but for a downstream head it lacks
+(drawn) and its fingerprint head (left behind). Each training phase sizes
+the model's data-sized heads itself, num_tasks from the labels and
 fingerprint_bits from the fingerprints, so a config file that sets either is
 a config error. The run's task type follows from its metric.
 
@@ -52,9 +53,6 @@ from .training import (
 )
 
 logger = logging.getLogger("geognn")
-
-# the only model-config keys that may differ from a loaded checkpoint's
-_RUNTIME_KEYS = ("dropout", "precision")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,14 +180,9 @@ def _build_model_config(args, file_cfg: dict, base: ModelConfig | None = None) -
     for key, source in (("num_tasks", "the labels"), ("fingerprint_bits", "the fingerprints")):
         if key in file_cfg.get("model", {}):
             raise ConfigError(f"model.{key} is set by {source}, not by a config file")
-    start = (base or ModelConfig()).to_dict()
-    merged = {**start, **file_cfg.get("model", {})}
+    merged = {**(base or ModelConfig()).to_dict(), **file_cfg.get("model", {})}
     if args.precision is not None:
         merged["precision"] = args.precision
-    if base is not None:
-        conflicts = [k for k, v in start.items() if k not in _RUNTIME_KEYS and merged[k] != v]
-        if conflicts:
-            raise ConfigError(f"config conflicts with the checkpoint on keys: {conflicts}")
     try:
         return ModelConfig.from_dict(merged)
     except TypeError as err:

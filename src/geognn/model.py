@@ -69,12 +69,15 @@ class ModelConfig:
         check_choice("precision", self.precision, ("f32", "f64"))
         count = parameter_count(self)
         if count > MAX_PARAMETERS:
-            sizes = ", ".join(f"{name}={getattr(self, name)}" for name in (
-                "num_blocks", "hidden", "distance_bins", "geom_head_hidden", "down_head_hidden",
-                "fingerprint_bits", "num_tasks"))
-            raise ConfigError(f"a model of {sizes} has {count} parameters, "
+            raise ConfigError(f"a model of {self.sizes()} has {count} parameters, "
                               f"more than the cap of {MAX_PARAMETERS}")
         return self
+
+    def sizes(self) -> str:
+        """The keys that size the parameter tensors, as "key=value, ..."."""
+        return ", ".join(f"{name}={getattr(self, name)}" for name in (
+            "num_blocks", "hidden", "distance_bins", "geom_head_hidden", "down_head_hidden",
+            "fingerprint_bits", "num_tasks"))
 
     @property
     def dtype(self):
@@ -192,7 +195,8 @@ def init_params(config: ModelConfig, rng: Rng, given: ParamStore | None = None) 
         data = store[name].data
         if given is not None and name in given:
             if given[name].shape != shape:
-                raise ConfigError(f"parameter {name}: shape mismatch")
+                raise ConfigError(f"parameter {name}: checkpoint {given[name].shape}, "
+                                  f"model {shape}")
             data[...] = given[name].data
         elif fan_in is None:
             data[...] = 1.0 if name.endswith(".gain") else 0.0

@@ -424,9 +424,7 @@ def node_update(x: Tensor, residual: Tensor, scale: np.ndarray, w1: Tensor, b1: 
 
 
 def _loss_weights(weights, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
-    """Loss weights of the given shape; none means the plain mean, 1/size each."""
-    if weights is None:
-        return np.full(shape, 1.0 / max(int(np.prod(shape)), 1), dtype=dtype)
+    """Loss weights of the given shape, as an array of ``dtype``."""
     weights = np.asarray(weights, dtype=dtype)
     if weights.shape != shape:
         raise ShapeError(f"{what}: weights of shape {weights.shape} for shape {shape}")
@@ -441,11 +439,11 @@ TILE_BYTES = 256 * 1024
 
 
 def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                           labels, weights=None) -> Tensor:
-    """Sum over pairs of weights[pair] * -log softmax(logits)[labels[pair]]
-    (without weights, the mean). The pairs are the ordered pairs (i, j) of
-    rows within each run of counts[m] consecutive rows of x, runs in turn,
-    i-major; a pair's logits are relu(concat(x[i], x[j]) @ w1 + b1) @ w2 + b2,
+                           labels, weights) -> Tensor:
+    """Sum over pairs of weights[pair] * -log softmax(logits)[labels[pair]].
+    The pairs are the ordered pairs (i, j) of rows within each run of
+    counts[m] consecutive rows of x, runs in turn, i-major; a pair's logits
+    are relu(concat(x[i], x[j]) @ w1 + b1) @ w2 + b2,
     with x[i] @ w1[:k] + x[j] @ w1[k:] for the concat. A run is scored a tile
     at a time: the most whole rows i whose [rows * n, h] hidden block fits
     ``TILE_BYTES``, at least one. The result is a scalar, so a taped call sums
@@ -518,9 +516,8 @@ def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor
     return _emit(loss, inputs, grad_fn, "pair_mlp_cross_entropy")
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor, weights=None) -> Tensor:
-    """Sum of weights * binary cross-entropy with logits over the elements;
-    without weights, the mean over the elements."""
+def bce_with_logits(logits: Tensor, targets: Tensor, weights) -> Tensor:
+    """Sum of weights * binary cross-entropy with logits over the elements."""
     logits, targets = _coerce(logits), _coerce(targets)
     if logits.shape != targets.shape:
         raise ShapeError("bce_with_logits expects matching shapes")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, asdict, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -22,7 +23,7 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericalError, check_choice, check_int, check_real
 from .features import EncodedGraph, FeatureConfig, encode
 from .geometry import DualGraph, build_dual_graph
-from .model import GeoGNN, ModelConfig, ParamStore, init_params
+from .model import GeoGNN, ModelConfig, ParamStore, init_params, parameter_table
 from .molio import Molecule
 from .pretrain import (DEFAULT_MASK_RATIO, DEFAULT_TASKS, PreparedMolecule, check_tasks,
                        in_packs, loss_pre, pack, squared_error, unpack)
@@ -61,11 +62,6 @@ class RunConfig:
             raise ConfigError("mask ratio must lie in (0, 1]")
         check_tasks(self.tasks)
         return self
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["tasks"] = list(self.tasks)
-        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
@@ -304,6 +300,15 @@ def write_report(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+@contextmanager
+def _prefixed(prefix: str):
+    """Re-raise a NumericalError of the block as "<prefix>: <its text>"."""
+    try:
+        yield
+    except NumericalError as err:
+        raise NumericalError(f"{prefix}: {err}") from None
+
+
 def _fit_epoch(
     model: GeoGNN,
     n: int,
@@ -325,19 +330,17 @@ def _fit_epoch(
     sums: dict[str, float] = {}
     epoch_rng = rng.fork(f"epoch{epoch}")
     order = epoch_rng.fork("shuffle").permutation(n)
-    try:
-        for batch, start in enumerate(range(0, n, run_config.batch_size), 1):
-            ids = order[start : start + run_config.batch_size]
+    for batch, start in enumerate(range(0, n, run_config.batch_size), 1):
+        ids = order[start : start + run_config.batch_size]
+        with _prefixed(f"epoch {epoch}, batch {batch}"):
             model.store.zero_grad()
             with Tape() as tape:
                 loss, parts = batch_loss(ids, [epoch_rng.fork(f"mol{i}") for i in ids])
             tape.backward(loss)
             adam_step(model.store, run_config.lr_body, run_config.lr_head)
-            total += loss.item() * len(ids)
-            for k, v in parts.items():
-                sums[k] = sums.get(k, 0.0) + v * len(ids)
-    except NumericalError as err:
-        raise NumericalError(f"epoch {epoch}, batch {batch}: {err}") from None
+        total += loss.item() * len(ids)
+        for k, v in parts.items():
+            sums[k] = sums.get(k, 0.0) + v * len(ids)
     return total / n, {k: v / n for k, v in sums.items()}
 
 
@@ -409,16 +412,18 @@ def pretrain(
         entry = {"epoch": epoch, "loss": loss, **parts}
         if eval_items:
             eval_rngs = [Rng(run_config.seed).fork(f"eval{i}") for i in range(len(eval_items))]
-            entry["eval_loss"] = loss_pre(model, eval_items, eval_rngs, tasks=run_config.tasks,
-                                          mask_ratio=run_config.mask_ratio, mode="eval")[0].item()
+            with _prefixed(f"epoch {epoch}, eval"):
+                entry["eval_loss"] = loss_pre(model, eval_items, eval_rngs, tasks=run_config.tasks,
+                                              mask_ratio=run_config.mask_ratio,
+                                              mode="eval")[0].item()
         history.append(entry)
         logger.info("pretrain epoch %d: loss %.6f", epoch, entry["loss"])
         write_checkpoint(epoch)
 
     if out_dir is not None:
-        write_report(
-            out_dir / "pretrain_log.json", {"history": history, "config": run_config.to_dict()}
-        )
+        read = ("epochs", "batch_size", "lr_body", "seed", "tasks", "mask_ratio")
+        write_report(out_dir / "pretrain_log.json",
+                     {"history": history, "config": {k: getattr(run_config, k) for k in read}})
     return PretrainResult(history=history, checkpoint_paths=paths, store=model.store)
 
 
@@ -472,7 +477,9 @@ def finetune(
     that epoch. Ties keep the earliest epoch. ``split.validate`` checks
     each molecule with ``Molecule.validate``, as the readers do. The labels
     size the heads, whatever ``model_config`` says: one output per task of
-    the train split, and no fingerprint head (an ``init_store``'s is left out)."""
+    the train split, and no fingerprint head. An ``init_store`` must fit the
+    model tensor for tensor (name and shape), but for a downstream head it
+    lacks (drawn) and a fingerprint head (left behind): else ConfigError."""
     run_config.validate()
     split.validate()
     features = FeatureConfig()
@@ -481,13 +488,17 @@ def finetune(
         raise DataError("no labelled tasks in the training split")
     model_config = replace(model_config, num_tasks=len(names), fingerprint_bits=0).validate()
 
-    rng = Rng(run_config.seed)
-    # the checkpoint's tensors as they are; only the ones it lacks are drawn
-    store = init_params(model_config, rng.fork("init"), given=init_store)
-    model = GeoGNN(model_config, store=store)
     if init_store is not None:
-        loaded = set(init_store.names()) & set(model.store.names())
-        logger.info("loaded %d parameter tensors from checkpoint", len(loaded))
+        given = {n: s for n, s in init_store.shapes() if not n.startswith("head_fp.")}
+        wanted = {n: s for n, s, _ in parameter_table(model_config)
+                  if n in given or not n.startswith(_HEAD_PREFIX)}
+        off = next((n for n in chain(wanted, given) if wanted.get(n) != given.get(n)), None)
+        if off is not None:
+            raise ConfigError(f"parameter {off}: checkpoint {given.get(off, 'none')}, model "
+                              f"{wanted.get(off, 'none')} ({model_config.sizes()})")
+        logger.info("loaded %d parameter tensors from checkpoint", len(given))
+    rng = Rng(run_config.seed)
+    model = GeoGNN(model_config, store=init_params(model_config, rng.fork("init"), init_store))
 
     # a training molecule with no labels has no loss term; a batch of only
     # such molecules would have no loss at all
@@ -518,14 +529,17 @@ def finetune(
             model, batch, labels["train"][ids], run_config.task_type, rngs
         )
 
+    def score(model, part):
+        return metric_fn(_downstream_predictions(model, packs[part]), labels[part])
+
     best_metric = None
     best_epoch = 0
     best_store = model.store  # epoch 1 always replaces it, so only epochs=0 keeps it
     epochs_log: list[dict] = []
     for epoch in range(1, run_config.epochs + 1):
         train_loss, _ = _fit_epoch(model, len(train_items), run_config, rng, epoch, batch_loss)
-        train_metric = metric_fn(_downstream_predictions(model, packs["train"]), labels["train"])
-        valid_metric = metric_fn(_downstream_predictions(model, packs["valid"]), labels["valid"])
+        with _prefixed(f"epoch {epoch}, eval"):
+            train_metric, valid_metric = score(model, "train"), score(model, "valid")
         epochs_log.append(
             {
                 "epoch": epoch,
@@ -543,14 +557,16 @@ def finetune(
             best_epoch = epoch
             best_store = model.store.copy()
 
-    eval_model = GeoGNN(model_config, store=best_store)
-    test_metric = metric_fn(_downstream_predictions(eval_model, packs["test"]), labels["test"])
+    with _prefixed("test"):
+        test_metric = score(GeoGNN(model_config, store=best_store), "test")
+    read = ("epochs", "batch_size", "lr_body", "lr_head", "seed", "metric", "task_type")
     report = {
         "kind": "finetune_report",
         "metric": run_config.metric,
         "task_names": names,
         "seed": run_config.seed,
-        "config": {"model": model_config.to_dict(), "run": run_config.to_dict()},
+        "config": {"model": model_config.to_dict(),
+                   "run": {k: getattr(run_config, k) for k in read}},
         "epochs": epochs_log,
         "selected_epoch": best_epoch,
         "valid_metric": best_metric,

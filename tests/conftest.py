@@ -67,6 +67,21 @@ def overflowing_model(config, **kwargs) -> GeoGNN:
     return model
 
 
+def eval_overflowing_model(config, **kwargs) -> GeoGNN:
+    """A GeoGNN that trains as usual, but whose eval-mode forward passes first
+    make it an ``overflowing_model``."""
+    model = GeoGNN(config, **kwargs)
+    forward = model.forward
+
+    def overflowing_in_eval(graph, encoded, mode="eval", rng=None):
+        if mode == "eval":
+            model.store["embed.atom.w"].data[...] = 1e300
+        return forward(graph, encoded, mode=mode, rng=rng)
+
+    model.forward = overflowing_in_eval
+    return model
+
+
 def edit_header(path, edit) -> None:
     """Rewrite the checkpoint's JSON header in place with edit(header)."""
     raw = path.read_bytes()

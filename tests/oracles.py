@@ -567,10 +567,12 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
             store = model.store
             parts["distance"] = T.pair_mlp_cross_entropy(
                 h, [n], store["head_distance.l1.w"], store["head_distance.l1.b"],
-                store["head_distance.l2.w"], store["head_distance.l2.b"], bins)
+                store["head_distance.l2.w"], store["head_distance.l2.b"], bins,
+                np.full(n * n, 1 / (n * n)))
         if "fingerprint" in parts and bits:
             logits = model.head_fingerprint(emb.h_graph)
-            parts["fingerprint"] = T.bce_with_logits(logits, Tensor(np.array([bits], dtype=float)))
+            parts["fingerprint"] = T.bce_with_logits(logits, Tensor(np.array([bits], dtype=float)),
+                                                     np.full((1, len(bits)), 1 / len(bits)))
         for name, part in parts.items():
             sums[name] = sums.get(name, 0.0) + (part.item() if part is not None else 0.0)
             if part is not None:

@@ -18,8 +18,8 @@ from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
-from conftest import (FIXTURES, edit_header, make_molecule, overflowing_model,
-                      rename_atom_block, store_of)
+from conftest import (FIXTURES, edit_header, eval_overflowing_model, make_molecule,
+                      overflowing_model, rename_atom_block, store_of)
 from oracles import angle_count_reference
 
 
@@ -801,6 +801,37 @@ class TestTrainingCommands:
             assert "config error: " in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["hidden", "num_blocks", "distance_bins", "geom_head_hidden"])
+    def test_config_that_the_checkpoint_does_not_fit_exit_1(self, tmp_path, capsys, base_runs,
+                                                             key):
+        base, _ = base_runs
+        sizes = json.loads((base / "base.json").read_text())["model"]
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"model": {**sizes, key: sizes[key] + 1}}))
+        out = tmp_path / "o"
+        assert run_cli("finetune", "--input", str(base / "data.jsonl"), "--out", str(out),
+                       "--config", str(other), "--epochs", "1",
+                       "--checkpoint", str(base / "pretrain" / "pretrain_epoch001.ckpt")) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finetune_draws_a_head_of_its_own_width_on_a_pretraining_checkpoint(
+            self, tmp_path, base_runs):
+        """A pretraining checkpoint has no downstream head, so it does not
+        fix that head's width."""
+        base, _ = base_runs
+        sizes = json.loads((base / "base.json").read_text())["model"]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"model": {**sizes, "down_head_hidden": 16}}))
+        out = tmp_path / "fine"
+        assert run_cli("finetune", "--input", str(base / "data.jsonl"), "--out", str(out),
+                       "--config", str(wide), "--epochs", "1",
+                       "--checkpoint", str(base / "pretrain" / "pretrain_epoch001.ckpt")) == 0
+        store, saved, _, _ = load_checkpoint(out / "finetune_best.ckpt")
+        assert sizes["down_head_hidden"] == 8 and saved.down_head_hidden == 16
+        assert store["head_down.l1.w"].shape == (sizes["hidden"], 16)
+        assert store["head_down.l2.w"].shape == (16, 16)
+
     def test_determinism_of_reports(self, tmp_path):
         src = tmp_path / "data.jsonl"
         write_dataset(src, n=8, seed=4)
@@ -887,6 +918,21 @@ class TestTrainingCommands:
                        "--config", str(write_config(tmp_path / "cfg.json", epochs=2))) == 3
         assert "numerical failure: epoch 1, batch 1: block 0: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, epochs, prefix", [
+        ("pretrain", "1", "epoch 1, eval"),   # the held-out loss
+        ("finetune", "1", "epoch 1, eval"),   # the train and valid metrics
+        ("finetune", "0", "test"),            # the selected epoch's test metric
+    ])
+    def test_failed_eval_pass_names_its_epoch_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                     command, epochs, prefix):
+        monkeypatch.setattr(training, "GeoGNN", eval_overflowing_model)
+        src = tmp_path / "data.jsonl"
+        write_dataset(src, n=6, seed=4)
+        assert run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"),
+                       "--config", str(write_config(tmp_path / "cfg.json")),
+                       "--epochs", epochs) == 3
+        assert f"numerical failure: {prefix}: block 0: " in capsys.readouterr().err
+
 
 # a value of each training flag that differs from the base run's; a callable
 # takes the directory of the base runs
@@ -966,3 +1012,13 @@ def test_every_training_flag_is_read(tmp_path, base_runs, command, flag):
     value = value(base) if callable(value) else value
     assert _training_run(base, command, tmp_path / "o", flag, value) != computed[command], \
         f"{command} {flag} {value} changed nothing the command computes"
+
+
+def test_each_record_holds_the_settings_its_phase_reads(base_runs):
+    base, _ = base_runs
+    log = json.loads((base / "pretrain" / "pretrain_log.json").read_text())
+    report = json.loads((base / "finetune" / "finetune_report.json").read_text())
+    assert sorted(log["config"]) == sorted(
+        ["epochs", "batch_size", "lr_body", "seed", "tasks", "mask_ratio"])
+    assert sorted(report["config"]["run"]) == sorted(
+        ["epochs", "batch_size", "lr_body", "lr_head", "seed", "metric", "task_type"])

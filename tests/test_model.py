@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ def composite_loss(model, graph, enc, bits, bins):
         adiff = T.sub(pred_ang, Tensor(graph.angle_values.reshape(-1, 1)))
         loss = T.add(loss, T.mul(T.sum_all(T.mul(adiff, adiff)), 1.0 / graph.num_angles))
     loss = T.add(loss, loss_distance(model, emb, graph, bins))
-    loss = T.add(loss, T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits)))
+    loss = T.add(loss, T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits),
+                                         np.full(bits.shape, 1 / bits.size)))
     return T.add(loss, T.sum_all(model.head_downstream(emb.h_graph)))
 
 
@@ -428,9 +430,10 @@ class TestParamStore:
             assert np.array_equal(store[name].data, want), name
 
     def test_given_tensor_of_wrong_shape_is_a_config_error(self):
-        given = store_of({"head_down.l3.w": np.ones((SMALL.down_head_hidden,
-                                                     SMALL.num_tasks + 1))})
-        with pytest.raises(ConfigError, match="head_down.l3.w: shape mismatch"):
+        d, n = SMALL.down_head_hidden, SMALL.num_tasks
+        given = store_of({"head_down.l3.w": np.ones((d, n + 1))})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"parameter head_down.l3.w: checkpoint {(d, n + 1)}, model {(d, n)}")):
             init_params(SMALL, Rng(55), given=given)
 
     def test_uniform_init_respects_fan_in_bound(self):

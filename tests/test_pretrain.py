@@ -260,7 +260,8 @@ class TestFingerprintLoss:
         emb = model.forward(item.graph, item.encoded)
         bits = np.array(mol.fingerprint, dtype=float)
         logits = np.where(bits > 0, 10.0, -10.0).reshape(1, -1)
-        assert T.bce_with_logits(Tensor(logits), Tensor(bits.reshape(1, -1))).item() < 0.01
+        mean = np.full((1, bits.size), 1 / bits.size)
+        assert T.bce_with_logits(Tensor(logits), Tensor(bits.reshape(1, -1)), mean).item() < 0.01
 
     def test_zero_logits_give_ln2(self, model):
         mol = random_molecule(Rng(21))

@@ -238,7 +238,7 @@ ID_OPS = {
     "gather_rows": lambda ids: T.gather_rows(Tensor(np.zeros((3, 2))), ids),
     "pair_mlp_cross_entropy": lambda ids: T.pair_mlp_cross_entropy(
         Tensor(np.zeros((2, 1))), [1, 1], Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
-        Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ids),
+        Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ids, np.full(2, 0.5)),
     "aggregate": lambda ids: T.aggregate(
         Tensor(np.zeros((3, 2))), T.Edges(np.stack([ids, ids[::-1]], axis=-1), 3, 2),
         Tensor(np.zeros((2, 2)))),
@@ -417,7 +417,8 @@ class TestPairAffineRelu:
         with pytest.raises(ShapeError):
             T.pair_mlp_cross_entropy(Tensor(np.ones(x)), np.array(counts), Tensor(np.ones(w1)),
                                      Tensor(np.ones(b1)), Tensor(np.ones(w2)),
-                                     Tensor(np.ones(b2)), np.zeros(13, dtype=int))
+                                     Tensor(np.ones(b2)), np.zeros(13, dtype=int),
+                                     np.full(13, 1 / 13))
 
     @pytest.mark.parametrize("counts", [
         [2.0, 3.0],      # not integers
@@ -429,7 +430,7 @@ class TestPairAffineRelu:
             T.pair_mlp_cross_entropy(Tensor(np.ones((5, 1))), np.array(counts),
                                      Tensor(np.ones((2, 2))), Tensor(np.ones(2)),
                                      Tensor(np.ones((2, 3))), Tensor(np.ones(3)),
-                                     np.zeros(13, dtype=int))
+                                     np.zeros(13, dtype=int), np.full(13, 1 / 13))
 
     def test_bad_weights_rejected(self):
         x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(17)
@@ -661,8 +662,10 @@ class TestFusedUpdate:
 def _pair_softmax_ce(logits, labels, weights=None):
     """pair_mlp_cross_entropy on runs of one row each through layers that pass
     the rows through exactly (relu(z) - relu(-z) is z): pair i's logits are
-    row i of ``logits``, so this is the op's softmax cross-entropy."""
+    row i of ``logits``, so this is the op's softmax cross-entropy, weighted
+    1/n per row (the mean) unless ``weights`` are given."""
     n, c = logits.shape
+    weights = np.full(n, 1.0 / n) if weights is None else weights
     eye, zeros = np.eye(c, dtype=logits.dtype), np.zeros((c, 2 * c), dtype=logits.dtype)
     w1 = np.vstack([np.hstack([eye, -eye]), zeros])  # the second row of a pair adds nothing
     return T.pair_mlp_cross_entropy(logits, np.ones(n, dtype=int), Tensor(w1), Tensor(zeros[0]),
@@ -856,9 +859,11 @@ class TestPlumbingOps:
     def test_bce_with_logits_values(self):
         logits = Tensor(np.zeros((1, 4)))
         bits = Tensor(np.array([[0.0, 1.0, 0.0, 1.0]]))
-        assert T.bce_with_logits(logits, bits).item() == pytest.approx(math.log(2.0), abs=1e-12)
+        mean = np.full((1, 4), 0.25)
+        assert T.bce_with_logits(logits, bits, mean).item() == pytest.approx(math.log(2.0),
+                                                                             abs=1e-12)
         strong = Tensor(np.array([[-10.0, 10.0, -10.0, 10.0]]))
-        assert T.bce_with_logits(strong, bits).item() < 0.01
+        assert T.bce_with_logits(strong, bits, mean).item() < 0.01
 
     def test_bce_grad_vs_finite_differences(self):
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -560,6 +561,19 @@ class TestFinetuneLoop:
         assert body == [n for n in store.names() if not n.startswith("head_down.")]
         for name in body:
             assert np.array_equal(store[name].data, pre.store[name].data)
+
+    @pytest.mark.parametrize("blocks, first", [
+        (1, "block1.bond.mlp1.w: checkpoint none, model (8, 8)"),
+        (3, "block2.bond.mlp1.w: checkpoint (8, 8), model none"),
+    ], ids=["fewer", "more"])
+    def test_store_of_other_blocks_is_a_config_error(self, blocks, first):
+        """A store fits the model block for block: finetuning neither draws
+        the blocks it lacks nor drops the ones beyond the model's."""
+        config = dataclasses.replace(TINY_MODEL, num_blocks=blocks, num_tasks=0)
+        store = GeoGNN(config, rng=Rng(35)).store
+        split = DatasetSplit.from_tags(tiny_dataset(10, seed=36))
+        with pytest.raises(ConfigError, match=re.escape(f"parameter {first} (num_blocks=2, ")):
+            finetune(split, TINY_MODEL, RunConfig(epochs=1, seed=37), init_store=store)
 
     def test_best_store_is_a_snapshot_of_its_epoch(self):
         # epoch 2 is the best of 3, so the live buffer moves on after it
