@@ -1,9 +1,9 @@
-"""Versioned binary checkpoint container, format 3.
+"""Versioned binary checkpoint container, format 4.
 
 Layout (all integers little-endian):
 
     bytes 0..3    magic b"GEM1"
-    bytes 4..7    uint32 format version (3)
+    bytes 4..7    uint32 format version (4)
     bytes 8..15   uint64 length of the JSON header
     header        UTF-8 JSON: model config, feature-layout manifest, the
                   payload's length and crc32, an ``extra`` object
@@ -34,7 +34,7 @@ from .features import FeatureConfig
 from .model import ModelConfig, ParamStore, parameter_count, parameter_table
 
 MAGIC = b"GEM1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save_checkpoint(

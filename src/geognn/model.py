@@ -19,9 +19,11 @@ row's graph-size norm counts its own molecule's nodes, the readout is a
 segment mean over each molecule's atom rows, and each molecule draws its
 dropout masks from its own stream.
 
-The geometry heads are 2-layer MLPs. Length and angle concatenate the
-atom rows of the few masked bonds and angles. The distance head scores
-all V^2 ordered atom pairs of each molecule, and only its loss is used:
+The geometry heads are 2-layer MLPs that read no atom order. Length reads
+the sum of a masked bond's two end rows, angle the sum of a masked angle's
+two arm rows next to its centre row. The distance head reads a pair's rows
+through one first-layer weight, relu(x_i W1 + x_j W1 + b1), so it scores
+each unordered atom pair of each molecule once, and only its loss is used:
 ``pretrain.loss_distance`` runs it as one op, ``tensor.pair_mlp_cross_entropy``.
 """
 
@@ -148,8 +150,12 @@ class ParamStore:
 def parameter_table(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
     """(name, shape, fan_in) of every GeoGNN parameter, in store order, for
     feature rows of ``FeatureConfig``'s one layout; layer-norm parameters
-    have no fan-in. Yielded one at a time, so a reader can stop before the
-    blocks run out."""
+    have no fan-in. A layer's fan-in is the number of input terms summed
+    into each of its pre-activations: its input width, but 2h for the first
+    layer of the length and distance heads, whose h inputs each add two
+    atoms' rows, and 3h for the angle head's, whose input is two arms' rows
+    added next to the centre's row. Yielded one at a time, so a reader can
+    stop before the blocks run out."""
     h, g, d = config.hidden, config.geom_head_hidden, config.down_head_hidden
     embeds = [("embed.atom", FeatureConfig.atom_width, h),
               ("embed.bond", FeatureConfig.bond_width, h),
@@ -157,9 +163,10 @@ def parameter_table(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...],
     blocks = ((f"block{k}.{s}.{layer}", n_in, h)
               for k in range(config.num_blocks) for s in ("bond", "atom")
               for layer, n_in in (("mlp1", h), ("mlp2", h), ("norm", None)))
-    heads = [("head_length.l1", 2 * h, g), ("head_length.l2", g, 1),
-             ("head_angle.l1", 3 * h, g), ("head_angle.l2", g, 1),
-             ("head_distance.l1", 2 * h, g), ("head_distance.l2", g, config.distance_bins)]
+    heads = [("head_length.l1", h, g), ("head_length.l2", g, 1),
+             ("head_angle.l1", 2 * h, g), ("head_angle.l2", g, 1),
+             ("head_distance.l1", h, g), ("head_distance.l2", g, config.distance_bins)]
+    fan_ins = {"head_length.l1": 2 * h, "head_angle.l1": 3 * h, "head_distance.l1": 2 * h}
     if config.fingerprint_bits > 0:
         heads.append(("head_fp.l1", h, config.fingerprint_bits))
     if config.num_tasks > 0:
@@ -170,8 +177,9 @@ def parameter_table(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...],
             yield f"{name}.gain", (n_out,), None
             yield f"{name}.bias", (n_out,), None
         else:
-            yield f"{name}.w", (n_in, n_out), n_in
-            yield f"{name}.b", (n_out,), n_in
+            fan_in = fan_ins.get(name, n_in)
+            yield f"{name}.w", (n_in, n_out), fan_in
+            yield f"{name}.b", (n_out,), fan_in
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -314,12 +322,14 @@ class GeoGNN:
         return self._apply_linear(f"{prefix}.l2", T.relu(self._apply_linear(f"{prefix}.l1", x)))
 
     def head_length(self, h_u: Tensor, h_v: Tensor) -> Tensor:
-        """Scalar bond length prediction per row pair; returns [m, 1]."""
-        return self._mlp2("head_length", T.concat([h_u, h_v], axis=1))
+        """Scalar bond length prediction per row pair, the same for either
+        order of the ends; returns [m, 1]."""
+        return self._mlp2("head_length", T.add(h_u, h_v))
 
     def head_angle(self, h_w: Tensor, h_u: Tensor, h_v: Tensor) -> Tensor:
-        """Scalar angle prediction; the center atom goes in the middle slot."""
-        return self._mlp2("head_angle", T.concat([h_w, h_u, h_v], axis=1))
+        """Scalar angle prediction of the arms' ends h_w and h_v about the
+        center h_u, the same for either order of the arms."""
+        return self._mlp2("head_angle", T.concat([T.add(h_w, h_v), h_u], axis=1))
 
     def head_fingerprint(self, h_graph: Tensor) -> Tensor:
         """Fingerprint logits, one row per molecule."""

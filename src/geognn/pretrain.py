@@ -4,24 +4,24 @@ binned atomic distances, and optional fingerprint reconstruction.
 Each target is read from its own molecule by the loss that uses it: the
 masked lengths and angles come from the pack's masking, the fingerprint
 bits from each molecule as is, and the distance bins from each prepared
-molecule's pair distances (``PreparedMolecule.distances``), which it
-computes the first time the distance loss reads them and then keeps.
+molecule (``PreparedMolecule.distance_bins``), which bins its atom pairs
+the first time the distance loss reads them and then keeps the bin ids.
 
 ``loss_pre`` packs the molecules into one graph (at most ``PACK_SIZE`` at
 a time, as the distance task's pairs grow with the square of a molecule's
 atoms), masks the pack, each molecule with its own stream, and runs one
 forward pass per pack. Each task loss is a weighted sum over the pack's
 rows that equals the sum of the molecules' own mean losses; the distance
-task shares the same pass. Its loss, ``tensor.pair_mlp_cross_entropy``,
-scores every ordered atom pair of each molecule straight from the atom
-rows, a tile of whole rows of one molecule at a time, so no pair row
-outlives its tile of at most ``tensor.TILE_BYTES``.
+task shares the same pass. Its head reads a pair in either order alike, so
+its loss, ``tensor.pair_mlp_cross_entropy``, scores each unordered atom pair
+of each molecule once, straight from the atom rows, a tile of whole rows of
+one molecule at a time, so no pair row outlives its tile of at most
+``tensor.TILE_BYTES``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -59,14 +59,17 @@ def check_tasks(tasks) -> None:
         check_choice("pretrain task", task, TASKS)
 
 
-def build_targets(graph: DualGraph, molecule: Molecule) -> np.ndarray:
-    """[V*V] distance of each ordered atom pair of one molecule, row-major:
-    ``graph`` is its union of one."""
+def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> np.ndarray:
+    """The distance bin of each atom pair (i, j) with j >= i of one molecule,
+    i-major, V * (V + 1) / 2 of them: the distance in whole units, the last
+    of ``num_bins`` bins taking every longer one, as the smallest unsigned
+    integers that hold them. ``graph`` is the molecule's union of one."""
     with np.errstate(all="ignore"):  # far-apart atoms overflow: named below
-        dists = distance_matrix(graph.coords).reshape(-1)
+        dists = distance_matrix(graph.coords)[np.triu_indices(graph.num_atoms)]
     if not np.all(np.isfinite(dists)):
         raise DataError(f"molecule {molecule.id}: non-finite atomic distance")
-    return dists
+    # clamped before the cast: a long distance has no small integer
+    return np.minimum(dists, num_bins - 1).astype(np.min_scalar_type(num_bins - 1))
 
 
 def squared_error(pred: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -103,9 +106,14 @@ def loss_distance(
 ) -> Tensor:
     """Sum over molecules of the mean cross-entropy of binned distances over
     their ordered atom pairs, diagonal included; a one-atom molecule adds
-    nothing. ``bin_ids`` holds each molecule's pairs in turn, row-major."""
-    counts = graph.atom_counts
-    weights = np.repeat(np.where(counts > 1, 1.0 / counts**2, 0.0), counts**2)
+    nothing. The head reads (i, j) and (j, i) alike, so each pair (i, j) with
+    j >= i is scored once, weighing 2 / V^2 off the diagonal and 1 / V^2 on
+    it. ``bin_ids`` holds each molecule's ``build_targets`` in turn."""
+    counts, mol = graph.atom_counts, graph.atom_graph
+    # atom i's pairs are (i, i), (i, i + 1), ..., and the first weighs half
+    row_pairs = graph.atom_offsets[mol] + counts[mol] - np.arange(graph.num_atoms)
+    weights = np.repeat(np.where(counts > 1, 2.0 / counts**2, 0.0)[mol], row_pairs)
+    weights[np.cumsum(row_pairs) - row_pairs] /= 2.0
     head = [model.store[f"head_distance.{name}"] for name in ("l1.w", "l1.b", "l2.w", "l2.b")]
     return T.pair_mlp_cross_entropy(emb.h_atoms, counts, *head, bin_ids, weights)
 
@@ -130,16 +138,19 @@ def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding,
 
 @dataclass
 class PreparedMolecule:
-    """A molecule with its graph and features; its pair distances, the
+    """A molecule with its graph and features. Its distance bins, the
     distance task's target, are built on first read and kept."""
 
     molecule: Molecule
     graph: DualGraph
     encoded: EncodedGraph
+    _bins: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False)
 
-    @cached_property
-    def distances(self) -> np.ndarray:
-        return build_targets(self.graph, self.molecule)
+    def distance_bins(self, num_bins: int) -> np.ndarray:
+        """``build_targets`` of this molecule into ``num_bins`` bins."""
+        if self._bins is None or self._bins[0] != num_bins:
+            self._bins = num_bins, build_targets(self.graph, self.molecule, num_bins)
+        return self._bins[1]
 
 
 def pack(items: Sequence[PreparedMolecule]) -> tuple[DualGraph, EncodedGraph]:
@@ -197,9 +208,8 @@ def loss_pre(
         if "angle" in tasks:
             parts["angle"] = loss_angle(model, emb, masked)
         if "distance" in tasks:
-            # clamped before the cast: a distance of 2**63 or more has no int64
-            dists = np.concatenate([item.distances for item in items])
-            bin_ids = np.minimum(dists, model.config.distance_bins - 1).astype(np.int64)
+            bins = model.config.distance_bins
+            bin_ids = np.concatenate([item.distance_bins(bins) for item in items])
             parts["distance"] = loss_distance(model, emb, graph, bin_ids)
         if "fingerprint" in tasks and any(i.molecule.fingerprint is not None for i in items):
             parts["fingerprint"] = loss_fingerprint(model, emb, [i.molecule for i in items])

@@ -14,9 +14,10 @@ operands have the same shape, or one is a scalar, or one is an ``[n, 1]``
 column against an ``[n, k]`` matrix; backward sums each gradient back over
 what its operand was broadcast along.
 
-``pair_mlp_cross_entropy``, the distance objective, is a 2-layer MLP and its
-cross-entropy over the ordered row pairs of each run of rows. It scores a run
-a tile of whole rows at a time, each tile's pair block no larger than
+``pair_mlp_cross_entropy``, the distance objective, is a 2-layer MLP that
+reads a row pair in either order alike, and its cross-entropy over the
+unordered row pairs of each run of rows, each scored once. It scores a run a
+tile of whole rows at a time, each tile's pair block no larger than
 ``TILE_BYTES``, so its buffers stay in cache and grow with the run's rows, not
 their square.
 
@@ -441,53 +442,69 @@ TILE_BYTES = 256 * 1024
 def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                            labels, weights) -> Tensor:
     """Sum over pairs of weights[pair] * -log softmax(logits)[labels[pair]].
-    The pairs are the ordered pairs (i, j) of rows within each run of
-    counts[m] consecutive rows of x, runs in turn, i-major; a pair's logits
-    are relu(concat(x[i], x[j]) @ w1 + b1) @ w2 + b2,
-    with x[i] @ w1[:k] + x[j] @ w1[k:] for the concat. A run is scored a tile
-    at a time: the most whole rows i whose [rows * n, h] hidden block fits
-    ``TILE_BYTES``, at least one. The result is a scalar, so a taped call sums
+    The pairs are the unordered row pairs of each run of counts[m]
+    consecutive rows of x, runs in turn: a run's pairs (i, j) with j >= i,
+    i-major, n * (n + 1) / 2 of them for n rows. A pair's logits are
+    relu(x[i] @ w1 + x[j] @ w1 + b1) @ w2 + b2, the same for (i, j) and
+    (j, i); so weights of 2 / n^2 off the diagonal and 1 / n^2 on it give
+    the mean over a run's n^2 ordered pairs. p = x @ w1 is computed once.
+
+    A run is scored a tile at a time: the most whole rows i whose [rows * n,
+    h] hidden block fits ``TILE_BYTES``, at least one. The tile of rows
+    [i, i + rows) spans columns [i, n), one broadcast add, and its few cells
+    (i', j) with j < i' weigh 0. The result is a scalar, so a taped call sums
     its gradients at upstream 1 tile by tile (da's rows are set, dc, dw2 and
     db2 add up across tiles), and backward only scales them."""
     x, w1, b1, w2, b2 = inputs = tuple(_coerce(t) for t in (x, w1, b1, w2, b2))
     if ([t.data.ndim for t in inputs] != [2, 2, 1, 2, 1] or b2.shape != w2.shape[1:]
-            or w1.shape != (2 * x.shape[1], w2.shape[0]) or b1.shape != w2.shape[:1]):
+            or w1.shape != (x.shape[1], w2.shape[0]) or b1.shape != w2.shape[:1]):
         raise ShapeError(f"pair_mlp_cross_entropy: shapes {[t.shape for t in inputs]} are not "
-                         "x[n,k], w1[2k,h], b1[h], w2[h,c], b2[c]")
+                         "x[n,k], w1[k,h], b1[h], w2[h,c], b2[c]")
     counts = _check_ids(counts, x.shape[0] + 1, "pair_mlp_cross_entropy: counts").astype(np.intp)
     if int(counts.sum()) != x.shape[0]:
         raise ShapeError(f"pair_mlp_cross_entropy: counts sum to {counts.sum()}, not {x.shape[0]}")
-    k, (h, num_classes) = x.shape[1], w2.shape
-    pairs = np.concatenate([[0], np.cumsum(counts * counts)]).tolist()
-    labels = _check_ids(labels, num_classes, "class labels", rows=pairs[-1])
+    h, num_classes = w2.shape
+    labels = _check_ids(labels, num_classes, "class labels",
+                        rows=int((counts * (counts + 1) // 2).sum()))
     weights = _loss_weights(weights, labels.shape, x.dtype, "pair_mlp_cross_entropy")
     taped = bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
-    a, c = x.data @ w1.data[:k] + b1.data, x.data @ w1.data[k:]
-    picked = np.empty(labels.shape, dtype=np.result_type(a, w2.data))
-    row_bytes = np.maximum(counts * h * picked.itemsize, 1)
+    p = x.data @ w1.data
+    a = p + b1.data
+    dtype = np.result_type(a, w2.data)
+    row_bytes = np.maximum(counts * h * dtype.itemsize, 1)
     tile_rows = np.clip(TILE_BYTES // row_bytes, 1, np.maximum(counts, 1))
+    # the tiles' cells, row by row: row i of a run of n rows whose tile starts
+    # at row s has the cells (i, s .. n - 1). Its cells (i, i ..) are its
+    # pairs, so the cells with j >= i are the pairs in order; the rest weigh 0
+    local = np.arange(x.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    diag = local % np.repeat(tile_rows, counts)  # (i, i)'s column in its tile
+    width = np.repeat(counts, counts) - local + diag
+    cell_starts = np.cumsum(width) - width
+    real = np.arange(int(width.sum())) >= np.repeat(cell_starts + diag, width)
+    cell_labels, cell_weights = (np.zeros(real.shape, dtype=v.dtype) for v in (labels, weights))
+    cell_labels[real], cell_weights[real] = labels, weights
+    cell_starts = cell_starts.tolist()
+    picked = np.empty(real.shape, dtype=dtype)
     # one set of buffers for every tile: fresh ones would cost page faults
     most = int((tile_rows * counts).max(initial=0))
-    hidden_buf, logits_buf = (np.empty(most * width, dtype=picked.dtype)
-                              for width in (h, num_classes))
-    tile_ids, ones = np.arange(most), np.ones(int(counts.max(initial=0)), dtype=picked.dtype)
+    hidden_buf, logits_buf = (np.empty(most * size, dtype=dtype) for size in (h, num_classes))
+    tile_ids, ones = np.arange(most), np.ones(int(counts.max(initial=0)), dtype=dtype)
     if taped:
         grad_buf, mask_buf = np.empty_like(hidden_buf), np.empty(most * h, dtype=bool)
-        da, dc = np.empty_like(a), np.zeros_like(c)
+        da, dc = np.empty_like(a), np.zeros_like(p)
         dw2, db2 = np.zeros_like(w2.data), np.zeros_like(b2.data)
-    for n, t, r, p in zip(counts.tolist(), tile_rows.tolist(), np.cumsum(counts).tolist(), pairs):
-        r -= n
-        for i in range(r, r + n, t):
-            rows = min(t, r + n - i)  # rows i .. i + rows of the run, pairs q .. q + m
-            m, q = rows * n, p + (i - r) * n
+    for n, t, end in zip(counts.tolist(), tile_rows.tolist(), np.cumsum(counts).tolist()):
+        for i in range(end - n, end, t):
+            rows, cols = min(t, end - i), end - i  # rows i .. i + rows, columns i .. end
+            m, q = rows * cols, cell_starts[i]  # cells q .. q + m
             hidden = hidden_buf[: m * h].reshape(m, h)
-            np.add(a[i : i + rows, None], c[None, r : r + n], out=hidden.reshape(rows, n, h))
+            np.add(a[i : i + rows, None], p[None, i:end], out=hidden.reshape(rows, cols, h))
             np.maximum(hidden, 0.0, out=hidden)
             z = np.matmul(hidden, w2.data, out=logits_buf[: m * num_classes].reshape(m, -1))
             z += b2.data
             _finite(z, "pair_mlp_cross_entropy")
             z -= z.max(axis=1, keepdims=True)
-            pick = tile_ids[:m], labels[q : q + m]
+            pick = tile_ids[:m], cell_labels[q : q + m]
             picked[q : q + m] = z[pick]
             e = np.exp(z, out=z)
             total = e.sum(axis=1, keepdims=True)
@@ -496,7 +513,7 @@ def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor
                 continue
             # e becomes the logits' gradient, gh the hidden block's
             mask = np.greater(hidden, 0.0, out=mask_buf[: m * h].reshape(m, h))
-            w = weights[q : q + m]
+            w = cell_weights[q : q + m]
             e *= (w / total[:, 0])[:, None]
             e[pick] -= w
             dw2 += hidden.T @ e
@@ -504,15 +521,15 @@ def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor
             gh = np.matmul(e, w2.data.T, out=grad_buf[: m * h].reshape(m, h))
             gh *= mask
             # row sums as products with ones: BLAS sums them faster than np.sum
-            np.matmul(ones[:n], gh.reshape(rows, n, h), out=da[i : i + rows])
-            dc[r : r + n] += np.matmul(ones[:rows], gh.reshape(rows, n * h)).reshape(n, h)
+            np.matmul(ones[:cols], gh.reshape(rows, cols, h), out=da[i : i + rows])
+            dc[i:end] += np.matmul(ones[:rows], gh.reshape(rows, cols * h)).reshape(cols, h)
 
     def grad_fn(g):
-        dx = da @ w1.data[:k].T + dc @ w1.data[k:].T
-        dw1 = np.concatenate([x.data.T @ da, x.data.T @ dc])
-        return tuple(d * float(g) for d in (dx, dw1, da.sum(axis=0), dw2, db2))
+        dp = da + dc
+        return tuple(d * float(g) for d in (dp @ w1.data.T, x.data.T @ dp, da.sum(axis=0),
+                                             dw2, db2))
 
-    loss = np.asarray(-(picked * weights).sum(), dtype=x.dtype)
+    loss = np.asarray(-(picked * cell_weights).sum(), dtype=x.dtype)
     return _emit(loss, inputs, grad_fn, "pair_mlp_cross_entropy")
 
 

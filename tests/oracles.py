@@ -120,20 +120,28 @@ def node_update_reference(x, residual, scale, w1, b1, w2, b2, gain, bias, keep, 
                  g_norm.sum(axis=0))
 
 
-def pair_mlp_reference(x, counts, w1, b1, w2, b2, labels, weights=None):
-    """``tensor.pair_mlp_cross_entropy`` in plain numpy on concatenated pair
-    rows: both rows of every ordered pair, i-major within each run, through
-    both layers and the weighted softmax cross-entropy (without weights, the
-    mean). Returns the loss and its gradients with respect to (x, w1, b1, w2,
-    b2), the chain rule written out."""
-    starts = np.cumsum(counts) - counts
-    u = np.concatenate([np.repeat(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
-    v = np.concatenate([np.tile(np.arange(s, s + n), n) for s, n in zip(starts, counts)])
-    pairs = np.concatenate([x[u], x[v]], axis=1)
-    hidden = np.maximum(pairs @ w1 + b1, 0.0)
+def pair_mlp_reference(x, counts, w1, b1, w2, b2, labels, weights):
+    """``tensor.pair_mlp_cross_entropy`` in plain numpy over every ordered
+    pair (u, v) of rows of each run: the symmetric head relu(x[u] @ w1 +
+    x[v] @ w1 + b1) @ w2 + b2 and its softmax cross-entropy, a pair taking
+    the label of {u, v} and half its weight off the diagonal. Returns the
+    loss and its gradients with respect to (x, w1, b1, w2, b2), the chain
+    rule written out."""
+    us, vs, index = [], [], []
+    start = first = 0  # the run's first row and first pair (i, j >= i), i-major
+    for n in counts:
+        i, j = np.indices((n, n)).reshape(2, -1)
+        upper = np.zeros((n, n), dtype=int)
+        upper[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)  # numpy's order is i-major
+        us.append(start + i)
+        vs.append(start + j)
+        index.append(first + upper[np.minimum(i, j), np.maximum(i, j)])
+        start, first = start + n, first + n * (n + 1) // 2
+    u, v, index = (np.concatenate(parts).astype(int) for parts in (us, vs, index))
+    hidden = np.maximum(x[u] @ w1 + x[v] @ w1 + b1, 0.0)
     logits = hidden @ w2 + b2
-    rows = np.arange(len(labels))
-    weights = np.full(rows.size, 1.0 / rows.size, x.dtype) if weights is None else weights
+    rows, labels = np.arange(len(u)), labels[index]
+    weights = weights[index] * np.where(u == v, 1.0, 0.5).astype(x.dtype)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = -(log_probs[rows, labels] * weights).sum()
@@ -141,11 +149,11 @@ def pair_mlp_reference(x, counts, w1, b1, w2, b2, labels, weights=None):
     g_logits[rows, labels] -= 1.0
     g_logits *= weights[:, None]
     g_hidden = (g_logits @ w2.T) * (hidden > 0)
-    g_pairs = g_hidden @ w1.T
+    g_rows = g_hidden @ w1.T
     g_x = np.zeros_like(x)
-    np.add.at(g_x, u, g_pairs[:, : x.shape[1]])
-    np.add.at(g_x, v, g_pairs[:, x.shape[1] :])
-    return loss, (g_x, pairs.T @ g_hidden, g_hidden.sum(axis=0), hidden.T @ g_logits,
+    np.add.at(g_x, u, g_rows)
+    np.add.at(g_x, v, g_rows)
+    return loss, (g_x, (x[u] + x[v]).T @ g_hidden, g_hidden.sum(axis=0), hidden.T @ g_logits,
                   g_logits.sum(axis=0))
 
 
@@ -549,10 +557,12 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
     total, sums = Tensor(np.zeros(())), {}
     for item, rng in zip(batch, rngs):
         masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, [rng.fork("mask")])
-        # each ordered pair's distance floored to its bin, the last bin
-        # taking every longer one
+        # each pair (i, j >= i)'s distance floored to its bin, the last bin
+        # taking every longer one; a pair weighs 2/n^2, the diagonal 1/n^2
         xyz = np.array(item.molecule.coords, dtype=float)
-        dists = np.sqrt(((xyz[:, None, :] - xyz[None, :, :]) ** 2).sum(axis=-1)).reshape(-1)
+        i, j = (ends.ravel() for ends in np.indices((len(xyz), len(xyz))))
+        i, j = i[j >= i], j[j >= i]
+        dists = np.sqrt(((xyz[i] - xyz[j]) ** 2).sum(axis=-1))
         bins = np.minimum(np.floor(dists), model.config.distance_bins - 1).astype(np.int64)
         emb = model.forward(item.graph, masked_enc, mode=mode, rng=[rng.fork("dropout")])
         h, n, bits = emb.h_atoms, item.graph.num_atoms, item.molecule.fingerprint
@@ -568,7 +578,7 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
             parts["distance"] = T.pair_mlp_cross_entropy(
                 h, [n], store["head_distance.l1.w"], store["head_distance.l1.b"],
                 store["head_distance.l2.w"], store["head_distance.l2.b"], bins,
-                np.full(n * n, 1 / (n * n)))
+                np.where(i == j, 1.0, 2.0) / (n * n))
         if "fingerprint" in parts and bits:
             logits = model.head_fingerprint(emb.h_graph)
             parts["fingerprint"] = T.bce_with_logits(logits, Tensor(np.array([bits], dtype=float)),
@@ -642,7 +652,8 @@ def adam_reference(params: dict, grads: dict, moments: dict, t: int, lr_body: fl
         data[...] = data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def checkpoint_bytes_reference(store, model_config, feature_config, extra=None) -> bytes:
+def checkpoint_bytes_reference(store, model_config, feature_config, extra=None,
+                               version=4) -> bytes:
     """A checkpoint file as the layout in ``geognn.checkpoint``'s docstring
     states it, its payload assembled one tensor at a time."""
     import json
@@ -650,8 +661,9 @@ def checkpoint_bytes_reference(store, model_config, feature_config, extra=None) 
 
     payload = b"".join(tensor.data.astype("<f4" if tensor.data.dtype == np.float32 else "<f8")
                        .tobytes() for _, tensor in store.items())
-    header = json.dumps({"format_version": 3, "model_config": model_config.to_dict(),
+    header = json.dumps({"format_version": version, "model_config": model_config.to_dict(),
                          "feature_manifest": feature_config.manifest(),
                          "payload_nbytes": len(payload), "payload_crc32": zlib.crc32(payload),
                          "extra": extra or {}}, sort_keys=True).encode("utf-8")
-    return b"GEM1" + (3).to_bytes(4, "little") + len(header).to_bytes(8, "little") + header + payload
+    return (b"GEM1" + version.to_bytes(4, "little") + len(header).to_bytes(8, "little") + header
+            + payload)

@@ -14,7 +14,7 @@ from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.training import adam_step
 
-from conftest import edit_header, rename_atom_block
+from conftest import edit_header, rename_atom_block, store_of
 from oracles import checkpoint_bytes_reference
 
 
@@ -118,18 +118,42 @@ def test_corrupt_header_is_a_data_error(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 5])
 def test_other_version_is_a_data_error(tmp_path, capsys, version):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, GeoGNN(CFG, rng=Rng(15)).store, CFG, FeatureConfig())
     raw = path.read_bytes()
     path.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
-    message = f"unsupported checkpoint version {version}; this build reads version 3 only"
+    message = f"unsupported checkpoint version {version}; this build reads version 4 only"
     with pytest.raises(DataError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
     assert _embed(tmp_path, path) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["finetune", "embed"])
+def test_version_3_file_exits_2_by_its_version(tmp_path, capsys, command):
+    """A file as format 3 wrote it: the same container, but the first layers
+    of the length, angle and distance heads 2h, 3h and 2h rows wide. Its
+    version, not its payload's size, is what refuses it."""
+    h = CFG.hidden
+    wider = {"head_length.l1.w": 2 * h, "head_angle.l1.w": 3 * h, "head_distance.l1.w": 2 * h}
+    table = [(name, (wider.get(name, shape[0]), *shape[1:]))
+             for name, shape, _ in parameter_table(CFG)]
+    store = store_of({name: np.ones(shape) for name, shape in table})
+    assert store.flat.size == parameter_count(CFG) + 3 * h * CFG.geom_head_hidden
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(checkpoint_bytes_reference(store, CFG, FeatureConfig(), version=3))
+    mol = random_molecule(Rng(17), min_atoms=3, max_atoms=5, mol_id="m0")
+    mol.labels, mol.split = {"y": 1.0}, "train"
+    (tmp_path / "in.jsonl").write_bytes(write_jsonl([mol]))
+    code = main([command, "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unsupported checkpoint version 3; this build reads version 4 only" in err
+    assert "Traceback" not in err
 
 
 def _edit_payload(path, edit: str) -> None:

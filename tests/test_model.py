@@ -287,7 +287,7 @@ class TestHeads:
         graph, _, emb = embed_molecule(model, mol)
         assert graph.num_atoms > 1
         # scored over 30 bins: bin 29 is a label, bin 30 is not
-        bins = np.full(graph.num_atoms**2, 29)
+        bins = np.full(graph.num_atoms * (graph.num_atoms + 1) // 2, 29)
         assert loss_distance(model, emb, graph, bins).item() > 0.0
         with pytest.raises(ShapeError):
             loss_distance(model, emb, graph, bins + 1)
@@ -374,7 +374,8 @@ class TestFullModelGradcheck:
         graph = build_dual_graph(mol)
         enc = encode(graph, mol, FeatureConfig())
         c = SMALL.distance_bins
-        bins = np.minimum(np.floor(distance_matrix(graph.coords).reshape(-1)), c - 1).astype(int)
+        dists = distance_matrix(graph.coords)[np.triu_indices(graph.num_atoms)]
+        bins = np.minimum(np.floor(dists), c - 1).astype(int)
         bits = (Rng(42).uniform_array((1, 4)) > 0.5).astype(float)
         # an embedding weight on a feature column that is 0 in every row
         # multiplies only zeros, so both nudged losses are the same bits and
@@ -442,6 +443,19 @@ class TestParamStore:
         bound = 1.0 / np.sqrt(FeatureConfig().atom_width)
         assert np.abs(w).max() <= bound
         assert np.abs(w).max() > bound * 0.5
+
+    @pytest.mark.parametrize("head, rows, terms", [("length", 1, 2), ("angle", 2, 3),
+                                                   ("distance", 1, 2)])
+    def test_order_free_heads_draw_at_their_summed_fan_in(self, head, rows, terms):
+        """A head that adds atom rows before its first layer sums more input
+        terms into each pre-activation than the layer has rows, and its
+        bound counts the terms: 2h for length and distance, 3h for angle."""
+        config = ModelConfig(hidden=32, geom_head_hidden=64)
+        model = GeoGNN(config, rng=Rng(56))
+        w = model.store[f"head_{head}.l1.w"].data
+        assert w.shape == (rows * config.hidden, config.geom_head_hidden)
+        bound = 1.0 / np.sqrt(terms * config.hidden)
+        assert bound * 0.9 < np.abs(w).max() <= bound
 
 
 class TestModelSize:

@@ -237,7 +237,7 @@ ID_OPS = {
     "segment_sum": lambda ids: T.segment_sum(Tensor(np.zeros((2, 3))), ids, 3),
     "gather_rows": lambda ids: T.gather_rows(Tensor(np.zeros((3, 2))), ids),
     "pair_mlp_cross_entropy": lambda ids: T.pair_mlp_cross_entropy(
-        Tensor(np.zeros((2, 1))), [1, 1], Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)),
+        Tensor(np.zeros((2, 1))), [1, 1], Tensor(np.zeros((1, 2))), Tensor(np.zeros(2)),
         Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), ids, np.full(2, 0.5)),
     "aggregate": lambda ids: T.aggregate(
         Tensor(np.zeros((3, 2))), T.Edges(np.stack([ids, ids[::-1]], axis=-1), 3, 2),
@@ -279,9 +279,16 @@ def _pair_reference(*case, scale=0.3):
     return [scale * loss] + [scale * g for g in grads]
 
 
+def _pairs(counts):
+    """The number of unordered row pairs, diagonal included, of runs of counts rows."""
+    return int((counts * (counts + 1) // 2).sum())
+
+
 def _distance_weights(counts):
-    """loss_distance's pair weights: 1/n^2 per pair, 0 for a one-row run."""
-    return np.repeat(np.where(counts > 1, 1.0 / counts**2, 0.0), counts**2)
+    """loss_distance's weights of each run's pairs (i, j >= i): 2/n^2 off the
+    diagonal, 1/n^2 on it, 0 for a one-row run."""
+    return np.concatenate([np.where(j == i, 1.0, 2.0)[j >= i] / n**2 * (n > 1)
+                           for n in counts for i, j in [np.indices((n, n))]])
 
 
 @st.composite
@@ -291,22 +298,23 @@ def pair_cases(draw):
     counts = np.array(draw(st.lists(st.integers(1, 40), min_size=1, max_size=8)))
     k, h, c = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(2, 8))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(2 * k, h)),
+    return (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(k, h)),
             gen.normal(size=h), gen.normal(size=(h, c)), gen.normal(size=c),
-            gen.integers(0, c, size=(counts**2).sum()), _distance_weights(counts))
+            gen.integers(0, c, size=_pairs(counts)), _distance_weights(counts))
 
 
 def _small_pair_case(seed, counts=(2, 1, 3)):
     gen = np.random.default_rng(seed)
     counts = np.array(counts)
-    return (gen.normal(size=(counts.sum(), 2)), counts, gen.normal(size=(4, 3)),
+    return (gen.normal(size=(counts.sum(), 2)), counts, gen.normal(size=(2, 3)),
             gen.normal(size=3), gen.normal(size=(3, 4)), gen.normal(size=4),
-            gen.integers(0, 4, size=(counts**2).sum()), _distance_weights(counts))
+            gen.integers(0, 4, size=_pairs(counts)), _distance_weights(counts))
 
 
 class TestPairAffineRelu:
-    """The pair layer relu(concat(x[i], x[j]) @ w1 + b1), tested through the
-    one op that runs it: the fused distance objective pair_mlp_cross_entropy."""
+    """The symmetric pair layer relu(x[i] @ w1 + x[j] @ w1 + b1), tested
+    through the one op that runs it: the fused distance objective
+    pair_mlp_cross_entropy, which scores each unordered pair once."""
 
     @staticmethod
     def _assert_matches_reference(case):
@@ -318,10 +326,30 @@ class TestPairAffineRelu:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(pair_cases())
-    def test_matches_concat_reference(self, case):
+    def test_matches_ordered_pair_reference(self, case):
         self._assert_matches_reference(case)
 
-    def test_grads_vs_finite_differences(self):
+    # bytes per row of a 6-row run at h = 5 in f64: 1-, 2- and 3-row tiles,
+    # then one tile per run
+    @pytest.mark.parametrize("tile_bytes", [1, 2 * 6 * 5 * 8, 3 * 6 * 5 * 8, 2**30],
+                             ids=["1-row", "2-row", "3-row", "whole-run"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_at_every_tile_height(self, monkeypatch, tile_bytes, seed):
+        """Tiles of rows [i, i + rows) span columns [i, n), so each holds
+        cells (i', j < i') of weight 0: every tile height scores the same
+        pairs, including runs of one and two rows."""
+        monkeypatch.setattr(T, "TILE_BYTES", tile_bytes)
+        gen = np.random.default_rng(seed)
+        counts = np.array([1, 2, 6, *gen.integers(1, 7, size=3)])[gen.permutation(6)]
+        k, h, c = 3, 5, 4
+        case = (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(k, h)),
+                gen.normal(size=h), gen.normal(size=(h, c)), gen.normal(size=c),
+                gen.integers(0, c, size=_pairs(counts)), gen.uniform(size=_pairs(counts)))
+        self._assert_matches_reference(case)
+
+    @pytest.mark.parametrize("tile_bytes", [1, 2**30], ids=["1-row", "whole-run"])
+    def test_grads_vs_finite_differences(self, monkeypatch, tile_bytes):
+        monkeypatch.setattr(T, "TILE_BYTES", tile_bytes)
         x, counts, w1, b1, w2, b2, labels, weights = _small_pair_case(13)
         analytic, numeric = grad_of(
             lambda *t: T.pair_mlp_cross_entropy(t[0], counts, *t[1:], labels, weights),
@@ -359,9 +387,9 @@ class TestPairAffineRelu:
         counts = np.array([1, 2, 11, 12, 23, 30, 40])
         k, h, c = 32, 256, 30
         assert counts.max() ** 2 * h * 8 > T.TILE_BYTES  # the longest run takes several tiles
-        case = (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(2 * k, h)) / 8,
+        case = (gen.normal(size=(counts.sum(), k)), counts, gen.normal(size=(k, h)) / 8,
                 gen.normal(size=h) / 8, gen.normal(size=(h, c)) / 4, gen.normal(size=c),
-                gen.integers(0, c, size=(counts**2).sum()), _distance_weights(counts))
+                gen.integers(0, c, size=_pairs(counts)), _distance_weights(counts))
         self._assert_matches_reference(case)
         leaves = [Tensor(a, requires_grad=True) for a in (case[0], *case[2:6])]
         untaped = T.pair_mlp_cross_entropy(leaves[0], counts, *leaves[1:], *case[6:])
@@ -375,8 +403,9 @@ class TestPairAffineRelu:
         gen = np.random.default_rng(19)
         n, k, h, c = 150, 16, 64, 30
         leaves = [Tensor(gen.normal(size=shape), requires_grad=True)
-                  for shape in ((n, k), (2 * k, h), (h,), (h, c), (c,))]
-        counts, labels = np.array([n]), gen.integers(0, c, size=n * n)
+                  for shape in ((n, k), (k, h), (h,), (h, c), (c,))]
+        counts = np.array([n])
+        labels = gen.integers(0, c, size=_pairs(counts))
         weights = _distance_weights(counts)
         tracemalloc.start()
         try:
@@ -405,20 +434,20 @@ class TestPairAffineRelu:
                                      Tensor(b2), labels, weights)
 
     @pytest.mark.parametrize("shapes", [
-        ((5, 3), [2, 2], (6, 4), (4,), (4, 2), (2,)),   # counts sum to 4, x has 5 rows
-        ((5, 3), [2, 3], (5, 4), (4,), (4, 2), (2,)),   # w1 has 5 rows, not 2k = 6
-        ((5, 3), [2, 3], (6, 4), (3,), (4, 2), (2,)),   # b1 width 3 for 4 hidden units
-        ((5, 3), [2, 3], (6, 4), (4,), (3, 2), (2,)),   # w2 has 3 rows for 4 hidden units
-        ((5, 3), [2, 3], (6, 4), (4,), (4, 2), (3,)),   # b2 width 3 for 2 classes
-        ((5,), [2, 3], (6, 4), (4,), (4, 2), (2,)),     # x is 1-D
+        ((5, 3), [2, 2], (3, 4), (4,), (4, 2), (2,)),   # counts sum to 4, x has 5 rows
+        ((5, 3), [2, 3], (6, 4), (4,), (4, 2), (2,)),   # w1 has 6 rows, not k = 3
+        ((5, 3), [2, 3], (3, 4), (3,), (4, 2), (2,)),   # b1 width 3 for 4 hidden units
+        ((5, 3), [2, 3], (3, 4), (4,), (3, 2), (2,)),   # w2 has 3 rows for 4 hidden units
+        ((5, 3), [2, 3], (3, 4), (4,), (4, 2), (3,)),   # b2 width 3 for 2 classes
+        ((5,), [2, 3], (3, 4), (4,), (4, 2), (2,)),     # x is 1-D
     ])
     def test_bad_shapes_rejected(self, shapes):
         x, counts, w1, b1, w2, b2 = shapes
         with pytest.raises(ShapeError):
             T.pair_mlp_cross_entropy(Tensor(np.ones(x)), np.array(counts), Tensor(np.ones(w1)),
                                      Tensor(np.ones(b1)), Tensor(np.ones(w2)),
-                                     Tensor(np.ones(b2)), np.zeros(13, dtype=int),
-                                     np.full(13, 1 / 13))
+                                     Tensor(np.ones(b2)), np.zeros(9, dtype=int),
+                                     np.full(9, 1 / 9))
 
     @pytest.mark.parametrize("counts", [
         [2.0, 3.0],      # not integers
@@ -428,7 +457,7 @@ class TestPairAffineRelu:
     def test_bad_counts_rejected(self, counts):
         with pytest.raises(ShapeError, match="counts"):
             T.pair_mlp_cross_entropy(Tensor(np.ones((5, 1))), np.array(counts),
-                                     Tensor(np.ones((2, 2))), Tensor(np.ones(2)),
+                                     Tensor(np.ones((1, 2))), Tensor(np.ones(2)),
                                      Tensor(np.ones((2, 3))), Tensor(np.ones(3)),
                                      np.zeros(13, dtype=int), np.full(13, 1 / 13))
 
@@ -661,13 +690,14 @@ class TestFusedUpdate:
 
 def _pair_softmax_ce(logits, labels, weights=None):
     """pair_mlp_cross_entropy on runs of one row each through layers that pass
-    the rows through exactly (relu(z) - relu(-z) is z): pair i's logits are
-    row i of ``logits``, so this is the op's softmax cross-entropy, weighted
-    1/n per row (the mean) unless ``weights`` are given."""
+    the rows through exactly (z / 2 + z / 2 is z, and relu(z) - relu(-z) is
+    z): pair (i, i)'s logits are row i of ``logits``, so this is the op's
+    softmax cross-entropy, weighted 1/n per row (the mean) unless
+    ``weights`` are given."""
     n, c = logits.shape
     weights = np.full(n, 1.0 / n) if weights is None else weights
     eye, zeros = np.eye(c, dtype=logits.dtype), np.zeros((c, 2 * c), dtype=logits.dtype)
-    w1 = np.vstack([np.hstack([eye, -eye]), zeros])  # the second row of a pair adds nothing
+    w1 = np.hstack([eye, -eye]) / 2  # each row of the pair (i, i) gives half
     return T.pair_mlp_cross_entropy(logits, np.ones(n, dtype=int), Tensor(w1), Tensor(zeros[0]),
                                     Tensor(np.vstack([eye, -eye])), Tensor(zeros[0, :c]), labels,
                                     weights)
