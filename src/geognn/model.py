@@ -15,9 +15,9 @@ per forward pass, as a ``tensor.Edges``.
 A forward pass runs over a ``DualGraph``, the disjoint union of one or
 more molecules' dual graphs, one row per atom, bond or angle of any
 molecule. The parts that look at whole molecules act per molecule: each
-row's graph-size norm counts its own molecule's nodes, the readout is a
-segment mean over each molecule's atom rows, and each molecule draws its
-dropout masks from its own stream.
+row's graph-size norm counts its own molecule's nodes, the readout is one
+taped ``tensor.segment_mean`` over each molecule's run of atom rows, and
+each molecule draws its dropout masks from its own stream.
 
 The geometry heads are 2-layer MLPs that read no atom order. Length reads
 the sum of a masked bond's two end rows, angle the sum of a masked angle's
@@ -262,8 +262,9 @@ class GeoGNN:
         mode: str = "eval",
         rng: list[Rng] | None = None,
     ) -> GraphEmbedding:
-        """Encode the molecules of ``graph``: ``encoded`` holds its feature
-        rows and ``rng`` one dropout stream per molecule (train mode)."""
+        """Encode the molecules of ``graph``, each read out as the mean of its
+        atom rows: ``encoded`` holds the graph's feature rows and ``rng`` one
+        dropout stream per molecule (train mode)."""
         check_choice("mode", mode, ("train", "eval"))
         if mode == "train" and self.config.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode forward needs an rng for dropout")
@@ -312,9 +313,7 @@ class GeoGNN:
                 raise NumericalError(f"block {k}: {err}") from None
             h_bond = new_bond
 
-        sums = T.segment_sum(h_atom, graph.atom_graph, graph.num_graphs)
-        h_graph = T.div(sums, Tensor(graph.atom_counts.reshape(-1, 1), dtype=dtype))
-        return GraphEmbedding(h_atoms=h_atom, h_graph=h_graph)
+        return GraphEmbedding(h_atoms=h_atom, h_graph=T.segment_mean(h_atom, graph.atom_counts))
 
     # --- heads ---------------------------------------------------------------
 

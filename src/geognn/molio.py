@@ -46,6 +46,12 @@ BOND_TYPES = ("single", "double", "triple", "aromatic")
 BOND_DIRS = ("none", "begin_wedge", "begin_dash", "either", "unknown", "reserved0", "reserved1")
 SPLITS = ("train", "valid", "test")
 
+# the most atoms (SDF V2000's three-digit limit) and bond angles, 15 per atom as at
+# octahedral centers, of one molecule: its distance targets grow as its atoms
+# squared and its angles, sum(d(d - 1) / 2) over its atom degrees d, as d squared
+MAX_ATOMS = 999
+MAX_ANGLES = 15 * MAX_ATOMS
+
 # valence electron counts for the main-group elements the hybridization
 # heuristic understands; everything else maps to "unknown"
 _VALENCE_ELECTRONS = {
@@ -93,14 +99,15 @@ class Molecule:
     ``validate`` is the one check of these rules. An integer may be of any
     kind, numpy's included; no integer or real number may be a bool.
 
-    - atoms: at least one ``Atom``; coords: one (x, y, z) of finite reals per atom
+    - atoms: 1 to ``MAX_ATOMS`` ``Atom``s; coords: one (x, y, z) of finite reals per atom
     - ``Atom.element``: a symbol of ``ELEMENTS``
     - ``Atom.formal_charge``: an integer
     - ``Atom.chirality``: one of ``CHIRALITIES``
     - ``Atom.num_explicit_h``: an integer, at least 0
     - ``Atom.aromatic``: a bool
     - ``Atom.hybridization``: one of ``HYBRIDIZATIONS``
-    - ``Bond.a``, ``Bond.b``: integers, two different atom indices, one bond per pair
+    - ``Bond.a``, ``Bond.b``: integers, two different atom indices, one bond per pair;
+      at most ``MAX_ANGLES`` angles, pairs of bonds that share an atom
     - ``Bond.bond_type``: one of ``BOND_TYPES``; ``Bond.bond_dir``: one of ``BOND_DIRS``
     - labels: a dict from str to None, NaN (both missing) or a finite real
     - fingerprint: None, or a non-empty list or tuple of the integers 0 and 1
@@ -121,6 +128,8 @@ class Molecule:
         name, atoms = f"molecule {self.id}", self.atoms
         if not atoms:
             raise DataError(f"{name}: no atoms")
+        if len(atoms) > MAX_ATOMS:
+            raise DataError(f"{name}: {len(atoms)} atoms, more than the cap of {MAX_ATOMS}")
         try:
             num_coords = len(self.coords)
         except TypeError:
@@ -148,7 +157,7 @@ class Molecule:
                 raise DataError(f"{name}: aromatic flag {atom.aromatic!r} must be a bool")
             if not _is_point(xyz):
                 raise DataError(f"{name}: coordinate {xyz!r} must be 3 finite real numbers")
-        num_atoms, seen = len(atoms), set()
+        num_atoms, seen, degrees, num_angles = len(atoms), set(), [0] * len(atoms), 0
         for bond in self.bonds:
             a, b = bond.a, bond.b
             if not ((type(a) is int or is_int(a)) and (type(b) is int or is_int(b))):
@@ -165,6 +174,11 @@ class Molecule:
             if key in seen:
                 raise DataError(f"{name}: duplicate bond {key}")
             seen.add(key)
+            num_angles += degrees[a] + degrees[b]  # an angle with each earlier bond at a or b
+            degrees[a] += 1
+            degrees[b] += 1
+        if num_angles > MAX_ANGLES:
+            raise DataError(f"{name}: {num_angles} bond angles, more than the cap of {MAX_ANGLES}")
         if not isinstance(self.labels, dict):
             raise DataError(f"{name}: labels must be a dict, got {self.labels!r}")
         for label, value in self.labels.items():

@@ -72,19 +72,12 @@ def build_targets(graph: DualGraph, molecule: Molecule, num_bins: int) -> np.nda
     return np.minimum(dists, num_bins - 1).astype(np.min_scalar_type(num_bins - 1))
 
 
-def squared_error(pred: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Sum over the elements of weights * (pred - targets)^2; ``targets`` and
-    ``weights`` have pred's shape."""
-    diff = T.sub(pred, Tensor(targets, dtype=pred.dtype))
-    return T.sum_all(T.mul(T.mul(diff, diff), Tensor(weights, dtype=pred.dtype)))
-
-
 def _masked_mse(head, h_atoms: Tensor, atoms: np.ndarray, targets: np.ndarray,
                 weights: np.ndarray) -> Tensor:
-    """Weighted sum over rows of the squared error of head(h[atoms[:, 0]],
+    """``tensor.squared_error``, a weighted sum over rows, of head(h[atoms[:, 0]],
     h[atoms[:, 1]], ...) against targets; zero when there are no rows."""
     rows = [T.gather_rows(h_atoms, atoms[:, j]) for j in range(atoms.shape[1])]
-    return squared_error(head(*rows), targets.reshape(-1, 1), weights.reshape(-1, 1))
+    return T.squared_error(head(*rows), targets.reshape(-1, 1), weights.reshape(-1, 1))
 
 
 def loss_length(model: GeoGNN, emb: GraphEmbedding, targets: MaskTargets) -> Tensor:
@@ -188,7 +181,8 @@ def loss_pre(
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean pretraining loss over a batch of molecules, one rng each, and the
     mean of each task's loss. A molecule is masked with its rng's "mask"
-    fork and drops out with its "dropout" fork."""
+    fork and drops out with its "dropout" fork. The loss is one
+    ``tensor.scaled_sum`` of every pack's task losses over the batch size."""
     check_tasks(tasks)
     if not batch:
         raise ConfigError("empty pretraining batch")
@@ -218,8 +212,5 @@ def loss_pre(
             sums[name] = sums.get(name, 0.0) + part.item()
     if not terms:  # only the fingerprint task, and no molecule has one
         return Tensor(np.zeros((), dtype=model.config.dtype)), {}
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
     scale = 1.0 / len(batch)
-    return T.mul(total, scale), {k: v * scale for k, v in sums.items()}
+    return T.scaled_sum(terms, scale), {k: v * scale for k, v in sums.items()}

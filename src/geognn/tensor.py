@@ -8,11 +8,11 @@ exactly once and accumulation order is deterministic. Once its record
 has run, an intermediate's gradient is dropped; only leaves (parameters
 and other tensors made with ``requires_grad=True``) keep theirs.
 
-``add``, ``sub``, ``mul`` and ``div`` share one elementwise path,
-``_binary``: each states only its forward and its pair of gradients. Their
-operands have the same shape, or one is a scalar, or one is an ``[n, 1]``
-column against an ``[n, k]`` matrix; backward sums each gradient back over
-what its operand was broadcast along.
+The tape holds model ops and fused losses only, each op on the shapes it
+states, with no broadcasting: ``add`` of equal shapes, ``relu``, ``concat``,
+``gather_rows``, ``affine``, the two halves of a block update, the readout
+``segment_mean``, the losses ``squared_error``, ``pair_mlp_cross_entropy``
+and ``bce_with_logits``, and their batch total ``scaled_sum``.
 
 ``pair_mlp_cross_entropy``, the distance objective, is a 2-layer MLP that
 reads a row pair in either order alike, and its cross-entropy over the
@@ -27,7 +27,7 @@ of an ``Edges`` list, then MLP, layer norm, graph-size scale, residual and
 dropout. Each gives the values of the chain of primitives it replaces,
 bit for bit, and keeps only what its backward reads.
 
-``segment_sum``'s forward, ``gather_rows``' backward and ``aggregate``
+``segment_mean``'s forward, ``gather_rows``' backward and ``aggregate``
 scatter-add rows with one flattened ``np.bincount`` per scatter, which adds
 in index order (in float64, cast back to the input dtype), so reordering
 one segment's rows may move its sum in the last bits.
@@ -144,61 +144,17 @@ def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], grad_fn: Callable, op: s
     return out
 
 
-def _coerce(value, like: Tensor | None = None) -> Tensor:
-    if type(value) is Tensor:
-        return value
-    return Tensor(value, dtype=like.dtype if like is not None else None)
+def _coerce(value) -> Tensor:
+    return value if type(value) is Tensor else Tensor(value)
 
 
-def _reduce_to(grad: np.ndarray, tensor: Tensor) -> np.ndarray:
-    if grad.shape == tensor.shape:
-        return grad
-    if tensor.size != 1:  # a column broadcast over the row
-        return grad.sum(axis=1, keepdims=True)
-    return np.full(tensor.shape, grad.sum(), dtype=grad.dtype)
-
-
-def _binary(op: str, a, b, forward: Callable, grads: Callable) -> Tensor:
-    """The one elementwise path: forward(x, y) on the operands' data, and
-    grads(g, x, y) giving both gradients at the output's shape, each then
-    summed back over what its operand was broadcast along."""
-    # a Python scalar takes the dtype of the Tensor operand, first or second
-    a = _coerce(a, like=b if type(b) is Tensor else None)
-    b = _coerce(b, like=a)
-    # exact shapes, a scalar, or an [n, 1] column against an [n, k] matrix
-    if not (a.shape == b.shape or a.size == 1 or b.size == 1
-            or (a.data.ndim == b.data.ndim == 2 and a.shape[0] == b.shape[0]
-                and 1 in (a.shape[1], b.shape[1]))):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
-
-    def grad_fn(g):
-        ga, gb = grads(g, a.data, b.data)
-        return _reduce_to(ga, a), _reduce_to(gb, b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b of equal shapes."""
+    a, b = _coerce(a), _coerce(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
-        return _emit(forward(a.data, b.data), (a, b), grad_fn, op)
-
-
-def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
-
-
-def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
-
-
-def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
-
-
-def _divide(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if np.any(y == 0.0):
-        raise NumericalError("div: zero divisor")
-    return x / y
-
-
-def div(a, b) -> Tensor:
-    return _binary("div", a, b, _divide, lambda g, x, y: (g / y, -g * x / (y * y)))
+        return _emit(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -251,18 +207,30 @@ def _scatter_add(values: np.ndarray, flat: np.ndarray, num_out: int, dtype) -> n
     return out.reshape(num_out, width).astype(dtype, copy=False)
 
 
-def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Row i of the result is the sum of value rows whose id equals i."""
+def _check_counts(counts, rows: int, what: str, least: int = 0) -> np.ndarray:
+    """Lengths, each at least ``least``, of consecutive runs that cover ``rows`` rows."""
+    counts = _check_ids(counts, rows + 1, f"{what}: counts").astype(np.intp)
+    if int(counts.sum()) != rows or int(counts.min(initial=least)) < least:
+        raise ShapeError(f"{what}: counts {counts.tolist()} are not runs of at least {least} "
+                         f"rows that cover {rows}")
+    return counts
+
+
+def segment_mean(values: Tensor, counts) -> Tensor:
+    """Row m of the result is the mean of the m-th run of counts[m] >= 1
+    consecutive value rows: their ``_scatter_add`` sum over counts[m]."""
     values = _coerce(values)
     if values.data.ndim != 2:
-        raise ShapeError("segment_sum expects a 2-D value tensor")
-    ids = _check_ids(segment_ids, num_segments, "segment ids", rows=values.shape[0])
+        raise ShapeError("segment_mean expects a 2-D value tensor")
+    counts = _check_counts(counts, values.shape[0], "segment_mean", least=1)
+    ids = np.repeat(np.arange(counts.size), counts)
+    col = counts[:, None].astype(values.dtype)
 
     def grad_fn(g):
-        return (g[ids],)
+        return ((g / col)[ids],)
 
-    data = _scatter_add(values.data, _flat_index(ids, values.shape[1]), num_segments, values.dtype)
-    return _emit(data, (values,), grad_fn, "segment_sum")
+    sums = _scatter_add(values.data, _flat_index(ids, values.shape[1]), counts.size, values.dtype)
+    return _emit(sums / col, (values,), grad_fn, "segment_mean")
 
 
 def gather_rows(values: Tensor, ids) -> Tensor:
@@ -276,16 +244,6 @@ def gather_rows(values: Tensor, ids) -> Tensor:
         return (_scatter_add(g, _flat_index(ids, g.shape[1]), values.shape[0], values.dtype),)
 
     return _emit(values.data[ids], (values,), grad_fn, "gather_rows", check=False)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    x = _coerce(x)
-
-    def grad_fn(g):
-        return (np.full(x.shape, float(g), dtype=x.dtype),)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
-        return _emit(np.asarray(x.data.sum(), dtype=x.dtype), (x,), grad_fn, "sum_all")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -424,12 +382,48 @@ def node_update(x: Tensor, residual: Tensor, scale: np.ndarray, w1: Tensor, b1: 
     return _emit(out, params, grad_fn, "node_update")
 
 
-def _loss_weights(weights, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
-    """Loss weights of the given shape, as an array of ``dtype``."""
-    weights = np.asarray(weights, dtype=dtype)
-    if weights.shape != shape:
-        raise ShapeError(f"{what}: weights of shape {weights.shape} for shape {shape}")
-    return weights
+def _loss_array(values, shape, dtype, what: str, name: str = "weights") -> np.ndarray:
+    """A loss's weights or targets of the given shape, as an array of ``dtype``."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != shape:
+        raise ShapeError(f"{what}: {name} of shape {values.shape} for shape {shape}")
+    return values
+
+
+def squared_error(pred: Tensor, targets, weights) -> Tensor:
+    """Sum over the elements of weights * (pred - targets)^2, targets and
+    weights of pred's shape cast to its dtype. The gradient is a + a, what
+    each factor of the square sends: a = (upstream * weights) * (pred - targets)."""
+    pred = _coerce(pred)
+    targets = _loss_array(targets, pred.shape, pred.dtype, "squared_error", "targets")
+    weights = _loss_array(weights, pred.shape, pred.dtype, "squared_error")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
+        diff = pred.data - targets
+        sq = diff * diff
+        sq *= weights
+        loss = np.asarray(sq.sum(), dtype=pred.dtype)
+
+    def grad_fn(g):
+        a = np.full(diff.shape, float(g), dtype=diff.dtype) * weights
+        a *= diff
+        return (a + a,)
+
+    return _emit(loss, (pred,), grad_fn, "squared_error")
+
+
+def scaled_sum(terms: Sequence[Tensor], scale: float) -> Tensor:
+    """((terms[0] + terms[1]) + ...) * scale of one or more scalar terms,
+    the scale cast to the first term's dtype."""
+    terms = tuple(_coerce(t) for t in terms)
+    if not terms or any(t.shape != () for t in terms):
+        raise ShapeError(f"scaled_sum: terms of shapes {[t.shape for t in terms]}, not scalars")
+    factor = np.asarray(scale, dtype=terms[0].dtype)
+    total = terms[0].data
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by _emit's check
+        for term in terms[1:]:
+            total = total + term.data
+        total = total * factor
+    return _emit(total, terms, lambda g: (g * factor,) * len(terms), "scaled_sum")
 
 
 # bytes of one tile's [pairs, h] hidden block. The block, its gradient and
@@ -460,13 +454,11 @@ def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor
             or w1.shape != (x.shape[1], w2.shape[0]) or b1.shape != w2.shape[:1]):
         raise ShapeError(f"pair_mlp_cross_entropy: shapes {[t.shape for t in inputs]} are not "
                          "x[n,k], w1[k,h], b1[h], w2[h,c], b2[c]")
-    counts = _check_ids(counts, x.shape[0] + 1, "pair_mlp_cross_entropy: counts").astype(np.intp)
-    if int(counts.sum()) != x.shape[0]:
-        raise ShapeError(f"pair_mlp_cross_entropy: counts sum to {counts.sum()}, not {x.shape[0]}")
+    counts = _check_counts(counts, x.shape[0], "pair_mlp_cross_entropy")
     h, num_classes = w2.shape
     labels = _check_ids(labels, num_classes, "class labels",
                         rows=int((counts * (counts + 1) // 2).sum()))
-    weights = _loss_weights(weights, labels.shape, x.dtype, "pair_mlp_cross_entropy")
+    weights = _loss_array(weights, labels.shape, x.dtype, "pair_mlp_cross_entropy")
     taped = bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
     p = x.data @ w1.data
     a = p + b1.data
@@ -538,7 +530,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor, weights) -> Tensor:
     logits, targets = _coerce(logits), _coerce(targets)
     if logits.shape != targets.shape:
         raise ShapeError("bce_with_logits expects matching shapes")
-    weights = _loss_weights(weights, logits.shape, logits.dtype, "bce_with_logits")
+    weights = _loss_array(weights, logits.shape, logits.dtype, "bce_with_logits")
     x, t = logits.data, targets.data
     elem = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
 
@@ -550,6 +542,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor, weights) -> Tensor:
     return _emit(np.asarray(loss, dtype=logits.dtype), (logits, targets), grad_fn, "bce_with_logits")
 
 
-# names of deleted ops, kept only because bench/tracing.py patches them by
-# string; ROADMAP item 1 (a tracer that patches only live ops) deletes the line
+# names of deleted ops, kept only because bench/tracing.py patches them by string;
+# the fused ops above replaced the first eight, and squared_error, scaled_sum and
+# segment_mean the rest. ROADMAP item 1 (a tracer of live ops only) deletes them
 matmul = exp = log = reshape = mean_rows = softmax_cross_entropy = layer_norm = dropout = None
+sub = mul = div = sum_all = segment_sum = None

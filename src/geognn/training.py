@@ -26,7 +26,7 @@ from .geometry import DualGraph, build_dual_graph
 from .model import GeoGNN, ModelConfig, ParamStore, init_params, parameter_table
 from .molio import Molecule
 from .pretrain import (DEFAULT_MASK_RATIO, DEFAULT_TASKS, PreparedMolecule, check_tasks,
-                       in_packs, loss_pre, pack, squared_error, unpack)
+                       in_packs, loss_pre, pack, unpack)
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -446,15 +446,16 @@ def _downstream_batch_loss(
     rngs: list[Rng],
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean supervised loss over a batch of molecules with at least one
-    label each, a molecule's loss being the mean over its present labels;
-    the per-task dict is empty, as the downstream tasks share one loss."""
+    label each, a molecule's loss being the mean over its present labels, as
+    one weighted ``tensor.squared_error`` or ``tensor.bce_with_logits``; the
+    per-task dict is empty, as the downstream tasks share one loss."""
     emb = model.forward(*pack(items), mode="train", rng=rngs)
     pred = model.head_downstream(emb.h_graph)
     present = ~np.isnan(labels)
     weights = present / present.sum(axis=1, keepdims=True) / len(items)
     y = np.where(present, labels, 0.0)
     if task_type == "regression":
-        return squared_error(pred, y, weights), {}
+        return T.squared_error(pred, y, weights), {}
     return T.bce_with_logits(pred, Tensor(y, dtype=pred.dtype), weights), {}
 
 

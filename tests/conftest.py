@@ -128,6 +128,32 @@ def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):
     return annotate_derived_attributes(mol.validate())
 
 
+def chain_molecule(num_atoms: int, mol_id: str = "chain") -> Molecule:
+    """A straight chain of carbons 1.5 apart, not validated."""
+    return Molecule(id=mol_id, atoms=[Atom("C") for _ in range(num_atoms)],
+                    bonds=[Bond(i, i + 1) for i in range(num_atoms - 1)],
+                    coords=[(1.5 * i, 0.0, 0.0) for i in range(num_atoms)])
+
+
+def hub_molecule(num_angles: int, mol_id: str = "hub") -> Molecule:
+    """A carbon bonded to the most leaves d with d(d - 1) / 2 <= num_angles
+    angles, and each of the first num_angles - d(d - 1) / 2 leaves to one more
+    carbon, one more angle each; not validated. The leaves lie 1.5 from the
+    hub on a Fibonacci sphere, each outer carbon 1.5 beyond its leaf."""
+    d = (1 + math.isqrt(1 + 8 * num_angles)) // 2
+    outer = num_angles - d * (d - 1) // 2
+    assert 0 <= outer <= d
+    z = 1.0 - 2.0 * (np.arange(d) + 0.5) / d
+    phi = np.arange(d) * math.pi * (3.0 - math.sqrt(5.0))
+    unit = np.column_stack((np.sqrt(1.0 - z * z) * np.cos(phi),
+                            np.sqrt(1.0 - z * z) * np.sin(phi), z))
+    coords = np.concatenate([np.zeros((1, 3)), 1.5 * unit, 3.0 * unit[:outer]])
+    return Molecule(id=mol_id, atoms=[Atom("C") for _ in coords],
+                    bonds=[Bond(0, 1 + i) for i in range(d)]
+                    + [Bond(1 + i, 1 + d + i) for i in range(outer)],
+                    coords=[tuple(xyz) for xyz in coords.tolist()])
+
+
 @pytest.fixture
 def water():
     return make_molecule(

@@ -85,14 +85,31 @@ def layer_norm_reference(x, gain, bias, upstream, eps: float = 1e-5):
     return xhat * gain + bias, gx, (upstream * xhat).sum(axis=0), upstream.sum(axis=0)
 
 
-def aggregate_chain(h, pairs, x):
-    """``tensor.aggregate`` as the 7 taped ops it replaced: gather both ends,
-    add them and the edge row, and segment-sum the message to either end."""
+def dot(out, upstream):
+    """sum(out * upstream) as one taped op: a tape's backward from it sends
+    ``upstream`` times its own upstream to ``out``."""
     from geognn import tensor as T
 
+    upstream = np.asarray(upstream, dtype=out.dtype)
+    return T._emit(np.asarray((out.data * upstream).sum(), dtype=out.dtype), (out,),
+                   lambda g: (upstream * g,), "dot")
+
+
+def aggregate_reference(h, pairs, x, upstream):
+    """``tensor.aggregate`` in plain numpy: its value, each edge's message
+    (h[u] + h[v]) + x added to both its ends, each end's sums taken in
+    float64 in edge order and cast back; and the gradients of sum(value *
+    upstream) with respect to h and x."""
     u, v = pairs[:, 0], pairs[:, 1]
-    msg = T.add(T.add(T.gather_rows(h, u), T.gather_rows(h, v)), x)
-    return T.add(T.segment_sum(msg, u, h.shape[0]), T.segment_sum(msg, v, h.shape[0]))
+
+    def scatter(rows, ids):
+        out = np.zeros((h.shape[0], rows.shape[1]))
+        np.add.at(out, ids, rows.astype(np.float64))
+        return out.astype(h.dtype)
+
+    msg = h[u] + h[v] + x
+    g_msg = upstream[u] + upstream[v]
+    return scatter(msg, u) + scatter(msg, v), (scatter(g_msg, u) + scatter(g_msg, v), g_msg)
 
 
 def node_update_reference(x, residual, scale, w1, b1, w2, b2, gain, bias, keep, upstream):
@@ -499,7 +516,7 @@ def geognn_forward_reference(params: dict, num_blocks: int, graph, encoded):
     (h_atoms, h_graph), with h_graph a [1, hidden] row.
 
     params maps parameter names to arrays. Messages are accumulated one
-    edge at a time, in edge order, with no tape and no segment_sum.
+    edge at a time, in edge order, with no tape.
     """
 
     def linear(name, x):
@@ -551,10 +568,10 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
 
     def mse(head, h, atoms, targets):
         rows = [T.gather_rows(h, atoms[:, j]) for j in range(atoms.shape[1])]
-        diff = T.sub(head(*rows), Tensor(targets.reshape(-1, 1)))
-        return T.mul(T.sum_all(T.mul(diff, diff)), 1.0 / targets.size)
+        return T.squared_error(head(*rows), targets.reshape(-1, 1),
+                               np.full((targets.size, 1), 1.0 / targets.size))
 
-    total, sums = Tensor(np.zeros(())), {}
+    terms, sums = [], {}
     for item, rng in zip(batch, rngs):
         masked_enc, masked = mask_context(item.graph, item.encoded, mask_ratio, [rng.fork("mask")])
         # each pair (i, j >= i)'s distance floored to its bin, the last bin
@@ -586,9 +603,10 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
         for name, part in parts.items():
             sums[name] = sums.get(name, 0.0) + (part.item() if part is not None else 0.0)
             if part is not None:
-                total = T.add(total, part)
+                terms.append(part)
     scale = 1.0 / len(batch)
-    return T.mul(total, scale), {k: v * scale for k, v in sums.items()}
+    total = T.scaled_sum(terms, scale) if terms else Tensor(np.zeros(()))
+    return total, {k: v * scale for k, v in sums.items()}
 
 
 def downstream_loss_reference(model, items, labels, task_type, rngs):
@@ -597,21 +615,18 @@ def downstream_loss_reference(model, items, labels, task_type, rngs):
     from geognn import tensor as T
     from geognn.tensor import Tensor
 
-    total = Tensor(np.zeros(()))
+    terms = []
     for item, row, rng in zip(items, labels, rngs):
         present = ~np.isnan(row)
         emb = model.forward(item.graph, item.encoded, mode="train", rng=[rng])
         pred = model.head_downstream(emb.h_graph)
-        y = Tensor(np.where(present, row, 0.0).reshape(1, -1))
+        y = np.where(present, row, 0.0).reshape(1, -1)
         mask = present.astype(np.float64).reshape(1, -1)
         if task_type == "regression":
-            diff = T.sub(pred, y)
-            sq = T.mul(T.mul(diff, diff), Tensor(mask))
-            loss = T.mul(T.sum_all(sq), 1.0 / mask.sum())
+            terms.append(T.squared_error(pred, y, mask / mask.sum()))
         else:
-            loss = T.bce_with_logits(pred, y, mask / mask.sum())
-        total = T.add(total, loss)
-    return T.mul(total, 1.0 / len(items))
+            terms.append(T.bce_with_logits(pred, Tensor(y), mask / mask.sum()))
+    return T.scaled_sum(terms, 1.0 / len(items))
 
 
 def embeddings_reference(model, items) -> np.ndarray:

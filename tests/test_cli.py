@@ -1,4 +1,5 @@
 import codecs
+import importlib
 import json
 import math
 from pathlib import Path
@@ -6,20 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geognn import cli, training
+from geognn import cli, geometry, training
 from geognn.cli import main
 from geognn.errors import ConfigError
 from geognn.checkpoint import load_checkpoint, save_checkpoint
 from geognn.features import FeatureConfig
 from geognn.geometry import build_dual_graph
 from geognn.model import GeoGNN, ModelConfig, ParamStore
-from geognn.molio import molecule_to_json_dict, write_jsonl
+from geognn.molio import MAX_ANGLES, MAX_ATOMS, molecule_to_json_dict, write_jsonl
 from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import geometry_label, random_molecule
 
-from conftest import (FIXTURES, edit_header, eval_overflowing_model, make_molecule,
-                      overflowing_model, rename_atom_block, store_of)
+from conftest import (FIXTURES, chain_molecule, edit_header, eval_overflowing_model,
+                      hub_molecule, make_molecule, overflowing_model, rename_atom_block, store_of)
 from oracles import angle_count_reference
 
 
@@ -513,6 +514,38 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert "data error: line 3:" in err
+        assert "Traceback" not in err
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate", "embed"])
+    @pytest.mark.parametrize("big,message", [
+        (chain_molecule(MAX_ATOMS + 1), f"{MAX_ATOMS + 1} atoms, more than the cap of {MAX_ATOMS}"),
+        (hub_molecule(MAX_ANGLES + 1),
+         f"{MAX_ANGLES + 1} bond angles, more than the cap of {MAX_ANGLES}"),
+    ], ids=["atoms", "angles"])
+    def test_one_over_a_cap_exits_2_before_any_graph(self, tmp_path, capsys, monkeypatch,
+                                                     command, big, message):
+        """Neither the [V, V] distances nor a dual graph, whose angle rows
+        grow as the degrees squared, is built for a molecule over a cap."""
+        def never(*args):
+            raise AssertionError("built for a molecule over a size cap")
+
+        for module in (geometry, importlib.import_module("geognn.pretrain")):
+            monkeypatch.setattr(module, "distance_matrix", never)
+        monkeypatch.setattr(training, "build_dual_graph", never)
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(write_jsonl([random_molecule(Rng(7), mol_id="small"), big]))
+        flags = ["--metric", "rmse"] if command == "evaluate" else []
+        if command in ("evaluate", "embed"):
+            cfg = ModelConfig(num_blocks=1, hidden=4, distance_bins=5, geom_head_hidden=4,
+                              down_head_hidden=4, num_tasks=1)
+            flags += ["--checkpoint", str(tmp_path / "model.ckpt")]
+            save_checkpoint(flags[-1], GeoGNN(cfg, rng=Rng(1)).store, cfg, FeatureConfig())
+        code = run_cli(command, "--input", str(src), "--out", str(tmp_path / "o"), *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: line 2: molecule {big.id}: {message}" in err
         assert "Traceback" not in err
 
 

@@ -19,7 +19,7 @@ from geognn.tensor import Tape, Tensor
 from geognn.training import _downstream_batch_loss, embed_molecules, prepare_molecules
 
 from conftest import make_molecule, relabel, store_of, without_geometry
-from oracles import geognn_forward_reference, model_gradcheck, relative_error
+from oracles import dot, geognn_forward_reference, model_gradcheck, relative_error
 
 SMALL = ModelConfig(
     num_blocks=2,
@@ -48,17 +48,19 @@ def composite_loss(model, graph, enc, bits, bins):
     h = emb.h_atoms
     u, v = graph.bonds[:, 0], graph.bonds[:, 1]
     pred_len = model.head_length(T.gather_rows(h, u), T.gather_rows(h, v))
-    diff = T.sub(pred_len, Tensor(graph.lengths.reshape(-1, 1)))
-    loss = T.mul(T.sum_all(T.mul(diff, diff)), 1.0 / max(graph.num_bonds, 1))
+    terms = [T.squared_error(pred_len, graph.lengths.reshape(-1, 1),
+                             np.full(pred_len.shape, 1.0 / max(graph.num_bonds, 1)))]
     if graph.num_angles:
         w, c, x = graph.angles[:, 0], graph.angles[:, 1], graph.angles[:, 2]
         pred_ang = model.head_angle(T.gather_rows(h, w), T.gather_rows(h, c), T.gather_rows(h, x))
-        adiff = T.sub(pred_ang, Tensor(graph.angle_values.reshape(-1, 1)))
-        loss = T.add(loss, T.mul(T.sum_all(T.mul(adiff, adiff)), 1.0 / graph.num_angles))
-    loss = T.add(loss, loss_distance(model, emb, graph, bins))
-    loss = T.add(loss, T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits),
-                                         np.full(bits.shape, 1 / bits.size)))
-    return T.add(loss, T.sum_all(model.head_downstream(emb.h_graph)))
+        terms.append(T.squared_error(pred_ang, graph.angle_values.reshape(-1, 1),
+                                     np.full(pred_ang.shape, 1.0 / graph.num_angles)))
+    terms.append(loss_distance(model, emb, graph, bins))
+    terms.append(T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits),
+                                   np.full(bits.shape, 1 / bits.size)))
+    down = model.head_downstream(emb.h_graph)
+    terms.append(dot(down, np.ones(down.shape)))
+    return T.scaled_sum(terms, 1.0)
 
 
 class TestForward:
@@ -344,7 +346,7 @@ class TestHeads:
                 T.gather_rows(emb.h_atoms, graph.bonds[:, 0]),
                 T.gather_rows(emb.h_atoms, graph.bonds[:, 1]),
             )
-            return T.sum_all(T.mul(pred, pred))
+            return T.squared_error(pred, np.zeros(pred.shape), np.ones(pred.shape))
 
         store = model.store
         store.zero_grad()

@@ -12,6 +12,8 @@ from geognn import molio
 from geognn.errors import DataError, GeoGnnError, ParseError
 from geognn.model import GeoGNN, ModelConfig
 from geognn.molio import (
+    MAX_ANGLES,
+    MAX_ATOMS,
     Atom,
     Bond,
     Molecule,
@@ -24,10 +26,13 @@ from geognn.molio import (
     write_jsonl,
 )
 from geognn.rng import Rng
+from geognn.synth import random_molecule
 from geognn.training import embed_molecules
 
-from conftest import FIXTURES, encoded_ring_flags, make_dce, make_molecule, no_cyclic_garbage
-from oracles import cycle_bonds_by_removal, ring_flags_reference, sdf_reference
+from conftest import (FIXTURES, chain_molecule, encoded_ring_flags, hub_molecule, make_dce,
+                      make_molecule, no_cyclic_garbage)
+from oracles import (angle_count_reference, cycle_bonds_by_removal, ring_flags_reference,
+                     sdf_reference)
 
 
 class TestSdfParsing:
@@ -457,6 +462,32 @@ class TestValidation:
         )
         with pytest.raises(DataError):
             mol.validate()
+
+    def test_molecules_at_the_size_caps_are_valid(self):
+        for mol in (chain_molecule(MAX_ATOMS), hub_molecule(MAX_ANGLES)):
+            assert mol.validate() is mol
+
+    @pytest.mark.parametrize("mol,message", [
+        (chain_molecule(MAX_ATOMS + 1), f"{MAX_ATOMS + 1} atoms, more than the cap of {MAX_ATOMS}"),
+        (hub_molecule(MAX_ANGLES + 1),
+         f"{MAX_ANGLES + 1} bond angles, more than the cap of {MAX_ANGLES}"),
+    ], ids=["atoms", "angles"])
+    def test_one_over_a_size_cap_names_the_molecule_the_count_and_the_cap(self, mol, message):
+        with pytest.raises(DataError, match=f"^molecule {mol.id}: {message}$"):
+            mol.validate()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 40))
+    def test_the_angle_count_is_the_sum_over_bond_pairs_sharing_an_atom(self, seed, cap):
+        mol = random_molecule(Rng(seed), min_atoms=1, max_atoms=20)
+        angles = angle_count_reference(len(mol.atoms), [(b.a, b.b) for b in mol.bonds])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(molio, "MAX_ANGLES", cap)
+            if angles > cap:
+                with pytest.raises(DataError, match=f": {angles} bond angles, "):
+                    mol.validate()
+            else:
+                assert mol.validate() is mol
 
     def test_hybridization_heuristic(self):
         mol = make_molecule(

@@ -134,15 +134,14 @@ class TestGeometryLosses:
         # is impossible; instead check the zero-diff identity directly
         m = masked.bond_lengths.size
         preds = Tensor(masked.bond_lengths.reshape(m, 1))
-        diff = T.sub(preds, Tensor(masked.bond_lengths.reshape(m, 1)))
-        assert T.sum_all(T.mul(diff, diff)).item() == 0.0
+        targets = masked.bond_lengths.reshape(m, 1)
+        assert T.squared_error(preds, targets, np.ones((m, 1))).item() == 0.0
 
     def test_single_bond_squared_error(self, model):
         # one masked bond, prediction 1.0, target 1.5 -> 0.25
         pred = Tensor(np.array([[1.0]]))
-        target = Tensor(np.array([[1.5]]))
-        diff = T.sub(pred, target)
-        assert T.sum_all(T.mul(diff, diff)).item() == pytest.approx(0.25, abs=1e-15)
+        loss = T.squared_error(pred, np.array([[1.5]]), np.ones((1, 1)))
+        assert loss.item() == pytest.approx(0.25, abs=1e-15)
 
     def test_loss_length_matches_direct_formula(self, model):
         mol = random_molecule(Rng(7), min_atoms=6, max_atoms=8)
@@ -173,8 +172,8 @@ class TestGeometryLosses:
 
     def test_pi_over_two_error(self):
         # one angle, prediction pi, target pi/2 -> (pi/2)^2
-        diff = T.sub(Tensor([[math.pi]]), Tensor([[math.pi / 2]]))
-        assert T.sum_all(T.mul(diff, diff)).item() == pytest.approx(2.4674, abs=1e-4)
+        loss = T.squared_error(Tensor([[math.pi]]), [[math.pi / 2]], [[1.0]])
+        assert loss.item() == pytest.approx(2.4674, abs=1e-4)
 
     def test_empty_targets_give_zero(self, model):
         mol = random_molecule(Rng(11), min_atoms=1, max_atoms=1)

@@ -12,7 +12,7 @@ from geognn.rng import BlockRng, Rng
 from geognn.synth import random_molecule
 from geognn.tensor import Tape, Tensor
 
-from oracles import (aggregate_chain, central_difference, layer_norm_reference,
+from oracles import (aggregate_reference, central_difference, dot, layer_norm_reference,
                      node_update_reference, pair_mlp_reference, relative_error,
                      segment_sum_reference, softmax_ce_reference)
 
@@ -34,46 +34,28 @@ def grad_of(f, *arrays, h=1e-5):
     return analytic, numeric
 
 
+def _squares(x):
+    """The sum of x's squared elements, as one live op."""
+    return T.squared_error(x, np.zeros(x.shape), np.ones(x.shape))
+
+
 class TestElementwise:
     def test_relu(self):
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_div_rejects_zero(self):
-        with pytest.raises(NumericalError):
-            T.div(Tensor([1.0]), Tensor([0.0]))
+    @pytest.mark.parametrize("other", [(3,), (2, 1), (1, 3), (3, 2), (), 1.0],
+                             ids=["row", "column", "one-row", "transposed", "scalar",
+                                  "python-float"])
+    def test_add_rejects_unequal_shapes(self, other):
+        b = Tensor(np.ones(other)) if isinstance(other, tuple) else other
+        with pytest.raises(ShapeError, match="add"):
+            T.add(Tensor(np.ones((2, 3))), b)
 
-    def test_exact_shape_rule(self):
-        with pytest.raises(ShapeError):
-            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
-
-    def test_scalar_broadcast(self):
-        out = T.mul(Tensor([[1.0, 2.0]]), 3.0)
-        np.testing.assert_array_equal(out.data, [[3.0, 6.0]])
-
-    def test_column_broadcast(self):
-        out = T.mul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[2.0], [0.5]]))
-        np.testing.assert_array_equal(out.data, [[2.0, 4.0], [1.5, 2.0]])
-        with pytest.raises(ShapeError):  # a row is not a column
-            T.mul(Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2)) * 2.0))
-
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
-    def test_column_grads_vs_finite_differences(self, op):
-        rng = np.random.default_rng(15)
-        a = rng.normal(size=(3, 4))
-        col = rng.normal(size=(3, 1)) + 3.0  # keep divisors away from zero
-        for x, y in ((a, col), (col, a)):
-            analytic, numeric = grad_of(lambda u, v: T.sum_all(T.mul(op(u, v), op(u, v))), x, y)
-            assert analytic[1].shape == y.shape
-            assert relative_error(analytic[0], numeric[0]) < 1e-4
-            assert relative_error(analytic[1], numeric[1]) < 1e-4
-
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
-    def test_binary_grads_vs_finite_differences(self, op):
+    def test_add_grads_vs_finite_differences(self):
         rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 3.0  # keep divisors away from zero
-        analytic, numeric = grad_of(lambda x, y: T.sum_all(T.mul(op(x, y), op(x, y))), a, b)
+        a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        analytic, numeric = grad_of(lambda x, y: _squares(T.add(x, y)), a, b)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
         assert relative_error(analytic[1], numeric[1]) < 1e-4
 
@@ -81,122 +63,168 @@ class TestElementwise:
     def test_unary_grads_vs_finite_differences(self, op):
         rng = np.random.default_rng(3)
         x = rng.uniform(0.5, 2.0, size=(4, 2))
-        analytic, numeric = grad_of(lambda t: T.sum_all(T.mul(op(t), op(t))), x)
+        analytic, numeric = grad_of(lambda t: _squares(op(t)), x)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
 
 
-def _reduce_like(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A broadcast gradient summed back to an operand's shape: over each row
-    for a column, over everything for a scalar."""
-    if grad.shape == shape:
-        return grad
-    if math.prod(shape) != 1:
-        return grad.sum(axis=1, keepdims=True)
-    return np.full(shape, grad.sum(), dtype=grad.dtype)
+# --- the fused losses and readout, against the elementwise chains they replaced
 
 
-ELEMENTWISE = {  # op: its forward and its gradient pair in plain numpy
-    T.add: (lambda x, y: x + y, lambda g, x, y: (g, g)),
-    T.sub: (lambda x, y: x - y, lambda g, x, y: (g, -g)),
-    T.mul: (lambda x, y: x * y, lambda g, x, y: (g * y, g * x)),
-    T.div: (lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))),
-}
+def _squared_error_chain(pred, targets, weights, g):
+    """squared_error as the chain sub, mul(diff, diff), mul by the weights and
+    sum, in plain numpy: its value, and pred's gradient at upstream g, where
+    each factor of mul(diff, diff) sends (g * weights) * diff."""
+    dtype = pred.dtype
+    diff = pred - targets.astype(dtype)
+    value = np.asarray(((diff * diff) * weights.astype(dtype)).sum(), dtype=dtype)
+    half = (np.full(pred.shape, float(g), dtype=dtype) * weights.astype(dtype)) * diff
+    return value, half + half
 
 
-@st.composite
-def elementwise_cases(draw):
-    """Two operands of one dtype in one of the three shape forms (equal
-    shapes, a scalar, an [n, 1] column against an [n, k] matrix), either
-    one first, with an upstream gradient of the output's shape."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 8))
-    other = draw(st.sampled_from([(n, k), (), (1,), (1, 1), (n, 1)]))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def operand(shape):  # away from zero, so either one can be a divisor
-        return (gen.uniform(0.5, 2.0, shape) * gen.choice([-1.0, 1.0], shape)).astype(dtype)
-
-    a, b = operand((n, k)), operand(other)
-    if draw(st.booleans()):
-        a, b = b, a
-    return a, b, gen.normal(size=(n, k)).astype(dtype)
+def _segment_mean_chain(values, counts, g):
+    """segment_mean as a segment sum, taken in float64 in row order and cast
+    back, then a division by the [B, 1] count column, in plain numpy: its
+    value, and the values' gradient at upstream g, (g / counts)[row's run]."""
+    ids = np.repeat(np.arange(len(counts)), counts)
+    sums = np.zeros((len(counts), values.shape[1]))
+    np.add.at(sums, ids, values.astype(np.float64))
+    col = np.array(counts).reshape(-1, 1).astype(values.dtype)
+    return sums.astype(values.dtype) / col, (g / col)[ids]
 
 
-class TestElementwisePath:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(op=st.sampled_from(list(ELEMENTWISE)), case=elementwise_cases())
-    def test_matches_numpy_broadcasting_bit_for_bit(self, op, case):
-        a, b, upstream = case
-        forward, grads = ELEMENTWISE[op]
-        x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        with Tape() as tape:
-            out = op(x, y)
-            loss = T.sum_all(T.mul(out, Tensor(upstream)))
-        tape.backward(loss)
-        wants = [forward(a, b)] + [_reduce_like(g, arr.shape)
-                                   for g, arr in zip(grads(upstream, a, b), (a, b))]
-        for got, want in zip((out.data, x.grad, y.grad), wants):
-            assert got.dtype == want.dtype == a.dtype
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("op,scalar_first", [
-        pytest.param(op, first, id=f"{op.__name__}-scalar-first" if first else op.__name__)
-        for first in (False, True) for op in ELEMENTWISE
-    ])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_python_scalar_takes_the_tensor_dtype(self, op, scalar_first, dtype):
-        a = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=dtype)
-        upstream = np.array([[0.5, -1.0], [2.0, 0.75]], dtype=dtype)
-        forward, grads = ELEMENTWISE[op]
-        x = Tensor(a, requires_grad=True)
-        with Tape() as tape:
-            out = op(0.3, x) if scalar_first else op(x, 0.3)
-            loss = T.sum_all(T.mul(out, Tensor(upstream)))
-        tape.backward(loss)
-        scalar = np.asarray(0.3, dtype=dtype)
-        if scalar_first:
-            want_out, want_grad = forward(scalar, a), grads(upstream, scalar, a)[1]
-        else:
-            want_out, want_grad = forward(a, scalar), grads(upstream, a, scalar)[0]
-        for got, want in ((out.data, want_out), (x.grad, want_grad)):
-            assert got.dtype == dtype
-            assert got.tobytes() == want.tobytes()
+def _scaled_sum_chain(terms, scale, g):
+    """scaled_sum as a chain of adds then a mul by the scale in the first
+    term's dtype, in plain numpy: its value, and each term's gradient at
+    upstream g."""
+    total, factor = terms[0], np.asarray(scale, dtype=terms[0].dtype)
+    for term in terms[1:]:
+        total = total + term
+    return total * factor, [g * factor] * len(terms)
 
 
-class TestSegmentSum:
-    def test_hand_example(self):
-        out = T.segment_sum(Tensor([[1.0], [2.0], [3.0]]), [0, 0, 1], 2)
-        np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
+def _taped(op, leaves, *args):
+    """op(*leaves, *args) on a tape: its output and its one record's grad_fn."""
+    with Tape() as tape:
+        out = op(*leaves, *args)
+    [(_, _, grad_fn)] = tape._records
+    return out, grad_fn
 
-    def test_single_segment_is_column_sum(self):
-        v = np.arange(6.0).reshape(3, 2)
-        out = T.segment_sum(Tensor(v), [0, 0, 0], 1)
-        np.testing.assert_array_equal(out.data, v.sum(axis=0, keepdims=True))
 
-    def test_empty_segment_is_zero(self):
-        out = T.segment_sum(Tensor([[1.0], [2.0]]), [0, 1], 3)
-        np.testing.assert_array_equal(out.data[2], [0.0])
+def _assert_bitwise(got, want, dtype):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
-    def test_id_out_of_range(self):
-        with pytest.raises(ShapeError):
-            T.segment_sum(Tensor([[1.0]]), [1], 1)
 
-    def test_matches_reference_on_random_input(self):
-        rng = np.random.default_rng(4)
-        vals = rng.normal(size=(20, 3))
-        ids = rng.integers(0, 5, size=20)
-        out = T.segment_sum(Tensor(vals), ids, 5)
-        np.testing.assert_allclose(out.data, segment_sum_reference(vals, ids, 5), atol=1e-12)
+DTYPES = st.sampled_from([np.float32, np.float64])
+SEEDS = st.integers(0, 2**32 - 1)
+FUSED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
-    def test_grad_vs_finite_differences(self):
-        rng = np.random.default_rng(6)
-        vals = rng.normal(size=(6, 2))
-        ids = np.array([0, 1, 0, 2, 2, 1])
-        analytic, numeric = grad_of(
-            lambda v: T.sum_all(T.mul(T.segment_sum(v, ids, 3), T.segment_sum(v, ids, 3))), vals
-        )
+
+class TestFusedOps:
+    @FUSED
+    @given(dtype=DTYPES, rows=st.integers(0, 40), width=st.integers(1, 4), seed=SEEDS)
+    def test_squared_error_replays_its_chain_bit_for_bit(self, dtype, rows, width, seed):
+        gen = np.random.default_rng(seed)
+        pred = gen.normal(size=(rows, width)).astype(dtype)
+        targets, weights = gen.normal(size=(rows, width)), gen.uniform(0.0, 2.0, (rows, width))
+        g = np.asarray(gen.normal(), dtype=dtype)
+        out, grad_fn = _taped(T.squared_error, [Tensor(pred, requires_grad=True)], targets,
+                              weights)
+        want, want_grad = _squared_error_chain(pred, targets, weights, g)
+        _assert_bitwise(out.data, want, dtype)
+        _assert_bitwise(grad_fn(g)[0], want_grad, dtype)
+
+    @FUSED
+    @given(dtype=DTYPES, counts=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+           width=st.integers(1, 8), seed=SEEDS)
+    def test_segment_mean_replays_its_chain_bit_for_bit(self, dtype, counts, width, seed):
+        gen = np.random.default_rng(seed)
+        values = gen.normal(size=(sum(counts), width)).astype(dtype)
+        g = gen.normal(size=(len(counts), width)).astype(dtype)
+        out, grad_fn = _taped(T.segment_mean, [Tensor(values, requires_grad=True)], counts)
+        want, want_grad = _segment_mean_chain(values, counts, g)
+        _assert_bitwise(out.data, want, dtype)
+        _assert_bitwise(grad_fn(g)[0], want_grad, dtype)
+
+    @FUSED
+    @given(dtype=DTYPES, num_terms=st.integers(1, 6), seed=SEEDS)
+    def test_scaled_sum_replays_its_chain_bit_for_bit(self, dtype, num_terms, seed):
+        gen = np.random.default_rng(seed)
+        terms = [np.asarray(v, dtype=dtype) for v in gen.normal(size=num_terms) * 10.0]
+        scale = 1.0 / gen.integers(1, 65) if gen.random() < 0.5 else gen.normal()
+        g = np.asarray(gen.normal(), dtype=dtype)
+        leaves = [Tensor(t, requires_grad=True) for t in terms]
+        out, grad_fn = _taped(lambda *ts: T.scaled_sum(ts, scale), leaves)
+        want, want_grads = _scaled_sum_chain(terms, scale, g)
+        _assert_bitwise(out.data, want, dtype)
+        for got, want_grad in zip(grad_fn(g), want_grads, strict=True):
+            _assert_bitwise(got, want_grad, dtype)
+
+    def test_squared_error_grad_vs_finite_differences(self):
+        gen = np.random.default_rng(22)
+        targets, weights = gen.normal(size=(4, 3)), gen.uniform(0.0, 2.0, (4, 3))
+        analytic, numeric = grad_of(lambda p: T.squared_error(p, targets, weights),
+                                    gen.normal(size=(4, 3)))
         assert relative_error(analytic[0], numeric[0]) < 1e-4
+
+    def test_segment_mean_grad_vs_finite_differences(self):
+        gen = np.random.default_rng(23)
+        counts, upstream = [1, 3, 2], gen.normal(size=(3, 2))
+        analytic, numeric = grad_of(lambda v: dot(T.segment_mean(v, counts), upstream),
+                                    gen.normal(size=(6, 2)))
+        assert relative_error(analytic[0], numeric[0]) < 1e-4
+
+    def test_scaled_sum_grad_vs_finite_differences(self):
+        # a term listed twice gets both gradients
+        analytic, numeric = grad_of(lambda a, b: T.scaled_sum([a, b, a], 0.3),
+                                    np.array(1.5), np.array(-0.5))
+        for got, want in zip(analytic, numeric):
+            assert relative_error(got, want) < 1e-4
+        assert analytic[0] == 0.6 and analytic[1] == 0.3
+
+    @pytest.mark.parametrize("op,shape,args", [
+        (T.squared_error, (3, 2), (np.ones((3, 2)), np.full((3, 2), 0.5))),
+        (T.segment_mean, (3, 2), ([1, 2],)),
+        (lambda x, scale: T.scaled_sum([x, x], scale), (), (0.25,)),
+    ], ids=["squared_error", "segment_mean", "scaled_sum"])
+    def test_without_a_tape_records_nothing_and_gives_the_same_value(self, op, shape, args):
+        x = Tensor(np.random.default_rng(24).normal(size=shape), requires_grad=True)
+        untaped = op(x, *args)
+        assert not untaped.requires_grad
+        with Tape() as tape:
+            taped = op(x, *args)
+        assert len(tape) == 1 and taped.requires_grad
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_squared_error_of_no_rows_is_zero(self):
+        pred = Tensor(np.zeros((0, 1)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.squared_error(pred, np.zeros((0, 1)), np.zeros((0, 1)))
+        tape.backward(loss)
+        assert loss.item() == 0.0 and pred.grad.shape == (0, 1)
+
+    def test_segment_mean_hand_example(self):
+        out = T.segment_mean(Tensor([[1.0], [2.0], [3.0]]), [2, 1])
+        np.testing.assert_array_equal(out.data, [[1.5], [3.0]])
+
+    @pytest.mark.parametrize("counts", [[2.0, 1.0], [[2, 1]], [4, -1], [3, 0], [1, 1], [2, 2]],
+                             ids=["float", "2-D", "negative", "zero", "short", "long"])
+    def test_segment_mean_rejects_bad_counts(self, counts):
+        with pytest.raises(ShapeError, match="segment_mean"):
+            T.segment_mean(Tensor(np.ones((3, 2))), np.array(counts))
+
+    @pytest.mark.parametrize("op,args", [
+        ("squared_error", (Tensor(np.ones((2, 1))), np.ones(2), np.ones((2, 1)))),
+        ("squared_error", (Tensor(np.ones((2, 1))), np.ones((2, 1)), np.ones((1, 2)))),
+        ("segment_mean", (Tensor(np.ones(3)), [3])),
+        ("scaled_sum", ([], 1.0)),
+        ("scaled_sum", ([Tensor(1.0), Tensor(np.ones(2))], 1.0)),
+    ], ids=["targets", "weights", "1-D-values", "no-terms", "vector-term"])
+    def test_bad_shapes_rejected(self, op, args):
+        with pytest.raises(ShapeError, match=op):
+            getattr(T, op)(*args)
 
 
 @st.composite
@@ -213,7 +241,7 @@ def _gather_grad(vals, ids, segments):
     """Gradient of sum(gather_rows(x, ids) * vals) w.r.t. x: vals scattered by id."""
     x = Tensor(np.zeros((segments, vals.shape[1])), requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(T.mul(T.gather_rows(x, ids), Tensor(vals)))
+        loss = dot(T.gather_rows(x, ids), vals)
     tape.backward(loss)
     return x.grad
 
@@ -221,20 +249,16 @@ def _gather_grad(vals, ids, segments):
 class TestScatter:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(scatter_cases())
-    def test_both_scatters_match_reference_and_repeat_bitwise(self, case):
+    def test_gather_scatter_matches_reference_and_repeats_bitwise(self, case):
         vals, ids, segments = case
-        want = segment_sum_reference(vals, ids, segments)
-        summed = T.segment_sum(Tensor(vals), ids, segments).data
         scattered = _gather_grad(vals, ids, segments)
-        np.testing.assert_allclose(summed, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(scattered, want, rtol=0, atol=1e-12)
-        assert np.array_equal(summed, T.segment_sum(Tensor(vals), ids, segments).data)
+        np.testing.assert_allclose(scattered, segment_sum_reference(vals, ids, segments),
+                                   rtol=0, atol=1e-12)
         assert np.array_equal(scattered, _gather_grad(vals, ids, segments))
 
 
 # each op takes ids in [0, 3), and two of them where one id per row applies
 ID_OPS = {
-    "segment_sum": lambda ids: T.segment_sum(Tensor(np.zeros((2, 3))), ids, 3),
     "gather_rows": lambda ids: T.gather_rows(Tensor(np.zeros((3, 2))), ids),
     "pair_mlp_cross_entropy": lambda ids: T.pair_mlp_cross_entropy(
         Tensor(np.zeros((2, 1))), [1, 1], Tensor(np.zeros((1, 2))), Tensor(np.zeros(2)),
@@ -267,8 +291,8 @@ def _pair_value_and_grads(x, counts, w1, b1, w2, b2, labels, weights, scale=0.3)
     w.r.t. x, w1, b1, w2, b2."""
     leaves = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
     with Tape() as tape:
-        loss = T.mul(T.pair_mlp_cross_entropy(leaves[0], counts, *leaves[1:], labels, weights),
-                     scale)
+        loss = T.scaled_sum([T.pair_mlp_cross_entropy(leaves[0], counts, *leaves[1:], labels,
+                                                      weights)], scale)
     tape.backward(loss)
     return [loss.data] + [t.grad for t in leaves]
 
@@ -499,7 +523,7 @@ def _layer_norm_value_and_grads(x, gain, bias, upstream):
     leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
     with Tape() as tape:
         out = _pass_through_update(*leaves, Tensor(np.zeros_like(x)))
-        loss = T.sum_all(T.mul(out, Tensor(upstream)))
+        loss = dot(out, upstream)
     tape.backward(loss)
     return [out.data] + [t.grad for t in leaves]
 
@@ -588,27 +612,25 @@ def _update_value_and_grads(pairs, counts, arrays, upstream, training, seed):
     with Tape() as tape:
         out = _fused_update(h, pairs, x, _scale(counts, h.dtype), *params, 0.2,
                             _block_rng(counts, seed), training)
-        loss = T.sum_all(T.mul(out, Tensor(upstream)))
+        loss = dot(out, upstream)
     tape.backward(loss)
     return out.data, [t.grad for t in leaves]
 
 
 def _reference_value_and_grads(pairs, counts, arrays, upstream, training, seed):
-    """``_update_value_and_grads`` by the 7-op ``aggregate_chain`` and the
-    numpy ``node_update_reference``, joined by the chain rule: the chain's
-    gradients are those of sum(chain * the reference's gradient at it)."""
-    h, x = (Tensor(a, requires_grad=True) for a in arrays[:2])
+    """``_update_value_and_grads`` by the numpy ``aggregate_reference`` and
+    ``node_update_reference``, joined by the chain rule: the aggregate's
+    gradients are taken at the update's gradient with respect to it."""
+    h, x = arrays[:2]
     keep = None
     if training:
         keep = _block_rng(counts, seed).keep_mask(h.shape, 0.2).astype(h.dtype)
         keep /= 1.0 - 0.2
-    with Tape() as tape:
-        agg = aggregate_chain(h, pairs, x)
-        out, (g_agg, g_res, *g_params) = node_update_reference(
-            agg.data, h.data, _scale(counts, h.dtype), *arrays[2:], keep, upstream)
-        loss = T.sum_all(T.mul(agg, Tensor(g_agg)))
-    tape.backward(loss)
-    return out, [h.grad + g_res, x.grad, *g_params]
+    agg, _ = aggregate_reference(h, pairs, x, np.zeros_like(h))
+    out, (g_agg, g_res, *g_params) = node_update_reference(
+        agg, h, _scale(counts, h.dtype), *arrays[2:], keep, upstream)
+    _, (g_h, g_x) = aggregate_reference(h, pairs, x, g_agg)
+    return out, [g_h + g_res, g_x, *g_params]
 
 
 def _update_args(**shapes):
@@ -647,7 +669,7 @@ class TestFusedUpdate:
         def f(h, x, *params):
             rng = BlockRng([Rng(5), Rng(6)], graph.atom_counts)
             out = _fused_update(h, graph.bonds, x, scale, *params, 0.2, rng, training)
-            return T.sum_all(T.mul(out, Tensor(upstream)))
+            return dot(out, upstream)
 
         analytic, numeric = grad_of(f, *arrays)
         for got, want in zip(analytic, numeric):
@@ -760,44 +782,44 @@ class TestSoftmaxCrossEntropy:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        terms = [Tensor(v, requires_grad=True) for v in (1.0, 2.0, 3.0)]
         with Tape() as tape:
-            loss = T.sum_all(x)
+            loss = T.scaled_sum(terms, 1.0)
         tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+        assert [t.grad for t in terms] == [1.0, 1.0, 1.0]
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = _squares(x)
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-14)
 
     def test_rejects_non_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = T.add(x, x)
         with pytest.raises(ShapeError):
             tape.backward(y)
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.add(T.mul(x, x), x))
+            loss = _squares(T.add(x, x))  # (2x)^2
         tape.backward(loss)
-        np.testing.assert_allclose(x.grad, [7.0])
+        np.testing.assert_allclose(x.grad, [24.0])
 
     def test_only_leaves_keep_their_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         w = Tensor([3.0, -1.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, w)
-            z = T.mul(y, y)
-            loss = T.sum_all(z)
+            y = T.add(x, w)
+            z = T.relu(y)
+            loss = _squares(z)
         tape.backward(loss)
         assert y.grad is None and z.grad is None and loss.grad is None
-        np.testing.assert_allclose(x.grad, 2.0 * (x.data * w.data) * w.data)
-        np.testing.assert_allclose(w.grad, 2.0 * (x.data * w.data) * x.data)
+        np.testing.assert_allclose(x.grad, 2.0 * (x.data + w.data))
+        np.testing.assert_allclose(w.grad, 2.0 * (x.data + w.data))
 
 
 class TestPlumbingOps:
@@ -815,8 +837,7 @@ class TestPlumbingOps:
         bias = rng.normal(size=5)
 
         def f(a, g, b):
-            out = _pass_through_update(a, g, b, Tensor(np.zeros((3, 5))))
-            return T.sum_all(T.mul(out, out))
+            return _squares(_pass_through_update(a, g, b, Tensor(np.zeros((3, 5)))))
 
         analytic, numeric = grad_of(f, x, gain, bias)
         for got, want in zip(analytic, numeric):
@@ -826,7 +847,7 @@ class TestPlumbingOps:
         rng = np.random.default_rng(10)
         x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
         analytic, numeric = grad_of(
-            lambda a, c, d: T.sum_all(T.mul(T.affine(a, c, d), T.affine(a, c, d))), x, w, b
+            lambda a, c, d: _squares(T.affine(a, c, d)), x, w, b
         )
         for got, want in zip(analytic, numeric):
             assert relative_error(got, want) < 1e-4
@@ -853,8 +874,7 @@ class TestPlumbingOps:
 
         def f(t):
             g = T.gather_rows(t, ids)
-            c = T.concat([g, g], axis=1)
-            return T.sum_all(T.mul(c, c))
+            return _squares(T.concat([g, g], axis=1))
 
         analytic, numeric = grad_of(f, x)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
@@ -882,7 +902,7 @@ class TestPlumbingOps:
         residual = Tensor(np.ones((4, 4)), requires_grad=True)
         with Tape() as tape:
             out = self._dropout_of(residual, 0.25, Rng(3))
-            loss = T.sum_all(out)
+            loss = dot(out, np.ones(out.shape))
         tape.backward(loss)
         np.testing.assert_array_equal(residual.grad, out.data)
 
@@ -922,41 +942,44 @@ class TestDeterminismAndSafety:
 
     def test_overflow_rejected(self):
         # finite rows whose sum overflows
-        with pytest.raises(NumericalError, match="segment_sum"):
-            T.segment_sum(Tensor([[1e308], [1e308]]), [0, 0], 1)
+        with pytest.raises(NumericalError, match="segment_mean"):
+            T.segment_mean(Tensor([[1e308], [1e308]]), [2])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "affine", "sum_all"])
+    @pytest.mark.parametrize("op", ["add", "affine", "squared_error", "segment_mean",
+                                    "scaled_sum"])
     def test_finite_operands_that_overflow_raise_only_numerical_error(self, op):
         """numpy's overflow warning would come first, and under this filter
         it would be what is raised."""
         run = {
             "add": lambda: T.add(Tensor([[1.7e308]]), Tensor([[1.7e308]])),
-            "sub": lambda: T.sub(Tensor([[1.7e308]]), Tensor([[-1.7e308]])),
-            # inf and -inf: the finite check's own sum is NaN
-            "mul": lambda: T.mul(Tensor([[1e200, -1e200]]), Tensor([[1e200, 1e200]])),
-            "div": lambda: T.div(Tensor([[1e300]]), Tensor([[1e-300]])),
             "affine": lambda: T.affine(Tensor(np.full((2, 3), 1e200)),
                                        Tensor(np.full((3, 2), 1e200)), Tensor(np.zeros(2))),
-            "sum_all": lambda: T.sum_all(Tensor([1.7e308, 1.7e308])),
+            # the difference overflows, and a zero weight makes its square NaN
+            "squared_error": lambda: T.squared_error(Tensor([[1.7e308, 1e200]]),
+                                                     [[-1.7e308, 0.0]], [[0.0, 1.0]]),
+            "segment_mean": lambda: T.segment_mean(Tensor([[1.7e308], [1.7e308]]), [2]),
+            "scaled_sum": lambda: T.scaled_sum([Tensor(1.7e308), Tensor(1.7e308)], 0.5),
         }[op]
         with pytest.raises(NumericalError, match=f"^non-finite values produced by {op}$"):
             run()
 
     def test_gradcheck_random_ops_20_instances(self):
-        # every differentiable primitive, 20 random instances, rel err < 1e-4
+        # the differentiable primitives but the block and distance ops, which
+        # have their own checks: 20 random instances, rel err < 1e-4
         rng = np.random.default_rng(14)
         for _ in range(20):
             x = rng.uniform(0.3, 1.5, size=(3, 4))
             w = rng.normal(size=(4, 3))
             ids = rng.integers(0, 3, size=5)
+            targets, bits = rng.normal(size=(3, 6)), rng.integers(0, 2, size=(3, 3))
 
             def f(t, m):
                 a = T.relu(T.affine(t, m, Tensor(np.zeros(3))))
-                b = T.gather_rows(T.sub(a, 0.5), ids)
-                c = T.segment_sum(T.mul(b, b), ids, 3)
-                d = T.div(a, T.add(c, 1.0))
-                return T.sum_all(T.mul(T.concat([d, c]), T.concat([c, d])))
+                c = T.segment_mean(T.gather_rows(a, ids), [2, 3])
+                d = T.add(T.gather_rows(c, [0, 1, 1]), a)
+                return T.scaled_sum([T.squared_error(T.concat([d, a]), targets, np.ones((3, 6))),
+                                     T.bce_with_logits(d, Tensor(bits), np.ones((3, 3)))], 0.7)
 
             analytic, numeric = grad_of(f, x, w)
             assert relative_error(analytic[0], numeric[0]) < 1e-4
