@@ -13,12 +13,16 @@ indicator used by the pretraining tasks.
 ``encode`` reads a pack in one pass per attribute: the slots of a one-hot
 block, for every atom or bond of the pack, come from one list comprehension
 (through a ``{value: slot}`` table for a categorical field), clamped as
-whole arrays where the block clamps. Two blocks are derived, not read from
-a field: each atom's degree comes from the dual graph, and each bond's ring
-flag from ``molio.ring_membership`` of its molecule. The slots form one
-int64 slot matrix per entity kind, bounds-checked and written with one
-fancy assignment, its bond columns put in ``geometry.bond_order``'s row
-order. The RBF blocks are computed in place in the feature rows.
+whole arrays where the block clamps. Five blocks are derived, not read from
+a field, as GEM derives them from the molecule's graph: each atom's degree,
+hydrogen count, aromatic flag and hybridization come from whole-array
+passes over the dual graph's bonds, and each bond's ring flag from
+``molio.ring_membership`` of its molecule. So a molecule encodes the same
+however it was built. Every slot comes from a table lookup, a clamp or a
+bool, so it lies in its block. The slots form one int64 slot matrix per
+entity kind, written with one fancy assignment, its bond columns in
+``geometry.bond_order``'s row order. The RBF blocks are computed in place
+in the feature rows.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import DualGraph, bond_order
-from .molio import (ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS, Molecule,
-                    ring_membership)
+from .molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, Molecule, ring_membership
 
 RBF_GAMMA = 10.0
+HYBRIDIZATIONS = ("sp", "sp2", "sp3", "sp3d", "sp3d2", "unknown")
 
 # each entity type's blocks, (name, width) in column order
 BLOCKS = {
@@ -121,9 +125,26 @@ def rbf_expand(values, centers: np.ndarray, gamma: float = RBF_GAMMA,
 
 # the slot of each value of a categorical field
 _SLOT = {name: {value: slot for slot, value in enumerate(values)}
-         for name, values in (("chirality", CHIRALITIES), ("hybridization", HYBRIDIZATIONS),
-                              ("bond_dir", BOND_DIRS), ("bond_type", BOND_TYPES))}
-_INT64_MIN = int(np.iinfo(np.int64).min)
+         for name, values in (("chirality", CHIRALITIES), ("bond_dir", BOND_DIRS),
+                              ("bond_type", BOND_TYPES))}
+
+# The hybridization block: the steric number, degree plus main-group lone
+# pairs, of an atom with bonds and a valence electron count below. Multiple
+# bonds are not told from single ones; any other atom is "unknown".
+_VALENCE_ELECTRONS = {
+    "H": 1, "B": 3, "C": 4, "N": 5, "O": 6, "F": 7, "Al": 3, "Si": 4,
+    "P": 5, "S": 6, "Cl": 7, "Ga": 3, "Ge": 4, "As": 5, "Se": 6, "Br": 7,
+    "In": 3, "Sn": 4, "Sb": 5, "Te": 6, "I": 7,
+}
+_STERIC_TO_HYBRIDIZATION = {2: "sp", 3: "sp2", 4: "sp3", 5: "sp3d", 6: "sp3d2"}
+_VALENCE = np.zeros(_WIDTH["atom_type"], dtype=np.int64)  # by atomic number; 0: none
+_VALENCE[[ATOMIC_NUMBER[e] for e in _VALENCE_ELECTRONS]] = list(_VALENCE_ELECTRONS.values())
+# the slot of each steric number 0 .. 7, the last standing for all above 6
+_STERIC_SLOT = np.array([HYBRIDIZATIONS.index(_STERIC_TO_HYBRIDIZATION.get(n, "unknown"))
+                         for n in range(8)])
+# charges clipped to this bound keep their hybridization: at +64 an atom has
+# no lone pairs, and at -64 more than 6 electron domains
+_CHARGE_BOUND = 64
 
 
 def _clipped(values: list, lo: int, hi: int) -> np.ndarray:
@@ -144,24 +165,36 @@ def encode(
     """The feature matrices of one molecule, or of several as the union ``graph``."""
     molecules = [molecules] if isinstance(molecules, Molecule) else molecules
     atoms = [a for m in molecules for a in m.atoms]
+    order = bond_order(molecules)[0]
     bonds = [b for m in molecules for b in m.bonds]
-    chirality, hybridization = _SLOT["chirality"], _SLOT["hybridization"]
-    bond_dir, bond_type = _SLOT["bond_dir"], _SLOT["bond_type"]
-    slots = {  # per one-hot block, the slot of each atom row or each bond in list order
-        "atom_type": [ATOMIC_NUMBER[a.element] for a in atoms],
-        "aromatic": [a.aromatic for a in atoms],
-        "formal_charge": _clipped([a.formal_charge for a in atoms],
-                                  -8, _WIDTH["formal_charge"] - 9) + 8,
+    bonds = [bonds[i] for i in order.tolist()]  # in dual-graph row order, as graph.bonds
+    chirality, bond_dir, bond_type = _SLOT["chirality"], _SLOT["bond_dir"], _SLOT["bond_type"]
+    number = np.array([ATOMIC_NUMBER[a.element] for a in atoms], dtype=np.int64)
+    charge = _clipped([a.formal_charge for a in atoms], -_CHARGE_BOUND, _CHARGE_BOUND)
+    types = np.array([bond_type[b.bond_type] for b in bonds], dtype=np.int64)
+    ends, degree, num_atoms = graph.bonds, graph.degrees(), graph.num_atoms
+    is_h = number == ATOMIC_NUMBER["H"]
+    num_h = (np.bincount(ends[is_h[ends[:, 1]], 0], minlength=num_atoms)
+             + np.bincount(ends[is_h[ends[:, 0]], 1], minlength=num_atoms))
+    aromatic_ends = ends[types == bond_type["aromatic"]]
+    valence = _VALENCE[number]
+    steric = np.where((valence > 0) & (degree > 0),
+                      degree + np.maximum(0, (valence - charge - degree) // 2), 0)
+    slots = {  # per one-hot block, the slot of each atom row or bond row
+        "atom_type": number,
+        "aromatic": np.bincount(aromatic_ends.ravel(), minlength=num_atoms) > 0,
+        "formal_charge": np.clip(charge, -8, _WIDTH["formal_charge"] - 9) + 8,
         "chirality": [chirality[a.chirality] for a in atoms],
-        "degree": np.minimum(graph.degrees(), _WIDTH["degree"] - 1),
-        "num_h": _clipped([a.num_explicit_h for a in atoms], _INT64_MIN, _WIDTH["num_h"] - 1),
-        "hybridization": [hybridization[a.hybridization] for a in atoms],
+        "degree": np.minimum(degree, _WIDTH["degree"] - 1),
+        "num_h": np.minimum(num_h, _WIDTH["num_h"] - 1),
+        "hybridization": _STERIC_SLOT[np.minimum(steric, len(_STERIC_SLOT) - 1)],
         "bond_dir": [bond_dir[b.bond_dir] for b in bonds],
-        "bond_type": [bond_type[b.bond_type] for b in bonds],
-        "in_ring": [flag for m in molecules for flag in ring_membership(m)],
+        "bond_type": types,
+        "in_ring": np.array([flag for m in molecules for flag in ring_membership(m)],
+                            dtype=bool)[order],
     }
     atom, bond, angle = (np.zeros((count, width)) for count, width in (
-        (graph.num_atoms, config.atom_width), (graph.num_bonds, config.bond_width),
+        (num_atoms, config.atom_width), (graph.num_bonds, config.bond_width),
         (graph.num_angles, config.angle_width)))
     for rows, kind, name, values, centers in (
             (bond, "bond", "length_rbf", graph.lengths, config.length_centers),
@@ -169,17 +202,9 @@ def encode(
         start, width = _LAYOUT[kind][name]
         rbf_expand(values, centers, config.rbf_gamma, out=rows[:, start : start + width])
     for rows, kind in ((atom, "atom"), (bond, "bond")):
-        layout, count = _LAYOUT[kind], len(rows)
+        layout = _LAYOUT[kind]
         hot = [name for name in layout if name in slots]
-        index = np.array([slots[name] for name in hot], dtype=np.int64).reshape(len(hot), count)
-        if kind == "bond":
-            index = index[:, bond_order(molecules)[0]]  # in dual-graph row order
-        offset, width = np.array([layout[name] for name in hot]).T
-        outside = (index < 0) | (index >= width[:, None])
-        if outside.any():
-            k, i = np.argwhere(outside)[0]
-            owner = (graph.atom_graph if kind == "atom" else graph.bond_graph)[i]
-            raise DataError(f"molecule {molecules[owner].id}: one-hot index {index[k, i]} "
-                            f"outside block {hot[k]} of size {width[k]}")
-        rows[np.arange(count), index + offset[:, None]] = 1.0
+        index = np.array([slots[name] for name in hot], dtype=np.int64).reshape(len(hot), len(rows))
+        offset = np.array([layout[name][0] for name in hot])
+        rows[np.arange(len(rows)), index + offset[:, None]] = 1.0
     return EncodedGraph(*(rows.astype(dtype, copy=False) for rows in (atom, bond, angle)))

@@ -9,10 +9,13 @@ ParseError from where it happened. Every field is judged by
 ``Molecule.validate``, which both readers and the training API (``pretrain``,
 ``finetune``, ``evaluate``, ``embed_molecules``) apply.
 
+A molecule holds what a file states: each atom's element, formal charge
+and chirality, each bond's ends, type and direction, and the coordinates.
 Input hydrogens are kept as explicit atoms; no implicit-H inference is
-performed beyond counting bonded hydrogens. A bond's ring membership is no
-field: ``ring_membership`` derives it from the bond list where features are
-built, as a molecule's graph gives each atom's degree.
+performed. What the structure decides is no field: each atom's degree,
+hydrogen count, aromatic flag and hybridization, and each bond's ring
+membership (``ring_membership``), are derived from the bond list where
+features are built, so one structure has one encoding however it was made.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ ELEMENTS = (
 ATOMIC_NUMBER = {symbol: i + 1 for i, symbol in enumerate(ELEMENTS)}
 
 CHIRALITIES = ("unspecified", "cw", "ccw", "other")
-HYBRIDIZATIONS = ("sp", "sp2", "sp3", "sp3d", "sp3d2", "unknown")
 BOND_TYPES = ("single", "double", "triple", "aromatic")
 # seven slots; the last two are reserved categories
 BOND_DIRS = ("none", "begin_wedge", "begin_dash", "either", "unknown", "reserved0", "reserved1")
@@ -51,16 +53,6 @@ SPLITS = ("train", "valid", "test")
 # squared and its angles, sum(d(d - 1) / 2) over its atom degrees d, as d squared
 MAX_ATOMS = 999
 MAX_ANGLES = 15 * MAX_ATOMS
-
-# valence electron counts for the main-group elements the hybridization
-# heuristic understands; everything else maps to "unknown"
-_VALENCE_ELECTRONS = {
-    "H": 1, "B": 3, "C": 4, "N": 5, "O": 6, "F": 7, "Al": 3, "Si": 4,
-    "P": 5, "S": 6, "Cl": 7, "Ga": 3, "Ge": 4, "As": 5, "Se": 6, "Br": 7,
-    "In": 3, "Sn": 4, "Sb": 5, "Te": 6, "I": 7,
-}
-
-_STERIC_TO_HYBRIDIZATION = {2: "sp", 3: "sp2", 4: "sp3", 5: "sp3d", 6: "sp3d2"}
 
 
 def _is_point(xyz) -> bool:
@@ -79,9 +71,6 @@ class Atom:
     element: str
     formal_charge: int = 0
     chirality: str = "unspecified"
-    num_explicit_h: int = 0
-    aromatic: bool = False
-    hybridization: str = "unknown"
 
 
 @dataclass
@@ -103,9 +92,6 @@ class Molecule:
     - ``Atom.element``: a symbol of ``ELEMENTS``
     - ``Atom.formal_charge``: an integer
     - ``Atom.chirality``: one of ``CHIRALITIES``
-    - ``Atom.num_explicit_h``: an integer, at least 0
-    - ``Atom.aromatic``: a bool
-    - ``Atom.hybridization``: one of ``HYBRIDIZATIONS``
     - ``Bond.a``, ``Bond.b``: integers, two different atom indices, one bond per pair;
       at most ``MAX_ANGLES`` angles, pairs of bonds that share an atom
     - ``Bond.bond_type``: one of ``BOND_TYPES``; ``Bond.bond_dir``: one of ``BOND_DIRS``
@@ -139,22 +125,13 @@ class Molecule:
         for atom, xyz in zip(atoms, self.coords):
             # a plain int skips the abstract-class check, which alone would
             # triple the cost of validate
-            charge, num_h = atom.formal_charge, atom.num_explicit_h
-            if not ((type(charge) is int or is_int(charge))
-                    and (type(num_h) is int or is_int(num_h))):
-                raise DataError(f"{name}: charge {charge!r} and hydrogen "
-                                f"count {num_h!r} must be integers")
+            charge = atom.formal_charge
+            if not (type(charge) is int or is_int(charge)):
+                raise DataError(f"{name}: charge {charge!r} must be an integer")
             if not (isinstance(atom.element, str) and atom.element in ATOMIC_NUMBER):
                 raise DataError(f"{name}: unknown element {atom.element!r}")
             if not (isinstance(atom.chirality, str) and atom.chirality in CHIRALITIES):
                 raise DataError(f"{name}: bad chirality {atom.chirality!r}")
-            if not (isinstance(atom.hybridization, str)
-                    and atom.hybridization in HYBRIDIZATIONS):
-                raise DataError(f"{name}: bad hybridization {atom.hybridization!r}")
-            if num_h < 0:
-                raise DataError(f"{name}: negative hydrogen count")
-            if type(atom.aromatic) is not bool:
-                raise DataError(f"{name}: aromatic flag {atom.aromatic!r} must be a bool")
             if not _is_point(xyz):
                 raise DataError(f"{name}: coordinate {xyz!r} must be 3 finite real numbers")
         num_atoms, seen, degrees, num_angles = len(atoms), set(), [0] * len(atoms), 0
@@ -196,21 +173,15 @@ class Molecule:
         return self
 
 
-def _neighbours(molecule: Molecule) -> list[list[tuple[int, int]]]:
-    """(neighbour, bond index) of each atom's bonds, in bond order."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in molecule.atoms]
-    for i, bond in enumerate(molecule.bonds):
-        adj[bond.a].append((bond.b, i))
-        adj[bond.b].append((bond.a, i))
-    return adj
-
-
 def ring_membership(molecule: Molecule) -> list[bool]:
     """True per bond iff the bond lies on some cycle (i.e. is not a bridge).
     A breadth-first spanning forest leaves out one bond per independent
     cycle; each such bond marks itself and the tree paths from its two ends
     up to where they meet."""
-    adj = _neighbours(molecule)
+    adj: list[list[tuple[int, int]]] = [[] for _ in molecule.atoms]  # (neighbour, bond index)
+    for i, bond in enumerate(molecule.bonds):
+        adj[bond.a].append((bond.b, i))
+        adj[bond.b].append((bond.a, i))
     depth, parent, up = [-1] * len(adj), [-1] * len(adj), [-1] * len(adj)
     in_ring = [False] * len(molecule.bonds)
     for root in range(len(adj)):
@@ -232,38 +203,6 @@ def ring_membership(molecule: Molecule) -> list[bool]:
                         in_ring[up[a]] = True
                         a = parent[a]
     return in_ring
-
-
-def _hybridization_heuristic(element: str, degree: int, formal_charge: int) -> str:
-    """Steric-number estimate from degree plus main-group lone pairs.
-
-    Approximation only: multiple bonds are not distinguished from single
-    bonds, and anything outside the main group maps to "unknown".
-    """
-    valence = _VALENCE_ELECTRONS.get(element)
-    if valence is None or degree == 0:
-        return "unknown"
-    lone_pairs = max(0, (valence - formal_charge - degree) // 2)
-    return _STERIC_TO_HYBRIDIZATION.get(degree + lone_pairs, "unknown")
-
-
-def annotate_derived_attributes(molecule: Molecule) -> Molecule:
-    """Fill aromatic flags, hydrogen counts and hybridization, all read from
-    one set of neighbour lists."""
-    atoms, bonds = molecule.atoms, molecule.bonds
-    adj = _neighbours(molecule)
-    is_h = [atom.element == "H" for atom in atoms]
-    aromatic = [bond.bond_type == "aromatic" for bond in bonds]
-    for atom, neighbours in zip(atoms, adj):
-        num_h = 0
-        for w, i in neighbours:
-            num_h += is_h[w]
-            if aromatic[i]:
-                atom.aromatic = True
-        atom.num_explicit_h = num_h
-        atom.hybridization = _hybridization_heuristic(atom.element, len(neighbours),
-                                                      atom.formal_charge)
-    return molecule
 
 
 # --- SDF (MOL V2000) -------------------------------------------------------
@@ -412,7 +351,7 @@ def _parse_sdf_record(first_line: int, lines: list[str], index: int) -> Molecule
 
     mol = Molecule(id=title or f"mol{index}", atoms=atoms, bonds=bonds,
                    coords=list(zip(xs, ys, zs)))
-    return annotate_derived_attributes(mol.validate())
+    return mol.validate()
 
 
 def _parse_record(parse, first_line: int, record, index: int) -> Molecule:
@@ -464,9 +403,8 @@ def parse_sdf_lenient(data: bytes | str) -> tuple[list[Molecule], list[ParseErro
 # --- JSON lines --------------------------------------------------------------
 
 
-# the JSONL key of each Atom and Bond field, in field order
-_ATOM_KEYS = {"element": "element", "formal_charge": "formal_charge", "chirality": "chirality",
-              "num_explicit_h": "num_h", "aromatic": "aromatic", "hybridization": "hybridization"}
+# the JSONL key of each Atom and Bond field, in field order; the reader reads no other key
+_ATOM_KEYS = {"element": "element", "formal_charge": "formal_charge", "chirality": "chirality"}
 _BOND_KEYS = {"a": "a", "b": "b", "bond_type": "type", "bond_dir": "dir"}
 
 

@@ -125,8 +125,7 @@ def loss_fingerprint(model: GeoGNN, emb: GraphEmbedding,
             row[:] = molecule.fingerprint
     present = ~np.isnan(bits)
     logits = model.head_fingerprint(emb.h_graph)
-    targets = Tensor(np.where(present, bits, 0.0), dtype=logits.dtype)
-    return T.bce_with_logits(logits, targets, present / width)
+    return T.bce_with_logits(logits, np.where(present, bits, 0.0), present / width)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .geometry import build_dual_graph
-from .molio import Atom, Bond, Molecule, annotate_derived_attributes
+from .molio import Atom, Bond, Molecule
 from .rng import Rng
 
 _HEAVY = ("C", "C", "C", "C", "C", "N", "N", "O", "O", "F", "S", "Cl")
@@ -84,13 +84,12 @@ def random_molecule(
             a, b = candidates[rng.below(len(candidates))]
             bonds.append((a, b))
 
-    mol = Molecule(
+    return Molecule(
         id=mol_id,
         atoms=[Atom(element=e) for e in elements],
         bonds=[Bond(a=a, b=b) for a, b in bonds],
         coords=coords,
-    )
-    return annotate_derived_attributes(mol.validate())
+    ).validate()
 
 
 def geometry_label(molecule: Molecule) -> float:

@@ -525,21 +525,21 @@ def pair_mlp_cross_entropy(x: Tensor, counts, w1: Tensor, b1: Tensor, w2: Tensor
     return _emit(loss, inputs, grad_fn, "pair_mlp_cross_entropy")
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor, weights) -> Tensor:
-    """Sum of weights * binary cross-entropy with logits over the elements."""
-    logits, targets = _coerce(logits), _coerce(targets)
-    if logits.shape != targets.shape:
-        raise ShapeError("bce_with_logits expects matching shapes")
+def bce_with_logits(logits: Tensor, targets, weights) -> Tensor:
+    """Sum of weights * binary cross-entropy with logits over the elements,
+    targets and weights of the logits' shape cast to their dtype."""
+    logits = _coerce(logits)
+    t = _loss_array(targets, logits.shape, logits.dtype, "bce_with_logits", "targets")
     weights = _loss_array(weights, logits.shape, logits.dtype, "bce_with_logits")
-    x, t = logits.data, targets.data
+    x = logits.data
     elem = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
 
     def grad_fn(g):
         sig = 1.0 / (1.0 + np.exp(-x))
-        return ((sig - t) * weights * float(g), None)
+        return ((sig - t) * weights * float(g),)
 
     loss = (elem * weights).sum()
-    return _emit(np.asarray(loss, dtype=logits.dtype), (logits, targets), grad_fn, "bce_with_logits")
+    return _emit(np.asarray(loss, dtype=logits.dtype), (logits,), grad_fn, "bce_with_logits")
 
 
 # names of deleted ops, kept only because bench/tracing.py patches them by string;

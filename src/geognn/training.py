@@ -456,7 +456,7 @@ def _downstream_batch_loss(
     y = np.where(present, labels, 0.0)
     if task_type == "regression":
         return T.squared_error(pred, y, weights), {}
-    return T.bce_with_logits(pred, Tensor(y, dtype=pred.dtype), weights), {}
+    return T.bce_with_logits(pred, y, weights), {}
 
 
 @dataclass

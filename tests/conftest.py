@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geognn.features import EncodedGraph, FeatureConfig, encode
+from geognn.features import HYBRIDIZATIONS, EncodedGraph, FeatureConfig, encode
 from geognn.geometry import bond_order, build_dual_graph
 from geognn.model import GeoGNN, ParamStore
-from geognn.molio import Atom, Bond, Molecule, annotate_derived_attributes
+from geognn.molio import Atom, Bond, Molecule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,6 +117,21 @@ def encoded_ring_flags(mol) -> list[bool]:
     return flags.tolist()
 
 
+def encoded_atom_attributes(mols) -> tuple[list[int], list[bool], list[str]]:
+    """The hydrogen count (capped at 8), aromatic flag and hybridization that
+    ``encode`` gives each atom of a molecule or union, in atom order: the hot
+    slot of each block, found by the manifest's offsets."""
+    layout = {b["name"]: (b["offset"], b["width"]) for b in FeatureConfig().manifest()["atom"]}
+    rows = encode(build_dual_graph(mols), mols, FeatureConfig()).atom
+
+    def slots(name):
+        offset, width = layout[name]
+        return np.argmax(rows[:, offset : offset + width], axis=1).tolist()
+
+    return (slots("num_h"), [slot == 1 for slot in slots("aromatic")],
+            [HYBRIDIZATIONS[slot] for slot in slots("hybridization")])
+
+
 def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):
     mol = Molecule(
         id=mol_id,
@@ -125,7 +140,7 @@ def make_molecule(elements, bond_pairs, coords, mol_id="m", **kwargs):
         coords=[tuple(float(c) for c in xyz) for xyz in coords],
         **kwargs,
     )
-    return annotate_derived_attributes(mol.validate())
+    return mol.validate()
 
 
 def chain_molecule(num_atoms: int, mol_id: str = "chain") -> Molecule:
@@ -207,7 +222,7 @@ def make_dce(same_side: bool, mol_id: str):
         ],
         coords=_dce_coords(same_side),
     )
-    return annotate_derived_attributes(mol.validate())
+    return mol.validate()
 
 
 @pytest.fixture

@@ -225,13 +225,14 @@ def dual_graph_reference(molecule):
 
 def encode_reference(graph, molecule):
     """``encode`` one row at a time in float64: one-hot blocks written slot
-    by slot at hand-summed offsets, bond attributes and ring flags (from
+    by slot at hand-summed offsets, the derived atom attributes from
+    ``annotate_reference``, bond attributes and ring flags (from
     ``ring_flags_reference``) looked up by their (min, max) key, and one RBF
     expansion per bond and per angle. Block widths are read by name from the
     manifest."""
     from geognn.errors import DataError
-    from geognn.features import FeatureConfig, EncodedGraph
-    from geognn.molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES, HYBRIDIZATIONS
+    from geognn.features import HYBRIDIZATIONS, FeatureConfig, EncodedGraph
+    from geognn.molio import ATOMIC_NUMBER, BOND_DIRS, BOND_TYPES, CHIRALITIES
 
     config = FeatureConfig()
     manifest = config.manifest()
@@ -248,17 +249,18 @@ def encode_reference(graph, molecule):
         return np.exp(-manifest["rbf_gamma"] * d * d)
 
     degrees = np.bincount(graph.bonds.ravel(), minlength=graph.num_atoms)
+    num_h, aromatic, hybridization = annotate_reference(molecule)
     atom = np.zeros((graph.num_atoms, config.atom_width))
     for i, a in enumerate(molecule.atoms):
         row, offset = atom[i], 0
         offset = one_hot(row, offset, "atom_type", ATOMIC_NUMBER[a.element])
-        offset = one_hot(row, offset, "aromatic", int(a.aromatic))
+        offset = one_hot(row, offset, "aromatic", int(aromatic[i]))
         charge = min(max(a.formal_charge + 8, 0), size["formal_charge"] - 1)
         offset = one_hot(row, offset, "formal_charge", charge)
         offset = one_hot(row, offset, "chirality", CHIRALITIES.index(a.chirality))
         offset = one_hot(row, offset, "degree", min(int(degrees[i]), size["degree"] - 1))
-        offset = one_hot(row, offset, "num_h", min(a.num_explicit_h, size["num_h"] - 1))
-        one_hot(row, offset, "hybridization", HYBRIDIZATIONS.index(a.hybridization))
+        offset = one_hot(row, offset, "num_h", min(num_h[i], size["num_h"] - 1))
+        one_hot(row, offset, "hybridization", HYBRIDIZATIONS.index(hybridization[i]))
 
     keys = [(min(b.a, b.b), max(b.a, b.b)) for b in molecule.bonds]
     attr_by_key = dict(zip(keys, molecule.bonds))
@@ -294,8 +296,7 @@ def _int_field_reference(line, lo, hi, lineno, what, default=None):
 
 def sdf_record_reference(first_line: int, lines: list[str], index: int):
     """One V2000 record read a field at a time: each field is stripped, then
-    converted, and checked before the next is read. The derived attributes
-    come from ``annotate_reference``."""
+    converted, and checked before the next is read."""
     from geognn.errors import ParseError
     from geognn.molio import (_OLD_STYLE_CHARGE, _SDF_BOND_DIR, _SDF_BOND_TYPE, ATOMIC_NUMBER,
                               Atom, Bond, Molecule)
@@ -384,36 +385,57 @@ def sdf_record_reference(first_line: int, lines: list[str], index: int):
                 raise ParseError("malformed M  CHG line", lineno) from None
 
     mol = Molecule(id=title or f"mol{index}", atoms=atoms, bonds=bonds, coords=coords)
-    return annotate_reference(mol.validate())
+    return mol.validate()
 
 
 def annotate_reference(molecule):
-    """Aromatic flags from aromatic bonds; hydrogen counts from bonded H
-    atoms; hybridization from the steric number, degree plus main-group lone
-    pairs."""
-    from geognn.molio import _STERIC_TO_HYBRIDIZATION, _VALENCE_ELECTRONS
+    """(hydrogen counts, aromatic flags, hybridizations), one per atom, a bond
+    at a time: hydrogen counts from bonded H atoms, aromatic flags from
+    aromatic bonds, and hybridization from the steric number, degree plus
+    main-group lone pairs, in Python integers of any size."""
+    from geognn.features import _STERIC_TO_HYBRIDIZATION, _VALENCE_ELECTRONS
 
     degree = [0] * len(molecule.atoms)
-    h_neighbors = [0] * len(molecule.atoms)
+    num_h = [0] * len(molecule.atoms)
+    aromatic = [False] * len(molecule.atoms)
     for bond in molecule.bonds:
         degree[bond.a] += 1
         degree[bond.b] += 1
         if molecule.atoms[bond.b].element == "H":
-            h_neighbors[bond.a] += 1
+            num_h[bond.a] += 1
         if molecule.atoms[bond.a].element == "H":
-            h_neighbors[bond.b] += 1
+            num_h[bond.b] += 1
         if bond.bond_type == "aromatic":
-            molecule.atoms[bond.a].aromatic = True
-            molecule.atoms[bond.b].aromatic = True
+            aromatic[bond.a] = aromatic[bond.b] = True
+    hybridization = []
     for i, atom in enumerate(molecule.atoms):
-        atom.num_explicit_h = h_neighbors[i]
         valence = _VALENCE_ELECTRONS.get(atom.element)
         if valence is None or degree[i] == 0:
-            atom.hybridization = "unknown"
+            hybridization.append("unknown")
             continue
-        lone_pairs = max(0, (valence - atom.formal_charge - degree[i]) // 2)
-        atom.hybridization = _STERIC_TO_HYBRIDIZATION.get(degree[i] + lone_pairs, "unknown")
-    return molecule
+        lone_pairs = max(0, (valence - int(atom.formal_charge) - degree[i]) // 2)
+        hybridization.append(_STERIC_TO_HYBRIDIZATION.get(degree[i] + lone_pairs, "unknown"))
+    return num_h, aromatic, hybridization
+
+
+def sdf_text(molecules) -> str:
+    """The molecules as V2000 records: coordinates written to 4 decimals,
+    each nonzero charge in an ``M  CHG`` line of its own; chirality is not
+    written."""
+    bond_code = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
+    stereo_code = {"none": 0, "begin_wedge": 1, "either": 4, "begin_dash": 6}
+    lines = []
+    for mol in molecules:
+        lines += [mol.id, "", "", f"{len(mol.atoms):3d}{len(mol.bonds):3d}  0  0  0  0  0  0"
+                  "  0  0999 V2000"]
+        lines += [f"{x:10.4f}{y:10.4f}{z:10.4f} {atom.element:<3} 0  0  0"
+                  for atom, (x, y, z) in zip(mol.atoms, mol.coords)]
+        lines += [f"{b.a + 1:3d}{b.b + 1:3d}{bond_code[b.bond_type]:3d}{stereo_code[b.bond_dir]:3d}"
+                  for b in mol.bonds]
+        lines += [f"M  CHG  1 {i + 1:3d} {atom.formal_charge:3d}"
+                  for i, atom in enumerate(mol.atoms) if atom.formal_charge]
+        lines += ["M  END", "$$$$"]
+    return "\n".join(lines) + "\n"
 
 
 def sdf_reference(data):
@@ -598,7 +620,7 @@ def pretrain_loss_reference(model, batch, rngs, tasks, mask_ratio=0.15, mode="tr
                 np.where(i == j, 1.0, 2.0) / (n * n))
         if "fingerprint" in parts and bits:
             logits = model.head_fingerprint(emb.h_graph)
-            parts["fingerprint"] = T.bce_with_logits(logits, Tensor(np.array([bits], dtype=float)),
+            parts["fingerprint"] = T.bce_with_logits(logits, [bits],
                                                      np.full((1, len(bits)), 1 / len(bits)))
         for name, part in parts.items():
             sums[name] = sums.get(name, 0.0) + (part.item() if part is not None else 0.0)
@@ -625,7 +647,7 @@ def downstream_loss_reference(model, items, labels, task_type, rngs):
         if task_type == "regression":
             terms.append(T.squared_error(pred, y, mask / mask.sum()))
         else:
-            terms.append(T.bce_with_logits(pred, Tensor(y), mask / mask.sum()))
+            terms.append(T.bce_with_logits(pred, y, mask / mask.sum()))
     return T.scaled_sum(terms, 1.0 / len(items))
 
 

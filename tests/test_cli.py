@@ -455,14 +455,6 @@ def _drop_all_atoms(obj):
     obj["atoms"], obj["bonds"], obj["coords"] = [], [], []
 
 
-def _set_aromatic_string(obj):
-    obj["atoms"][0]["aromatic"] = "no"
-
-
-def _set_num_h_fraction(obj):
-    obj["atoms"][0]["num_h"] = 2.7
-
-
 def _set_bond_atom_float(obj):
     obj["bonds"][0]["a"] = float(obj["bonds"][0]["a"])
 
@@ -498,7 +490,7 @@ class TestMalformedInput:
         "corrupt",
         [
             _set_formal_charge, _set_label, _set_coordinate, _set_atoms_scalar, _drop_all_atoms,
-            _set_aromatic_string, _set_num_h_fraction, _set_bond_atom_float,
+            _set_bond_atom_float,
             _set_label_numeric_string, _set_label_infinity, _set_coordinate_numeric_string,
             _set_coordinate_bool, _set_fingerprint_bit_bool, _set_fingerprint_empty,
         ],

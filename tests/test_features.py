@@ -9,14 +9,15 @@ from geognn.errors import DataError
 from geognn.features import BLOCKS, EncodedGraph, FeatureConfig, encode, rbf_expand
 from geognn.geometry import build_dual_graph, pack_graphs
 from geognn.masking import mask_context
-from geognn.molio import BOND_DIRS, BOND_TYPES, Bond
+from geognn.molio import BOND_DIRS, BOND_TYPES, ELEMENTS, Atom, Bond, Molecule
 from geognn.pretrain import PACK_SIZE
 from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.training import prepare_molecules
 
-from conftest import make_molecule, without_geometry
-from oracles import dual_graph_reference, encode_reference, masked_entities_reference
+from conftest import encoded_atom_attributes, make_molecule, without_geometry
+from oracles import (annotate_reference, dual_graph_reference, encode_reference,
+                     masked_entities_reference)
 
 
 @st.composite
@@ -25,8 +26,8 @@ def scrambled_molecules(draw):
     whose bond list is shuffled, each bond's ends swapped at random,
     and whose bond types and directions are drawn per bond, so that reading
     bond attributes or ring flags in the wrong row order changes the
-    features. Some molecules lose bonds, and atoms get charges and hydrogen
-    counts beyond their blocks' clamps."""
+    features. Some molecules lose bonds, and atoms get charges beyond their
+    block's clamp."""
     seed = draw(st.integers(0, 2**32 - 1))
     gen = np.random.default_rng(seed)
     atoms = int(gen.integers(1, 41))
@@ -40,7 +41,6 @@ def scrambled_molecules(draw):
     ]
     for atom in mol.atoms:
         atom.formal_charge = int(gen.integers(-10, 11))
-        atom.num_explicit_h = int(gen.integers(0, 11))
     return mol
 
 
@@ -138,10 +138,6 @@ def _far_apart(mol):
     mol.coords[mol.bonds[0].b] = (x + 1e200, y, z)
 
 
-def _off_block(mol):
-    mol.atoms[1].num_explicit_h = -1
-
-
 def _bent(arm):
     """Make the molecule w-u-v, both bonds ``arm`` long and 45 degrees apart.
     At these arms the squared lengths are subnormal: unchecked, arms of
@@ -157,7 +153,6 @@ def _bent(arm):
 @pytest.mark.parametrize("spoil, message", [
     (_coincident, "coincident bonded atoms"),
     (_far_apart, "non-finite length of bond"),
-    (_off_block, "one-hot index -1 outside block num_h"),
     (_bent(2.3e-162), "bond too short to measure (0, 1)"),
     (_bent(1e-161), "bond too short to measure (0, 1)"),
 ])
@@ -355,8 +350,8 @@ class TestMaskContext:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_typed_fields_read_as_plain_numbers(seed):
-    """``Molecule.validate`` takes any integer kind for bond ends, charges and
-    hydrogen counts, and ints, numpy floats and Fractions for coordinates;
+    """``Molecule.validate`` takes any integer kind for bond ends and charges,
+    and ints, numpy floats and Fractions for coordinates;
     the dual graph and features of such a molecule, alone and in a union,
     are those of the same molecule in plain ints and floats."""
     from fractions import Fraction
@@ -368,13 +363,12 @@ def test_typed_fields_read_as_plain_numbers(seed):
                     for i, xyz in enumerate(typed.coords)]
     for i, atom in enumerate(typed.atoms):
         atom.formal_charge = (np.int8, np.int64, int)[i % 3](atom.formal_charge)
-        atom.num_explicit_h = int_kinds[i % 6](atom.num_explicit_h)
     for i, bond in enumerate(typed.bonds):
         bond.a, bond.b = int_kinds[i % 6](bond.a), int_kinds[(i + 1) % 6](bond.b)
     plain = copy.deepcopy(typed)
     plain.coords = [tuple(float(x) for x in xyz) for xyz in plain.coords]
     for atom in plain.atoms:
-        atom.formal_charge, atom.num_explicit_h = int(atom.formal_charge), int(atom.num_explicit_h)
+        atom.formal_charge = int(atom.formal_charge)
     for bond in plain.bonds:
         bond.a, bond.b = int(bond.a), int(bond.b)
     typed.validate()
@@ -389,10 +383,67 @@ def test_typed_fields_read_as_plain_numbers(seed):
 
 
 def test_integers_beyond_int64_are_clamped_like_the_rest():
+    """A charge beyond int64 encodes as one at ``encode``'s charge bound,
+    which keeps its hybridization as well as its formal-charge slot."""
     big = random_molecule(Rng(9), min_atoms=4, max_atoms=8)
     edge = copy.deepcopy(big)
-    for i, (charge, clamped) in enumerate(((10**30, 7), (-(10**30), -8), (np.uint64(2**63), 7))):
+    for i, (charge, clamped) in enumerate(((10**30, 64), (-(10**30), -64),
+                                           (np.uint64(2**63), 64))):
         big.atoms[i].formal_charge, edge.atoms[i].formal_charge = charge, clamped
-    big.atoms[3].num_explicit_h, edge.atoms[3].num_explicit_h = 2**70, 8
     got, want = (encode(build_dual_graph(m), m, FeatureConfig()) for m in (big.validate(), edge))
     assert_same(got, want, ("atom", "bond", "angle"))
+
+
+@st.composite
+def bare_molecules(draw):
+    """A molecule of 1-16 atoms built from elements, charges and bonds alone:
+    elements with and without a valence entry, isolated atoms, at times a hub
+    bonded to every other atom (degree up to 15), bond types drawn per bond
+    (a quarter aromatic) and charges up to +-10**30."""
+    n = draw(st.integers(1, 16))
+    common = st.sampled_from(("H", "C", "N", "O", "S", "Cl", "B"))
+    elements = draw(st.lists(common | st.sampled_from(ELEMENTS), min_size=n, max_size=n))
+    huge = st.sampled_from((-(10**30), -65, -64, 64, 65, 10**30))
+    charges = draw(st.lists(st.integers(-10, 10) | huge, min_size=n, max_size=n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    hub = {(0, b) for b in range(1, n)} if draw(st.booleans()) else set()
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return Molecule(
+        id="bare",
+        atoms=[Atom(e, c) for e, c in zip(elements, charges)],
+        bonds=[Bond(a, b, draw(st.sampled_from(BOND_TYPES))) for a, b in sorted(hub | set(chosen))],
+        coords=[(float(i), float(i * i % 5), float(i**3 % 7)) for i in range(n)],
+    ).validate()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mols=st.lists(bare_molecules(), min_size=1, max_size=3))
+def test_derived_atom_attributes_match_the_per_bond_reference(mols):
+    """``encode``'s hydrogen counts, aromatic flags and hybridizations, derived
+    in whole-array passes over a union, are ``annotate_reference``'s."""
+    num_h, aromatic, hybridization = ([x for mol in parts for x in mol]
+                                      for parts in zip(*map(annotate_reference, mols)))
+    assert encoded_atom_attributes(mols) == ([min(h, 8) for h in num_h], aromatic,
+                                             hybridization)
+
+
+@pytest.mark.parametrize("elements, bonds, coords, charge, want", [
+    (["C", "H", "H", "H", "H"], [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], 0, "sp3"),
+    (["O", "H", "H"], [(0, 1), (0, 2)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)], 0, "sp3"),
+    # carbonyl oxygen: one neighbor, two lone pairs
+    (["O", "C"], [(0, 1)], [(0, 0, 0), (1.2, 0, 0)], 0, "sp2"),
+    # the charge takes the lone pair: four bonds, none left
+    (["N", "H", "H", "H", "H"], [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], 1, "sp3"),
+    (["S", "F", "F", "F", "F", "F", "F"], [(0, i) for i in range(1, 7)],
+     [(0, 0, 0), (1.6, 0, 0), (-1.6, 0, 0), (0, 1.6, 0), (0, -1.6, 0), (0, 0, 1.6),
+      (0, 0, -1.6)], 0, "sp3d2"),
+    (["O"], [], [(0, 0, 0)], 0, "unknown"),  # no bonds
+    (["Fe", "C"], [(0, 1)], [(0, 0, 0), (1.8, 0, 0)], 0, "unknown"),  # no valence entry
+], ids=["methane", "water", "carbonyl", "ammonium", "sulfur-hexafluoride", "isolated", "iron"])
+def test_hybridization_from_the_steric_number(elements, bonds, coords, charge, want):
+    """The first atom's hybridization slot."""
+    mol = make_molecule(elements, bonds, coords)
+    mol.atoms[0].formal_charge = charge
+    assert encoded_atom_attributes(mol)[2][0] == want

@@ -39,9 +39,6 @@ FIELDS = [
     ("element", "atom", _without()),
     ("formal_charge", "atom", _without(_NP_INT)),
     ("chirality", "atom", _without()),
-    ("num_explicit_h", "atom", _without(_NP_INT) + [-1]),
-    ("aromatic", "atom", _without(True, False)),
-    ("hybridization", "atom", _without()),
     ("a", "bond", _without(_NP_INT)),
     ("b", "bond", _without(_NP_INT)),
     ("bond_type", "bond", _without()),
@@ -145,7 +142,6 @@ class TestOneRulePerField:
         assert [m.id for m in parse_jsonl(written)] == [m.id for m in mols]
         for mol in mols:
             mol.atoms[0].formal_charge = np.int64(-1)
-            mol.atoms[-1].num_explicit_h = np.int32(0)
             mol.bonds[0].a, mol.bonds[0].b = np.int64(mol.bonds[0].a), np.int16(mol.bonds[0].b)
             mol.fingerprint = [np.int64(1), np.uint8(0), 1, 0]
             assert mol.validate() is mol

@@ -15,7 +15,7 @@ from geognn.molio import CHIRALITIES
 from geognn.pretrain import loss_distance
 from geognn.rng import Rng
 from geognn.synth import random_molecule
-from geognn.tensor import Tape, Tensor
+from geognn.tensor import Tape
 from geognn.training import _downstream_batch_loss, embed_molecules, prepare_molecules
 
 from conftest import make_molecule, relabel, store_of, without_geometry
@@ -56,7 +56,7 @@ def composite_loss(model, graph, enc, bits, bins):
         terms.append(T.squared_error(pred_ang, graph.angle_values.reshape(-1, 1),
                                      np.full(pred_ang.shape, 1.0 / graph.num_angles)))
     terms.append(loss_distance(model, emb, graph, bins))
-    terms.append(T.bce_with_logits(model.head_fingerprint(emb.h_graph), Tensor(bits),
+    terms.append(T.bce_with_logits(model.head_fingerprint(emb.h_graph), bits,
                                    np.full(bits.shape, 1 / bits.size)))
     down = model.head_downstream(emb.h_graph)
     terms.append(dot(down, np.ones(down.shape)))

@@ -14,6 +14,7 @@ from geognn.model import GeoGNN, ModelConfig
 from geognn.molio import (
     MAX_ANGLES,
     MAX_ATOMS,
+    BOND_TYPES,
     Atom,
     Bond,
     Molecule,
@@ -29,10 +30,10 @@ from geognn.rng import Rng
 from geognn.synth import random_molecule
 from geognn.training import embed_molecules
 
-from conftest import (FIXTURES, chain_molecule, encoded_ring_flags, hub_molecule, make_dce,
-                      make_molecule, no_cyclic_garbage)
+from conftest import (FIXTURES, chain_molecule, encoded_atom_attributes, encoded_ring_flags,
+                      hub_molecule, make_dce, make_molecule, no_cyclic_garbage)
 from oracles import (angle_count_reference, cycle_bonds_by_removal, ring_flags_reference,
-                     sdf_reference)
+                     sdf_reference, sdf_text)
 
 
 class TestSdfParsing:
@@ -43,8 +44,8 @@ class TestSdfParsing:
         assert len(water.atoms) == 3
         assert len(water.bonds) == 2
         assert water.atoms[0].element == "O"
-        assert water.atoms[0].num_explicit_h == 2
-        assert water.atoms[0].hybridization == "sp3"
+        num_h, _, hybridization = encoded_atom_attributes(water)
+        assert (num_h[0], hybridization[0]) == (2, "sp3")
         assert water.coords[1] == (0.9572, 0.0, 0.0)
 
     def test_cyclopropane_ring_flags(self):
@@ -108,14 +109,29 @@ class TestJsonl:
     def test_single_atom_no_bonds(self):
         line = (
             '{"id": "he", "atoms": [{"element": "He", "formal_charge": 0,'
-            ' "chirality": "unspecified", "aromatic": false, "num_h": 0,'
-            ' "hybridization": "unknown"}], "bonds": [], "coords": [[0.0, 0.0, 0.0]],'
+            ' "chirality": "unspecified"}], "bonds": [], "coords": [[0.0, 0.0, 0.0]],'
             ' "labels": {}}'
         )
         mols = parse_jsonl(line.encode())
         assert len(mols) == 1
         assert mols[0].atoms[0].element == "He"
         assert mols[0].bonds == []
+
+    def test_older_files_derived_atom_keys_are_ignored(self):
+        """A file that still gives each atom "aromatic", "num_h" and
+        "hybridization" reads as it would without them: the atoms get the
+        derived values, whatever the file says."""
+        water = make_molecule(["O", "H", "H"], [(0, 1), (0, 2)],
+                              [(0, 0, 0), (0.96, 0, 0), (-0.24, 0.93, 0)])
+        obj = molecule_to_json_dict(water)
+        assert [sorted(atom) for atom in obj["atoms"]] == [
+            ["chirality", "element", "formal_charge"]] * 3
+        for atom in obj["atoms"]:
+            atom.update(aromatic=True, num_h=7, hybridization="sp3d2")
+        old = parse_jsonl(json.dumps(obj))
+        assert old == [water]
+        assert encoded_atom_attributes(old) == ([2, 0, 0], [False] * 3,
+                                                ["sp3", "unknown", "unknown"])
 
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
     def test_infinite_label_rejected(self, value):
@@ -155,8 +171,7 @@ class TestJsonl:
     def test_bad_fingerprint_bit(self):
         line = (
             '{"id": "x", "atoms": [{"element": "C", "formal_charge": 0,'
-            ' "chirality": "unspecified", "aromatic": false, "num_h": 0,'
-            ' "hybridization": "sp3"}], "bonds": [], "coords": [[0,0,0]],'
+            ' "chirality": "unspecified"}], "bonds": [], "coords": [[0,0,0]],'
             ' "labels": {}, "fingerprint": [0, 2]}'
         )
         with pytest.raises(ParseError):
@@ -165,8 +180,7 @@ class TestJsonl:
     def test_coords_length_mismatch(self):
         line = (
             '{"id": "x", "atoms": [{"element": "C", "formal_charge": 0,'
-            ' "chirality": "unspecified", "aromatic": false, "num_h": 0,'
-            ' "hybridization": "sp3"}], "bonds": [], "coords": [], "labels": {}}'
+            ' "chirality": "unspecified"}], "bonds": [], "coords": [], "labels": {}}'
         )
         with pytest.raises(ParseError):
             parse_jsonl(line.encode())
@@ -189,33 +203,37 @@ class TestJsonl:
         mols = parse_sdf((FIXTURES / "golden.sdf").read_bytes())
         assert parse_jsonl(write_jsonl(mols)) == mols
 
-    def test_hand_built_molecules_embed_like_their_jsonl_copies(self):
-        """Molecules built from fresh Atom and Bond objects, through no reader
-        and no annotation, embed bit for bit like their write_jsonl ->
-        parse_jsonl copies: what encode does not read from the fields, it
-        derives from the bonds on both sides."""
-        from geognn.synth import random_molecule
-
-        rng = Rng(33)
+    def test_one_molecule_has_one_embedding_through_the_api_sdf_and_jsonl(self):
+        """Molecules built through the API from element, charge and chirality
+        alone, with charged atoms, aromatic bonds and ring closures, embed bit
+        for bit in f64 like their SDF and JSONL copies: what a file does not
+        state, encode derives from the bonds alike on all three."""
+        gen = np.random.default_rng(38)
         built = []
-        for i in range(64):
-            mol = random_molecule(rng.fork(i), min_atoms=4, max_atoms=16, ring_probability=0.8,
-                                  mol_id=f"h{i}")
+        for i in range(50):
+            mol = random_molecule(Rng(38).fork(i), min_atoms=4, max_atoms=20,
+                                  ring_probability=0.8, mol_id=f"h{i}")
+            charges = np.where(gen.random(len(mol.atoms)) < 0.3, gen.integers(-3, 4), 0)
             built.append(Molecule(
                 id=mol.id,
-                atoms=[Atom(a.element, a.formal_charge, a.chirality, a.num_explicit_h,
-                            a.aromatic, a.hybridization) for a in mol.atoms],
-                bonds=[Bond(b.a, b.b, b.bond_type, b.bond_dir) for b in mol.bonds],
-                coords=list(mol.coords),
-            ))
-        assert sum(any(ring_membership(m)) for m in built) >= 32
+                atoms=[Atom(a.element, int(c), "unspecified") for a, c in zip(mol.atoms, charges)],
+                bonds=[Bond(b.a, b.b, str(gen.choice(BOND_TYPES, p=[0.4, 0.15, 0.1, 0.35])),
+                            str(gen.choice(["none", "begin_wedge", "begin_dash", "either"])))
+                       for b in mol.bonds],
+                coords=[tuple(round(x, 4) for x in xyz) for xyz in mol.coords],
+            ).validate())
+        assert sum(any(a.formal_charge for a in m.atoms) for m in built) >= 40
+        assert sum(any(b.bond_type == "aromatic" for b in m.bonds) for m in built) >= 40
+        assert sum(any(ring_membership(m)) for m in built) >= 25
         config = ModelConfig(num_blocks=2, hidden=8, dropout=0.0, distance_bins=5,
                              geom_head_hidden=8, down_head_hidden=8)
         store = GeoGNN(config, rng=Rng(3)).store
-        copies = parse_jsonl(write_jsonl(built))
-        for (name, got), (_, want) in zip(embed_molecules(store, config, built),
-                                          embed_molecules(store, config, copies), strict=True):
-            assert got.tobytes() == want.tobytes(), name
+        copies = parse_sdf(sdf_text(built)), parse_jsonl(write_jsonl(built))
+        want = embed_molecules(store, config, built)
+        for copy in copies:
+            got = embed_molecules(store, config, copy)
+            for (name, rows), (_, want_rows) in zip(got, want, strict=True):
+                assert rows.dtype == np.float64 and rows.tobytes() == want_rows.tobytes(), name
 
 
 _MALFORMED = sorted(p.name for p in (FIXTURES / "malformed").iterdir())
@@ -434,7 +452,7 @@ class TestValidation:
             mol.validate()
 
     @pytest.mark.parametrize("value", [1.0, 1.5, True])
-    @pytest.mark.parametrize("field", ["bond_a", "bond_b", "formal_charge", "num_explicit_h"])
+    @pytest.mark.parametrize("field", ["bond_a", "bond_b", "formal_charge"])
     def test_non_integer_field_rejected(self, field, value):
         mol = make_molecule(["C", "C", "O"], [(0, 1), (1, 2)],
                             [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0), (2.5, 1.0, 0.0)], mol_id="frac")
@@ -442,7 +460,7 @@ class TestValidation:
             setattr(mol.bonds[1], field[-1], value)
         else:
             setattr(mol.atoms[1], field, value)
-        with pytest.raises(DataError, match="^molecule frac: .* must be integers$"):
+        with pytest.raises(DataError, match="^molecule frac: .* must be (integers|an integer)$"):
             mol.validate()
 
     def test_numpy_integers_accepted(self):
@@ -450,7 +468,6 @@ class TestValidation:
                             [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0), (2.5, 1.0, 0.0)])
         mol.bonds[1].a, mol.bonds[1].b = np.int64(1), np.int32(2)
         mol.atoms[2].formal_charge = np.int64(-1)
-        mol.atoms[0].num_explicit_h = np.int16(3)
         assert mol.validate() is mol
 
     def test_nonfinite_coordinate_rejected(self):
@@ -488,21 +505,6 @@ class TestValidation:
                     mol.validate()
             else:
                 assert mol.validate() is mol
-
-    def test_hybridization_heuristic(self):
-        mol = make_molecule(
-            ["C", "H", "H", "H", "H"],
-            [(0, 1), (0, 2), (0, 3), (0, 4)],
-            [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
-        )
-        assert mol.atoms[0].hybridization == "sp3"
-        water = make_molecule(
-            ["O", "H", "H"], [(0, 1), (0, 2)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-        )
-        assert water.atoms[0].hybridization == "sp3"
-        # carbonyl oxygen: one neighbor, two lone pairs -> sp2
-        co = make_molecule(["C", "O"], [(0, 1)], [(0, 0, 0), (1.2, 0, 0)])
-        assert co.atoms[1].hybridization == "sp2"
 
 
 def _jsonl_seed() -> bytes:

@@ -266,7 +266,7 @@ class TestFingerprintLoss:
         bits = np.array(mol.fingerprint, dtype=float)
         logits = np.where(bits > 0, 10.0, -10.0).reshape(1, -1)
         mean = np.full((1, bits.size), 1 / bits.size)
-        assert T.bce_with_logits(Tensor(logits), Tensor(bits.reshape(1, -1)), mean).item() < 0.01
+        assert T.bce_with_logits(Tensor(logits), bits.reshape(1, -1), mean).item() < 0.01
 
     def test_zero_logits_give_ln2(self, model):
         mol = random_molecule(Rng(21))

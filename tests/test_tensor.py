@@ -188,7 +188,8 @@ class TestFusedOps:
         (T.squared_error, (3, 2), (np.ones((3, 2)), np.full((3, 2), 0.5))),
         (T.segment_mean, (3, 2), ([1, 2],)),
         (lambda x, scale: T.scaled_sum([x, x], scale), (), (0.25,)),
-    ], ids=["squared_error", "segment_mean", "scaled_sum"])
+        (T.bce_with_logits, (3, 2), ([[0, 1]] * 3, np.full((3, 2), 0.5))),
+    ], ids=["squared_error", "segment_mean", "scaled_sum", "bce_with_logits"])
     def test_without_a_tape_records_nothing_and_gives_the_same_value(self, op, shape, args):
         x = Tensor(np.random.default_rng(24).normal(size=shape), requires_grad=True)
         untaped = op(x, *args)
@@ -218,10 +219,13 @@ class TestFusedOps:
     @pytest.mark.parametrize("op,args", [
         ("squared_error", (Tensor(np.ones((2, 1))), np.ones(2), np.ones((2, 1)))),
         ("squared_error", (Tensor(np.ones((2, 1))), np.ones((2, 1)), np.ones((1, 2)))),
+        ("bce_with_logits", (Tensor(np.ones((2, 1))), np.ones(2), np.ones((2, 1)))),
+        ("bce_with_logits", (Tensor(np.ones((2, 1))), np.ones((2, 1)), np.ones((1, 2)))),
         ("segment_mean", (Tensor(np.ones(3)), [3])),
         ("scaled_sum", ([], 1.0)),
         ("scaled_sum", ([Tensor(1.0), Tensor(np.ones(2))], 1.0)),
-    ], ids=["targets", "weights", "1-D-values", "no-terms", "vector-term"])
+    ], ids=["targets", "weights", "bce-targets", "bce-weights", "1-D-values", "no-terms",
+            "vector-term"])
     def test_bad_shapes_rejected(self, op, args):
         with pytest.raises(ShapeError, match=op):
             getattr(T, op)(*args)
@@ -908,7 +912,7 @@ class TestPlumbingOps:
 
     def test_bce_with_logits_values(self):
         logits = Tensor(np.zeros((1, 4)))
-        bits = Tensor(np.array([[0.0, 1.0, 0.0, 1.0]]))
+        bits = np.array([[0.0, 1.0, 0.0, 1.0]])
         mean = np.full((1, 4), 0.25)
         assert T.bce_with_logits(logits, bits, mean).item() == pytest.approx(math.log(2.0),
                                                                              abs=1e-12)
@@ -921,7 +925,7 @@ class TestPlumbingOps:
         bits = (rng.uniform(size=(2, 5)) > 0.5).astype(float)
         mask = np.ones((2, 5))
         mask[0, 1] = 0.0
-        analytic, numeric = grad_of(lambda l: T.bce_with_logits(l, Tensor(bits), mask), logits)
+        analytic, numeric = grad_of(lambda l: T.bce_with_logits(l, bits, mask), logits)
         assert relative_error(analytic[0], numeric[0]) < 1e-4
 
 
@@ -979,7 +983,7 @@ class TestDeterminismAndSafety:
                 c = T.segment_mean(T.gather_rows(a, ids), [2, 3])
                 d = T.add(T.gather_rows(c, [0, 1, 1]), a)
                 return T.scaled_sum([T.squared_error(T.concat([d, a]), targets, np.ones((3, 6))),
-                                     T.bce_with_logits(d, Tensor(bits), np.ones((3, 3)))], 0.7)
+                                     T.bce_with_logits(d, bits, np.ones((3, 3)))], 0.7)
 
             analytic, numeric = grad_of(f, x, w)
             assert relative_error(analytic[0], numeric[0]) < 1e-4
